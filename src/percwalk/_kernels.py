@@ -1,49 +1,48 @@
 """Hot numeric kernels: per-step propagation and channel accumulation.
 
-Every kernel exists twice: a numba @njit build (default) and a pure-numpy
-build. The active backend is chosen at import time; set the environment
-variable PERCWALK_DISABLE_NUMBA=1 before importing to force the numpy path
-(the numpy path is also used automatically when numba is not importable).
-Both builds implement identical math on identical pre-sampled keep bits, so
-results agree to float round-off; ``benchmarks/bench_kernels.py`` compares
-their speed.
+A step of a walk applies exp(z * H_r) to the state, where H_r is the
+Laplacian of the edges kept at that step and z = -i*tau for the quantum walk
+or z = -tau for the classical walk. Two propagators implement it:
 
-Per-step propagators are exact spectral exponentials. For graphs with at
-most CACHE_MAX_EDGES edges the propagators are memoized by realization mask
-(bounded at CACHE_MAX_ENTRIES; with <= 2^16 possible masks the bound is
-never exceeded, so eviction never fires); larger graphs practically never
-repeat a mask and bypass the cache.
+* mask cache: a graph with at most CACHE_MAX_EDGES edges has at most 2^16
+  realizations, so each distinct realization's propagator is built once as
+  a spectral exponential (``eigh``) and kept in a dict keyed by its mask;
+* Taylor action: larger graphs practically never repeat a realization, so
+  exp(z * H_r) is applied to the state directly as ``substeps`` truncated
+  Taylor series of ``order`` terms each (``taylor_plan``). The truncation
+  error of each substep is at most 2^-53 times the norm of the state
+  (Al-Mohy & Higham, SIAM J. Sci. Comput. 33:488, 2011).
+
+The step kernels report which propagator ran (``"mask-cache"`` or
+``"taylor(substeps=S, order=K)"``) and the largest drift of the conserved
+norm: the 2-norm of a quantum state, the total probability of a classical
+distribution. ``channel_accumulate`` enumerates all 2^E realizations with
+spectral exponentials.
 """
 from __future__ import annotations
 
-import os
-from collections import OrderedDict
+import math
+from functools import partial
 
 import numpy as np
-
-try:
-    from numba import njit, types
-    from numba.typed import Dict as _NumbaDict
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    HAVE_NUMBA = False
-
-_DISABLE = os.environ.get("PERCWALK_DISABLE_NUMBA", "").strip().lower() in {"1", "true", "yes", "on"}
-NUMBA_ENABLED = HAVE_NUMBA and not _DISABLE
 
 CACHE_MAX_EDGES = 16
 CACHE_MAX_ENTRIES = 1 << 16
 CACHE_MAX_BYTES = 1 << 28  # 256 MiB of cached propagators
 CHANNEL_BATCH = 512
+# per-substep truncation bound of the Taylor action, relative to the state norm
+TAYLOR_TOL = 2.0**-53
+# largest transient buffer (Laplacian block, Taylor terms) of a step kernel
+BLOCK_BYTES = 1 << 18
 
 
 def active_backend() -> str:
-    return "numba" if NUMBA_ENABLED else "numpy"
+    """Name of the kernel implementation; numpy is the only one."""
+    return "numpy"
 
 
 def propagator_cache_capacity(edge_count: int, max_distinct: int, dim: int) -> int:
-    """Number of propagator slots to preallocate; 0 disables caching."""
+    """Most propagators the mask cache may hold; 0 selects the Taylor action."""
     if edge_count > CACHE_MAX_EDGES:
         return 0
     cap = min(1 << edge_count, max_distinct, CACHE_MAX_ENTRIES)
@@ -52,53 +51,73 @@ def propagator_cache_capacity(edge_count: int, max_distinct: int, dim: int) -> i
     return cap
 
 
-def hamiltonian_from_bits(edges: np.ndarray, bits: np.ndarray, gamma: float, n: int) -> np.ndarray:
-    """Laplacian of the kept edges; reference (numpy) construction."""
-    h = np.zeros((n, n), dtype=np.float64)
-    for e in range(edges.shape[0]):
-        if bits[e]:
-            u, v = edges[e, 0], edges[e, 1]
-            h[u, u] += gamma
-            h[v, v] += gamma
-            h[u, v] -= gamma
-            h[v, u] -= gamma
+def laplacians(edges: np.ndarray, n: int, bits: np.ndarray, scale) -> np.ndarray:
+    """scale * Laplacian of the kept edges, one (n, n) matrix per row of ``bits`` (R, E).
+
+    The result is complex when ``scale`` is. The edges of a Graph are
+    distinct, so the off-diagonal scatter writes every entry at most once.
+    """
+    w = np.multiply(bits, scale, dtype=np.result_type(scale, np.float64))
+    h = np.zeros((w.shape[0], n, n), dtype=w.dtype)
+    u, v = edges[:, 0], edges[:, 1]
+    h[:, u, v] = -w
+    h[:, v, u] = -w
+    # diagonal = scale * kept degree = minus the off-diagonal row sum
+    h.reshape(w.shape[0], n * n)[:, :: n + 1] = -h.sum(axis=2)
     return h
 
 
-# ---------------------------------------------------------------------------
-# pure-numpy implementations
-# ---------------------------------------------------------------------------
+def hamiltonian_from_bits(edges: np.ndarray, bits: np.ndarray, gamma: float, n: int) -> np.ndarray:
+    """Laplacian Hamiltonian gamma * L of the edges kept in ``bits`` (E,)."""
+    return laplacians(edges, n, bits[None, :], gamma)[0]
 
 
-class _LruPropagatorCache:
-    """Mask-keyed propagator cache, least-recently-used eviction."""
+def taylor_plan(edges: np.ndarray, n: int, gamma: float, tau: float) -> tuple[int, int]:
+    """(substeps, order) of the truncated-Taylor action of exp(z * H_r), |z| = tau.
 
-    def __init__(self, capacity: int = CACHE_MAX_ENTRIES):
-        self.capacity = capacity
-        self._data: OrderedDict[int, np.ndarray] = OrderedDict()
-
-    def get(self, key: int):
-        u = self._data.get(key)
-        if u is not None:
-            self._data.move_to_end(key)
-        return u
-
-    def put(self, key: int, value: np.ndarray) -> None:
-        self._data[key] = value
-        if len(self._data) > self.capacity:
-            self._data.popitem(last=False)
-
-
-def _unitary_for_bits_numpy(edges, bits, gamma, n, tau):
-    h = hamiltonian_from_bits(edges, bits, gamma, n)
-    w, q = np.linalg.eigh(h)
-    return (q * np.exp(-1j * tau * w)) @ q.T
+    Every realization Laplacian obeys ||tau * H_r||_2 <= x = 2 * gamma * tau
+    * maxdeg, maxdeg taken over the full graph. The step is split into
+    s = ceil(x) substeps of norm y = x / s <= 1, and the order is the
+    smallest K whose series tail y^(K+1) / (K+1)! / (1 - y / (K+2)) is at
+    most TAYLOR_TOL.
+    """
+    maxdeg = int(np.bincount(edges.ravel(), minlength=n).max(initial=0))
+    x = 2.0 * gamma * tau * maxdeg
+    substeps = max(1, math.ceil(x))
+    y = x / substeps
+    order, tail = 0, y  # tail = y^(K+1) / (K+1)! for K = order
+    while tail / (1.0 - y / (order + 2)) > TAYLOR_TOL:
+        order += 1
+        tail *= y / (order + 1)
+    return substeps, order
 
 
-def _stochastic_for_bits_numpy(edges, bits, gamma, n, tau):
-    h = hamiltonian_from_bits(edges, bits, gamma, n)
-    w, q = np.linalg.eigh(h)
-    return np.maximum((q * np.exp(-tau * w)) @ q.T, 0.0)
+def _taylor_series(apply_a, v: np.ndarray, coef: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out = sum_k coef[k] * A^k v[0], the one routine that applies the series.
+
+    ``apply_a(x, y)`` writes A x into y; v[k] receives A^k v[0] for
+    k = 1..K. With A = z * H / s and coef[k] = 1/k! this is one substep of
+    the Taylor action.
+    """
+    for k in range(1, v.shape[0]):
+        apply_a(v[k - 1], v[k])
+    np.dot(coef, v.reshape(v.shape[0], -1), out=out.reshape(-1))
+    return out
+
+
+def _taylor_coef(order: int, dtype) -> np.ndarray:
+    return np.array([1.0 / math.factorial(k) for k in range(order + 1)], dtype=dtype)
+
+
+def _plan_name(plan: tuple[int, int] | None) -> str:
+    return "mask-cache" if plan is None else f"taylor(substeps={plan[0]}, order={plan[1]})"
+
+
+def _propagator_for_bits(edges, bits, gamma, n, z):
+    """exp(z * H_r) by spectral decomposition; classical (real z) entries are clipped at 0."""
+    w, q = np.linalg.eigh(hamiltonian_from_bits(edges, bits, gamma, n))
+    m = (q * np.exp(z * w)) @ q.T
+    return m if np.iscomplexobj(m) else np.maximum(m, 0.0)
 
 
 def _mask_keys(bits_2d: np.ndarray) -> np.ndarray:
@@ -107,81 +126,220 @@ def _mask_keys(bits_2d: np.ndarray) -> np.ndarray:
     return bits_2d.astype(np.int64) @ pow2
 
 
-def trajectory_states_numpy(edges, n, gamma, tau, bits, record_steps, psi0, renorm_every, renorm_tol):
+def _norms(x: np.ndarray, axis: int) -> np.ndarray:
+    """The conserved norm: 2-norm of quantum amplitudes, total probability of a distribution."""
+    return np.linalg.norm(x, axis=axis) if np.iscomplexobj(x) else x.sum(axis=axis)
+
+
+# ---------------------------------------------------------------------------
+# single trajectories
+# ---------------------------------------------------------------------------
+
+
+def _trajectory(edges, n, gamma, z, bits, record_steps, x0, renorm_every, renorm_tol):
+    """Shared loop of the trajectory kernels -> (states at record_steps, max drift, propagator).
+
+    Steps run in blocks; each block returns its states, from which the
+    norm drift and the recorded rows are taken at once. Blocks end at
+    multiples of ``renorm_every`` (0 = never renormalize), where a state
+    whose norm drifted by more than ``renorm_tol`` is renormalized.
+    """
     steps, edge_count = bits.shape
+    if propagator_cache_capacity(edge_count, steps, n) > 0:
+        plan, block = None, max(1, BLOCK_BYTES // (16 * n))
+        keys = _mask_keys(bits).tolist()
+        cache: dict[int, np.ndarray] = {}
+
+        def advance(start, stop, x):
+            hist = np.empty((stop - start, n), dtype=x.dtype)
+            for j, key in enumerate(keys[start:stop]):
+                u = cache.get(key)
+                if u is None:
+                    u = cache[key] = _propagator_for_bits(edges, bits[start + j], gamma, n, z)
+                x = np.dot(u, x, out=hist[j])
+            return hist
+    else:
+        plan = taylor_plan(edges, n, gamma, abs(z))
+        substeps, order = plan
+        coef = _taylor_coef(order, x0.dtype)
+        v = np.empty((order + 1, n), dtype=x0.dtype)
+        block = max(1, BLOCK_BYTES // (n * n * x0.itemsize))
+
+        def advance(start, stop, x):
+            a = laplacians(edges, n, bits[start:stop], z * gamma / substeps)
+            hist = np.empty((stop - start, n), dtype=x.dtype)
+            for j in range(stop - start):
+                apply_a = partial(np.dot, a[j])
+                for _ in range(substeps):
+                    v[0] = x
+                    x = _taylor_series(apply_a, v, coef, hist[j])
+            return hist
+
     n_rec = record_steps.shape[0]
-    out = np.empty((n_rec, n), dtype=np.complex128)
-    psi = psi0.astype(np.complex128).copy()
+    out = np.empty((n_rec, n), dtype=x0.dtype)
+    rec_i = 0
+    if n_rec and record_steps[0] == 0:
+        out[0] = x0
+        rec_i = 1
+    x, max_drift, start = x0, 0.0, 0
+    while start < steps:
+        stop = min(start + block, steps)
+        if renorm_every:
+            stop = min(stop, (start // renorm_every + 1) * renorm_every)
+        hist = advance(start, stop, x)
+        norms = _norms(hist, axis=1)
+        max_drift = max(max_drift, float(np.max(np.abs(norms - 1.0))))
+        if renorm_every and stop % renorm_every == 0 and abs(norms[-1] - 1.0) > renorm_tol:
+            hist[-1] /= norms[-1]
+        rec_j = int(np.searchsorted(record_steps, stop, side="right"))
+        out[rec_i:rec_j] = hist[record_steps[rec_i:rec_j] - start - 1]
+        rec_i = rec_j
+        x, start = hist[-1], stop
+    return out, max_drift, _plan_name(plan)
+
+
+def trajectory_states(edges, n, gamma, tau, bits, record_steps, psi0, renorm_every, renorm_tol):
+    """One quantum trajectory -> (states at record_steps, max |norm - 1|, propagator name)."""
+    return _trajectory(edges, n, gamma, -1j * tau, bits, record_steps,
+                       psi0.astype(np.complex128), renorm_every, renorm_tol)
+
+
+def classical_trajectory(edges, n, gamma, tau, bits, record_steps, p0):
+    """One classical trajectory -> (distributions at record_steps, max |sum - 1|, propagator name)."""
+    return _trajectory(edges, n, gamma, -tau, bits, record_steps, p0.astype(np.float64), 0, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# ensembles
+# ---------------------------------------------------------------------------
+
+
+def _edge_apply(u, v, bt, w, x, y):
+    """y = H x for the (n, T) state block x, H taken from the kept-edge weights w (E, T).
+
+    With the signed incidence B (B[e, u_e] = 1, B[e, v_e] = -1), H = B^T
+    diag(w) B column by column. Complex blocks go through the real matmul
+    as (E, 2T) float views, so B stays real.
+    """
+    d = x[u] - x[v]
+    d *= w
+    np.dot(bt, d.view(np.float64), out=y.view(np.float64))
+
+
+def _ensemble(edges, n, gamma, z, bits3, record_steps, x0, record, renorm_every, renorm_tol):
+    """Shared loop of the ensemble kernels -> (max drift, propagator name).
+
+    x0 holds one initial state per column (n, T). ``record(i, x)`` is called
+    with a block of columns x at record step i. Every ``renorm_every`` steps
+    (0 = never) columns whose norm drifted by more than ``renorm_tol`` are
+    renormalized.
+    """
+    n_traj, steps, edge_count = bits3.shape
+    if propagator_cache_capacity(edge_count, CACHE_MAX_ENTRIES, n) > 0:
+        plan, cols = None, n_traj
+        cache: dict[int, np.ndarray] = {}
+
+        def step(bits, s, x):
+            keys = _mask_keys(bits[:, s, :])
+            for key in np.unique(keys).tolist():
+                sel = keys == key
+                u = cache.get(key)
+                if u is None:
+                    u = cache[key] = _propagator_for_bits(edges, bits[np.argmax(sel), s], gamma, n, z)
+                x[:, sel] = u @ x[:, sel]
+            return x
+    else:
+        plan = taylor_plan(edges, n, gamma, abs(z))
+        substeps, order = plan
+        coef = _taylor_coef(order, x0.dtype)
+        u_idx, v_idx = edges[:, 0], edges[:, 1]
+        bt = np.zeros((n, edge_count))
+        bt[u_idx, np.arange(edge_count)] = 1.0
+        bt[v_idx, np.arange(edge_count)] = -1.0
+        cols = max(1, BLOCK_BYTES // (x0.itemsize * max((order + 1) * n, edge_count)))
+        scale = z * gamma / substeps
+
+        def step(bits, s, x):
+            apply_a = partial(_edge_apply, u_idx, v_idx, bt, bits[:, s, :].T * scale)
+            v = np.empty((order + 1,) + x.shape, dtype=x.dtype)
+            for _ in range(substeps):
+                v[0] = x
+                _taylor_series(apply_a, v, coef, x)
+            return x
+
     max_drift = 0.0
-    rec_i = 0
-    if rec_i < n_rec and record_steps[rec_i] == 0:
-        out[0] = psi
-        rec_i = 1
-    use_cache = propagator_cache_capacity(edge_count, steps, n) > 0
-    cache = _LruPropagatorCache() if use_cache else None
-    keys = _mask_keys(bits) if use_cache else None
-    for s in range(steps):
-        if use_cache:
-            key = int(keys[s])
-            u = cache.get(key)
-            if u is None:
-                u = _unitary_for_bits_numpy(edges, bits[s], gamma, n, tau)
-                cache.put(key, u)
-            psi = u @ psi
-        else:
-            h = hamiltonian_from_bits(edges, bits[s], gamma, n)
-            w, q = np.linalg.eigh(h)
-            psi = q @ (np.exp(-1j * tau * w) * (q.T @ psi))
-        drift = abs(np.linalg.norm(psi) - 1.0)
-        if drift > max_drift:
-            max_drift = drift
-        if (s + 1) % renorm_every == 0 and drift > renorm_tol:
-            psi = psi / np.linalg.norm(psi)
-        if rec_i < n_rec and record_steps[rec_i] == s + 1:
-            out[rec_i] = psi
-            rec_i += 1
-    return out, max_drift
+    for c0 in range(0, n_traj, cols):
+        bits = bits3[c0:c0 + cols]
+        x = np.array(x0[:, c0:c0 + cols], order="C")  # _taylor_series writes through x.reshape
+        rec_i = 0
+        if record_steps.shape[0] and record_steps[0] == 0:
+            record(0, x)
+            rec_i = 1
+        for s in range(steps):
+            x = step(bits, s, x)
+            norms = _norms(x, axis=0)
+            drift = np.abs(norms - 1.0)
+            max_drift = max(max_drift, float(drift.max()))
+            if renorm_every and (s + 1) % renorm_every == 0:
+                fix = drift > renorm_tol
+                x[:, fix] /= norms[fix]
+            if rec_i < record_steps.shape[0] and record_steps[rec_i] == s + 1:
+                record(rec_i, x)
+                rec_i += 1
+    return max_drift, _plan_name(plan)
 
 
-def classical_trajectory_numpy(edges, n, gamma, tau, bits, record_steps, p0):
-    steps, edge_count = bits.shape
+def ensemble_quantum(edges, n, gamma, tau, bits3, record_steps, psis0, center, renorm_every, renorm_tol):
+    """Sums over trajectories of |psi><psi| and of (|psi|^2 - center) and its square.
+
+    -> (sum_outer, sum_dev, sum_dev2, max |norm - 1|, propagator name).
+    """
     n_rec = record_steps.shape[0]
-    out = np.empty((n_rec, n), dtype=np.float64)
-    p = p0.astype(np.float64).copy()
-    rec_i = 0
-    if rec_i < n_rec and record_steps[rec_i] == 0:
-        out[0] = p
-        rec_i = 1
-    use_cache = propagator_cache_capacity(edge_count, steps, n) > 0
-    cache = _LruPropagatorCache() if use_cache else None
-    keys = _mask_keys(bits) if use_cache else None
-    for s in range(steps):
-        if use_cache:
-            key = int(keys[s])
-            m = cache.get(key)
-            if m is None:
-                m = _stochastic_for_bits_numpy(edges, bits[s], gamma, n, tau)
-                cache.put(key, m)
-        else:
-            m = _stochastic_for_bits_numpy(edges, bits[s], gamma, n, tau)
-        p = m @ p
-        if rec_i < n_rec and record_steps[rec_i] == s + 1:
-            out[rec_i] = p
-            rec_i += 1
-    return out
+    sum_outer = np.zeros((n_rec, n, n), dtype=np.complex128)
+    sum_dev = np.zeros((n_rec, n), dtype=np.float64)
+    sum_dev2 = np.zeros((n_rec, n), dtype=np.float64)
+
+    def record(i, x):
+        sum_outer[i] += x @ x.conj().T
+        dev = np.abs(x) ** 2 - center[i][:, None]
+        sum_dev[i] += dev.sum(axis=1)
+        sum_dev2[i] += (dev**2).sum(axis=1)
+
+    drift, name = _ensemble(edges, n, gamma, -1j * tau, bits3, record_steps,
+                            psis0.T.astype(np.complex128), record, renorm_every, renorm_tol)
+    return sum_outer, sum_dev, sum_dev2, drift, name
 
 
-def channel_accumulate_numpy(edges, n, gamma, lam, tau):
+def ensemble_classical(edges, n, gamma, tau, bits3, record_steps, p0, center):
+    """Sums over trajectories of p and of (p - center) and its square.
+
+    -> (sum_dist, sum_dev, sum_dev2, max |sum(p) - 1|, propagator name).
+    """
+    n_rec = record_steps.shape[0]
+    sum_dist = np.zeros((n_rec, n), dtype=np.float64)
+    sum_dev = np.zeros((n_rec, n), dtype=np.float64)
+    sum_dev2 = np.zeros((n_rec, n), dtype=np.float64)
+
+    def record(i, x):
+        sum_dist[i] += x.sum(axis=1)
+        dev = x - center[i][:, None]
+        sum_dev[i] += dev.sum(axis=1)
+        sum_dev2[i] += (dev**2).sum(axis=1)
+
+    x0 = np.repeat(p0.astype(np.float64)[:, None], bits3.shape[0], axis=1)
+    drift, name = _ensemble(edges, n, gamma, -tau, bits3, record_steps, x0, record, 0, 0.0)
+    return sum_dist, sum_dev, sum_dev2, drift, name
+
+
+# ---------------------------------------------------------------------------
+# exact channel
+# ---------------------------------------------------------------------------
+
+
+def channel_accumulate(edges, n, gamma, lam, tau):
     """K[(i,j),(k,l)] = sum_r p_r conj(U_r)[i,j] U_r[k,l] over all 2^E masks."""
     edge_count = edges.shape[0]
     dd = n * n
-    estack = np.zeros((edge_count, n, n), dtype=np.float64)
-    for e in range(edge_count):
-        u, v = edges[e, 0], edges[e, 1]
-        estack[e, u, u] += gamma
-        estack[e, v, v] += gamma
-        estack[e, u, v] -= gamma
-        estack[e, v, u] -= gamma
     k_acc = np.zeros((dd, dd), dtype=np.complex128)
     total = 1 << edge_count
     shifts = np.arange(edge_count, dtype=np.int64)
@@ -194,414 +352,9 @@ def channel_accumulate_numpy(edges, n, gamma, lam, tau):
         if not np.any(live):
             continue
         bits, probs = bits[live], probs[live]
-        h = np.tensordot(bits, estack, axes=([1], [0]))
-        w, q = np.linalg.eigh(h)
+        w, q = np.linalg.eigh(laplacians(edges, n, bits, gamma))
         phases = np.exp(-1j * tau * w)
         us = (q * phases[:, None, :]) @ np.transpose(q, (0, 2, 1))
         uf = us.reshape(-1, dd)
         k_acc += uf.conj().T @ (probs[:, None] * uf)
     return k_acc
-
-
-def ensemble_quantum_numpy(edges, n, gamma, tau, bits3, record_steps, psis0, center, renorm_every, renorm_tol):
-    n_traj, steps, edge_count = bits3.shape
-    n_rec = record_steps.shape[0]
-    sum_outer = np.zeros((n_rec, n, n), dtype=np.complex128)
-    sum_dev = np.zeros((n_rec, n), dtype=np.float64)
-    sum_dev2 = np.zeros((n_rec, n), dtype=np.float64)
-    psis = psis0.astype(np.complex128).copy()
-
-    def _acc(i):
-        sum_outer[i] += psis.T @ psis.conj()
-        dev = np.abs(psis) ** 2 - center[i]
-        sum_dev[i] += dev.sum(axis=0)
-        sum_dev2[i] += (dev**2).sum(axis=0)
-
-    rec_i = 0
-    if rec_i < n_rec and record_steps[rec_i] == 0:
-        _acc(0)
-        rec_i = 1
-    use_group = propagator_cache_capacity(edge_count, CACHE_MAX_ENTRIES, n) > 0
-    cache = _LruPropagatorCache()
-    for s in range(steps):
-        if use_group:
-            keys = _mask_keys(bits3[:, s, :])
-            for key in np.unique(keys):
-                u = cache.get(int(key))
-                if u is None:
-                    u = _unitary_for_bits_numpy(edges, bits3[np.argmax(keys == key), s], gamma, n, tau)
-                    cache.put(int(key), u)
-                sel = keys == key
-                psis[sel] = psis[sel] @ u.T
-        else:
-            for t in range(n_traj):
-                h = hamiltonian_from_bits(edges, bits3[t, s], gamma, n)
-                w, q = np.linalg.eigh(h)
-                psis[t] = q @ (np.exp(-1j * tau * w) * (q.T @ psis[t]))
-        if (s + 1) % renorm_every == 0:
-            norms = np.linalg.norm(psis, axis=1)
-            fix = np.abs(norms - 1.0) > renorm_tol
-            if np.any(fix):
-                psis[fix] /= norms[fix, None]
-        if rec_i < n_rec and record_steps[rec_i] == s + 1:
-            _acc(rec_i)
-            rec_i += 1
-    return sum_outer, sum_dev, sum_dev2
-
-
-def ensemble_classical_numpy(edges, n, gamma, tau, bits3, record_steps, p0, center):
-    n_traj, steps, edge_count = bits3.shape
-    n_rec = record_steps.shape[0]
-    sum_dist = np.zeros((n_rec, n), dtype=np.float64)
-    sum_dev = np.zeros((n_rec, n), dtype=np.float64)
-    sum_dev2 = np.zeros((n_rec, n), dtype=np.float64)
-    ps = np.tile(p0.astype(np.float64), (n_traj, 1))
-
-    def _acc(i):
-        sum_dist[i] += ps.sum(axis=0)
-        dev = ps - center[i]
-        sum_dev[i] += dev.sum(axis=0)
-        sum_dev2[i] += (dev**2).sum(axis=0)
-
-    rec_i = 0
-    if rec_i < n_rec and record_steps[rec_i] == 0:
-        _acc(0)
-        rec_i = 1
-    use_group = propagator_cache_capacity(edge_count, CACHE_MAX_ENTRIES, n) > 0
-    cache = _LruPropagatorCache()
-    for s in range(steps):
-        if use_group:
-            keys = _mask_keys(bits3[:, s, :])
-            for key in np.unique(keys):
-                m = cache.get(int(key))
-                if m is None:
-                    m = _stochastic_for_bits_numpy(edges, bits3[np.argmax(keys == key), s], gamma, n, tau)
-                    cache.put(int(key), m)
-                sel = keys == key
-                ps[sel] = ps[sel] @ m.T
-        else:
-            for t in range(n_traj):
-                m = _stochastic_for_bits_numpy(edges, bits3[t, s], gamma, n, tau)
-                ps[t] = m @ ps[t]
-        if rec_i < n_rec and record_steps[rec_i] == s + 1:
-            _acc(rec_i)
-            rec_i += 1
-    return sum_dist, sum_dev, sum_dev2
-
-
-# ---------------------------------------------------------------------------
-# numba implementations
-# ---------------------------------------------------------------------------
-
-if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _nb_hamiltonian(edges, bits, gamma, n):
-        h = np.zeros((n, n), dtype=np.float64)
-        for e in range(edges.shape[0]):
-            if bits[e]:
-                u = edges[e, 0]
-                v = edges[e, 1]
-                h[u, u] += gamma
-                h[v, v] += gamma
-                h[u, v] -= gamma
-                h[v, u] -= gamma
-        return h
-
-    @njit(cache=True)
-    def _nb_unitary(edges, bits, gamma, n, tau):
-        h = _nb_hamiltonian(edges, bits, gamma, n)
-        w, q = np.linalg.eigh(h)
-        qc = q.astype(np.complex128)
-        a = qc * np.exp(-1j * tau * w)
-        return np.dot(a, np.ascontiguousarray(qc.T))
-
-    @njit(cache=True)
-    def _nb_stochastic(edges, bits, gamma, n, tau):
-        h = _nb_hamiltonian(edges, bits, gamma, n)
-        w, q = np.linalg.eigh(h)
-        a = q * np.exp(-tau * w)
-        m = np.dot(a, np.ascontiguousarray(q.T))
-        return np.maximum(m, 0.0)
-
-    @njit(cache=True)
-    def _nb_mask_key(bits_row):
-        key = np.int64(0)
-        for e in range(bits_row.shape[0]):
-            if bits_row[e]:
-                key |= np.int64(1) << np.int64(e)
-        return key
-
-    @njit(cache=True)
-    def _nb_traj_core(edges, n, gamma, tau, bits, record_steps, psi, out, cache_idx, cache_u, cache_len, renorm_every, renorm_tol):
-        steps = bits.shape[0]
-        n_rec = record_steps.shape[0]
-        max_drift = 0.0
-        rec_i = 0
-        if rec_i < n_rec and record_steps[rec_i] == 0:
-            out[0] = psi
-            rec_i = 1
-        cap = cache_u.shape[0]
-        for s in range(steps):
-            if cap > 0:
-                key = _nb_mask_key(bits[s])
-                if key in cache_idx:
-                    u = cache_u[cache_idx[key]]
-                else:
-                    u = _nb_unitary(edges, bits[s], gamma, n, tau)
-                    slot = cache_len[0]
-                    cache_u[slot] = u
-                    cache_idx[key] = slot
-                    cache_len[0] = slot + 1
-                psi = np.dot(u, psi)
-            else:
-                h = _nb_hamiltonian(edges, bits[s], gamma, n)
-                w, q = np.linalg.eigh(h)
-                qc = q.astype(np.complex128)
-                tmp = np.dot(psi, qc)
-                tmp = tmp * np.exp(-1j * tau * w)
-                psi = np.dot(qc, tmp)
-            nrm = 0.0
-            for i in range(n):
-                nrm += psi[i].real * psi[i].real + psi[i].imag * psi[i].imag
-            nrm = np.sqrt(nrm)
-            drift = abs(nrm - 1.0)
-            if drift > max_drift:
-                max_drift = drift
-            if (s + 1) % renorm_every == 0 and drift > renorm_tol:
-                psi = psi / nrm
-            if rec_i < n_rec and record_steps[rec_i] == s + 1:
-                out[rec_i] = psi
-                rec_i += 1
-        return max_drift
-
-    @njit(cache=True)
-    def _nb_classical_core(edges, n, gamma, tau, bits, record_steps, p, out, cache_idx, cache_m, cache_len):
-        steps = bits.shape[0]
-        n_rec = record_steps.shape[0]
-        rec_i = 0
-        if rec_i < n_rec and record_steps[rec_i] == 0:
-            out[0] = p
-            rec_i = 1
-        cap = cache_m.shape[0]
-        for s in range(steps):
-            if cap > 0:
-                key = _nb_mask_key(bits[s])
-                if key in cache_idx:
-                    m = cache_m[cache_idx[key]]
-                else:
-                    m = _nb_stochastic(edges, bits[s], gamma, n, tau)
-                    slot = cache_len[0]
-                    cache_m[slot] = m
-                    cache_idx[key] = slot
-                    cache_len[0] = slot + 1
-            else:
-                m = _nb_stochastic(edges, bits[s], gamma, n, tau)
-            p = np.dot(m, p)
-            if rec_i < n_rec and record_steps[rec_i] == s + 1:
-                out[rec_i] = p
-                rec_i += 1
-        return 0.0
-
-    @njit(cache=True)
-    def _nb_channel(edges, n, gamma, lam, tau):
-        # propagators are buffered in blocks so the rank-R accumulation runs
-        # as one zgemm per block instead of a d^4 scalar loop
-        edge_count = edges.shape[0]
-        dd = n * n
-        block = 256
-        k_acc = np.zeros((dd, dd), dtype=np.complex128)
-        buf = np.empty((block, dd), dtype=np.complex128)
-        bits = np.zeros(edge_count, dtype=np.uint8)
-        total = np.int64(1) << np.int64(edge_count)
-        count = 0
-        for r in range(total):
-            kept = 0
-            for e in range(edge_count):
-                b = (r >> e) & 1
-                bits[e] = np.uint8(b)
-                kept += b
-            p = lam**kept * (1.0 - lam) ** (edge_count - kept)
-            if p == 0.0:
-                continue
-            u = _nb_unitary(edges, bits, gamma, n, tau)
-            w = np.sqrt(p)
-            for j in range(dd):
-                buf[count, j] = w * u.flat[j]
-            count += 1
-            if count == block:
-                k_acc += np.dot(np.ascontiguousarray(buf.conj().T), buf)
-                count = 0
-        if count > 0:
-            tail = buf[:count]
-            k_acc += np.dot(np.ascontiguousarray(tail.conj().T), tail)
-        return k_acc
-
-    @njit(cache=True)
-    def _nb_ensemble_quantum(edges, n, gamma, tau, bits3, record_steps, psis0, center, cache_idx, cache_u, cache_len, sum_outer, sum_dev, sum_dev2, renorm_every, renorm_tol):
-        n_traj = bits3.shape[0]
-        steps = bits3.shape[1]
-        n_rec = record_steps.shape[0]
-        cap = cache_u.shape[0]
-        max_drift = 0.0
-        for t in range(n_traj):
-            psi = psis0[t].copy()
-            rec_i = 0
-            if rec_i < n_rec and record_steps[rec_i] == 0:
-                for i in range(n):
-                    pi = psi[i]
-                    dev = pi.real * pi.real + pi.imag * pi.imag - center[0, i]
-                    sum_dev[0, i] += dev
-                    sum_dev2[0, i] += dev * dev
-                    for j in range(n):
-                        sum_outer[0, i, j] += pi * np.conj(psi[j])
-                rec_i = 1
-            for s in range(steps):
-                if cap > 0:
-                    key = _nb_mask_key(bits3[t, s])
-                    if key in cache_idx:
-                        u = cache_u[cache_idx[key]]
-                    else:
-                        u = _nb_unitary(edges, bits3[t, s], gamma, n, tau)
-                        slot = cache_len[0]
-                        cache_u[slot] = u
-                        cache_idx[key] = slot
-                        cache_len[0] = slot + 1
-                    psi = np.dot(u, psi)
-                else:
-                    h = _nb_hamiltonian(edges, bits3[t, s], gamma, n)
-                    w, q = np.linalg.eigh(h)
-                    qc = q.astype(np.complex128)
-                    tmp = np.dot(psi, qc)
-                    tmp = tmp * np.exp(-1j * tau * w)
-                    psi = np.dot(qc, tmp)
-                nrm = 0.0
-                for i in range(n):
-                    nrm += psi[i].real * psi[i].real + psi[i].imag * psi[i].imag
-                nrm = np.sqrt(nrm)
-                drift = abs(nrm - 1.0)
-                if drift > max_drift:
-                    max_drift = drift
-                if (s + 1) % renorm_every == 0 and drift > renorm_tol:
-                    psi = psi / nrm
-                if rec_i < n_rec and record_steps[rec_i] == s + 1:
-                    for i in range(n):
-                        pi = psi[i]
-                        dev = pi.real * pi.real + pi.imag * pi.imag - center[rec_i, i]
-                        sum_dev[rec_i, i] += dev
-                        sum_dev2[rec_i, i] += dev * dev
-                        for j in range(n):
-                            sum_outer[rec_i, i, j] += pi * np.conj(psi[j])
-                    rec_i += 1
-        return max_drift
-
-    @njit(cache=True)
-    def _nb_ensemble_classical(edges, n, gamma, tau, bits3, record_steps, p0, center, cache_idx, cache_m, cache_len, sum_dist, sum_dev, sum_dev2):
-        n_traj = bits3.shape[0]
-        steps = bits3.shape[1]
-        n_rec = record_steps.shape[0]
-        cap = cache_m.shape[0]
-        for t in range(n_traj):
-            p = p0.copy()
-            rec_i = 0
-            if rec_i < n_rec and record_steps[rec_i] == 0:
-                for i in range(n):
-                    dev = p[i] - center[0, i]
-                    sum_dist[0, i] += p[i]
-                    sum_dev[0, i] += dev
-                    sum_dev2[0, i] += dev * dev
-                rec_i = 1
-            for s in range(steps):
-                if cap > 0:
-                    key = _nb_mask_key(bits3[t, s])
-                    if key in cache_idx:
-                        m = cache_m[cache_idx[key]]
-                    else:
-                        m = _nb_stochastic(edges, bits3[t, s], gamma, n, tau)
-                        slot = cache_len[0]
-                        cache_m[slot] = m
-                        cache_idx[key] = slot
-                        cache_len[0] = slot + 1
-                else:
-                    m = _nb_stochastic(edges, bits3[t, s], gamma, n, tau)
-                p = np.dot(m, p)
-                if rec_i < n_rec and record_steps[rec_i] == s + 1:
-                    for i in range(n):
-                        dev = p[i] - center[rec_i, i]
-                        sum_dist[rec_i, i] += p[i]
-                        sum_dev[rec_i, i] += dev
-                        sum_dev2[rec_i, i] += dev * dev
-                    rec_i += 1
-        return
-
-    def _new_cache(capacity, n, dtype):
-        idx = _NumbaDict.empty(key_type=types.int64, value_type=types.int64)
-        slab = np.empty((capacity, n, n), dtype=dtype)
-        return idx, slab, np.zeros(1, dtype=np.int64)
-
-    def trajectory_states_numba(edges, n, gamma, tau, bits, record_steps, psi0, renorm_every, renorm_tol):
-        cap = propagator_cache_capacity(bits.shape[1], bits.shape[0], n)
-        cache_idx, cache_u, cache_len = _new_cache(cap, n, np.complex128)
-        out = np.empty((record_steps.shape[0], n), dtype=np.complex128)
-        drift = _nb_traj_core(
-            edges, n, gamma, tau, bits, record_steps, psi0.astype(np.complex128).copy(),
-            out, cache_idx, cache_u, cache_len, renorm_every, renorm_tol,
-        )
-        return out, drift
-
-    def classical_trajectory_numba(edges, n, gamma, tau, bits, record_steps, p0):
-        cap = propagator_cache_capacity(bits.shape[1], bits.shape[0], n)
-        cache_idx, cache_m, cache_len = _new_cache(cap, n, np.float64)
-        out = np.empty((record_steps.shape[0], n), dtype=np.float64)
-        _nb_classical_core(
-            edges, n, gamma, tau, bits, record_steps, p0.astype(np.float64).copy(),
-            out, cache_idx, cache_m, cache_len,
-        )
-        return out
-
-    def channel_accumulate_numba(edges, n, gamma, lam, tau):
-        return _nb_channel(edges, n, float(gamma), float(lam), float(tau))
-
-    def ensemble_quantum_numba(edges, n, gamma, tau, bits3, record_steps, psis0, center, renorm_every, renorm_tol):
-        cap = propagator_cache_capacity(bits3.shape[2], CACHE_MAX_ENTRIES, n)
-        cache_idx, cache_u, cache_len = _new_cache(cap, n, np.complex128)
-        n_rec = record_steps.shape[0]
-        sum_outer = np.zeros((n_rec, n, n), dtype=np.complex128)
-        sum_dev = np.zeros((n_rec, n), dtype=np.float64)
-        sum_dev2 = np.zeros((n_rec, n), dtype=np.float64)
-        _nb_ensemble_quantum(
-            edges, n, gamma, tau, bits3, record_steps, psis0.astype(np.complex128), center,
-            cache_idx, cache_u, cache_len, sum_outer, sum_dev, sum_dev2, renorm_every, renorm_tol,
-        )
-        return sum_outer, sum_dev, sum_dev2
-
-    def ensemble_classical_numba(edges, n, gamma, tau, bits3, record_steps, p0, center):
-        cap = propagator_cache_capacity(bits3.shape[2], CACHE_MAX_ENTRIES, n)
-        cache_idx, cache_m, cache_len = _new_cache(cap, n, np.float64)
-        n_rec = record_steps.shape[0]
-        sum_dist = np.zeros((n_rec, n), dtype=np.float64)
-        sum_dev = np.zeros((n_rec, n), dtype=np.float64)
-        sum_dev2 = np.zeros((n_rec, n), dtype=np.float64)
-        _nb_ensemble_classical(
-            edges, n, gamma, tau, bits3, record_steps, p0.astype(np.float64), center,
-            cache_idx, cache_m, cache_len, sum_dist, sum_dev, sum_dev2,
-        )
-        return sum_dist, sum_dev, sum_dev2
-
-
-# ---------------------------------------------------------------------------
-# dispatch
-# ---------------------------------------------------------------------------
-
-if NUMBA_ENABLED:
-    trajectory_states = trajectory_states_numba
-    classical_trajectory = classical_trajectory_numba
-    channel_accumulate = channel_accumulate_numba
-    ensemble_quantum = ensemble_quantum_numba
-    ensemble_classical = ensemble_classical_numba
-else:
-    trajectory_states = trajectory_states_numpy
-    classical_trajectory = classical_trajectory_numpy
-    channel_accumulate = channel_accumulate_numpy
-    ensemble_quantum = ensemble_quantum_numpy
-    ensemble_classical = ensemble_classical_numpy

@@ -3,16 +3,21 @@
 Three routes to the same physics:
 
 * ``run_trajectory`` / ``run_classical_trajectory``: one stochastic
-  realization sequence, applying the exact per-step propagator.
+  realization sequence, applying the per-step propagator exp(z * H_r).
 * ``build_step_channel`` + ``evolve_channel``: the exact realization-averaged
   one-step channel (all 2^E edge subsets, probability-weighted unitary
   conjugations) as a d^2 x d^2 matrix on column-stacked density matrices.
 * ``monte_carlo_channel`` / ``monte_carlo_classical``: trajectory-ensemble
   estimates of the channel output with standard errors.
 
-Per-step exponentials are exact spectral exponentials, so discrepancies from
-the rescaled-time reference come only from non-commutativity of the sampled
-generators, not from integrator error.
+Per-step exponentials are spectral exponentials (graphs with at most
+``_kernels.CACHE_MAX_EDGES`` edges) or truncated Taylor actions whose
+truncation error is at most 2^-53 of the state norm per substep (larger
+graphs; see ``_kernels.taylor_plan``). Discrepancies from the rescaled-time
+reference therefore come from non-commutativity of the sampled generators,
+not from integrator error. Every record names the propagator that ran and
+the largest drift of the conserved norm, so a run reports how far to trust
+it.
 """
 from __future__ import annotations
 
@@ -77,7 +82,8 @@ class TrajectoryRecord:
     times: np.ndarray
     states: np.ndarray  # (n_recorded, node_count) complex amplitudes
     realization_masks: tuple[int, ...] | None
-    max_norm_drift: float
+    max_norm_drift: float  # max over steps of | ||psi||_2 - 1 |
+    propagator: str  # "mask-cache" or "taylor(substeps=S, order=K)"
 
     def site_probabilities(self) -> np.ndarray:
         return np.abs(self.states) ** 2
@@ -90,6 +96,8 @@ class ClassicalTrajectoryRecord:
     record_steps: np.ndarray
     times: np.ndarray
     distributions: np.ndarray  # (n_recorded, node_count)
+    max_norm_drift: float  # max over steps of |sum(p) - 1|
+    propagator: str
 
 
 @dataclass(frozen=True)
@@ -101,6 +109,8 @@ class EnsembleRecord:
     densities: np.ndarray  # (n_recorded, d, d) complex
     diag_stderr: np.ndarray  # (n_recorded,) max-over-nodes standard error
     n_trajectories: int
+    max_norm_drift: float  # over every step of every trajectory
+    propagator: str
 
     def site_probabilities(self) -> np.ndarray:
         return np.real(np.diagonal(self.densities, axis1=1, axis2=2))
@@ -115,6 +125,8 @@ class ClassicalEnsembleRecord:
     distributions: np.ndarray
     stderr: np.ndarray
     n_trajectories: int
+    max_norm_drift: float
+    propagator: str
 
 
 @dataclass(frozen=True)
@@ -161,7 +173,7 @@ def run_trajectory(
     """Evolve one stochastic trajectory of the percolated quantum walk.
 
     Each step samples an edge subset (keep probability ``run.lam``) and
-    applies the exact unitary exp(-i * H_realization * tau). The random
+    applies the unitary exp(-i * H_realization * tau). The random
     stream is PCG64 seeded by (run.seed, trajectory_index), so results are
     reproducible bit for bit on a fixed backend.
     """
@@ -172,7 +184,7 @@ def run_trajectory(
     rng = rng_from_seed(run.seed, trajectory_index)
     bits = sample_keep_bits(g, run.lam, rng, run.steps)
     rec = recorded_steps(run.steps, sample_stride)
-    states, drift = _kernels.trajectory_states(
+    states, drift, propagator = _kernels.trajectory_states(
         g.edge_array, g.node_count, cfg.gamma, run.tau, bits, rec, psi0, RENORM_EVERY, RENORM_TOL
     )
     masks = tuple(bits_to_mask(bits[s]) for s in range(run.steps)) if log_masks else None
@@ -182,6 +194,7 @@ def run_trajectory(
         states=states,
         realization_masks=masks,
         max_norm_drift=float(drift),
+        propagator=propagator,
     )
 
 
@@ -193,7 +206,10 @@ def run_classical_trajectory(
     sample_stride: int = 1,
     trajectory_index: int = 0,
 ) -> ClassicalTrajectoryRecord:
-    """Classical analog of ``run_trajectory``: per-step exp(-H_realization * tau)."""
+    """Classical analog of ``run_trajectory``: per-step exp(-H_realization * tau).
+
+    ``max_norm_drift`` of the record is the largest |sum(p) - 1| over the steps.
+    """
     cfg = cfg or WalkConfig()
     p0 = check_distribution(p0)
     if p0.shape[0] != g.node_count:
@@ -201,10 +217,16 @@ def run_classical_trajectory(
     rng = rng_from_seed(run.seed, trajectory_index)
     bits = sample_keep_bits(g, run.lam, rng, run.steps)
     rec = recorded_steps(run.steps, sample_stride)
-    dists = _kernels.classical_trajectory(
+    dists, drift, propagator = _kernels.classical_trajectory(
         g.edge_array, g.node_count, cfg.gamma, run.tau, bits, rec, p0
     )
-    return ClassicalTrajectoryRecord(record_steps=rec, times=rec * run.tau, distributions=dists)
+    return ClassicalTrajectoryRecord(
+        record_steps=rec,
+        times=rec * run.tau,
+        distributions=dists,
+        max_norm_drift=float(drift),
+        propagator=propagator,
+    )
 
 
 def build_step_channel(g: Graph, cfg: WalkConfig | None, lam: float, tau: float) -> ChannelMatrix:
@@ -328,7 +350,7 @@ def monte_carlo_channel(
     rng0 = rng_from_seed(run.seed, 0)
     psi0_first = _initial_states_from_density(rho0, 1, rng0)[0]
     bits0 = sample_keep_bits(g, run.lam, rng0, run.steps)
-    states0, _ = _kernels.trajectory_states(
+    states0, max_drift, _ = _kernels.trajectory_states(
         g.edge_array, n, cfg.gamma, run.tau, bits0, rec, psi0_first, RENORM_EVERY, RENORM_TOL
     )
     center = np.abs(states0) ** 2
@@ -344,9 +366,10 @@ def monte_carlo_channel(
             rng = rng_from_seed(run.seed, k)
             psis0[k - start] = _initial_states_from_density(rho0, 1, rng)[0]
             bits3[k - start] = sample_keep_bits(g, run.lam, rng, run.steps)
-        so, sd, sd2 = _kernels.ensemble_quantum(
+        so, sd, sd2, drift, propagator = _kernels.ensemble_quantum(
             g.edge_array, n, cfg.gamma, run.tau, bits3, rec, psis0, center, RENORM_EVERY, RENORM_TOL
         )
+        max_drift = max(max_drift, drift)
         sum_outer += so
         sum_dev += sd
         sum_dev2 += sd2
@@ -360,6 +383,8 @@ def monte_carlo_channel(
         densities=densities,
         diag_stderr=stderr,
         n_trajectories=t,
+        max_norm_drift=float(max_drift),
+        propagator=propagator,
     )
 
 
@@ -382,7 +407,9 @@ def monte_carlo_classical(
     n = g.node_count
     n_rec = rec.shape[0]
     bits0 = sample_keep_bits(g, run.lam, rng_from_seed(run.seed, 0), run.steps)
-    center = _kernels.classical_trajectory(g.edge_array, n, cfg.gamma, run.tau, bits0, rec, p0)
+    center, max_drift, _ = _kernels.classical_trajectory(
+        g.edge_array, n, cfg.gamma, run.tau, bits0, rec, p0
+    )
     sum_dist = np.zeros((n_rec, n))
     sum_dev = np.zeros((n_rec, n))
     sum_dev2 = np.zeros((n_rec, n))
@@ -393,9 +420,10 @@ def monte_carlo_classical(
         for k in range(start, stop):
             rng = rng_from_seed(run.seed, k)
             bits3[k - start] = sample_keep_bits(g, run.lam, rng, run.steps)
-        sd, sdev, sdev2 = _kernels.ensemble_classical(
+        sd, sdev, sdev2, drift, propagator = _kernels.ensemble_classical(
             g.edge_array, n, cfg.gamma, run.tau, bits3, rec, p0, center
         )
+        max_drift = max(max_drift, drift)
         sum_dist += sd
         sum_dev += sdev
         sum_dev2 += sdev2
@@ -409,4 +437,6 @@ def monte_carlo_classical(
         distributions=dist,
         stderr=stderr,
         n_trajectories=t,
+        max_norm_drift=float(max_drift),
+        propagator=propagator,
     )

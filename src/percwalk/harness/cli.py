@@ -174,9 +174,9 @@ def _parse_float_list(text: str, flag: str) -> list[float]:
 def _cmd_trajectory(args) -> int:
     _fill(args, lam=0.5)
     spec = _spec_from_args(args)
-    times, p_sim = quantum_trajectory_curve(spec)
+    times, p_sim, diagnostics = quantum_trajectory_curve(spec)
     p_oracle = quantum_oracle_curve(spec, times)
-    _emit(args.out, base_meta(spec, "trajectory"),
+    _emit(args.out, base_meta(spec, "trajectory", **diagnostics),
           [("t", times), ("p_sim", p_sim), ("p_oracle", p_oracle)])
     return 0
 
@@ -184,9 +184,9 @@ def _cmd_trajectory(args) -> int:
 def _cmd_classical(args) -> int:
     _fill(args, lam=0.5)
     spec = _spec_from_args(args)
-    times, p_sim = classical_trajectory_curve(spec)
+    times, p_sim, diagnostics = classical_trajectory_curve(spec)
     p_oracle = classical_oracle_curve(spec, times)
-    _emit(args.out, base_meta(spec, "classical"),
+    _emit(args.out, base_meta(spec, "classical", **diagnostics),
           [("t", times), ("p_sim", p_sim), ("p_oracle", p_oracle)])
     return 0
 
@@ -204,9 +204,9 @@ def _cmd_channel(args) -> int:
 def _cmd_montecarlo(args) -> int:
     _fill(args, lam=0.5)
     spec = _spec_from_args(args)
-    times, p_mean, p_stderr = montecarlo_curve(spec)
+    times, p_mean, p_stderr, diagnostics = montecarlo_curve(spec)
     p_oracle = quantum_oracle_curve(spec, times)
-    _emit(args.out, base_meta(spec, "montecarlo", trajectories=spec.trajectories),
+    _emit(args.out, base_meta(spec, "montecarlo", trajectories=spec.trajectories, **diagnostics),
           [("t", times), ("p_mean", p_mean), ("p_stderr", p_stderr), ("p_oracle", p_oracle)])
     return 0
 
@@ -292,7 +292,8 @@ def _cmd_envelope(args) -> int:
     result = exp_longtime_finite_tau(spec, trajectory_steps=args.traj_steps)
     g = spec.graph()
     meta = base_meta(spec, "longtime_finite_tau", trajectory_steps=args.traj_steps,
-                     envelope_asymptote=oracles.flat_limit(g.node_count))
+                     envelope_asymptote=oracles.flat_limit(g.node_count),
+                     **result.trajectory_diagnostics)
     if result.fit is not None:
         meta.update(envelope_a=result.fit.a, envelope_b=result.fit.b,
                     envelope_residual=result.fit.residual)

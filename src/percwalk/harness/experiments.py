@@ -126,20 +126,25 @@ def _scan_window(spec: ExperimentSpec) -> float:
 # ---------------------------------------------------------------------------
 
 
-def quantum_trajectory_curve(spec: ExperimentSpec) -> tuple[np.ndarray, np.ndarray]:
+def _run_diagnostics(rec) -> dict:
+    """CSV metadata saying which propagator a stochastic run used and how far its norm drifted."""
+    return {"propagator": rec.propagator, "max_norm_drift": rec.max_norm_drift}
+
+
+def quantum_trajectory_curve(spec: ExperimentSpec) -> tuple[np.ndarray, np.ndarray, dict]:
     g = spec.graph()
     rec = run_trajectory(
         g, spec.config(), spec.run(), basis_state(g.node_count, spec.start), spec.stride
     )
-    return rec.times, rec.site_probabilities()[:, spec.start]
+    return rec.times, rec.site_probabilities()[:, spec.start], _run_diagnostics(rec)
 
 
-def classical_trajectory_curve(spec: ExperimentSpec) -> tuple[np.ndarray, np.ndarray]:
+def classical_trajectory_curve(spec: ExperimentSpec) -> tuple[np.ndarray, np.ndarray, dict]:
     g = spec.graph()
     p0 = np.zeros(g.node_count)
     p0[spec.start] = 1.0
     rec = run_classical_trajectory(g, spec.config(), spec.run(), p0, spec.stride)
-    return rec.times, rec.distributions[:, spec.start]
+    return rec.times, rec.distributions[:, spec.start], _run_diagnostics(rec)
 
 
 def channel_curve(spec: ExperimentSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -151,7 +156,7 @@ def channel_curve(spec: ExperimentSpec) -> tuple[np.ndarray, np.ndarray]:
     return rec * run.tau, np.real(rhos[:, spec.start, spec.start])
 
 
-def montecarlo_curve(spec: ExperimentSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def montecarlo_curve(spec: ExperimentSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
     g = spec.graph()
     rec = monte_carlo_channel(
         g,
@@ -161,7 +166,7 @@ def montecarlo_curve(spec: ExperimentSpec) -> tuple[np.ndarray, np.ndarray, np.n
         spec.trajectories,
         spec.stride,
     )
-    return rec.times, rec.site_probabilities()[:, spec.start], rec.diag_stderr
+    return rec.times, rec.site_probabilities()[:, spec.start], rec.diag_stderr, _run_diagnostics(rec)
 
 
 def quantum_oracle_curve(spec: ExperimentSpec, times: np.ndarray) -> np.ndarray:
@@ -205,12 +210,12 @@ def _sweep(spec: ExperimentSpec, experiment: str, stem: str, lambdas, curve_fn) 
     paths = _sweep_paths(spec.output_path, stem, lambdas)
     for lam, path in zip(lambdas, paths):
         point = replace(spec, lam=lam, output_path=None)
-        times, p_sim = curve_fn(point)
+        times, p_sim, diagnostics = curve_fn(point)
         p_oracle = quantum_oracle_curve(point, times)
         if path is not None:
             write_csv(
                 path,
-                base_meta(point, experiment),
+                base_meta(point, experiment, **diagnostics),
                 [("t", times), ("p_sim", p_sim), ("p_oracle", p_oracle)],
             )
         results[lam] = CurveResult(lam, times, p_sim, p_oracle, path)
@@ -240,7 +245,8 @@ def exp_channel_ring(
     has 32768 realizations, all enumerated into one step channel.
     """
     spec = spec or ExperimentSpec(graph_spec="ring:15", tau=0.004, steps=5000, stride=10)
-    return _sweep(spec, "channel_ring", "channel_ring", lambdas, channel_curve)
+    return _sweep(spec, "channel_ring", "channel_ring", lambdas,
+                  lambda point: (*channel_curve(point), {}))
 
 
 @dataclass(frozen=True)
@@ -265,15 +271,17 @@ def exp_complete_graph(spec: ExperimentSpec | None = None) -> CompleteGraphResul
     )
     g = spec.graph()
     n = g.node_count
-    times, p_q = quantum_trajectory_curve(spec)
-    _, p_c = classical_trajectory_curve(spec)
+    times, p_q, q_diag = quantum_trajectory_curve(spec)
+    _, p_c, c_diag = classical_trajectory_curve(spec)
     p_q_oracle = np.asarray(oracles.complete_graph_quantum_return(n, spec.lam * times))
     p_c_oracle = np.asarray(oracles.complete_graph_classical_return(n, spec.lam * times))
     path = None
     if spec.output_path is not None:
         path = write_csv(
             Path(spec.output_path),
-            base_meta(spec, "complete_graph"),
+            base_meta(spec, "complete_graph",
+                      **{f"quantum_{k}": v for k, v in q_diag.items()},
+                      **{f"classical_{k}": v for k, v in c_diag.items()}),
             [
                 ("t", times),
                 ("p_quantum_sim", p_q),
@@ -391,6 +399,7 @@ class LongtimeResult:
     fit: EnvelopeFit | None
     fit_error: str | None
     path: Path | None
+    trajectory_diagnostics: dict  # _run_diagnostics of the companion trajectory
 
 
 def exp_longtime_finite_tau(
@@ -416,7 +425,7 @@ def exp_longtime_finite_tau(
         )
     traj_spec = replace(spec, tau=None, steps=trajectory_steps, total_time=total,
                         stride=trajectory_steps // steps * spec.stride)
-    _, p_traj = quantum_trajectory_curve(traj_spec)
+    _, p_traj, traj_diag = quantum_trajectory_curve(traj_spec)
     is_default_ring4 = spec.graph_spec == "ring:4" and spec.start == 0
     if is_default_ring4:
         p_q_oracle = np.asarray(oracles.ring4_quantum_return(spec.lam, times))
@@ -438,6 +447,7 @@ def exp_longtime_finite_tau(
             "longtime_finite_tau",
             trajectory_steps=trajectory_steps,
             envelope_asymptote=oracles.flat_limit(n),
+            **traj_diag,
         )
         if fit is not None:
             meta.update(envelope_a=fit.a, envelope_b=fit.b, envelope_residual=fit.residual)
@@ -454,7 +464,9 @@ def exp_longtime_finite_tau(
                 ("p_classical_oracle", p_c_oracle),
             ],
         )
-    return LongtimeResult(times, p_channel, p_traj, p_q_oracle, p_c_oracle, fit, fit_error, path)
+    return LongtimeResult(
+        times, p_channel, p_traj, p_q_oracle, p_c_oracle, fit, fit_error, path, traj_diag
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,15 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from percwalk.harness.cli import cli_main
 from percwalk.harness.csvio import read_csv
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(args):
@@ -146,6 +153,34 @@ class TestScanCommands:
         meta, _ = read_csv(out)
         assert "envelope_error" in meta
         assert "envelope fit failed" in capsys.readouterr().err
+
+
+class TestRunDiagnostics:
+    @pytest.mark.parametrize("argv,propagator", [
+        (["trajectory", "--graph", "complete:7", "--tau", "0.05", "--steps", "20"],
+         "taylor(substeps=1, order=15)"),
+        (["classical", "--graph", "ring:5", "--tau", "0.1", "--steps", "20"], "mask-cache"),
+        (["montecarlo", "--graph", "complete:7", "--tau", "0.05", "--steps", "20",
+          "--trajectories", "4"], "taylor(substeps=1, order=15)"),
+        (["envelope", "--tau", "0.1", "--steps", "10", "--traj-steps", "30"], "mask-cache"),
+    ])
+    def test_metadata_names_propagator_and_drift(self, tmp_path, argv, propagator):
+        out = tmp_path / "run.csv"
+        assert run_cli(argv + ["--out", str(out)]) in (0, 2)  # a short envelope may not fit
+        meta, _ = read_csv(out)
+        assert meta["propagator"] == propagator
+        assert 0.0 <= float(meta["max_norm_drift"]) <= 1e-12
+
+    def test_python_dash_m_runs_without_warnings(self):
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "percwalk", "oracle", "--which", "flat",
+             "--graph", "ring:4", "--tau", "0.5", "--steps", "2"],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        assert proc.stdout.startswith("# tool = percwalk")
 
 
 class TestErrorPaths:

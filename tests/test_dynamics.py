@@ -313,6 +313,22 @@ class TestMonteCarlo:
         other_rho = np.outer(other.states[-1], other.states[-1].conj())
         assert np.max(np.abs(two.densities[-1] - (one + other_rho) / 2)) <= 1e-12
 
+    def test_trajectories_match_run_trajectory_on_uncached_graph(self):
+        # complete(7) has 21 edges, so the ensemble applies the Taylor action
+        # from the kept-edge list while run_trajectory builds dense Laplacians
+        g = make_complete(7)
+        run = PercolationRun(lam=0.5, tau=0.2, steps=15, seed=21)
+        ens = monte_carlo_channel(g, CFG, run, basis_density(7, 2), 3)
+        assert ens.propagator.startswith("taylor(") and ens.max_norm_drift <= 1e-12
+        singles = [run_trajectory(g, CFG, run, basis_state(7, 2), trajectory_index=k) for k in range(3)]
+        mean = sum(np.einsum("ri,rj->rij", r.states, r.states.conj()) for r in singles) / 3
+        assert np.max(np.abs(ens.densities - mean)) <= 1e-12
+        cens = monte_carlo_classical(g, CFG, run, _delta(7, 2), 3)
+        assert cens.propagator == ens.propagator and cens.max_norm_drift <= 1e-12
+        cmean = sum(run_classical_trajectory(g, CFG, run, _delta(7, 2), trajectory_index=k).distributions
+                    for k in range(3)) / 3
+        assert np.max(np.abs(cens.distributions - cmean)) <= 1e-12
+
     def test_mixed_initial_state_mean(self):
         # eigen-ensemble sampling reproduces a mixed rho0 in expectation
         g = make_ring(3)

@@ -1,16 +1,27 @@
-import subprocess
-import sys
+import itertools
+import math
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from percwalk import _kernels
-from percwalk.graph import make_complete, make_lattice2d, make_ring, rng_from_seed, sample_keep_bits
+from percwalk.graph import (
+    Graph,
+    make_complete,
+    make_lattice2d,
+    make_ring,
+    rng_from_seed,
+    sample_keep_bits,
+)
 from percwalk.walk import basis_state
 
-needs_numba = pytest.mark.skipif(not _kernels.HAVE_NUMBA, reason="numba not installed")
+from helpers import reference_laplacian
 
 RENORM = (10_000, 1e-12)
+HYPOTHESIS = settings(max_examples=20, deadline=None, database=None, derandomize=True)
 
 
 def _setup(graph, lam, steps, seed=5):
@@ -22,96 +33,24 @@ def _setup(graph, lam, steps, seed=5):
     return bits, rec
 
 
-class TestBackendEquivalence:
-    @needs_numba
-    @pytest.mark.parametrize("graph,label", [
-        (make_ring(5), "cached-small"),
-        (make_lattice2d(5, 4), "uncached-31-edges"),
-    ])
-    def test_trajectory(self, graph, label):
-        bits, rec = _setup(graph, 0.5, 120)
-        psi0 = basis_state(graph.node_count, 0)
-        args = (graph.edge_array, graph.node_count, 1.0, 0.07, bits, rec, psi0, *RENORM)
-        s_nb, d_nb = _kernels.trajectory_states_numba(*args)
-        s_np, d_np = _kernels.trajectory_states_numpy(*args)
-        assert np.max(np.abs(s_nb - s_np)) <= 1e-12
-        assert abs(d_nb - d_np) <= 1e-12
-
-    @needs_numba
-    def test_classical_trajectory(self, ):
-        g = make_ring(6)
-        bits, rec = _setup(g, 0.4, 150)
-        p0 = np.zeros(6)
-        p0[0] = 1.0
-        args = (g.edge_array, 6, 1.0, 0.05, bits, rec, p0)
-        assert np.max(np.abs(
-            _kernels.classical_trajectory_numba(*args) - _kernels.classical_trajectory_numpy(*args)
-        )) <= 1e-12
-
-    @needs_numba
-    @pytest.mark.parametrize("lam", [0.0, 0.3, 1.0])
-    def test_channel(self, lam):
-        g = make_ring(6)
-        a = _kernels.channel_accumulate_numba(g.edge_array, 6, 1.0, lam, 0.1)
-        b = _kernels.channel_accumulate_numpy(g.edge_array, 6, 1.0, lam, 0.1)
-        assert np.max(np.abs(a - b)) <= 1e-12
-
-    @needs_numba
-    def test_ensemble_quantum(self):
-        g = make_ring(5)
-        n_traj, steps = 40, 30
-        bits3 = sample_keep_bits(g, 0.5, rng_from_seed(3), n_traj * steps).reshape(n_traj, steps, 5)
-        rec = np.array([0, 15, 30], dtype=np.int64)
-        psis0 = np.tile(basis_state(5, 0), (n_traj, 1))
-        center = np.zeros((3, 5))
-        args = (g.edge_array, 5, 1.0, 0.06, bits3, rec, psis0, center, *RENORM)
-        out_nb = _kernels.ensemble_quantum_numba(*args)
-        out_np = _kernels.ensemble_quantum_numpy(*args)
-        for a, b in zip(out_nb, out_np):
-            assert np.max(np.abs(a - b)) <= 1e-10
-
-    @needs_numba
-    def test_ensemble_classical(self):
-        g = make_ring(4)
-        n_traj, steps = 50, 25
-        bits3 = sample_keep_bits(g, 0.6, rng_from_seed(4), n_traj * steps).reshape(n_traj, steps, 4)
-        rec = np.array([0, 10, 25], dtype=np.int64)
-        p0 = np.zeros(4)
-        p0[0] = 1.0
-        center = np.zeros((3, 4))
-        args = (g.edge_array, 4, 1.0, 0.05, bits3, rec, p0, center)
-        out_nb = _kernels.ensemble_classical_numba(*args)
-        out_np = _kernels.ensemble_classical_numpy(*args)
-        for a, b in zip(out_nb, out_np):
-            assert np.max(np.abs(a - b)) <= 1e-10
-
-
 class TestCachePolicy:
     def test_capacity_rules(self):
         cap = _kernels.propagator_cache_capacity
         assert cap(4, 1000, 4) == 16  # bounded by mask count
         assert cap(16, 100, 10) == 100  # bounded by step count
         assert cap(17, 100, 10) == 0  # too many edges to ever hit
-        assert cap(16, 1 << 20, 10) == 1 << 16  # bounded by the LRU capacity
+        assert cap(16, 1 << 20, 10) == 1 << 16  # bounded by the 2^16 masks of 16 edges
         assert cap(16, 1 << 16, 2000) == 0  # memory slab guard
-
-    def test_lru_evicts_least_recently_used(self):
-        cache = _kernels._LruPropagatorCache(capacity=2)
-        cache.put(1, np.array([1.0]))
-        cache.put(2, np.array([2.0]))
-        cache.get(1)
-        cache.put(3, np.array([3.0]))  # evicts 2, the least recently used
-        assert cache.get(2) is None
-        assert cache.get(1) is not None and cache.get(3) is not None
 
     def test_cached_equals_uncached_results(self):
         # ring(4) caches; forcing the uncached branch must give identical states
         g = make_ring(4)
         bits, rec = _setup(g, 0.5, 80)
         psi0 = basis_state(4, 0)
-        cached, _ = _kernels.trajectory_states_numpy(
+        cached, _, propagator = _kernels.trajectory_states(
             g.edge_array, 4, 1.0, 0.09, bits, rec, psi0, *RENORM
         )
+        assert propagator == "mask-cache"
         psi = psi0.astype(complex)
         direct = [psi.copy()]
         for s in range(80):
@@ -125,28 +64,144 @@ class TestCachePolicy:
 
 class TestBackendSelection:
     def test_active_backend_reports(self):
-        assert _kernels.active_backend() in ("numba", "numpy")
+        assert _kernels.active_backend() == "numpy"
 
-    @needs_numba
-    def test_env_flag_forces_numpy(self):
-        code = (
-            "import percwalk, percwalk._kernels as k; "
-            "assert percwalk.active_backend() == 'numpy'; "
-            "assert k.trajectory_states is k.trajectory_states_numpy"
-        )
-        proc = subprocess.run(
-            [sys.executable, "-c", code],
-            env={"PERCWALK_DISABLE_NUMBA": "1", "PATH": "/usr/bin:/bin"},
-            capture_output=True,
-        )
-        assert proc.returncode == 0, proc.stderr.decode()
 
-    @needs_numba
-    def test_default_prefers_numba(self):
-        code = "import percwalk; assert percwalk.active_backend() == 'numba'"
-        proc = subprocess.run(
-            [sys.executable, "-c", code],
-            env={"PATH": "/usr/bin:/bin"},
-            capture_output=True,
-        )
-        assert proc.returncode == 0, proc.stderr.decode()
+def _tail_bound(y, order):
+    return y ** (order + 1) / math.factorial(order + 1) / (1 - y / (order + 2))
+
+
+class TestTaylorPlan:
+    @pytest.mark.parametrize("graph,tau,plan", [
+        (make_complete(15), 1e-4, (1, 5)),
+        (make_lattice2d(10, 10), 1e-3, (1, 6)),
+        (make_complete(15), 0.1, (3, 17)),
+        (make_ring(4), 0.1, (1, 13)),
+    ])
+    def test_paper_configurations(self, graph, tau, plan):
+        assert _kernels.taylor_plan(graph.edge_array, graph.node_count, 1.0, tau) == plan
+
+    @HYPOTHESIS
+    @given(
+        n=st.integers(2, 30),
+        gamma=st.floats(0.05, 5.0),
+        tau=st.floats(1e-6, 3.0),
+    )
+    def test_tail_bound_is_below_unit_roundoff(self, n, gamma, tau):
+        g = make_complete(n)
+        substeps, order = _kernels.taylor_plan(g.edge_array, n, gamma, tau)
+        x = 2 * gamma * tau * (n - 1)
+        assert substeps == max(1, math.ceil(x))
+        y = x / substeps
+        assert y <= 1.0
+        assert _tail_bound(y, order) <= 2.0**-53
+        if order > 0:  # the order is the smallest that meets the bound
+            assert _tail_bound(y, order - 1) > 2.0**-53
+
+
+# random simple graphs with more than CACHE_MAX_EDGES edges, so the Taylor action runs
+@st.composite
+def uncached_graphs(draw):
+    n = draw(st.integers(7, 10))
+    pairs = list(itertools.combinations(range(n), 2))
+    keep = draw(st.lists(st.sampled_from(pairs), min_size=17, max_size=len(pairs), unique=True))
+    return Graph(node_count=n, edges=tuple(sorted(keep)))
+
+
+def _replay(g, gamma, z, bits, x0):
+    """States after each step, one scipy expm per step."""
+    x = x0.astype(complex if np.iscomplexobj(z) else float)
+    out = [x]
+    for row in bits:
+        mask = sum(1 << int(k) for k in np.flatnonzero(row))
+        x = scipy.linalg.expm(z * reference_laplacian(g.node_count, g.edges, mask, gamma)) @ x
+        out.append(x)
+    return np.array(out)
+
+
+class TestTaylorAction:
+    STEPS = 12
+
+    def _bits(self, g, lam, seed, k=0):
+        return sample_keep_bits(g, lam, rng_from_seed(seed, k), self.STEPS)
+
+    @HYPOTHESIS
+    @given(g=uncached_graphs(), lam=st.floats(0.1, 0.9), tau=st.floats(0.01, 0.6),
+           gamma=st.floats(0.5, 2.0), seed=st.integers(0, 2**32))
+    def test_trajectories_match_expm(self, g, lam, tau, gamma, seed):
+        n = g.node_count
+        bits = self._bits(g, lam, seed)
+        rec = np.arange(self.STEPS + 1)
+        psi, drift, name = _kernels.trajectory_states(
+            g.edge_array, n, gamma, tau, bits, rec, basis_state(n, 0), *RENORM)
+        assert name.startswith("taylor(")
+        assert np.max(np.abs(psi - _replay(g, gamma, -1j * tau, bits, basis_state(n, 0)))) <= 1e-12
+        assert drift <= 1e-12
+        p0 = np.eye(n)[1]
+        p, _, _ = _kernels.classical_trajectory(g.edge_array, n, gamma, tau, bits, rec, p0)
+        assert np.max(np.abs(p - _replay(g, gamma, -tau, bits, p0))) <= 1e-12
+
+    @HYPOTHESIS
+    @given(g=uncached_graphs(), lam=st.floats(0.1, 0.9), tau=st.floats(0.01, 0.6),
+           seed=st.integers(0, 2**32))
+    def test_ensembles_match_expm(self, g, lam, tau, seed):
+        n, n_traj = g.node_count, 3
+        bits3 = np.stack([self._bits(g, lam, seed, k) for k in range(n_traj)])
+        rec = np.arange(0, self.STEPS + 1, 4)
+        psi0, p0 = basis_state(n, 0), np.eye(n)[0]
+        zero = np.zeros((rec.shape[0], n))
+        sum_outer, _, _, drift, name = _kernels.ensemble_quantum(
+            g.edge_array, n, 1.0, tau, bits3, rec, np.tile(psi0, (n_traj, 1)), zero, *RENORM)
+        assert name.startswith("taylor(") and drift <= 1e-12
+        sum_dist, _, _, _, _ = _kernels.ensemble_classical(
+            g.edge_array, n, 1.0, tau, bits3, rec, p0, zero)
+        want_outer, want_dist = 0, 0
+        for bits in bits3:
+            psi = _replay(g, 1.0, -1j * tau, bits, psi0)[rec]
+            want_outer = want_outer + np.einsum("ri,rj->rij", psi, psi.conj())
+            want_dist = want_dist + _replay(g, 1.0, -tau, bits, p0)[rec]
+        assert np.max(np.abs(sum_outer - want_outer)) <= 1e-12
+        assert np.max(np.abs(sum_dist - want_dist)) <= 1e-12
+
+    def test_large_step_is_split_into_substeps(self):
+        g = make_complete(9)  # 36 edges, maxdeg 8
+        tau = 0.7  # tau * ||H|| up to 2 * 8 * 0.7 = 11.2
+        substeps, order = _kernels.taylor_plan(g.edge_array, 9, 1.0, tau)
+        assert substeps == 12
+        bits = self._bits(g, 0.6, 4)
+        rec = np.arange(self.STEPS + 1)
+        psi, _, name = _kernels.trajectory_states(
+            g.edge_array, 9, 1.0, tau, bits, rec, basis_state(9, 3), *RENORM)
+        assert name == f"taylor(substeps=12, order={order})"
+        assert np.max(np.abs(psi - _replay(g, 1.0, -1j * tau, bits, basis_state(9, 3)))) <= 1e-12
+        p0 = np.eye(9)[3]
+        p, _, _ = _kernels.classical_trajectory(g.edge_array, 9, 1.0, tau, bits, rec, p0)
+        assert np.max(np.abs(p - _replay(g, 1.0, -tau, bits, p0))) <= 1e-12
+
+    @HYPOTHESIS
+    @given(g=uncached_graphs(), lam=st.floats(0.1, 0.9), tau=st.floats(0.01, 2.0),
+           seed=st.integers(0, 2**32))
+    def test_classical_propagator_is_stochastic(self, g, lam, tau, seed):
+        # evolving every unit vector with the same keep bits gives the columns
+        # of the product of step propagators: sums stay 1, entries stay >= 0
+        n = g.node_count
+        bits = self._bits(g, lam, seed)
+        rec = np.arange(self.STEPS + 1)
+        cols = [_kernels.classical_trajectory(g.edge_array, n, 1.0, tau, bits, rec, e)[0]
+                for e in np.eye(n)]
+        ensemble = []
+        _kernels._ensemble(g.edge_array, n, 1.0, -tau, np.repeat(bits[None], n, axis=0), rec,
+                           np.eye(n), lambda i, x: ensemble.append(x.copy()), 0, 0.0)
+        for m in (np.stack(cols, axis=2), np.array(ensemble)):  # (record, node, column)
+            assert np.max(np.abs(m.sum(axis=1) - 1.0)) <= 1e-14
+            assert m.min() >= -1e-15
+
+
+class TestLaplacianBlock:
+    def test_block_rows_match_reference(self):
+        g = make_lattice2d(4, 3)
+        bits = sample_keep_bits(g, 0.5, rng_from_seed(2), 6)
+        block = _kernels.laplacians(g.edge_array, g.node_count, bits, 0.7)
+        for row, h in zip(bits, block):
+            mask = sum(1 << int(k) for k in np.flatnonzero(row))
+            assert np.allclose(h, reference_laplacian(g.node_count, g.edges, mask, 0.7), atol=1e-15)
