@@ -289,46 +289,62 @@ def _ensemble(edges, n, gamma, z, bits3, record_steps, x0, record, renorm_every,
     return max_drift, _plan_name(plan)
 
 
-def ensemble_quantum(edges, n, gamma, tau, bits3, record_steps, psis0, center, renorm_every, renorm_tol):
-    """Sums over trajectories of |psi><psi| and of (|psi|^2 - center) and its square.
+def merge_moments(a, b):
+    """Pairwise merge of the (count, mean, M2) summaries of two disjoint sample sets.
 
-    -> (sum_outer, sum_dev, sum_dev2, max |norm - 1|, propagator name).
+    M2 is the sum of squared deviations from the mean, so the sample
+    variance is M2 / (count - 1). The merge is exact in exact arithmetic
+    and stable in floating point (Chan, Golub & LeVeque, Am. Stat. 37:242,
+    1983); (0, 0.0, 0.0) is the summary of no samples.
+    """
+    (na, ma, m2a), (nb, mb, m2b) = a, b
+    count = na + nb
+    delta = mb - ma
+    return count, ma + delta * (nb / count), m2a + m2b + delta**2 * (na * nb / count)
+
+
+def _column_moments(y: np.ndarray):
+    """(count, mean, M2) over the columns of y, in two passes."""
+    mean = y.mean(axis=1)
+    return y.shape[1], mean, ((y - mean[:, None]) ** 2).sum(axis=1)
+
+
+def ensemble_quantum(edges, n, gamma, tau, bits3, record_steps, psis0, renorm_every, renorm_tol):
+    """Sum over trajectories of |psi><psi| and moments of the site probabilities |psi|^2.
+
+    -> (sum_outer, moments, max |norm - 1|, propagator name); moments[i] is
+    the per-site (count, mean, M2) at record step i (``merge_moments``).
     """
     n_rec = record_steps.shape[0]
     sum_outer = np.zeros((n_rec, n, n), dtype=np.complex128)
-    sum_dev = np.zeros((n_rec, n), dtype=np.float64)
-    sum_dev2 = np.zeros((n_rec, n), dtype=np.float64)
+    moments = [(0, 0.0, 0.0)] * n_rec
 
     def record(i, x):
         sum_outer[i] += x @ x.conj().T
-        dev = np.abs(x) ** 2 - center[i][:, None]
-        sum_dev[i] += dev.sum(axis=1)
-        sum_dev2[i] += (dev**2).sum(axis=1)
+        moments[i] = merge_moments(moments[i], _column_moments(np.abs(x) ** 2))
 
     drift, name = _ensemble(edges, n, gamma, -1j * tau, bits3, record_steps,
                             psis0.T.astype(np.complex128), record, renorm_every, renorm_tol)
-    return sum_outer, sum_dev, sum_dev2, drift, name
+    return sum_outer, moments, drift, name
 
 
-def ensemble_classical(edges, n, gamma, tau, bits3, record_steps, p0, center):
-    """Sums over trajectories of p and of (p - center) and its square.
+def ensemble_classical(edges, n, gamma, tau, bits3, record_steps, p0):
+    """Sum over trajectories of p and per-site moments of p.
 
-    -> (sum_dist, sum_dev, sum_dev2, max |sum(p) - 1|, propagator name).
+    -> (sum_dist, moments, max |sum(p) - 1|, propagator name), moments as in
+    ``ensemble_quantum``.
     """
     n_rec = record_steps.shape[0]
     sum_dist = np.zeros((n_rec, n), dtype=np.float64)
-    sum_dev = np.zeros((n_rec, n), dtype=np.float64)
-    sum_dev2 = np.zeros((n_rec, n), dtype=np.float64)
+    moments = [(0, 0.0, 0.0)] * n_rec
 
     def record(i, x):
         sum_dist[i] += x.sum(axis=1)
-        dev = x - center[i][:, None]
-        sum_dev[i] += dev.sum(axis=1)
-        sum_dev2[i] += (dev**2).sum(axis=1)
+        moments[i] = merge_moments(moments[i], _column_moments(x))
 
     x0 = np.repeat(p0.astype(np.float64)[:, None], bits3.shape[0], axis=1)
     drift, name = _ensemble(edges, n, gamma, -tau, bits3, record_steps, x0, record, 0, 0.0)
-    return sum_dist, sum_dev, sum_dev2, drift, name
+    return sum_dist, moments, drift, name
 
 
 # ---------------------------------------------------------------------------

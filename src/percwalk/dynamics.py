@@ -8,7 +8,12 @@ Three routes to the same physics:
   one-step channel (all 2^E edge subsets, probability-weighted unitary
   conjugations) as a d^2 x d^2 matrix on column-stacked density matrices.
 * ``monte_carlo_channel`` / ``monte_carlo_classical``: trajectory-ensemble
-  estimates of the channel output with standard errors.
+  estimates of the channel output with standard errors. Both are thin
+  wrappers over one driver, which simulates each trajectory once. The
+  ensemble kernels return sums and per-site (count, mean, M2) moments,
+  merged pairwise across column blocks; the driver merges them across
+  chunks the same way (Chan, Golub & LeVeque, Am. Stat. 37:242, 1983). The
+  initial density is eigendecomposed once per call.
 
 Per-step exponentials are spectral exponentials (graphs with at most
 ``_kernels.CACHE_MAX_EDGES`` edges) or truncated Taylor actions whose
@@ -296,29 +301,42 @@ def evolve_channel(
     return out
 
 
-def _initial_states_from_density(
-    rho0: np.ndarray, n_trajectories: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Per-trajectory pure initial states sampled from the eigenensemble of rho0.
+def _monte_carlo(g, run, n_trajectories, sample_stride, kernel, weights=None):
+    """Shared body of the Monte Carlo drivers.
 
-    A pure rho0 yields the same state for every trajectory; a mixed rho0 is
-    sampled by eigenvalue weight, which reproduces rho0 in expectation.
+    Trajectory k uses the stream (run.seed, spawn_key=(k,)). When the
+    eigenvalue ``weights`` of a mixed initial density are given, it first
+    draws the index of its initial eigenstate from that stream; then it
+    draws its keep bits. Trajectories run in chunks through
+    ``kernel(bits3, record_steps, picks)``; picks holds the drawn indices,
+    or is None when nothing was drawn. The kernel returns the chunk's sum,
+    per-site (count, mean, M2) moments per record step, max norm drift and
+    propagator name. Sums add and moments merge pairwise across chunks.
+
+    -> (record steps, mean, max-over-sites standard error, drift, propagator).
     """
-    w, v = np.linalg.eigh(rho0)
-    w = np.where(w > 0, w, 0.0)
-    w = w / w.sum()
-    if w.max() > 1.0 - 1e-12:
-        # pure state: deterministic, and the rng stream stays untouched so
-        # trajectory k of the ensemble equals run_trajectory(trajectory_index=k)
-        idx = np.full(n_trajectories, int(np.argmax(w)))
-    else:
-        idx = rng.choice(w.shape[0], size=n_trajectories, p=w)
-    return np.ascontiguousarray(v[:, idx].T.astype(np.complex128))
-
-
-def _ensemble_chunks(n_trajectories: int, steps: int, edge_count: int) -> int:
-    per_traj = max(1, steps * max(edge_count, 1))
-    return max(1, min(n_trajectories, ENSEMBLE_CHUNK_BYTES // per_traj))
+    if n_trajectories < 2:
+        raise ValueError(f"n_trajectories must be >= 2, got {n_trajectories}")
+    rec = recorded_steps(run.steps, sample_stride)
+    total, moments, max_drift = 0.0, [(0, 0.0, 0.0)] * rec.shape[0], 0.0
+    per_trajectory = run.steps * max(g.edge_count, 1)
+    chunk = max(1, min(n_trajectories, ENSEMBLE_CHUNK_BYTES // per_trajectory))
+    for start in range(0, n_trajectories, chunk):
+        stop = min(start + chunk, n_trajectories)
+        bits3 = np.empty((stop - start, run.steps, g.edge_count), dtype=np.uint8)
+        picks = None if weights is None else np.empty(stop - start, dtype=np.int64)
+        for k in range(start, stop):
+            rng = rng_from_seed(run.seed, k)
+            if picks is not None:
+                picks[k - start] = rng.choice(weights.shape[0], size=1, p=weights)[0]
+            bits3[k - start] = sample_keep_bits(g, run.lam, rng, run.steps)
+        chunk_sum, chunk_moments, drift, propagator = kernel(bits3, rec, picks)
+        total = total + chunk_sum
+        moments = list(map(_kernels.merge_moments, moments, chunk_moments))
+        max_drift = max(max_drift, drift)
+    t = n_trajectories
+    stderr = np.array([np.sqrt(m2 / ((t - 1) * t)).max() for _, _, m2 in moments])
+    return rec, total / t, stderr, float(max_drift), propagator
 
 
 def monte_carlo_channel(
@@ -332,58 +350,38 @@ def monte_carlo_channel(
     """Average |psi(t)><psi(t)| over independent trajectories.
 
     Trajectory k uses the stream (run.seed, spawn_key=(k,)), so ensembles
-    are reproducible and individual trajectories re-runnable. The reported
-    scalar per record is the largest standard error among the diagonal
-    (site-probability) entries.
+    are reproducible and individual trajectories re-runnable. Initial pure
+    states are sampled from the eigen-ensemble of rho0 by eigenvalue weight;
+    a pure rho0 draws nothing, so trajectory k then equals
+    ``run_trajectory(trajectory_index=k)``. The reported scalar per record
+    is the largest standard error among the diagonal (site-probability)
+    entries.
     """
     cfg = cfg or WalkConfig()
     rho0 = check_density_matrix(rho0)
-    if rho0.shape[0] != g.node_count:
-        raise ValueError(f"density dimension {rho0.shape[0]} != node_count {g.node_count}")
-    if n_trajectories < 2:
-        raise ValueError(f"n_trajectories must be >= 2, got {n_trajectories}")
-    rec = recorded_steps(run.steps, sample_stride)
     n = g.node_count
-    n_rec = rec.shape[0]
-    # center the variance accumulation on trajectory 0 so identical
-    # trajectories (lam = 0 or 1) report exactly zero standard error
-    rng0 = rng_from_seed(run.seed, 0)
-    psi0_first = _initial_states_from_density(rho0, 1, rng0)[0]
-    bits0 = sample_keep_bits(g, run.lam, rng0, run.steps)
-    states0, max_drift, _ = _kernels.trajectory_states(
-        g.edge_array, n, cfg.gamma, run.tau, bits0, rec, psi0_first, RENORM_EVERY, RENORM_TOL
-    )
-    center = np.abs(states0) ** 2
-    sum_outer = np.zeros((n_rec, n, n), dtype=np.complex128)
-    sum_dev = np.zeros((n_rec, n))
-    sum_dev2 = np.zeros((n_rec, n))
-    chunk = _ensemble_chunks(n_trajectories, run.steps, g.edge_count)
-    for start in range(0, n_trajectories, chunk):
-        stop = min(start + chunk, n_trajectories)
-        bits3 = np.empty((stop - start, run.steps, g.edge_count), dtype=np.uint8)
-        psis0 = np.empty((stop - start, n), dtype=np.complex128)
-        for k in range(start, stop):
-            rng = rng_from_seed(run.seed, k)
-            psis0[k - start] = _initial_states_from_density(rho0, 1, rng)[0]
-            bits3[k - start] = sample_keep_bits(g, run.lam, rng, run.steps)
-        so, sd, sd2, drift, propagator = _kernels.ensemble_quantum(
-            g.edge_array, n, cfg.gamma, run.tau, bits3, rec, psis0, center, RENORM_EVERY, RENORM_TOL
-        )
-        max_drift = max(max_drift, drift)
-        sum_outer += so
-        sum_dev += sd
-        sum_dev2 += sd2
-    t = n_trajectories
-    densities = sum_outer / t
-    var = np.maximum(sum_dev2 - sum_dev**2 / t, 0.0) / (t - 1)
-    stderr = np.sqrt(var / t).max(axis=1)
+    if rho0.shape[0] != n:
+        raise ValueError(f"density dimension {rho0.shape[0]} != node_count {n}")
+    w, v = np.linalg.eigh(rho0)
+    w = np.where(w > 0, w, 0.0)
+    w = w / w.sum()
+    eigenstates = v.T.astype(np.complex128)
+    pure = w.max() > 1.0 - 1e-12
+
+    def kernel(bits3, rec, picks):
+        idx = np.full(bits3.shape[0], np.argmax(w)) if picks is None else picks
+        return _kernels.ensemble_quantum(g.edge_array, n, cfg.gamma, run.tau, bits3, rec,
+                                         eigenstates[idx], RENORM_EVERY, RENORM_TOL)
+
+    rec, densities, stderr, drift, propagator = _monte_carlo(
+        g, run, n_trajectories, sample_stride, kernel, None if pure else w)
     return EnsembleRecord(
         record_steps=rec,
         times=rec * run.tau,
         densities=densities,
         diag_stderr=stderr,
-        n_trajectories=t,
-        max_norm_drift=float(max_drift),
+        n_trajectories=n_trajectories,
+        max_norm_drift=drift,
         propagator=propagator,
     )
 
@@ -401,42 +399,18 @@ def monte_carlo_classical(
     p0 = check_distribution(p0)
     if p0.shape[0] != g.node_count:
         raise ValueError(f"distribution dimension {p0.shape[0]} != node_count {g.node_count}")
-    if n_trajectories < 2:
-        raise ValueError(f"n_trajectories must be >= 2, got {n_trajectories}")
-    rec = recorded_steps(run.steps, sample_stride)
-    n = g.node_count
-    n_rec = rec.shape[0]
-    bits0 = sample_keep_bits(g, run.lam, rng_from_seed(run.seed, 0), run.steps)
-    center, max_drift, _ = _kernels.classical_trajectory(
-        g.edge_array, n, cfg.gamma, run.tau, bits0, rec, p0
-    )
-    sum_dist = np.zeros((n_rec, n))
-    sum_dev = np.zeros((n_rec, n))
-    sum_dev2 = np.zeros((n_rec, n))
-    chunk = _ensemble_chunks(n_trajectories, run.steps, g.edge_count)
-    for start in range(0, n_trajectories, chunk):
-        stop = min(start + chunk, n_trajectories)
-        bits3 = np.empty((stop - start, run.steps, g.edge_count), dtype=np.uint8)
-        for k in range(start, stop):
-            rng = rng_from_seed(run.seed, k)
-            bits3[k - start] = sample_keep_bits(g, run.lam, rng, run.steps)
-        sd, sdev, sdev2, drift, propagator = _kernels.ensemble_classical(
-            g.edge_array, n, cfg.gamma, run.tau, bits3, rec, p0, center
-        )
-        max_drift = max(max_drift, drift)
-        sum_dist += sd
-        sum_dev += sdev
-        sum_dev2 += sdev2
-    t = n_trajectories
-    dist = sum_dist / t
-    var = np.maximum(sum_dev2 - sum_dev**2 / t, 0.0) / (t - 1)
-    stderr = np.sqrt(var / t).max(axis=1)
+
+    def kernel(bits3, rec, picks):
+        return _kernels.ensemble_classical(g.edge_array, g.node_count, cfg.gamma, run.tau,
+                                           bits3, rec, p0)
+
+    rec, dist, stderr, drift, propagator = _monte_carlo(g, run, n_trajectories, sample_stride, kernel)
     return ClassicalEnsembleRecord(
         record_steps=rec,
         times=rec * run.tau,
         distributions=dist,
         stderr=stderr,
-        n_trajectories=t,
-        max_norm_drift=float(max_drift),
+        n_trajectories=n_trajectories,
+        max_norm_drift=drift,
         propagator=propagator,
     )

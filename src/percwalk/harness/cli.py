@@ -24,9 +24,9 @@ from .experiments import (
     channel_curve,
     classical_oracle_curve,
     classical_trajectory_curve,
-    exp_convergence,
-    exp_epsilon_horizon,
-    exp_longtime_finite_tau,
+    convergence_table,
+    horizon_table,
+    longtime_table,
     montecarlo_curve,
     quantum_oracle_curve,
     quantum_trajectory_curve,
@@ -251,14 +251,8 @@ def _cmd_convergence(args) -> int:
         args.total_time = 10.0
     spec = _spec_from_args(args)
     s_list = _parse_int_list(args.steps_list, "--steps-list") if args.steps_list else None
-    points = exp_convergence(spec, s_list) if s_list else exp_convergence(spec)
-    meta = base_meta(spec, "convergence",
-                     s_list=",".join(str(p.steps) for p in points))
-    _emit(args.out, meta, [
-        ("S", np.array([p.steps for p in points])),
-        ("tau", np.array([p.tau for p in points])),
-        ("max_abs_error", np.array([p.max_abs_error for p in points])),
-    ])
+    _, meta, columns = convergence_table(spec, s_list) if s_list else convergence_table(spec)
+    _emit(args.out, meta, columns)
     return 0
 
 
@@ -272,15 +266,8 @@ def _cmd_horizon(args) -> int:
         kwargs["s_list"] = _parse_int_list(args.steps_list, "--steps-list")
     if args.epsilons:
         kwargs["epsilon_list"] = _parse_float_list(args.epsilons, "--epsilons")
-    points = exp_epsilon_horizon(spec, **kwargs)
-    meta = base_meta(spec, "epsilon_horizon",
-                     s_list=",".join(sorted({str(p.steps) for p in points}, key=int)),
-                     epsilon_list=",".join(f"{e:g}" for e in dict.fromkeys(p.epsilon for p in points)))
-    _emit(args.out, meta, [
-        ("S", np.array([p.steps for p in points])),
-        ("epsilon", np.array([p.epsilon for p in points])),
-        ("horizon", np.array([p.horizon for p in points])),
-    ])
+    _, meta, columns = horizon_table(spec, **kwargs)
+    _emit(args.out, meta, columns)
     return 0
 
 
@@ -289,23 +276,8 @@ def _cmd_envelope(args) -> int:
     if args.tau is None and args.steps is None and args.total_time is None:
         args.tau, args.steps = 0.1, 1000
     spec = _spec_from_args(args)
-    result = exp_longtime_finite_tau(spec, trajectory_steps=args.traj_steps)
-    g = spec.graph()
-    meta = base_meta(spec, "longtime_finite_tau", trajectory_steps=args.traj_steps,
-                     envelope_asymptote=oracles.flat_limit(g.node_count),
-                     **result.trajectory_diagnostics)
-    if result.fit is not None:
-        meta.update(envelope_a=result.fit.a, envelope_b=result.fit.b,
-                    envelope_residual=result.fit.residual)
-    else:
-        meta.update(envelope_error=result.fit_error)
-    _emit(args.out, meta, [
-        ("t", result.times),
-        ("p_channel", result.p_channel),
-        ("p_trajectory", result.p_trajectory),
-        ("p_quantum_oracle", result.p_quantum_oracle),
-        ("p_classical_oracle", result.p_classical_oracle),
-    ])
+    result, meta, columns = longtime_table(spec, args.traj_steps)
+    _emit(args.out, meta, columns)
     if result.fit is None:
         print(f"envelope fit failed: {result.fit_error}", file=sys.stderr)
         return 2

@@ -44,7 +44,6 @@ class ExperimentSpec:
     steps: int | None = None
     total_time: float | None = None
     start: int = 0
-    backend: str = "trajectory"
     seed: int = 0
     stride: int = 1
     output_path: str | None = None
@@ -402,6 +401,11 @@ class LongtimeResult:
     trajectory_diagnostics: dict  # _run_diagnostics of the companion trajectory
 
 
+def _write_table(spec: ExperimentSpec, meta: dict, columns) -> Path | None:
+    """Write a driver's CSV to spec.output_path, when one is given."""
+    return None if spec.output_path is None else write_csv(Path(spec.output_path), meta, columns)
+
+
 def exp_longtime_finite_tau(
     spec: ExperimentSpec | None = None, trajectory_steps: int = 3000
 ) -> LongtimeResult:
@@ -415,6 +419,12 @@ def exp_longtime_finite_tau(
     grid; with the default parameters both grids coincide to round-off.
     """
     spec = spec or ExperimentSpec(graph_spec="ring:4", lam=0.2, tau=0.1, steps=1000, stride=1)
+    result, meta, columns = longtime_table(spec, trajectory_steps)
+    return replace(result, path=_write_table(spec, meta, columns))
+
+
+def longtime_table(spec: ExperimentSpec, trajectory_steps: int) -> tuple[LongtimeResult, dict, list]:
+    """``exp_longtime_finite_tau``'s result (path None) with the metadata and columns of its CSV."""
     g = spec.graph()
     n = g.node_count
     times, p_channel = channel_curve(spec)
@@ -440,33 +450,28 @@ def exp_longtime_finite_tau(
         fit = fit_exponential_envelope(max_t, max_v, oracles.flat_limit(n))
     except EnvelopeFitError as exc:
         fit_error = f"{exc} (residual={exc.residual:.3g})"
-    path = None
-    if spec.output_path is not None:
-        meta = base_meta(
-            spec,
-            "longtime_finite_tau",
-            trajectory_steps=trajectory_steps,
-            envelope_asymptote=oracles.flat_limit(n),
-            **traj_diag,
-        )
-        if fit is not None:
-            meta.update(envelope_a=fit.a, envelope_b=fit.b, envelope_residual=fit.residual)
-        else:
-            meta.update(envelope_error=fit_error)
-        path = write_csv(
-            Path(spec.output_path),
-            meta,
-            [
-                ("t", times),
-                ("p_channel", p_channel),
-                ("p_trajectory", p_traj),
-                ("p_quantum_oracle", p_q_oracle),
-                ("p_classical_oracle", p_c_oracle),
-            ],
-        )
-    return LongtimeResult(
-        times, p_channel, p_traj, p_q_oracle, p_c_oracle, fit, fit_error, path, traj_diag
+    meta = base_meta(
+        spec,
+        "longtime_finite_tau",
+        trajectory_steps=trajectory_steps,
+        envelope_asymptote=oracles.flat_limit(n),
+        **traj_diag,
     )
+    if fit is not None:
+        meta.update(envelope_a=fit.a, envelope_b=fit.b, envelope_residual=fit.residual)
+    else:
+        meta.update(envelope_error=fit_error)
+    columns = [
+        ("t", times),
+        ("p_channel", p_channel),
+        ("p_trajectory", p_traj),
+        ("p_quantum_oracle", p_q_oracle),
+        ("p_classical_oracle", p_c_oracle),
+    ]
+    result = LongtimeResult(
+        times, p_channel, p_traj, p_q_oracle, p_c_oracle, fit, fit_error, None, traj_diag
+    )
+    return result, meta, columns
 
 
 # ---------------------------------------------------------------------------
@@ -493,6 +498,15 @@ def exp_convergence(
     maximum is grid-exact. Defaults: ring:10, lambda=0.5, T=10.
     """
     spec = spec or ExperimentSpec(graph_spec="ring:10", lam=0.5, total_time=10.0)
+    points, meta, columns = convergence_table(spec, s_list)
+    _write_table(spec, meta, columns)
+    return points
+
+
+def convergence_table(
+    spec: ExperimentSpec, s_list=DEFAULT_CONVERGENCE_STEPS
+) -> tuple[list[ConvergencePoint], dict, list]:
+    """``exp_convergence``'s points with the metadata and columns of its CSV."""
     total = _scan_window(spec)
     points: list[ConvergencePoint] = []
     for steps in s_list:
@@ -501,17 +515,13 @@ def exp_convergence(
         p_oracle = quantum_oracle_curve(point, times)
         err = float(np.max(np.abs(p_sim - p_oracle)))
         points.append(ConvergencePoint(steps=int(steps), tau=total / steps, max_abs_error=err))
-    if spec.output_path is not None:
-        write_csv(
-            Path(spec.output_path),
-            base_meta(spec, "convergence", s_list=",".join(str(int(s)) for s in s_list)),
-            [
-                ("S", np.array([p.steps for p in points])),
-                ("tau", np.array([p.tau for p in points])),
-                ("max_abs_error", np.array([p.max_abs_error for p in points])),
-            ],
-        )
-    return points
+    meta = base_meta(spec, "convergence", s_list=",".join(str(int(s)) for s in s_list))
+    columns = [
+        ("S", np.array([p.steps for p in points])),
+        ("tau", np.array([p.tau for p in points])),
+        ("max_abs_error", np.array([p.max_abs_error for p in points])),
+    ]
+    return points, meta, columns
 
 
 DEFAULT_HORIZON_STEPS = (250, 500, 1000, 2000, 4000)
@@ -538,6 +548,17 @@ def exp_epsilon_horizon(
     error undefined at reference zeros). Defaults: ring:5, lambda=0.5, T=10.
     """
     spec = spec or ExperimentSpec(graph_spec="ring:5", lam=0.5, total_time=10.0)
+    points, meta, columns = horizon_table(spec, epsilon_list, s_list)
+    _write_table(spec, meta, columns)
+    return points
+
+
+def horizon_table(
+    spec: ExperimentSpec,
+    epsilon_list=DEFAULT_HORIZON_EPSILONS,
+    s_list=DEFAULT_HORIZON_STEPS,
+) -> tuple[list[HorizonPoint], dict, list]:
+    """``exp_epsilon_horizon``'s points with the metadata and columns of its CSV."""
     total = _scan_window(spec)
     points: list[HorizonPoint] = []
     for steps in s_list:
@@ -556,20 +577,16 @@ def exp_epsilon_horizon(
             else:
                 horizon = float(times[crossing[0] - 1])
             points.append(HorizonPoint(steps=int(steps), epsilon=float(eps), horizon=horizon))
-    if spec.output_path is not None:
-        write_csv(
-            Path(spec.output_path),
-            base_meta(
-                spec,
-                "epsilon_horizon",
-                s_list=",".join(str(int(s)) for s in s_list),
-                epsilon_list=",".join(f"{e:g}" for e in epsilon_list),
-                relative_error_guard=REL_ERROR_GUARD,
-            ),
-            [
-                ("S", np.array([p.steps for p in points])),
-                ("epsilon", np.array([p.epsilon for p in points])),
-                ("horizon", np.array([p.horizon for p in points])),
-            ],
-        )
-    return points
+    meta = base_meta(
+        spec,
+        "epsilon_horizon",
+        s_list=",".join(str(int(s)) for s in s_list),
+        epsilon_list=",".join(f"{e:g}" for e in epsilon_list),
+        relative_error_guard=REL_ERROR_GUARD,
+    )
+    columns = [
+        ("S", np.array([p.steps for p in points])),
+        ("epsilon", np.array([p.epsilon for p in points])),
+        ("horizon", np.array([p.horizon for p in points])),
+    ]
+    return points, meta, columns

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import spectral
-from .graph import Graph, Realization, check_mask
+from . import _kernels, spectral
+from .graph import Graph, Realization, check_mask, mask_to_bits
 
 STATE_NORM_ATOL = 1e-10
 DENSITY_ATOL = 1e-10
@@ -39,15 +39,8 @@ def _as_mask(g: Graph, mask: Realization | int) -> int:
 def hamiltonian(g: Graph, mask: Realization | int, cfg: WalkConfig | None = None) -> np.ndarray:
     """Laplacian Hamiltonian of the edges present in ``mask``."""
     cfg = cfg or WalkConfig()
-    m = _as_mask(g, mask)
-    h = np.zeros((g.node_count, g.node_count), dtype=np.float64)
-    for k, (u, v) in enumerate(g.edges):
-        if (m >> k) & 1:
-            h[u, u] += cfg.gamma
-            h[v, v] += cfg.gamma
-            h[u, v] -= cfg.gamma
-            h[v, u] -= cfg.gamma
-    return h
+    bits = mask_to_bits(_as_mask(g, mask), g.edge_count)
+    return _kernels.hamiltonian_from_bits(g.edge_array, bits, cfg.gamma, g.node_count)
 
 
 def full_hamiltonian(g: Graph, cfg: WalkConfig | None = None) -> np.ndarray:

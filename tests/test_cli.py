@@ -8,6 +8,12 @@ import pytest
 
 from percwalk.harness.cli import cli_main
 from percwalk.harness.csvio import read_csv
+from percwalk.harness.experiments import (
+    ExperimentSpec,
+    exp_convergence,
+    exp_epsilon_horizon,
+    exp_longtime_finite_tau,
+)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -141,6 +147,26 @@ class TestScanCommands:
         assert "envelope_a" in meta and "envelope_b" in meta
         assert set(data) == {"t", "p_channel", "p_trajectory", "p_quantum_oracle",
                              "p_classical_oracle"}
+
+    @pytest.mark.parametrize("argv,drive", [
+        (["convergence", "--graph", "ring:5", "--time", "4", "--steps-list", "50,100"],
+         lambda out: exp_convergence(
+             ExperimentSpec("ring:5", total_time=4.0, output_path=out), s_list=(50, 100))),
+        (["horizon", "--graph", "ring:5", "--time", "4", "--steps-list", "400,100,400",
+          "--epsilons", "0.1,0.02,0.1"],
+         lambda out: exp_epsilon_horizon(
+             ExperimentSpec("ring:5", total_time=4.0, output_path=out),
+             epsilon_list=(0.1, 0.02, 0.1), s_list=(400, 100, 400))),
+        (["envelope", "--tau", "0.1", "--steps", "200", "--traj-steps", "400", "--seed", "3"],
+         lambda out: exp_longtime_finite_tau(
+             ExperimentSpec("ring:4", lam=0.2, tau=0.1, steps=200, seed=3, output_path=out),
+             trajectory_steps=400)),
+    ], ids=["convergence", "horizon", "envelope"])
+    def test_csv_equals_driver_csv(self, tmp_path, argv, drive):
+        cli_out, driver_out = tmp_path / "cli.csv", tmp_path / "driver.csv"
+        assert run_cli(argv + ["--out", str(cli_out)]) == 0
+        drive(str(driver_out))
+        assert cli_out.read_bytes() == driver_out.read_bytes()
 
     def test_envelope_fit_failure_exit_2_partial_output(self, tmp_path, capsys):
         out = tmp_path / "env.csv"

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import percwalk as pw
+from percwalk import _kernels, dynamics
 from percwalk.dynamics import (
     ChannelMatrix,
     PercolationRun,
@@ -328,6 +329,31 @@ class TestMonteCarlo:
         cmean = sum(run_classical_trajectory(g, CFG, run, _delta(7, 2), trajectory_index=k).distributions
                     for k in range(3)) / 3
         assert np.max(np.abs(cens.distributions - cmean)) <= 1e-12
+
+    @pytest.mark.parametrize("graph,propagator", [
+        (make_complete(7), "taylor(substeps=3, order=16)"),
+        (make_ring(4), "mask-cache"),
+    ])
+    @pytest.mark.parametrize("split", [False, True])
+    def test_stderr_is_sample_stderr_of_replays(self, monkeypatch, graph, propagator, split):
+        n, t, stride = graph.node_count, 5, 4
+        run = PercolationRun(lam=0.5, tau=0.2, steps=15, seed=21)
+        if split:  # chunks of 2, 2 and 1 trajectories; one column per Taylor block
+            monkeypatch.setattr(dynamics, "ENSEMBLE_CHUNK_BYTES", 2 * run.steps * graph.edge_count)
+            monkeypatch.setattr(_kernels, "BLOCK_BYTES", 1)
+        ens = monte_carlo_channel(graph, CFG, run, basis_density(n, 2), t, stride)
+        cens = monte_carlo_classical(graph, CFG, run, _delta(n, 2), t, stride)
+        assert ens.propagator == cens.propagator == propagator
+        probs = np.array([
+            run_trajectory(graph, CFG, run, basis_state(n, 2), stride, trajectory_index=k)
+            .site_probabilities() for k in range(t)])
+        dists = np.array([
+            run_classical_trajectory(graph, CFG, run, _delta(n, 2), stride, trajectory_index=k)
+            .distributions for k in range(t)])
+        for rec_stderr, samples in ((ens.diag_stderr, probs), (cens.stderr, dists)):
+            want = np.sqrt(samples.var(axis=0, ddof=1) / t).max(axis=1)
+            assert np.max(np.abs(rec_stderr - want)) <= 1e-12
+            assert np.max(want) > 1e-3  # the trajectories differ
 
     def test_mixed_initial_state_mean(self):
         # eigen-ensemble sampling reproduces a mixed rho0 in expectation

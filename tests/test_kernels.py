@@ -6,6 +6,7 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from percwalk import _kernels
 from percwalk.graph import (
@@ -149,12 +150,10 @@ class TestTaylorAction:
         bits3 = np.stack([self._bits(g, lam, seed, k) for k in range(n_traj)])
         rec = np.arange(0, self.STEPS + 1, 4)
         psi0, p0 = basis_state(n, 0), np.eye(n)[0]
-        zero = np.zeros((rec.shape[0], n))
-        sum_outer, _, _, drift, name = _kernels.ensemble_quantum(
-            g.edge_array, n, 1.0, tau, bits3, rec, np.tile(psi0, (n_traj, 1)), zero, *RENORM)
+        sum_outer, _, drift, name = _kernels.ensemble_quantum(
+            g.edge_array, n, 1.0, tau, bits3, rec, np.tile(psi0, (n_traj, 1)), *RENORM)
         assert name.startswith("taylor(") and drift <= 1e-12
-        sum_dist, _, _, _, _ = _kernels.ensemble_classical(
-            g.edge_array, n, 1.0, tau, bits3, rec, p0, zero)
+        sum_dist, _, _, _ = _kernels.ensemble_classical(g.edge_array, n, 1.0, tau, bits3, rec, p0)
         want_outer, want_dist = 0, 0
         for bits in bits3:
             psi = _replay(g, 1.0, -1j * tau, bits, psi0)[rec]
@@ -205,3 +204,38 @@ class TestLaplacianBlock:
         for row, h in zip(bits, block):
             mask = sum(1 << int(k) for k in np.flatnonzero(row))
             assert np.allclose(h, reference_laplacian(g.node_count, g.edges, mask, 0.7), atol=1e-15)
+
+
+def _merged(y, cuts):
+    moments = (0, 0.0, 0.0)
+    for block in np.split(y, cuts, axis=1):
+        moments = _kernels.merge_moments(moments, _kernels._column_moments(block))
+    return moments
+
+
+@st.composite
+def column_splits(draw):
+    """A (sites, samples) block of probabilities and the column indices to split it at."""
+    y = draw(hnp.arrays(np.float64, (draw(st.integers(1, 4)), draw(st.integers(2, 40))),
+                        elements=st.floats(0.0, 1.0)))
+    cuts = draw(st.lists(st.integers(1, y.shape[1] - 1), max_size=6, unique=True))
+    return y, sorted(cuts)
+
+
+class TestMergeMoments:
+    @HYPOTHESIS
+    @given(split=column_splits())
+    def test_merged_splits_give_sample_variance(self, split):
+        y, cuts = split
+        count, mean, m2 = _merged(y, cuts)
+        assert count == y.shape[1]
+        assert np.max(np.abs(mean - y.mean(axis=1))) <= 1e-12
+        assert np.max(np.abs(m2 / (count - 1) - y.var(axis=1, ddof=1))) <= 1e-12
+
+    @HYPOTHESIS
+    @given(split=column_splits())
+    def test_identical_columns_give_zero_stderr(self, split):
+        y, cuts = split
+        same = np.repeat(y[:, :1], y.shape[1], axis=1)
+        count, _, m2 = _merged(same, cuts)
+        assert np.max(np.sqrt(m2 / ((count - 1) * count))) <= 1e-15
