@@ -16,8 +16,14 @@ or z = -tau for the classical walk. Two propagators implement it:
 The step kernels report which propagator ran (``"mask-cache"`` or
 ``"taylor(substeps=S, order=K)"``) and the largest drift of the conserved
 norm: the 2-norm of a quantum state, the total probability of a classical
-distribution. ``channel_accumulate`` enumerates all 2^E realizations with
-spectral exponentials.
+distribution.
+
+``channel_accumulate`` enumerates all 2^E realizations without a spectral
+decomposition. Each U_r = cos(tau H_r) - i sin(tau H_r) comes from real
+batched Horner products of truncated Taylor series, planned by
+``taylor_plan`` for tau / 2^q and squared q times (scaling and squaring,
+same 2^-53 bound per substep). U_r is complex symmetric, so the Gram matrix
+of the realizations is accumulated over the n(n+1)/2 entries i <= j only.
 """
 from __future__ import annotations
 
@@ -352,11 +358,60 @@ def ensemble_classical(edges, n, gamma, tau, bits3, record_steps, p0):
 # ---------------------------------------------------------------------------
 
 
+def _horner(b: np.ndarray, coef: list) -> np.ndarray:
+    """sum_k coef[k] * b^k for a batch of square matrices b (R, n, n), by Horner's rule."""
+    n = b.shape[-1]
+    if len(coef) == 1:
+        acc = np.zeros_like(b)
+    else:
+        acc = coef[-1] * b
+        for c in coef[-2:0:-1]:
+            acc.reshape(-1, n * n)[:, :: n + 1] += c
+            acc = b @ acc
+    acc.reshape(-1, n * n)[:, :: n + 1] += coef[0]
+    return acc
+
+
+def _cos_sin(a: np.ndarray, order: int, squarings: int) -> tuple[np.ndarray, np.ndarray]:
+    """cos(2^q a) and sin(2^q a), q = ``squarings``, for a batch of real symmetric a (R, n, n).
+
+    cos a and sin a are the even and odd parts of the Taylor series of
+    exp(i a), each with order // 2 + 1 terms (degree >= ``order``), summed by
+    Horner's rule in a @ a. Each squaring applies cos 2x = cos^2 x - sin^2 x
+    and sin 2x = 2 sin x cos x, the latter as CS + (CS)^T, which is exactly
+    symmetric.
+    """
+    b = a @ a
+    terms = range(order // 2 + 1)
+    c = _horner(b, [(-1) ** k / math.factorial(2 * k) for k in terms])
+    s = a @ _horner(b, [(-1) ** k / math.factorial(2 * k + 1) for k in terms])
+    for _ in range(squarings):
+        cs = c @ s
+        c = c @ c - s @ s
+        s = cs + cs.transpose(0, 2, 1)
+    return c, s
+
+
 def channel_accumulate(edges, n, gamma, lam, tau):
-    """K[(i,j),(k,l)] = sum_r p_r conj(U_r)[i,j] U_r[k,l] over all 2^E masks."""
+    """K[(i,j),(k,l)] = sum_r p_r conj(U_r)[i,j] U_r[k,l] over all 2^E masks.
+
+    -> (K, propagator name). U_r = exp(-i tau H_r) = C_r - i S_r with
+    C_r = cos(tau H_r) and S_r = sin(tau H_r) from ``_cos_sin``: with s the
+    ``taylor_plan`` substeps, the step is halved q = ceil(log2 s) times, the
+    order is planned for tau / 2^q (tail at most 2^-53) and the result is
+    squared q times. U_r is complex symmetric, so only its n(n+1)/2 entries
+    i <= j enter the Hermitian Gram matrix of the pairs, which is scattered
+    back to the (n^2, n^2) K through the pair index map.
+    """
     edge_count = edges.shape[0]
-    dd = n * n
-    k_acc = np.zeros((dd, dd), dtype=np.complex128)
+    substeps, _ = taylor_plan(edges, n, gamma, tau)
+    squarings = (substeps - 1).bit_length()
+    _, order = taylor_plan(edges, n, gamma, tau / 2**squarings)
+    iu, ju = np.triu_indices(n)
+    upper = iu * n + ju
+    pair = np.empty((n, n), dtype=np.int64)
+    pair[iu, ju] = pair[ju, iu] = np.arange(iu.size)
+    gram = np.zeros((iu.size, iu.size), dtype=np.complex128)
     total = 1 << edge_count
     shifts = np.arange(edge_count, dtype=np.int64)
     for start in range(0, total, CHANNEL_BATCH):
@@ -368,9 +423,12 @@ def channel_accumulate(edges, n, gamma, lam, tau):
         if not np.any(live):
             continue
         bits, probs = bits[live], probs[live]
-        w, q = np.linalg.eigh(laplacians(edges, n, bits, gamma))
-        phases = np.exp(-1j * tau * w)
-        us = (q * phases[:, None, :]) @ np.transpose(q, (0, 2, 1))
-        uf = us.reshape(-1, dd)
-        k_acc += uf.conj().T @ (probs[:, None] * uf)
-    return k_acc
+        c, s = _cos_sin(laplacians(edges, n, bits, gamma * tau / 2**squarings), order, squarings)
+        # w = sqrt(p) conj(U) on the pairs, so (w^T conj(w))[a, b] = sum_r p_r conj(U_a) U_b
+        root = np.sqrt(probs)[:, None]
+        w = np.empty((bits.shape[0], iu.size), dtype=np.complex128)
+        w.real = c.reshape(-1, n * n)[:, upper] * root
+        w.imag = s.reshape(-1, n * n)[:, upper] * root
+        gram += w.T @ w.conj()
+    flat = pair.ravel()
+    return gram[flat[:, None], flat], _plan_name((1 << squarings, order))

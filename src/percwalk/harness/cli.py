@@ -194,9 +194,9 @@ def _cmd_classical(args) -> int:
 def _cmd_channel(args) -> int:
     _fill(args, lam=0.5)
     spec = _spec_from_args(args)
-    times, p_sim = channel_curve(spec)
+    times, p_sim, diagnostics = channel_curve(spec)
     p_oracle = quantum_oracle_curve(spec, times)
-    _emit(args.out, base_meta(spec, "channel"),
+    _emit(args.out, base_meta(spec, "channel", **diagnostics),
           [("t", times), ("p_sim", p_sim), ("p_oracle", p_oracle)])
     return 0
 
@@ -211,6 +211,24 @@ def _cmd_montecarlo(args) -> int:
     return 0
 
 
+# closed-form return probabilities, each valid for one graph family only
+_RETURN_FORMS = ("complete-q", "complete-c", "ring4-c")
+
+
+def _check_return_form(which: str, g, start: int, target: int) -> None:
+    """Refuse a closed-form return probability for a target or a graph it does not describe."""
+    if target != start:
+        raise UsageError(f"--which {which} is a return probability: --target must equal --start")
+    n = g.node_count
+    if which == "ring4-c":
+        family = n == 4 and g.edge_count == 4 and bool(np.all(g.degrees() == 2))
+    else:  # a simple graph with every node pair an edge
+        family = g.edge_count == n * (n - 1) // 2
+    if not family:
+        name = "the 4-ring" if which == "ring4-c" else "a complete graph"
+        raise UsageError(f"--which {which} holds only on {name}; use --which rescaled for this graph")
+
+
 def _cmd_oracle(args) -> int:
     _require(args, "which", "--which")
     _require(args, "graph", "--graph")
@@ -219,13 +237,15 @@ def _cmd_oracle(args) -> int:
     tau, steps, _ = resolve_timing(args.tau, args.steps, args.total_time)
     times = recorded_steps(steps, args.stride) * tau
     target = args.target if args.target is not None else args.start
+    if args.which in _RETURN_FORMS:
+        _check_return_form(args.which, g, args.start, target)
     if args.which == "rescaled":
         curve = oracles.rescaled_reference(g, None, args.lam, args.start, target)
         p = np.asarray(curve.evaluate(times))
     elif args.which == "complete-q":
-        p = np.asarray(oracles.complete_graph_quantum_return(g.node_count, times))
+        p = np.asarray(oracles.complete_graph_quantum_return(g.node_count, args.lam * times))
     elif args.which == "complete-c":
-        p = np.asarray(oracles.complete_graph_classical_return(g.node_count, times))
+        p = np.asarray(oracles.complete_graph_classical_return(g.node_count, args.lam * times))
     elif args.which == "ring4-c":
         p = np.asarray(oracles.ring4_classical_return(args.lam, times))
     else:  # flat

@@ -146,13 +146,24 @@ def classical_trajectory_curve(spec: ExperimentSpec) -> tuple[np.ndarray, np.nda
     return rec.times, rec.distributions[:, spec.start], _run_diagnostics(rec)
 
 
-def channel_curve(spec: ExperimentSpec) -> tuple[np.ndarray, np.ndarray]:
+def channel_curve(spec: ExperimentSpec) -> tuple[np.ndarray, np.ndarray, dict]:
+    """Exact-channel return probability with the channel's propagator and trace drift.
+
+    ``max_trace_drift`` is the largest |tr(rho) - 1| over the recorded rows;
+    ``trace_drift_bound`` = steps * d * delta bounds it from the channel's
+    ``trace_defect`` delta.
+    """
     g = spec.graph()
     run = spec.run()
     phi = build_step_channel(g, spec.config(), run.lam, run.tau)
     rhos = evolve_channel(phi, basis_density(g.node_count, spec.start), run.steps, spec.stride)
     rec = recorded_steps(run.steps, spec.stride)
-    return rec * run.tau, np.real(rhos[:, spec.start, spec.start])
+    diagnostics = {
+        "propagator": phi.propagator,
+        "max_trace_drift": float(np.abs(np.trace(rhos, axis1=1, axis2=2) - 1.0).max()),
+        "trace_drift_bound": run.steps * phi.dim * phi.trace_defect,
+    }
+    return rec * run.tau, np.real(rhos[:, spec.start, spec.start]), diagnostics
 
 
 def montecarlo_curve(spec: ExperimentSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
@@ -244,8 +255,7 @@ def exp_channel_ring(
     has 32768 realizations, all enumerated into one step channel.
     """
     spec = spec or ExperimentSpec(graph_spec="ring:15", tau=0.004, steps=5000, stride=10)
-    return _sweep(spec, "channel_ring", "channel_ring", lambdas,
-                  lambda point: (*channel_curve(point), {}))
+    return _sweep(spec, "channel_ring", "channel_ring", lambdas, channel_curve)
 
 
 @dataclass(frozen=True)
@@ -427,7 +437,7 @@ def longtime_table(spec: ExperimentSpec, trajectory_steps: int) -> tuple[Longtim
     """``exp_longtime_finite_tau``'s result (path None) with the metadata and columns of its CSV."""
     g = spec.graph()
     n = g.node_count
-    times, p_channel = channel_curve(spec)
+    times, p_channel, _ = channel_curve(spec)
     tau, steps, total = spec.timing()
     if trajectory_steps % steps:
         raise ValueError(
@@ -511,7 +521,7 @@ def convergence_table(
     points: list[ConvergencePoint] = []
     for steps in s_list:
         point = replace(spec, tau=None, steps=int(steps), total_time=total, stride=1)
-        times, p_sim = channel_curve(point)
+        times, p_sim, _ = channel_curve(point)
         p_oracle = quantum_oracle_curve(point, times)
         err = float(np.max(np.abs(p_sim - p_oracle)))
         points.append(ConvergencePoint(steps=int(steps), tau=total / steps, max_abs_error=err))
@@ -563,7 +573,7 @@ def horizon_table(
     points: list[HorizonPoint] = []
     for steps in s_list:
         point = replace(spec, tau=None, steps=int(steps), total_time=total, stride=1)
-        times, p_sim = channel_curve(point)
+        times, p_sim, _ = channel_curve(point)
         p_oracle = quantum_oracle_curve(point, times)
         valid = p_oracle >= REL_ERROR_GUARD
         rel = np.zeros_like(p_sim)

@@ -30,6 +30,21 @@ def expm_stochastic(h: np.ndarray, t: float) -> np.ndarray:
     return scipy.linalg.expm(-h * t)
 
 
+def expm_channel_gram(node_count: int, edges, lam: float, tau: float, gamma: float = 1.0) -> np.ndarray:
+    """sum over all 2^E masks of p_mask outer(conj(u), u), u = expm(-i tau H_mask) row-flattened.
+
+    Entry [(i, j), (k, l)] is sum_r p_r conj(U_r)[i, j] U_r[k, l].
+    """
+    n_edges = len(edges)
+    acc = np.zeros((node_count**2, node_count**2), dtype=complex)
+    for mask in range(1 << n_edges):
+        k = bin(mask).count("1")
+        p = lam**k * (1 - lam) ** (n_edges - k)
+        u = expm_unitary(reference_laplacian(node_count, edges, mask, gamma), tau).ravel()
+        acc += p * np.outer(u.conj(), u)
+    return acc
+
+
 def brute_force_channel_average(
     node_count: int, edges, lam: float, tau: float, steps: int, rho0: np.ndarray, gamma: float = 1.0
 ) -> np.ndarray:

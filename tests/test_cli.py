@@ -6,6 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from percwalk import oracles
+from percwalk.graph import graph_from_spec
 from percwalk.harness.cli import cli_main
 from percwalk.harness.csvio import read_csv
 from percwalk.harness.experiments import (
@@ -112,6 +114,34 @@ class TestOracleCommand:
         _, data = read_csv(out)
         assert np.allclose(data["p_oracle"], 1 / 8)
 
+    @pytest.mark.parametrize("which,graph,reference", [
+        ("complete-q", "complete:5", oracles.rescaled_reference),
+        ("complete-c", "complete:5", oracles.rescaled_classical_reference),
+        ("ring4-c", "ring:4", oracles.rescaled_classical_reference),
+    ])
+    def test_closed_form_equals_spectral_reference(self, tmp_path, which, graph, reference):
+        out = tmp_path / "oracle.csv"
+        assert run_cli(["oracle", "--which", which, "--graph", graph, "--lambda", "0.3",
+                        "--tau", "0.5", "--steps", "20", "--start", "1", "--out", str(out)]) == 0
+        _, data = read_csv(out)
+        curve = reference(graph_from_spec(graph), None, 0.3, 1, 1)
+        assert np.max(np.abs(data["p_oracle"] - curve.evaluate(data["t"]))) <= 1e-12
+
+    @pytest.mark.parametrize("which,graph,extra", [
+        ("complete-q", "complete:5", ["--target", "2"]),
+        ("complete-c", "complete:5", ["--target", "2"]),
+        ("ring4-c", "ring:4", ["--target", "1"]),
+        ("complete-q", "ring:5", []),
+        ("complete-c", "ring:4", []),
+        ("ring4-c", "ring:6", []),
+        ("ring4-c", "complete:4", []),
+    ])
+    def test_closed_form_refuses_other_targets_and_graphs(self, tmp_path, which, graph, extra):
+        out = tmp_path / "oracle.csv"
+        assert run_cli(["oracle", "--which", which, "--graph", graph, "--tau", "0.5",
+                        "--steps", "2", "--out", str(out)] + extra) == 1
+        assert not out.exists()
+
     def test_missing_which(self):
         assert run_cli(["oracle", "--graph", "ring:4", "--tau", "0.1", "--steps", "5"]) == 1
 
@@ -196,6 +226,15 @@ class TestRunDiagnostics:
         meta, _ = read_csv(out)
         assert meta["propagator"] == propagator
         assert 0.0 <= float(meta["max_norm_drift"]) <= 1e-12
+
+    def test_channel_metadata_names_propagator_and_trace_drift(self, tmp_path):
+        out = tmp_path / "channel.csv"
+        assert run_cli(["channel", "--graph", "ring:6", "--lambda", "0.4", "--tau", "0.9",
+                        "--steps", "40", "--stride", "3", "--out", str(out)]) == 0
+        meta, _ = read_csv(out)
+        assert meta["propagator"] == "taylor(substeps=4, order=17)"
+        drift, bound = float(meta["max_trace_drift"]), float(meta["trace_drift_bound"])
+        assert 0.0 <= drift <= bound <= 1e-10
 
     def test_python_dash_m_runs_without_warnings(self):
         proc = subprocess.run(

@@ -266,6 +266,37 @@ class TestEvolveChannel:
             devs[steps] = np.max(np.abs(p_sim - p_ref))
         assert devs[250] > devs[1000] > devs[4000]
 
+    @pytest.mark.parametrize("n,steps,stride,powers", [
+        (2, 50, 1, []),
+        (2, 50, 3, [3]),  # the last gap is 2 steps
+        (2, 50, 7, [7]),  # the last gap is 1 step
+        (2, 50, 80, [50]),  # stride > steps: one gap of all the steps
+        (6, 50, 7, []),  # d^2 = 36: Phi^7 costs more than the 6 x 7 matvecs it saves
+    ])
+    def test_strided_equals_step_by_step(self, monkeypatch, n, steps, stride, powers):
+        power, used = dynamics._power_minus_identity, []
+        monkeypatch.setattr(dynamics, "_power_minus_identity", lambda m, k: used.append(k) or power(m, k))
+        phi = build_step_channel(make_ring(n), CFG, 0.6, 0.7)
+        rng = np.random.default_rng(n)
+        a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        rho = a @ a.conj().T / np.trace(a @ a.conj().T).real
+        rec = recorded_steps(steps, stride)
+        got = evolve_channel(phi, rho, steps, stride)
+        assert used == powers
+        want = [rho]
+        for s in range(1, steps + 1):
+            rho = apply_channel(phi, rho)
+            if s in rec:
+                want.append(rho)
+        assert got.shape == (len(rec), n, n)
+        assert np.max(np.abs(got - np.array(want))) <= 1e-12
+
+    @pytest.mark.parametrize("k", [1, 2, 7, 10, 50])
+    def test_power_minus_identity(self, k):
+        phi = build_step_channel(make_ring(4), CFG, 0.3, 0.2).matrix
+        want = np.linalg.matrix_power(phi, k) - np.eye(16)
+        assert np.max(np.abs(dynamics._power_minus_identity(phi, k) - want)) <= 1e-13
+
     def test_dimension_mismatch(self):
         phi = build_step_channel(make_ring(3), CFG, 0.5, 0.1)
         with pytest.raises(ValueError):

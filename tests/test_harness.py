@@ -156,6 +156,9 @@ class TestExperiments:
         res = results[0.5]
         assert res.path.exists()
         assert np.max(np.abs(res.p_sim - res.p_oracle)) <= 0.05
+        meta, _ = csvio.read_csv(res.path)
+        assert meta["propagator"] == "taylor(substeps=1, order=11)"
+        assert 0.0 <= float(meta["max_trace_drift"]) <= float(meta["trace_drift_bound"])
 
     def test_complete_graph_reduced(self, tmp_path):
         spec = ExperimentSpec(

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from percwalk import _kernels
+from percwalk.dynamics import apply_channel, build_step_channel
 from percwalk.graph import (
     Graph,
     make_complete,
@@ -17,9 +18,9 @@ from percwalk.graph import (
     rng_from_seed,
     sample_keep_bits,
 )
-from percwalk.walk import basis_state
+from percwalk.walk import WalkConfig, basis_state
 
-from helpers import reference_laplacian
+from helpers import expm_channel_gram, reference_laplacian
 
 RENORM = (10_000, 1e-12)
 HYPOTHESIS = settings(max_examples=20, deadline=None, database=None, derandomize=True)
@@ -194,6 +195,63 @@ class TestTaylorAction:
         for m in (np.stack(cols, axis=2), np.array(ensemble)):  # (record, node, column)
             assert np.max(np.abs(m.sum(axis=1) - 1.0)) <= 1e-14
             assert m.min() >= -1e-15
+
+
+# random simple graphs small enough to enumerate all 2^E realizations against scipy expm
+@st.composite
+def channel_graphs(draw):
+    n = draw(st.integers(2, 6))
+    pairs = list(itertools.combinations(range(n), 2))
+    keep = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=min(10, len(pairs)), unique=True))
+    return Graph(node_count=n, edges=tuple(keep))
+
+
+def _channel_tau(g, gamma, x):
+    """The tau at which 2 * gamma * tau * maxdeg = x, so x > 1 needs squarings."""
+    return x / (2.0 * gamma * max(g.degrees()))
+
+
+class TestChannelBuild:
+    @HYPOTHESIS
+    @given(g=channel_graphs(), lam=st.floats(0.0, 1.0), x=st.floats(0.01, 8.0),
+           gamma=st.floats(0.5, 2.0))
+    def test_matches_expm_reference(self, g, lam, x, gamma):
+        tau = _channel_tau(g, gamma, x)
+        k_acc, name = _kernels.channel_accumulate(g.edge_array, g.node_count, gamma, lam, tau)
+        substeps, _ = _kernels.taylor_plan(g.edge_array, g.node_count, gamma, tau)
+        assert name.startswith(f"taylor(substeps={1 << (substeps - 1).bit_length()}, ")
+        want = expm_channel_gram(g.node_count, g.edges, lam, tau, gamma)
+        assert np.max(np.abs(k_acc - want)) <= 1e-13
+
+    @pytest.mark.parametrize("x,order", [(1e-6, 2), (1e-5, 3), (1e-4, 3)])
+    def test_short_steps_match_expm_reference(self, x, order):
+        # below the range drawn above the plan keeps only 2 or 3 Taylor terms
+        g = make_lattice2d(2, 3)
+        tau = _channel_tau(g, 1.0, x)
+        k_acc, name = _kernels.channel_accumulate(g.edge_array, g.node_count, 1.0, 0.5, tau)
+        assert name == f"taylor(substeps=1, order={order})"
+        want = expm_channel_gram(g.node_count, g.edges, 0.5, tau)
+        assert np.max(np.abs(k_acc - want)) <= 1e-13
+
+    @HYPOTHESIS
+    @given(g=channel_graphs(), lam=st.floats(0.0, 1.0), x=st.floats(0.01, 8.0),
+           gamma=st.floats(0.5, 2.0), seed=st.integers(0, 2**32))
+    def test_channel_is_cptp_and_unital(self, g, lam, x, gamma, seed):
+        n = g.node_count
+        phi = build_step_channel(g, WalkConfig(gamma=gamma), lam, _channel_tau(g, gamma, x))
+        # Choi matrix sum_ij |i><j| (x) Phi(|i><j|) is PSD iff Phi is CP (Choi 1975)
+        units = np.eye(n)
+        choi = sum(np.kron(np.outer(units[i], units[j]), apply_channel(phi, np.outer(units[i], units[j])))
+                   for i in range(n) for j in range(n))
+        assert np.linalg.eigvalsh(choi).min() >= -1e-12
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        rho = a @ a.conj().T
+        rho /= np.trace(rho).real
+        out = apply_channel(phi, rho)
+        assert abs(np.trace(out) - 1.0) <= 1e-13
+        assert np.max(np.abs(out - out.conj().T)) <= 1e-13
+        assert np.max(np.abs(apply_channel(phi, np.eye(n)) - np.eye(n))) <= 1e-13
 
 
 class TestLaplacianBlock:
