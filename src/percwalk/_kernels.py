@@ -18,12 +18,20 @@ The step kernels report which propagator ran (``"mask-cache"`` or
 norm: the 2-norm of a quantum state, the total probability of a classical
 distribution.
 
-``channel_accumulate`` enumerates all 2^E realizations without a spectral
+``channel_accumulate`` sums over all 2^E realizations without a spectral
 decomposition. Each U_r = cos(tau H_r) - i sin(tau H_r) comes from real
 batched Horner products of truncated Taylor series, planned by
 ``taylor_plan`` for tau / 2^q and squared q times (scaling and squaring,
 same 2^-53 bound per substep). U_r is complex symmetric, so the Gram matrix
-of the realizations is accumulated over the n(n+1)/2 entries i <= j only.
+of the realizations is accumulated over the n(n+1)/2 entries i <= j only,
+and over U_r - I, which keeps the round-off relative to the step's size.
+A graph automorphism g maps each mask to one of the same kept count and
+probability, with U_{g.r} = P_g U_r P_g^T. So every mask is enumerated, but
+a propagator is built only for the smallest mask of each orbit under the
+automorphism group G, weighted by p_r / |Stab_r|; summing the Gram matrix
+over the |G| relabelings then counts each of the |G| / |Stab_r| masks of
+the orbit exactly once (McKay & Piperno, J. Symb. Comput. 60:94, 2014, for
+the backtracking search of G).
 """
 from __future__ import annotations
 
@@ -373,35 +381,149 @@ def _horner(b: np.ndarray, coef: list) -> np.ndarray:
 
 
 def _cos_sin(a: np.ndarray, order: int, squarings: int) -> tuple[np.ndarray, np.ndarray]:
-    """cos(2^q a) and sin(2^q a), q = ``squarings``, for a batch of real symmetric a (R, n, n).
+    """cos(2^q a) - I and sin(2^q a), q = ``squarings``, for a batch of real symmetric a (R, n, n).
 
-    cos a and sin a are the even and odd parts of the Taylor series of
-    exp(i a), each with order // 2 + 1 terms (degree >= ``order``), summed by
-    Horner's rule in a @ a. Each squaring applies cos 2x = cos^2 x - sin^2 x
+    cos a - I and sin a are the even part without its constant term and the
+    odd part of the Taylor series of exp(i a), to degree >= ``order``,
+    summed by Horner's rule in a @ a. For a short step both are small;
+    carrying cos - I keeps their round-off relative to their own size, not
+    to the unit diagonal. A step that needs squaring has cos - I of order
+    one, so the squarings act on C = cos itself: cos 2x = cos^2 x - sin^2 x
     and sin 2x = 2 sin x cos x, the latter as CS + (CS)^T, which is exactly
     symmetric.
     """
+    n = a.shape[-1]
     b = a @ a
     terms = range(order // 2 + 1)
-    c = _horner(b, [(-1) ** k / math.factorial(2 * k) for k in terms])
+    e = _horner(b, [(-1) ** k / math.factorial(2 * k) if k else 0.0 for k in terms])
     s = a @ _horner(b, [(-1) ** k / math.factorial(2 * k + 1) for k in terms])
-    for _ in range(squarings):
-        cs = c @ s
-        c = c @ c - s @ s
-        s = cs + cs.transpose(0, 2, 1)
-    return c, s
+    if squarings:
+        e.reshape(-1, n * n)[:, :: n + 1] += 1.0
+        for _ in range(squarings):
+            cs = e @ s
+            e = e @ e - s @ s
+            s = cs + cs.transpose(0, 2, 1)
+        e.reshape(-1, n * n)[:, :: n + 1] -= 1.0
+    return e, s
+
+
+def _automorphisms(edges: np.ndarray, n: int, limit: int) -> np.ndarray:
+    """Node permutations (|G|, n) that map the edge set onto itself, identity first.
+
+    Backtracking assigns the non-isolated nodes in breadth-first order. Row
+    w of the candidate table ``cand`` marks the images still open to node
+    w: nodes of w's degree that are adjacent to the image of every assigned
+    node u exactly when w is adjacent to u. Assigning u -> c narrows every
+    row at once, so every completed assignment preserves adjacency.
+    Isolated nodes stay fixed. As soon as more than ``limit`` permutations
+    are found the search stops and returns the identity alone.
+    """
+    identity = np.arange(n)
+    adj = np.zeros((n, n), dtype=bool)
+    adj[edges[:, 0], edges[:, 1]] = adj[edges[:, 1], edges[:, 0]] = True
+    deg = adj.sum(axis=1)
+    order, seen, head = [], deg == 0, 0
+    for root in range(n):
+        if seen[root]:
+            continue
+        seen[root] = True
+        order.append(root)
+        while head < len(order):  # breadth first through the component of root
+            new = np.flatnonzero(adj[order[head]] & ~seen)
+            seen[new] = True
+            order.extend(new.tolist())
+            head += 1
+    perm, used, found = identity.copy(), deg == 0, []
+
+    def extend(k: int, cand: np.ndarray) -> bool:  # True once more than ``limit`` were found
+        if k == len(order):
+            found.append(perm.copy())
+            return len(found) > limit
+        v = order[k]
+        images = np.flatnonzero(cand[v] & ~used).tolist()
+        if v in images:  # the identity branch is searched first
+            images.remove(v)
+            images.insert(0, v)
+        for c in images:
+            perm[v], used[c] = c, True
+            stop = extend(k + 1, cand & (adj[v][:, None] == adj[c]))
+            used[c] = False
+            if stop:
+                return True
+        return False
+
+    if extend(0, deg[:, None] == deg):
+        return identity[None]
+    return np.array(found)
+
+
+def _orbit_representatives(edges: np.ndarray, perms: np.ndarray, lam: float):
+    """Yield (bits, weights) of the orbit representatives of positive weight, CHANNEL_BATCH at a time.
+
+    Mask r's image under g keeps edge pi_g(e) for every kept e, where
+    pi_g(e) is the edge {g(u_e), g(v_e)}; as a number it is bits @ 2^pi_g,
+    exact in float64 below 2^53. A mask represents its orbit when no image
+    is smaller, and |Stab_r| is the number of images equal to r. The orbit
+    holds |G| / |Stab_r| masks of the same probability p_r, so the weight
+    p_r / |Stab_r| summed over all g in G counts each of them once. Masks
+    are scanned in chunks whose (chunk, max(|G|, E)) blocks fit in
+    BLOCK_BYTES.
+    """
+    edge_count = edges.shape[0]
+    n = perms.shape[1]
+    eid = np.zeros((n, n), dtype=np.int64)
+    eid[edges[:, 0], edges[:, 1]] = eid[edges[:, 1], edges[:, 0]] = np.arange(edge_count)
+    powers = 2.0 ** eid[perms[:, edges[:, 0]], perms[:, edges[:, 1]]]  # (|G|, E)
+    total = 1 << edge_count
+    chunk = max(1, BLOCK_BYTES // (8 * max(perms.shape[0], edge_count)))
+    bits_buf, w_buf = np.empty((0, edge_count)), np.empty(0)
+    for start in range(0, total, chunk):
+        masks = np.arange(start, min(start + chunk, total), dtype="<i8")
+        # bit e of each mask, from its little-endian bytes
+        bits = np.unpackbits(masks.view(np.uint8).reshape(-1, 8), axis=1, count=edge_count,
+                             bitorder="little").astype(np.float64)
+        images = powers @ bits.T  # (|G|, chunk)
+        rep = images.min(axis=0) == masks
+        masks, bits, images = masks[rep], bits[rep], images[:, rep]
+        kept = np.bitwise_count(masks)
+        weights = lam**kept * (1.0 - lam) ** (edge_count - kept) / (images == masks).sum(axis=0)
+        live = weights > 0.0
+        bits_buf = np.concatenate((bits_buf, bits[live]))
+        w_buf = np.concatenate((w_buf, weights[live]))
+        while bits_buf.shape[0] >= CHANNEL_BATCH:
+            yield bits_buf[:CHANNEL_BATCH], w_buf[:CHANNEL_BATCH]
+            bits_buf, w_buf = bits_buf[CHANNEL_BATCH:], w_buf[CHANNEL_BATCH:]
+    if bits_buf.shape[0]:
+        yield bits_buf, w_buf
 
 
 def channel_accumulate(edges, n, gamma, lam, tau):
     """K[(i,j),(k,l)] = sum_r p_r conj(U_r)[i,j] U_r[k,l] over all 2^E masks.
 
-    -> (K, propagator name). U_r = exp(-i tau H_r) = C_r - i S_r with
-    C_r = cos(tau H_r) and S_r = sin(tau H_r) from ``_cos_sin``: with s the
-    ``taylor_plan`` substeps, the step is halved q = ceil(log2 s) times, the
-    order is planned for tau / 2^q (tail at most 2^-53) and the result is
-    squared q times. U_r is complex symmetric, so only its n(n+1)/2 entries
-    i <= j enter the Hermitian Gram matrix of the pairs, which is scattered
-    back to the (n^2, n^2) K through the pair index map.
+    -> (K, propagator name, |G|, propagators built). U_r = exp(-i tau H_r)
+    = C_r - i S_r with C_r = cos(tau H_r) and S_r = sin(tau H_r) from
+    ``_cos_sin``: with s the ``taylor_plan`` substeps, the step is halved
+    q = ceil(log2 s) times, the order is planned for tau / 2^q (tail at most
+    2^-53) and the result is squared q times. U_r is complex symmetric, so
+    only its n(n+1)/2 entries i <= j enter the Hermitian Gram matrix of the
+    pairs, which is scattered back to the (n^2, n^2) K through the pair
+    index map. The sums carry D_r = U_r - I, whose entries are small for a
+    short step: K is assembled from sum_r p_r conj(D_r) (x) D_r, sum_r p_r D_r
+    and sum_r p_r = 1, so the round-off of the unit diagonal is not summed
+    over the realizations.
+
+    Every automorphism g of the graph (node permutation matrix P_g) maps
+    mask r to a mask g.r of the same kept count, hence the same p_r, with
+    U_{g.r} = P_g U_r P_g^T. So only one representative per orbit of masks
+    is built, weighted by p_r / |Stab_r| (``_orbit_representatives``), and
+    the Gram matrix is summed over G afterwards: entry (a, b) of the sum is
+    sum_g gram[pair(g i_a, g j_a), pair(g i_b, g j_b)]. Every mask still
+    counts exactly once. G is searched (``_automorphisms``) only when it can
+    pay: it may hold at most 2^E // CHANNEL_BATCH elements, so symmetry
+    removes whole batches, and at most f // E, so canonicalizing a mask
+    (|G| E flops) costs less than building it (f flops). A larger or
+    unsearched group is replaced by the identity alone, which builds every
+    mask as before.
     """
     edge_count = edges.shape[0]
     substeps, _ = taylor_plan(edges, n, gamma, tau)
@@ -411,24 +533,34 @@ def channel_accumulate(edges, n, gamma, lam, tau):
     upper = iu * n + ju
     pair = np.empty((n, n), dtype=np.int64)
     pair[iu, ju] = pair[ju, iu] = np.arange(iu.size)
-    gram = np.zeros((iu.size, iu.size), dtype=np.complex128)
-    total = 1 << edge_count
-    shifts = np.arange(edge_count, dtype=np.int64)
-    for start in range(0, total, CHANNEL_BATCH):
-        masks = np.arange(start, min(start + CHANNEL_BATCH, total), dtype=np.int64)
-        bits = ((masks[:, None] >> shifts[None, :]) & 1).astype(np.float64)
-        kept = bits.sum(axis=1)
-        probs = lam**kept * (1.0 - lam) ** (edge_count - kept)
-        live = probs > 0.0
-        if not np.any(live):
-            continue
-        bits, probs = bits[live], probs[live]
-        c, s = _cos_sin(laplacians(edges, n, bits, gamma * tau / 2**squarings), order, squarings)
-        # w = sqrt(p) conj(U) on the pairs, so (w^T conj(w))[a, b] = sum_r p_r conj(U_a) U_b
-        root = np.sqrt(probs)[:, None]
-        w = np.empty((bits.shape[0], iu.size), dtype=np.complex128)
-        w.real = c.reshape(-1, n * n)[:, upper] * root
-        w.imag = s.reshape(-1, n * n)[:, upper] * root
+    # flops of one realization: its cos/sin products plus its share of the pair Gram
+    flops = 2 * n**3 * (order + 2 + 3 * squarings) + 8 * iu.size**2
+    limit = min((1 << edge_count) // CHANNEL_BATCH, flops // max(edge_count, 1))
+    perms = _automorphisms(edges, n, limit) if limit > 1 else np.arange(n)[None]
+    # Gram matrix of w_r = sqrt(weight_r) (conj(D_r) on the pairs, then 1), D_r = U_r - I; its
+    # last row holds sum_r weight_r D_r, at an index that every relabeling fixes
+    m = iu.size
+    gram = np.zeros((m + 1, m + 1), dtype=np.complex128)
+    built = 0
+    for bits, weights in _orbit_representatives(edges, perms, lam):
+        e, s = _cos_sin(laplacians(edges, n, bits, gamma * tau / 2**squarings), order, squarings)
+        root = np.sqrt(weights)
+        w = np.empty((bits.shape[0], m + 1), dtype=np.complex128)
+        w.real[:, :m] = e.reshape(-1, n * n)[:, upper] * root[:, None]
+        w.imag[:, :m] = s.reshape(-1, n * n)[:, upper] * root[:, None]
+        w[:, m] = root
         gram += w.T @ w.conj()
+        built += bits.shape[0]
+    sym, flat_gram = np.zeros_like(gram), gram.ravel()
+    for pp in pair[perms[:, iu], perms[:, ju]]:
+        pp = np.append(pp, m)
+        sym += flat_gram.take(pp[:, None] * (m + 1) + pp)
+    # conj(U)_a U_b = conj(D)_a D_b + i_a D_b + conj(D)_a i_b + i_a i_b with i the pairs of I,
+    # and the p_r sum to 1
+    diag = np.flatnonzero(iu == ju)
+    k = sym[:m, :m]
+    k[diag] += sym[m, :m]
+    k[:, diag] += sym[:m, m:]
+    k[np.ix_(diag, diag)] += 1.0
     flat = pair.ravel()
-    return gram[flat[:, None], flat], _plan_name((1 << squarings, order))
+    return k[flat[:, None], flat], _plan_name((1 << squarings, order)), perms.shape[0], built

@@ -8,9 +8,13 @@ Three routes to the same physics:
   one-step channel (all 2^E edge subsets, probability-weighted unitary
   conjugations) as a d^2 x d^2 matrix on column-stacked density matrices.
   Its propagators are truncated Taylor cos/sin series with scaling and
-  squaring (``_kernels.channel_accumulate``). ``evolve_channel`` advances
-  between recorded steps with one power of the channel where that costs
-  fewer flops than repeated products, and checks the trace at every record.
+  squaring (``_kernels.channel_accumulate``), one per orbit of edge subsets
+  under the graph's automorphisms: relabeling the nodes maps a subset's
+  propagator to that of its image, and a stabilizer weight p_r / |Stab_r|
+  on each representative keeps the sum over all 2^E subsets exact.
+  ``evolve_channel`` advances between recorded steps with one power of the
+  channel where that costs fewer flops than repeated products, and checks
+  the trace at every record.
 * ``monte_carlo_channel`` / ``monte_carlo_classical``: trajectory-ensemble
   estimates of the channel output with standard errors. Both are thin
   wrappers over one driver, which simulates each trajectory once. The
@@ -26,8 +30,8 @@ graphs; see ``_kernels.taylor_plan``). Discrepancies from the rescaled-time
 reference therefore come from non-commutativity of the sampled generators,
 not from integrator error. Every record names the propagator that ran and
 the largest drift of the conserved norm, and every channel names its
-propagator and bounds its trace drift (``ChannelMatrix.trace_defect``), so a
-run reports how far to trust it.
+propagator and bounds its trace drift (``ChannelMatrix.trace_drift_bound``),
+so a run reports how far to trust it.
 """
 from __future__ import annotations
 
@@ -148,6 +152,10 @@ class ChannelMatrix:
     dim: int
     # how the propagators were built, "taylor(substeps=2^q, order=K)"; empty when given
     propagator: str = ""
+    # order |G| of the automorphism group the build summed over (1: none), 0 when given
+    symmetries: int = 0
+    # propagators built: one per orbit of masks under G with nonzero probability
+    orbits: int = 0
 
     def __post_init__(self):
         dd = self.dim * self.dim
@@ -156,16 +164,22 @@ class ChannelMatrix:
 
     @property
     def trace_defect(self) -> float:
-        """delta = max_j |(t^dag Phi)_j - t_j| with t = vec(I).
-
-        One application changes tr(rho) by at most delta * ||vec rho||_1 <=
-        delta * d * tr(rho) for a density rho, so ``steps`` applications
-        drift the trace by at most about steps * d * delta.
-        """
+        """delta = max_j |(t^dag Phi)_j - t_j| with t = vec(I)."""
         diag = np.arange(self.dim) * (self.dim + 1)
         defect = self.matrix[diag].sum(axis=0)
         defect[diag] -= 1.0
         return float(np.abs(defect).max())
+
+    def trace_drift_bound(self, steps: int) -> float:
+        """About the largest |tr(rho) - 1| after ``steps`` float64 applications, from tr(rho0) = 1.
+
+        One application changes tr(rho) by at most (delta + d^2 u) ||vec rho||_1,
+        with delta the ``trace_defect`` and u = 2^-53: each of the d diagonal
+        entries of the product sums d^2 terms, whose rounding is at most d^2 u
+        times their magnitudes, and the diagonal rows of a channel have
+        column 1-norms of at most 1. A density has ||vec rho||_1 <= d tr(rho).
+        """
+        return steps * self.dim * (self.trace_defect + self.dim**2 * 2.0**-53)
 
 
 def recorded_steps(steps: int, sample_stride: int) -> np.ndarray:
@@ -259,8 +273,11 @@ def build_step_channel(g: Graph, cfg: WalkConfig | None, lam: float, tau: float)
     """Exact one-step channel: sum over all 2^E realizations of p_r U_r . U_r^dag.
 
     Column-stacking convention: the returned matrix is
-    sum_r p_r kron(conj(U_r), U_r). Refuses graphs above the enumeration
-    limit; use the Monte Carlo backend for those.
+    sum_r p_r kron(conj(U_r), U_r). One propagator is built per orbit of
+    realizations under the graph's automorphism group; the channel records
+    the group order (``symmetries``) and the propagators built (``orbits``).
+    Refuses graphs above the enumeration limit; use the Monte Carlo backend
+    for those.
     """
     cfg = cfg or WalkConfig()
     if not 0.0 <= lam <= 1.0:
@@ -274,9 +291,11 @@ def build_step_channel(g: Graph, cfg: WalkConfig | None, lam: float, tau: float)
             f"backend (montecarlo) instead"
         )
     n = g.node_count
-    k_acc, propagator = _kernels.channel_accumulate(g.edge_array, n, cfg.gamma, float(lam), float(tau))
+    k_acc, propagator, symmetries, orbits = _kernels.channel_accumulate(
+        g.edge_array, n, cfg.gamma, float(lam), float(tau))
     phi = k_acc.reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(n * n, n * n)
-    return ChannelMatrix(matrix=np.ascontiguousarray(phi), dim=n, propagator=propagator)
+    return ChannelMatrix(matrix=np.ascontiguousarray(phi), dim=n, propagator=propagator,
+                         symmetries=symmetries, orbits=orbits)
 
 
 def apply_channel(phi: ChannelMatrix, rho: np.ndarray) -> np.ndarray:

@@ -146,11 +146,15 @@ def _spec_from_args(args) -> ExperimentSpec:
         start=args.start,
         seed=args.seed,
         stride=args.stride,
-        trajectories=getattr(args, "trajectories", None) or 100,
+        trajectories=100 if getattr(args, "trajectories", None) is None else args.trajectories,
     )
 
 
 def _emit(out: str | None, meta: dict, columns) -> None:
+    """Write the CSV; a data column holding NaN or inf is a numerical failure and writes nothing."""
+    for name, values in columns:
+        if not np.all(np.isfinite(values)):
+            raise FloatingPointError(f"column {name} holds a non-finite value; no CSV written")
     if out is None:
         sys.stdout.write(render_csv(meta, columns))
     else:
@@ -338,7 +342,7 @@ def cli_main(argv: list[str] | None = None) -> int:
     except ValueError as exc:  # includes CapacityError and bad parameters
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (np.linalg.LinAlgError, FloatingPointError, EnvelopeFitError) as exc:
+    except (np.linalg.LinAlgError, FloatingPointError, OverflowError, EnvelopeFitError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

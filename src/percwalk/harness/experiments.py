@@ -3,6 +3,7 @@ step-size convergence scans, error horizons, and envelope fitting.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -67,23 +68,28 @@ class ExperimentSpec:
 def resolve_timing(
     tau: float | None, steps: int | None, total_time: float | None
 ) -> tuple[float, int, float]:
-    """Derive (tau, steps, total_time) from any two of the three."""
+    """Derive (tau, steps, total_time) from any two of the three; all must be finite."""
     given = sum(x is not None for x in (tau, steps, total_time))
     if given < 2:
         raise ValueError("give two of: tau, steps, total time")
-    if tau is not None and tau <= 0:
-        raise ValueError(f"tau must be positive, got {tau}")
+    if tau is not None and not 0 < tau < math.inf:
+        raise ValueError(f"tau must be positive and finite, got {tau}")
     if steps is not None and steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
     if tau is not None and steps is not None:
         t = steps * tau
+        if not math.isfinite(t):
+            raise ValueError(f"steps*tau = {steps}*{tau} is not finite")
         if total_time is not None and abs(t - total_time) > 1e-9 * max(1.0, abs(total_time)):
             raise ValueError(f"inconsistent timing: steps*tau = {t} but total time = {total_time}")
         return tau, steps, t
-    if total_time is None or total_time <= 0:
-        raise ValueError(f"total time must be positive, got {total_time}")
+    if total_time is None or not 0 < total_time < math.inf:
+        raise ValueError(f"total time must be positive and finite, got {total_time}")
     if tau is not None:
-        steps = int(round(total_time / tau))
+        ratio = total_time / tau
+        if not math.isfinite(ratio):
+            raise ValueError(f"total time / tau = {total_time}/{tau} is not finite")
+        steps = int(round(ratio))
         if steps < 1:
             raise ValueError(f"total time {total_time} shorter than one step tau={tau}")
         return tau, steps, steps * tau
@@ -150,8 +156,11 @@ def channel_curve(spec: ExperimentSpec) -> tuple[np.ndarray, np.ndarray, dict]:
     """Exact-channel return probability with the channel's propagator and trace drift.
 
     ``max_trace_drift`` is the largest |tr(rho) - 1| over the recorded rows;
-    ``trace_drift_bound`` = steps * d * delta bounds it from the channel's
-    ``trace_defect`` delta.
+    ``trace_drift_bound`` bounds it from the channel's trace defect and the
+    rounding of each application (``ChannelMatrix.trace_drift_bound``).
+    ``channel_symmetries`` is the order of the
+    graph automorphism group the build summed over and ``channel_orbits``
+    the number of propagators it built.
     """
     g = spec.graph()
     run = spec.run()
@@ -161,7 +170,9 @@ def channel_curve(spec: ExperimentSpec) -> tuple[np.ndarray, np.ndarray, dict]:
     diagnostics = {
         "propagator": phi.propagator,
         "max_trace_drift": float(np.abs(np.trace(rhos, axis1=1, axis2=2) - 1.0).max()),
-        "trace_drift_bound": run.steps * phi.dim * phi.trace_defect,
+        "trace_drift_bound": phi.trace_drift_bound(run.steps),
+        "channel_symmetries": phi.symmetries,
+        "channel_orbits": phi.orbits,
     }
     return rec * run.tau, np.real(rhos[:, spec.start, spec.start]), diagnostics
 

@@ -236,6 +236,14 @@ class TestRunDiagnostics:
         drift, bound = float(meta["max_trace_drift"]), float(meta["trace_drift_bound"])
         assert 0.0 <= drift <= bound <= 1e-10
 
+    def test_channel_metadata_counts_symmetries_and_orbits(self, tmp_path):
+        # the 32768 masks of ring:15 fall into 1224 orbits under its 30 automorphisms
+        out = tmp_path / "channel.csv"
+        assert run_cli(["channel", "--graph", "ring:15", "--lambda", "0.4", "--tau", "0.004",
+                        "--steps", "20", "--stride", "10", "--out", str(out)]) == 0
+        meta, _ = read_csv(out)
+        assert (meta["channel_symmetries"], meta["channel_orbits"]) == ("30", "1224")
+
     def test_python_dash_m_runs_without_warnings(self):
         proc = subprocess.run(
             [sys.executable, "-W", "error", "-m", "percwalk", "oracle", "--which", "flat",
@@ -287,6 +295,40 @@ class TestErrorPaths:
             "trajectory", "--graph", "ring:4", "--tau", "0.1", "--steps", "5",
             "--start", "44",
         ]) == 1
+
+    @pytest.mark.parametrize("count", ["0", "1"])
+    def test_too_few_trajectories_exit_1(self, tmp_path, capsys, count):
+        out = tmp_path / "mc.csv"
+        assert run_cli(["montecarlo", "--graph", "ring:4", "--tau", "0.1", "--steps", "3",
+                        "--trajectories", count, "--out", str(out)]) == 1
+        assert "n_trajectories must be >= 2" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["trajectory", "--graph", "ring:4", "--tau", "1e308", "--steps", "3"],
+        ["channel", "--graph", "ring:4", "--tau", "inf", "--steps", "3"],
+        ["trajectory", "--graph", "complete:7", "--tau", "1e308", "--steps", "3"],
+        ["montecarlo", "--graph", "ring:4", "--tau", "nan", "--steps", "3"],
+        ["channel", "--graph", "ring:4", "--time", "1", "--tau", "1e-320"],
+    ])
+    def test_non_finite_timing_exit_1(self, tmp_path, capsys, argv):
+        out = tmp_path / "run.csv"
+        assert run_cli(argv + ["--out", str(out)]) == 1
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv,message", [
+        # finite timing whose propagators overflow: the CSV would hold NaN
+        (["trajectory", "--graph", "ring:4", "--tau", "1e308", "--steps", "1"], "non-finite"),
+        (["classical", "--graph", "ring:4", "--tau", "1e308", "--steps", "1"], "non-finite"),
+        # an infinite Taylor plan overflows the substep count
+        (["trajectory", "--graph", "complete:7", "--tau", "1e308", "--steps", "1"], "infinity"),
+    ])
+    def test_numerical_overflow_exit_2_without_csv(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "run.csv"
+        assert run_cli(argv + ["--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_help_exit_0(self, capsys):
         assert run_cli(["--help"]) == 0

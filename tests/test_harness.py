@@ -46,6 +46,15 @@ class TestResolveTiming:
         with pytest.raises(ValueError):
             resolve_timing(*bad)
 
+    @pytest.mark.parametrize("bad", [
+        (float("inf"), 3, None), (float("nan"), 3, None), (1e308, 3, None),
+        (None, 3, float("inf")), (None, 3, float("nan")), (1e-320, None, 1.0),
+        (float("inf"), None, 1.0),
+    ])
+    def test_non_finite_timing(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            resolve_timing(*bad)
+
 
 class TestEnvelope:
     def test_exact_recovery(self):
@@ -159,6 +168,8 @@ class TestExperiments:
         meta, _ = csvio.read_csv(res.path)
         assert meta["propagator"] == "taylor(substeps=1, order=11)"
         assert 0.0 <= float(meta["max_trace_drift"]) <= float(meta["trace_drift_bound"])
+        # 64 masks are fewer than one batch, so no symmetry is searched
+        assert (meta["channel_symmetries"], meta["channel_orbits"]) == ("1", "64")
 
     def test_complete_graph_reduced(self, tmp_path):
         spec = ExperimentSpec(

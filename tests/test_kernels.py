@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from percwalk import _kernels
-from percwalk.dynamics import apply_channel, build_step_channel
+from percwalk.dynamics import apply_channel, build_step_channel, evolve_channel
 from percwalk.graph import (
     Graph,
     make_complete,
@@ -18,7 +18,7 @@ from percwalk.graph import (
     rng_from_seed,
     sample_keep_bits,
 )
-from percwalk.walk import WalkConfig, basis_state
+from percwalk.walk import WalkConfig, basis_density, basis_state
 
 from helpers import expm_channel_gram, reference_laplacian
 
@@ -211,24 +211,71 @@ def _channel_tau(g, gamma, x):
     return x / (2.0 * gamma * max(g.degrees()))
 
 
+def _check_channel_against_expm(g, lam, x, gamma):
+    tau = _channel_tau(g, gamma, x)
+    k_acc, name, symmetries, orbits = _kernels.channel_accumulate(
+        g.edge_array, g.node_count, gamma, lam, tau)
+    substeps, _ = _kernels.taylor_plan(g.edge_array, g.node_count, gamma, tau)
+    assert name.startswith(f"taylor(substeps={1 << (substeps - 1).bit_length()}, ")
+    assert 1 <= orbits <= 1 << g.edge_count and symmetries >= 1
+    want = expm_channel_gram(g.node_count, g.edges, lam, tau, gamma)
+    assert np.max(np.abs(k_acc - want)) <= 1e-13
+    return symmetries
+
+
 class TestChannelBuild:
     @HYPOTHESIS
     @given(g=channel_graphs(), lam=st.floats(0.0, 1.0), x=st.floats(0.01, 8.0),
            gamma=st.floats(0.5, 2.0))
     def test_matches_expm_reference(self, g, lam, x, gamma):
-        tau = _channel_tau(g, gamma, x)
-        k_acc, name = _kernels.channel_accumulate(g.edge_array, g.node_count, gamma, lam, tau)
-        substeps, _ = _kernels.taylor_plan(g.edge_array, g.node_count, gamma, tau)
-        assert name.startswith(f"taylor(substeps={1 << (substeps - 1).bit_length()}, ")
-        want = expm_channel_gram(g.node_count, g.edges, lam, tau, gamma)
-        assert np.max(np.abs(k_acc - want)) <= 1e-13
+        _check_channel_against_expm(g, lam, x, gamma)
+
+    @pytest.mark.parametrize("scale", [1e-3, 0.3, 1.0, 3.0])
+    def test_cos_sin_match_spectral_reference(self, scale):
+        # _cos_sin returns cos(a) - I, not cos(a), next to sin(a); planned as in channel_accumulate
+        g = make_lattice2d(2, 3)
+        substeps, _ = _kernels.taylor_plan(g.edge_array, 6, 1.0, scale)
+        squarings = (substeps - 1).bit_length()
+        a = _kernels.laplacians(g.edge_array, 6, np.ones((1, g.edge_count)), scale / 2**squarings)
+        _, order = _kernels.taylor_plan(g.edge_array, 6, 1.0, scale / 2**squarings)
+        e, s = _kernels._cos_sin(a, order, squarings)
+        w, q = np.linalg.eigh(a[0] * 2**squarings)
+        assert np.max(np.abs(e[0] - (q * (np.cos(w) - 1.0)) @ q.T)) <= 4e-15
+        assert np.max(np.abs(s[0] - (q * np.sin(w)) @ q.T)) <= 4e-15
+        if squarings:
+            assert np.array_equal(s[0], s[0].T)
+
+    def test_long_evolution_keeps_the_trace(self):
+        # the sums carry U - I: the unit diagonal's rounding, copied over each
+        # orbit, would drift the trace by about 1e-12 over these steps
+        phi = build_step_channel(make_ring(15), None, 0.2, 0.004)
+        rhos = evolve_channel(phi, basis_density(15, 0), 5000, 10)
+        assert np.max(np.abs(np.trace(rhos, axis1=1, axis2=2) - 1.0)) <= 1e-13
+
+    @pytest.mark.parametrize("batch", [1, 4])
+    @HYPOTHESIS
+    @given(g=channel_graphs(), lam=st.floats(0.0, 1.0), x=st.floats(0.01, 8.0),
+           gamma=st.floats(0.5, 2.0))
+    def test_orbit_build_matches_expm_reference(self, batch, g, lam, x, gamma):
+        # small batches let the cost rule accept the symmetry of these small graphs
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_kernels, "CHANNEL_BATCH", batch)
+            _check_channel_against_expm(g, lam, x, gamma)
+
+    @pytest.mark.parametrize("batch,symmetries", [(1, 10), (3, 10), (4, 1)])
+    def test_cost_rule_bounds_the_group(self, batch, symmetries):
+        # ring:5 has 10 automorphisms and 32 masks: at most 32 // batch are accepted
+        g = make_ring(5)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_kernels, "CHANNEL_BATCH", batch)
+            assert _check_channel_against_expm(g, 0.3, 1.5, 1.0) == symmetries
 
     @pytest.mark.parametrize("x,order", [(1e-6, 2), (1e-5, 3), (1e-4, 3)])
     def test_short_steps_match_expm_reference(self, x, order):
         # below the range drawn above the plan keeps only 2 or 3 Taylor terms
         g = make_lattice2d(2, 3)
         tau = _channel_tau(g, 1.0, x)
-        k_acc, name = _kernels.channel_accumulate(g.edge_array, g.node_count, 1.0, 0.5, tau)
+        k_acc, name, _, _ = _kernels.channel_accumulate(g.edge_array, g.node_count, 1.0, 0.5, tau)
         assert name == f"taylor(substeps=1, order={order})"
         want = expm_channel_gram(g.node_count, g.edges, 0.5, tau)
         assert np.max(np.abs(k_acc - want)) <= 1e-13
@@ -252,6 +299,112 @@ class TestChannelBuild:
         assert abs(np.trace(out) - 1.0) <= 1e-13
         assert np.max(np.abs(out - out.conj().T)) <= 1e-13
         assert np.max(np.abs(apply_channel(phi, np.eye(n)) - np.eye(n))) <= 1e-13
+
+
+def _edge_set(edges):
+    return {frozenset(e) for e in np.asarray(edges).tolist()}
+
+
+class TestAutomorphisms:
+    @pytest.mark.parametrize("g,order", [
+        *[(make_ring(n), 2 * n) for n in (3, 4, 5, 8, 15)],
+        (make_complete(5), 120),
+        (make_lattice2d(3, 3), 8),
+        (make_lattice2d(2, 3), 4),
+        (make_lattice2d(3, 4), 4),
+        # a 4-ring plus two isolated nodes, which stay fixed
+        (Graph(node_count=6, edges=((0, 1), (1, 2), (2, 3), (3, 0))), 8),
+        (Graph(node_count=7, edges=((5, 1), (1, 3), (3, 0), (2, 4))), 4),
+    ])
+    def test_group_of_known_graphs(self, g, order):
+        n, edges = g.node_count, g.edge_array
+        perms = _kernels._automorphisms(edges, n, 10**6)
+        assert perms.shape == (order, n)
+        assert np.array_equal(perms[0], np.arange(n))
+        assert len({p.tobytes() for p in perms}) == order
+        for p in perms:
+            assert sorted(p.tolist()) == list(range(n))
+            assert _edge_set(p[edges]) == _edge_set(edges)
+        isolated = g.degrees() == 0
+        assert np.all(perms[:, isolated] == np.flatnonzero(isolated))
+        group = {p.tobytes() for p in perms}
+        for a in perms:
+            for b in perms:
+                assert a[b].tobytes() in group
+
+    def test_limit_returns_the_identity_alone(self):
+        g = make_ring(6)
+        assert _kernels._automorphisms(g.edge_array, 6, 12).shape == (12, 6)
+        assert np.array_equal(_kernels._automorphisms(g.edge_array, 6, 11), np.arange(6)[None])
+
+
+def _superop_perm(p):
+    """P (x) P for the node permutation p, acting on column-stacked densities."""
+    m = np.eye(p.size)[:, p]  # m @ e_i = e_{p[i]}
+    return np.kron(m, m)
+
+
+class TestOrbitChannel:
+    @pytest.mark.parametrize("g,lam,tau", [
+        (make_ring(15), 0.4, 0.004),
+        (make_lattice2d(3, 3), 0.5, 0.3),
+    ])
+    def test_matches_the_per_mask_build(self, g, lam, tau):
+        # the identity group builds every mask, which is the build without symmetry
+        edges, n = g.edge_array, g.node_count
+        k_orbit, name, symmetries, orbits = _kernels.channel_accumulate(edges, n, 1.0, lam, tau)
+        assert (symmetries, orbits) == {15: (30, 1224), 9: (8, 570)}[n]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_kernels, "_automorphisms", lambda edges, n, limit: np.arange(n)[None])
+            k_mask, name_mask, one, built = _kernels.channel_accumulate(edges, n, 1.0, lam, tau)
+        assert (name_mask, one, built) == (name, 1, 1 << g.edge_count)
+        assert np.max(np.abs(k_orbit - k_mask)) <= 1e-14
+
+    @pytest.mark.parametrize("g", [make_ring(15), make_lattice2d(3, 3), make_lattice2d(3, 4)])
+    def test_channel_commutes_with_automorphisms(self, g):
+        phi = build_step_channel(g, None, 0.3, 0.05)
+        for p in _kernels._automorphisms(g.edge_array, g.node_count, 10**6):
+            pp = _superop_perm(p)
+            assert np.max(np.abs(pp @ phi.matrix - phi.matrix @ pp)) <= 1e-14
+
+    @pytest.mark.parametrize("g,seed", [
+        (make_ring(11), 1), (make_lattice2d(3, 3), 2), (make_lattice2d(2, 5), 3),
+        (Graph(node_count=7, edges=((0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5), (5, 3), (5, 6),
+                                    (6, 0), (1, 4))), 4),
+    ])
+    def test_relabeling_conjugates_the_channel(self, g, seed):
+        rng = np.random.default_rng(seed)
+        p = rng.permutation(g.node_count)
+        relabeled = Graph(node_count=g.node_count,
+                          edges=tuple(map(tuple, p[g.edge_array][rng.permutation(g.edge_count)].tolist())))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_kernels, "CHANNEL_BATCH", 4)  # let the cost rule accept every group here
+            phi = build_step_channel(g, None, 0.35, 0.2)
+            phi_relabeled = build_step_channel(relabeled, None, 0.35, 0.2)
+        assert phi.symmetries == phi_relabeled.symmetries
+        pp = _superop_perm(p)
+        assert np.max(np.abs(phi_relabeled.matrix - pp @ phi.matrix @ pp.T)) <= 1e-14
+
+
+# random simple graphs within the mask cache's 16-edge limit
+@st.composite
+def cached_graphs(draw):
+    n = draw(st.integers(2, 8))
+    pairs = list(itertools.combinations(range(n), 2))
+    keep = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=min(16, len(pairs)), unique=True))
+    return Graph(node_count=n, edges=tuple(keep))
+
+
+class TestMaskCachePropagators:
+    @settings(max_examples=100, deadline=None, database=None, derandomize=True)
+    @given(g=cached_graphs(), tau=st.floats(1e-4, 30.0), gamma=st.floats(0.5, 2.0),
+           seed=st.integers(0, 2**32))
+    def test_classical_propagator_is_symmetric_and_stochastic(self, g, tau, gamma, seed):
+        bits = np.random.default_rng(seed).integers(0, 2, g.edge_count).astype(np.uint8)
+        m = _kernels._propagator_for_bits(g.edge_array, bits, gamma, g.node_count, -tau)
+        assert np.max(np.abs(m - m.T)) <= 1e-15
+        assert np.max(np.abs(m.sum(axis=0) - 1.0)) <= 1e-13
+        assert m.min() >= 0.0
 
 
 class TestLaplacianBlock:
