@@ -31,16 +31,12 @@ from .graph import (  # noqa: F401
     MAX_ENUM_EDGES,
     CapacityError,
     Graph,
-    PercolationParams,
-    Realization,
-    enumerate_realizations,
     graph_from_spec,
     make_complete,
     make_lattice2d,
     make_ring,
     read_edge_file,
     rng_from_seed,
-    sample_realization,
     write_edge_file,
 )
 from .spectral import SpectralDecomposition, decompose, stochastic_exp, unitary_exp  # noqa: F401

@@ -48,6 +48,12 @@ CHANNEL_BATCH = 512
 TAYLOR_TOL = 2.0**-53
 # largest transient buffer (Laplacian block, Taylor terms) of a step kernel
 BLOCK_BYTES = 1 << 18
+# most Taylor substeps planned before anything runs, 2^24: over all steps of a
+# trajectory or ensemble block (about 20 min at the 73 us one substep of
+# complete:7 takes), and per step of the exact channel, which squares them
+# back in 24 squarings whose error of about 2^24 * 2^-53 = 1.9e-9 stays below
+# the 1e-8 trace gate of ``dynamics.evolve_channel``
+MAX_SUBSTEPS = 1 << 24
 
 
 def active_backend() -> str:
@@ -103,6 +109,18 @@ def taylor_plan(edges: np.ndarray, n: int, gamma: float, tau: float) -> tuple[in
     while tail / (1.0 - y / (order + 2)) > TAYLOR_TOL:
         order += 1
         tail *= y / (order + 1)
+    return substeps, order
+
+
+def _run_plan(edges: np.ndarray, n: int, gamma: float, tau: float, steps: int) -> tuple[int, int]:
+    """``taylor_plan`` of a run of ``steps`` steps, refused above MAX_SUBSTEPS substeps in all."""
+    substeps, order = taylor_plan(edges, n, gamma, tau)
+    if substeps * steps > MAX_SUBSTEPS:
+        raise ValueError(
+            f"{steps} step(s) of tau={tau:g} plan {substeps * steps:.3g} Taylor substeps "
+            f"({substeps:.3g} per step), above the limit of 2^{MAX_SUBSTEPS.bit_length() - 1}; "
+            f"shorten tau or the run"
+        )
     return substeps, order
 
 
@@ -173,7 +191,7 @@ def _trajectory(edges, n, gamma, z, bits, record_steps, x0, renorm_every, renorm
                 x = np.dot(u, x, out=hist[j])
             return hist
     else:
-        plan = taylor_plan(edges, n, gamma, abs(z))
+        plan = _run_plan(edges, n, gamma, abs(z), steps)
         substeps, order = plan
         coef = _taylor_coef(order, x0.dtype)
         v = np.empty((order + 1, n), dtype=x0.dtype)
@@ -263,7 +281,7 @@ def _ensemble(edges, n, gamma, z, bits3, record_steps, x0, record, renorm_every,
                 x[:, sel] = u @ x[:, sel]
             return x
     else:
-        plan = taylor_plan(edges, n, gamma, abs(z))
+        plan = _run_plan(edges, n, gamma, abs(z), steps)
         substeps, order = plan
         coef = _taylor_coef(order, x0.dtype)
         u_idx, v_idx = edges[:, 0], edges[:, 1]
@@ -528,6 +546,11 @@ def channel_accumulate(edges, n, gamma, lam, tau):
     edge_count = edges.shape[0]
     substeps, _ = taylor_plan(edges, n, gamma, tau)
     squarings = (substeps - 1).bit_length()
+    if substeps > MAX_SUBSTEPS:
+        raise ValueError(
+            f"a step of tau={tau:g} needs {squarings} squarings of its propagators, above the "
+            f"limit of {MAX_SUBSTEPS.bit_length() - 1}; shorten tau"
+        )
     _, order = taylor_plan(edges, n, gamma, tau / 2**squarings)
     iu, ju = np.triu_indices(n)
     upper = iu * n + ju

@@ -45,7 +45,6 @@ from .graph import (
     MAX_ENUM_EDGES,
     CapacityError,
     Graph,
-    bits_to_mask,
     rng_from_seed,
     sample_keep_bits,
 )
@@ -96,7 +95,6 @@ class TrajectoryRecord:
     record_steps: np.ndarray
     times: np.ndarray
     states: np.ndarray  # (n_recorded, node_count) complex amplitudes
-    realization_masks: tuple[int, ...] | None
     max_norm_drift: float  # max over steps of | ||psi||_2 - 1 |
     propagator: str  # "mask-cache" or "taylor(substeps=S, order=K)"
 
@@ -207,7 +205,6 @@ def run_trajectory(
     run: PercolationRun,
     psi0: np.ndarray,
     sample_stride: int = 1,
-    log_masks: bool = False,
     trajectory_index: int = 0,
 ) -> TrajectoryRecord:
     """Evolve one stochastic trajectory of the percolated quantum walk.
@@ -215,7 +212,8 @@ def run_trajectory(
     Each step samples an edge subset (keep probability ``run.lam``) and
     applies the unitary exp(-i * H_realization * tau). The random
     stream is PCG64 seeded by (run.seed, trajectory_index), so results are
-    reproducible bit for bit on a fixed backend.
+    reproducible bit for bit, and the keep bits of every step are
+    ``sample_keep_bits(g, run.lam, rng_from_seed(run.seed, trajectory_index), run.steps)``.
     """
     cfg = cfg or WalkConfig()
     psi0 = check_quantum_state(psi0)
@@ -227,12 +225,10 @@ def run_trajectory(
     states, drift, propagator = _kernels.trajectory_states(
         g.edge_array, g.node_count, cfg.gamma, run.tau, bits, rec, psi0, RENORM_EVERY, RENORM_TOL
     )
-    masks = tuple(bits_to_mask(bits[s]) for s in range(run.steps)) if log_masks else None
     return TrajectoryRecord(
         record_steps=rec,
         times=rec * run.tau,
         states=states,
-        realization_masks=masks,
         max_norm_drift=float(drift),
         propagator=propagator,
     )

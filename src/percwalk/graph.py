@@ -1,22 +1,21 @@
 """Graph substrate for percolated walks.
 
-Immutable undirected graphs with an indexed edge list (edge index k maps to
-bit k of a realization mask), named generators for the standard test
-geometries, an edge-list file format, and Bernoulli sampling / exhaustive
-enumeration of edge-subset realizations.
+Immutable undirected graphs with an indexed edge list, named generators for
+the standard test geometries, an edge-list file format, and Bernoulli
+sampling of edge-subset realizations. A realization is the set of edges
+kept at one step, held as a row of keep bits or as an int mask: edge index
+k is bit k.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Iterator
 
 import numpy as np
 
-# Exact enumeration over 2^edge_count realizations is refused above this;
-# larger graphs must use the Monte Carlo backend.
+# The exact channel's enumeration over 2^edge_count realizations is refused
+# above this; larger graphs must use the Monte Carlo backend.
 MAX_ENUM_EDGES = 24
 
 
@@ -29,7 +28,7 @@ class Graph:
     """Undirected simple graph with a fixed, indexed edge list.
 
     The edge order is fixed at construction and defines the bit positions
-    used by :class:`Realization` masks.
+    of keep-bit rows and realization masks.
     """
 
     node_count: int
@@ -66,46 +65,6 @@ class Graph:
             deg[u] += 1
             deg[v] += 1
         return deg
-
-
-@dataclass(frozen=True)
-class Realization:
-    """One sampled edge subset, stored as a bitmask over edge indices."""
-
-    mask: int
-    kept_count: int
-
-    def __post_init__(self):
-        if self.mask < 0:
-            raise ValueError("mask must be nonnegative")
-        if self.kept_count != int(self.mask).bit_count():
-            raise ValueError("kept_count does not match popcount of mask")
-
-    @classmethod
-    def from_mask(cls, mask: int) -> "Realization":
-        return cls(mask=mask, kept_count=int(mask).bit_count())
-
-
-@dataclass(frozen=True)
-class PercolationParams:
-    """Edge-keep probability and the seed of the sampling stream."""
-
-    lam: float
-    seed: int = 0
-
-    def __post_init__(self):
-        if not 0.0 <= self.lam <= 1.0:
-            raise ValueError(f"lam must be in [0, 1], got {self.lam}")
-        if not 0 <= self.seed < 2**64:
-            raise ValueError("seed must fit in 64 unsigned bits")
-
-
-def full_realization(g: Graph) -> Realization:
-    return Realization.from_mask((1 << g.edge_count) - 1)
-
-
-def empty_realization() -> Realization:
-    return Realization.from_mask(0)
 
 
 def check_mask(g: Graph, mask: int) -> None:
@@ -232,42 +191,5 @@ def sample_keep_bits(g: Graph, lam: float, rng: np.random.Generator, steps: int 
     return (rng.random((steps, g.edge_count)) < lam).astype(np.uint8)
 
 
-def bits_to_mask(bits: np.ndarray) -> int:
-    mask = 0
-    for k in np.flatnonzero(bits):
-        mask |= 1 << int(k)
-    return mask
-
-
 def mask_to_bits(mask: int, edge_count: int) -> np.ndarray:
     return np.array([(mask >> k) & 1 for k in range(edge_count)], dtype=np.uint8)
-
-
-def sample_realization(g: Graph, params: PercolationParams, rng: np.random.Generator) -> Realization:
-    """Draw one realization: each edge kept independently with probability lam."""
-    bits = sample_keep_bits(g, params.lam, rng, steps=1)[0]
-    return Realization.from_mask(bits_to_mask(bits))
-
-
-def realization_probability(g: Graph, realization: Realization, lam: float) -> float:
-    """lam^k (1-lam)^(N-k) for a realization keeping k of N edges."""
-    k = realization.kept_count
-    return lam**k * (1.0 - lam) ** (g.edge_count - k)
-
-
-def enumerate_realizations(g: Graph, lam: float) -> Iterator[tuple[Realization, float]]:
-    """Yield every edge subset once, with its occurrence probability.
-
-    Probabilities sum to 1 (binomial theorem). Refuses graphs above
-    MAX_ENUM_EDGES edges; use the Monte Carlo backend for those.
-    """
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError(f"lam must be in [0, 1], got {lam}")
-    if g.edge_count > MAX_ENUM_EDGES:
-        raise CapacityError(
-            f"graph has {g.edge_count} edges > enumeration limit {MAX_ENUM_EDGES} "
-            f"(2^{g.edge_count} realizations); use the Monte Carlo backend (montecarlo)"
-        )
-    for mask in range(1 << g.edge_count):
-        r = Realization.from_mask(mask)
-        yield r, realization_probability(g, r, lam)

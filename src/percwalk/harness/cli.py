@@ -13,27 +13,17 @@ from pathlib import Path
 
 import numpy as np
 
-from .. import oracles
-from ..dynamics import recorded_steps
-from ..graph import graph_from_spec
 from .csvio import load_config, render_csv, write_csv
 from .experiments import (
+    ORACLE_CHOICES,
     EnvelopeFitError,
     ExperimentSpec,
-    base_meta,
-    channel_curve,
-    classical_oracle_curve,
-    classical_trajectory_curve,
     convergence_table,
     horizon_table,
     longtime_table,
-    montecarlo_curve,
-    quantum_oracle_curve,
-    quantum_trajectory_curve,
-    resolve_timing,
+    oracle_table,
+    point_table,
 )
-
-ORACLE_CHOICES = ("rescaled", "complete-q", "complete-c", "ring4-c", "flat")
 
 
 class UsageError(Exception):
@@ -161,111 +151,24 @@ def _emit(out: str | None, meta: dict, columns) -> None:
         write_csv(Path(out), meta, columns)
 
 
-def _parse_int_list(text: str, flag: str) -> list[int]:
+def _parse_list(text: str, flag: str, typ) -> list:
     try:
-        return [int(part) for part in text.split(",") if part.strip()]
+        return [typ(part) for part in text.split(",") if part.strip()]
     except ValueError as exc:
         raise UsageError(f"bad {flag} value {text!r}: {exc}") from exc
 
 
-def _parse_float_list(text: str, flag: str) -> list[float]:
-    try:
-        return [float(part) for part in text.split(",") if part.strip()]
-    except ValueError as exc:
-        raise UsageError(f"bad {flag} value {text!r}: {exc}") from exc
-
-
-def _cmd_trajectory(args) -> int:
+def _cmd_point(args) -> int:
+    """trajectory, classical, channel and montecarlo: one curve at one parameter point."""
     _fill(args, lam=0.5)
-    spec = _spec_from_args(args)
-    times, p_sim, diagnostics = quantum_trajectory_curve(spec)
-    p_oracle = quantum_oracle_curve(spec, times)
-    _emit(args.out, base_meta(spec, "trajectory", **diagnostics),
-          [("t", times), ("p_sim", p_sim), ("p_oracle", p_oracle)])
+    _emit(args.out, *point_table(_spec_from_args(args), args.command))
     return 0
-
-
-def _cmd_classical(args) -> int:
-    _fill(args, lam=0.5)
-    spec = _spec_from_args(args)
-    times, p_sim, diagnostics = classical_trajectory_curve(spec)
-    p_oracle = classical_oracle_curve(spec, times)
-    _emit(args.out, base_meta(spec, "classical", **diagnostics),
-          [("t", times), ("p_sim", p_sim), ("p_oracle", p_oracle)])
-    return 0
-
-
-def _cmd_channel(args) -> int:
-    _fill(args, lam=0.5)
-    spec = _spec_from_args(args)
-    times, p_sim, diagnostics = channel_curve(spec)
-    p_oracle = quantum_oracle_curve(spec, times)
-    _emit(args.out, base_meta(spec, "channel", **diagnostics),
-          [("t", times), ("p_sim", p_sim), ("p_oracle", p_oracle)])
-    return 0
-
-
-def _cmd_montecarlo(args) -> int:
-    _fill(args, lam=0.5)
-    spec = _spec_from_args(args)
-    times, p_mean, p_stderr, diagnostics = montecarlo_curve(spec)
-    p_oracle = quantum_oracle_curve(spec, times)
-    _emit(args.out, base_meta(spec, "montecarlo", trajectories=spec.trajectories, **diagnostics),
-          [("t", times), ("p_mean", p_mean), ("p_stderr", p_stderr), ("p_oracle", p_oracle)])
-    return 0
-
-
-# closed-form return probabilities, each valid for one graph family only
-_RETURN_FORMS = ("complete-q", "complete-c", "ring4-c")
-
-
-def _check_return_form(which: str, g, start: int, target: int) -> None:
-    """Refuse a closed-form return probability for a target or a graph it does not describe."""
-    if target != start:
-        raise UsageError(f"--which {which} is a return probability: --target must equal --start")
-    n = g.node_count
-    if which == "ring4-c":
-        family = n == 4 and g.edge_count == 4 and bool(np.all(g.degrees() == 2))
-    else:  # a simple graph with every node pair an edge
-        family = g.edge_count == n * (n - 1) // 2
-    if not family:
-        name = "the 4-ring" if which == "ring4-c" else "a complete graph"
-        raise UsageError(f"--which {which} holds only on {name}; use --which rescaled for this graph")
 
 
 def _cmd_oracle(args) -> int:
     _require(args, "which", "--which")
-    _require(args, "graph", "--graph")
     _fill(args, lam=0.5)
-    g = graph_from_spec(args.graph)
-    tau, steps, _ = resolve_timing(args.tau, args.steps, args.total_time)
-    times = recorded_steps(steps, args.stride) * tau
-    target = args.target if args.target is not None else args.start
-    if args.which in _RETURN_FORMS:
-        _check_return_form(args.which, g, args.start, target)
-    if args.which == "rescaled":
-        curve = oracles.rescaled_reference(g, None, args.lam, args.start, target)
-        p = np.asarray(curve.evaluate(times))
-    elif args.which == "complete-q":
-        p = np.asarray(oracles.complete_graph_quantum_return(g.node_count, args.lam * times))
-    elif args.which == "complete-c":
-        p = np.asarray(oracles.complete_graph_classical_return(g.node_count, args.lam * times))
-    elif args.which == "ring4-c":
-        p = np.asarray(oracles.ring4_classical_return(args.lam, times))
-    else:  # flat
-        p = np.full(times.shape, oracles.flat_limit(g.node_count))
-    meta = {
-        "tool": "percwalk",
-        "experiment": f"oracle:{args.which}",
-        "graph": args.graph,
-        "lambda": args.lam,
-        "tau": tau,
-        "steps": steps,
-        "start": args.start,
-        "target": target,
-        "stride": args.stride,
-    }
-    _emit(args.out, meta, [("t", times), ("p_oracle", p)])
+    _emit(args.out, *oracle_table(_spec_from_args(args), args.which, args.target))
     return 0
 
 
@@ -274,7 +177,7 @@ def _cmd_convergence(args) -> int:
     if args.tau is None and args.steps is None and args.total_time is None:
         args.total_time = 10.0
     spec = _spec_from_args(args)
-    s_list = _parse_int_list(args.steps_list, "--steps-list") if args.steps_list else None
+    s_list = _parse_list(args.steps_list, "--steps-list", int) if args.steps_list else None
     _, meta, columns = convergence_table(spec, s_list) if s_list else convergence_table(spec)
     _emit(args.out, meta, columns)
     return 0
@@ -287,9 +190,9 @@ def _cmd_horizon(args) -> int:
     spec = _spec_from_args(args)
     kwargs = {}
     if args.steps_list:
-        kwargs["s_list"] = _parse_int_list(args.steps_list, "--steps-list")
+        kwargs["s_list"] = _parse_list(args.steps_list, "--steps-list", int)
     if args.epsilons:
-        kwargs["epsilon_list"] = _parse_float_list(args.epsilons, "--epsilons")
+        kwargs["epsilon_list"] = _parse_list(args.epsilons, "--epsilons", float)
     _, meta, columns = horizon_table(spec, **kwargs)
     _emit(args.out, meta, columns)
     return 0
@@ -309,10 +212,10 @@ def _cmd_envelope(args) -> int:
 
 
 _COMMANDS = {
-    "trajectory": _cmd_trajectory,
-    "channel": _cmd_channel,
-    "montecarlo": _cmd_montecarlo,
-    "classical": _cmd_classical,
+    "trajectory": _cmd_point,
+    "channel": _cmd_point,
+    "montecarlo": _cmd_point,
+    "classical": _cmd_point,
     "oracle": _cmd_oracle,
     "convergence": _cmd_convergence,
     "horizon": _cmd_horizon,
@@ -339,12 +242,13 @@ def cli_main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(str(exc), file=sys.stderr)
         return 1
-    except ValueError as exc:  # includes CapacityError and bad parameters
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    # before ValueError, which np.linalg.LinAlgError subclasses
     except (np.linalg.LinAlgError, FloatingPointError, OverflowError, EnvelopeFitError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
+    except ValueError as exc:  # includes CapacityError and bad parameters
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 3

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .. import _kernels, oracles
+from .. import oracles
 from ..dynamics import (
     PercolationRun,
     build_step_channel,
@@ -110,13 +110,7 @@ def base_meta(spec: ExperimentSpec, experiment: str, **extra) -> dict:
     except ValueError:
         # scan experiments fix only the window; per-point timing lives in the columns
         meta.update(total_time=spec.total_time)
-    meta.update(
-        start=spec.start,
-        seed=spec.seed,
-        stride=spec.stride,
-        kernel_backend=_kernels.active_backend(),
-    )
-    meta.update(extra)
+    meta.update(start=spec.start, seed=spec.seed, stride=spec.stride, **extra)
     return meta
 
 
@@ -204,6 +198,97 @@ def classical_oracle_curve(spec: ExperimentSpec, times: np.ndarray) -> np.ndarra
     return np.asarray(curve.evaluate(times))
 
 
+_POINT_CURVES = {  # command -> (simulated curve, its rescaled reference)
+    "trajectory": (quantum_trajectory_curve, quantum_oracle_curve),
+    "classical": (classical_trajectory_curve, classical_oracle_curve),
+    "channel": (channel_curve, quantum_oracle_curve),
+}
+
+
+def point_table(spec: ExperimentSpec, command: str) -> tuple[dict, list]:
+    """Metadata and columns of the CSV of one single-point command.
+
+    ``command`` is ``trajectory``, ``classical``, ``channel`` or
+    ``montecarlo``; each writes its return probability at the start node
+    next to the rescaled reference.
+    """
+    if command == "montecarlo":
+        times, p_mean, p_stderr, diagnostics = montecarlo_curve(spec)
+        meta = base_meta(spec, command, trajectories=spec.trajectories, **diagnostics)
+        return meta, [("t", times), ("p_mean", p_mean), ("p_stderr", p_stderr),
+                      ("p_oracle", quantum_oracle_curve(spec, times))]
+    if command not in _POINT_CURVES:
+        raise ValueError(f"unknown single-point command {command!r}")
+    curve, oracle = _POINT_CURVES[command]
+    times, p_sim, diagnostics = curve(spec)
+    return base_meta(spec, command, **diagnostics), [
+        ("t", times), ("p_sim", p_sim), ("p_oracle", oracle(spec, times))]
+
+
+ORACLE_CHOICES = ("rescaled", "complete-q", "complete-c", "ring4-c", "flat")
+# closed-form return probabilities, each valid for one graph family only
+_RETURN_FORMS = ("complete-q", "complete-c", "ring4-c")
+
+
+def _check_return_form(which: str, g: Graph, start: int, target: int) -> None:
+    """Refuse a closed-form return probability for a target or a graph it does not describe."""
+    if target != start:
+        raise ValueError(f"--which {which} is a return probability: --target must equal --start")
+    n = g.node_count
+    if which == "ring4-c":
+        family = n == 4 and g.edge_count == 4 and bool(np.all(g.degrees() == 2))
+    else:  # a simple graph with every node pair an edge
+        family = g.edge_count == n * (n - 1) // 2
+    if not family:
+        name = "the 4-ring" if which == "ring4-c" else "a complete graph"
+        raise ValueError(f"--which {which} holds only on {name}; use --which rescaled for this graph")
+
+
+def oracle_table(spec: ExperimentSpec, which: str, target: int | None = None) -> tuple[dict, list]:
+    """Metadata and columns of one closed-form reference curve (``ORACLE_CHOICES``).
+
+    ``target`` defaults to the start node. Every curve refuses a lambda
+    outside [0, 1] and nodes outside the graph, and the closed-form return
+    probabilities refuse targets and graphs they do not describe.
+    """
+    g = spec.graph()
+    tau, steps, _ = spec.timing()
+    times = recorded_steps(steps, spec.stride) * tau
+    target = spec.start if target is None else target
+    if not 0.0 <= spec.lam <= 1.0:
+        raise ValueError(f"lambda must be in [0, 1], got {spec.lam}")
+    for flag, node in (("--start", spec.start), ("--target", target)):
+        if not 0 <= node < g.node_count:
+            raise ValueError(f"{flag} {node} out of range for {g.node_count} nodes")
+    if which in _RETURN_FORMS:
+        _check_return_form(which, g, spec.start, target)
+    if which == "rescaled":
+        curve = oracles.rescaled_reference(g, spec.config(), spec.lam, spec.start, target)
+        p = np.asarray(curve.evaluate(times))
+    elif which == "complete-q":
+        p = np.asarray(oracles.complete_graph_quantum_return(g.node_count, spec.lam * times))
+    elif which == "complete-c":
+        p = np.asarray(oracles.complete_graph_classical_return(g.node_count, spec.lam * times))
+    elif which == "ring4-c":
+        p = np.asarray(oracles.ring4_classical_return(spec.lam, times))
+    elif which == "flat":
+        p = np.full(times.shape, oracles.flat_limit(g.node_count))
+    else:
+        raise ValueError(f"unknown oracle {which!r}; expected one of {', '.join(ORACLE_CHOICES)}")
+    meta = {
+        "tool": "percwalk",
+        "experiment": f"oracle:{which}",
+        "graph": spec.graph_spec,
+        "lambda": spec.lam,
+        "tau": tau,
+        "steps": steps,
+        "start": spec.start,
+        "target": target,
+        "stride": spec.stride,
+    }
+    return meta, [("t", times), ("p_oracle", p)]
+
+
 # ---------------------------------------------------------------------------
 # figure-style experiments
 # ---------------------------------------------------------------------------
@@ -226,19 +311,15 @@ def _sweep_paths(output_path: str | None, stem: str, lambdas) -> list[Path | Non
     return [out_dir / f"{stem}_lam{lam:g}.csv" for lam in lambdas]
 
 
-def _sweep(spec: ExperimentSpec, experiment: str, stem: str, lambdas, curve_fn) -> dict[float, CurveResult]:
+def _sweep(spec: ExperimentSpec, experiment: str, command: str, lambdas) -> dict[float, CurveResult]:
+    """``command``'s CSV (``point_table``) at each lambda, named ``experiment`` in its metadata."""
     results: dict[float, CurveResult] = {}
-    paths = _sweep_paths(spec.output_path, stem, lambdas)
-    for lam, path in zip(lambdas, paths):
-        point = replace(spec, lam=lam, output_path=None)
-        times, p_sim, diagnostics = curve_fn(point)
-        p_oracle = quantum_oracle_curve(point, times)
+    for lam, path in zip(lambdas, _sweep_paths(spec.output_path, experiment, lambdas)):
+        meta, columns = point_table(replace(spec, lam=lam, output_path=None), command)
+        meta["experiment"] = experiment
         if path is not None:
-            write_csv(
-                path,
-                base_meta(point, experiment, **diagnostics),
-                [("t", times), ("p_sim", p_sim), ("p_oracle", p_oracle)],
-            )
+            write_csv(path, meta, columns)
+        (_, times), (_, p_sim), (_, p_oracle) = columns
         results[lam] = CurveResult(lam, times, p_sim, p_oracle, path)
     return results
 
@@ -254,7 +335,7 @@ def exp_trajectory_lattice(
     spec = spec or ExperimentSpec(
         graph_spec="lattice2d:10x10", tau=1e-4, steps=100_000, start=44, stride=100
     )
-    return _sweep(spec, "trajectory_lattice", "trajectory_lattice", lambdas, quantum_trajectory_curve)
+    return _sweep(spec, "trajectory_lattice", "trajectory", lambdas)
 
 
 def exp_channel_ring(
@@ -266,7 +347,7 @@ def exp_channel_ring(
     has 32768 realizations, all enumerated into one step channel.
     """
     spec = spec or ExperimentSpec(graph_spec="ring:15", tau=0.004, steps=5000, stride=10)
-    return _sweep(spec, "channel_ring", "channel_ring", lambdas, channel_curve)
+    return _sweep(spec, "channel_ring", "channel", lambdas)
 
 
 @dataclass(frozen=True)
@@ -295,21 +376,16 @@ def exp_complete_graph(spec: ExperimentSpec | None = None) -> CompleteGraphResul
     _, p_c, c_diag = classical_trajectory_curve(spec)
     p_q_oracle = np.asarray(oracles.complete_graph_quantum_return(n, spec.lam * times))
     p_c_oracle = np.asarray(oracles.complete_graph_classical_return(n, spec.lam * times))
-    path = None
-    if spec.output_path is not None:
-        path = write_csv(
-            Path(spec.output_path),
-            base_meta(spec, "complete_graph",
-                      **{f"quantum_{k}": v for k, v in q_diag.items()},
-                      **{f"classical_{k}": v for k, v in c_diag.items()}),
-            [
-                ("t", times),
-                ("p_quantum_sim", p_q),
-                ("p_quantum_oracle", p_q_oracle),
-                ("p_classical_sim", p_c),
-                ("p_classical_oracle", p_c_oracle),
-            ],
-        )
+    meta = base_meta(spec, "complete_graph",
+                     **{f"quantum_{k}": v for k, v in q_diag.items()},
+                     **{f"classical_{k}": v for k, v in c_diag.items()})
+    path = _write_table(spec, meta, [
+        ("t", times),
+        ("p_quantum_sim", p_q),
+        ("p_quantum_oracle", p_q_oracle),
+        ("p_classical_sim", p_c),
+        ("p_classical_oracle", p_c_oracle),
+    ])
     return CompleteGraphResult(times, p_q, p_q_oracle, p_c, p_c_oracle, path)
 
 

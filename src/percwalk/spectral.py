@@ -1,9 +1,13 @@
 """Dense real-symmetric eigendecomposition and the exponentials built on it.
 
-One decomposition powers every propagator: the unitary exp(-i*H*t) for
-quantum evolution and the nonnegative column-stochastic exp(-H*t) for the
-classical walk. Going through the eigenbasis keeps unitarity structural
-(phases on an orthonormal basis) and lets one decomposition serve many t.
+The unpercolated references (``walk.transition_probability`` and
+``walk.classical_transition``) evaluate the unitary exp(-i*H*t) of the
+quantum walk and the nonnegative column-stochastic exp(-H*t) of the
+classical walk through one decomposition for many t. Going through the
+eigenbasis keeps unitarity structural (phases on an orthonormal basis).
+The percolated walks build their per-step propagators in ``_kernels``
+instead: an ``eigh`` per cached realization, a truncated Taylor action, or
+Taylor cos/sin series for the exact channel.
 """
 from __future__ import annotations
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels, spectral
-from .graph import Graph, Realization, check_mask, mask_to_bits
+from .graph import Graph, check_mask, mask_to_bits
 
 STATE_NORM_ATOL = 1e-10
 DENSITY_ATOL = 1e-10
@@ -30,16 +30,11 @@ class WalkConfig:
             raise ValueError(f"gamma must be positive, got {self.gamma}")
 
 
-def _as_mask(g: Graph, mask: Realization | int) -> int:
-    m = mask.mask if isinstance(mask, Realization) else int(mask)
-    check_mask(g, m)
-    return m
-
-
-def hamiltonian(g: Graph, mask: Realization | int, cfg: WalkConfig | None = None) -> np.ndarray:
-    """Laplacian Hamiltonian of the edges present in ``mask``."""
+def hamiltonian(g: Graph, mask: int, cfg: WalkConfig | None = None) -> np.ndarray:
+    """Laplacian Hamiltonian of the edges present in the int ``mask`` (edge k is bit k)."""
     cfg = cfg or WalkConfig()
-    bits = mask_to_bits(_as_mask(g, mask), g.edge_count)
+    check_mask(g, mask)
+    bits = mask_to_bits(mask, g.edge_count)
     return _kernels.hamiltonian_from_bits(g.edge_array, bits, cfg.gamma, g.node_count)
 
 

@@ -22,6 +22,14 @@ def reference_laplacian(node_count: int, edges, mask: int, gamma: float = 1.0) -
     return gamma * (np.diag(deg) - adj)
 
 
+def enumerate_realizations(g, lam: float):
+    """Yield (mask, probability) for each of the 2^E edge subsets of g; bit k of mask keeps edge k."""
+    n_edges = g.edge_count
+    for mask in range(1 << n_edges):
+        k = bin(mask).count("1")
+        yield mask, lam**k * (1 - lam) ** (n_edges - k)
+
+
 def expm_unitary(h: np.ndarray, t: float) -> np.ndarray:
     return scipy.linalg.expm(-1j * h * t)
 

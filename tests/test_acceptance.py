@@ -17,7 +17,7 @@ from percwalk.dynamics import (
     run_classical_trajectory,
     run_trajectory,
 )
-from percwalk.graph import enumerate_realizations, make_complete, make_ring
+from percwalk.graph import make_complete, make_ring
 from percwalk.harness.experiments import (
     ExperimentSpec,
     exp_convergence,
@@ -39,7 +39,7 @@ from percwalk.walk import (
     transition_probability,
 )
 
-from helpers import brute_force_channel_average
+from helpers import brute_force_channel_average, enumerate_realizations
 
 CFG = pw.WalkConfig()
 

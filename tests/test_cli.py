@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -8,13 +9,16 @@ import pytest
 
 from percwalk import oracles
 from percwalk.graph import graph_from_spec
+from percwalk.harness import experiments
 from percwalk.harness.cli import cli_main
 from percwalk.harness.csvio import read_csv
 from percwalk.harness.experiments import (
     ExperimentSpec,
+    exp_channel_ring,
     exp_convergence,
     exp_epsilon_horizon,
     exp_longtime_finite_tau,
+    exp_trajectory_lattice,
 )
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -142,6 +146,21 @@ class TestOracleCommand:
                         "--steps", "2", "--out", str(out)] + extra) == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("which,graph,extra", [
+        ("rescaled", "ring:5", ["--target", "5"]),
+        ("complete-q", "complete:5", ["--lambda", "1.5"]),
+        ("complete-c", "complete:5", ["--lambda", "-0.1"]),
+        ("ring4-c", "ring:4", ["--start", "7"]),
+        ("flat", "ring:4", ["--start", "-3"]),
+    ])
+    def test_refuses_lambda_and_nodes_out_of_range(self, tmp_path, capsys, which, graph, extra):
+        out = tmp_path / "oracle.csv"
+        assert run_cli(["oracle", "--which", which, "--graph", graph, "--tau", "0.5",
+                        "--steps", "2", "--out", str(out)] + extra) == 1
+        err = capsys.readouterr().err
+        assert "must be in [0, 1]" in err or "out of range" in err
+        assert not out.exists()
+
     def test_missing_which(self):
         assert run_cli(["oracle", "--graph", "ring:4", "--tau", "0.1", "--steps", "5"]) == 1
 
@@ -191,12 +210,31 @@ class TestScanCommands:
          lambda out: exp_longtime_finite_tau(
              ExperimentSpec("ring:4", lam=0.2, tau=0.1, steps=200, seed=3, output_path=out),
              trajectory_steps=400)),
-    ], ids=["convergence", "horizon", "envelope"])
+        (["trajectory", "--graph", "lattice2d:4x4", "--lambda", "0.6", "--tau", "0.02",
+          "--steps", "50", "--stride", "5", "--start", "5", "--seed", "3"],
+         lambda out: exp_trajectory_lattice(
+             ExperimentSpec("lattice2d:4x4", tau=0.02, steps=50, stride=5, start=5, seed=3,
+                            output_path=out), lambdas=(0.6,))),
+        (["channel", "--graph", "ring:5", "--lambda", "0.4", "--tau", "0.05", "--steps", "40",
+          "--stride", "4", "--start", "2"],
+         lambda out: exp_channel_ring(
+             ExperimentSpec("ring:5", tau=0.05, steps=40, stride=4, start=2, output_path=out),
+             lambdas=(0.4,))),
+    ], ids=["convergence", "horizon", "envelope", "trajectory", "channel"])
     def test_csv_equals_driver_csv(self, tmp_path, argv, drive):
         cli_out, driver_out = tmp_path / "cli.csv", tmp_path / "driver.csv"
         assert run_cli(argv + ["--out", str(cli_out)]) == 0
         drive(str(driver_out))
-        assert cli_out.read_bytes() == driver_out.read_bytes()
+        if driver_out.is_file():
+            assert cli_out.read_bytes() == driver_out.read_bytes()
+            return
+        # a lambda sweep writes one file per lambda into a directory, named after the sweep
+        (driver_out,) = driver_out.glob("*.csv")
+        cli_lines = cli_out.read_text().splitlines()
+        driver_lines = driver_out.read_text().splitlines()
+        assert cli_lines.pop(1) == f"# experiment = {argv[0]}"
+        assert driver_lines.pop(1) in ("# experiment = trajectory_lattice", "# experiment = channel_ring")
+        assert cli_lines == driver_lines
 
     def test_envelope_fit_failure_exit_2_partial_output(self, tmp_path, capsys):
         out = tmp_path / "env.csv"
@@ -328,6 +366,32 @@ class TestErrorPaths:
         out = tmp_path / "run.csv"
         assert run_cli(argv + ["--out", str(out)]) == 2
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv,planned", [
+        (["trajectory", "--graph", "complete:7", "--tau", "1e12", "--steps", "1"], "substeps"),
+        (["montecarlo", "--graph", "complete:7", "--tau", "1e300", "--steps", "1",
+          "--trajectories", "2"], "substeps"),
+        (["channel", "--graph", "ring:4", "--tau", "1e307", "--steps", "1"], "squarings"),
+    ])
+    def test_unbounded_plan_exit_1_before_running(self, tmp_path, capsys, argv, planned):
+        out = tmp_path / "run.csv"
+        t0 = time.perf_counter()
+        assert run_cli(argv + ["--out", str(out)]) == 1
+        assert time.perf_counter() - t0 < 2.0
+        err = capsys.readouterr().err
+        assert planned in err and "limit" in err
+        assert not out.exists()
+
+    def test_channel_linalg_error_exit_2_without_csv(self, tmp_path, capsys, monkeypatch):
+        def lose_trace(*args, **kwargs):
+            raise np.linalg.LinAlgError("channel evolution lost trace")
+
+        monkeypatch.setattr(experiments, "evolve_channel", lose_trace)
+        out = tmp_path / "run.csv"
+        assert run_cli(["channel", "--graph", "ring:4", "--tau", "0.1", "--steps", "2",
+                        "--out", str(out)]) == 2
+        assert "numerical failure: channel evolution lost trace" in capsys.readouterr().err
         assert not out.exists()
 
     def test_help_exit_0(self, capsys):

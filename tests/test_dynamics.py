@@ -27,7 +27,7 @@ from percwalk.graph import (
 from percwalk.spectral import decompose, stochastic_exp, unitary_exp
 from percwalk.walk import basis_density, basis_state, full_hamiltonian, transition_probability
 
-from helpers import brute_force_channel_average, expm_unitary
+from helpers import brute_force_channel_average, enumerate_realizations, expm_unitary, reference_laplacian
 
 CFG = pw.WalkConfig()
 
@@ -110,12 +110,19 @@ class TestRunTrajectory:
         assert np.max(np.abs(norms - 1.0)) <= 1e-10
 
     def test_stride_and_mask_log(self):
+        # the masks of every step are reproduced from the seed, and replaying them gives the states
         g = make_ring(4)
         run = PercolationRun(lam=0.5, tau=0.1, steps=10, seed=2)
-        rec = run_trajectory(g, CFG, run, basis_state(4, 0), sample_stride=4, log_masks=True)
+        rec = run_trajectory(g, CFG, run, basis_state(4, 0), sample_stride=4)
         assert list(rec.record_steps) == [0, 4, 8, 10]
-        assert len(rec.realization_masks) == 10
-        assert all(0 <= m < 16 for m in rec.realization_masks)
+        bits = sample_keep_bits(g, run.lam, rng_from_seed(run.seed, 0), run.steps)
+        psi, states = basis_state(4, 0), [basis_state(4, 0)]
+        for s, row in enumerate(bits, start=1):
+            mask = sum(int(b) << k for k, b in enumerate(row))
+            psi = expm_unitary(reference_laplacian(4, g.edges, mask), run.tau) @ psi
+            if s in rec.record_steps:
+                states.append(psi)
+        assert np.max(np.abs(rec.states - np.array(states))) <= 1e-12
 
     def test_times_match_steps(self):
         g = make_ring(4)
@@ -406,8 +413,8 @@ class TestMonteCarlo:
         run = PercolationRun(lam=0.4, tau=0.3, steps=5, seed=12)
         rec = monte_carlo_classical(g, CFG, run, _delta(2), 40_000)
         m_avg = sum(
-            p * stochastic_exp(decompose(pw.hamiltonian(g, r.mask, CFG)), run.tau)
-            for r, p in pw.enumerate_realizations(g, run.lam)
+            p * stochastic_exp(decompose(pw.hamiltonian(g, mask, CFG)), run.tau)
+            for mask, p in enumerate_realizations(g, run.lam)
         )
         expect = np.linalg.matrix_power(m_avg, run.steps) @ _delta(2)
         dev = np.max(np.abs(rec.distributions[-1] - expect))

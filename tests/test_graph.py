@@ -5,12 +5,7 @@ import pytest
 
 from percwalk import graph
 from percwalk.graph import (
-    CapacityError,
     Graph,
-    PercolationParams,
-    Realization,
-    bits_to_mask,
-    enumerate_realizations,
     graph_from_spec,
     make_complete,
     make_lattice2d,
@@ -19,11 +14,10 @@ from percwalk.graph import (
     read_edge_file,
     rng_from_seed,
     sample_keep_bits,
-    sample_realization,
     write_edge_file,
 )
 
-from helpers import count_lattice_edges
+from helpers import count_lattice_edges, enumerate_realizations
 
 
 class TestGenerators:
@@ -121,39 +115,26 @@ class TestGraphValidation:
 
 
 class TestRealization:
-    def test_from_mask_popcount(self):
-        r = Realization.from_mask(0b1011)
-        assert r.kept_count == 3
-
-    def test_bad_kept_count(self):
-        with pytest.raises(ValueError):
-            Realization(mask=0b11, kept_count=1)
-
     def test_bits_roundtrip(self):
         bits = np.array([1, 0, 1, 1, 0], dtype=np.uint8)
-        assert np.array_equal(mask_to_bits(bits_to_mask(bits), 5), bits)
+        mask = sum(int(b) << k for k, b in enumerate(bits))
+        assert np.array_equal(mask_to_bits(mask, 5), bits)
 
     def test_params_validation(self):
         with pytest.raises(ValueError):
-            PercolationParams(lam=1.5)
+            sample_keep_bits(make_ring(4), 1.5, rng_from_seed(0))
         with pytest.raises(ValueError):
-            PercolationParams(lam=0.5, seed=-1)
+            rng_from_seed(-1)
 
 
 class TestSampling:
     def test_lambda_one_all_edges(self):
         g = make_ring(6)
-        rng = rng_from_seed(0)
-        for _ in range(20):
-            r = sample_realization(g, PercolationParams(lam=1.0), rng)
-            assert r.mask == (1 << 6) - 1
+        assert np.all(sample_keep_bits(g, 1.0, rng_from_seed(0), steps=20) == 1)
 
     def test_lambda_zero_no_edges(self):
         g = make_ring(6)
-        rng = rng_from_seed(0)
-        for _ in range(20):
-            r = sample_realization(g, PercolationParams(lam=0.0), rng)
-            assert r.mask == 0
+        assert np.all(sample_keep_bits(g, 0.0, rng_from_seed(0), steps=20) == 0)
 
     def test_mean_kept_count(self):
         # binomial mean N*lam = 2.0 for ring(4) at lam=0.5; tol 3 sigma/sqrt(M)
@@ -179,10 +160,7 @@ class TestSampling:
         g = make_ring(5)
         bulk = sample_keep_bits(g, 0.37, rng_from_seed(99), steps=30)
         rng = rng_from_seed(99)
-        params = PercolationParams(lam=0.37, seed=99)
-        singles = np.array(
-            [mask_to_bits(sample_realization(g, params, rng).mask, 5) for _ in range(30)]
-        )
+        singles = np.concatenate([sample_keep_bits(g, 0.37, rng, steps=1) for _ in range(30)])
         assert np.array_equal(bulk, singles)
 
     def test_stream_split_independent(self):
@@ -197,12 +175,12 @@ class TestEnumeration:
         g = make_ring(4)
         items = list(enumerate_realizations(g, 0.2))
         assert len(items) == 16
-        full = dict((r.mask, p) for r, p in items)[0b1111]
+        full = dict(items)[0b1111]
         assert full == pytest.approx(0.2**4, abs=1e-15)
 
     def test_single_edge_two_outcomes(self):
         g = make_ring(2)
-        items = {r.mask: p for r, p in enumerate_realizations(g, 0.3)}
+        items = dict(enumerate_realizations(g, 0.3))
         assert items == {0: pytest.approx(0.7), 1: pytest.approx(0.3)}
 
     @pytest.mark.parametrize("lam", [0.0, 0.2, 0.5, 0.9, 1.0])
@@ -213,18 +191,13 @@ class TestEnumeration:
 
     def test_masks_distinct_and_degeneracy(self):
         g = make_ring(5)
-        masks = [r.mask for r, _ in enumerate_realizations(g, 0.5)]
+        masks = [m for m, _ in enumerate_realizations(g, 0.5)]
         assert len(set(masks)) == 2**5
         by_k = {}
-        for r, _ in enumerate_realizations(g, 0.5):
-            by_k[r.kept_count] = by_k.get(r.kept_count, 0) + 1
+        for m in masks:
+            by_k[m.bit_count()] = by_k.get(m.bit_count(), 0) + 1
         for k, count in by_k.items():
             assert count == math.comb(5, k)
-
-    def test_capacity_error_names_monte_carlo(self):
-        g = make_complete(8)  # 28 edges > 24
-        with pytest.raises(CapacityError, match="[Mm]onte [Cc]arlo"):
-            list(enumerate_realizations(g, 0.5))
 
 
 class TestEdgeFiles:

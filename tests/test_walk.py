@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from percwalk import _kernels
-from percwalk.graph import full_realization, make_complete, make_lattice2d, make_ring
+from percwalk.graph import make_complete, make_lattice2d, make_ring
 from percwalk.walk import (
     WalkConfig,
     basis_density,
@@ -78,9 +78,9 @@ class TestHamiltonian:
         h3 = hamiltonian(g, mask, WalkConfig(gamma=3.0))
         assert np.array_equal(h3, 3.0 * h1)
 
-    def test_accepts_realization_object(self):
+    def test_full_mask_is_full_hamiltonian(self):
         g = make_ring(4)
-        assert np.array_equal(hamiltonian(g, full_realization(g)), full_hamiltonian(g))
+        assert np.array_equal(hamiltonian(g, (1 << g.edge_count) - 1), full_hamiltonian(g))
 
     def test_mask_out_of_range(self):
         g = make_ring(4)
