@@ -99,10 +99,15 @@ def taylor_plan(edges: np.ndarray, n: int, gamma: float, tau: float) -> tuple[in
     * maxdeg, maxdeg taken over the full graph. The step is split into
     s = ceil(x) substeps of norm y = x / s <= 1, and the order is the
     smallest K whose series tail y^(K+1) / (K+1)! / (1 - y / (K+2)) is at
-    most TAYLOR_TOL.
+    most TAYLOR_TOL. An infinite x is refused as a plan above every limit.
     """
     maxdeg = int(np.bincount(edges.ravel(), minlength=n).max(initial=0))
     x = 2.0 * gamma * tau * maxdeg
+    if not x < math.inf:
+        raise ValueError(
+            f"a step of tau={tau:g} plans unboundedly many Taylor substeps (and squarings), "
+            f"above the limit of 2^{MAX_SUBSTEPS.bit_length() - 1}; shorten tau"
+        )
     substeps = max(1, math.ceil(x))
     y = x / substeps
     order, tail = 0, y  # tail = y^(K+1) / (K+1)! for K = order
@@ -122,6 +127,19 @@ def _run_plan(edges: np.ndarray, n: int, gamma: float, tau: float, steps: int) -
             f"shorten tau or the run"
         )
     return substeps, order
+
+
+def step_plan(edges: np.ndarray, n: int, gamma: float, tau: float, steps: int,
+              max_distinct: int) -> tuple[int, int] | None:
+    """The propagator of a step kernel: None for the mask cache, else ``_run_plan``.
+
+    ``max_distinct`` bounds the distinct masks of the run: the step count of
+    a trajectory, CACHE_MAX_ENTRIES for an ensemble. Callers may plan before
+    drawing any keep bits, so a refused plan allocates nothing.
+    """
+    if propagator_cache_capacity(edges.shape[0], max_distinct, n) > 0:
+        return None
+    return _run_plan(edges, n, gamma, tau, steps)
 
 
 def _taylor_series(apply_a, v: np.ndarray, coef: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -146,9 +164,14 @@ def _plan_name(plan: tuple[int, int] | None) -> str:
 
 
 def _propagator_for_bits(edges, bits, gamma, n, z):
-    """exp(z * H_r) by spectral decomposition; classical (real z) entries are clipped at 0."""
+    """exp(z * H_r) by spectral decomposition; classical (real z) entries are clipped at 0.
+
+    A step so long that z * w overflows gives non-finite entries, without a
+    warning; they reach the output, which the CLI refuses to write (exit 2).
+    """
     w, q = np.linalg.eigh(hamiltonian_from_bits(edges, bits, gamma, n))
-    m = (q * np.exp(z * w)) @ q.T
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = (q * np.exp(z * w)) @ q.T
     return m if np.iscomplexobj(m) else np.maximum(m, 0.0)
 
 
@@ -177,8 +200,9 @@ def _trajectory(edges, n, gamma, z, bits, record_steps, x0, renorm_every, renorm
     whose norm drifted by more than ``renorm_tol`` is renormalized.
     """
     steps, edge_count = bits.shape
-    if propagator_cache_capacity(edge_count, steps, n) > 0:
-        plan, block = None, max(1, BLOCK_BYTES // (16 * n))
+    plan = step_plan(edges, n, gamma, abs(z), steps, steps)
+    if plan is None:
+        block = max(1, BLOCK_BYTES // (16 * n))
         keys = _mask_keys(bits).tolist()
         cache: dict[int, np.ndarray] = {}
 
@@ -191,7 +215,6 @@ def _trajectory(edges, n, gamma, z, bits, record_steps, x0, renorm_every, renorm
                 x = np.dot(u, x, out=hist[j])
             return hist
     else:
-        plan = _run_plan(edges, n, gamma, abs(z), steps)
         substeps, order = plan
         coef = _taylor_coef(order, x0.dtype)
         v = np.empty((order + 1, n), dtype=x0.dtype)
@@ -267,8 +290,9 @@ def _ensemble(edges, n, gamma, z, bits3, record_steps, x0, record, renorm_every,
     renormalized.
     """
     n_traj, steps, edge_count = bits3.shape
-    if propagator_cache_capacity(edge_count, CACHE_MAX_ENTRIES, n) > 0:
-        plan, cols = None, n_traj
+    plan = step_plan(edges, n, gamma, abs(z), steps, CACHE_MAX_ENTRIES)
+    if plan is None:
+        cols = n_traj
         cache: dict[int, np.ndarray] = {}
 
         def step(bits, s, x):
@@ -281,7 +305,6 @@ def _ensemble(edges, n, gamma, z, bits3, record_steps, x0, record, renorm_every,
                 x[:, sel] = u @ x[:, sel]
             return x
     else:
-        plan = _run_plan(edges, n, gamma, abs(z), steps)
         substeps, order = plan
         coef = _taylor_coef(order, x0.dtype)
         u_idx, v_idx = edges[:, 0], edges[:, 1]
@@ -518,8 +541,9 @@ def _orbit_representatives(edges: np.ndarray, perms: np.ndarray, lam: float):
 def channel_accumulate(edges, n, gamma, lam, tau):
     """K[(i,j),(k,l)] = sum_r p_r conj(U_r)[i,j] U_r[k,l] over all 2^E masks.
 
-    -> (K, propagator name, |G|, propagators built). U_r = exp(-i tau H_r)
-    = C_r - i S_r with C_r = cos(tau H_r) and S_r = sin(tau H_r) from
+    -> (K, propagator name, G as node permutations (|G|, n), identity first,
+    propagators built). U_r = exp(-i tau H_r) = C_r - i S_r with
+    C_r = cos(tau H_r) and S_r = sin(tau H_r) from
     ``_cos_sin``: with s the ``taylor_plan`` substeps, the step is halved
     q = ceil(log2 s) times, the order is planned for tau / 2^q (tail at most
     2^-53) and the result is squared q times. U_r is complex symmetric, so
@@ -586,4 +610,4 @@ def channel_accumulate(edges, n, gamma, lam, tau):
     k[:, diag] += sym[:m, m:]
     k[np.ix_(diag, diag)] += 1.0
     flat = pair.ravel()
-    return k[flat[:, None], flat], _plan_name((1 << squarings, order)), perms.shape[0], built
+    return k[flat[:, None], flat], _plan_name((1 << squarings, order)), perms, built

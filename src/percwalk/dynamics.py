@@ -12,9 +12,14 @@ Three routes to the same physics:
   under the graph's automorphisms: relabeling the nodes maps a subset's
   propagator to that of its image, and a stabilizer weight p_r / |Stab_r|
   on each representative keeps the sum over all 2^E subsets exact.
-  ``evolve_channel`` advances between recorded steps with one power of the
-  channel where that costs fewer flops than repeated products, and checks
-  the trace at every record.
+  ``evolve_channel`` runs in the Fourier sectors of the rotation of largest
+  order m in that group: relabeling commutes with the channel, so it is m
+  blocks of C x C, C the number of cycles of the rotation on node pairs
+  (15 blocks of 15 for ring:15 instead of one 225 x 225 matrix). It
+  advances between recorded steps with one batched power of the blocks
+  where that costs fewer flops than repeated products, and checks the
+  trace at every record. A graph without symmetry, or one whose group is
+  not searched, gives one block of d^2: the dense evolution.
 * ``monte_carlo_channel`` / ``monte_carlo_classical``: trajectory-ensemble
   estimates of the channel output with standard errors. Both are thin
   wrappers over one driver, which simulates each trajectory once. The
@@ -142,6 +147,25 @@ class ClassicalEnsembleRecord:
     propagator: str
 
 
+def _pair_cycles(rotation: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cycles of a + n b -> rotation[a] + n rotation[b] on column-stacked indices.
+
+    -> (orbit, lengths): orbit[c, t] is the t-th image of x_c, the smallest
+    index of cycle c, for t < m with m the order of ``rotation``, so a cycle
+    of length L_c (a divisor of m) repeats m / L_c times. Cycles are sorted
+    by x_c; for the identity, cycle c is index c alone.
+    """
+    n = rotation.size
+    pi = (n * rotation[:, None] + rotation).ravel()
+    table = [np.arange(n * n)]
+    while not np.array_equal(nxt := pi[table[-1]], table[0]):
+        table.append(nxt)
+    table = np.array(table)  # (m, d^2): table[t, j] = pi^t(j)
+    start = np.flatnonzero(table.min(axis=0) == table[0])
+    orbit = np.ascontiguousarray(table[:, start].T)
+    return orbit, len(table) // (orbit == start[:, None]).sum(axis=1)
+
+
 @dataclass(frozen=True)
 class ChannelMatrix:
     """One-step percolation channel on column-stacked density matrices."""
@@ -154,11 +178,30 @@ class ChannelMatrix:
     symmetries: int = 0
     # propagators built: one per orbit of masks under G with nonzero probability
     orbits: int = 0
+    # node permutation sigma that ``matrix`` commutes with (as P_sigma (x) P_sigma): the element
+    # of largest order in G, whose Fourier sectors ``evolve_channel`` runs in; identity when None
+    rotation: np.ndarray | None = None
 
     def __post_init__(self):
         dd = self.dim * self.dim
         if self.matrix.shape != (dd, dd):
             raise ValueError(f"channel matrix shape {self.matrix.shape} != ({dd}, {dd})")
+        rotation = np.arange(self.dim) if self.rotation is None else np.asarray(self.rotation)
+        if sorted(rotation.tolist()) != list(range(self.dim)):
+            raise ValueError(f"rotation {rotation} is not a permutation of {self.dim} nodes")
+        object.__setattr__(self, "rotation", rotation)
+        if not np.isfinite(self.matrix).all():
+            raise FloatingPointError("channel matrix holds a non-finite entry")
+        pi = (self.dim * rotation[:, None] + rotation).ravel()
+        off = float(np.abs(self.matrix[np.ix_(pi, pi)] - self.matrix).max())
+        if not off <= 1e-12:
+            raise ValueError(f"channel matrix does not commute with its rotation: off by {off:.3g}")
+
+    @property
+    def blocks(self) -> tuple[int, int]:
+        """(m, C): m Fourier sectors of the rotation, each a block of at most C cycles."""
+        orbit, _ = _pair_cycles(self.rotation)
+        return orbit.shape[1], orbit.shape[0]
 
     @property
     def trace_defect(self) -> float:
@@ -171,13 +214,32 @@ class ChannelMatrix:
     def trace_drift_bound(self, steps: int) -> float:
         """About the largest |tr(rho) - 1| after ``steps`` float64 applications, from tr(rho0) = 1.
 
-        One application changes tr(rho) by at most (delta + d^2 u) ||vec rho||_1,
-        with delta the ``trace_defect`` and u = 2^-53: each of the d diagonal
-        entries of the product sums d^2 terms, whose rounding is at most d^2 u
-        times their magnitudes, and the diagonal rows of a channel have
-        column 1-norms of at most 1. A density has ||vec rho||_1 <= d tr(rho).
+        ``evolve_channel`` applies the (m, C) ``blocks``, and only sector 0
+        carries the trace: tr(rho) = sum_c w_c y_c over the diagonal cycles,
+        w_c = sqrt(L_c). One application changes it by at most
+        (delta + (C + 4(m - 1)) u) ||vec rho||_1, with delta the
+        ``trace_defect`` (the shift average of the defect row is no larger) and
+        u = 2^-53:
+
+        * each entry of a block product sums C terms, rounded by at most C u
+          times their magnitudes. sum_c w_c |Phi_0[c, c']| <= sqrt(L_c'),
+          because w_c f_c0 is the indicator of the cycle and the diagonal rows
+          of a channel have column 1-norms of at most 1, and
+          sum_c' sqrt(L_c') |y_c'| <= ||vec rho||_1;
+        * a block entry sums m shifts of m phase-weighted entries of Phi - I,
+          whose column 1-norms on the diagonal rows are at most 2: at most
+          2m u of rounding, 2(m - 1) u more than the exact m = 1 copy.
+
+        A density has ||vec rho||_1 <= d tr(rho). The transforms of rho0 and of
+        each record sum m phase-weighted terms per entry; over the diagonal,
+        each adds at most 6 m (m - 1) u d once, not per step. For a trivial G
+        (m = 1, C = d^2) every factor is exactly 1 and this is the bound of the
+        dense product, steps d (delta + d^2 u).
         """
-        return steps * self.dim * (self.trace_defect + self.dim**2 * 2.0**-53)
+        m, c = self.blocks
+        u = 2.0**-53
+        per_step = self.trace_defect + (c + 4 * (m - 1)) * u
+        return steps * self.dim * per_step + 12 * m * (m - 1) * u * self.dim
 
 
 def recorded_steps(steps: int, sample_stride: int) -> np.ndarray:
@@ -219,6 +281,7 @@ def run_trajectory(
     psi0 = check_quantum_state(psi0)
     if psi0.shape[0] != g.node_count:
         raise ValueError(f"state dimension {psi0.shape[0]} != node_count {g.node_count}")
+    _kernels.step_plan(g.edge_array, g.node_count, cfg.gamma, run.tau, run.steps, run.steps)
     rng = rng_from_seed(run.seed, trajectory_index)
     bits = sample_keep_bits(g, run.lam, rng, run.steps)
     rec = recorded_steps(run.steps, sample_stride)
@@ -250,6 +313,7 @@ def run_classical_trajectory(
     p0 = check_distribution(p0)
     if p0.shape[0] != g.node_count:
         raise ValueError(f"distribution dimension {p0.shape[0]} != node_count {g.node_count}")
+    _kernels.step_plan(g.edge_array, g.node_count, cfg.gamma, run.tau, run.steps, run.steps)
     rng = rng_from_seed(run.seed, trajectory_index)
     bits = sample_keep_bits(g, run.lam, rng, run.steps)
     rec = recorded_steps(run.steps, sample_stride)
@@ -287,11 +351,23 @@ def build_step_channel(g: Graph, cfg: WalkConfig | None, lam: float, tau: float)
             f"backend (montecarlo) instead"
         )
     n = g.node_count
-    k_acc, propagator, symmetries, orbits = _kernels.channel_accumulate(
+    k_acc, propagator, perms, orbits = _kernels.channel_accumulate(
         g.edge_array, n, cfg.gamma, float(lam), float(tau))
     phi = k_acc.reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(n * n, n * n)
     return ChannelMatrix(matrix=np.ascontiguousarray(phi), dim=n, propagator=propagator,
-                         symmetries=symmetries, orbits=orbits)
+                         symmetries=perms.shape[0], orbits=orbits, rotation=_rotation(perms))
+
+
+def _rotation(perms: np.ndarray) -> np.ndarray:
+    """The element of largest order of the group ``perms`` (|G|, n), the first one on ties."""
+    rows = np.arange(perms.shape[0])[:, None]
+    cur, orders = perms, np.zeros(perms.shape[0], dtype=np.int64)
+    for k in range(1, perms.shape[0] + 1):
+        orders[(orders == 0) & (cur == perms[0]).all(axis=1)] = k  # perms[0] is the identity
+        if orders.all():
+            break
+        cur = perms[rows, cur]
+    return perms[np.argmax(orders)]
 
 
 def apply_channel(phi: ChannelMatrix, rho: np.ndarray) -> np.ndarray:
@@ -305,21 +381,20 @@ def _use_power(dd: int, k: int, count: int) -> bool:
     """Whether ``count`` advances of k steps should apply Phi^k instead of k matvecs each.
 
     Binary powering spends about (log2 k + popcount k) dd^3 flops on Phi^k,
-    which saves (k - 1) dd^2 flops on each advance.
+    which saves (k - 1) dd^2 flops on each advance; dd is the block size.
     """
     return k > 1 and (math.log2(k) + k.bit_count()) * dd < (k - 1) * count
 
 
-def _power_minus_identity(m: np.ndarray, k: int) -> np.ndarray:
-    """Phi^k - I, k >= 1, by binary powering of D = Phi - I with (I+A)(I+B) - I = A + B + AB.
+def _power_minus_identity(d: np.ndarray, k: int) -> np.ndarray:
+    """Phi^k - I from D = Phi - I, k >= 1, by binary powering with (I+A)(I+B) - I = A + B + AB.
 
-    A short step's Phi is close to the identity. Carrying Phi^k - I keeps
-    the round-off of the products relative to its small entries instead of
-    the unit diagonal. Powering Phi itself left up to six times the
-    round-off of single matvecs on a 5000-step ring:15 curve; this form
-    leaves less than either.
+    ``d`` may be a stack of blocks (..., C, C). A short step's Phi is close
+    to the identity. Carrying Phi^k - I keeps the round-off of the products
+    relative to its small entries instead of the unit diagonal. Powering Phi
+    itself left up to six times the round-off of single matvecs on a
+    5000-step ring:15 curve; this form leaves less than either.
     """
-    d = m - np.eye(m.shape[0])
     e = None
     while True:
         if k & 1:
@@ -337,9 +412,22 @@ def evolve_channel(
 
     Output shape is (len(recorded_steps(steps, stride)), d, d); step 0 (the
     input state) is always the first record and the final step the last.
-    Each gap of k steps between records is one update v + (Phi^k - I) v,
-    each distinct power computed once, when ``_use_power`` says that is
-    cheaper than k products with Phi. The trace is checked at every record.
+
+    The evolution runs in the Fourier sectors of ``phi.rotation`` (order m),
+    in which Phi is block diagonal. Its action on column-stacked indices
+    splits into C cycles c of lengths L_c; sector Q < m holds the modes
+    f_cQ = L_c^-1/2 sum_{t < L_c} w^-Qt e_{pi^t x_c}, w = exp(2 pi i / m),
+    of the cycles with Q L_c = 0 (mod m), so Phi is m blocks of C x C with
+    zero rows and columns for the cycles a sector lacks. The blocks are
+    those of D = Phi - I averaged over the m shifts, i.e. projected onto the
+    rotation's commutant, and every phase comes from the exact table
+    w^((Q t) mod m), so each identity term has weight exactly 1. Each gap of
+    k steps between records is one batched product: y + (Phi^k - I) y, each
+    distinct power computed once, when ``_use_power`` says that is cheaper
+    than k products with the blocks I + D. The trace, carried by sector 0,
+    is checked at every record; the records are transformed back in chunks.
+    A trivial G (m = 1, one block of d^2) multiplies by exactly 1 in every
+    transform, so it is the dense evolution with Phi.
     """
     rho0 = check_density_matrix(rho0)
     if rho0.shape[0] != phi.dim:
@@ -348,38 +436,81 @@ def evolve_channel(
         raise ValueError(f"steps must be >= 0, got {steps}")
     if steps == 0:
         return rho0[None, :, :].copy()
+    n, dd = phi.dim, phi.dim**2
+    orbit, lengths = _pair_cycles(phi.rotation)
+    c, m = orbit.shape
+    fits = np.arange(m)[:, None] * lengths % m == 0  # (m, C): sector Q holds cycle c
+    table = np.exp(2j * np.pi * np.arange(m) / m)
+    qt = np.outer(np.arange(m), np.arange(m))
+    forward, backward = table[qt % m], table[-qt % m]  # w^(Q t), w^(-Q t)
+    # avg[c, c', s] = sum_t D[pi^t x_c, pi^(t+s) x_c'] over the m shifts t, then
+    # block[Q, c, c'] = sqrt(L_c L_c') / m^2 sum_s w^(-Q s) avg[c, c', s]; D = Phi - I is
+    # gathered from Phi, whose diagonal entries are those with c = c' and s = 0 (mod L_c)
+    shift = (np.arange(m)[:, None] + np.arange(m)) % m
+    unit = np.eye(c, dtype=bool)[:, :, None] & (np.arange(m) % lengths[:, None, None] == 0)
+    avg = np.zeros((c, c, m), dtype=np.complex128)
+    for t in range(m):
+        gathered = phi.matrix.take(orbit[:, t], axis=0).take(orbit[:, shift[t]], axis=1)
+        gathered[unit] -= 1.0
+        avg += gathered
+    root = np.sqrt(lengths)
+    blocks = np.ascontiguousarray((avg @ backward).transpose(2, 0, 1))
+    blocks *= np.multiply.outer(root, root) / m**2
+    blocks[~(fits[:, :, None] & fits[:, None, :])] = 0.0
     rec = recorded_steps(steps, sample_stride)
-    gaps = np.diff(rec)
+    gaps = np.diff(rec).tolist()
     ks, counts = np.unique(gaps, return_counts=True)
     powers = {
-        k: _power_minus_identity(phi.matrix, k)
+        k: _power_minus_identity(blocks, k)
         for k, count in zip(ks.tolist(), counts.tolist())
-        if _use_power(phi.dim**2, k, count)
+        if _use_power(c, k, count)
     }
-    out = np.empty((rec.shape[0], phi.dim, phi.dim), dtype=np.complex128)
+    step = blocks + np.eye(c)
+    # tr(rho) = sum_c sqrt(L_c) y[0, c] over the cycles of the diagonal
+    trace_w = np.where(orbit[:, 0] % (n + 1) == 0, root, 0.0)
+    # v[pi^t x_c] = L_c^-1/2 sum_Q w^(-Q t) y[Q, c] for t < L_c; rho[a, b] = v[a + n b] is
+    # entry a n + b of the record, gathered from w[c, t] at src
+    cyc, t = np.nonzero(np.arange(m) < lengths[:, None])
+    j = orbit[cyc, t]
+    order = np.argsort(j % n * n + j // n)
+    src, scale = (cyc * m + t)[order], 1.0 / root[cyc[order]]
+    prev = np.ascontiguousarray((vec_density(rho0)[orbit] @ forward).T) * (root / m)
+    prev[~fits] = 0.0
+    prev = prev[:, :, None]
+    out = np.empty((rec.shape[0], n, n), dtype=np.complex128)
     out[0] = rho0
-    v = vec_density(rho0)
-    for i, k in enumerate(gaps.tolist(), start=1):
-        if k in powers:
-            v = v + powers[k] @ v
-        else:
-            for _ in range(k):
-                v = phi.matrix @ v
-        rho = unvec_density(v, phi.dim)
-        tr = np.trace(rho).real
-        if abs(tr - 1.0) > 1e-8:
-            raise np.linalg.LinAlgError(
-                f"channel evolution lost trace at step {rec[i]}: trace = {tr}"
-            )
-        out[i] = rho
+    flat = out.reshape(rec.shape[0], dd)
+    # records advance, are checked and are transformed back one chunk at a time
+    ys = np.empty((max(1, _kernels.BLOCK_BYTES // (16 * m * c)), m, c, 1), dtype=np.complex128)
+    for r0 in range(1, rec.shape[0], ys.shape[0]):
+        block = ys[: rec.shape[0] - r0]
+        for y, k in zip(block, gaps[r0 - 1:r0 - 1 + block.shape[0]]):
+            power = powers.get(k)
+            if power is not None:
+                np.add(prev, np.matmul(power, prev, out=y), out=y)
+            else:
+                for _ in range(k - 1):
+                    prev = step @ prev
+                np.matmul(step, prev, out=y)
+            prev = y
+        traces = block[:, 0, :, 0] @ trace_w
+        lost = np.flatnonzero(~(np.abs(traces.real - 1.0) <= 1e-8))
+        if lost.size:
+            raise np.linalg.LinAlgError(f"channel evolution lost trace at step {rec[r0 + lost[0]]}: "
+                                        f"trace = {traces[lost[0]].real}")
+        w = block[:, :, :, 0].transpose(0, 2, 1).reshape(-1, m) @ backward
+        np.multiply(w.reshape(block.shape[0], c * m).take(src, axis=1), scale,
+                    out=flat[r0:r0 + block.shape[0]])
+        prev = block[-1].copy()  # the next chunk overwrites the buffer
     return out
 
 
-def _monte_carlo(g, run, n_trajectories, sample_stride, kernel, weights=None):
+def _monte_carlo(g, gamma, run, n_trajectories, sample_stride, kernel, weights=None):
     """Shared body of the Monte Carlo drivers.
 
-    Trajectory k uses the stream (run.seed, spawn_key=(k,)). When the
-    eigenvalue ``weights`` of a mixed initial density are given, it first
+    A Taylor plan above the work bound is refused before any keep bit is
+    drawn (``_kernels.step_plan``). Trajectory k uses the stream (run.seed,
+    spawn_key=(k,)). When the eigenvalue ``weights`` of a mixed initial density are given, it first
     draws the index of its initial eigenstate from that stream; then it
     draws its keep bits. Trajectories run in chunks through
     ``kernel(bits3, record_steps, picks)``; picks holds the drawn indices,
@@ -391,6 +522,8 @@ def _monte_carlo(g, run, n_trajectories, sample_stride, kernel, weights=None):
     """
     if n_trajectories < 2:
         raise ValueError(f"n_trajectories must be >= 2, got {n_trajectories}")
+    _kernels.step_plan(g.edge_array, g.node_count, gamma, run.tau, run.steps,
+                       _kernels.CACHE_MAX_ENTRIES)
     rec = recorded_steps(run.steps, sample_stride)
     total, moments, max_drift = 0.0, [(0, 0.0, 0.0)] * rec.shape[0], 0.0
     per_trajectory = run.steps * max(g.edge_count, 1)
@@ -448,7 +581,7 @@ def monte_carlo_channel(
                                          eigenstates[idx], RENORM_EVERY, RENORM_TOL)
 
     rec, densities, stderr, drift, propagator = _monte_carlo(
-        g, run, n_trajectories, sample_stride, kernel, None if pure else w)
+        g, cfg.gamma, run, n_trajectories, sample_stride, kernel, None if pure else w)
     return EnsembleRecord(
         record_steps=rec,
         times=rec * run.tau,
@@ -478,7 +611,8 @@ def monte_carlo_classical(
         return _kernels.ensemble_classical(g.edge_array, g.node_count, cfg.gamma, run.tau,
                                            bits3, rec, p0)
 
-    rec, dist, stderr, drift, propagator = _monte_carlo(g, run, n_trajectories, sample_stride, kernel)
+    rec, dist, stderr, drift, propagator = _monte_carlo(
+        g, cfg.gamma, run, n_trajectories, sample_stride, kernel)
     return ClassicalEnsembleRecord(
         record_steps=rec,
         times=rec * run.tau,

@@ -152,9 +152,10 @@ def channel_curve(spec: ExperimentSpec) -> tuple[np.ndarray, np.ndarray, dict]:
     ``max_trace_drift`` is the largest |tr(rho) - 1| over the recorded rows;
     ``trace_drift_bound`` bounds it from the channel's trace defect and the
     rounding of each application (``ChannelMatrix.trace_drift_bound``).
-    ``channel_symmetries`` is the order of the
-    graph automorphism group the build summed over and ``channel_orbits``
-    the number of propagators it built.
+    ``channel_symmetries`` is the order of the graph automorphism group
+    the build summed over, ``channel_blocks`` the m x C Fourier sectors of
+    its rotation that the evolution ran in (``ChannelMatrix.blocks``) and
+    ``channel_orbits`` the number of propagators it built.
     """
     g = spec.graph()
     run = spec.run()
@@ -166,6 +167,7 @@ def channel_curve(spec: ExperimentSpec) -> tuple[np.ndarray, np.ndarray, dict]:
         "max_trace_drift": float(np.abs(np.trace(rhos, axis1=1, axis2=2) - 1.0).max()),
         "trace_drift_bound": phi.trace_drift_bound(run.steps),
         "channel_symmetries": phi.symmetries,
+        "channel_blocks": "{}x{}".format(*phi.blocks),
         "channel_orbits": phi.orbits,
     }
     return rec * run.tau, np.real(rhos[:, spec.start, spec.start]), diagnostics

@@ -51,13 +51,18 @@ def _check_node(g: Graph, a: int, name: str) -> None:
 def transition_probability(
     g: Graph, cfg: WalkConfig | None, a: int, b: int, t: float | np.ndarray
 ) -> float | np.ndarray:
-    """|<b| exp(-i*H*t) |a>|^2 on the unpercolated graph; t may be an array."""
+    """|<b| exp(-i*H*t) |a>|^2 on the unpercolated graph; t may be an array.
+
+    A time so long that t * w overflows gives a non-finite value, without a
+    warning (the CLI refuses to write it, exit 2); so does ``classical_transition``.
+    """
     _check_node(g, a, "a")
     _check_node(g, b, "b")
     d = spectral.decompose(full_hamiltonian(g, cfg))
     weights = d.eigenvectors[b] * d.eigenvectors[a]
     t_arr = np.asarray(t, dtype=np.float64)
-    amps = np.exp(-1j * np.multiply.outer(t_arr, d.eigenvalues)) @ weights
+    with np.errstate(over="ignore", invalid="ignore"):
+        amps = np.exp(-1j * np.multiply.outer(t_arr, d.eigenvalues)) @ weights
     out = np.abs(amps) ** 2
     return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out
 
@@ -73,7 +78,8 @@ def classical_transition(
         raise ValueError("t must be finite and >= 0")
     d = spectral.decompose(full_hamiltonian(g, cfg))
     weights = d.eigenvectors[b] * d.eigenvectors[a]
-    out = np.exp(-np.multiply.outer(t_arr, d.eigenvalues)) @ weights
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = np.exp(-np.multiply.outer(t_arr, d.eigenvalues)) @ weights
     out = np.maximum(out, 0.0)
     return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out
 

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from percwalk import oracles
+from percwalk import dynamics, oracles
 from percwalk.graph import graph_from_spec
 from percwalk.harness import experiments
 from percwalk.harness.cli import cli_main
@@ -281,6 +281,8 @@ class TestRunDiagnostics:
                         "--steps", "20", "--stride", "10", "--out", str(out)]) == 0
         meta, _ = read_csv(out)
         assert (meta["channel_symmetries"], meta["channel_orbits"]) == ("30", "1224")
+        # the evolution ran in the 15 sectors of a rotation of order 15, blocks of 15 cycles
+        assert meta["channel_blocks"] == "15x15"
 
     def test_python_dash_m_runs_without_warnings(self):
         proc = subprocess.run(
@@ -359,8 +361,6 @@ class TestErrorPaths:
         # finite timing whose propagators overflow: the CSV would hold NaN
         (["trajectory", "--graph", "ring:4", "--tau", "1e308", "--steps", "1"], "non-finite"),
         (["classical", "--graph", "ring:4", "--tau", "1e308", "--steps", "1"], "non-finite"),
-        # an infinite Taylor plan overflows the substep count
-        (["trajectory", "--graph", "complete:7", "--tau", "1e308", "--steps", "1"], "infinity"),
     ])
     def test_numerical_overflow_exit_2_without_csv(self, tmp_path, capsys, argv, message):
         out = tmp_path / "run.csv"
@@ -373,6 +373,12 @@ class TestErrorPaths:
         (["montecarlo", "--graph", "complete:7", "--tau", "1e300", "--steps", "1",
           "--trajectories", "2"], "substeps"),
         (["channel", "--graph", "ring:4", "--tau", "1e307", "--steps", "1"], "squarings"),
+        # 2 gamma tau maxdeg overflows to inf: an infinite plan, not a numerical failure
+        (["trajectory", "--graph", "complete:7", "--tau", "1e308", "--steps", "1"], "substeps"),
+        (["classical", "--graph", "complete:7", "--tau", "1e308", "--steps", "1"], "substeps"),
+        (["montecarlo", "--graph", "complete:7", "--tau", "1e308", "--steps", "1",
+          "--trajectories", "2"], "substeps"),
+        (["channel", "--graph", "ring:4", "--tau", "1e308", "--steps", "1"], "squarings"),
     ])
     def test_unbounded_plan_exit_1_before_running(self, tmp_path, capsys, argv, planned):
         out = tmp_path / "run.csv"
@@ -381,6 +387,20 @@ class TestErrorPaths:
         assert time.perf_counter() - t0 < 2.0
         err = capsys.readouterr().err
         assert planned in err and "limit" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["trajectory", "classical", "montecarlo"])
+    def test_plan_refused_before_keep_bits_are_drawn(self, tmp_path, capsys, monkeypatch, command):
+        # 3e6 steps of complete:7 would draw 3e6 x 21 float64 bits before the plan was checked
+        def no_draws(*args, **kwargs):
+            raise AssertionError("keep bits drawn before the Taylor plan was checked")
+
+        monkeypatch.setattr(dynamics, "sample_keep_bits", no_draws)
+        out = tmp_path / "run.csv"
+        ensemble = ["--trajectories", "2"] if command == "montecarlo" else []
+        assert run_cli([command, "--graph", "complete:7", "--tau", "1e4", "--steps", "3000000",
+                        *ensemble, "--out", str(out)]) == 1
+        assert "limit" in capsys.readouterr().err
         assert not out.exists()
 
     def test_channel_linalg_error_exit_2_without_csv(self, tmp_path, capsys, monkeypatch):

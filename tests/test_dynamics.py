@@ -300,9 +300,12 @@ class TestEvolveChannel:
 
     @pytest.mark.parametrize("k", [1, 2, 7, 10, 50])
     def test_power_minus_identity(self, k):
-        phi = build_step_channel(make_ring(4), CFG, 0.3, 0.2).matrix
-        want = np.linalg.matrix_power(phi, k) - np.eye(16)
-        assert np.max(np.abs(dynamics._power_minus_identity(phi, k) - want)) <= 1e-13
+        # takes D = Phi - I, here a stack of two blocks as the sectors pass it
+        phis = [build_step_channel(make_ring(4), CFG, lam, 0.2).matrix for lam in (0.3, 0.7)]
+        got = dynamics._power_minus_identity(np.array(phis) - np.eye(16), k)
+        for power, phi in zip(got, phis):
+            want = np.linalg.matrix_power(phi, k) - np.eye(16)
+            assert np.max(np.abs(power - want)) <= 1e-13
 
     def test_dimension_mismatch(self):
         phi = build_step_channel(make_ring(3), CFG, 0.5, 0.1)
@@ -313,6 +316,141 @@ class TestEvolveChannel:
         rho = np.arange(9, dtype=complex).reshape(3, 3)
         v = vec_density(rho)
         assert np.array_equal(v[:3], rho[:, 0])
+
+
+def _random_density(n, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    return a @ a.conj().T / np.trace(a @ a.conj().T).real
+
+
+def _dense_evolution(phi, rho, steps, stride):
+    """The dense d^2 x d^2 evolution that the sector evolution replaced, step for step."""
+    dd = phi.dim**2
+    gaps = np.diff(recorded_steps(steps, stride))
+    ks, counts = np.unique(gaps, return_counts=True)
+    powers = {k: dynamics._power_minus_identity(phi.matrix - np.eye(dd), k)
+              for k, count in zip(ks.tolist(), counts.tolist()) if dynamics._use_power(dd, k, count)}
+    v, out = vec_density(rho), [rho]
+    for k in gaps.tolist():
+        if k in powers:
+            v = v + powers[k] @ v
+        else:
+            for _ in range(k):
+                v = phi.matrix @ v
+        out.append(v.reshape(phi.dim, phi.dim, order="F"))
+    return np.array(out)
+
+
+class TestSectorEvolution:
+    @pytest.mark.parametrize("g,batch,blocks", [
+        (make_ring(15), None, (15, 15)),
+        # the 90 degree rotation: the centre pair is a cycle of length 1, the other 20 of length 4
+        (make_lattice2d(3, 3), None, (4, 21)),
+        # a mirror fixing the middle row: pair cycles of length 1 and 2
+        (make_lattice2d(3, 4), None, (2, 80)),
+        # G = S_5, searched only with tiny batches; a 3-cycle times a 2-cycle has order 6,
+        # and its pair cycles have lengths 2, 3 and 6
+        (make_complete(5), 1, (6, 7)),
+        (make_ring(6), 1, (6, 6)),
+    ])
+    @pytest.mark.parametrize("stride", [1, 3, 10])
+    def test_equals_dense_step_by_step(self, monkeypatch, g, batch, blocks, stride):
+        # 503 steps: the last gap is ragged (2 at stride 3, 3 at stride 10)
+        steps = 503
+        with pytest.MonkeyPatch.context() as mp:
+            if batch is not None:
+                mp.setattr(_kernels, "CHANNEL_BATCH", batch)
+            phi = build_step_channel(g, CFG, 0.4, 0.3 / max(g.degrees()))
+        assert phi.blocks == blocks
+        power, used = dynamics._power_minus_identity, []
+        monkeypatch.setattr(dynamics, "_power_minus_identity",
+                            lambda d, k: used.append(k) or power(d, k))
+        rho = _random_density(g.node_count, g.edge_count)
+        got = evolve_channel(phi, rho, steps, stride)
+        want = [rho]
+        for s in range(1, steps + 1):
+            rho = apply_channel(phi, rho)
+            if s % stride == 0 or s == steps:
+                want.append(rho)
+        assert np.max(np.abs(got - np.array(want))) <= 1e-13
+        assert used == ([] if stride == 1 else [stride])  # the block powers ran
+
+    @pytest.mark.parametrize("lam", [0.2, 0.8])
+    def test_matches_long_double_reference(self, lam):
+        # the same Phi applied step by step in extended precision; the dense float64
+        # evolution was 3.1-4.4e-16 from it
+        phi = build_step_channel(make_ring(15), CFG, lam, 0.004)
+        got = evolve_channel(phi, basis_density(15, 0), 5000, 10)
+        m = phi.matrix.astype(np.clongdouble)
+        v = vec_density(basis_density(15, 0)).astype(np.clongdouble)
+        err = 0.0
+        for s in range(1, 5001):
+            v = m @ v
+            if s % 10 == 0:
+                err = max(err, float(np.abs(vec_density(got[s // 10]) - v).max()))
+        assert err <= 5e-15
+
+    @pytest.mark.parametrize("n,stride", [(4, 1), (4, 10), (6, 1), (6, 10)])
+    def test_trivial_group_is_the_dense_evolution_bit_for_bit(self, n, stride):
+        phi = build_step_channel(make_ring(n), CFG, 0.3, 0.2)
+        assert phi.blocks == (1, n * n) and phi.symmetries == 1
+        rho = _random_density(n, stride)
+        got = evolve_channel(phi, rho, 1000, stride)
+        assert np.array_equal(got, _dense_evolution(phi, rho, 1000, stride))
+
+    def test_rotation_is_the_element_of_largest_order(self):
+        phi = build_step_channel(make_ring(15), CFG, 0.4, 0.004)
+        assert phi.symmetries == 30
+        powers = [np.arange(15)]
+        for _ in range(15):
+            powers.append(phi.rotation[powers[-1]])
+        assert np.array_equal(powers[15], np.arange(15))
+        assert not any(np.array_equal(p, np.arange(15)) for p in powers[1:15])
+
+    def test_rotation_that_is_not_a_symmetry_is_refused(self):
+        phi = build_step_channel(make_lattice2d(2, 3), CFG, 0.4, 0.2)
+        # swapping two corners of the 2x3 lattice is no automorphism
+        with pytest.raises(ValueError, match="commute"):
+            ChannelMatrix(matrix=phi.matrix, dim=6, rotation=np.array([5, 1, 2, 3, 4, 0]))
+        with pytest.raises(ValueError, match="permutation"):
+            ChannelMatrix(matrix=phi.matrix, dim=6, rotation=np.array([0, 0, 2, 3, 4, 5]))
+        broken = phi.matrix.copy()
+        broken[3, 3] = np.nan  # a numerical failure, not a broken symmetry
+        with pytest.raises(FloatingPointError, match="non-finite"):
+            ChannelMatrix(matrix=broken, dim=6)
+        # the 180 degree rotation is one, and the sector evolution is the dense one
+        turned = ChannelMatrix(matrix=phi.matrix, dim=6, rotation=np.array([5, 4, 3, 2, 1, 0]))
+        assert turned.blocks == (2, 18)
+        rho = _random_density(6, 0)
+        got = evolve_channel(turned, rho, 60, 7)
+        assert np.max(np.abs(got - _dense_evolution(phi, rho, 60, 7))) <= 1e-14
+
+    @pytest.mark.parametrize("g", [make_ring(15), make_lattice2d(3, 3)])
+    def test_blocks_are_the_projection_onto_the_commutant(self, g):
+        # a non-commuting part of 1e-13, inside the 1e-12 check, is averaged over the m shifts
+        # of the rotation, not read from one row of each cycle
+        n = g.node_count
+        phi = build_step_channel(g, CFG, 0.4, 0.1)
+        rng = np.random.default_rng(1)
+        shape = phi.matrix.shape
+        bent = phi.matrix + 1e-13 * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
+        pi = (n * phi.rotation[:, None] + phi.rotation).ravel()
+        averaged, idx = np.zeros_like(bent), np.arange(n * n)
+        for _ in range(phi.blocks[0]):
+            averaged += bent[np.ix_(idx, idx)]
+            idx = pi[idx]
+        averaged /= phi.blocks[0]
+        rho = _random_density(n, 5)
+        got = evolve_channel(ChannelMatrix(matrix=bent, dim=n, rotation=phi.rotation), rho, 200)
+        want = _dense_evolution(ChannelMatrix(matrix=averaged, dim=n), rho, 200, 1)
+        assert np.max(np.abs(got - want)) <= 1e-14
+
+    def test_lost_trace_names_the_first_failing_step(self):
+        # the trace grows by 3e-9 per step, so it leaves the 1e-8 gate at step 4
+        phi = ChannelMatrix(matrix=(1.0 + 3e-9) * np.eye(9), dim=3)
+        with pytest.raises(np.linalg.LinAlgError, match="at step 4:"):
+            evolve_channel(phi, basis_density(3, 0), 20)
 
 
 class TestMonteCarlo:

@@ -170,6 +170,7 @@ class TestExperiments:
         assert 0.0 <= float(meta["max_trace_drift"]) <= float(meta["trace_drift_bound"])
         # 64 masks are fewer than one batch, so no symmetry is searched
         assert (meta["channel_symmetries"], meta["channel_orbits"]) == ("1", "64")
+        assert meta["channel_blocks"] == "1x36"  # one dense block: the trivial group's evolution
 
     def test_complete_graph_reduced(self, tmp_path):
         spec = ExperimentSpec(
