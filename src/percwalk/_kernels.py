@@ -16,7 +16,10 @@ or z = -tau for the classical walk. Two propagators implement it:
 The step kernels report which propagator ran (``"mask-cache"`` or
 ``"taylor(substeps=S, order=K)"``) and the largest drift of the conserved
 norm: the 2-norm of a quantum state, the total probability of a classical
-distribution.
+distribution. At the dimensions of the mask-cache and the paper's Taylor
+workloads (d = 4 to 15) a step costs interpreter and call overhead, not
+flops, so the step loops make their buffer views and bound ``.dot`` calls
+once per run (or column block), never once per step.
 
 ``channel_accumulate`` sums over all 2^E realizations without a spectral
 decomposition. Each U_r = cos(tau H_r) - i sin(tau H_r) comes from real
@@ -36,6 +39,7 @@ the backtracking search of G).
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from functools import partial
 
 import numpy as np
@@ -142,17 +146,19 @@ def step_plan(edges: np.ndarray, n: int, gamma: float, tau: float, steps: int,
     return _run_plan(edges, n, gamma, tau, steps)
 
 
-def _taylor_series(apply_a, v: np.ndarray, coef: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """out = sum_k coef[k] * A^k v[0], the one routine that applies the series.
+def _taylor_series(apply_a, rows: list, coef_dot, flat: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out = sum_k coef[k] * A^k rows[0], the one routine that applies the series.
 
-    ``apply_a(x, y)`` writes A x into y; v[k] receives A^k v[0] for
-    k = 1..K. With A = z * H / s and coef[k] = 1/k! this is one substep of
-    the Taylor action.
+    ``rows`` are the K + 1 row views of a fixed buffer v, ``flat`` is v
+    reshaped to (K + 1, -1) and ``coef_dot`` is ``coef.dot``; ``out`` has
+    the shape of a flattened row. ``apply_a(x, y)`` writes A x into y, so
+    rows[k] receives A^k rows[0] for k = 1..K. With A = z * H / s and
+    coef[k] = 1/k! this is one substep of the Taylor action. The callers
+    make these views once per run, not once per step.
     """
-    for k in range(1, v.shape[0]):
-        apply_a(v[k - 1], v[k])
-    np.dot(coef, v.reshape(v.shape[0], -1), out=out.reshape(-1))
-    return out
+    for k in range(1, len(rows)):
+        apply_a(rows[k - 1], rows[k])
+    return coef_dot(flat, out=out)
 
 
 def _taylor_coef(order: int, dtype) -> np.ndarray:
@@ -203,31 +209,35 @@ def _trajectory(edges, n, gamma, z, bits, record_steps, x0, renorm_every, renorm
     plan = step_plan(edges, n, gamma, abs(z), steps, steps)
     if plan is None:
         block = max(1, BLOCK_BYTES // (16 * n))
-        keys = _mask_keys(bits).tolist()
-        cache: dict[int, np.ndarray] = {}
+        keys = _mask_keys(bits)
+        # mask key -> bound ``.dot`` of its propagator, built at the mask's first step
+        cache: dict[int, Callable] = {}
 
         def advance(start, stop, x):
+            block_keys = keys[start:stop]
+            masks, first = np.unique(block_keys, return_index=True)
+            for key, j in zip(masks.tolist(), first.tolist()):
+                if key not in cache:
+                    cache[key] = _propagator_for_bits(edges, bits[start + j], gamma, n, z).dot
             hist = np.empty((stop - start, n), dtype=x.dtype)
-            for j, key in enumerate(keys[start:stop]):
-                u = cache.get(key)
-                if u is None:
-                    u = cache[key] = _propagator_for_bits(edges, bits[start + j], gamma, n, z)
-                x = np.dot(u, x, out=hist[j])
+            for dot, row in zip([cache[k] for k in block_keys.tolist()], hist):
+                x = dot(x, row)
             return hist
     else:
         substeps, order = plan
-        coef = _taylor_coef(order, x0.dtype)
+        coef_dot = _taylor_coef(order, x0.dtype).dot
         v = np.empty((order + 1, n), dtype=x0.dtype)
+        rows, flat = list(v), v.reshape(order + 1, -1)
         block = max(1, BLOCK_BYTES // (n * n * x0.itemsize))
 
         def advance(start, stop, x):
             a = laplacians(edges, n, bits[start:stop], z * gamma / substeps)
             hist = np.empty((stop - start, n), dtype=x.dtype)
-            for j in range(stop - start):
-                apply_a = partial(np.dot, a[j])
+            for a_j, row in zip(a, hist):
+                apply_a = a_j.dot
                 for _ in range(substeps):
-                    v[0] = x
-                    x = _taylor_series(apply_a, v, coef, hist[j])
+                    rows[0][...] = x
+                    x = _taylor_series(apply_a, rows, coef_dot, flat, row)
             return hist
 
     n_rec = record_steps.shape[0]
@@ -295,18 +305,19 @@ def _ensemble(edges, n, gamma, z, bits3, record_steps, x0, record, renorm_every,
         cols = n_traj
         cache: dict[int, np.ndarray] = {}
 
-        def step(bits, s, x):
-            keys = _mask_keys(bits[:, s, :])
-            for key in np.unique(keys).tolist():
-                sel = keys == key
-                u = cache.get(key)
-                if u is None:
-                    u = cache[key] = _propagator_for_bits(edges, bits[np.argmax(sel), s], gamma, n, z)
-                x[:, sel] = u @ x[:, sel]
-            return x
+        def stepper(bits, x):
+            def step(s):
+                keys = _mask_keys(bits[:, s, :])
+                for key in np.unique(keys).tolist():
+                    sel = keys == key
+                    u = cache.get(key)
+                    if u is None:
+                        u = cache[key] = _propagator_for_bits(edges, bits[np.argmax(sel), s], gamma, n, z)
+                    x[:, sel] = u @ x[:, sel]
+            return step
     else:
         substeps, order = plan
-        coef = _taylor_coef(order, x0.dtype)
+        coef_dot = _taylor_coef(order, x0.dtype).dot
         u_idx, v_idx = edges[:, 0], edges[:, 1]
         bt = np.zeros((n, edge_count))
         bt[u_idx, np.arange(edge_count)] = 1.0
@@ -314,24 +325,29 @@ def _ensemble(edges, n, gamma, z, bits3, record_steps, x0, record, renorm_every,
         cols = max(1, BLOCK_BYTES // (x0.itemsize * max((order + 1) * n, edge_count)))
         scale = z * gamma / substeps
 
-        def step(bits, s, x):
-            apply_a = partial(_edge_apply, u_idx, v_idx, bt, bits[:, s, :].T * scale)
+        def stepper(bits, x):
+            # the last column block may be narrower, so the Taylor terms are sized per block
             v = np.empty((order + 1,) + x.shape, dtype=x.dtype)
-            for _ in range(substeps):
-                v[0] = x
-                _taylor_series(apply_a, v, coef, x)
-            return x
+            rows, flat, out = list(v), v.reshape(order + 1, -1), x.reshape(-1)
+
+            def step(s):
+                apply_a = partial(_edge_apply, u_idx, v_idx, bt, bits[:, s, :].T * scale)
+                for _ in range(substeps):
+                    rows[0][...] = x
+                    _taylor_series(apply_a, rows, coef_dot, flat, out)
+            return step
 
     max_drift = 0.0
     for c0 in range(0, n_traj, cols):
-        bits = bits3[c0:c0 + cols]
-        x = np.array(x0[:, c0:c0 + cols], order="C")  # _taylor_series writes through x.reshape
+        # C order, so the series writes the block in place through its flat view
+        x = np.array(x0[:, c0:c0 + cols], order="C")
+        step = stepper(bits3[c0:c0 + cols], x)
         rec_i = 0
         if record_steps.shape[0] and record_steps[0] == 0:
             record(0, x)
             rec_i = 1
         for s in range(steps):
-            x = step(bits, s, x)
+            step(s)
             norms = _norms(x, axis=0)
             drift = np.abs(norms - 1.0)
             max_drift = max(max_drift, float(drift.max()))

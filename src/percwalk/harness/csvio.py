@@ -22,6 +22,17 @@ def format_value(x) -> str:
     return str(x)
 
 
+# rows formatted per chunk, which bounds the cell strings alive at once
+CHUNK_ROWS = 256
+
+
+def _format_column(arr: np.ndarray) -> list[str]:
+    """format_value of every entry; a float column at once, as format_value prints each float."""
+    if arr.dtype.kind == "f":
+        return [f"{x:.17g}" for x in arr.astype(np.float64, copy=False).tolist()]
+    return [format_value(x) for x in arr]
+
+
 def render_csv(meta: dict, columns: list[tuple[str, np.ndarray]]) -> str:
     """Render metadata header plus named columns; all columns must align."""
     lengths = {len(arr) for _, arr in columns}
@@ -33,8 +44,9 @@ def render_csv(meta: dict, columns: list[tuple[str, np.ndarray]]) -> str:
     lines.append(",".join(names))
     n_rows = lengths.pop() if lengths else 0
     arrays = [np.asarray(arr) for _, arr in columns]
-    for i in range(n_rows):
-        lines.append(",".join(format_value(arr[i]) for arr in arrays))
+    for start in range(0, n_rows, CHUNK_ROWS):
+        cells = [_format_column(arr[start:start + CHUNK_ROWS]) for arr in arrays]
+        lines.extend(map(",".join, zip(*cells)))
     return "\n".join(lines) + "\n"
 
 

@@ -3,6 +3,8 @@
 Everything here deliberately avoids the package's spectral/dynamics code
 paths: Hamiltonians are rebuilt from adjacency tables and exponentials go
 through scipy's Pade-based expm, so agreement is a genuine cross-check.
+The exception is the last section: per-step step loops that call the same
+propagators as ``_kernels``, against which its kernels must be bit-identical.
 """
 from __future__ import annotations
 
@@ -10,6 +12,8 @@ import itertools
 
 import numpy as np
 import scipy.linalg
+
+from percwalk import _kernels
 
 
 def reference_laplacian(node_count: int, edges, mask: int, gamma: float = 1.0) -> np.ndarray:
@@ -86,3 +90,107 @@ def count_lattice_edges(width: int, height: int) -> int:
             if dx + dy == 1:
                 count += 1
     return count
+
+
+# ---------------------------------------------------------------------------
+# per-step loops: one fresh view, call and lookup per step, same operands
+# ---------------------------------------------------------------------------
+
+
+def reference_trajectory(edges, n, gamma, z, bits, record_steps, x0, renorm_every, renorm_tol):
+    """``_kernels._trajectory`` with views, partials and cache lookups made step by step."""
+    k = _kernels
+    steps = bits.shape[0]
+    plan = k.step_plan(edges, n, gamma, abs(z), steps, steps)
+    if plan is None:
+        block = max(1, k.BLOCK_BYTES // (16 * n))
+        keys = k._mask_keys(bits).tolist()
+        cache = {}
+
+        def advance(start, stop, x):
+            hist = np.empty((stop - start, n), dtype=x.dtype)
+            for j, key in enumerate(keys[start:stop]):
+                u = cache.get(key)
+                if u is None:
+                    u = cache[key] = k._propagator_for_bits(edges, bits[start + j], gamma, n, z)
+                x = np.dot(u, x, out=hist[j])
+            return hist
+    else:
+        substeps, order = plan
+        coef = k._taylor_coef(order, x0.dtype)
+        v = np.empty((order + 1, n), dtype=x0.dtype)
+        block = max(1, k.BLOCK_BYTES // (n * n * x0.itemsize))
+
+        def advance(start, stop, x):
+            a = k.laplacians(edges, n, bits[start:stop], z * gamma / substeps)
+            hist = np.empty((stop - start, n), dtype=x.dtype)
+            for j in range(stop - start):
+                for _ in range(substeps):
+                    v[0] = x
+                    for i in range(1, order + 1):
+                        np.dot(a[j], v[i - 1], out=v[i])
+                    np.dot(coef, v.reshape(order + 1, -1), out=hist[j].reshape(-1))
+                    x = hist[j]
+            return hist
+
+    out = np.empty((record_steps.shape[0], n), dtype=x0.dtype)
+    rec_i = 0
+    if record_steps.shape[0] and record_steps[0] == 0:
+        out[0] = x0
+        rec_i = 1
+    x, max_drift, start = x0, 0.0, 0
+    while start < steps:
+        stop = min(start + block, steps)
+        if renorm_every:
+            stop = min(stop, (start // renorm_every + 1) * renorm_every)
+        hist = advance(start, stop, x)
+        norms = k._norms(hist, axis=1)
+        max_drift = max(max_drift, float(np.max(np.abs(norms - 1.0))))
+        if renorm_every and stop % renorm_every == 0 and abs(norms[-1] - 1.0) > renorm_tol:
+            hist[-1] /= norms[-1]
+        rec_j = int(np.searchsorted(record_steps, stop, side="right"))
+        out[rec_i:rec_j] = hist[record_steps[rec_i:rec_j] - start - 1]
+        rec_i = rec_j
+        x, start = hist[-1], stop
+    return out, max_drift, k._plan_name(plan)
+
+
+def reference_taylor_ensemble(edges, n, gamma, z, bits3, record_steps, x0, record, renorm_every,
+                              renorm_tol):
+    """``_kernels._ensemble`` on the Taylor action, with fresh Taylor terms every step."""
+    k = _kernels
+    n_traj, steps, edge_count = bits3.shape
+    substeps, order = plan = k.step_plan(edges, n, gamma, abs(z), steps, k.CACHE_MAX_ENTRIES)
+    coef = k._taylor_coef(order, x0.dtype)
+    u_idx, v_idx = edges[:, 0], edges[:, 1]
+    bt = np.zeros((n, edge_count))
+    bt[u_idx, np.arange(edge_count)] = 1.0
+    bt[v_idx, np.arange(edge_count)] = -1.0
+    cols = max(1, k.BLOCK_BYTES // (x0.itemsize * max((order + 1) * n, edge_count)))
+    scale = z * gamma / substeps
+    max_drift = 0.0
+    for c0 in range(0, n_traj, cols):
+        bits = bits3[c0:c0 + cols]
+        x = np.array(x0[:, c0:c0 + cols], order="C")
+        rec_i = 0
+        if record_steps.shape[0] and record_steps[0] == 0:
+            record(0, x)
+            rec_i = 1
+        for s in range(steps):
+            w = bits[:, s, :].T * scale
+            v = np.empty((order + 1,) + x.shape, dtype=x.dtype)
+            for _ in range(substeps):
+                v[0] = x
+                for i in range(1, order + 1):
+                    k._edge_apply(u_idx, v_idx, bt, w, v[i - 1], v[i])
+                np.dot(coef, v.reshape(order + 1, -1), out=x.reshape(-1))
+            norms = k._norms(x, axis=0)
+            drift = np.abs(norms - 1.0)
+            max_drift = max(max_drift, float(drift.max()))
+            if renorm_every and (s + 1) % renorm_every == 0:
+                fix = drift > renorm_tol
+                x[:, fix] /= norms[fix]
+            if rec_i < record_steps.shape[0] and record_steps[rec_i] == s + 1:
+                record(rec_i, x)
+                rec_i += 1
+    return max_drift, k._plan_name(plan)

@@ -1,5 +1,10 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from percwalk import oracles
 from percwalk.harness import csvio
@@ -115,6 +120,22 @@ class TestCsv:
     def test_deterministic_output(self):
         cols = [("t", np.linspace(0, 1, 5)), ("p", np.linspace(1, 0, 5))]
         assert csvio.render_csv({"a": 1}, cols) == csvio.render_csv({"a": 1}, cols)
+
+    @settings(max_examples=60, deadline=None, database=None, derandomize=True)
+    @given(data=st.data(), rows=st.integers(0, 12), chunk=st.integers(1, 5))
+    def test_columns_render_as_cell_by_cell_format_value(self, data, rows, chunk):
+        edge = st.sampled_from([-0.0, 0.0, 5e-324, -2.5e-310, 1e308, -1e308, 3.0, -7.0, 2.0**53])
+        floats = edge | st.floats(allow_nan=True, allow_infinity=True)
+        cols = [
+            ("f64", data.draw(hnp.arrays(np.float64, rows, elements=floats))),
+            ("f32", data.draw(hnp.arrays(np.float32, rows, elements=st.floats(width=32)))),
+            ("i64", data.draw(hnp.arrays(np.int64, rows))),
+            ("flag", data.draw(hnp.arrays(bool, rows))),
+        ]
+        want = [f"# columns: {','.join(name for name, _ in cols)}", ",".join(name for name, _ in cols)]
+        want += [",".join(csvio.format_value(arr[i]) for _, arr in cols) for i in range(rows)]
+        with mock.patch.object(csvio, "CHUNK_ROWS", chunk):  # rows in several chunks
+            assert csvio.render_csv({}, cols) == "\n".join(want) + "\n"
 
     def test_mismatched_columns(self):
         with pytest.raises(ValueError):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from percwalk import _kernels
-from percwalk.dynamics import apply_channel, build_step_channel, evolve_channel
+from percwalk.dynamics import RENORM_EVERY, apply_channel, build_step_channel, evolve_channel
 from percwalk.graph import (
     Graph,
     make_complete,
@@ -20,7 +20,12 @@ from percwalk.graph import (
 )
 from percwalk.walk import WalkConfig, basis_density, basis_state
 
-from helpers import expm_channel_gram, reference_laplacian
+from helpers import (
+    expm_channel_gram,
+    reference_laplacian,
+    reference_taylor_ensemble,
+    reference_trajectory,
+)
 
 RENORM = (10_000, 1e-12)
 HYPOTHESIS = settings(max_examples=20, deadline=None, database=None, derandomize=True)
@@ -195,6 +200,79 @@ class TestTaylorAction:
         for m in (np.stack(cols, axis=2), np.array(ensemble)):  # (record, node, column)
             assert np.max(np.abs(m.sum(axis=1) - 1.0)) <= 1e-14
             assert m.min() >= -1e-15
+
+
+class TestStepLoopsAreBitIdentical:
+    """The step loops against per-step reference loops on the same operands: equal bits."""
+
+    CASES = [  # graph, tau, propagator
+        (make_ring(4), 0.1, "mask-cache"),
+        (make_complete(7), 0.05, "taylor(substeps=1, order=15)"),
+        (make_complete(7), 0.9, "taylor(substeps=11, order=18)"),
+    ]
+
+    @staticmethod
+    def _runs(g, tau, steps, stride, renorm):
+        bits = sample_keep_bits(g, 0.4, rng_from_seed(17), steps)
+        rec = np.arange(0, steps + 1, stride, dtype=np.int64)
+        if rec[-1] != steps:
+            rec = np.append(rec, steps)
+        args = (g.edge_array, g.node_count, 1.0, tau, bits, rec)
+        psi0 = np.full(g.node_count, g.node_count**-0.5)
+        return (_kernels.trajectory_states(*args, psi0, *renorm),
+                _kernels.classical_trajectory(*args, np.eye(g.node_count)[1]))
+
+    def _check(self, monkeypatch, g, tau, name, steps, stride, renorm):
+        got = self._runs(g, tau, steps, stride, renorm)
+        with monkeypatch.context() as m:
+            m.setattr(_kernels, "_trajectory", reference_trajectory)
+            want = self._runs(g, tau, steps, stride, renorm)
+        for (states, drift, propagator), (ref_states, ref_drift, ref_propagator) in zip(got, want):
+            assert propagator == ref_propagator == name
+            assert np.array_equal(states, ref_states)
+            assert drift == ref_drift
+
+    @pytest.mark.parametrize("g,tau,name", CASES)
+    def test_ragged_stride(self, monkeypatch, g, tau, name):
+        self._check(monkeypatch, g, tau, name, 300, 7, RENORM)
+
+    @pytest.mark.parametrize("g,tau,name", CASES)
+    def test_one_step_blocks(self, monkeypatch, g, tau, name):
+        monkeypatch.setattr(_kernels, "BLOCK_BYTES", 1)
+        self._check(monkeypatch, g, tau, name, 60, 7, RENORM)
+
+    @pytest.mark.parametrize("g,tau,name", CASES[:2])
+    def test_forced_renormalization_across_the_boundary(self, monkeypatch, g, tau, name):
+        self._check(monkeypatch, g, tau, name, RENORM_EVERY + 250, 1000, (RENORM_EVERY, 0.0))
+
+    def test_forced_renormalization_with_substeps(self, monkeypatch):
+        g, tau, name = self.CASES[2]
+        self._check(monkeypatch, g, tau, name, 250, 9, (40, 0.0))
+
+    @pytest.mark.parametrize("tau", [0.05, 0.9])
+    def test_ensemble_in_narrow_column_blocks(self, monkeypatch, tau):
+        g, n, n_traj, steps = make_complete(7), 7, 8, 40
+        order = _kernels.taylor_plan(g.edge_array, n, 1.0, tau)[1]
+        # three columns per block, so the last of the 8 columns is a block of 2
+        monkeypatch.setattr(_kernels, "BLOCK_BYTES", 3 * 16 * max((order + 1) * n, g.edge_count))
+        bits3 = np.stack([sample_keep_bits(g, 0.4, rng_from_seed(3, k), steps) for k in range(n_traj)])
+        rec = np.arange(0, steps + 1, 6, dtype=np.int64)
+        psis0 = rng_from_seed(4).normal(size=(n_traj, n)) + 1j * rng_from_seed(5).normal(size=(n_traj, n))
+        psis0 /= np.linalg.norm(psis0, axis=1, keepdims=True)
+
+        def run():
+            return _kernels.ensemble_quantum(g.edge_array, n, 1.0, tau, bits3, rec, psis0, 9, 0.0)
+
+        sum_outer, moments, drift, name = run()
+        with monkeypatch.context() as m:
+            m.setattr(_kernels, "_ensemble", reference_taylor_ensemble)
+            ref_outer, ref_moments, ref_drift, ref_name = run()
+        assert name == ref_name and name.startswith("taylor(")
+        assert np.array_equal(sum_outer, ref_outer)
+        assert drift == ref_drift
+        for (count, mean, m2), (ref_count, ref_mean, ref_m2) in zip(moments, ref_moments):
+            assert count == ref_count == n_traj
+            assert np.array_equal(mean, ref_mean) and np.array_equal(m2, ref_m2)
 
 
 # random simple graphs small enough to enumerate all 2^E realizations against scipy expm
