@@ -41,7 +41,6 @@ from .graph import (  # noqa: F401
 )
 from .spectral import SpectralDecomposition, decompose, stochastic_exp, unitary_exp  # noqa: F401
 from .walk import (  # noqa: F401
-    WalkConfig,
     basis_density,
     basis_state,
     classical_transition,

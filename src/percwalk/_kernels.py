@@ -91,22 +91,22 @@ def laplacians(edges: np.ndarray, n: int, bits: np.ndarray, scale) -> np.ndarray
     return h
 
 
-def hamiltonian_from_bits(edges: np.ndarray, bits: np.ndarray, gamma: float, n: int) -> np.ndarray:
-    """Laplacian Hamiltonian gamma * L of the edges kept in ``bits`` (E,)."""
-    return laplacians(edges, n, bits[None, :], gamma)[0]
+def hamiltonian_from_bits(edges: np.ndarray, bits: np.ndarray, n: int) -> np.ndarray:
+    """Laplacian Hamiltonian L of the edges kept in ``bits`` (E,)."""
+    return laplacians(edges, n, bits[None, :], 1.0)[0]
 
 
-def taylor_plan(edges: np.ndarray, n: int, gamma: float, tau: float) -> tuple[int, int]:
+def taylor_plan(edges: np.ndarray, n: int, tau: float) -> tuple[int, int]:
     """(substeps, order) of the truncated-Taylor action of exp(z * H_r), |z| = tau.
 
-    Every realization Laplacian obeys ||tau * H_r||_2 <= x = 2 * gamma * tau
-    * maxdeg, maxdeg taken over the full graph. The step is split into
+    Every realization Laplacian obeys ||tau * H_r||_2 <= x = 2 * tau *
+    maxdeg, maxdeg taken over the full graph. The step is split into
     s = ceil(x) substeps of norm y = x / s <= 1, and the order is the
     smallest K whose series tail y^(K+1) / (K+1)! / (1 - y / (K+2)) is at
     most TAYLOR_TOL. An infinite x is refused as a plan above every limit.
     """
     maxdeg = int(np.bincount(edges.ravel(), minlength=n).max(initial=0))
-    x = 2.0 * gamma * tau * maxdeg
+    x = 2.0 * tau * maxdeg
     if not x < math.inf:
         raise ValueError(
             f"a step of tau={tau:g} plans unboundedly many Taylor substeps (and squarings), "
@@ -121,9 +121,9 @@ def taylor_plan(edges: np.ndarray, n: int, gamma: float, tau: float) -> tuple[in
     return substeps, order
 
 
-def _run_plan(edges: np.ndarray, n: int, gamma: float, tau: float, steps: int) -> tuple[int, int]:
+def _run_plan(edges: np.ndarray, n: int, tau: float, steps: int) -> tuple[int, int]:
     """``taylor_plan`` of a run of ``steps`` steps, refused above MAX_SUBSTEPS substeps in all."""
-    substeps, order = taylor_plan(edges, n, gamma, tau)
+    substeps, order = taylor_plan(edges, n, tau)
     if substeps * steps > MAX_SUBSTEPS:
         raise ValueError(
             f"{steps} step(s) of tau={tau:g} plan {substeps * steps:.3g} Taylor substeps "
@@ -133,7 +133,7 @@ def _run_plan(edges: np.ndarray, n: int, gamma: float, tau: float, steps: int) -
     return substeps, order
 
 
-def step_plan(edges: np.ndarray, n: int, gamma: float, tau: float, steps: int,
+def step_plan(edges: np.ndarray, n: int, tau: float, steps: int,
               max_distinct: int) -> tuple[int, int] | None:
     """The propagator of a step kernel: None for the mask cache, else ``_run_plan``.
 
@@ -143,7 +143,7 @@ def step_plan(edges: np.ndarray, n: int, gamma: float, tau: float, steps: int,
     """
     if propagator_cache_capacity(edges.shape[0], max_distinct, n) > 0:
         return None
-    return _run_plan(edges, n, gamma, tau, steps)
+    return _run_plan(edges, n, tau, steps)
 
 
 def _taylor_series(apply_a, rows: list, coef_dot, flat: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -169,13 +169,13 @@ def _plan_name(plan: tuple[int, int] | None) -> str:
     return "mask-cache" if plan is None else f"taylor(substeps={plan[0]}, order={plan[1]})"
 
 
-def _propagator_for_bits(edges, bits, gamma, n, z):
+def _propagator_for_bits(edges, bits, n, z):
     """exp(z * H_r) by spectral decomposition; classical (real z) entries are clipped at 0.
 
     A step so long that z * w overflows gives non-finite entries, without a
     warning; they reach the output, which the CLI refuses to write (exit 2).
     """
-    w, q = np.linalg.eigh(hamiltonian_from_bits(edges, bits, gamma, n))
+    w, q = np.linalg.eigh(hamiltonian_from_bits(edges, bits, n))
     with np.errstate(over="ignore", invalid="ignore"):
         m = (q * np.exp(z * w)) @ q.T
     return m if np.iscomplexobj(m) else np.maximum(m, 0.0)
@@ -197,7 +197,7 @@ def _norms(x: np.ndarray, axis: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _trajectory(edges, n, gamma, z, bits, record_steps, x0, renorm_every, renorm_tol):
+def _trajectory(edges, n, z, bits, record_steps, x0, renorm_every, renorm_tol):
     """Shared loop of the trajectory kernels -> (states at record_steps, max drift, propagator).
 
     Steps run in blocks; each block returns its states, from which the
@@ -206,19 +206,19 @@ def _trajectory(edges, n, gamma, z, bits, record_steps, x0, renorm_every, renorm
     whose norm drifted by more than ``renorm_tol`` is renormalized.
     """
     steps, edge_count = bits.shape
-    plan = step_plan(edges, n, gamma, abs(z), steps, steps)
+    plan = step_plan(edges, n, abs(z), steps, steps)
     if plan is None:
         block = max(1, BLOCK_BYTES // (16 * n))
-        keys = _mask_keys(bits)
         # mask key -> bound ``.dot`` of its propagator, built at the mask's first step
         cache: dict[int, Callable] = {}
 
         def advance(start, stop, x):
-            block_keys = keys[start:stop]
+            # keys are packed per block, so no (steps, E) int64 copy of the run is made
+            block_keys = _mask_keys(bits[start:stop])
             masks, first = np.unique(block_keys, return_index=True)
             for key, j in zip(masks.tolist(), first.tolist()):
                 if key not in cache:
-                    cache[key] = _propagator_for_bits(edges, bits[start + j], gamma, n, z).dot
+                    cache[key] = _propagator_for_bits(edges, bits[start + j], n, z).dot
             hist = np.empty((stop - start, n), dtype=x.dtype)
             for dot, row in zip([cache[k] for k in block_keys.tolist()], hist):
                 x = dot(x, row)
@@ -231,7 +231,7 @@ def _trajectory(edges, n, gamma, z, bits, record_steps, x0, renorm_every, renorm
         block = max(1, BLOCK_BYTES // (n * n * x0.itemsize))
 
         def advance(start, stop, x):
-            a = laplacians(edges, n, bits[start:stop], z * gamma / substeps)
+            a = laplacians(edges, n, bits[start:stop], z / substeps)
             hist = np.empty((stop - start, n), dtype=x.dtype)
             for a_j, row in zip(a, hist):
                 apply_a = a_j.dot
@@ -263,15 +263,15 @@ def _trajectory(edges, n, gamma, z, bits, record_steps, x0, renorm_every, renorm
     return out, max_drift, _plan_name(plan)
 
 
-def trajectory_states(edges, n, gamma, tau, bits, record_steps, psi0, renorm_every, renorm_tol):
+def trajectory_states(edges, n, tau, bits, record_steps, psi0, renorm_every, renorm_tol):
     """One quantum trajectory -> (states at record_steps, max |norm - 1|, propagator name)."""
-    return _trajectory(edges, n, gamma, -1j * tau, bits, record_steps,
+    return _trajectory(edges, n, -1j * tau, bits, record_steps,
                        psi0.astype(np.complex128), renorm_every, renorm_tol)
 
 
-def classical_trajectory(edges, n, gamma, tau, bits, record_steps, p0):
+def classical_trajectory(edges, n, tau, bits, record_steps, p0):
     """One classical trajectory -> (distributions at record_steps, max |sum - 1|, propagator name)."""
-    return _trajectory(edges, n, gamma, -tau, bits, record_steps, p0.astype(np.float64), 0, 0.0)
+    return _trajectory(edges, n, -tau, bits, record_steps, p0.astype(np.float64), 0, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +291,7 @@ def _edge_apply(u, v, bt, w, x, y):
     np.dot(bt, d.view(np.float64), out=y.view(np.float64))
 
 
-def _ensemble(edges, n, gamma, z, bits3, record_steps, x0, record, renorm_every, renorm_tol):
+def _ensemble(edges, n, z, bits3, record_steps, x0, record, renorm_every, renorm_tol):
     """Shared loop of the ensemble kernels -> (max drift, propagator name).
 
     x0 holds one initial state per column (n, T). ``record(i, x)`` is called
@@ -300,7 +300,7 @@ def _ensemble(edges, n, gamma, z, bits3, record_steps, x0, record, renorm_every,
     renormalized.
     """
     n_traj, steps, edge_count = bits3.shape
-    plan = step_plan(edges, n, gamma, abs(z), steps, CACHE_MAX_ENTRIES)
+    plan = step_plan(edges, n, abs(z), steps, CACHE_MAX_ENTRIES)
     if plan is None:
         cols = n_traj
         cache: dict[int, np.ndarray] = {}
@@ -312,7 +312,7 @@ def _ensemble(edges, n, gamma, z, bits3, record_steps, x0, record, renorm_every,
                     sel = keys == key
                     u = cache.get(key)
                     if u is None:
-                        u = cache[key] = _propagator_for_bits(edges, bits[np.argmax(sel), s], gamma, n, z)
+                        u = cache[key] = _propagator_for_bits(edges, bits[np.argmax(sel), s], n, z)
                     x[:, sel] = u @ x[:, sel]
             return step
     else:
@@ -323,7 +323,7 @@ def _ensemble(edges, n, gamma, z, bits3, record_steps, x0, record, renorm_every,
         bt[u_idx, np.arange(edge_count)] = 1.0
         bt[v_idx, np.arange(edge_count)] = -1.0
         cols = max(1, BLOCK_BYTES // (x0.itemsize * max((order + 1) * n, edge_count)))
-        scale = z * gamma / substeps
+        scale = z / substeps
 
         def stepper(bits, x):
             # the last column block may be narrower, so the Taylor terms are sized per block
@@ -380,7 +380,7 @@ def _column_moments(y: np.ndarray):
     return y.shape[1], mean, ((y - mean[:, None]) ** 2).sum(axis=1)
 
 
-def ensemble_quantum(edges, n, gamma, tau, bits3, record_steps, psis0, renorm_every, renorm_tol):
+def ensemble_quantum(edges, n, tau, bits3, record_steps, psis0, renorm_every, renorm_tol):
     """Sum over trajectories of |psi><psi| and moments of the site probabilities |psi|^2.
 
     -> (sum_outer, moments, max |norm - 1|, propagator name); moments[i] is
@@ -394,12 +394,12 @@ def ensemble_quantum(edges, n, gamma, tau, bits3, record_steps, psis0, renorm_ev
         sum_outer[i] += x @ x.conj().T
         moments[i] = merge_moments(moments[i], _column_moments(np.abs(x) ** 2))
 
-    drift, name = _ensemble(edges, n, gamma, -1j * tau, bits3, record_steps,
+    drift, name = _ensemble(edges, n, -1j * tau, bits3, record_steps,
                             psis0.T.astype(np.complex128), record, renorm_every, renorm_tol)
     return sum_outer, moments, drift, name
 
 
-def ensemble_classical(edges, n, gamma, tau, bits3, record_steps, p0):
+def ensemble_classical(edges, n, tau, bits3, record_steps, p0):
     """Sum over trajectories of p and per-site moments of p.
 
     -> (sum_dist, moments, max |sum(p) - 1|, propagator name), moments as in
@@ -414,7 +414,7 @@ def ensemble_classical(edges, n, gamma, tau, bits3, record_steps, p0):
         moments[i] = merge_moments(moments[i], _column_moments(x))
 
     x0 = np.repeat(p0.astype(np.float64)[:, None], bits3.shape[0], axis=1)
-    drift, name = _ensemble(edges, n, gamma, -tau, bits3, record_steps, x0, record, 0, 0.0)
+    drift, name = _ensemble(edges, n, -tau, bits3, record_steps, x0, record, 0, 0.0)
     return sum_dist, moments, drift, name
 
 
@@ -554,7 +554,7 @@ def _orbit_representatives(edges: np.ndarray, perms: np.ndarray, lam: float):
         yield bits_buf, w_buf
 
 
-def channel_accumulate(edges, n, gamma, lam, tau):
+def channel_accumulate(edges, n, lam, tau):
     """K[(i,j),(k,l)] = sum_r p_r conj(U_r)[i,j] U_r[k,l] over all 2^E masks.
 
     -> (K, propagator name, G as node permutations (|G|, n), identity first,
@@ -584,14 +584,14 @@ def channel_accumulate(edges, n, gamma, lam, tau):
     mask as before.
     """
     edge_count = edges.shape[0]
-    substeps, _ = taylor_plan(edges, n, gamma, tau)
+    substeps, _ = taylor_plan(edges, n, tau)
     squarings = (substeps - 1).bit_length()
     if substeps > MAX_SUBSTEPS:
         raise ValueError(
             f"a step of tau={tau:g} needs {squarings} squarings of its propagators, above the "
             f"limit of {MAX_SUBSTEPS.bit_length() - 1}; shorten tau"
         )
-    _, order = taylor_plan(edges, n, gamma, tau / 2**squarings)
+    _, order = taylor_plan(edges, n, tau / 2**squarings)
     iu, ju = np.triu_indices(n)
     upper = iu * n + ju
     pair = np.empty((n, n), dtype=np.int64)
@@ -606,7 +606,7 @@ def channel_accumulate(edges, n, gamma, lam, tau):
     gram = np.zeros((m + 1, m + 1), dtype=np.complex128)
     built = 0
     for bits, weights in _orbit_representatives(edges, perms, lam):
-        e, s = _cos_sin(laplacians(edges, n, bits, gamma * tau / 2**squarings), order, squarings)
+        e, s = _cos_sin(laplacians(edges, n, bits, tau / 2**squarings), order, squarings)
         root = np.sqrt(weights)
         w = np.empty((bits.shape[0], m + 1), dtype=np.complex128)
         w.real[:, :m] = e.reshape(-1, n * n)[:, upper] * root[:, None]

@@ -53,12 +53,7 @@ from .graph import (
     rng_from_seed,
     sample_keep_bits,
 )
-from .walk import (
-    WalkConfig,
-    check_density_matrix,
-    check_distribution,
-    check_quantum_state,
-)
+from .walk import check_density_matrix, check_distribution, check_quantum_state
 
 RENORM_EVERY = 10_000
 RENORM_TOL = 1e-12
@@ -263,7 +258,6 @@ def unvec_density(v: np.ndarray, dim: int) -> np.ndarray:
 
 def run_trajectory(
     g: Graph,
-    cfg: WalkConfig | None,
     run: PercolationRun,
     psi0: np.ndarray,
     sample_stride: int = 1,
@@ -277,16 +271,15 @@ def run_trajectory(
     reproducible bit for bit, and the keep bits of every step are
     ``sample_keep_bits(g, run.lam, rng_from_seed(run.seed, trajectory_index), run.steps)``.
     """
-    cfg = cfg or WalkConfig()
     psi0 = check_quantum_state(psi0)
     if psi0.shape[0] != g.node_count:
         raise ValueError(f"state dimension {psi0.shape[0]} != node_count {g.node_count}")
-    _kernels.step_plan(g.edge_array, g.node_count, cfg.gamma, run.tau, run.steps, run.steps)
+    _kernels.step_plan(g.edge_array, g.node_count, run.tau, run.steps, run.steps)
     rng = rng_from_seed(run.seed, trajectory_index)
     bits = sample_keep_bits(g, run.lam, rng, run.steps)
     rec = recorded_steps(run.steps, sample_stride)
     states, drift, propagator = _kernels.trajectory_states(
-        g.edge_array, g.node_count, cfg.gamma, run.tau, bits, rec, psi0, RENORM_EVERY, RENORM_TOL
+        g.edge_array, g.node_count, run.tau, bits, rec, psi0, RENORM_EVERY, RENORM_TOL
     )
     return TrajectoryRecord(
         record_steps=rec,
@@ -299,7 +292,6 @@ def run_trajectory(
 
 def run_classical_trajectory(
     g: Graph,
-    cfg: WalkConfig | None,
     run: PercolationRun,
     p0: np.ndarray,
     sample_stride: int = 1,
@@ -309,16 +301,15 @@ def run_classical_trajectory(
 
     ``max_norm_drift`` of the record is the largest |sum(p) - 1| over the steps.
     """
-    cfg = cfg or WalkConfig()
     p0 = check_distribution(p0)
     if p0.shape[0] != g.node_count:
         raise ValueError(f"distribution dimension {p0.shape[0]} != node_count {g.node_count}")
-    _kernels.step_plan(g.edge_array, g.node_count, cfg.gamma, run.tau, run.steps, run.steps)
+    _kernels.step_plan(g.edge_array, g.node_count, run.tau, run.steps, run.steps)
     rng = rng_from_seed(run.seed, trajectory_index)
     bits = sample_keep_bits(g, run.lam, rng, run.steps)
     rec = recorded_steps(run.steps, sample_stride)
     dists, drift, propagator = _kernels.classical_trajectory(
-        g.edge_array, g.node_count, cfg.gamma, run.tau, bits, rec, p0
+        g.edge_array, g.node_count, run.tau, bits, rec, p0
     )
     return ClassicalTrajectoryRecord(
         record_steps=rec,
@@ -329,7 +320,7 @@ def run_classical_trajectory(
     )
 
 
-def build_step_channel(g: Graph, cfg: WalkConfig | None, lam: float, tau: float) -> ChannelMatrix:
+def build_step_channel(g: Graph, lam: float, tau: float) -> ChannelMatrix:
     """Exact one-step channel: sum over all 2^E realizations of p_r U_r . U_r^dag.
 
     Column-stacking convention: the returned matrix is
@@ -339,7 +330,6 @@ def build_step_channel(g: Graph, cfg: WalkConfig | None, lam: float, tau: float)
     Refuses graphs above the enumeration limit; use the Monte Carlo backend
     for those.
     """
-    cfg = cfg or WalkConfig()
     if not 0.0 <= lam <= 1.0:
         raise ValueError(f"lam must be in [0, 1], got {lam}")
     if not tau > 0:
@@ -352,7 +342,7 @@ def build_step_channel(g: Graph, cfg: WalkConfig | None, lam: float, tau: float)
         )
     n = g.node_count
     k_acc, propagator, perms, orbits = _kernels.channel_accumulate(
-        g.edge_array, n, cfg.gamma, float(lam), float(tau))
+        g.edge_array, n, float(lam), float(tau))
     phi = k_acc.reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(n * n, n * n)
     return ChannelMatrix(matrix=np.ascontiguousarray(phi), dim=n, propagator=propagator,
                          symmetries=perms.shape[0], orbits=orbits, rotation=_rotation(perms))
@@ -505,7 +495,7 @@ def evolve_channel(
     return out
 
 
-def _monte_carlo(g, gamma, run, n_trajectories, sample_stride, kernel, weights=None):
+def _monte_carlo(g, run, n_trajectories, sample_stride, kernel, weights=None):
     """Shared body of the Monte Carlo drivers.
 
     A Taylor plan above the work bound is refused before any keep bit is
@@ -522,8 +512,7 @@ def _monte_carlo(g, gamma, run, n_trajectories, sample_stride, kernel, weights=N
     """
     if n_trajectories < 2:
         raise ValueError(f"n_trajectories must be >= 2, got {n_trajectories}")
-    _kernels.step_plan(g.edge_array, g.node_count, gamma, run.tau, run.steps,
-                       _kernels.CACHE_MAX_ENTRIES)
+    _kernels.step_plan(g.edge_array, g.node_count, run.tau, run.steps, _kernels.CACHE_MAX_ENTRIES)
     rec = recorded_steps(run.steps, sample_stride)
     total, moments, max_drift = 0.0, [(0, 0.0, 0.0)] * rec.shape[0], 0.0
     per_trajectory = run.steps * max(g.edge_count, 1)
@@ -548,7 +537,6 @@ def _monte_carlo(g, gamma, run, n_trajectories, sample_stride, kernel, weights=N
 
 def monte_carlo_channel(
     g: Graph,
-    cfg: WalkConfig | None,
     run: PercolationRun,
     rho0: np.ndarray,
     n_trajectories: int,
@@ -564,7 +552,6 @@ def monte_carlo_channel(
     is the largest standard error among the diagonal (site-probability)
     entries.
     """
-    cfg = cfg or WalkConfig()
     rho0 = check_density_matrix(rho0)
     n = g.node_count
     if rho0.shape[0] != n:
@@ -577,11 +564,11 @@ def monte_carlo_channel(
 
     def kernel(bits3, rec, picks):
         idx = np.full(bits3.shape[0], np.argmax(w)) if picks is None else picks
-        return _kernels.ensemble_quantum(g.edge_array, n, cfg.gamma, run.tau, bits3, rec,
+        return _kernels.ensemble_quantum(g.edge_array, n, run.tau, bits3, rec,
                                          eigenstates[idx], RENORM_EVERY, RENORM_TOL)
 
     rec, densities, stderr, drift, propagator = _monte_carlo(
-        g, cfg.gamma, run, n_trajectories, sample_stride, kernel, None if pure else w)
+        g, run, n_trajectories, sample_stride, kernel, None if pure else w)
     return EnsembleRecord(
         record_steps=rec,
         times=rec * run.tau,
@@ -595,24 +582,20 @@ def monte_carlo_channel(
 
 def monte_carlo_classical(
     g: Graph,
-    cfg: WalkConfig | None,
     run: PercolationRun,
     p0: np.ndarray,
     n_trajectories: int,
     sample_stride: int = 1,
 ) -> ClassicalEnsembleRecord:
     """Average classical trajectories; same estimator shape as the quantum case."""
-    cfg = cfg or WalkConfig()
     p0 = check_distribution(p0)
     if p0.shape[0] != g.node_count:
         raise ValueError(f"distribution dimension {p0.shape[0]} != node_count {g.node_count}")
 
     def kernel(bits3, rec, picks):
-        return _kernels.ensemble_classical(g.edge_array, g.node_count, cfg.gamma, run.tau,
-                                           bits3, rec, p0)
+        return _kernels.ensemble_classical(g.edge_array, g.node_count, run.tau, bits3, rec, p0)
 
-    rec, dist, stderr, drift, propagator = _monte_carlo(
-        g, cfg.gamma, run, n_trajectories, sample_stride, kernel)
+    rec, dist, stderr, drift, propagator = _monte_carlo(g, run, n_trajectories, sample_stride, kernel)
     return ClassicalEnsembleRecord(
         record_steps=rec,
         times=rec * run.tau,

@@ -15,6 +15,9 @@ import numpy as np
 
 from .csvio import load_config, render_csv, write_csv
 from .experiments import (
+    DEFAULT_CONVERGENCE_STEPS,
+    DEFAULT_HORIZON_EPSILONS,
+    DEFAULT_HORIZON_STEPS,
     ORACLE_CHOICES,
     EnvelopeFitError,
     ExperimentSpec,
@@ -151,11 +154,17 @@ def _emit(out: str | None, meta: dict, columns) -> None:
         write_csv(Path(out), meta, columns)
 
 
-def _parse_list(text: str, flag: str, typ) -> list:
+def _parse_list(text: str | None, flag: str, typ, default) -> list:
+    """The comma-separated values of ``flag``, or ``default`` when it is not given; none is refused."""
+    if text is None:
+        return list(default)
     try:
-        return [typ(part) for part in text.split(",") if part.strip()]
+        values = [typ(part) for part in text.split(",") if part.strip()]
     except ValueError as exc:
         raise UsageError(f"bad {flag} value {text!r}: {exc}") from exc
+    if not values:
+        raise UsageError(f"{flag} {text!r} lists no values")
+    return values
 
 
 def _cmd_point(args) -> int:
@@ -176,9 +185,8 @@ def _cmd_convergence(args) -> int:
     _fill(args, graph="ring:10", lam=0.5)
     if args.tau is None and args.steps is None and args.total_time is None:
         args.total_time = 10.0
-    spec = _spec_from_args(args)
-    s_list = _parse_list(args.steps_list, "--steps-list", int) if args.steps_list else None
-    _, meta, columns = convergence_table(spec, s_list) if s_list else convergence_table(spec)
+    s_list = _parse_list(args.steps_list, "--steps-list", int, DEFAULT_CONVERGENCE_STEPS)
+    _, meta, columns = convergence_table(_spec_from_args(args), s_list)
     _emit(args.out, meta, columns)
     return 0
 
@@ -187,13 +195,9 @@ def _cmd_horizon(args) -> int:
     _fill(args, graph="ring:5", lam=0.5)
     if args.tau is None and args.steps is None and args.total_time is None:
         args.total_time = 10.0
-    spec = _spec_from_args(args)
-    kwargs = {}
-    if args.steps_list:
-        kwargs["s_list"] = _parse_list(args.steps_list, "--steps-list", int)
-    if args.epsilons:
-        kwargs["epsilon_list"] = _parse_list(args.epsilons, "--epsilons", float)
-    _, meta, columns = horizon_table(spec, **kwargs)
+    s_list = _parse_list(args.steps_list, "--steps-list", int, DEFAULT_HORIZON_STEPS)
+    epsilons = _parse_list(args.epsilons, "--epsilons", float, DEFAULT_HORIZON_EPSILONS)
+    _, meta, columns = horizon_table(_spec_from_args(args), epsilons, s_list)
     _emit(args.out, meta, columns)
     return 0
 

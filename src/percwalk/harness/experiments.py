@@ -20,7 +20,7 @@ from ..dynamics import (
     run_trajectory,
 )
 from ..graph import Graph, graph_from_spec
-from ..walk import WalkConfig, basis_density, basis_state
+from ..walk import basis_density, basis_state
 from .csvio import write_csv
 
 # relative error is undefined where the reference vanishes; points with a
@@ -48,14 +48,10 @@ class ExperimentSpec:
     seed: int = 0
     stride: int = 1
     output_path: str | None = None
-    gamma: float = 1.0
     trajectories: int = 100
 
     def graph(self) -> Graph:
         return graph_from_spec(self.graph_spec)
-
-    def config(self) -> WalkConfig:
-        return WalkConfig(gamma=self.gamma)
 
     def timing(self) -> tuple[float, int, float]:
         return resolve_timing(self.tau, self.steps, self.total_time)
@@ -102,7 +98,6 @@ def base_meta(spec: ExperimentSpec, experiment: str, **extra) -> dict:
         "experiment": experiment,
         "graph": spec.graph_spec,
         "lambda": spec.lam,
-        "gamma": spec.gamma,
     }
     try:
         tau, steps, total = spec.timing()
@@ -132,9 +127,7 @@ def _run_diagnostics(rec) -> dict:
 
 def quantum_trajectory_curve(spec: ExperimentSpec) -> tuple[np.ndarray, np.ndarray, dict]:
     g = spec.graph()
-    rec = run_trajectory(
-        g, spec.config(), spec.run(), basis_state(g.node_count, spec.start), spec.stride
-    )
+    rec = run_trajectory(g, spec.run(), basis_state(g.node_count, spec.start), spec.stride)
     return rec.times, rec.site_probabilities()[:, spec.start], _run_diagnostics(rec)
 
 
@@ -142,7 +135,7 @@ def classical_trajectory_curve(spec: ExperimentSpec) -> tuple[np.ndarray, np.nda
     g = spec.graph()
     p0 = np.zeros(g.node_count)
     p0[spec.start] = 1.0
-    rec = run_classical_trajectory(g, spec.config(), spec.run(), p0, spec.stride)
+    rec = run_classical_trajectory(g, spec.run(), p0, spec.stride)
     return rec.times, rec.distributions[:, spec.start], _run_diagnostics(rec)
 
 
@@ -159,7 +152,7 @@ def channel_curve(spec: ExperimentSpec) -> tuple[np.ndarray, np.ndarray, dict]:
     """
     g = spec.graph()
     run = spec.run()
-    phi = build_step_channel(g, spec.config(), run.lam, run.tau)
+    phi = build_step_channel(g, run.lam, run.tau)
     rhos = evolve_channel(phi, basis_density(g.node_count, spec.start), run.steps, spec.stride)
     rec = recorded_steps(run.steps, spec.stride)
     diagnostics = {
@@ -176,27 +169,20 @@ def channel_curve(spec: ExperimentSpec) -> tuple[np.ndarray, np.ndarray, dict]:
 def montecarlo_curve(spec: ExperimentSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
     g = spec.graph()
     rec = monte_carlo_channel(
-        g,
-        spec.config(),
-        spec.run(),
-        basis_density(g.node_count, spec.start),
-        spec.trajectories,
-        spec.stride,
+        g, spec.run(), basis_density(g.node_count, spec.start), spec.trajectories, spec.stride
     )
     return rec.times, rec.site_probabilities()[:, spec.start], rec.diag_stderr, _run_diagnostics(rec)
 
 
 def quantum_oracle_curve(spec: ExperimentSpec, times: np.ndarray) -> np.ndarray:
     g = spec.graph()
-    curve = oracles.rescaled_reference(g, spec.config(), spec.lam, spec.start, spec.start)
+    curve = oracles.rescaled_reference(g, spec.lam, spec.start, spec.start)
     return np.asarray(curve.evaluate(times))
 
 
 def classical_oracle_curve(spec: ExperimentSpec, times: np.ndarray) -> np.ndarray:
     g = spec.graph()
-    curve = oracles.rescaled_classical_reference(
-        g, spec.config(), spec.lam, spec.start, spec.start
-    )
+    curve = oracles.rescaled_classical_reference(g, spec.lam, spec.start, spec.start)
     return np.asarray(curve.evaluate(times))
 
 
@@ -265,7 +251,7 @@ def oracle_table(spec: ExperimentSpec, which: str, target: int | None = None) ->
     if which in _RETURN_FORMS:
         _check_return_form(which, g, spec.start, target)
     if which == "rescaled":
-        curve = oracles.rescaled_reference(g, spec.config(), spec.lam, spec.start, target)
+        curve = oracles.rescaled_reference(g, spec.lam, spec.start, target)
         p = np.asarray(curve.evaluate(times))
     elif which == "complete-q":
         p = np.asarray(oracles.complete_graph_quantum_return(g.node_count, spec.lam * times))

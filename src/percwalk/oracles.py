@@ -13,7 +13,7 @@ from typing import Callable
 import numpy as np
 
 from .graph import Graph
-from .walk import WalkConfig, classical_transition, transition_probability
+from .walk import classical_transition, transition_probability
 
 
 @dataclass(frozen=True)
@@ -24,28 +24,24 @@ class OracleCurve:
     evaluate: Callable[[float | np.ndarray], float | np.ndarray]
 
 
-def rescaled_reference(
-    g: Graph, cfg: WalkConfig | None, lam: float, a: int, b: int
-) -> OracleCurve:
+def rescaled_reference(g: Graph, lam: float, a: int, b: int) -> OracleCurve:
     """Unpercolated transition probability at rescaled time: t -> pi_{b,a}(lam * t)."""
     if not 0.0 <= lam <= 1.0:
         raise ValueError(f"lam must be in [0, 1], got {lam}")
 
     def _eval(t):
-        return transition_probability(g, cfg, a, b, lam * np.asarray(t, dtype=np.float64))
+        return transition_probability(g, a, b, lam * np.asarray(t, dtype=np.float64))
 
     return OracleCurve(label=f"rescaled({a}->{b}, lam={lam})", evaluate=_eval)
 
 
-def rescaled_classical_reference(
-    g: Graph, cfg: WalkConfig | None, lam: float, a: int, b: int
-) -> OracleCurve:
+def rescaled_classical_reference(g: Graph, lam: float, a: int, b: int) -> OracleCurve:
     """Classical analog of ``rescaled_reference``: t -> p_{b,a}(lam * t)."""
     if not 0.0 <= lam <= 1.0:
         raise ValueError(f"lam must be in [0, 1], got {lam}")
 
     def _eval(t):
-        return classical_transition(g, cfg, a, b, lam * np.asarray(t, dtype=np.float64))
+        return classical_transition(g, a, b, lam * np.asarray(t, dtype=np.float64))
 
     return OracleCurve(label=f"rescaled-classical({a}->{b}, lam={lam})", evaluate=_eval)
 

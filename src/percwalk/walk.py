@@ -1,14 +1,16 @@
 """Walk Hamiltonians and single-shot transition probabilities.
 
-The generator of both walks is the graph Laplacian scaled by the hopping
-rate gamma: gamma*degree on the diagonal, -gamma on adjacent pairs. For a
-percolated realization the degree is counted within the realization, so
-every realization Hamiltonian is itself a Laplacian (zero row sums) and the
-full Hamiltonian is the sum of one rank-limited term per kept edge.
+The generator of both walks is the graph Laplacian: the degree on the
+diagonal, -1 on adjacent pairs. For a percolated realization the degree is
+counted within the realization, so every realization Hamiltonian is itself
+a Laplacian (zero row sums) and the full Hamiltonian is the sum of one
+rank-limited term per kept edge.
+
+The hopping rate is 1. A walk with hopping rate gamma, H = gamma * L, is
+this walk at step tau' = gamma * tau and time t' = gamma * t: the keep bits
+of a step do not depend on its length, so gamma only rescales time.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,28 +21,16 @@ STATE_NORM_ATOL = 1e-10
 DENSITY_ATOL = 1e-10
 
 
-@dataclass(frozen=True)
-class WalkConfig:
-    """Hopping rate of the walk; gamma only rescales time, default 1."""
-
-    gamma: float = 1.0
-
-    def __post_init__(self):
-        if not self.gamma > 0:
-            raise ValueError(f"gamma must be positive, got {self.gamma}")
-
-
-def hamiltonian(g: Graph, mask: int, cfg: WalkConfig | None = None) -> np.ndarray:
+def hamiltonian(g: Graph, mask: int) -> np.ndarray:
     """Laplacian Hamiltonian of the edges present in the int ``mask`` (edge k is bit k)."""
-    cfg = cfg or WalkConfig()
     check_mask(g, mask)
     bits = mask_to_bits(mask, g.edge_count)
-    return _kernels.hamiltonian_from_bits(g.edge_array, bits, cfg.gamma, g.node_count)
+    return _kernels.hamiltonian_from_bits(g.edge_array, bits, g.node_count)
 
 
-def full_hamiltonian(g: Graph, cfg: WalkConfig | None = None) -> np.ndarray:
+def full_hamiltonian(g: Graph) -> np.ndarray:
     """Hamiltonian of the unpercolated graph (all edges present)."""
-    return hamiltonian(g, (1 << g.edge_count) - 1, cfg)
+    return hamiltonian(g, (1 << g.edge_count) - 1)
 
 
 def _check_node(g: Graph, a: int, name: str) -> None:
@@ -48,9 +38,7 @@ def _check_node(g: Graph, a: int, name: str) -> None:
         raise ValueError(f"{name}={a} out of range for {g.node_count} nodes")
 
 
-def transition_probability(
-    g: Graph, cfg: WalkConfig | None, a: int, b: int, t: float | np.ndarray
-) -> float | np.ndarray:
+def transition_probability(g: Graph, a: int, b: int, t: float | np.ndarray) -> float | np.ndarray:
     """|<b| exp(-i*H*t) |a>|^2 on the unpercolated graph; t may be an array.
 
     A time so long that t * w overflows gives a non-finite value, without a
@@ -58,7 +46,7 @@ def transition_probability(
     """
     _check_node(g, a, "a")
     _check_node(g, b, "b")
-    d = spectral.decompose(full_hamiltonian(g, cfg))
+    d = spectral.decompose(full_hamiltonian(g))
     weights = d.eigenvectors[b] * d.eigenvectors[a]
     t_arr = np.asarray(t, dtype=np.float64)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -67,16 +55,14 @@ def transition_probability(
     return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out
 
 
-def classical_transition(
-    g: Graph, cfg: WalkConfig | None, a: int, b: int, t: float | np.ndarray
-) -> float | np.ndarray:
+def classical_transition(g: Graph, a: int, b: int, t: float | np.ndarray) -> float | np.ndarray:
     """(exp(-H*t))[b, a] on the unpercolated graph; t may be an array, t >= 0."""
     _check_node(g, a, "a")
     _check_node(g, b, "b")
     t_arr = np.asarray(t, dtype=np.float64)
     if np.any(t_arr < 0) or not np.all(np.isfinite(t_arr)):
         raise ValueError("t must be finite and >= 0")
-    d = spectral.decompose(full_hamiltonian(g, cfg))
+    d = spectral.decompose(full_hamiltonian(g))
     weights = d.eigenvectors[b] * d.eigenvectors[a]
     with np.errstate(over="ignore", invalid="ignore"):
         out = np.exp(-np.multiply.outer(t_arr, d.eigenvalues)) @ weights

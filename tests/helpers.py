@@ -16,14 +16,14 @@ import scipy.linalg
 from percwalk import _kernels
 
 
-def reference_laplacian(node_count: int, edges, mask: int, gamma: float = 1.0) -> np.ndarray:
+def reference_laplacian(node_count: int, edges, mask: int) -> np.ndarray:
     """Laplacian of the masked edge subset, built via an adjacency table."""
     adj = np.zeros((node_count, node_count))
     for k, (u, v) in enumerate(edges):
         if (mask >> k) & 1:
             adj[u, v] = adj[v, u] = 1.0
     deg = adj.sum(axis=1)
-    return gamma * (np.diag(deg) - adj)
+    return np.diag(deg) - adj
 
 
 def enumerate_realizations(g, lam: float):
@@ -42,7 +42,7 @@ def expm_stochastic(h: np.ndarray, t: float) -> np.ndarray:
     return scipy.linalg.expm(-h * t)
 
 
-def expm_channel_gram(node_count: int, edges, lam: float, tau: float, gamma: float = 1.0) -> np.ndarray:
+def expm_channel_gram(node_count: int, edges, lam: float, tau: float) -> np.ndarray:
     """sum over all 2^E masks of p_mask outer(conj(u), u), u = expm(-i tau H_mask) row-flattened.
 
     Entry [(i, j), (k, l)] is sum_r p_r conj(U_r)[i, j] U_r[k, l].
@@ -52,20 +52,20 @@ def expm_channel_gram(node_count: int, edges, lam: float, tau: float, gamma: flo
     for mask in range(1 << n_edges):
         k = bin(mask).count("1")
         p = lam**k * (1 - lam) ** (n_edges - k)
-        u = expm_unitary(reference_laplacian(node_count, edges, mask, gamma), tau).ravel()
+        u = expm_unitary(reference_laplacian(node_count, edges, mask), tau).ravel()
         acc += p * np.outer(u.conj(), u)
     return acc
 
 
 def brute_force_channel_average(
-    node_count: int, edges, lam: float, tau: float, steps: int, rho0: np.ndarray, gamma: float = 1.0
+    node_count: int, edges, lam: float, tau: float, steps: int, rho0: np.ndarray
 ) -> np.ndarray:
     """Exhaustive average over all (2^E)^steps realization sequences."""
     n_edges = len(edges)
     us = []
     ps = []
     for mask in range(1 << n_edges):
-        h = reference_laplacian(node_count, edges, mask, gamma)
+        h = reference_laplacian(node_count, edges, mask)
         us.append(expm_unitary(h, tau))
         k = bin(mask).count("1")
         ps.append(lam**k * (1 - lam) ** (n_edges - k))
@@ -97,11 +97,11 @@ def count_lattice_edges(width: int, height: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def reference_trajectory(edges, n, gamma, z, bits, record_steps, x0, renorm_every, renorm_tol):
+def reference_trajectory(edges, n, z, bits, record_steps, x0, renorm_every, renorm_tol):
     """``_kernels._trajectory`` with views, partials and cache lookups made step by step."""
     k = _kernels
     steps = bits.shape[0]
-    plan = k.step_plan(edges, n, gamma, abs(z), steps, steps)
+    plan = k.step_plan(edges, n, abs(z), steps, steps)
     if plan is None:
         block = max(1, k.BLOCK_BYTES // (16 * n))
         keys = k._mask_keys(bits).tolist()
@@ -112,7 +112,7 @@ def reference_trajectory(edges, n, gamma, z, bits, record_steps, x0, renorm_ever
             for j, key in enumerate(keys[start:stop]):
                 u = cache.get(key)
                 if u is None:
-                    u = cache[key] = k._propagator_for_bits(edges, bits[start + j], gamma, n, z)
+                    u = cache[key] = k._propagator_for_bits(edges, bits[start + j], n, z)
                 x = np.dot(u, x, out=hist[j])
             return hist
     else:
@@ -122,7 +122,7 @@ def reference_trajectory(edges, n, gamma, z, bits, record_steps, x0, renorm_ever
         block = max(1, k.BLOCK_BYTES // (n * n * x0.itemsize))
 
         def advance(start, stop, x):
-            a = k.laplacians(edges, n, bits[start:stop], z * gamma / substeps)
+            a = k.laplacians(edges, n, bits[start:stop], z / substeps)
             hist = np.empty((stop - start, n), dtype=x.dtype)
             for j in range(stop - start):
                 for _ in range(substeps):
@@ -155,19 +155,18 @@ def reference_trajectory(edges, n, gamma, z, bits, record_steps, x0, renorm_ever
     return out, max_drift, k._plan_name(plan)
 
 
-def reference_taylor_ensemble(edges, n, gamma, z, bits3, record_steps, x0, record, renorm_every,
-                              renorm_tol):
+def reference_taylor_ensemble(edges, n, z, bits3, record_steps, x0, record, renorm_every, renorm_tol):
     """``_kernels._ensemble`` on the Taylor action, with fresh Taylor terms every step."""
     k = _kernels
     n_traj, steps, edge_count = bits3.shape
-    substeps, order = plan = k.step_plan(edges, n, gamma, abs(z), steps, k.CACHE_MAX_ENTRIES)
+    substeps, order = plan = k.step_plan(edges, n, abs(z), steps, k.CACHE_MAX_ENTRIES)
     coef = k._taylor_coef(order, x0.dtype)
     u_idx, v_idx = edges[:, 0], edges[:, 1]
     bt = np.zeros((n, edge_count))
     bt[u_idx, np.arange(edge_count)] = 1.0
     bt[v_idx, np.arange(edge_count)] = -1.0
     cols = max(1, k.BLOCK_BYTES // (x0.itemsize * max((order + 1) * n, edge_count)))
-    scale = z * gamma / substeps
+    scale = z / substeps
     max_drift = 0.0
     for c0 in range(0, n_traj, cols):
         bits = bits3[c0:c0 + cols]

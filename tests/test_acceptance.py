@@ -8,7 +8,6 @@ runtime.
 import numpy as np
 import pytest
 
-import percwalk as pw
 from percwalk.dynamics import (
     PercolationRun,
     build_step_channel,
@@ -41,8 +40,6 @@ from percwalk.walk import (
 
 from helpers import brute_force_channel_average, enumerate_realizations
 
-CFG = pw.WalkConfig()
-
 
 def report(cid: str, ok: bool, detail: str) -> None:
     print(f"[{'PASS' if ok else 'FAIL'}] criterion {cid}: {detail}")
@@ -54,11 +51,11 @@ def test_criterion_1_rescaling_channel_ring15():
     # of the rescaled unpercolated return probability over the full window
     g = make_ring(15)
     run = PercolationRun(lam=0.5, tau=0.004, steps=5000, seed=0)
-    phi = build_step_channel(g, CFG, run.lam, run.tau)
+    phi = build_step_channel(g, run.lam, run.tau)
     rhos = evolve_channel(phi, basis_density(15, 0), run.steps, 1)
     times = np.arange(run.steps + 1) * run.tau
     p_sim = np.real(rhos[:, 0, 0])
-    p_ref = transition_probability(g, CFG, 0, 0, run.lam * times)
+    p_ref = transition_probability(g, 0, 0, run.lam * times)
     dev = float(np.max(np.abs(p_sim - p_ref)))
     report("1 rescaling/channel", dev <= 0.05, f"max |P_sim - P_ref(lam t)| = {dev:.4f} <= 0.05")
 
@@ -67,7 +64,7 @@ def test_criterion_2_complete_graph_revivals():
     # single trajectory on complete(15), lam=0.3, tau=1e-4, S=1e5
     g = make_complete(15)
     run = PercolationRun(lam=0.3, tau=1e-4, steps=100_000, seed=1)
-    rec = run_trajectory(g, CFG, run, basis_state(15, 0), sample_stride=10)
+    rec = run_trajectory(g, run, basis_state(15, 0), sample_stride=10)
     p_sim = rec.site_probabilities()[:, 0]
     p_ref = complete_graph_quantum_return(15, run.lam * rec.times)
     dev = float(np.max(np.abs(p_sim - p_ref)))
@@ -85,7 +82,7 @@ def test_criterion_3_complete_graph_classical():
     run = PercolationRun(lam=0.3, tau=1e-4, steps=100_000, seed=1)
     p0 = np.zeros(15)
     p0[0] = 1.0
-    rec = run_classical_trajectory(g, CFG, run, p0, sample_stride=10)
+    rec = run_classical_trajectory(g, run, p0, sample_stride=10)
     p_sim = rec.distributions[:, 0]
     p_ref = complete_graph_classical_return(15, run.lam * rec.times)
     dev = float(np.max(np.abs(p_sim - p_ref)))
@@ -149,7 +146,7 @@ def test_criterion_7_brute_force_channel_oracle():
     rho0 = basis_density(2, 0)
     worst = 0.0
     for lam, tau, steps in [(0.5, 0.4, 3), (0.3, 0.25, 4), (0.8, 0.6, 2)]:
-        phi = build_step_channel(g, CFG, lam, tau)
+        phi = build_step_channel(g, lam, tau)
         got = evolve_channel(phi, rho0, steps)[-1]
         expect = brute_force_channel_average(2, g.edges, lam, tau, steps, rho0)
         worst = max(worst, float(np.max(np.abs(got - expect))))
@@ -160,17 +157,17 @@ def test_criterion_8_structural_invariants():
     checks = []
 
     # unitarity
-    d = decompose(full_hamiltonian(make_ring(9), CFG))
+    d = decompose(full_hamiltonian(make_ring(9)))
     u = unitary_exp(d, 1.3)
     checks.append(("unitarity", float(np.max(np.abs(u.conj().T @ u - np.eye(9)))), 1e-10))
 
     # state-norm preservation per step
     run = PercolationRun(lam=0.5, tau=0.05, steps=500, seed=5)
-    rec = run_trajectory(make_ring(9), CFG, run, basis_state(9, 0))
+    rec = run_trajectory(make_ring(9), run, basis_state(9, 0))
     checks.append(("norm preservation", float(rec.max_norm_drift), 1e-10))
 
     # channel trace / Hermiticity / positivity
-    phi = build_step_channel(make_ring(6), CFG, 0.4, 0.08)
+    phi = build_step_channel(make_ring(6), 0.4, 0.08)
     rhos = evolve_channel(phi, basis_density(6, 0), 300, 15)
     tr_dev = float(np.max(np.abs(np.trace(rhos, axis1=1, axis2=2).real - 1)))
     herm = float(max(np.max(np.abs(r - r.conj().T)) for r in rhos))
@@ -180,23 +177,23 @@ def test_criterion_8_structural_invariants():
     checks.append(("channel positivity", max(0.0, -min_eig), 1e-8))
 
     # stochastic column sums
-    m = stochastic_exp(decompose(full_hamiltonian(make_ring(8), CFG)), 1.1)
+    m = stochastic_exp(decompose(full_hamiltonian(make_ring(8))), 1.1)
     checks.append(("stochastic column sums", float(np.max(np.abs(m.sum(axis=0) - 1))), 1e-10))
 
     # oracle vs spectral agreement at lam=1
     rng = np.random.default_rng(0)
     ts = rng.uniform(0, 10, 60)
     dev_q15 = np.max(np.abs(
-        complete_graph_quantum_return(15, ts) - transition_probability(make_complete(15), CFG, 0, 0, ts)
+        complete_graph_quantum_return(15, ts) - transition_probability(make_complete(15), 0, 0, ts)
     ))
     dev_c15 = np.max(np.abs(
-        complete_graph_classical_return(15, ts) - classical_transition(make_complete(15), CFG, 0, 0, ts)
+        complete_graph_classical_return(15, ts) - classical_transition(make_complete(15), 0, 0, ts)
     ))
     dev_r4q = np.max(np.abs(
-        ring4_quantum_return(1.0, ts) - transition_probability(make_ring(4), CFG, 0, 0, ts)
+        ring4_quantum_return(1.0, ts) - transition_probability(make_ring(4), 0, 0, ts)
     ))
     dev_r4c = np.max(np.abs(
-        ring4_classical_return(1.0, ts) - classical_transition(make_ring(4), CFG, 0, 0, ts)
+        ring4_classical_return(1.0, ts) - classical_transition(make_ring(4), 0, 0, ts)
     ))
     checks.append(("oracle agreement", float(max(dev_q15, dev_c15, dev_r4q, dev_r4c)), 1e-10))
 
@@ -219,30 +216,30 @@ def test_criterion_9_limit_identities():
 
     # lam = 0: frozen state on every backend
     run0 = PercolationRun(lam=0.0, tau=0.02, steps=300, seed=2)
-    devs["trajectory lam=0"] = np.max(np.abs(run_trajectory(g, CFG, run0, psi0).states[-1] - psi0))
+    devs["trajectory lam=0"] = np.max(np.abs(run_trajectory(g, run0, psi0).states[-1] - psi0))
     devs["classical lam=0"] = np.max(np.abs(
-        run_classical_trajectory(g, CFG, run0, p0).distributions[-1] - p0
+        run_classical_trajectory(g, run0, p0).distributions[-1] - p0
     ))
-    phi0 = build_step_channel(g, CFG, 0.0, run0.tau)
+    phi0 = build_step_channel(g, 0.0, run0.tau)
     devs["channel lam=0"] = np.max(np.abs(evolve_channel(phi0, rho0, run0.steps)[-1] - rho0))
     devs["montecarlo lam=0"] = np.max(np.abs(
-        monte_carlo_channel(g, CFG, run0, rho0, 5).densities[-1] - rho0
+        monte_carlo_channel(g, run0, rho0, 5).densities[-1] - rho0
     ))
 
     # lam = 1: unpercolated evolution on every backend
     run1 = PercolationRun(lam=1.0, tau=0.02, steps=300, seed=2)
-    d = decompose(full_hamiltonian(g, CFG))
+    d = decompose(full_hamiltonian(g))
     psi_t = unitary_exp(d, run1.total_time) @ psi0
     rho_t = np.outer(psi_t, psi_t.conj())
     p_t = stochastic_exp(d, run1.total_time) @ p0
-    devs["trajectory lam=1"] = np.max(np.abs(run_trajectory(g, CFG, run1, psi0).states[-1] - psi_t))
+    devs["trajectory lam=1"] = np.max(np.abs(run_trajectory(g, run1, psi0).states[-1] - psi_t))
     devs["classical lam=1"] = np.max(np.abs(
-        run_classical_trajectory(g, CFG, run1, p0).distributions[-1] - p_t
+        run_classical_trajectory(g, run1, p0).distributions[-1] - p_t
     ))
-    phi1 = build_step_channel(g, CFG, 1.0, run1.tau)
+    phi1 = build_step_channel(g, 1.0, run1.tau)
     devs["channel lam=1"] = np.max(np.abs(evolve_channel(phi1, rho0, run1.steps)[-1] - rho_t))
     devs["montecarlo lam=1"] = np.max(np.abs(
-        monte_carlo_channel(g, CFG, run1, rho0, 5).densities[-1] - rho_t
+        monte_carlo_channel(g, run1, rho0, 5).densities[-1] - rho_t
     ))
 
     worst = float(max(devs.values()))

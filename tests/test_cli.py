@@ -128,7 +128,7 @@ class TestOracleCommand:
         assert run_cli(["oracle", "--which", which, "--graph", graph, "--lambda", "0.3",
                         "--tau", "0.5", "--steps", "20", "--start", "1", "--out", str(out)]) == 0
         _, data = read_csv(out)
-        curve = reference(graph_from_spec(graph), None, 0.3, 1, 1)
+        curve = reference(graph_from_spec(graph), 0.3, 1, 1)
         assert np.max(np.abs(data["p_oracle"] - curve.evaluate(data["t"]))) <= 1e-12
 
     @pytest.mark.parametrize("which,graph,extra", [
@@ -345,6 +345,18 @@ class TestErrorPaths:
         assert not out.exists()
 
     @pytest.mark.parametrize("argv", [
+        ["horizon", "--steps-list", ","],
+        ["horizon", "--epsilons", " , "],
+        ["convergence", "--steps-list", ","],
+        ["convergence", "--steps-list", ""],
+    ])
+    def test_empty_list_exit_1(self, tmp_path, capsys, argv):
+        out = tmp_path / "scan.csv"
+        assert run_cli(argv + ["--out", str(out)]) == 1
+        assert "lists no values" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
         ["trajectory", "--graph", "ring:4", "--tau", "1e308", "--steps", "3"],
         ["channel", "--graph", "ring:4", "--tau", "inf", "--steps", "3"],
         ["trajectory", "--graph", "complete:7", "--tau", "1e308", "--steps", "3"],
@@ -373,7 +385,7 @@ class TestErrorPaths:
         (["montecarlo", "--graph", "complete:7", "--tau", "1e300", "--steps", "1",
           "--trajectories", "2"], "substeps"),
         (["channel", "--graph", "ring:4", "--tau", "1e307", "--steps", "1"], "squarings"),
-        # 2 gamma tau maxdeg overflows to inf: an infinite plan, not a numerical failure
+        # 2 tau maxdeg overflows to inf: an infinite plan, not a numerical failure
         (["trajectory", "--graph", "complete:7", "--tau", "1e308", "--steps", "1"], "substeps"),
         (["classical", "--graph", "complete:7", "--tau", "1e308", "--steps", "1"], "substeps"),
         (["montecarlo", "--graph", "complete:7", "--tau", "1e308", "--steps", "1",

@@ -29,8 +29,6 @@ from percwalk.walk import basis_density, basis_state, full_hamiltonian, transiti
 
 from helpers import brute_force_channel_average, enumerate_realizations, expm_unitary, reference_laplacian
 
-CFG = pw.WalkConfig()
-
 
 def _delta(n, a=0):
     p = np.zeros(n)
@@ -72,14 +70,14 @@ class TestRunTrajectory:
     def test_lambda_one_equals_unitary_evolution(self):
         g = make_ring(6)
         run = PercolationRun(lam=1.0, tau=0.01, steps=500, seed=9)
-        rec = run_trajectory(g, CFG, run, basis_state(6, 0))
-        expect = unitary_exp(decompose(full_hamiltonian(g, CFG)), run.total_time) @ basis_state(6, 0)
+        rec = run_trajectory(g, run, basis_state(6, 0))
+        expect = unitary_exp(decompose(full_hamiltonian(g)), run.total_time) @ basis_state(6, 0)
         assert np.max(np.abs(rec.states[-1] - expect)) <= 1e-8
 
     def test_lambda_zero_frozen(self):
         g = make_ring(6)
         run = PercolationRun(lam=0.0, tau=0.01, steps=200, seed=9)
-        rec = run_trajectory(g, CFG, run, basis_state(6, 2))
+        rec = run_trajectory(g, run, basis_state(6, 2))
         assert np.array_equal(rec.states[-1], basis_state(6, 2))
 
     def test_single_step_present_edge_cos_squared(self):
@@ -91,20 +89,20 @@ class TestRunTrajectory:
             if sample_keep_bits(g, 0.5, rng_from_seed(s, stream=0), 1)[0, 0] == 1
         )
         run = PercolationRun(lam=0.5, tau=tau, steps=1, seed=seed)
-        rec = run_trajectory(g, CFG, run, basis_state(2, 0))
+        rec = run_trajectory(g, run, basis_state(2, 0))
         assert rec.site_probabilities()[-1, 0] == pytest.approx(np.cos(tau) ** 2, abs=1e-12)
 
     def test_deterministic_given_seed(self):
         g = make_lattice2d(3, 3)
         run = PercolationRun(lam=0.5, tau=0.02, steps=100, seed=21)
-        a = run_trajectory(g, CFG, run, basis_state(9, 4))
-        b = run_trajectory(g, CFG, run, basis_state(9, 4))
+        a = run_trajectory(g, run, basis_state(9, 4))
+        b = run_trajectory(g, run, basis_state(9, 4))
         assert np.array_equal(a.states, b.states)
 
     def test_norm_preserved_per_step(self):
         g = make_ring(8)
         run = PercolationRun(lam=0.6, tau=0.05, steps=400, seed=4)
-        rec = run_trajectory(g, CFG, run, basis_state(8, 0))
+        rec = run_trajectory(g, run, basis_state(8, 0))
         assert rec.max_norm_drift <= 1e-10
         norms = np.linalg.norm(rec.states, axis=1)
         assert np.max(np.abs(norms - 1.0)) <= 1e-10
@@ -113,7 +111,7 @@ class TestRunTrajectory:
         # the masks of every step are reproduced from the seed, and replaying them gives the states
         g = make_ring(4)
         run = PercolationRun(lam=0.5, tau=0.1, steps=10, seed=2)
-        rec = run_trajectory(g, CFG, run, basis_state(4, 0), sample_stride=4)
+        rec = run_trajectory(g, run, basis_state(4, 0), sample_stride=4)
         assert list(rec.record_steps) == [0, 4, 8, 10]
         bits = sample_keep_bits(g, run.lam, rng_from_seed(run.seed, 0), run.steps)
         psi, states = basis_state(4, 0), [basis_state(4, 0)]
@@ -127,20 +125,20 @@ class TestRunTrajectory:
     def test_times_match_steps(self):
         g = make_ring(4)
         run = PercolationRun(lam=0.5, tau=0.25, steps=8, seed=2)
-        rec = run_trajectory(g, CFG, run, basis_state(4, 0), sample_stride=3)
+        rec = run_trajectory(g, run, basis_state(4, 0), sample_stride=3)
         assert np.allclose(rec.times, rec.record_steps * 0.25)
 
     def test_unnormalized_state_rejected(self):
         g = make_ring(4)
         run = PercolationRun(lam=0.5, tau=0.1, steps=5, seed=0)
         with pytest.raises(ValueError):
-            run_trajectory(g, CFG, run, np.array([1.0, 1.0, 0.0, 0.0]))
+            run_trajectory(g, run, np.array([1.0, 1.0, 0.0, 0.0]))
 
     def test_trajectory_index_changes_stream(self):
         g = make_ring(5)
         run = PercolationRun(lam=0.5, tau=0.05, steps=60, seed=11)
-        a = run_trajectory(g, CFG, run, basis_state(5, 0), trajectory_index=0)
-        b = run_trajectory(g, CFG, run, basis_state(5, 0), trajectory_index=1)
+        a = run_trajectory(g, run, basis_state(5, 0), trajectory_index=0)
+        b = run_trajectory(g, run, basis_state(5, 0), trajectory_index=1)
         assert not np.array_equal(a.states, b.states)
 
 
@@ -148,20 +146,20 @@ class TestClassicalTrajectory:
     def test_lambda_zero_frozen(self):
         g = make_ring(5)
         run = PercolationRun(lam=0.0, tau=0.1, steps=50, seed=3)
-        rec = run_classical_trajectory(g, CFG, run, _delta(5, 1))
+        rec = run_classical_trajectory(g, run, _delta(5, 1))
         assert np.allclose(rec.distributions[-1], _delta(5, 1), atol=1e-14)
 
     def test_lambda_one_equals_heat_kernel(self):
         g = make_ring(5)
         run = PercolationRun(lam=1.0, tau=0.02, steps=250, seed=3)
-        rec = run_classical_trajectory(g, CFG, run, _delta(5))
-        expect = stochastic_exp(decompose(full_hamiltonian(g, CFG)), run.total_time) @ _delta(5)
+        rec = run_classical_trajectory(g, run, _delta(5))
+        expect = stochastic_exp(decompose(full_hamiltonian(g)), run.total_time) @ _delta(5)
         assert np.max(np.abs(rec.distributions[-1] - expect)) <= 1e-8
 
     def test_stays_a_distribution(self):
         g = make_ring(6)
         run = PercolationRun(lam=0.4, tau=0.05, steps=300, seed=5)
-        rec = run_classical_trajectory(g, CFG, run, _delta(6))
+        rec = run_classical_trajectory(g, run, _delta(6))
         sums = rec.distributions.sum(axis=1)
         assert np.max(np.abs(sums - 1.0)) <= 1e-10
         assert rec.distributions.min() >= -1e-12
@@ -170,16 +168,16 @@ class TestClassicalTrajectory:
         g = make_ring(4)
         run = PercolationRun(lam=0.5, tau=0.1, steps=5, seed=0)
         with pytest.raises(ValueError):
-            run_classical_trajectory(g, CFG, run, np.array([0.7, 0.7, 0.0, -0.4]))
+            run_classical_trajectory(g, run, np.array([0.7, 0.7, 0.0, -0.4]))
 
 
 class TestBuildStepChannel:
     def test_single_edge_mixture(self):
         g = make_ring(2)
         tau, lam = 0.3, 0.3
-        phi = build_step_channel(g, CFG, lam, tau)
+        phi = build_step_channel(g, lam, tau)
         rho0 = basis_density(2, 0)
-        u = expm_unitary(full_hamiltonian(g, CFG), tau)
+        u = expm_unitary(full_hamiltonian(g), tau)
         expect = 0.7 * rho0 + 0.3 * u @ rho0 @ u.conj().T
         assert np.max(np.abs(apply_channel(phi, rho0) - expect)) <= 1e-14
         assert apply_channel(phi, rho0)[0, 0].real == pytest.approx(
@@ -189,19 +187,19 @@ class TestBuildStepChannel:
     def test_lambda_one_pure_conjugation(self):
         g = make_ring(4)
         tau = 0.2
-        phi = build_step_channel(g, CFG, 1.0, tau)
-        u = unitary_exp(decompose(full_hamiltonian(g, CFG)), tau)
+        phi = build_step_channel(g, 1.0, tau)
+        u = unitary_exp(decompose(full_hamiltonian(g)), tau)
         expect = np.kron(u.conj(), u)
         assert np.max(np.abs(phi.matrix - expect)) <= 1e-12
 
     def test_lambda_zero_identity_channel(self):
         g = make_ring(4)
-        phi = build_step_channel(g, CFG, 0.0, 0.7)
+        phi = build_step_channel(g, 0.0, 0.7)
         assert np.max(np.abs(phi.matrix - np.eye(16))) <= 1e-14
 
     def test_trace_preserving_on_random_density(self):
         g = make_ring(5)
-        phi = build_step_channel(g, CFG, 0.45, 0.3)
+        phi = build_step_channel(g, 0.45, 0.3)
         rng = np.random.default_rng(0)
         a = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
         rho = a @ a.conj().T
@@ -213,7 +211,7 @@ class TestBuildStepChannel:
     def test_capacity_error(self):
         g = make_complete(15)  # 105 edges
         with pytest.raises(CapacityError, match="[Mm]onte [Cc]arlo"):
-            build_step_channel(g, CFG, 0.5, 0.004)
+            build_step_channel(g, 0.5, 0.004)
 
     def test_dimension_validation(self):
         with pytest.raises(ValueError):
@@ -223,7 +221,7 @@ class TestBuildStepChannel:
 class TestEvolveChannel:
     def test_steps_zero(self):
         g = make_ring(3)
-        phi = build_step_channel(g, CFG, 0.5, 0.1)
+        phi = build_step_channel(g, 0.5, 0.1)
         rho0 = basis_density(3, 0)
         out = evolve_channel(phi, rho0, 0)
         assert out.shape == (1, 3, 3)
@@ -232,9 +230,9 @@ class TestEvolveChannel:
     def test_lambda_one_matches_unitary_diag(self):
         g = make_ring(15)
         run = PercolationRun(lam=1.0, tau=0.004, steps=5000, seed=0)
-        phi = build_step_channel(g, CFG, run.lam, run.tau)
+        phi = build_step_channel(g, run.lam, run.tau)
         rhos = evolve_channel(phi, basis_density(15, 0), run.steps, 100)
-        psi_t = unitary_exp(decompose(full_hamiltonian(g, CFG)), run.total_time) @ basis_state(15, 0)
+        psi_t = unitary_exp(decompose(full_hamiltonian(g)), run.total_time) @ basis_state(15, 0)
         diag = np.real(np.diagonal(rhos[-1]))
         assert np.max(np.abs(diag - np.abs(psi_t) ** 2)) <= 1e-8
 
@@ -242,7 +240,7 @@ class TestEvolveChannel:
     def test_brute_force_mask_sequences(self, lam, steps):
         g = make_ring(2)
         tau = 0.4
-        phi = build_step_channel(g, CFG, lam, tau)
+        phi = build_step_channel(g, lam, tau)
         rho0 = basis_density(2, 0)
         got = evolve_channel(phi, rho0, steps)[-1]
         expect = brute_force_channel_average(2, g.edges, lam, tau, steps, rho0)
@@ -250,7 +248,7 @@ class TestEvolveChannel:
 
     def test_channel_invariants_along_evolution(self):
         g = make_ring(5)
-        phi = build_step_channel(g, CFG, 0.6, 0.05)
+        phi = build_step_channel(g, 0.6, 0.05)
         rhos = evolve_channel(phi, basis_density(5, 0), 200, 10)
         for rho in rhos:
             assert abs(np.trace(rho).real - 1.0) <= 1e-10
@@ -265,11 +263,11 @@ class TestEvolveChannel:
         devs = {}
         for steps in (250, 1000, 4000):
             tau = total / steps
-            phi = build_step_channel(g, CFG, 0.5, tau)
+            phi = build_step_channel(g, 0.5, tau)
             rhos = evolve_channel(phi, basis_density(5, 0), steps, 1)
             times = np.arange(steps + 1) * tau
             p_sim = np.real(rhos[:, 0, 0])
-            p_ref = transition_probability(g, CFG, 0, 0, 0.5 * times)
+            p_ref = transition_probability(g, 0, 0, 0.5 * times)
             devs[steps] = np.max(np.abs(p_sim - p_ref))
         assert devs[250] > devs[1000] > devs[4000]
 
@@ -283,7 +281,7 @@ class TestEvolveChannel:
     def test_strided_equals_step_by_step(self, monkeypatch, n, steps, stride, powers):
         power, used = dynamics._power_minus_identity, []
         monkeypatch.setattr(dynamics, "_power_minus_identity", lambda m, k: used.append(k) or power(m, k))
-        phi = build_step_channel(make_ring(n), CFG, 0.6, 0.7)
+        phi = build_step_channel(make_ring(n), 0.6, 0.7)
         rng = np.random.default_rng(n)
         a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
         rho = a @ a.conj().T / np.trace(a @ a.conj().T).real
@@ -301,14 +299,14 @@ class TestEvolveChannel:
     @pytest.mark.parametrize("k", [1, 2, 7, 10, 50])
     def test_power_minus_identity(self, k):
         # takes D = Phi - I, here a stack of two blocks as the sectors pass it
-        phis = [build_step_channel(make_ring(4), CFG, lam, 0.2).matrix for lam in (0.3, 0.7)]
+        phis = [build_step_channel(make_ring(4), lam, 0.2).matrix for lam in (0.3, 0.7)]
         got = dynamics._power_minus_identity(np.array(phis) - np.eye(16), k)
         for power, phi in zip(got, phis):
             want = np.linalg.matrix_power(phi, k) - np.eye(16)
             assert np.max(np.abs(power - want)) <= 1e-13
 
     def test_dimension_mismatch(self):
-        phi = build_step_channel(make_ring(3), CFG, 0.5, 0.1)
+        phi = build_step_channel(make_ring(3), 0.5, 0.1)
         with pytest.raises(ValueError):
             evolve_channel(phi, basis_density(4, 0), 3)
 
@@ -361,7 +359,7 @@ class TestSectorEvolution:
         with pytest.MonkeyPatch.context() as mp:
             if batch is not None:
                 mp.setattr(_kernels, "CHANNEL_BATCH", batch)
-            phi = build_step_channel(g, CFG, 0.4, 0.3 / max(g.degrees()))
+            phi = build_step_channel(g, 0.4, 0.3 / max(g.degrees()))
         assert phi.blocks == blocks
         power, used = dynamics._power_minus_identity, []
         monkeypatch.setattr(dynamics, "_power_minus_identity",
@@ -380,7 +378,7 @@ class TestSectorEvolution:
     def test_matches_long_double_reference(self, lam):
         # the same Phi applied step by step in extended precision; the dense float64
         # evolution was 3.1-4.4e-16 from it
-        phi = build_step_channel(make_ring(15), CFG, lam, 0.004)
+        phi = build_step_channel(make_ring(15), lam, 0.004)
         got = evolve_channel(phi, basis_density(15, 0), 5000, 10)
         m = phi.matrix.astype(np.clongdouble)
         v = vec_density(basis_density(15, 0)).astype(np.clongdouble)
@@ -393,14 +391,14 @@ class TestSectorEvolution:
 
     @pytest.mark.parametrize("n,stride", [(4, 1), (4, 10), (6, 1), (6, 10)])
     def test_trivial_group_is_the_dense_evolution_bit_for_bit(self, n, stride):
-        phi = build_step_channel(make_ring(n), CFG, 0.3, 0.2)
+        phi = build_step_channel(make_ring(n), 0.3, 0.2)
         assert phi.blocks == (1, n * n) and phi.symmetries == 1
         rho = _random_density(n, stride)
         got = evolve_channel(phi, rho, 1000, stride)
         assert np.array_equal(got, _dense_evolution(phi, rho, 1000, stride))
 
     def test_rotation_is_the_element_of_largest_order(self):
-        phi = build_step_channel(make_ring(15), CFG, 0.4, 0.004)
+        phi = build_step_channel(make_ring(15), 0.4, 0.004)
         assert phi.symmetries == 30
         powers = [np.arange(15)]
         for _ in range(15):
@@ -409,7 +407,7 @@ class TestSectorEvolution:
         assert not any(np.array_equal(p, np.arange(15)) for p in powers[1:15])
 
     def test_rotation_that_is_not_a_symmetry_is_refused(self):
-        phi = build_step_channel(make_lattice2d(2, 3), CFG, 0.4, 0.2)
+        phi = build_step_channel(make_lattice2d(2, 3), 0.4, 0.2)
         # swapping two corners of the 2x3 lattice is no automorphism
         with pytest.raises(ValueError, match="commute"):
             ChannelMatrix(matrix=phi.matrix, dim=6, rotation=np.array([5, 1, 2, 3, 4, 0]))
@@ -431,7 +429,7 @@ class TestSectorEvolution:
         # a non-commuting part of 1e-13, inside the 1e-12 check, is averaged over the m shifts
         # of the rotation, not read from one row of each cycle
         n = g.node_count
-        phi = build_step_channel(g, CFG, 0.4, 0.1)
+        phi = build_step_channel(g, 0.4, 0.1)
         rng = np.random.default_rng(1)
         shape = phi.matrix.shape
         bent = phi.matrix + 1e-13 * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
@@ -457,15 +455,15 @@ class TestMonteCarlo:
     def test_lambda_one_zero_variance(self):
         g = make_ring(4)
         run = PercolationRun(lam=1.0, tau=0.05, steps=40, seed=8)
-        rec = monte_carlo_channel(g, CFG, run, basis_density(4, 0), 10)
+        rec = monte_carlo_channel(g, run, basis_density(4, 0), 10)
         assert np.max(rec.diag_stderr) <= 1e-12
-        psi_t = unitary_exp(decompose(full_hamiltonian(g, CFG)), run.total_time) @ basis_state(4, 0)
+        psi_t = unitary_exp(decompose(full_hamiltonian(g)), run.total_time) @ basis_state(4, 0)
         assert np.max(np.abs(rec.densities[-1] - np.outer(psi_t, psi_t.conj()))) <= 1e-8
 
     def test_lambda_zero_frozen(self):
         g = make_ring(4)
         run = PercolationRun(lam=0.0, tau=0.05, steps=40, seed=8)
-        rec = monte_carlo_channel(g, CFG, run, basis_density(4, 1), 10)
+        rec = monte_carlo_channel(g, run, basis_density(4, 1), 10)
         assert np.max(rec.diag_stderr) <= 1e-12
         assert np.max(np.abs(rec.densities[-1] - basis_density(4, 1))) <= 1e-12
 
@@ -473,8 +471,8 @@ class TestMonteCarlo:
         # spec example: lam=0.5, S=3, 1e5 trajectories, within 4 standard errors
         g = make_ring(2)
         run = PercolationRun(lam=0.5, tau=0.4, steps=3, seed=17)
-        rec = monte_carlo_channel(g, CFG, run, basis_density(2, 0), 100_000)
-        phi = build_step_channel(g, CFG, run.lam, run.tau)
+        rec = monte_carlo_channel(g, run, basis_density(2, 0), 100_000)
+        phi = build_step_channel(g, run.lam, run.tau)
         exact = evolve_channel(phi, basis_density(2, 0), run.steps)
         for i in range(rec.densities.shape[0]):
             dev = np.max(np.abs(rec.densities[i] - exact[i]))
@@ -483,10 +481,10 @@ class TestMonteCarlo:
     def test_first_trajectory_matches_run_trajectory(self):
         g = make_ring(4)
         run = PercolationRun(lam=0.5, tau=0.1, steps=20, seed=33)
-        single = run_trajectory(g, CFG, run, basis_state(4, 0), trajectory_index=0)
-        two = monte_carlo_channel(g, CFG, run, basis_density(4, 0), 2)
+        single = run_trajectory(g, run, basis_state(4, 0), trajectory_index=0)
+        two = monte_carlo_channel(g, run, basis_density(4, 0), 2)
         one = np.outer(single.states[-1], single.states[-1].conj())
-        other = run_trajectory(g, CFG, run, basis_state(4, 0), trajectory_index=1)
+        other = run_trajectory(g, run, basis_state(4, 0), trajectory_index=1)
         other_rho = np.outer(other.states[-1], other.states[-1].conj())
         assert np.max(np.abs(two.densities[-1] - (one + other_rho) / 2)) <= 1e-12
 
@@ -495,14 +493,14 @@ class TestMonteCarlo:
         # from the kept-edge list while run_trajectory builds dense Laplacians
         g = make_complete(7)
         run = PercolationRun(lam=0.5, tau=0.2, steps=15, seed=21)
-        ens = monte_carlo_channel(g, CFG, run, basis_density(7, 2), 3)
+        ens = monte_carlo_channel(g, run, basis_density(7, 2), 3)
         assert ens.propagator.startswith("taylor(") and ens.max_norm_drift <= 1e-12
-        singles = [run_trajectory(g, CFG, run, basis_state(7, 2), trajectory_index=k) for k in range(3)]
+        singles = [run_trajectory(g, run, basis_state(7, 2), trajectory_index=k) for k in range(3)]
         mean = sum(np.einsum("ri,rj->rij", r.states, r.states.conj()) for r in singles) / 3
         assert np.max(np.abs(ens.densities - mean)) <= 1e-12
-        cens = monte_carlo_classical(g, CFG, run, _delta(7, 2), 3)
+        cens = monte_carlo_classical(g, run, _delta(7, 2), 3)
         assert cens.propagator == ens.propagator and cens.max_norm_drift <= 1e-12
-        cmean = sum(run_classical_trajectory(g, CFG, run, _delta(7, 2), trajectory_index=k).distributions
+        cmean = sum(run_classical_trajectory(g, run, _delta(7, 2), trajectory_index=k).distributions
                     for k in range(3)) / 3
         assert np.max(np.abs(cens.distributions - cmean)) <= 1e-12
 
@@ -517,14 +515,14 @@ class TestMonteCarlo:
         if split:  # chunks of 2, 2 and 1 trajectories; one column per Taylor block
             monkeypatch.setattr(dynamics, "ENSEMBLE_CHUNK_BYTES", 2 * run.steps * graph.edge_count)
             monkeypatch.setattr(_kernels, "BLOCK_BYTES", 1)
-        ens = monte_carlo_channel(graph, CFG, run, basis_density(n, 2), t, stride)
-        cens = monte_carlo_classical(graph, CFG, run, _delta(n, 2), t, stride)
+        ens = monte_carlo_channel(graph, run, basis_density(n, 2), t, stride)
+        cens = monte_carlo_classical(graph, run, _delta(n, 2), t, stride)
         assert ens.propagator == cens.propagator == propagator
         probs = np.array([
-            run_trajectory(graph, CFG, run, basis_state(n, 2), stride, trajectory_index=k)
+            run_trajectory(graph, run, basis_state(n, 2), stride, trajectory_index=k)
             .site_probabilities() for k in range(t)])
         dists = np.array([
-            run_classical_trajectory(graph, CFG, run, _delta(n, 2), stride, trajectory_index=k)
+            run_classical_trajectory(graph, run, _delta(n, 2), stride, trajectory_index=k)
             .distributions for k in range(t)])
         for rec_stderr, samples in ((ens.diag_stderr, probs), (cens.stderr, dists)):
             want = np.sqrt(samples.var(axis=0, ddof=1) / t).max(axis=1)
@@ -536,22 +534,22 @@ class TestMonteCarlo:
         g = make_ring(3)
         rho0 = np.diag([0.5, 0.3, 0.2]).astype(complex)
         run = PercolationRun(lam=0.0, tau=0.1, steps=2, seed=5)
-        rec = monte_carlo_channel(g, CFG, run, rho0, 4000)
+        rec = monte_carlo_channel(g, run, rho0, 4000)
         assert np.max(np.abs(rec.densities[-1] - rho0)) <= 0.05
 
     def test_needs_two_trajectories(self):
         g = make_ring(3)
         run = PercolationRun(lam=0.5, tau=0.1, steps=2, seed=5)
         with pytest.raises(ValueError):
-            monte_carlo_channel(g, CFG, run, basis_density(3, 0), 1)
+            monte_carlo_channel(g, run, basis_density(3, 0), 1)
 
     def test_classical_ensemble_matches_average_kernel(self):
         # classical averaging is linear: exact ensemble = (sum_r p_r e^{-H_r tau})^S
         g = make_ring(2)
         run = PercolationRun(lam=0.4, tau=0.3, steps=5, seed=12)
-        rec = monte_carlo_classical(g, CFG, run, _delta(2), 40_000)
+        rec = monte_carlo_classical(g, run, _delta(2), 40_000)
         m_avg = sum(
-            p * stochastic_exp(decompose(pw.hamiltonian(g, mask, CFG)), run.tau)
+            p * stochastic_exp(decompose(pw.hamiltonian(g, mask)), run.tau)
             for mask, p in enumerate_realizations(g, run.lam)
         )
         expect = np.linalg.matrix_power(m_avg, run.steps) @ _delta(2)
@@ -561,10 +559,10 @@ class TestMonteCarlo:
     def test_classical_limits(self):
         g = make_ring(4)
         run0 = PercolationRun(lam=0.0, tau=0.1, steps=20, seed=3)
-        rec0 = monte_carlo_classical(g, CFG, run0, _delta(4), 5)
+        rec0 = monte_carlo_classical(g, run0, _delta(4), 5)
         assert np.max(np.abs(rec0.distributions[-1] - _delta(4))) <= 1e-12
         run1 = PercolationRun(lam=1.0, tau=0.1, steps=20, seed=3)
-        rec1 = monte_carlo_classical(g, CFG, run1, _delta(4), 5)
-        expect = stochastic_exp(decompose(full_hamiltonian(g, CFG)), run1.total_time) @ _delta(4)
+        rec1 = monte_carlo_classical(g, run1, _delta(4), 5)
+        expect = stochastic_exp(decompose(full_hamiltonian(g)), run1.total_time) @ _delta(4)
         assert np.max(np.abs(rec1.distributions[-1] - expect)) <= 1e-8
         assert np.max(rec1.stderr) <= 1e-12

@@ -19,7 +19,7 @@ class TestCompleteGraphQuantumReturn:
         g = make_complete(15)
         rng = np.random.default_rng(0)
         ts = rng.uniform(0, 20, size=100)
-        direct = transition_probability(g, None, 0, 0, ts)
+        direct = transition_probability(g, 0, 0, ts)
         formula = oracles.complete_graph_quantum_return(15, ts)
         assert np.max(np.abs(direct - formula)) <= 1e-10
 
@@ -55,7 +55,7 @@ class TestCompleteGraphClassicalReturn:
         g = make_complete(6)
         rng = np.random.default_rng(1)
         ts = rng.uniform(0, 5, size=50)
-        direct = classical_transition(g, None, 0, 0, ts)
+        direct = classical_transition(g, 0, 0, ts)
         formula = oracles.complete_graph_classical_return(6, ts)
         assert np.max(np.abs(direct - formula)) <= 1e-10
 
@@ -76,7 +76,7 @@ class TestRing4Oracles:
         g = make_ring(4)
         rng = np.random.default_rng(2)
         ts = rng.uniform(0, 8, size=50)
-        direct = classical_transition(g, None, 0, 0, ts)
+        direct = classical_transition(g, 0, 0, ts)
         formula = oracles.ring4_classical_return(1.0, ts)
         assert np.max(np.abs(direct - formula)) <= 1e-10
 
@@ -84,13 +84,13 @@ class TestRing4Oracles:
         g = make_ring(4)
         rng = np.random.default_rng(3)
         ts = rng.uniform(0, 8, size=50)
-        direct = transition_probability(g, None, 0, 0, ts)
+        direct = transition_probability(g, 0, 0, ts)
         formula = oracles.ring4_quantum_return(1.0, ts)
         assert np.max(np.abs(direct - formula)) <= 1e-10
 
     def test_quantum_matches_rescaled_reference(self):
         g = make_ring(4)
-        curve = oracles.rescaled_reference(g, None, 0.3, 0, 0)
+        curve = oracles.rescaled_reference(g, 0.3, 0, 0)
         ts = np.linspace(0, 20, 101)
         assert np.max(np.abs(curve.evaluate(ts) - oracles.ring4_quantum_return(0.3, ts))) <= 1e-10
 
@@ -108,26 +108,26 @@ class TestFlatLimit:
 class TestRescaledReference:
     def test_lambda_one_is_plain_transition(self):
         g = make_ring(5)
-        curve = oracles.rescaled_reference(g, None, 1.0, 0, 2)
+        curve = oracles.rescaled_reference(g, 1.0, 0, 2)
         ts = np.linspace(0, 6, 31)
-        assert np.allclose(curve.evaluate(ts), transition_probability(g, None, 0, 2, ts), atol=1e-14)
+        assert np.allclose(curve.evaluate(ts), transition_probability(g, 0, 2, ts), atol=1e-14)
 
     def test_lambda_zero_is_frozen(self):
         g = make_ring(5)
-        same = oracles.rescaled_reference(g, None, 0.0, 1, 1)
-        other = oracles.rescaled_reference(g, None, 0.0, 1, 3)
+        same = oracles.rescaled_reference(g, 0.0, 1, 1)
+        other = oracles.rescaled_reference(g, 0.0, 1, 3)
         ts = np.linspace(0, 9, 19)
         assert np.allclose(same.evaluate(ts), 1.0, atol=1e-12)
         assert np.allclose(other.evaluate(ts), 0.0, atol=1e-12)
 
     def test_outputs_are_probabilities(self):
         g = make_ring(6)
-        curve = oracles.rescaled_reference(g, None, 0.7, 0, 0)
+        curve = oracles.rescaled_reference(g, 0.7, 0, 0)
         vals = np.asarray(curve.evaluate(np.linspace(0, 50, 5001)))
         assert np.all(vals >= 0) and np.all(vals <= 1 + 1e-10)
 
     def test_classical_variant(self):
         g = make_ring(4)
-        curve = oracles.rescaled_classical_reference(g, None, 0.5, 0, 0)
+        curve = oracles.rescaled_classical_reference(g, 0.5, 0, 0)
         ts = np.linspace(0, 12, 25)
         assert np.allclose(curve.evaluate(ts), oracles.ring4_classical_return(0.5, ts), atol=1e-10)
