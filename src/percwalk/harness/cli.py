@@ -4,6 +4,11 @@ Subcommands: trajectory, channel, montecarlo, classical, oracle,
 convergence, horizon, envelope. All emit deterministic CSV (to --out, or
 stdout when --out is omitted). Exit codes: 0 success, 1 usage error,
 2 numerical failure, 3 I/O error.
+
+Flags are built per invoked command: a call that names a subcommand
+attaches flags to that subparser alone, because building every
+subcommand's flags took milliseconds per call. Every subcommand is still
+registered, so help, usage and error texts are the same either way.
 """
 from __future__ import annotations
 
@@ -72,8 +77,15 @@ def _common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="key=value config file; flags override it")
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="percwalk", description=__doc__)
+def build_parser(command: str | None = None) -> _Parser:
+    """The CLI parser; only ``command``'s subparser gets flags when it names a subcommand.
+
+    Otherwise (no command, ``--help`` or an unknown name) every subparser
+    gets its flags.
+    """
+    # the help shows the docstring's first two paragraphs (none under python -OO)
+    description = __doc__ and "\n\n".join(__doc__.split("\n\n")[:2])
+    parser = _Parser(prog="percwalk", description=description)
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
     for name, descr in [
         ("trajectory", "one stochastic quantum trajectory, return probability vs rescaled reference"),
@@ -86,6 +98,8 @@ def build_parser() -> _Parser:
         ("envelope", "long-run channel curve with exponential envelope fit"),
     ]:
         p = sub.add_parser(name, help=descr)
+        if command in _COMMANDS and name != command:
+            continue
         _common_flags(p)
         if name == "montecarlo":
             p.add_argument("--trajectories", type=int, help="ensemble size (default 100)")
@@ -228,7 +242,8 @@ _COMMANDS = {
 
 
 def cli_main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
     except UsageError as exc:

@@ -644,6 +644,9 @@ def horizon_table(
     s_list=DEFAULT_HORIZON_STEPS,
 ) -> tuple[list[HorizonPoint], dict, list]:
     """``exp_epsilon_horizon``'s points with the metadata and columns of its CSV."""
+    for eps in epsilon_list:
+        if not 0 < eps < np.inf:
+            raise ValueError(f"epsilon must be positive and finite, got {eps}")
     total = _scan_window(spec)
     points: list[HorizonPoint] = []
     for steps in s_list:

@@ -9,7 +9,7 @@ import pytest
 
 from percwalk import dynamics, oracles
 from percwalk.graph import graph_from_spec
-from percwalk.harness import experiments
+from percwalk.harness import cli, experiments
 from percwalk.harness.cli import cli_main
 from percwalk.harness.csvio import read_csv
 from percwalk.harness.experiments import (
@@ -429,6 +429,49 @@ class TestErrorPaths:
     def test_help_exit_0(self, capsys):
         assert run_cli(["--help"]) == 0
         assert "percwalk" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("eps", ["-1", "0", "nan", "inf"])
+    def test_horizon_epsilon_outside_open_half_line_exit_1(self, tmp_path, capsys, monkeypatch, eps):
+        def no_channel(*args, **kwargs):
+            raise AssertionError("a channel was built before the thresholds were checked")
+
+        monkeypatch.setattr(experiments, "channel_curve", no_channel)
+        out = tmp_path / "hor.csv"
+        assert run_cli(["horizon", "--epsilons", eps, "--steps-list", "50", "--out", str(out)]) == 1
+        assert "epsilon must be positive and finite" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestParser:
+    """A call builds flags for its own subcommand only; every text stays that of the full parser."""
+
+    @pytest.mark.parametrize("argv", [
+        ["--help"],
+        *([command, "--help"] for command in cli._COMMANDS),
+        [],
+        ["chanel"],
+        ["channel", "--bogus", "1"],
+        ["channel", "--tau", "x"],
+        ["channel", "--config", "CONFIG"],  # a key that only montecarlo has is still refused
+    ], ids=lambda argv: " ".join(argv) or "no-args")
+    def test_texts_and_exit_codes_match_the_full_parser(self, tmp_path, capsys, monkeypatch, argv):
+        config = tmp_path / "run.cfg"
+        config.write_text("graph = ring:4\ntau = 0.1\nsteps = 3\ntrajectories = 5\n")
+        argv = [str(config) if arg == "CONFIG" else arg for arg in argv]
+        code = run_cli(argv)
+        got = (code, *capsys.readouterr())
+        full_parser = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda command=None: full_parser())
+        assert got == (run_cli(argv), *capsys.readouterr())
+        assert got[0] == (0 if "--help" in argv else 1)
+
+    def test_a_call_attaches_flags_to_one_subparser(self, tmp_path, monkeypatch):
+        flagged = []
+        common_flags = cli._common_flags
+        monkeypatch.setattr(cli, "_common_flags", lambda p: (flagged.append(p.prog), common_flags(p)))
+        assert run_cli(["channel", "--graph", "ring:4", "--tau", "0.1", "--steps", "2",
+                        "--out", str(tmp_path / "c.csv")]) == 0
+        assert flagged == ["percwalk channel"]
 
 
 class TestConfigFile:

@@ -261,6 +261,16 @@ class TestExperiments:
         for p in points:
             assert p.horizon == pytest.approx(6.0, rel=1e-12)
 
+    @pytest.mark.parametrize("eps", [-1.0, 0.0, float("nan"), float("inf")])
+    def test_horizon_refuses_epsilon_outside_open_half_line(self, tmp_path, eps):
+        out = tmp_path / "hor.csv"
+        spec = ExperimentSpec(graph_spec="ring:5", lam=0.5, total_time=4.0, output_path=str(out))
+        with mock.patch("percwalk.harness.experiments.channel_curve",
+                        side_effect=AssertionError("channel built before the check")):
+            with pytest.raises(ValueError, match="epsilon must be positive and finite"):
+                exp_epsilon_horizon(spec, epsilon_list=(0.1, eps), s_list=(50,))
+        assert not out.exists()
+
     def test_horizon_nondecreasing_in_epsilon(self):
         points = exp_epsilon_horizon(s_list=(400,), epsilon_list=(0.02, 0.05, 0.1))
         horizons = [p.horizon for p in points]
