@@ -34,7 +34,9 @@ a propagator is built only for the smallest mask of each orbit under the
 automorphism group G, weighted by p_r / |Stab_r|; summing the Gram matrix
 over the |G| relabelings then counts each of the |G| / |Stab_r| masks of
 the orbit exactly once (McKay & Piperno, J. Symb. Comput. 60:94, 2014, for
-the backtracking search of G).
+the backtracking search of G). The representatives are built in batches
+whose (rows, n, n) float64 stacks each fit in BLOCK_BYTES, at most
+CHANNEL_BATCH rows, so the temporaries of a batch stay in cache.
 """
 from __future__ import annotations
 
@@ -47,10 +49,13 @@ import numpy as np
 CACHE_MAX_EDGES = 16
 CACHE_MAX_ENTRIES = 1 << 16
 CACHE_MAX_BYTES = 1 << 28  # 256 MiB of cached propagators
+# most propagators of the exact channel built per batch; the cost rule of
+# ``channel_accumulate`` accepts a group only if it leaves this many orbits
 CHANNEL_BATCH = 512
 # per-substep truncation bound of the Taylor action, relative to the state norm
 TAYLOR_TOL = 2.0**-53
-# largest transient buffer (Laplacian block, Taylor terms) of a step kernel
+# largest transient buffer: the Laplacian block and Taylor terms of a step
+# kernel, and each (rows, n, n) stack of an exact-channel propagator batch
 BLOCK_BYTES = 1 << 18
 # most Taylor substeps planned before anything runs, 2^24: over all steps of a
 # trajectory or ensemble block (about 20 min at the 73 us one substep of
@@ -464,58 +469,82 @@ def _cos_sin(a: np.ndarray, order: int, squarings: int) -> tuple[np.ndarray, np.
     return e, s
 
 
+def _set_bits(x: int) -> list[int]:
+    """Indices of the set bits of x >= 0, ascending."""
+    out = []
+    while x:
+        low = x & -x
+        out.append(low.bit_length() - 1)
+        x ^= low
+    return out
+
+
 def _automorphisms(edges: np.ndarray, n: int, limit: int) -> np.ndarray:
     """Node permutations (|G|, n) that map the edge set onto itself, identity first.
 
-    Backtracking assigns the non-isolated nodes in breadth-first order. Row
-    w of the candidate table ``cand`` marks the images still open to node
-    w: nodes of w's degree that are adjacent to the image of every assigned
-    node u exactly when w is adjacent to u. Assigning u -> c narrows every
-    row at once, so every completed assignment preserves adjacency.
-    Isolated nodes stay fixed. As soon as more than ``limit`` permutations
-    are found the search stops and returns the identity alone.
+    Backtracking assigns the non-isolated nodes in breadth-first order. The
+    tables are Python int bitsets: bit x of ``adj[u]`` marks x adjacent to
+    u, and bit x of the candidate row of node w marks x as an image still
+    open to w: a node of w's degree that is adjacent to the image of every
+    assigned node u exactly when w is adjacent to u. Assigning v -> c
+    narrows the rows of the nodes not yet assigned, so every completed
+    assignment preserves adjacency. The identity branch is searched first.
+    Isolated nodes stay fixed and take no part in the search. As soon as
+    more than ``limit`` permutations are found the search stops and returns
+    the identity alone.
     """
     identity = np.arange(n)
-    adj = np.zeros((n, n), dtype=bool)
-    adj[edges[:, 0], edges[:, 1]] = adj[edges[:, 1], edges[:, 0]] = True
-    deg = adj.sum(axis=1)
-    order, seen, head = [], deg == 0, 0
-    for root in range(n):
-        if seen[root]:
+    adj = [0] * n
+    for u, v in edges.tolist():
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    order, seen = [], 0
+    for root in np.unique(edges).tolist():
+        if seen >> root & 1:
             continue
-        seen[root] = True
+        seen |= 1 << root
         order.append(root)
+        head = len(order) - 1
         while head < len(order):  # breadth first through the component of root
-            new = np.flatnonzero(adj[order[head]] & ~seen)
-            seen[new] = True
-            order.extend(new.tolist())
+            new = adj[order[head]] & ~seen
+            seen |= new
+            order.extend(_set_bits(new))
             head += 1
-    perm, used, found = identity.copy(), deg == 0, []
+    degree = [adj[u].bit_count() for u in order]
+    same_degree = dict.fromkeys(degree, 0)
+    for u, d in zip(order, degree):
+        same_degree[d] |= 1 << u
+    # later[k]: for each node after position k, whether it is adjacent to order[k]
+    later = [[adj[v] >> w & 1 for w in order[k + 1:]] for k, v in enumerate(order)]
+    images, found = [0] * len(order), []
 
-    def extend(k: int, cand: np.ndarray) -> bool:  # True once more than ``limit`` were found
+    def extend(k: int, cand: list[int], used: int) -> bool:
+        # cand: candidate rows of order[k:]; used: the images taken; True once more than ``limit`` were found
         if k == len(order):
-            found.append(perm.copy())
+            found.append(images.copy())
             return len(found) > limit
-        v = order[k]
-        images = np.flatnonzero(cand[v] & ~used).tolist()
-        if v in images:  # the identity branch is searched first
-            images.remove(v)
-            images.insert(0, v)
-        for c in images:
-            perm[v], used[c] = c, True
-            stop = extend(k + 1, cand & (adj[v][:, None] == adj[c]))
-            used[c] = False
-            if stop:
+        v, free = order[k], cand[0] & ~used
+        for c in ([v] if free >> v & 1 else []) + _set_bits(free & ~(1 << v)):
+            images[k], adj_c = c, adj[c]
+            rest = [row & adj_c if a else row & ~adj_c for row, a in zip(cand[1:], later[k])]
+            if extend(k + 1, rest, used | 1 << c):
                 return True
         return False
 
-    if extend(0, deg[:, None] == deg):
+    if extend(0, [same_degree[d] for d in degree], 0):
         return identity[None]
-    return np.array(found)
+    perms = np.tile(identity, (len(found), 1))
+    perms[:, order] = found
+    return perms
 
 
 def _orbit_representatives(edges: np.ndarray, perms: np.ndarray, lam: float):
-    """Yield (bits, weights) of the orbit representatives of positive weight, CHANNEL_BATCH at a time.
+    """Yield (bits, weights) of the orbit representatives of positive weight, in batches.
+
+    A batch holds at most CHANNEL_BATCH rows, and at most as many as make
+    one (rows, n, n) float64 stack of BLOCK_BYTES, so the Laplacians,
+    cos/sin terms and Gram rows built from it stay in cache (145 rows for
+    n = 15).
 
     Mask r's image under g keeps edge pi_g(e) for every kept e, where
     pi_g(e) is the edge {g(u_e), g(v_e)}; as a number it is bits @ 2^pi_g,
@@ -528,6 +557,7 @@ def _orbit_representatives(edges: np.ndarray, perms: np.ndarray, lam: float):
     """
     edge_count = edges.shape[0]
     n = perms.shape[1]
+    batch = max(1, min(CHANNEL_BATCH, BLOCK_BYTES // (8 * n * n)))
     eid = np.zeros((n, n), dtype=np.int64)
     eid[edges[:, 0], edges[:, 1]] = eid[edges[:, 1], edges[:, 0]] = np.arange(edge_count)
     powers = 2.0 ** eid[perms[:, edges[:, 0]], perms[:, edges[:, 1]]]  # (|G|, E)
@@ -547,9 +577,9 @@ def _orbit_representatives(edges: np.ndarray, perms: np.ndarray, lam: float):
         live = weights > 0.0
         bits_buf = np.concatenate((bits_buf, bits[live]))
         w_buf = np.concatenate((w_buf, weights[live]))
-        while bits_buf.shape[0] >= CHANNEL_BATCH:
-            yield bits_buf[:CHANNEL_BATCH], w_buf[:CHANNEL_BATCH]
-            bits_buf, w_buf = bits_buf[CHANNEL_BATCH:], w_buf[CHANNEL_BATCH:]
+        while bits_buf.shape[0] >= batch:
+            yield bits_buf[:batch], w_buf[:batch]
+            bits_buf, w_buf = bits_buf[batch:], w_buf[batch:]
     if bits_buf.shape[0]:
         yield bits_buf, w_buf
 
@@ -577,11 +607,12 @@ def channel_accumulate(edges, n, lam, tau):
     the Gram matrix is summed over G afterwards: entry (a, b) of the sum is
     sum_g gram[pair(g i_a, g j_a), pair(g i_b, g j_b)]. Every mask still
     counts exactly once. G is searched (``_automorphisms``) only when it can
-    pay: it may hold at most 2^E // CHANNEL_BATCH elements, so symmetry
-    removes whole batches, and at most f // E, so canonicalizing a mask
-    (|G| E flops) costs less than building it (f flops). A larger or
-    unsearched group is replaced by the identity alone, which builds every
-    mask as before.
+    pay: it may hold at most 2^E // CHANNEL_BATCH elements, so at least
+    CHANNEL_BATCH orbits remain to build (batches are sized by bytes and
+    may be smaller), and at most f // E, so canonicalizing a mask (|G| E
+    flops) costs less than building it (f flops). A larger or unsearched
+    group is replaced by the identity alone, which builds every mask as
+    before.
     """
     edge_count = edges.shape[0]
     substeps, _ = taylor_plan(edges, n, tau)

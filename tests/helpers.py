@@ -92,6 +92,55 @@ def count_lattice_edges(width: int, height: int) -> int:
     return count
 
 
+def reference_automorphisms(edges: np.ndarray, n: int, limit: int) -> np.ndarray:
+    """``_kernels._automorphisms`` on boolean numpy tables: same node order, narrowing and output.
+
+    Backtracking assigns the non-isolated nodes in breadth-first order. Row
+    w of the candidate table ``cand`` marks the images still open to node
+    w: nodes of w's degree that are adjacent to the image of every assigned
+    node u exactly when w is adjacent to u. Isolated nodes stay fixed, the
+    identity branch is searched first, and more than ``limit`` permutations
+    return the identity alone.
+    """
+    identity = np.arange(n)
+    adj = np.zeros((n, n), dtype=bool)
+    adj[edges[:, 0], edges[:, 1]] = adj[edges[:, 1], edges[:, 0]] = True
+    deg = adj.sum(axis=1)
+    order, seen, head = [], deg == 0, 0
+    for root in range(n):
+        if seen[root]:
+            continue
+        seen[root] = True
+        order.append(root)
+        while head < len(order):  # breadth first through the component of root
+            new = np.flatnonzero(adj[order[head]] & ~seen)
+            seen[new] = True
+            order.extend(new.tolist())
+            head += 1
+    perm, used, found = identity.copy(), deg == 0, []
+
+    def extend(k: int, cand: np.ndarray) -> bool:  # True once more than ``limit`` were found
+        if k == len(order):
+            found.append(perm.copy())
+            return len(found) > limit
+        v = order[k]
+        images = np.flatnonzero(cand[v] & ~used).tolist()
+        if v in images:
+            images.remove(v)
+            images.insert(0, v)
+        for c in images:
+            perm[v], used[c] = c, True
+            stop = extend(k + 1, cand & (adj[v][:, None] == adj[c]))
+            used[c] = False
+            if stop:
+                return True
+        return False
+
+    if extend(0, deg[:, None] == deg):
+        return identity[None]
+    return np.array(found)
+
+
 # ---------------------------------------------------------------------------
 # per-step loops: one fresh view, call and lookup per step, same operands
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from percwalk.walk import basis_density, basis_state
 
 from helpers import (
     expm_channel_gram,
+    reference_automorphisms,
     reference_laplacian,
     reference_taylor_ensemble,
     reference_trajectory,
@@ -376,6 +377,27 @@ class TestChannelBuild:
             mp.setattr(_kernels, "CHANNEL_BATCH", batch)
             assert _check_channel_against_expm(g, 0.3, 1.5) == symmetries
 
+    @pytest.mark.parametrize("g", [make_ring(15), make_lattice2d(3, 3)])
+    def test_batches_fit_in_a_block(self, monkeypatch, g):
+        n, rows = g.node_count, []
+        cos_sin = _kernels._cos_sin
+        monkeypatch.setattr(_kernels, "_cos_sin",
+                            lambda a, *plan: rows.append(a.shape[0]) or cos_sin(a, *plan))
+        _, _, _, built = _kernels.channel_accumulate(g.edge_array, n, 0.4, 0.004)
+        bound = max(1, min(_kernels.CHANNEL_BATCH, _kernels.BLOCK_BYTES // (8 * n * n)))
+        assert bound < _kernels.CHANNEL_BATCH  # 145 rows on ring:15, 404 on lattice2d:3x3
+        assert max(rows) == bound and sum(rows) == built
+
+    def test_three_row_batches_give_the_same_channel(self):
+        g = make_ring(15)
+        k, name, perms, orbits = _kernels.channel_accumulate(g.edge_array, 15, 0.4, 0.004)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_kernels, "BLOCK_BYTES", 3 * 8 * 15 * 15)
+            k3, name3, perms3, orbits3 = _kernels.channel_accumulate(g.edge_array, 15, 0.4, 0.004)
+        assert (perms.shape[0], orbits) == (perms3.shape[0], orbits3) == (30, 1224)
+        assert name3 == name and np.array_equal(perms3, perms)
+        assert np.max(np.abs(k3 - k)) <= 1e-15
+
     @pytest.mark.parametrize("x,order", [(1e-6, 2), (1e-5, 3), (1e-4, 3)])
     def test_short_steps_match_expm_reference(self, x, order):
         # below the range drawn above the plan keeps only 2 or 3 Taylor terms
@@ -411,6 +433,10 @@ def _edge_set(edges):
     return {frozenset(e) for e in np.asarray(edges).tolist()}
 
 
+# 11 and 12 straddle the order 12 of a 6-ring; 10**6 is above every group here
+AUTOMORPHISM_LIMITS = [1, 3, 11, 12, 10**6]
+
+
 class TestAutomorphisms:
     @pytest.mark.parametrize("g,order", [
         *[(make_ring(n), 2 * n) for n in (3, 4, 5, 8, 15)],
@@ -421,6 +447,8 @@ class TestAutomorphisms:
         # a 4-ring plus two isolated nodes, which stay fixed
         (Graph(node_count=6, edges=((0, 1), (1, 2), (2, 3), (3, 0))), 8),
         (Graph(node_count=7, edges=((5, 1), (1, 3), (3, 0), (2, 4))), 4),
+        # a 6-ring plus 294 isolated nodes, which stay fixed and take no part in the search
+        (Graph(node_count=300, edges=tuple((i, (i + 1) % 6) for i in range(6))), 12),
     ])
     def test_group_of_known_graphs(self, g, order):
         n, edges = g.node_count, g.edge_array
@@ -437,11 +465,22 @@ class TestAutomorphisms:
         for a in perms:
             for b in perms:
                 assert a[b].tobytes() in group
+        for limit in AUTOMORPHISM_LIMITS:
+            assert np.array_equal(_kernels._automorphisms(edges, n, limit),
+                                  reference_automorphisms(edges, n, limit))
 
     def test_limit_returns_the_identity_alone(self):
         g = make_ring(6)
         assert _kernels._automorphisms(g.edge_array, 6, 12).shape == (12, 6)
         assert np.array_equal(_kernels._automorphisms(g.edge_array, 6, 11), np.arange(6)[None])
+
+    @HYPOTHESIS
+    @given(g=channel_graphs())
+    def test_random_graphs_match_the_reference_search(self, g):
+        # same rows in the same order, so the rotation and the channel blocks do not move
+        for limit in AUTOMORPHISM_LIMITS:
+            assert np.array_equal(_kernels._automorphisms(g.edge_array, g.node_count, limit),
+                                  reference_automorphisms(g.edge_array, g.node_count, limit))
 
 
 def _superop_perm(p):
