@@ -18,7 +18,6 @@ from .dynamics import (  # noqa: F401
     EnsembleRecord,
     PercolationRun,
     TrajectoryRecord,
-    apply_channel,
     build_step_channel,
     evolve_channel,
     monte_carlo_channel,
@@ -39,7 +38,7 @@ from .graph import (  # noqa: F401
     rng_from_seed,
     write_edge_file,
 )
-from .spectral import SpectralDecomposition, decompose, stochastic_exp, unitary_exp  # noqa: F401
+from .spectral import decompose  # noqa: F401
 from .walk import (  # noqa: F401
     basis_density,
     basis_state,

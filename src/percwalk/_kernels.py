@@ -2,7 +2,7 @@
 
 A step of a walk applies exp(z * H_r) to the state, where H_r is the
 Laplacian of the edges kept at that step and z = -i*tau for the quantum walk
-or z = -tau for the classical walk. Two propagators implement it:
+or z = -tau for the classical walk. Three propagators implement it:
 
 * mask cache: a graph with at most CACHE_MAX_EDGES edges has at most 2^16
   realizations, so each distinct realization's propagator is built once as
@@ -11,15 +11,31 @@ or z = -tau for the classical walk. Two propagators implement it:
   exp(z * H_r) is applied to the state directly as ``substeps`` truncated
   Taylor series of ``order`` terms each (``taylor_plan``). The truncation
   error of each substep is at most 2^-53 times the norm of the state
-  (Al-Mohy & Higham, SIAM J. Sci. Comput. 33:488, 2011).
+  (Al-Mohy & Higham, SIAM J. Sci. Comput. 33:488, 2011);
+* Taylor matrix: a trajectory on a small graph forms the same truncated
+  polynomial P of each step as an explicit n x n matrix instead, for a
+  block of steps at once, with the batched real Horner products of the
+  exact channel (``_taylor_matrices``). Each substep is then one matvec and
+  one add, x + (P - I) x. Forming P costs about ``order`` n x n products
+  per step and saves ``order`` small numpy calls per substep, so
+  ``_use_matrix`` takes it when those flops cost less than the calls
+  (Moler & Van Loan, SIAM Rev. 45:3, 2003). Measured with one BLAS thread
+  at tau = 1e-4 (one substep): it won on complete graphs up to n = 20 for
+  the classical walk and n = 25 for the quantum walk, broke even on
+  lattice2d:4x5 (n = 20) and lost on ring:25, ring:30, lattice2d:5x5 and
+  lattice2d:6x6 (by 30-50%) and on lattice2d:10x10 (3-4 times slower);
+  with more substeps it wins on larger graphs (ring:30 at tau = 1, 4
+  substeps: by 20-45%). Ensembles always use the action or the mask cache.
 
-The step kernels report which propagator ran (``"mask-cache"`` or
-``"taylor(substeps=S, order=K)"``) and the largest drift of the conserved
-norm: the 2-norm of a quantum state, the total probability of a classical
-distribution. At the dimensions of the mask-cache and the paper's Taylor
-workloads (d = 4 to 15) a step costs interpreter and call overhead, not
-flops, so the step loops make their buffer views and bound ``.dot`` calls
-once per run (or column block), never once per step.
+The step kernels report which propagator ran (``"mask-cache"``,
+``"taylor(substeps=S, order=K)"`` or ``"taylor-matrix(substeps=S,
+order=K)"``) and the largest drift of the conserved norm: the 2-norm of a
+quantum state, the total probability of a classical distribution; a
+non-finite state gives a non-finite drift. At the dimensions of the
+mask-cache and the paper's Taylor workloads (d = 4 to 15) a step costs
+interpreter and call overhead, not flops, so the step loops make their
+buffer views and bound ``.dot`` calls once per run (or block), never once
+per step.
 
 ``channel_accumulate`` sums over all 2^E realizations without a spectral
 decomposition. Each U_r = cos(tau H_r) - i sin(tau H_r) comes from real
@@ -55,14 +71,21 @@ CHANNEL_BATCH = 512
 # per-substep truncation bound of the Taylor action, relative to the state norm
 TAYLOR_TOL = 2.0**-53
 # largest transient buffer: the Laplacian block and Taylor terms of a step
-# kernel, and each (rows, n, n) stack of an exact-channel propagator batch
+# kernel, and each (rows, n, n) stack of a Taylor-matrix block or of an
+# exact-channel propagator batch
 BLOCK_BYTES = 1 << 18
 # most Taylor substeps planned before anything runs, 2^24: over all steps of a
-# trajectory or ensemble block (about 20 min at the 73 us one substep of
-# complete:7 takes), and per step of the exact channel, which squares them
-# back in 24 squarings whose error of about 2^24 * 2^-53 = 1.9e-9 stays below
-# the 1e-8 trace gate of ``dynamics.evolve_channel``
+# trajectory or ensemble block (about 30 min at the ~110 us one action substep
+# of lattice2d:10x10 takes, about 25 s at the ~1.5 us of a taylor-matrix
+# substep of complete:9), and per step of the exact channel, which squares
+# them back in 24 squarings whose error of about 2^24 * 2^-53 = 1.9e-9 stays
+# below the 1e-8 trace gate of ``dynamics.evolve_channel``
 MAX_SUBSTEPS = 1 << 24
+# flops that one small numpy call of the Taylor action costs: a 15 x 15 complex
+# matvec, a row copy or the coefficient dot each take about 0.5 us, in which
+# batched real 15 x 15 to 20 x 20 matmuls do about 15 000 flops (30 GFLOP/s);
+# measured with 1 BLAS thread on a 2-vCPU Xeon, OpenBLAS 0.3.31 (``_use_matrix``)
+CALL_FLOPS = 15_000
 
 
 def active_backend() -> str:
@@ -151,6 +174,44 @@ def step_plan(edges: np.ndarray, n: int, tau: float, steps: int,
     return _run_plan(edges, n, tau, steps)
 
 
+def _use_matrix(n: int, substeps: int) -> bool:
+    """Whether a trajectory step should form its Taylor polynomial as a matrix (``_taylor_matrices``).
+
+    Forming it takes at most K = order batched n x n products per step,
+    about 2 n^3 flops each (2 floor(K/2) for the quantum cos/sin pair, K - 1
+    for the classical series). Applying it takes a matvec and an add per
+    substep, K calls fewer than the action's K + 2, each priced at
+    CALL_FLOPS. K cancels: K 2 n^3 < substeps K CALL_FLOPS, so n <= 19 for
+    one substep.
+    """
+    return 2 * n**3 < substeps * CALL_FLOPS
+
+
+def _taylor_matrices(edges: np.ndarray, n: int, bits: np.ndarray, z, substeps: int,
+                     order: int) -> np.ndarray:
+    """D = P - I for each row of ``bits``, P the Taylor polynomial of exp(z * H_r / substeps).
+
+    P is the polynomial that the action applies, to degree >= ``order``, so
+    its tail obeys the same 2^-53 bound. With a = |z| H_r / substeps real,
+    the quantum D (z = -i tau) is (cos a - I) - i sin a from the channel's
+    ``_cos_sin``, the classical one (z = -tau) the series of exp(-a) - I by
+    ``_horner``; all products are real. A substep is x + D x: carrying D
+    keeps its round-off relative to the step's size. Rounding P's diagonal
+    1 + D_ii instead repeats one error at every step with the same D_ii (the
+    same kept degree on a complete graph), so the norm drifts coherently: on
+    complete:15 at tau = 1e-4, by 7.6e-13 over 1e5 steps, against 9.4e-15
+    for x + D x.
+    """
+    a = laplacians(edges, n, bits, abs(z) / substeps)
+    if not np.iscomplexobj(z):
+        return _horner(a, [(-1.0) ** k / math.factorial(k) if k else 0.0 for k in range(order + 1)])
+    e, s = _cos_sin(a, order, 0)
+    d = np.empty(a.shape, dtype=np.complex128)
+    d.real = e
+    np.negative(s, out=d.imag)
+    return d
+
+
 def _taylor_series(apply_a, rows: list, coef_dot, flat: np.ndarray, out: np.ndarray) -> np.ndarray:
     """out = sum_k coef[k] * A^k rows[0], the one routine that applies the series.
 
@@ -170,8 +231,8 @@ def _taylor_coef(order: int, dtype) -> np.ndarray:
     return np.array([1.0 / math.factorial(k) for k in range(order + 1)], dtype=dtype)
 
 
-def _plan_name(plan: tuple[int, int] | None) -> str:
-    return "mask-cache" if plan is None else f"taylor(substeps={plan[0]}, order={plan[1]})"
+def _plan_name(plan: tuple[int, int] | None, kind: str = "taylor") -> str:
+    return "mask-cache" if plan is None else f"{kind}(substeps={plan[0]}, order={plan[1]})"
 
 
 def _propagator_for_bits(edges, bits, n, z):
@@ -190,6 +251,11 @@ def _mask_keys(bits_2d: np.ndarray) -> np.ndarray:
     """Pack per-step keep bits (S, E) into int64 mask keys, E <= 62."""
     pow2 = np.left_shift(np.int64(1), np.arange(bits_2d.shape[1], dtype=np.int64))
     return bits_2d.astype(np.int64) @ pow2
+
+
+def _max_drift(acc: float, drift: float) -> float:
+    """max(acc, drift) that keeps a NaN drift, which the builtin max drops when it comes second."""
+    return acc if acc != acc or drift <= acc else drift
 
 
 def _norms(x: np.ndarray, axis: int) -> np.ndarray:
@@ -212,6 +278,7 @@ def _trajectory(edges, n, z, bits, record_steps, x0, renorm_every, renorm_tol):
     """
     steps, edge_count = bits.shape
     plan = step_plan(edges, n, abs(z), steps, steps)
+    name = _plan_name(plan)
     if plan is None:
         block = max(1, BLOCK_BYTES // (16 * n))
         # mask key -> bound ``.dot`` of its propagator, built at the mask's first step
@@ -227,6 +294,20 @@ def _trajectory(edges, n, z, bits, record_steps, x0, renorm_every, renorm_tol):
             hist = np.empty((stop - start, n), dtype=x.dtype)
             for dot, row in zip([cache[k] for k in block_keys.tolist()], hist):
                 x = dot(x, row)
+            return hist
+    elif _use_matrix(n, plan[0]):
+        substeps, order = plan
+        name = _plan_name(plan, "taylor-matrix")
+        block = max(1, BLOCK_BYTES // (n * n * x0.itemsize))
+        add, buf = np.add, np.empty(n, dtype=x0.dtype)
+
+        def advance(start, stop, x):
+            # bound ``D.dot`` of each step; a substep is x + D x
+            dots = [d.dot for d in _taylor_matrices(edges, n, bits[start:stop], z, substeps, order)]
+            hist = np.empty((stop - start, n), dtype=x.dtype)
+            for dot, row in zip(dots, hist):
+                for _ in range(substeps):
+                    x = add(x, dot(x, buf), row)
             return hist
     else:
         substeps, order = plan
@@ -258,14 +339,14 @@ def _trajectory(edges, n, z, bits, record_steps, x0, renorm_every, renorm_tol):
             stop = min(stop, (start // renorm_every + 1) * renorm_every)
         hist = advance(start, stop, x)
         norms = _norms(hist, axis=1)
-        max_drift = max(max_drift, float(np.max(np.abs(norms - 1.0))))
+        max_drift = _max_drift(max_drift, float(np.abs(norms - 1.0).max()))
         if renorm_every and stop % renorm_every == 0 and abs(norms[-1] - 1.0) > renorm_tol:
             hist[-1] /= norms[-1]
         rec_j = int(np.searchsorted(record_steps, stop, side="right"))
         out[rec_i:rec_j] = hist[record_steps[rec_i:rec_j] - start - 1]
         rec_i = rec_j
         x, start = hist[-1], stop
-    return out, max_drift, _plan_name(plan)
+    return out, max_drift, name
 
 
 def trajectory_states(edges, n, tau, bits, record_steps, psi0, renorm_every, renorm_tol):
@@ -355,7 +436,7 @@ def _ensemble(edges, n, z, bits3, record_steps, x0, record, renorm_every, renorm
             step(s)
             norms = _norms(x, axis=0)
             drift = np.abs(norms - 1.0)
-            max_drift = max(max_drift, float(drift.max()))
+            max_drift = _max_drift(max_drift, float(drift.max()))
             if renorm_every and (s + 1) % renorm_every == 0:
                 fix = drift > renorm_tol
                 x[:, fix] /= norms[fix]

@@ -29,11 +29,15 @@ Three routes to the same physics:
   initial density is eigendecomposed once per call.
 
 Per-step exponentials are spectral exponentials (graphs with at most
-``_kernels.CACHE_MAX_EDGES`` edges) or truncated Taylor actions whose
+``_kernels.CACHE_MAX_EDGES`` edges) or truncated Taylor series whose
 truncation error is at most 2^-53 of the state norm per substep (larger
-graphs; see ``_kernels.taylor_plan``). Discrepancies from the rescaled-time
-reference therefore come from non-commutativity of the sampled generators,
-not from integrator error. Every record names the propagator that ran and
+graphs; see ``_kernels.taylor_plan``). The series is applied to the state
+as an action, or, for a trajectory on a graph small enough that a batch of
+n x n products costs less than the calls of the action
+(``_kernels._use_matrix``), formed as a matrix P per step and applied as
+x + (P - I) x, one matvec and one add per substep. Discrepancies from the
+rescaled-time reference therefore come from non-commutativity of the
+sampled generators, not from integrator error. Every record names the propagator that ran and
 the largest drift of the conserved norm, and every channel names its
 propagator and bounds its trace drift (``ChannelMatrix.trace_drift_bound``),
 so a run reports how far to trust it.
@@ -96,7 +100,8 @@ class TrajectoryRecord:
     times: np.ndarray
     states: np.ndarray  # (n_recorded, node_count) complex amplitudes
     max_norm_drift: float  # max over steps of | ||psi||_2 - 1 |
-    propagator: str  # "mask-cache" or "taylor(substeps=S, order=K)"
+    # "mask-cache", "taylor(substeps=S, order=K)" or "taylor-matrix(substeps=S, order=K)"
+    propagator: str
 
     def site_probabilities(self) -> np.ndarray:
         return np.abs(self.states) ** 2
@@ -252,10 +257,6 @@ def vec_density(rho: np.ndarray) -> np.ndarray:
     return np.asarray(rho, dtype=np.complex128).ravel(order="F")
 
 
-def unvec_density(v: np.ndarray, dim: int) -> np.ndarray:
-    return np.asarray(v).reshape((dim, dim), order="F")
-
-
 def run_trajectory(
     g: Graph,
     run: PercolationRun,
@@ -358,13 +359,6 @@ def _rotation(perms: np.ndarray) -> np.ndarray:
             break
         cur = perms[rows, cur]
     return perms[np.argmax(orders)]
-
-
-def apply_channel(phi: ChannelMatrix, rho: np.ndarray) -> np.ndarray:
-    """One application of the channel to a density matrix."""
-    if rho.shape != (phi.dim, phi.dim):
-        raise ValueError(f"density matrix shape {rho.shape} != ({phi.dim}, {phi.dim})")
-    return unvec_density(phi.matrix @ vec_density(rho), phi.dim)
 
 
 def _use_power(dd: int, k: int, count: int) -> bool:
@@ -529,7 +523,7 @@ def _monte_carlo(g, run, n_trajectories, sample_stride, kernel, weights=None):
         chunk_sum, chunk_moments, drift, propagator = kernel(bits3, rec, picks)
         total = total + chunk_sum
         moments = list(map(_kernels.merge_moments, moments, chunk_moments))
-        max_drift = max(max_drift, drift)
+        max_drift = np.maximum(max_drift, drift)  # keeps a NaN drift, unlike max()
     t = n_trajectories
     stderr = np.array([np.sqrt(m2 / ((t - 1) * t)).max() for _, _, m2 in moments])
     return rec, total / t, stderr, float(max_drift), propagator

@@ -1,4 +1,4 @@
-"""Dense real-symmetric eigendecomposition and the exponentials built on it.
+"""Dense real-symmetric eigendecomposition, checked.
 
 The unpercolated references (``walk.transition_probability`` and
 ``walk.classical_transition``) evaluate the unitary exp(-i*H*t) of the
@@ -6,8 +6,9 @@ quantum walk and the nonnegative column-stochastic exp(-H*t) of the
 classical walk through one decomposition for many t. Going through the
 eigenbasis keeps unitarity structural (phases on an orthonormal basis).
 The percolated walks build their per-step propagators in ``_kernels``
-instead: an ``eigh`` per cached realization, a truncated Taylor action, or
-Taylor cos/sin series for the exact channel.
+instead: an ``eigh`` per cached realization, a truncated Taylor action, a
+truncated Taylor polynomial formed as a matrix from real Horner products,
+or Taylor cos/sin series for the exact channel.
 """
 from __future__ import annotations
 
@@ -16,8 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 SYMMETRY_ATOL = 1e-12
-LAPLACIAN_EIG_FLOOR = -1e-9
-STOCHASTIC_ENTRY_FLOOR = -1e-10
 
 
 @dataclass(frozen=True)
@@ -26,10 +25,6 @@ class SpectralDecomposition:
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.eigenvalues.shape[0]
 
 
 def decompose(a: np.ndarray) -> SpectralDecomposition:
@@ -48,37 +43,3 @@ def decompose(a: np.ndarray) -> SpectralDecomposition:
         raise ValueError(f"matrix is not symmetric: max |a - a.T| = {asym:.3e}")
     w, q = np.linalg.eigh(a)
     return SpectralDecomposition(eigenvalues=w, eigenvectors=q)
-
-
-def reconstruct(d: SpectralDecomposition) -> np.ndarray:
-    """Q diag(w) Q^T, for round-trip checks."""
-    return (d.eigenvectors * d.eigenvalues) @ d.eigenvectors.T
-
-
-def unitary_exp(d: SpectralDecomposition, t: float) -> np.ndarray:
-    """exp(-i*A*t) = Q exp(-i*w*t) Q^T as a dense complex matrix."""
-    if not np.isfinite(t):
-        raise ValueError(f"t must be finite, got {t}")
-    phases = np.exp(-1j * t * d.eigenvalues)
-    return (d.eigenvectors * phases) @ d.eigenvectors.T
-
-
-def stochastic_exp(d: SpectralDecomposition, t: float) -> np.ndarray:
-    """exp(-A*t) for a graph Laplacian decomposition, t >= 0.
-
-    Columns sum to 1; round-off negatives (all above -1e-10) are clamped to
-    zero on read-out.
-    """
-    if not np.isfinite(t) or t < 0:
-        raise ValueError(f"t must be finite and >= 0, got {t}")
-    if d.eigenvalues[0] < LAPLACIAN_EIG_FLOOR:
-        raise ValueError(
-            f"not a Laplacian decomposition: min eigenvalue {d.eigenvalues[0]:.3e} < {LAPLACIAN_EIG_FLOOR}"
-        )
-    m = (d.eigenvectors * np.exp(-t * d.eigenvalues)) @ d.eigenvectors.T
-    low = m.min()
-    if low < STOCHASTIC_ENTRY_FLOOR:
-        raise np.linalg.LinAlgError(
-            f"stochastic exponential produced entry {low:.3e} below {STOCHASTIC_ENTRY_FLOOR}"
-        )
-    return np.maximum(m, 0.0)

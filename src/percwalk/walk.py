@@ -90,7 +90,7 @@ def check_quantum_state(psi: np.ndarray, atol: float = STATE_NORM_ATOL) -> np.nd
     if psi.ndim != 1:
         raise ValueError(f"state must be a vector, got shape {psi.shape}")
     nrm = np.linalg.norm(psi)
-    if abs(nrm - 1.0) > atol:
+    if not abs(nrm - 1.0) <= atol:  # NaN fails too
         raise ValueError(f"state norm {nrm} deviates from 1 by more than {atol}")
     return psi
 
@@ -100,10 +100,10 @@ def check_density_matrix(rho: np.ndarray, atol: float = DENSITY_ATOL) -> np.ndar
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise ValueError(f"density matrix must be square, got shape {rho.shape}")
     herm = np.max(np.abs(rho - rho.conj().T))
-    if herm > atol:
+    if not herm <= atol:
         raise ValueError(f"density matrix not Hermitian: max |rho - rho^H| = {herm:.3e}")
     tr = np.trace(rho).real
-    if abs(tr - 1.0) > atol:
+    if not abs(tr - 1.0) <= atol:
         raise ValueError(f"density matrix trace {tr} deviates from 1 by more than {atol}")
     return rho
 
@@ -112,8 +112,8 @@ def check_distribution(p: np.ndarray, atol: float = DENSITY_ATOL) -> np.ndarray:
     p = np.asarray(p, dtype=np.float64)
     if p.ndim != 1:
         raise ValueError(f"distribution must be a vector, got shape {p.shape}")
-    if p.min() < -atol:
-        raise ValueError(f"distribution has negative entry {p.min():.3e}")
-    if abs(p.sum() - 1.0) > atol:
+    if not p.min() >= -atol:  # NaN fails too
+        raise ValueError(f"distribution has a negative or NaN entry: min {p.min():.3e}")
+    if not abs(p.sum() - 1.0) <= atol:
         raise ValueError(f"distribution sums to {p.sum()}, not 1")
     return p

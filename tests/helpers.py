@@ -3,8 +3,10 @@
 Everything here deliberately avoids the package's spectral/dynamics code
 paths: Hamiltonians are rebuilt from adjacency tables and exponentials go
 through scipy's Pade-based expm, so agreement is a genuine cross-check.
-The exception is the last section: per-step step loops that call the same
-propagators as ``_kernels``, against which its kernels must be bit-identical.
+The exceptions are the last two sections: spectral exponentials and a
+channel application that only tests use, and per-step step loops that call
+the same propagators as ``_kernels``, against which its kernels must be
+bit-identical.
 """
 from __future__ import annotations
 
@@ -142,6 +144,56 @@ def reference_automorphisms(edges: np.ndarray, n: int, limit: int) -> np.ndarray
 
 
 # ---------------------------------------------------------------------------
+# spectral exponentials and one channel application, on the package's types
+# ---------------------------------------------------------------------------
+
+LAPLACIAN_EIG_FLOOR = -1e-9
+STOCHASTIC_ENTRY_FLOOR = -1e-10
+
+
+def reconstruct(d) -> np.ndarray:
+    """Q diag(w) Q^T of a ``spectral.SpectralDecomposition``, for round-trip checks."""
+    return (d.eigenvectors * d.eigenvalues) @ d.eigenvectors.T
+
+
+def unitary_exp(d, t: float) -> np.ndarray:
+    """exp(-i*A*t) = Q exp(-i*w*t) Q^T as a dense complex matrix."""
+    if not np.isfinite(t):
+        raise ValueError(f"t must be finite, got {t}")
+    phases = np.exp(-1j * t * d.eigenvalues)
+    return (d.eigenvectors * phases) @ d.eigenvectors.T
+
+
+def stochastic_exp(d, t: float) -> np.ndarray:
+    """exp(-A*t) for a graph Laplacian decomposition, t >= 0.
+
+    Columns sum to 1; round-off negatives (all above -1e-10) are clamped to
+    zero on read-out.
+    """
+    if not np.isfinite(t) or t < 0:
+        raise ValueError(f"t must be finite and >= 0, got {t}")
+    if d.eigenvalues[0] < LAPLACIAN_EIG_FLOOR:
+        raise ValueError(
+            f"not a Laplacian decomposition: min eigenvalue {d.eigenvalues[0]:.3e} < {LAPLACIAN_EIG_FLOOR}"
+        )
+    m = (d.eigenvectors * np.exp(-t * d.eigenvalues)) @ d.eigenvectors.T
+    low = m.min()
+    if low < STOCHASTIC_ENTRY_FLOOR:
+        raise np.linalg.LinAlgError(
+            f"stochastic exponential produced entry {low:.3e} below {STOCHASTIC_ENTRY_FLOOR}"
+        )
+    return np.maximum(m, 0.0)
+
+
+def apply_channel(phi, rho: np.ndarray) -> np.ndarray:
+    """One application of a ``dynamics.ChannelMatrix`` to a density matrix (column stacking)."""
+    if rho.shape != (phi.dim, phi.dim):
+        raise ValueError(f"density matrix shape {rho.shape} != ({phi.dim}, {phi.dim})")
+    vec = np.asarray(rho, dtype=np.complex128).ravel(order="F")
+    return (phi.matrix @ vec).reshape((phi.dim, phi.dim), order="F")
+
+
+# ---------------------------------------------------------------------------
 # per-step loops: one fresh view, call and lookup per step, same operands
 # ---------------------------------------------------------------------------
 
@@ -151,6 +203,7 @@ def reference_trajectory(edges, n, z, bits, record_steps, x0, renorm_every, reno
     k = _kernels
     steps = bits.shape[0]
     plan = k.step_plan(edges, n, abs(z), steps, steps)
+    name = k._plan_name(plan)
     if plan is None:
         block = max(1, k.BLOCK_BYTES // (16 * n))
         keys = k._mask_keys(bits).tolist()
@@ -163,6 +216,19 @@ def reference_trajectory(edges, n, z, bits, record_steps, x0, renorm_every, reno
                 if u is None:
                     u = cache[key] = k._propagator_for_bits(edges, bits[start + j], n, z)
                 x = np.dot(u, x, out=hist[j])
+            return hist
+    elif k._use_matrix(n, plan[0]):
+        substeps, order = plan
+        name = k._plan_name(plan, "taylor-matrix")
+        block = max(1, k.BLOCK_BYTES // (n * n * x0.itemsize))
+
+        def advance(start, stop, x):
+            d = k._taylor_matrices(edges, n, bits[start:stop], z, substeps, order)
+            hist = np.empty((stop - start, n), dtype=x.dtype)
+            for j in range(stop - start):
+                for _ in range(substeps):
+                    x = x + np.dot(d[j], x)
+                hist[j] = x
             return hist
     else:
         substeps, order = plan
@@ -194,14 +260,14 @@ def reference_trajectory(edges, n, z, bits, record_steps, x0, renorm_every, reno
             stop = min(stop, (start // renorm_every + 1) * renorm_every)
         hist = advance(start, stop, x)
         norms = k._norms(hist, axis=1)
-        max_drift = max(max_drift, float(np.max(np.abs(norms - 1.0))))
+        max_drift = np.maximum(max_drift, np.max(np.abs(norms - 1.0)))
         if renorm_every and stop % renorm_every == 0 and abs(norms[-1] - 1.0) > renorm_tol:
             hist[-1] /= norms[-1]
         rec_j = int(np.searchsorted(record_steps, stop, side="right"))
         out[rec_i:rec_j] = hist[record_steps[rec_i:rec_j] - start - 1]
         rec_i = rec_j
         x, start = hist[-1], stop
-    return out, max_drift, k._plan_name(plan)
+    return out, float(max_drift), name
 
 
 def reference_taylor_ensemble(edges, n, z, bits3, record_steps, x0, record, renorm_every, renorm_tol):
@@ -234,11 +300,11 @@ def reference_taylor_ensemble(edges, n, z, bits3, record_steps, x0, record, reno
                 np.dot(coef, v.reshape(order + 1, -1), out=x.reshape(-1))
             norms = k._norms(x, axis=0)
             drift = np.abs(norms - 1.0)
-            max_drift = max(max_drift, float(drift.max()))
+            max_drift = np.maximum(max_drift, drift.max())
             if renorm_every and (s + 1) % renorm_every == 0:
                 fix = drift > renorm_tol
                 x[:, fix] /= norms[fix]
             if rec_i < record_steps.shape[0] and record_steps[rec_i] == s + 1:
                 record(rec_i, x)
                 rec_i += 1
-    return max_drift, k._plan_name(plan)
+    return float(max_drift), k._plan_name(plan)

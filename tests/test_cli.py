@@ -251,12 +251,15 @@ class TestScanCommands:
 
 class TestRunDiagnostics:
     @pytest.mark.parametrize("argv,propagator", [
+        # a small graph forms each step's Taylor polynomial as a matrix, a large one applies it
         (["trajectory", "--graph", "complete:7", "--tau", "0.05", "--steps", "20"],
-         "taylor(substeps=1, order=15)"),
+         "taylor-matrix(substeps=1, order=15)"),
         (["classical", "--graph", "ring:5", "--tau", "0.1", "--steps", "20"], "mask-cache"),
         (["montecarlo", "--graph", "complete:7", "--tau", "0.05", "--steps", "20",
           "--trajectories", "4"], "taylor(substeps=1, order=15)"),
         (["envelope", "--tau", "0.1", "--steps", "10", "--traj-steps", "30"], "mask-cache"),
+        (["classical", "--graph", "lattice2d:10x10", "--tau", "1e-4", "--steps", "20"],
+         "taylor(substeps=1, order=4)"),
     ])
     def test_metadata_names_propagator_and_drift(self, tmp_path, argv, propagator):
         out = tmp_path / "run.csv"

@@ -6,7 +6,6 @@ from percwalk import _kernels, dynamics
 from percwalk.dynamics import (
     ChannelMatrix,
     PercolationRun,
-    apply_channel,
     build_step_channel,
     evolve_channel,
     monte_carlo_channel,
@@ -24,10 +23,18 @@ from percwalk.graph import (
     rng_from_seed,
     sample_keep_bits,
 )
-from percwalk.spectral import decompose, stochastic_exp, unitary_exp
+from percwalk.spectral import decompose
 from percwalk.walk import basis_density, basis_state, full_hamiltonian, transition_probability
 
-from helpers import brute_force_channel_average, enumerate_realizations, expm_unitary, reference_laplacian
+from helpers import (
+    apply_channel,
+    brute_force_channel_average,
+    enumerate_realizations,
+    expm_unitary,
+    reference_laplacian,
+    stochastic_exp,
+    unitary_exp,
+)
 
 
 def _delta(n, a=0):
@@ -566,3 +573,22 @@ class TestMonteCarlo:
         expect = stochastic_exp(decompose(full_hamiltonian(g)), run1.total_time) @ _delta(4)
         assert np.max(np.abs(rec1.distributions[-1] - expect)) <= 1e-8
         assert np.max(rec1.stderr) <= 1e-12
+
+
+class TestNonFiniteRuns:
+    def test_nan_initial_state_is_refused(self):
+        with pytest.raises(ValueError):
+            run_trajectory(make_ring(4), PercolationRun(0.5, 0.1, 5), np.array([np.nan, 0, 0, 0]))
+
+    def test_non_finite_run_reports_non_finite_drift(self, monkeypatch):
+        # every mask-cache propagator NaN: each drift fold (trajectory, ensemble block, Monte
+        # Carlo chunk) must keep the NaN instead of reporting the finite start value
+        def nan_propagator(edges, bits, n, z):
+            return np.full((n, n), np.nan, dtype=complex if np.iscomplexobj(z) else float)
+
+        monkeypatch.setattr(_kernels, "_propagator_for_bits", nan_propagator)
+        g, run = make_ring(4), PercolationRun(lam=0.5, tau=0.1, steps=5, seed=3)
+        assert np.isnan(run_trajectory(g, run, basis_state(4, 0)).max_norm_drift)
+        assert np.isnan(run_classical_trajectory(g, run, _delta(4)).max_norm_drift)
+        assert np.isnan(monte_carlo_channel(g, run, basis_density(4, 0), 3).max_norm_drift)
+        assert np.isnan(monte_carlo_classical(g, run, _delta(4), 3).max_norm_drift)

@@ -1,3 +1,4 @@
+import contextlib
 import itertools
 import math
 import tracemalloc
@@ -10,18 +11,28 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from percwalk import _kernels
-from percwalk.dynamics import RENORM_EVERY, apply_channel, build_step_channel, evolve_channel
+from percwalk.dynamics import (
+    RENORM_EVERY,
+    PercolationRun,
+    build_step_channel,
+    evolve_channel,
+    run_classical_trajectory,
+    run_trajectory,
+)
 from percwalk.graph import (
     Graph,
+    graph_from_spec,
     make_complete,
     make_lattice2d,
     make_ring,
     rng_from_seed,
     sample_keep_bits,
+    write_edge_file,
 )
 from percwalk.walk import basis_density, basis_state
 
 from helpers import (
+    apply_channel,
     expm_channel_gram,
     reference_automorphisms,
     reference_laplacian,
@@ -143,6 +154,18 @@ def cached_graphs(draw):
     return Graph(node_count=n, edges=tuple(keep))
 
 
+@contextlib.contextmanager
+def forced_rule(matrix: bool):
+    """Within it, ``_kernels._use_matrix`` sends every step to the Taylor matrix (True) or the action."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(_kernels, "_use_matrix", lambda n, substeps: matrix)
+        yield
+
+
+# the trajectory propagators of the Taylor plan, each forced by ``forced_rule``
+PATHS = (("taylor-matrix", True), ("taylor", False))
+
+
 def _replay(g, z, bits, x0):
     """States after each step, one scipy expm per step."""
     x = x0.astype(complex if np.iscomplexobj(z) else float)
@@ -167,14 +190,18 @@ class TestTaylorAction:
         n = g.node_count
         bits = self._bits(g, lam, seed)
         rec = np.arange(self.STEPS + 1)
-        psi, drift, name = _kernels.trajectory_states(
-            g.edge_array, n, tau, bits, rec, basis_state(n, 0), *RENORM)
-        assert name.startswith("taylor(")
-        assert np.max(np.abs(psi - _replay(g, -1j * tau, bits, basis_state(n, 0)))) <= 1e-12
-        assert drift <= 1e-12
+        want_psi = _replay(g, -1j * tau, bits, basis_state(n, 0))
         p0 = np.eye(n)[1]
-        p, _, _ = _kernels.classical_trajectory(g.edge_array, n, tau, bits, rec, p0)
-        assert np.max(np.abs(p - _replay(g, -tau, bits, p0))) <= 1e-12
+        want_p = _replay(g, -tau, bits, p0)
+        for kind, matrix in PATHS:
+            with forced_rule(matrix):
+                psi, drift, name = _kernels.trajectory_states(
+                    g.edge_array, n, tau, bits, rec, basis_state(n, 0), *RENORM)
+                p, _, classical_name = _kernels.classical_trajectory(g.edge_array, n, tau, bits, rec, p0)
+            assert name.startswith(kind + "(") and classical_name == name
+            assert np.max(np.abs(psi - want_psi)) <= 1e-12
+            assert drift <= 1e-12
+            assert np.max(np.abs(p - want_p)) <= 1e-12
 
     @HYPOTHESIS
     @given(g=st.one_of(cached_graphs(), uncached_graphs()), lam=st.floats(0.1, 0.9),
@@ -205,13 +232,15 @@ class TestTaylorAction:
         assert substeps == 12
         bits = self._bits(g, 0.6, 4)
         rec = np.arange(self.STEPS + 1)
-        psi, _, name = _kernels.trajectory_states(
-            g.edge_array, 9, tau, bits, rec, basis_state(9, 3), *RENORM)
-        assert name == f"taylor(substeps=12, order={order})"
-        assert np.max(np.abs(psi - _replay(g, -1j * tau, bits, basis_state(9, 3)))) <= 1e-12
         p0 = np.eye(9)[3]
-        p, _, _ = _kernels.classical_trajectory(g.edge_array, 9, tau, bits, rec, p0)
-        assert np.max(np.abs(p - _replay(g, -tau, bits, p0))) <= 1e-12
+        for kind, matrix in PATHS:
+            with forced_rule(matrix):
+                psi, _, name = _kernels.trajectory_states(
+                    g.edge_array, 9, tau, bits, rec, basis_state(9, 3), *RENORM)
+                p, _, _ = _kernels.classical_trajectory(g.edge_array, 9, tau, bits, rec, p0)
+            assert name == f"{kind}(substeps=12, order={order})"
+            assert np.max(np.abs(psi - _replay(g, -1j * tau, bits, basis_state(9, 3)))) <= 1e-12
+            assert np.max(np.abs(p - _replay(g, -tau, bits, p0))) <= 1e-12
 
     @HYPOTHESIS
     @given(g=uncached_graphs(), lam=st.floats(0.1, 0.9), tau=st.floats(0.01, 2.0),
@@ -222,23 +251,85 @@ class TestTaylorAction:
         n = g.node_count
         bits = self._bits(g, lam, seed)
         rec = np.arange(self.STEPS + 1)
-        cols = [_kernels.classical_trajectory(g.edge_array, n, tau, bits, rec, e)[0]
-                for e in np.eye(n)]
+        products = []
+        for _, matrix in PATHS:
+            with forced_rule(matrix):
+                cols = [_kernels.classical_trajectory(g.edge_array, n, tau, bits, rec, e)[0]
+                        for e in np.eye(n)]
+            products.append(np.stack(cols, axis=2))
         ensemble = []
         _kernels._ensemble(g.edge_array, n, -tau, np.repeat(bits[None], n, axis=0), rec,
                            np.eye(n), lambda i, x: ensemble.append(x.copy()), 0, 0.0)
-        for m in (np.stack(cols, axis=2), np.array(ensemble)):  # (record, node, column)
+        for m in products + [np.array(ensemble)]:  # (record, node, column)
             assert np.max(np.abs(m.sum(axis=1) - 1.0)) <= 1e-14
             assert m.min() >= -1e-15
+
+    # on bipartite graphs with every edge kept ||tau H|| = 2 tau maxdeg, so the plan's order has
+    # no slack: its truncation error is at the 2^-53 bound, and two orders fewer exceed it
+    @pytest.mark.parametrize("g", [
+        make_ring(8),
+        Graph(node_count=6, edges=tuple((i, j) for i in range(3) for j in range(3, 6))),
+        Graph(node_count=8,  # the 3-cube
+              edges=tuple((i, i | 1 << b) for i in range(8) for b in range(3) if not i >> b & 1)),
+    ], ids=["ring8", "k33", "cube"])
+    @pytest.mark.parametrize("x", [0.01, 0.1, 0.3, 1.0, 5.5])
+    def test_taylor_matrices_match_expm_at_the_bound(self, g, x):
+        n = g.node_count
+        h = reference_laplacian(n, g.edges, (1 << g.edge_count) - 1)
+        tau = x / (2.0 * max(g.degrees()))
+        substeps, order = _kernels.taylor_plan(g.edge_array, n, tau)
+        bits = np.ones((1, g.edge_count), dtype=np.uint8)
+        for z in (-1j * tau, -tau):
+            d = _kernels._taylor_matrices(g.edge_array, n, bits, z, substeps, order)[0]
+            want = scipy.linalg.expm(z / substeps * h) - np.eye(n)
+            assert np.max(np.abs(d - want)) <= 2 * np.finfo(float).eps
+
+    def test_non_finite_state_reports_non_finite_drift(self):
+        g, n = make_complete(7), 7
+        bits = self._bits(g, 0.5, 9)
+        rec = np.arange(self.STEPS + 1)
+        psi0 = basis_state(n, 0)
+        psi0[2] = np.nan
+        for _, matrix in PATHS:
+            with forced_rule(matrix):
+                _, drift, _ = _kernels.trajectory_states(g.edge_array, n, 0.3, bits, rec, psi0, *RENORM)
+            assert np.isnan(drift)
+        _, _, drift, _ = _kernels.ensemble_quantum(g.edge_array, n, 0.3, bits[None], rec, psi0[None],
+                                                   *RENORM)
+        assert np.isnan(drift)
+
+
+class TestPropagatorRule:
+    """``_use_matrix`` forms the Taylor polynomial on small graphs and applies it on large ones."""
+
+    @pytest.mark.parametrize("graph,tau,name", [
+        (make_complete(15), 1e-4, "taylor-matrix(substeps=1, order=5)"),
+        (make_complete(9), 0.7, "taylor-matrix(substeps=12, order=17)"),
+        (make_lattice2d(10, 10), 1e-4, "taylor(substeps=1, order=4)"),
+        (None, 1e-4, "taylor(substeps=1, order=4)"),  # 20 edges on 300 nodes, from a file
+    ])
+    def test_rule_picks_the_path(self, tmp_path, graph, tau, name):
+        if graph is None:
+            write_edge_file(Graph(node_count=300, edges=tuple((i, i + 1) for i in range(20))),
+                            tmp_path / "path.edges")
+            graph = graph_from_spec(f"file:{tmp_path / 'path.edges'}")
+        run = PercolationRun(lam=0.5, tau=tau, steps=3)
+        assert run_trajectory(graph, run, basis_state(graph.node_count, 0)).propagator == name
+        p0 = np.eye(graph.node_count)[0]
+        assert run_classical_trajectory(graph, run, p0).propagator == name
 
 
 class TestStepLoopsAreBitIdentical:
     """The step loops against per-step reference loops on the same operands: equal bits."""
 
-    CASES = [  # graph, tau, propagator
+    # graph, tau, propagator: the rule sends complete:7 to the Taylor matrix, and _check forces
+    # the action for the "taylor(" cases
+    CASES = [
         (make_ring(4), 0.1, "mask-cache"),
         (make_complete(7), 0.05, "taylor(substeps=1, order=15)"),
         (make_complete(7), 0.9, "taylor(substeps=11, order=18)"),
+        (make_complete(7), 0.05, "taylor-matrix(substeps=1, order=15)"),
+        (make_complete(7), 0.9, "taylor-matrix(substeps=11, order=18)"),
     ]
 
     @staticmethod
@@ -253,6 +344,8 @@ class TestStepLoopsAreBitIdentical:
                 _kernels.classical_trajectory(*args, np.eye(g.node_count)[1]))
 
     def _check(self, monkeypatch, g, tau, name, steps, stride, renorm):
+        if name.startswith("taylor("):
+            monkeypatch.setattr(_kernels, "_use_matrix", lambda n, substeps: False)
         got = self._runs(g, tau, steps, stride, renorm)
         with monkeypatch.context() as m:
             m.setattr(_kernels, "_trajectory", reference_trajectory)
@@ -271,13 +364,14 @@ class TestStepLoopsAreBitIdentical:
         monkeypatch.setattr(_kernels, "BLOCK_BYTES", 1)
         self._check(monkeypatch, g, tau, name, 60, 7, RENORM)
 
-    @pytest.mark.parametrize("g,tau,name", CASES[:2])
+    @pytest.mark.parametrize("g,tau,name", CASES[:2] + CASES[3:4])
     def test_forced_renormalization_across_the_boundary(self, monkeypatch, g, tau, name):
         self._check(monkeypatch, g, tau, name, RENORM_EVERY + 250, 1000, (RENORM_EVERY, 0.0))
 
     def test_forced_renormalization_with_substeps(self, monkeypatch):
-        g, tau, name = self.CASES[2]
-        self._check(monkeypatch, g, tau, name, 250, 9, (40, 0.0))
+        for g, tau, name in (self.CASES[2], self.CASES[4]):
+            with monkeypatch.context() as m:
+                self._check(m, g, tau, name, 250, 9, (40, 0.0))
 
     @pytest.mark.parametrize("tau", [0.05, 0.9])
     def test_ensemble_in_narrow_column_blocks(self, monkeypatch, tau):

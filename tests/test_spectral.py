@@ -3,9 +3,16 @@ import pytest
 
 from percwalk import walk
 from percwalk.graph import make_ring
-from percwalk.spectral import decompose, reconstruct, stochastic_exp, unitary_exp
+from percwalk.spectral import decompose
 
-from helpers import expm_stochastic, expm_unitary, reference_laplacian
+from helpers import (
+    expm_stochastic,
+    expm_unitary,
+    reconstruct,
+    reference_laplacian,
+    stochastic_exp,
+    unitary_exp,
+)
 
 SINGLE_EDGE = np.array([[1.0, -1.0], [-1.0, 1.0]])
 

@@ -168,3 +168,18 @@ class TestStateHelpers:
             check_distribution(np.array([0.5, 0.4]))
         with pytest.raises(ValueError):
             check_distribution(np.array([1.5, -0.5]))
+
+    # NaN compares false both ways, so each check must fail it rather than pass it
+    def test_check_quantum_state_rejects_nan(self):
+        with pytest.raises(ValueError):
+            check_quantum_state(np.array([np.nan, 0.0, 0.0, 0.0]))
+
+    def test_check_density_rejects_nan(self):
+        rho = basis_density(3, 0)
+        rho[1, 1] = np.nan
+        with pytest.raises(ValueError):
+            check_density_matrix(rho)
+
+    def test_check_distribution_rejects_nan(self):
+        with pytest.raises(ValueError):
+            check_distribution(np.array([0.5, 0.5, np.nan]))
