@@ -38,13 +38,11 @@ from .graph import (  # noqa: F401
     rng_from_seed,
     write_edge_file,
 )
-from .spectral import decompose  # noqa: F401
 from .walk import (  # noqa: F401
     basis_density,
     basis_state,
     classical_transition,
     full_hamiltonian,
-    hamiltonian,
     transition_probability,
 )
 

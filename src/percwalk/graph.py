@@ -3,8 +3,7 @@
 Immutable undirected graphs with an indexed edge list, named generators for
 the standard test geometries, an edge-list file format, and Bernoulli
 sampling of edge-subset realizations. A realization is the set of edges
-kept at one step, held as a row of keep bits or as an int mask: edge index
-k is bit k.
+kept at one step, held as a row of keep bits: entry k keeps edge k.
 """
 from __future__ import annotations
 
@@ -27,8 +26,8 @@ class CapacityError(ValueError):
 class Graph:
     """Undirected simple graph with a fixed, indexed edge list.
 
-    The edge order is fixed at construction and defines the bit positions
-    of keep-bit rows and realization masks.
+    The edge order is fixed at construction and defines the positions of
+    keep-bit rows.
     """
 
     node_count: int
@@ -54,7 +53,7 @@ class Graph:
 
     @cached_property
     def edge_array(self) -> np.ndarray:
-        """Edges as an (edge_count, 2) int64 array, in mask-bit order."""
+        """Edges as an (edge_count, 2) int64 array, in keep-bit order."""
         arr = np.asarray(self.edges, dtype=np.int64).reshape(len(self.edges), 2)
         arr.setflags(write=False)
         return arr
@@ -65,11 +64,6 @@ class Graph:
             deg[u] += 1
             deg[v] += 1
         return deg
-
-
-def check_mask(g: Graph, mask: int) -> None:
-    if mask < 0 or mask >> g.edge_count:
-        raise ValueError(f"mask {mask:#x} has bits beyond edge_count={g.edge_count}")
 
 
 def make_ring(n: int) -> Graph:
@@ -189,7 +183,3 @@ def sample_keep_bits(g: Graph, lam: float, rng: np.random.Generator, steps: int 
     if not 0.0 <= lam <= 1.0:
         raise ValueError(f"lam must be in [0, 1], got {lam}")
     return (rng.random((steps, g.edge_count)) < lam).astype(np.uint8)
-
-
-def mask_to_bits(mask: int, edge_count: int) -> np.ndarray:
-    return np.array([(mask >> k) & 1 for k in range(edge_count)], dtype=np.uint8)

@@ -14,15 +14,20 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from .csvio import load_config, render_csv, write_csv
+from .csvio import finite_csv, load_config, write_csv
 from .experiments import (
+    DEFAULT_CONVERGENCE_SPEC,
     DEFAULT_CONVERGENCE_STEPS,
     DEFAULT_HORIZON_EPSILONS,
+    DEFAULT_HORIZON_SPEC,
     DEFAULT_HORIZON_STEPS,
+    DEFAULT_LONGTIME_SPEC,
+    DEFAULT_TRAJECTORY_STEPS,
     ORACLE_CHOICES,
     EnvelopeFitError,
     ExperimentSpec,
@@ -54,7 +59,6 @@ _CONFIG_KEYS = {
     "seed": ("seed", int),
     "stride": ("stride", int),
     "out": ("out", str),
-    "format": ("fmt", str),
     "trajectories": ("trajectories", int),
     "which": ("which", str),
     "steps-list": ("steps_list", str),
@@ -73,7 +77,6 @@ def _common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, help="RNG seed (PCG64)")
     p.add_argument("--stride", type=int, help="record every stride-th step")
     p.add_argument("--out", help="output CSV path (stdout when omitted)")
-    p.add_argument("--format", dest="fmt", choices=["csv"], help="output format")
     p.add_argument("--config", help="key=value config file; flags override it")
 
 
@@ -102,7 +105,8 @@ def build_parser(command: str | None = None) -> _Parser:
             continue
         _common_flags(p)
         if name == "montecarlo":
-            p.add_argument("--trajectories", type=int, help="ensemble size (default 100)")
+            p.add_argument("--trajectories", type=int,
+                           help=f"ensemble size (default {ExperimentSpec.trajectories})")
         if name == "oracle":
             p.add_argument("--which", choices=ORACLE_CHOICES, help="which reference curve")
             p.add_argument("--target", type=int, help="target node for rescaled (default: start)")
@@ -112,7 +116,7 @@ def build_parser(command: str | None = None) -> _Parser:
             p.add_argument("--epsilons", help="comma-separated relative-error thresholds")
         if name == "envelope":
             p.add_argument("--traj-steps", dest="traj_steps", type=int,
-                           help="steps of the companion trajectory (default 3000)")
+                           help=f"steps of the companion trajectory (default {DEFAULT_TRAJECTORY_STEPS})")
     return parser
 
 
@@ -131,39 +135,38 @@ def _apply_config(args: argparse.Namespace) -> None:
         raise UsageError(f"unknown config keys: {', '.join(sorted(unknown))}")
 
 
-def _fill(args, **defaults) -> None:
-    for dest, value in defaults.items():
-        if getattr(args, dest, None) is None:
-            setattr(args, dest, value)
-
-
 def _require(args, dest, flag) -> None:
     if getattr(args, dest, None) is None:
         raise UsageError(f"missing required flag {flag}")
 
 
-def _spec_from_args(args) -> ExperimentSpec:
-    _require(args, "graph", "--graph")
-    return ExperimentSpec(
-        graph_spec=args.graph,
-        lam=args.lam,
-        tau=args.tau,
-        steps=args.steps,
-        total_time=args.total_time,
-        start=args.start,
-        seed=args.seed,
-        stride=args.stride,
-        trajectories=100 if getattr(args, "trajectories", None) is None else args.trajectories,
-    )
+# flag dest -> ExperimentSpec field
+_SPEC_FIELDS = {"graph": "graph_spec"} | {
+    dest: dest for dest in ("lam", "tau", "steps", "total_time", "start", "seed", "stride", "trajectories")
+}
+
+
+def _spec_from_args(args, default: ExperimentSpec | None = None) -> ExperimentSpec:
+    """The spec of the flags that are set, over ``default`` (a driver's default spec).
+
+    Without ``default``, --graph is required and every unset flag takes the
+    ``ExperimentSpec`` field default. Any timing flag replaces all of
+    ``default``'s timing, since a spec takes exactly two of the three.
+    """
+    given = {field: getattr(args, dest) for dest, field in _SPEC_FIELDS.items()
+             if getattr(args, dest, None) is not None}
+    if default is None:
+        _require(args, "graph", "--graph")
+        return ExperimentSpec(**given)
+    if given.keys() & {"tau", "steps", "total_time"}:
+        default = replace(default, tau=None, steps=None, total_time=None)
+    return replace(default, **given)
 
 
 def _emit(out: str | None, meta: dict, columns) -> None:
-    """Write the CSV; a data column holding NaN or inf is a numerical failure and writes nothing."""
-    for name, values in columns:
-        if not np.all(np.isfinite(values)):
-            raise FloatingPointError(f"column {name} holds a non-finite value; no CSV written")
+    """Write the CSV to ``out``, or stdout; a non-finite column writes nothing (``finite_csv``)."""
     if out is None:
-        sys.stdout.write(render_csv(meta, columns))
+        sys.stdout.write(finite_csv(meta, columns))
     else:
         write_csv(Path(out), meta, columns)
 
@@ -183,45 +186,35 @@ def _parse_list(text: str | None, flag: str, typ, default) -> list:
 
 def _cmd_point(args) -> int:
     """trajectory, classical, channel and montecarlo: one curve at one parameter point."""
-    _fill(args, lam=0.5)
     _emit(args.out, *point_table(_spec_from_args(args), args.command))
     return 0
 
 
 def _cmd_oracle(args) -> int:
     _require(args, "which", "--which")
-    _fill(args, lam=0.5)
     _emit(args.out, *oracle_table(_spec_from_args(args), args.which, args.target))
     return 0
 
 
 def _cmd_convergence(args) -> int:
-    _fill(args, graph="ring:10", lam=0.5)
-    if args.tau is None and args.steps is None and args.total_time is None:
-        args.total_time = 10.0
     s_list = _parse_list(args.steps_list, "--steps-list", int, DEFAULT_CONVERGENCE_STEPS)
-    _, meta, columns = convergence_table(_spec_from_args(args), s_list)
+    _, meta, columns = convergence_table(_spec_from_args(args, DEFAULT_CONVERGENCE_SPEC), s_list)
     _emit(args.out, meta, columns)
     return 0
 
 
 def _cmd_horizon(args) -> int:
-    _fill(args, graph="ring:5", lam=0.5)
-    if args.tau is None and args.steps is None and args.total_time is None:
-        args.total_time = 10.0
     s_list = _parse_list(args.steps_list, "--steps-list", int, DEFAULT_HORIZON_STEPS)
     epsilons = _parse_list(args.epsilons, "--epsilons", float, DEFAULT_HORIZON_EPSILONS)
-    _, meta, columns = horizon_table(_spec_from_args(args), epsilons, s_list)
+    _, meta, columns = horizon_table(_spec_from_args(args, DEFAULT_HORIZON_SPEC), epsilons, s_list)
     _emit(args.out, meta, columns)
     return 0
 
 
 def _cmd_envelope(args) -> int:
-    _fill(args, graph="ring:4", lam=0.2, traj_steps=3000)
-    if args.tau is None and args.steps is None and args.total_time is None:
-        args.tau, args.steps = 0.1, 1000
-    spec = _spec_from_args(args)
-    result, meta, columns = longtime_table(spec, args.traj_steps)
+    spec = _spec_from_args(args, DEFAULT_LONGTIME_SPEC)
+    traj_steps = DEFAULT_TRAJECTORY_STEPS if args.traj_steps is None else args.traj_steps
+    result, meta, columns = longtime_table(spec, traj_steps)
     _emit(args.out, meta, columns)
     if result.fit is None:
         print(f"envelope fit failed: {result.fit_error}", file=sys.stderr)
@@ -256,7 +249,6 @@ def cli_main(argv: list[str] | None = None) -> int:
         return 1
     try:
         _apply_config(args)
-        _fill(args, start=0, seed=0, stride=1, fmt="csv")
         return _COMMANDS[args.command](args)
     except UsageError as exc:
         print(str(exc), file=sys.stderr)

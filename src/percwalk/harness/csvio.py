@@ -50,9 +50,23 @@ def render_csv(meta: dict, columns: list[tuple[str, np.ndarray]]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def finite_csv(meta: dict, columns: list[tuple[str, np.ndarray]]) -> str:
+    """``render_csv`` of data columns that are all finite.
+
+    A column holding NaN or inf is a numerical failure: it raises
+    FloatingPointError and nothing is rendered. ``write_csv`` and the CLI's
+    stdout both go through here.
+    """
+    for name, values in columns:
+        if not np.all(np.isfinite(values)):
+            raise FloatingPointError(f"column {name} holds a non-finite value; no CSV written")
+    return render_csv(meta, columns)
+
+
 def write_csv(path: str | Path, meta: dict, columns: list[tuple[str, np.ndarray]]) -> Path:
+    """Write ``finite_csv``'s text to ``path``; a non-finite column writes no file."""
     path = Path(path)
-    path.write_text(render_csv(meta, columns), encoding="utf-8")
+    path.write_text(finite_csv(meta, columns), encoding="utf-8")
     return path
 
 

@@ -20,7 +20,7 @@ from ..dynamics import (
     run_trajectory,
 )
 from ..graph import Graph, graph_from_spec
-from ..walk import basis_density, basis_state
+from ..walk import basis_density, basis_state, classical_transition, transition_probability
 from .csvio import write_csv
 
 # relative error is undefined where the reference vanishes; points with a
@@ -175,15 +175,13 @@ def montecarlo_curve(spec: ExperimentSpec) -> tuple[np.ndarray, np.ndarray, np.n
 
 
 def quantum_oracle_curve(spec: ExperimentSpec, times: np.ndarray) -> np.ndarray:
-    g = spec.graph()
-    curve = oracles.rescaled_reference(g, spec.lam, spec.start, spec.start)
-    return np.asarray(curve.evaluate(times))
+    """Rescaled reference: the unpercolated return probability at time lam * t."""
+    return transition_probability(spec.graph(), spec.start, spec.start, spec.lam * times)
 
 
 def classical_oracle_curve(spec: ExperimentSpec, times: np.ndarray) -> np.ndarray:
-    g = spec.graph()
-    curve = oracles.rescaled_classical_reference(g, spec.lam, spec.start, spec.start)
-    return np.asarray(curve.evaluate(times))
+    """Classical rescaled reference: the unpercolated classical return probability at lam * t."""
+    return classical_transition(spec.graph(), spec.start, spec.start, spec.lam * times)
 
 
 _POINT_CURVES = {  # command -> (simulated curve, its rescaled reference)
@@ -251,8 +249,7 @@ def oracle_table(spec: ExperimentSpec, which: str, target: int | None = None) ->
     if which in _RETURN_FORMS:
         _check_return_form(which, g, spec.start, target)
     if which == "rescaled":
-        curve = oracles.rescaled_reference(g, spec.lam, spec.start, target)
-        p = np.asarray(curve.evaluate(times))
+        p = transition_probability(g, spec.start, target, spec.lam * times)
     elif which == "complete-q":
         p = np.asarray(oracles.complete_graph_quantum_return(g.node_count, spec.lam * times))
     elif which == "complete-c":
@@ -491,8 +488,13 @@ def _write_table(spec: ExperimentSpec, meta: dict, columns) -> Path | None:
     return None if spec.output_path is None else write_csv(Path(spec.output_path), meta, columns)
 
 
+# the ring:4 long-run defaults of exp_longtime_finite_tau and the CLI's envelope
+DEFAULT_LONGTIME_SPEC = ExperimentSpec(graph_spec="ring:4", lam=0.2, tau=0.1, steps=1000, stride=1)
+DEFAULT_TRAJECTORY_STEPS = 3000
+
+
 def exp_longtime_finite_tau(
-    spec: ExperimentSpec | None = None, trajectory_steps: int = 3000
+    spec: ExperimentSpec | None = None, trajectory_steps: int = DEFAULT_TRAJECTORY_STEPS
 ) -> LongtimeResult:
     """Long-run finite-step behavior on the 4-ring.
 
@@ -503,7 +505,7 @@ def exp_longtime_finite_tau(
     at the flat value 1/N). The trajectory column is sampled on its own step
     grid; with the default parameters both grids coincide to round-off.
     """
-    spec = spec or ExperimentSpec(graph_spec="ring:4", lam=0.2, tau=0.1, steps=1000, stride=1)
+    spec = spec or DEFAULT_LONGTIME_SPEC
     result, meta, columns = longtime_table(spec, trajectory_steps)
     return replace(result, path=_write_table(spec, meta, columns))
 
@@ -572,6 +574,7 @@ class ConvergencePoint:
 
 
 DEFAULT_CONVERGENCE_STEPS = (250, 500, 1000, 2000, 4000)
+DEFAULT_CONVERGENCE_SPEC = ExperimentSpec(graph_spec="ring:10", lam=0.5, total_time=10.0)
 
 
 def exp_convergence(
@@ -582,7 +585,7 @@ def exp_convergence(
     The error is taken over every step of the evolution (stride 1), so the
     maximum is grid-exact. Defaults: ring:10, lambda=0.5, T=10.
     """
-    spec = spec or ExperimentSpec(graph_spec="ring:10", lam=0.5, total_time=10.0)
+    spec = spec or DEFAULT_CONVERGENCE_SPEC
     points, meta, columns = convergence_table(spec, s_list)
     _write_table(spec, meta, columns)
     return points
@@ -611,6 +614,7 @@ def convergence_table(
 
 DEFAULT_HORIZON_STEPS = (250, 500, 1000, 2000, 4000)
 DEFAULT_HORIZON_EPSILONS = (0.02, 0.05, 0.1)
+DEFAULT_HORIZON_SPEC = ExperimentSpec(graph_spec="ring:5", lam=0.5, total_time=10.0)
 
 
 @dataclass(frozen=True)
@@ -632,7 +636,7 @@ def exp_epsilon_horizon(
     never does. Points where P_ref < REL_ERROR_GUARD are skipped (relative
     error undefined at reference zeros). Defaults: ring:5, lambda=0.5, T=10.
     """
-    spec = spec or ExperimentSpec(graph_spec="ring:5", lam=0.5, total_time=10.0)
+    spec = spec or DEFAULT_HORIZON_SPEC
     points, meta, columns = horizon_table(spec, epsilon_list, s_list)
     _write_table(spec, meta, columns)
     return points

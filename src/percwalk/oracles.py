@@ -1,49 +1,14 @@
 """Closed-form reference curves used as ground truth by tests and experiments.
 
 The named formulas are evaluated directly (no matrices), so they stay
-independent of the numerical stack they validate. ``rescaled_reference`` is
-the generic rescaled-time reference for an arbitrary graph and necessarily
-goes through the spectral transition probability.
+independent of the numerical stack they validate. The rescaled-time
+reference of an arbitrary graph has no closed form: it is
+``walk.transition_probability`` (or ``walk.classical_transition``) at
+time lam * t.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
-
 import numpy as np
-
-from .graph import Graph
-from .walk import classical_transition, transition_probability
-
-
-@dataclass(frozen=True)
-class OracleCurve:
-    """A labelled mapping from time to probability."""
-
-    label: str
-    evaluate: Callable[[float | np.ndarray], float | np.ndarray]
-
-
-def rescaled_reference(g: Graph, lam: float, a: int, b: int) -> OracleCurve:
-    """Unpercolated transition probability at rescaled time: t -> pi_{b,a}(lam * t)."""
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError(f"lam must be in [0, 1], got {lam}")
-
-    def _eval(t):
-        return transition_probability(g, a, b, lam * np.asarray(t, dtype=np.float64))
-
-    return OracleCurve(label=f"rescaled({a}->{b}, lam={lam})", evaluate=_eval)
-
-
-def rescaled_classical_reference(g: Graph, lam: float, a: int, b: int) -> OracleCurve:
-    """Classical analog of ``rescaled_reference``: t -> p_{b,a}(lam * t)."""
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError(f"lam must be in [0, 1], got {lam}")
-
-    def _eval(t):
-        return classical_transition(g, a, b, lam * np.asarray(t, dtype=np.float64))
-
-    return OracleCurve(label=f"rescaled-classical({a}->{b}, lam={lam})", evaluate=_eval)
 
 
 def complete_graph_quantum_return(n: int, t: float | np.ndarray) -> float | np.ndarray:

@@ -1,10 +1,19 @@
-"""Walk Hamiltonians and single-shot transition probabilities.
+"""Walk Hamiltonians and the unpercolated transition probabilities.
 
 The generator of both walks is the graph Laplacian: the degree on the
 diagonal, -1 on adjacent pairs. For a percolated realization the degree is
 counted within the realization, so every realization Hamiltonian is itself
 a Laplacian (zero row sums) and the full Hamiltonian is the sum of one
-rank-limited term per kept edge.
+rank-limited term per kept edge. The realization Laplacians of the
+percolated walks are built from keep-bit rows in ``_kernels``.
+
+``transition_probability`` and ``classical_transition`` evaluate the
+unitary exp(-i*H*t) and the column-stochastic exp(-H*t) of the unpercolated
+walk through one ``eigh`` of the full Hamiltonian for many t; going through
+the eigenbasis keeps unitarity structural (phases on an orthonormal basis).
+Evaluated at time lam * t they are the rescaled-time reference of the walk
+percolated with keep probability lam, the column the experiment drivers
+write next to each simulated curve.
 
 The hopping rate is 1. A walk with hopping rate gamma, H = gamma * L, is
 this walk at step tau' = gamma * tau and time t' = gamma * t: the keep bits
@@ -14,23 +23,17 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import _kernels, spectral
-from .graph import Graph, check_mask, mask_to_bits
+from . import _kernels
+from .graph import Graph
 
 STATE_NORM_ATOL = 1e-10
 DENSITY_ATOL = 1e-10
 
 
-def hamiltonian(g: Graph, mask: int) -> np.ndarray:
-    """Laplacian Hamiltonian of the edges present in the int ``mask`` (edge k is bit k)."""
-    check_mask(g, mask)
-    bits = mask_to_bits(mask, g.edge_count)
-    return _kernels.hamiltonian_from_bits(g.edge_array, bits, g.node_count)
-
-
 def full_hamiltonian(g: Graph) -> np.ndarray:
     """Hamiltonian of the unpercolated graph (all edges present)."""
-    return hamiltonian(g, (1 << g.edge_count) - 1)
+    bits = np.ones(g.edge_count, dtype=np.uint8)
+    return _kernels.hamiltonian_from_bits(g.edge_array, bits, g.node_count)
 
 
 def _check_node(g: Graph, a: int, name: str) -> None:
@@ -38,34 +41,37 @@ def _check_node(g: Graph, a: int, name: str) -> None:
         raise ValueError(f"{name}={a} out of range for {g.node_count} nodes")
 
 
+def _weights_and_spectrum(g: Graph, a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
+    """(q[b] * q[a], w) of the eigendecomposition H = q diag(w) q^T of the full Hamiltonian."""
+    _check_node(g, a, "a")
+    _check_node(g, b, "b")
+    w, q = np.linalg.eigh(full_hamiltonian(g))
+    return q[b] * q[a], w
+
+
 def transition_probability(g: Graph, a: int, b: int, t: float | np.ndarray) -> float | np.ndarray:
     """|<b| exp(-i*H*t) |a>|^2 on the unpercolated graph; t may be an array.
 
     A time so long that t * w overflows gives a non-finite value, without a
-    warning (the CLI refuses to write it, exit 2); so does ``classical_transition``.
+    warning (no CSV is written with it: ``csvio.finite_csv``, CLI exit 2); so
+    does ``classical_transition``.
     """
-    _check_node(g, a, "a")
-    _check_node(g, b, "b")
-    d = spectral.decompose(full_hamiltonian(g))
-    weights = d.eigenvectors[b] * d.eigenvectors[a]
+    weights, w = _weights_and_spectrum(g, a, b)
     t_arr = np.asarray(t, dtype=np.float64)
     with np.errstate(over="ignore", invalid="ignore"):
-        amps = np.exp(-1j * np.multiply.outer(t_arr, d.eigenvalues)) @ weights
+        amps = np.exp(-1j * np.multiply.outer(t_arr, w)) @ weights
     out = np.abs(amps) ** 2
     return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out
 
 
 def classical_transition(g: Graph, a: int, b: int, t: float | np.ndarray) -> float | np.ndarray:
     """(exp(-H*t))[b, a] on the unpercolated graph; t may be an array, t >= 0."""
-    _check_node(g, a, "a")
-    _check_node(g, b, "b")
+    weights, w = _weights_and_spectrum(g, a, b)
     t_arr = np.asarray(t, dtype=np.float64)
     if np.any(t_arr < 0) or not np.all(np.isfinite(t_arr)):
         raise ValueError("t must be finite and >= 0")
-    d = spectral.decompose(full_hamiltonian(g))
-    weights = d.eigenvectors[b] * d.eigenvectors[a]
     with np.errstate(over="ignore", invalid="ignore"):
-        out = np.exp(-np.multiply.outer(t_arr, d.eigenvalues)) @ weights
+        out = np.exp(-np.multiply.outer(t_arr, w)) @ weights
     out = np.maximum(out, 0.0)
     return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out
 

@@ -1,16 +1,18 @@
 """Independent reference implementations used as test oracles.
 
-Everything here deliberately avoids the package's spectral/dynamics code
+Everything here deliberately avoids the package's walk/dynamics code
 paths: Hamiltonians are rebuilt from adjacency tables and exponentials go
 through scipy's Pade-based expm, so agreement is a genuine cross-check.
-The exceptions are the last two sections: spectral exponentials and a
-channel application that only tests use, and per-step step loops that call
-the same propagators as ``_kernels``, against which its kernels must be
-bit-identical.
+The exceptions are the last two sections. The first holds a checked
+real-symmetric eigendecomposition (``decompose``), the spectral
+exponentials built on it and a channel application, which only tests use.
+The second holds per-step loops that call the same propagators as
+``_kernels``, against which its kernels must be bit-identical.
 """
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -144,15 +146,42 @@ def reference_automorphisms(edges: np.ndarray, n: int, limit: int) -> np.ndarray
 
 
 # ---------------------------------------------------------------------------
-# spectral exponentials and one channel application, on the package's types
+# eigendecomposition, spectral exponentials and one channel application
 # ---------------------------------------------------------------------------
 
+SYMMETRY_ATOL = 1e-12
 LAPLACIAN_EIG_FLOOR = -1e-9
 STOCHASTIC_ENTRY_FLOOR = -1e-10
 
 
+@dataclass(frozen=True)
+class SpectralDecomposition:
+    """Ascending eigenvalues and orthonormal eigenvector columns of a real symmetric matrix."""
+
+    eigenvalues: np.ndarray
+    eigenvectors: np.ndarray
+
+
+def decompose(a: np.ndarray) -> SpectralDecomposition:
+    """Eigendecompose a real symmetric matrix (LAPACK, ascending eigenvalues).
+
+    Raises ValueError for non-square, non-finite or asymmetric input and
+    numpy.linalg.LinAlgError if the solver fails to converge.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("matrix has non-finite entries")
+    asym = np.max(np.abs(a - a.T)) if a.size else 0.0
+    if asym > SYMMETRY_ATOL:
+        raise ValueError(f"matrix is not symmetric: max |a - a.T| = {asym:.3e}")
+    w, q = np.linalg.eigh(a)
+    return SpectralDecomposition(eigenvalues=w, eigenvectors=q)
+
+
 def reconstruct(d) -> np.ndarray:
-    """Q diag(w) Q^T of a ``spectral.SpectralDecomposition``, for round-trip checks."""
+    """Q diag(w) Q^T of a ``SpectralDecomposition``, for round-trip checks."""
     return (d.eigenvectors * d.eigenvalues) @ d.eigenvectors.T
 
 

@@ -29,7 +29,6 @@ from percwalk.oracles import (
     ring4_classical_return,
     ring4_quantum_return,
 )
-from percwalk.spectral import decompose
 from percwalk.walk import (
     basis_density,
     basis_state,
@@ -38,7 +37,13 @@ from percwalk.walk import (
     transition_probability,
 )
 
-from helpers import brute_force_channel_average, enumerate_realizations, stochastic_exp, unitary_exp
+from helpers import (
+    brute_force_channel_average,
+    decompose,
+    enumerate_realizations,
+    stochastic_exp,
+    unitary_exp,
+)
 
 
 def report(cid: str, ok: bool, detail: str) -> None:

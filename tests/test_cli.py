@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from percwalk import dynamics, oracles
+from percwalk import dynamics
 from percwalk.graph import graph_from_spec
 from percwalk.harness import cli, experiments
 from percwalk.harness.cli import cli_main
@@ -15,11 +15,13 @@ from percwalk.harness.csvio import read_csv
 from percwalk.harness.experiments import (
     ExperimentSpec,
     exp_channel_ring,
+    exp_complete_graph,
     exp_convergence,
     exp_epsilon_horizon,
     exp_longtime_finite_tau,
     exp_trajectory_lattice,
 )
+from percwalk.walk import classical_transition, transition_probability
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -119,17 +121,19 @@ class TestOracleCommand:
         assert np.allclose(data["p_oracle"], 1 / 8)
 
     @pytest.mark.parametrize("which,graph,reference", [
-        ("complete-q", "complete:5", oracles.rescaled_reference),
-        ("complete-c", "complete:5", oracles.rescaled_classical_reference),
-        ("ring4-c", "ring:4", oracles.rescaled_classical_reference),
-    ])
+        ("complete-q", "complete:5", transition_probability),
+        ("complete-c", "complete:5", classical_transition),
+        ("ring4-c", "ring:4", classical_transition),
+    ], ids=["complete-q-complete:5-rescaled_reference",
+            "complete-c-complete:5-rescaled_classical_reference",
+            "ring4-c-ring:4-rescaled_classical_reference"])
     def test_closed_form_equals_spectral_reference(self, tmp_path, which, graph, reference):
         out = tmp_path / "oracle.csv"
         assert run_cli(["oracle", "--which", which, "--graph", graph, "--lambda", "0.3",
                         "--tau", "0.5", "--steps", "20", "--start", "1", "--out", str(out)]) == 0
         _, data = read_csv(out)
-        curve = reference(graph_from_spec(graph), 0.3, 1, 1)
-        assert np.max(np.abs(data["p_oracle"] - curve.evaluate(data["t"]))) <= 1e-12
+        rescaled = reference(graph_from_spec(graph), 1, 1, 0.3 * data["t"])
+        assert np.max(np.abs(data["p_oracle"] - rescaled)) <= 1e-12
 
     @pytest.mark.parametrize("which,graph,extra", [
         ("complete-q", "complete:5", ["--target", "2"]),
@@ -220,7 +224,19 @@ class TestScanCommands:
          lambda out: exp_channel_ring(
              ExperimentSpec("ring:5", tau=0.05, steps=40, stride=4, start=2, output_path=out),
              lambdas=(0.4,))),
-    ], ids=["convergence", "horizon", "envelope", "trajectory", "channel"])
+        # every flag unset: the CLI takes the drivers' and ExperimentSpec's defaults
+        (["convergence"],
+         lambda out: exp_convergence(ExperimentSpec("ring:10", lam=0.5, total_time=10.0, output_path=out))),
+        (["horizon"],
+         lambda out: exp_epsilon_horizon(ExperimentSpec("ring:5", lam=0.5, total_time=10.0, output_path=out))),
+        (["envelope", "--seed", "3"],
+         lambda out: exp_longtime_finite_tau(
+             ExperimentSpec("ring:4", lam=0.2, tau=0.1, steps=1000, seed=3, output_path=out))),
+        (["trajectory", "--graph", "ring:4", "--tau", "0.1", "--steps", "20"],
+         lambda out: exp_trajectory_lattice(
+             ExperimentSpec("ring:4", tau=0.1, steps=20, output_path=out), lambdas=(0.5,))),
+    ], ids=["convergence", "horizon", "envelope", "trajectory", "channel", "convergence-default",
+            "horizon-default", "envelope-default", "trajectory-default"])
     def test_csv_equals_driver_csv(self, tmp_path, argv, drive):
         cli_out, driver_out = tmp_path / "cli.csv", tmp_path / "driver.csv"
         assert run_cli(argv + ["--out", str(cli_out)]) == 0
@@ -381,6 +397,22 @@ class TestErrorPaths:
         out = tmp_path / "run.csv"
         assert run_cli(argv + ["--out", str(out)]) == 2
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_numerical_overflow_on_stdout_exit_2_without_csv(self, capsys):
+        assert run_cli(["trajectory", "--graph", "complete:4", "--tau", "1e308", "--steps", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "column p_sim holds a non-finite value" in captured.err
+
+    def test_driver_refuses_non_finite_columns_without_csv(self, tmp_path):
+        out = tmp_path / "complete.csv"
+        spec = ExperimentSpec("complete:4", lam=0.5, tau=1e308, steps=1, output_path=str(out))
+        # numpy's overflow warnings on the way (the classical dot, the closed forms'
+        # cos(n t)) are not under test here; the refusal of the NaN columns is
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(FloatingPointError, match="column p_quantum_sim holds a non-finite value"):
+                exp_complete_graph(spec)
         assert not out.exists()
 
     @pytest.mark.parametrize("argv,planned", [

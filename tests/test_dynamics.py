@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-import percwalk as pw
 from percwalk import _kernels, dynamics
 from percwalk.dynamics import (
     ChannelMatrix,
@@ -23,12 +22,12 @@ from percwalk.graph import (
     rng_from_seed,
     sample_keep_bits,
 )
-from percwalk.spectral import decompose
 from percwalk.walk import basis_density, basis_state, full_hamiltonian, transition_probability
 
 from helpers import (
     apply_channel,
     brute_force_channel_average,
+    decompose,
     enumerate_realizations,
     expm_unitary,
     reference_laplacian,
@@ -556,7 +555,7 @@ class TestMonteCarlo:
         run = PercolationRun(lam=0.4, tau=0.3, steps=5, seed=12)
         rec = monte_carlo_classical(g, run, _delta(2), 40_000)
         m_avg = sum(
-            p * stochastic_exp(decompose(pw.hamiltonian(g, mask)), run.tau)
+            p * stochastic_exp(decompose(reference_laplacian(g.node_count, g.edges, mask)), run.tau)
             for mask, p in enumerate_realizations(g, run.lam)
         )
         expect = np.linalg.matrix_power(m_avg, run.steps) @ _delta(2)

@@ -10,7 +10,6 @@ from percwalk.graph import (
     make_complete,
     make_lattice2d,
     make_ring,
-    mask_to_bits,
     read_edge_file,
     rng_from_seed,
     sample_keep_bits,
@@ -115,11 +114,6 @@ class TestGraphValidation:
 
 
 class TestRealization:
-    def test_bits_roundtrip(self):
-        bits = np.array([1, 0, 1, 1, 0], dtype=np.uint8)
-        mask = sum(int(b) << k for k, b in enumerate(bits))
-        assert np.array_equal(mask_to_bits(mask, 5), bits)
-
     def test_params_validation(self):
         with pytest.raises(ValueError):
             sample_keep_bits(make_ring(4), 1.5, rng_from_seed(0))

@@ -90,9 +90,9 @@ class TestRing4Oracles:
 
     def test_quantum_matches_rescaled_reference(self):
         g = make_ring(4)
-        curve = oracles.rescaled_reference(g, 0.3, 0, 0)
         ts = np.linspace(0, 20, 101)
-        assert np.max(np.abs(curve.evaluate(ts) - oracles.ring4_quantum_return(0.3, ts))) <= 1e-10
+        rescaled = transition_probability(g, 0, 0, 0.3 * ts)
+        assert np.max(np.abs(rescaled - oracles.ring4_quantum_return(0.3, ts))) <= 1e-10
 
 
 class TestFlatLimit:
@@ -106,28 +106,27 @@ class TestFlatLimit:
 
 
 class TestRescaledReference:
+    """The rescaled-time reference: the unpercolated walk evaluated at lam * t."""
+
     def test_lambda_one_is_plain_transition(self):
         g = make_ring(5)
-        curve = oracles.rescaled_reference(g, 1.0, 0, 2)
         ts = np.linspace(0, 6, 31)
-        assert np.allclose(curve.evaluate(ts), transition_probability(g, 0, 2, ts), atol=1e-14)
+        rescaled = transition_probability(g, 0, 2, 1.0 * ts)
+        assert np.allclose(rescaled, transition_probability(g, 0, 2, ts), atol=1e-14)
 
     def test_lambda_zero_is_frozen(self):
         g = make_ring(5)
-        same = oracles.rescaled_reference(g, 0.0, 1, 1)
-        other = oracles.rescaled_reference(g, 0.0, 1, 3)
         ts = np.linspace(0, 9, 19)
-        assert np.allclose(same.evaluate(ts), 1.0, atol=1e-12)
-        assert np.allclose(other.evaluate(ts), 0.0, atol=1e-12)
+        assert np.allclose(transition_probability(g, 1, 1, 0.0 * ts), 1.0, atol=1e-12)
+        assert np.allclose(transition_probability(g, 1, 3, 0.0 * ts), 0.0, atol=1e-12)
 
     def test_outputs_are_probabilities(self):
         g = make_ring(6)
-        curve = oracles.rescaled_reference(g, 0.7, 0, 0)
-        vals = np.asarray(curve.evaluate(np.linspace(0, 50, 5001)))
+        vals = transition_probability(g, 0, 0, 0.7 * np.linspace(0, 50, 5001))
         assert np.all(vals >= 0) and np.all(vals <= 1 + 1e-10)
 
     def test_classical_variant(self):
         g = make_ring(4)
-        curve = oracles.rescaled_classical_reference(g, 0.5, 0, 0)
         ts = np.linspace(0, 12, 25)
-        assert np.allclose(curve.evaluate(ts), oracles.ring4_classical_return(0.5, ts), atol=1e-10)
+        rescaled = classical_transition(g, 0, 0, 0.5 * ts)
+        assert np.allclose(rescaled, oracles.ring4_classical_return(0.5, ts), atol=1e-10)

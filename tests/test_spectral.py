@@ -3,9 +3,9 @@ import pytest
 
 from percwalk import walk
 from percwalk.graph import make_ring
-from percwalk.spectral import decompose
 
 from helpers import (
+    decompose,
     expm_stochastic,
     expm_unitary,
     reconstruct,

@@ -11,11 +11,20 @@ from percwalk.walk import (
     check_quantum_state,
     classical_transition,
     full_hamiltonian,
-    hamiltonian,
     transition_probability,
 )
 
 from helpers import reference_laplacian
+
+
+def _keep_bits(mask: int, edge_count: int) -> np.ndarray:
+    """The keep-bit row of ``reference_laplacian``'s int mask: entry k is bit k."""
+    return np.array([(mask >> k) & 1 for k in range(edge_count)], dtype=np.uint8)
+
+
+def _laplacian(g, bits) -> np.ndarray:
+    """Laplacian of the edges of g kept in one keep-bit row."""
+    return _kernels.hamiltonian_from_bits(g.edge_array, np.asarray(bits, dtype=np.uint8), g.node_count)
 
 
 class TestHamiltonian:
@@ -28,7 +37,7 @@ class TestHamiltonian:
 
     def test_empty_mask_zero_matrix(self):
         g = make_ring(5)
-        assert np.array_equal(hamiltonian(g, 0), np.zeros((5, 5)))
+        assert np.array_equal(_laplacian(g, np.zeros(5)), np.zeros((5, 5)))
 
     def test_ring4_full(self):
         h = full_hamiltonian(make_ring(4))
@@ -38,46 +47,39 @@ class TestHamiltonian:
         assert np.array_equal(h, expect)
 
     def test_diagonal_uses_realization_degree(self):
-        # mask with only edge 0 of ring(4): nodes 0,1 have degree 1, others 0
-        g = make_ring(4)
-        h = hamiltonian(g, 0b0001)
+        # only edge 0 of ring(4) kept: nodes 0,1 have degree 1, others 0
+        h = _laplacian(make_ring(4), [1, 0, 0, 0])
         assert h[0, 0] == 1 and h[1, 1] == 1 and h[2, 2] == 0 and h[3, 3] == 0
 
     @pytest.mark.parametrize("mask", [0b0000, 0b1010, 0b0111, 0b1111])
     def test_matches_reference_laplacian(self, mask):
         g = make_ring(4)
-        assert np.array_equal(hamiltonian(g, mask), reference_laplacian(4, g.edges, mask))
+        assert np.array_equal(_laplacian(g, _keep_bits(mask, 4)), reference_laplacian(4, g.edges, mask))
 
     def test_zero_row_sums(self):
         g = make_lattice2d(3, 3)
-        rng = np.random.default_rng(2)
-        for _ in range(5):
-            mask = int(rng.integers(0, 1 << g.edge_count))
-            h = hamiltonian(g, mask)
-            assert np.max(np.abs(h.sum(axis=1))) <= 1e-12
+        bits = (np.random.default_rng(2).random((5, g.edge_count)) < 0.5).astype(np.uint8)
+        h = _kernels.laplacians(g.edge_array, g.node_count, bits, 1.0)
+        assert np.max(np.abs(h.sum(axis=2))) <= 1e-12
 
     def test_additivity_disjoint_masks(self):
         g = make_ring(6)
-        m1, m2 = 0b010101, 0b101010
-        assert np.array_equal(hamiltonian(g, m1 | m2), hamiltonian(g, m1) + hamiltonian(g, m2))
+        b1, b2 = np.array([1, 0, 1, 0, 1, 0]), np.array([0, 1, 0, 1, 0, 1])
+        assert np.array_equal(_laplacian(g, b1 | b2), _laplacian(g, b1) + _laplacian(g, b2))
 
     def test_full_mask_is_full_hamiltonian(self):
         g = make_ring(4)
-        assert np.array_equal(hamiltonian(g, (1 << g.edge_count) - 1), full_hamiltonian(g))
-
-    def test_mask_out_of_range(self):
-        g = make_ring(4)
-        with pytest.raises(ValueError):
-            hamiltonian(g, 1 << 10)
+        assert np.array_equal(_laplacian(g, np.ones(g.edge_count)), full_hamiltonian(g))
 
     def test_kernel_construction_agrees(self):
+        # batched rows, one row at a time and the adjacency-table reference agree
         g = make_lattice2d(3, 2)
-        rng = np.random.default_rng(8)
-        for _ in range(5):
-            bits = (rng.random(g.edge_count) < 0.5).astype(np.uint8)
-            mask = sum(1 << k for k in np.flatnonzero(bits))
-            built = _kernels.hamiltonian_from_bits(g.edge_array, bits, g.node_count)
-            assert np.array_equal(built, hamiltonian(g, int(mask)))
+        bits = (np.random.default_rng(8).random((5, g.edge_count)) < 0.5).astype(np.uint8)
+        batch = _kernels.laplacians(g.edge_array, g.node_count, bits, 1.0)
+        for row, built in zip(bits, batch):
+            mask = sum(1 << k for k in np.flatnonzero(row))
+            assert np.array_equal(built, _laplacian(g, row))
+            assert np.array_equal(built, reference_laplacian(g.node_count, g.edges, mask))
 
 
 class TestTransitionProbability:
