@@ -6,7 +6,19 @@ or z = -tau for the classical walk. Three propagators implement it:
 
 * mask cache: a graph with at most CACHE_MAX_EDGES edges has at most 2^16
   realizations, so each distinct realization's propagator is built once as
-  a spectral exponential (``eigh``) and kept in a dict keyed by its mask;
+  a spectral exponential (``eigh``) and kept, found through a 2^E table of
+  slots indexed by the mask. An ensemble keeps complex n x n propagators. A
+  trajectory keeps real m x m ones that act on the float64 view of its
+  state (``_real_form``: m = 2n quantum, m = n classical) and, on small
+  graphs, steps in chunks of L steps (``_mask_chunk``): it gathers a
+  block's propagators into one stack, forms each chunk's prefix products
+  U_k ... U_1 with L - 1 batched matmuls over all chunks and writes the L
+  states of a chunk with one (L m, m) matvec (Blelloch, CMU-CS-90-190,
+  1990, for prefix products). On ring:4 (60 000 steps, tau = 1/600) those
+  products move the states by at most 1.4e-13 (quantum) and 7.5e-15
+  (classical) from one matvec per step, a round-off that grows linearly
+  with the steps, like the norm drift of 1.6e-12 that the cached
+  propagators give both loops;
 * Taylor action: larger graphs practically never repeat a realization, so
   exp(z * H_r) is applied to the state directly as ``substeps`` truncated
   Taylor series of ``order`` terms each (``taylor_plan``). The truncation
@@ -27,15 +39,18 @@ or z = -tau for the classical walk. Three propagators implement it:
   with more substeps it wins on larger graphs (ring:30 at tau = 1, 4
   substeps: by 20-45%). Ensembles always use the action or the mask cache.
 
-The step kernels report which propagator ran (``"mask-cache"``,
-``"taylor(substeps=S, order=K)"`` or ``"taylor-matrix(substeps=S,
-order=K)"``) and the largest drift of the conserved norm: the 2-norm of a
-quantum state, the total probability of a classical distribution; a
-non-finite state gives a non-finite drift. At the dimensions of the
+The step kernels report which propagator ran (``"mask-cache(chunk=L)"``
+for a trajectory, ``"mask-cache"`` for an ensemble, ``"taylor(substeps=S,
+order=K)"`` or ``"taylor-matrix(substeps=S, order=K)"``) and the largest
+drift of the conserved norm: the 2-norm of a quantum state, the total
+probability of a classical distribution; a non-finite state gives a
+non-finite drift, without a numpy warning. At the dimensions of the
 mask-cache and the paper's Taylor workloads (d = 4 to 15) a step costs
-interpreter and call overhead, not flops, so the step loops make their
+interpreter and call overhead, not flops: a 4 x 4 complex matvec takes
+about 0.44 us, almost all of it the call. So the step loops make their
 buffer views and bound ``.dot`` calls once per run (or block), never once
-per step.
+per step, and the mask cache of a small graph makes one call per chunk of
+steps instead of one per step.
 
 ``channel_accumulate`` sums over all 2^E realizations without a spectral
 decomposition. Each U_r = cos(tau H_r) - i sin(tau H_r) comes from real
@@ -93,12 +108,16 @@ def active_backend() -> str:
     return "numpy"
 
 
-def propagator_cache_capacity(edge_count: int, max_distinct: int, dim: int) -> int:
-    """Most propagators the mask cache may hold; 0 selects the Taylor action."""
+def propagator_cache_capacity(edge_count: int, max_distinct: int, dim: int, itemsize: int = 16) -> int:
+    """Most propagators the mask cache may hold; 0 selects the Taylor action.
+
+    Each is dim x dim with ``itemsize``-byte entries: an ensemble caches
+    complex n x n propagators, a trajectory real m x m ones (``trajectory_plan``).
+    """
     if edge_count > CACHE_MAX_EDGES:
         return 0
     cap = min(1 << edge_count, max_distinct, CACHE_MAX_ENTRIES)
-    if cap * dim * dim * 16 > CACHE_MAX_BYTES:
+    if cap * dim * dim * itemsize > CACHE_MAX_BYTES:
         return 0
     return cap
 
@@ -174,6 +193,19 @@ def step_plan(edges: np.ndarray, n: int, tau: float, steps: int,
     return _run_plan(edges, n, tau, steps)
 
 
+def trajectory_plan(edges: np.ndarray, n: int, tau: float, steps: int,
+                    quantum: bool) -> tuple[int, int] | None:
+    """``step_plan`` of one trajectory, whose mask cache holds real m x m float64 propagators.
+
+    m = 2n for the quantum walk, whose propagators act on the interleaved
+    real and imaginary parts of the state (``_real_form``), m = n for the
+    classical walk.
+    """
+    if propagator_cache_capacity(edges.shape[0], steps, 2 * n if quantum else n, 8) > 0:
+        return None
+    return _run_plan(edges, n, tau, steps)
+
+
 def _use_matrix(n: int, substeps: int) -> bool:
     """Whether a trajectory step should form its Taylor polynomial as a matrix (``_taylor_matrices``).
 
@@ -185,6 +217,52 @@ def _use_matrix(n: int, substeps: int) -> bool:
     one substep.
     """
     return 2 * n**3 < substeps * CALL_FLOPS
+
+
+def _mask_chunk(m: int) -> int:
+    """Steps L per chunk of a mask-cache trajectory whose cached propagators are real m x m.
+
+    Stepping one matvec at a time costs a small numpy call per step. A
+    chunk's prefix products U_k ... U_1 (k = 1..L), formed by L - 1 batched
+    matmuls over all chunks of a block, cost one gathered m x m product per
+    step (2 m^3 flops) and leave one (L m, m) matvec per chunk. Such small
+    batched products, gather included, run at 2-8 GFLOP/s (m = 4 to 12), a
+    fifth or less of the rate CALL_FLOPS assumes, so chunks pay where
+    10 m^3 < CALL_FLOPS: m <= 11, a quantum walk on at most 5 nodes (m = 2n)
+    or a classical walk on at most 11. A block of S = BLOCK_BYTES / (8 m^2)
+    steps then makes S / L matvec calls and L - 1 product calls, each about
+    two small calls (the matmul and the copy of its result), which is least
+    at L = sqrt(S / 2) = 128 / m. Measured in process with one BLAS thread
+    (40 000 steps, best of 12), against one matvec per step: the quantum
+    walk on ring:3, ring:4 and ring:5 (m = 6, 8, 10) ran 2.8x, 1.6x and
+    1.2x faster, the classical walk on ring:4, ring:5 and ring:8 3.1x, 2.7x
+    and 1.5x; at m = 12 (the quantum ring:6, the classical ring:12) chunks
+    of 8 to 32 steps tied or lost.
+    """
+    if 10 * m**3 >= CALL_FLOPS:
+        return 1
+    return max(1, round(math.sqrt(BLOCK_BYTES / (16 * m * m))))
+
+
+def _real_form(u: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write into ``out`` and return the real matrices that act as a stack u (..., n, n): u itself if real.
+
+    A complex u becomes the (2n, 2n) matrix that acts on x.view(float64),
+    the interleaved real and imaginary parts of x, as u acts on x: entry
+    (i, j) becomes the block [[Re, -Im], [Im, Re]] at rows 2i, 2i + 1 and
+    columns 2j, 2j + 1. Numpy's batched real 8 x 8 products run about four
+    times faster than complex 4 x 4 ones (75-140 against 320-510 ns per
+    product).
+    """
+    if not np.iscomplexobj(u):
+        out[...] = u
+        return out
+    n = u.shape[-1]
+    blocks = out.reshape(u.shape[:-2] + (n, 2, n, 2))
+    blocks[..., 0, :, 0] = blocks[..., 1, :, 1] = u.real
+    np.negative(u.imag, out=blocks[..., 0, :, 1])
+    blocks[..., 1, :, 0] = u.imag
+    return out
 
 
 def _taylor_matrices(edges: np.ndarray, n: int, bits: np.ndarray, z, substeps: int,
@@ -271,30 +349,76 @@ def _norms(x: np.ndarray, axis: int) -> np.ndarray:
 def _trajectory(edges, n, z, bits, record_steps, x0, renorm_every, renorm_tol):
     """Shared loop of the trajectory kernels -> (states at record_steps, max drift, propagator).
 
-    Steps run in blocks; each block returns its states, from which the
-    norm drift and the recorded rows are taken at once. Blocks end at
-    multiples of ``renorm_every`` (0 = never renormalize), where a state
-    whose norm drifted by more than ``renorm_tol`` is renormalized.
+    Steps run in blocks; each block returns the states of all its steps,
+    from which the norm drift and the recorded rows are taken at once.
+    Blocks end at multiples of ``renorm_every`` (0 = never renormalize),
+    where a state whose norm drifted by more than ``renorm_tol`` is
+    renormalized. On the mask cache a block is a whole number of chunks of
+    L = ``_mask_chunk(m)`` steps, whose (chunks, L, m, m) stack of
+    propagators fits in BLOCK_BYTES, except that a renormalization or the
+    run's end may cut it short; its ragged last chunk is padded with I.
+    Each chunk is one call of one loop, ``dot(start state, states)``: with
+    L = 1 the bound ``.dot`` of the step's cached propagator, else that of
+    the chunk's stacked prefix products. Overflowing propagators give
+    non-finite states without a numpy warning; the CLI refuses to write
+    them (exit 2).
     """
     steps, edge_count = bits.shape
-    plan = step_plan(edges, n, abs(z), steps, steps)
+    plan = trajectory_plan(edges, n, abs(z), steps, np.iscomplexobj(z))
     name = _plan_name(plan)
     if plan is None:
-        block = max(1, BLOCK_BYTES // (16 * n))
-        # mask key -> bound ``.dot`` of its propagator, built at the mask's first step
-        cache: dict[int, Callable] = {}
+        m = 2 * n if np.iscomplexobj(z) else n
+        chunk = _mask_chunk(m)
+        name = f"mask-cache(chunk={chunk})"
+        if chunk > 1:  # whole chunks, whose (chunks, chunk, m, m) stack fits in BLOCK_BYTES
+            block = max(1, BLOCK_BYTES // (8 * m * m * chunk)) * chunk
+        else:
+            block = max(1, BLOCK_BYTES // (8 * m))
+        # the real form of each mask's propagator, built at the mask's first step, and its bound
+        # ``.dot``; slots maps a mask key to its row of store
+        store = np.empty((propagator_cache_capacity(edge_count, steps, m, 8), m, m))
+        dots: list[Callable] = []
+        slots = np.full(1 << edge_count, -1, dtype=np.intp)
+        shifts = np.arange(edge_count)
+        eye = np.eye(m)
 
         def advance(start, stop, x):
             # keys are packed per block, so no (steps, E) int64 copy of the run is made
-            block_keys = _mask_keys(bits[start:stop])
-            masks, first = np.unique(block_keys, return_index=True)
-            for key, j in zip(masks.tolist(), first.tolist()):
-                if key not in cache:
-                    cache[key] = _propagator_for_bits(edges, bits[start + j], n, z).dot
-            hist = np.empty((stop - start, n), dtype=x.dtype)
-            for dot, row in zip([cache[k] for k in block_keys.tolist()], hist):
-                x = dot(x, row)
-            return hist
+            keys = _mask_keys(bits[start:stop])
+            slot = slots[keys]
+            if slot.min() < 0:
+                fresh = np.zeros(slots.shape, dtype=bool)
+                fresh[keys[slot < 0]] = True
+                new = np.flatnonzero(fresh)
+                rows = store[len(dots):len(dots) + new.size]
+                slots[new] = np.arange(len(dots), len(dots) + new.size)
+                # bit e of a key keeps edge e
+                us = [_propagator_for_bits(edges, b, n, z) for b in new[:, None] >> shifts & 1]
+                dots.extend(row.dot for row in _real_form(np.array(us), rows))
+                slot = slots[keys]
+            count = stop - start
+            chunks = -(-count // chunk)
+            hist = np.empty((chunks * chunk, n), dtype=x.dtype)
+            outs = list(hist.view(np.float64).reshape(chunks, chunk * m))
+            if chunk == 1:
+                ops, ends = list(map(dots.__getitem__, slot.tolist())), outs
+            else:
+                # the prefix products U_k ... U_1 of each chunk, a ragged last chunk padded with I
+                prod = np.empty((chunks, chunk, m, m))
+                flat = prod.reshape(-1, m, m)
+                np.take(store, slot, axis=0, out=flat[:count], mode="clip")
+                flat[count:] = eye
+                # a separate output: matmul would copy an input that overlaps its output
+                tmp = np.empty((chunks, m, m))
+                for k in range(1, chunk):
+                    np.matmul(prod[:, k], prod[:, k - 1], out=tmp)
+                    prod[:, k] = tmp
+                ops = [p.dot for p in prod.reshape(chunks, chunk * m, m)]
+                ends = [out[-m:] for out in outs]
+            # one call writes the chunk's states: out = (U_1 x, U_2 U_1 x, ...)
+            for dot, src, out in zip(ops, [x.view(np.float64)] + ends[:-1], outs):
+                dot(src, out)
+            return hist[:count]
     elif _use_matrix(n, plan[0]):
         substeps, order = plan
         name = _plan_name(plan, "taylor-matrix")
@@ -333,19 +457,20 @@ def _trajectory(edges, n, z, bits, record_steps, x0, renorm_every, renorm_tol):
         out[0] = x0
         rec_i = 1
     x, max_drift, start = x0, 0.0, 0
-    while start < steps:
-        stop = min(start + block, steps)
-        if renorm_every:
-            stop = min(stop, (start // renorm_every + 1) * renorm_every)
-        hist = advance(start, stop, x)
-        norms = _norms(hist, axis=1)
-        max_drift = _max_drift(max_drift, float(np.abs(norms - 1.0).max()))
-        if renorm_every and stop % renorm_every == 0 and abs(norms[-1] - 1.0) > renorm_tol:
-            hist[-1] /= norms[-1]
-        rec_j = int(np.searchsorted(record_steps, stop, side="right"))
-        out[rec_i:rec_j] = hist[record_steps[rec_i:rec_j] - start - 1]
-        rec_i = rec_j
-        x, start = hist[-1], stop
+    with np.errstate(over="ignore", invalid="ignore"):
+        while start < steps:
+            stop = min(start + block, steps)
+            if renorm_every:
+                stop = min(stop, (start // renorm_every + 1) * renorm_every)
+            hist = advance(start, stop, x)
+            norms = _norms(hist, axis=1)
+            max_drift = _max_drift(max_drift, float(np.abs(norms - 1.0).max()))
+            if renorm_every and stop % renorm_every == 0 and abs(norms[-1] - 1.0) > renorm_tol:
+                hist[-1] /= norms[-1]
+            rec_j = int(np.searchsorted(record_steps, stop, side="right"))
+            out[rec_i:rec_j] = hist[record_steps[rec_i:rec_j] - start - 1]
+            rec_i = rec_j
+            x, start = hist[-1], stop
     return out, max_drift, name
 
 

@@ -29,7 +29,8 @@ Three routes to the same physics:
   initial density is eigendecomposed once per call.
 
 Per-step exponentials are spectral exponentials (graphs with at most
-``_kernels.CACHE_MAX_EDGES`` edges) or truncated Taylor series whose
+``_kernels.CACHE_MAX_EDGES`` edges; a trajectory on a small graph applies
+them a chunk of prefix products at a time) or truncated Taylor series whose
 truncation error is at most 2^-53 of the state norm per substep (larger
 graphs; see ``_kernels.taylor_plan``). The series is applied to the state
 as an action, or, for a trajectory on a graph small enough that a batch of
@@ -100,7 +101,7 @@ class TrajectoryRecord:
     times: np.ndarray
     states: np.ndarray  # (n_recorded, node_count) complex amplitudes
     max_norm_drift: float  # max over steps of | ||psi||_2 - 1 |
-    # "mask-cache", "taylor(substeps=S, order=K)" or "taylor-matrix(substeps=S, order=K)"
+    # "mask-cache(chunk=L)", "taylor(substeps=S, order=K)" or "taylor-matrix(substeps=S, order=K)"
     propagator: str
 
     def site_probabilities(self) -> np.ndarray:
@@ -275,7 +276,7 @@ def run_trajectory(
     psi0 = check_quantum_state(psi0)
     if psi0.shape[0] != g.node_count:
         raise ValueError(f"state dimension {psi0.shape[0]} != node_count {g.node_count}")
-    _kernels.step_plan(g.edge_array, g.node_count, run.tau, run.steps, run.steps)
+    _kernels.trajectory_plan(g.edge_array, g.node_count, run.tau, run.steps, True)
     rng = rng_from_seed(run.seed, trajectory_index)
     bits = sample_keep_bits(g, run.lam, rng, run.steps)
     rec = recorded_steps(run.steps, sample_stride)
@@ -305,7 +306,7 @@ def run_classical_trajectory(
     p0 = check_distribution(p0)
     if p0.shape[0] != g.node_count:
         raise ValueError(f"distribution dimension {p0.shape[0]} != node_count {g.node_count}")
-    _kernels.step_plan(g.edge_array, g.node_count, run.tau, run.steps, run.steps)
+    _kernels.trajectory_plan(g.edge_array, g.node_count, run.tau, run.steps, False)
     rng = rng_from_seed(run.seed, trajectory_index)
     bits = sample_keep_bits(g, run.lam, rng, run.steps)
     rec = recorded_steps(run.steps, sample_stride)

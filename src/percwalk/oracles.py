@@ -15,23 +15,29 @@ def complete_graph_quantum_return(n: int, t: float | np.ndarray) -> float | np.n
     """Return probability on the complete graph with n nodes.
 
     (n-1)^2/n^2 + 1/n^2 + 2(n-1)/n^2 * cos(n*t); period 2*pi/n with full
-    revivals at multiples of the period.
+    revivals at multiples of the period. A time so long that n*t overflows
+    gives NaN, without a warning (no CSV is written with it: CLI exit 2).
     """
     if n < 2:
         raise ValueError(f"complete graph needs n >= 2, got {n}")
     t = np.asarray(t, dtype=np.float64)
-    out = ((n - 1) ** 2 + 1 + 2 * (n - 1) * np.cos(n * t)) / n**2
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = ((n - 1) ** 2 + 1 + 2 * (n - 1) * np.cos(n * t)) / n**2
     return float(out) if out.ndim == 0 else out
 
 
 def complete_graph_classical_return(n: int, t: float | np.ndarray) -> float | np.ndarray:
-    """Classical return probability on the complete graph: ((n-1)e^{-nt} + 1)/n."""
+    """Classical return probability on the complete graph: ((n-1)e^{-nt} + 1)/n.
+
+    A time so long that n*t overflows gives the limit 1/n, without a warning.
+    """
     if n < 2:
         raise ValueError(f"complete graph needs n >= 2, got {n}")
     t = np.asarray(t, dtype=np.float64)
     if np.any(t < 0):
         raise ValueError("t must be >= 0")
-    out = ((n - 1) * np.exp(-n * t) + 1.0) / n
+    with np.errstate(over="ignore"):
+        out = ((n - 1) * np.exp(-n * t) + 1.0) / n
     return float(out) if out.ndim == 0 else out
 
 

@@ -228,23 +228,46 @@ def apply_channel(phi, rho: np.ndarray) -> np.ndarray:
 
 
 def reference_trajectory(edges, n, z, bits, record_steps, x0, renorm_every, renorm_tol):
-    """``_kernels._trajectory`` with views, partials and cache lookups made step by step."""
+    """``_kernels._trajectory`` with views, cache lookups and chunk products made step by step.
+
+    On the mask cache, each chunk's prefix products U_k ... U_1 are formed
+    one 2-D matmul at a time, a ragged last chunk padded with I as the
+    kernel pads it, and each chunk is applied as one (L m, m) matvec.
+    """
     k = _kernels
     steps = bits.shape[0]
-    plan = k.step_plan(edges, n, abs(z), steps, steps)
+    plan = k.trajectory_plan(edges, n, abs(z), steps, np.iscomplexobj(z))
     name = k._plan_name(plan)
     if plan is None:
-        block = max(1, k.BLOCK_BYTES // (16 * n))
+        m = 2 * n if np.iscomplexobj(z) else n
+        chunk = k._mask_chunk(m)
+        name = f"mask-cache(chunk={chunk})"
+        if chunk > 1:
+            block = max(1, k.BLOCK_BYTES // (8 * m * m * chunk)) * chunk
+        else:
+            block = max(1, k.BLOCK_BYTES // (8 * m))
         keys = k._mask_keys(bits).tolist()
         cache = {}
 
         def advance(start, stop, x):
             hist = np.empty((stop - start, n), dtype=x.dtype)
-            for j, key in enumerate(keys[start:stop]):
-                u = cache.get(key)
-                if u is None:
-                    u = cache[key] = k._propagator_for_bits(edges, bits[start + j], n, z)
-                x = np.dot(u, x, out=hist[j])
+            states = hist.view(np.float64)
+            src = x.view(np.float64)
+            for c0 in range(0, stop - start, chunk):
+                prods = []
+                for j in range(c0, c0 + chunk):
+                    if start + j < stop:
+                        u = cache.get(keys[start + j])
+                        if u is None:
+                            u = k._propagator_for_bits(edges, bits[start + j], n, z)
+                            u = cache[keys[start + j]] = k._real_form(u, np.empty((m, m)))
+                    else:
+                        u = np.eye(m)
+                    prods.append(u.copy() if j == c0 else np.matmul(u, prods[-1]))
+                out = np.dot(np.concatenate(prods), src)
+                rows = min(chunk, stop - start - c0)
+                states[c0:c0 + rows] = out[:rows * m].reshape(rows, m)
+                src = states[c0 + rows - 1]
             return hist
     elif k._use_matrix(n, plan[0]):
         substeps, order = plan

@@ -270,10 +270,12 @@ class TestRunDiagnostics:
         # a small graph forms each step's Taylor polynomial as a matrix, a large one applies it
         (["trajectory", "--graph", "complete:7", "--tau", "0.05", "--steps", "20"],
          "taylor-matrix(substeps=1, order=15)"),
-        (["classical", "--graph", "ring:5", "--tau", "0.1", "--steps", "20"], "mask-cache"),
+        pytest.param(["classical", "--graph", "ring:5", "--tau", "0.1", "--steps", "20"],
+                     "mask-cache(chunk=26)", id="argv1-mask-cache"),
         (["montecarlo", "--graph", "complete:7", "--tau", "0.05", "--steps", "20",
           "--trajectories", "4"], "taylor(substeps=1, order=15)"),
-        (["envelope", "--tau", "0.1", "--steps", "10", "--traj-steps", "30"], "mask-cache"),
+        pytest.param(["envelope", "--tau", "0.1", "--steps", "10", "--traj-steps", "30"],
+                     "mask-cache(chunk=16)", id="argv3-mask-cache"),
         (["classical", "--graph", "lattice2d:10x10", "--tau", "1e-4", "--steps", "20"],
          "taylor(substeps=1, order=4)"),
     ])
@@ -406,14 +408,32 @@ class TestErrorPaths:
         assert "column p_sim holds a non-finite value" in captured.err
 
     def test_driver_refuses_non_finite_columns_without_csv(self, tmp_path):
+        # runs under the suite's warnings-as-errors: the classical step loop and the closed
+        # forms' cos(n t) reach NaN without a numpy warning
         out = tmp_path / "complete.csv"
         spec = ExperimentSpec("complete:4", lam=0.5, tau=1e308, steps=1, output_path=str(out))
-        # numpy's overflow warnings on the way (the classical dot, the closed forms'
-        # cos(n t)) are not under test here; the refusal of the NaN columns is
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(FloatingPointError, match="column p_quantum_sim holds a non-finite value"):
-                exp_complete_graph(spec)
+        with pytest.raises(FloatingPointError, match="column p_quantum_sim holds a non-finite value"):
+            exp_complete_graph(spec)
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv,column", [
+        # the classical mask-cache propagators overflow to inf, and inf * 0 is NaN in the step loop
+        (["classical", "--graph", "complete:4", "--tau", "1e308", "--steps", "1"], "p_sim"),
+        # n t overflows in the closed form cos(n t)
+        (["oracle", "--which", "complete-q", "--graph", "complete:4", "--tau", "1e306",
+          "--steps", "100"], "p_oracle"),
+    ])
+    def test_numerical_failure_prints_only_its_message(self, argv, column):
+        # in process, a numpy warning would be an error of the suite; in a fresh interpreter it
+        # would be printed to stderr before the message
+        assert run_cli(argv) == 2
+        proc = subprocess.run(
+            [sys.executable, "-m", "percwalk", *argv], capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == f"numerical failure: column {column} holds a non-finite value; no CSV written\n"
 
     @pytest.mark.parametrize("argv,planned", [
         (["trajectory", "--graph", "complete:7", "--tau", "1e12", "--steps", "1"], "substeps"),

@@ -70,7 +70,7 @@ class TestCachePolicy:
         cached, _, propagator = _kernels.trajectory_states(
             g.edge_array, 4, 0.09, bits, rec, psi0, *RENORM
         )
-        assert propagator == "mask-cache"
+        assert propagator == "mask-cache(chunk=16)"
         psi = psi0.astype(complex)
         direct = [psi.copy()]
         for s in range(80):
@@ -99,8 +99,57 @@ class TestCachePolicy:
         finally:
             if not tracing:
                 tracemalloc.stop()
-        assert propagator == "mask-cache"
+        assert propagator == "mask-cache(chunk=16)"
         assert peak <= 1.5e6
+
+
+class TestMaskCacheChunks:
+    """Chunked prefix products of the mask cache against one matvec per step."""
+
+    # the graphs the chunk rule was measured on, with the chunk length it gives them
+    @pytest.mark.parametrize("graph,quantum,chunk", [
+        (make_ring(3), True, 21),
+        (make_ring(4), True, 16),
+        (make_ring(5), True, 13),
+        (make_ring(6), True, 1),  # measured 0.83x with chunks of 32: one matvec per step
+        (make_ring(4), False, 32),
+        (make_ring(5), False, 26),
+        (make_ring(8), False, 16),
+        (make_ring(12), False, 1),  # measured a tie
+    ])
+    def test_rule_takes_the_measured_side(self, graph, quantum, chunk):
+        run = PercolationRun(lam=0.5, tau=0.1, steps=3)
+        n = graph.node_count
+        rec = (run_trajectory(graph, run, basis_state(n, 0)) if quantum
+               else run_classical_trajectory(graph, run, np.eye(n)[0]))
+        assert rec.propagator == f"mask-cache(chunk={chunk})"
+
+    @pytest.mark.parametrize("quantum,bound", [(True, 2e-13), (False, 2e-14)])
+    def test_within_round_off_of_a_matvec_per_step(self, quantum, bound):
+        # ring4-longtime's trajectory: 60 000 steps at tau = 1/600. One matvec per step (the
+        # loop before prefix products) on the same cached propagators, without renormalization
+        g, n, steps = make_ring(4), 4, 60_000
+        tau = 100 / steps
+        bits = sample_keep_bits(g, 0.2, rng_from_seed(11), steps)
+        rec = np.arange(0, steps + 1, 100, dtype=np.int64)
+        x0 = np.eye(n)[0]
+        if quantum:
+            z, (states, _, name) = -1j * tau, _kernels.trajectory_states(
+                g.edge_array, n, tau, bits, rec, x0, 0, 0.0)
+        else:
+            z, (states, _, name) = -tau, _kernels.classical_trajectory(g.edge_array, n, tau, bits, rec, x0)
+        assert name == f"mask-cache(chunk={16 if quantum else 32})"
+        cache, x, want = {}, x0.astype(states.dtype), [x0]
+        for s, key in enumerate(_kernels._mask_keys(bits).tolist(), start=1):
+            u = cache.get(key)
+            if u is None:
+                u = cache[key] = _kernels._propagator_for_bits(g.edge_array, bits[s - 1], n, z)
+            x = u @ x
+            if s % 100 == 0:
+                want.append(x)
+        assert np.max(np.abs(states - np.array(want))) <= bound
+        if not quantum:
+            assert states.min() >= 0.0
 
 
 class TestBackendSelection:
@@ -350,8 +399,13 @@ class TestStepLoopsAreBitIdentical:
         with monkeypatch.context() as m:
             m.setattr(_kernels, "_trajectory", reference_trajectory)
             want = self._runs(g, tau, steps, stride, renorm)
-        for (states, drift, propagator), (ref_states, ref_drift, ref_propagator) in zip(got, want):
-            assert propagator == ref_propagator == name
+        # the mask cache names its chunk length, which differs between the quantum (m = 2n) and
+        # the classical walk (m = n)
+        n = g.node_count
+        for (states, drift, propagator), (ref_states, ref_drift, ref_propagator), m in zip(
+                got, want, (2 * n, n)):
+            want_name = f"mask-cache(chunk={_kernels._mask_chunk(m)})" if name == "mask-cache" else name
+            assert propagator == ref_propagator == want_name
             assert np.array_equal(states, ref_states)
             assert drift == ref_drift
 
@@ -367,6 +421,23 @@ class TestStepLoopsAreBitIdentical:
     @pytest.mark.parametrize("g,tau,name", CASES[:2] + CASES[3:4])
     def test_forced_renormalization_across_the_boundary(self, monkeypatch, g, tau, name):
         self._check(monkeypatch, g, tau, name, RENORM_EVERY + 250, 1000, (RENORM_EVERY, 0.0))
+
+    # ring:4 takes chunks of 16 steps (quantum) and 32 (classical)
+    @pytest.mark.parametrize("steps,renorm,block_bytes", [
+        (5, RENORM, None),  # fewer steps than a chunk
+        (96, RENORM, None),  # whole chunks: 6 quantum, 3 classical
+        (300, (37, 0.0), None),  # a renormalization every 37 steps ends each block in a ragged chunk
+        (300, RENORM, 1 << 14),  # blocks of 32 and 128 steps, chunks of 4 and 8, a ragged last block
+    ])
+    def test_mask_cache_chunk_edges(self, monkeypatch, steps, renorm, block_bytes):
+        if block_bytes:
+            monkeypatch.setattr(_kernels, "BLOCK_BYTES", block_bytes)
+        self._check(monkeypatch, make_ring(4), 0.1, "mask-cache", steps, 7, renorm)
+
+    def test_mask_cache_with_one_matvec_per_step(self, monkeypatch):
+        # ring:6 takes no chunks for the quantum walk (m = 12) and chunks of 21 for the classical
+        assert _kernels._mask_chunk(12) == 1
+        self._check(monkeypatch, make_ring(6), 0.1, "mask-cache", 300, 7, (37, 0.0))
 
     def test_forced_renormalization_with_substeps(self, monkeypatch):
         for g, tau, name in (self.CASES[2], self.CASES[4]):
