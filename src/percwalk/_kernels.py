@@ -6,19 +6,20 @@ or z = -tau for the classical walk. Three propagators implement it:
 
 * mask cache: a graph with at most CACHE_MAX_EDGES edges has at most 2^16
   realizations, so each distinct realization's propagator is built once as
-  a spectral exponential (``eigh``) and kept, found through a 2^E table of
-  slots indexed by the mask. An ensemble keeps complex n x n propagators. A
-  trajectory keeps real m x m ones that act on the float64 view of its
-  state (``_real_form``: m = 2n quantum, m = n classical) and, on small
-  graphs, steps in chunks of L steps (``_mask_chunk``): it gathers a
-  block's propagators into one stack, forms each chunk's prefix products
-  U_k ... U_1 with L - 1 batched matmuls over all chunks and writes the L
-  states of a chunk with one (L m, m) matvec (Blelloch, CMU-CS-90-190,
-  1990, for prefix products). On ring:4 (60 000 steps, tau = 1/600) those
-  products move the states by at most 1.4e-13 (quantum) and 7.5e-15
-  (classical) from one matvec per step, a round-off that grows linearly
-  with the steps, like the norm drift of 1.6e-12 that the cached
-  propagators give both loops;
+  a spectral exponential (one batched ``eigh`` for the new masks of a block
+  of steps) and kept, found through a 2^E table of slots indexed by the
+  mask. The cache keeps real m x m propagators that act on the float64
+  view of a state (``_real_form``: m = 2n quantum, m = n classical). An
+  ensemble step applies those of all its columns with one batched matmul;
+  a trajectory on a small graph steps in chunks of L steps
+  (``_mask_chunk``): it gathers a block's propagators into one stack, forms
+  each chunk's prefix products U_k ... U_1 with L - 1 batched matmuls over
+  all chunks and writes the L states of a chunk with one (L m, m) matvec
+  (Blelloch, CMU-CS-90-190, 1990, for prefix products). On ring:4 (60 000
+  steps, tau = 1/600) those products move the states by at most 1.4e-13
+  (quantum) and 7.5e-15 (classical) from one matvec per step, a round-off
+  that grows linearly with the steps, like the norm drift of 1.6e-12 that
+  the cached propagators give both loops;
 * Taylor action: larger graphs practically never repeat a realization, so
   exp(z * H_r) is applied to the state directly as ``substeps`` truncated
   Taylor series of ``order`` terms each (``taylor_plan``). The truncation
@@ -37,20 +38,25 @@ or z = -tau for the classical walk. Three propagators implement it:
   lattice2d:4x5 (n = 20) and lost on ring:25, ring:30, lattice2d:5x5 and
   lattice2d:6x6 (by 30-50%) and on lattice2d:10x10 (3-4 times slower);
   with more substeps it wins on larger graphs (ring:30 at tau = 1, 4
-  substeps: by 20-45%). Ensembles always use the action or the mask cache.
+  substeps: by 20-45%). Ensembles always use the action or the mask cache,
+  and apply the action through the kept-edge weights of each column
+  (``_edge_apply``) instead of a Laplacian per column.
 
-The step kernels report which propagator ran (``"mask-cache(chunk=L)"``
-for a trajectory, ``"mask-cache"`` for an ensemble, ``"taylor(substeps=S,
-order=K)"`` or ``"taylor-matrix(substeps=S, order=K)"``) and the largest
-drift of the conserved norm: the 2-norm of a quantum state, the total
-probability of a classical distribution; a non-finite state gives a
-non-finite drift, without a numpy warning. At the dimensions of the
-mask-cache and the paper's Taylor workloads (d = 4 to 15) a step costs
-interpreter and call overhead, not flops: a 4 x 4 complex matvec takes
-about 0.44 us, almost all of it the call. So the step loops make their
-buffer views and bound ``.dot`` calls once per run (or block), never once
-per step, and the mask cache of a small graph makes one call per chunk of
-steps instead of one per step.
+``step_plan`` chooses the propagator, and one driver, ``_ensemble``, steps
+every trajectory and ensemble kernel; it alone takes the norm drift,
+renormalizes and picks the recorded states. The step kernels report which
+propagator ran (``"mask-cache(chunk=L)"`` for a trajectory,
+``"mask-cache"`` for an ensemble, ``"taylor(substeps=S, order=K)"`` or
+``"taylor-matrix(substeps=S, order=K)"``) and the largest drift of the
+conserved norm: the 2-norm of a quantum state, the total probability of a
+classical distribution; a non-finite state gives a non-finite drift,
+without a numpy warning. At the dimensions of the mask-cache and the
+paper's Taylor workloads (d = 4 to 15) a step costs interpreter and call
+overhead, not flops: a 4 x 4 complex matvec takes about 0.44 us, almost
+all of it the call. So the step loops make their buffer views and bound
+``.dot`` calls once per run (or block), never once per step, and the mask
+cache of a small graph makes one call per chunk of steps instead of one
+per step.
 
 ``channel_accumulate`` sums over all 2^E realizations without a spectral
 decomposition. Each U_r = cos(tau H_r) - i sin(tau H_r) comes from real
@@ -72,13 +78,11 @@ CHANNEL_BATCH rows, so the temporaries of a batch stay in cache.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 from functools import partial
 
 import numpy as np
 
 CACHE_MAX_EDGES = 16
-CACHE_MAX_ENTRIES = 1 << 16
 CACHE_MAX_BYTES = 1 << 28  # 256 MiB of cached propagators
 # most propagators of the exact channel built per batch; the cost rule of
 # ``channel_accumulate`` accepts a group only if it leaves this many orbits
@@ -86,8 +90,8 @@ CHANNEL_BATCH = 512
 # per-substep truncation bound of the Taylor action, relative to the state norm
 TAYLOR_TOL = 2.0**-53
 # largest transient buffer: the Laplacian block and Taylor terms of a step
-# kernel, and each (rows, n, n) stack of a Taylor-matrix block or of an
-# exact-channel propagator batch
+# kernel, the propagators gathered for an ensemble's mask-cache step, and each
+# (rows, n, n) stack of a Taylor-matrix block or of an exact-channel batch
 BLOCK_BYTES = 1 << 18
 # most Taylor substeps planned before anything runs, 2^24: over all steps of a
 # trajectory or ensemble block (about 30 min at the ~110 us one action substep
@@ -108,16 +112,12 @@ def active_backend() -> str:
     return "numpy"
 
 
-def propagator_cache_capacity(edge_count: int, max_distinct: int, dim: int, itemsize: int = 16) -> int:
-    """Most propagators the mask cache may hold; 0 selects the Taylor action.
-
-    Each is dim x dim with ``itemsize``-byte entries: an ensemble caches
-    complex n x n propagators, a trajectory real m x m ones (``trajectory_plan``).
-    """
+def propagator_cache_capacity(edge_count: int, max_distinct: int, dim: int) -> int:
+    """Most real dim x dim float64 propagators the mask cache may hold; 0 selects the Taylor action."""
     if edge_count > CACHE_MAX_EDGES:
         return 0
-    cap = min(1 << edge_count, max_distinct, CACHE_MAX_ENTRIES)
-    if cap * dim * dim * itemsize > CACHE_MAX_BYTES:
+    cap = min(1 << edge_count, max_distinct)
+    if cap * dim * dim * 8 > CACHE_MAX_BYTES:
         return 0
     return cap
 
@@ -180,28 +180,19 @@ def _run_plan(edges: np.ndarray, n: int, tau: float, steps: int) -> tuple[int, i
     return substeps, order
 
 
-def step_plan(edges: np.ndarray, n: int, tau: float, steps: int,
-              max_distinct: int) -> tuple[int, int] | None:
+def step_plan(edges: np.ndarray, n: int, tau: float, steps: int, quantum: bool,
+              columns: int = 1) -> tuple[int, int] | None:
     """The propagator of a step kernel: None for the mask cache, else ``_run_plan``.
 
-    ``max_distinct`` bounds the distinct masks of the run: the step count of
-    a trajectory, CACHE_MAX_ENTRIES for an ensemble. Callers may plan before
-    drawing any keep bits, so a refused plan allocates nothing.
+    The mask cache of a kernel call holds one real m x m float64
+    propagator per distinct mask: m = 2n for the quantum walk, whose
+    propagators act on the interleaved real and imaginary parts of the state
+    (``_real_form``), m = n for the classical walk. A call of ``columns``
+    trajectories of ``steps`` steps meets at most steps * columns distinct
+    masks. Callers may plan before drawing any keep bits, so a refused plan
+    allocates nothing.
     """
-    if propagator_cache_capacity(edges.shape[0], max_distinct, n) > 0:
-        return None
-    return _run_plan(edges, n, tau, steps)
-
-
-def trajectory_plan(edges: np.ndarray, n: int, tau: float, steps: int,
-                    quantum: bool) -> tuple[int, int] | None:
-    """``step_plan`` of one trajectory, whose mask cache holds real m x m float64 propagators.
-
-    m = 2n for the quantum walk, whose propagators act on the interleaved
-    real and imaginary parts of the state (``_real_form``), m = n for the
-    classical walk.
-    """
-    if propagator_cache_capacity(edges.shape[0], steps, 2 * n if quantum else n, 8) > 0:
+    if propagator_cache_capacity(edges.shape[0], steps * columns, 2 * n if quantum else n) > 0:
         return None
     return _run_plan(edges, n, tau, steps)
 
@@ -313,27 +304,22 @@ def _plan_name(plan: tuple[int, int] | None, kind: str = "taylor") -> str:
     return "mask-cache" if plan is None else f"{kind}(substeps={plan[0]}, order={plan[1]})"
 
 
-def _propagator_for_bits(edges, bits, n, z):
-    """exp(z * H_r) by spectral decomposition; classical (real z) entries are clipped at 0.
+def _propagators(edges, n, bits, z):
+    """exp(z * H_r) for each row of ``bits`` (R, E), by one batched ``eigh``; classical entries clipped at 0.
 
     A step so long that z * w overflows gives non-finite entries, without a
     warning; they reach the output, which the CLI refuses to write (exit 2).
     """
-    w, q = np.linalg.eigh(hamiltonian_from_bits(edges, bits, n))
+    w, q = np.linalg.eigh(laplacians(edges, n, bits, 1.0))
     with np.errstate(over="ignore", invalid="ignore"):
-        m = (q * np.exp(z * w)) @ q.T
-    return m if np.iscomplexobj(m) else np.maximum(m, 0.0)
+        u = (q * np.exp(z * w)[:, None, :]) @ q.transpose(0, 2, 1)
+    return u if np.iscomplexobj(u) else np.maximum(u, 0.0)
 
 
-def _mask_keys(bits_2d: np.ndarray) -> np.ndarray:
-    """Pack per-step keep bits (S, E) into int64 mask keys, E <= 62."""
-    pow2 = np.left_shift(np.int64(1), np.arange(bits_2d.shape[1], dtype=np.int64))
-    return bits_2d.astype(np.int64) @ pow2
-
-
-def _max_drift(acc: float, drift: float) -> float:
-    """max(acc, drift) that keeps a NaN drift, which the builtin max drops when it comes second."""
-    return acc if acc != acc or drift <= acc else drift
+def _mask_keys(bits: np.ndarray) -> np.ndarray:
+    """Pack keep bits (..., E) into int64 mask keys, E <= 62."""
+    pow2 = np.left_shift(np.int64(1), np.arange(bits.shape[-1], dtype=np.int64))
+    return bits.astype(np.int64) @ pow2
 
 
 def _norms(x: np.ndarray, axis: int) -> np.ndarray:
@@ -342,65 +328,94 @@ def _norms(x: np.ndarray, axis: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# single trajectories
+# the step driver of trajectories and ensembles
 # ---------------------------------------------------------------------------
 
 
-def _trajectory(edges, n, z, bits, record_steps, x0, renorm_every, renorm_tol):
-    """Shared loop of the trajectory kernels -> (states at record_steps, max drift, propagator).
+def _edge_apply(u, v, bt, w, x, y):
+    """y = H x for the (n, T) state block x, H taken from the kept-edge weights w (E, T).
 
-    Steps run in blocks; each block returns the states of all its steps,
-    from which the norm drift and the recorded rows are taken at once.
-    Blocks end at multiples of ``renorm_every`` (0 = never renormalize),
-    where a state whose norm drifted by more than ``renorm_tol`` is
-    renormalized. On the mask cache a block is a whole number of chunks of
-    L = ``_mask_chunk(m)`` steps, whose (chunks, L, m, m) stack of
-    propagators fits in BLOCK_BYTES, except that a renormalization or the
-    run's end may cut it short; its ragged last chunk is padded with I.
-    Each chunk is one call of one loop, ``dot(start state, states)``: with
-    L = 1 the bound ``.dot`` of the step's cached propagator, else that of
-    the chunk's stacked prefix products. Overflowing propagators give
-    non-finite states without a numpy warning; the CLI refuses to write
-    them (exit 2).
+    With the signed incidence B (B[e, u_e] = 1, B[e, v_e] = -1), H = B^T
+    diag(w) B column by column. Complex blocks go through the real matmul
+    as (E, 2T) float views, so B stays real.
     """
-    steps, edge_count = bits.shape
-    plan = trajectory_plan(edges, n, abs(z), steps, np.iscomplexobj(z))
-    name = _plan_name(plan)
+    d = x[u] - x[v]
+    d *= w
+    np.dot(bt, d.view(np.float64), out=y.view(np.float64))
+
+
+def _ensemble(edges, n, z, bits, record_steps, x0, record, renorm_every, renorm_tol):
+    """The step loop of every trajectory and ensemble kernel -> (max drift, propagator name).
+
+    A trajectory is one state x0 (n,) with keep bits (S, E), an ensemble
+    one state per column, x0 (n, T) with keep bits (T, S, E), stepped in
+    blocks of columns. Steps run in blocks; each block returns the states of
+    all its steps, from which the norm drift and the recorded rows are taken
+    at once: ``record(k, xs)`` receives the states xs at record_steps[k],
+    k a slice. Blocks end at multiples of ``renorm_every`` (0 = never
+    renormalize), where a state whose norm drifted by more than
+    ``renorm_tol`` is renormalized.
+
+    The mask cache is one store of real propagators per call, shared by its
+    column blocks; a 2^E table of slots maps each mask key to its row, and
+    the masks new to a block are built with one batched ``eigh``. An
+    ensemble step gathers the propagators of its columns into one
+    (columns, m, m) stack and applies them with one batched matmul. A
+    trajectory's block is a whole number of chunks of L = ``_mask_chunk(m)``
+    steps, whose (chunks, L, m, m) stack of propagators fits in BLOCK_BYTES,
+    except that a renormalization or the run's end may cut it short; its
+    ragged last chunk is padded with I. Each chunk is one call of one loop,
+    ``dot(start state, states)``: with L = 1 the bound ``.dot`` of the
+    step's cached propagator, else that of the chunk's stacked prefix
+    products. Overflowing propagators give non-finite states without a
+    numpy warning; the CLI refuses to write them (exit 2).
+    """
+    single = x0.ndim == 1
+    steps, edge_count = bits.shape[-2:]
+    columns = 1 if single else x0.shape[1]
+    plan = step_plan(edges, n, abs(z), steps, np.iscomplexobj(z), columns)
+    name, cols = _plan_name(plan), columns
     if plan is None:
         m = 2 * n if np.iscomplexobj(z) else n
+        store = np.empty((propagator_cache_capacity(edge_count, steps * columns, m), m, m))
+        slots = np.full(1 << edge_count, -1, dtype=np.intp)
+        size = 0
+
+        def lookup(bits):
+            # the store rows of the masks of ``bits`` (..., E); keys are packed per block, so no
+            # int64 copy of the run's keep bits is made
+            nonlocal size
+            keys = _mask_keys(bits)
+            slot = slots[keys]
+            if slot.min() < 0:
+                fresh = np.zeros(slots.shape, dtype=bool)
+                fresh[keys[slot < 0]] = True
+                new = np.flatnonzero(fresh)
+                slots[new] = np.arange(size, size + new.size)
+                # bit e of a key keeps edge e
+                us = _propagators(edges, n, new[:, None] >> np.arange(edge_count) & 1, z)
+                _real_form(us, store[size:size + new.size])
+                size += new.size
+                slot = slots[keys]
+            return slot
+    if plan is None and single:
         chunk = _mask_chunk(m)
         name = f"mask-cache(chunk={chunk})"
         if chunk > 1:  # whole chunks, whose (chunks, chunk, m, m) stack fits in BLOCK_BYTES
             block = max(1, BLOCK_BYTES // (8 * m * m * chunk)) * chunk
         else:
             block = max(1, BLOCK_BYTES // (8 * m))
-        # the real form of each mask's propagator, built at the mask's first step, and its bound
-        # ``.dot``; slots maps a mask key to its row of store
-        store = np.empty((propagator_cache_capacity(edge_count, steps, m, 8), m, m))
-        dots: list[Callable] = []
-        slots = np.full(1 << edge_count, -1, dtype=np.intp)
-        shifts = np.arange(edge_count)
+        dots = []  # the bound ``.dot`` of each filled row of store
         eye = np.eye(m)
 
-        def advance(start, stop, x):
-            # keys are packed per block, so no (steps, E) int64 copy of the run is made
-            keys = _mask_keys(bits[start:stop])
-            slot = slots[keys]
-            if slot.min() < 0:
-                fresh = np.zeros(slots.shape, dtype=bool)
-                fresh[keys[slot < 0]] = True
-                new = np.flatnonzero(fresh)
-                rows = store[len(dots):len(dots) + new.size]
-                slots[new] = np.arange(len(dots), len(dots) + new.size)
-                # bit e of a key keeps edge e
-                us = [_propagator_for_bits(edges, b, n, z) for b in new[:, None] >> shifts & 1]
-                dots.extend(row.dot for row in _real_form(np.array(us), rows))
-                slot = slots[keys]
+        def advance(bits, start, stop, x):
+            slot = lookup(bits[start:stop])
             count = stop - start
             chunks = -(-count // chunk)
             hist = np.empty((chunks * chunk, n), dtype=x.dtype)
             outs = list(hist.view(np.float64).reshape(chunks, chunk * m))
             if chunk == 1:
+                dots.extend(row.dot for row in store[len(dots):size])
                 ops, ends = list(map(dots.__getitem__, slot.tolist())), outs
             else:
                 # the prefix products U_k ... U_1 of each chunk, a ragged last chunk padded with I
@@ -419,13 +434,27 @@ def _trajectory(edges, n, z, bits, record_steps, x0, renorm_every, renorm_tol):
             for dot, src, out in zip(ops, [x.view(np.float64)] + ends[:-1], outs):
                 dot(src, out)
             return hist[:count]
-    elif _use_matrix(n, plan[0]):
+    elif plan is None:
+        # the (cols, m, m) stack of gathered propagators fits in BLOCK_BYTES
+        cols = min(columns, max(1, BLOCK_BYTES // (8 * m * m)))
+        block = max(1, BLOCK_BYTES // (x0.itemsize * n * cols))
+        gathered = np.empty((cols, m, m))
+
+        def advance(bits, start, stop, x):
+            count, c = stop - start, x.shape[1]
+            us, ys = gathered[:c], np.empty((count, c, m, 1))
+            # each column as the m-vector that its real-form propagator acts on
+            y = np.ascontiguousarray(x.T).view(np.float64)[:, :, None]
+            for slot, out in zip(lookup(bits[:, start:stop]).T, ys):
+                y = np.matmul(np.take(store, slot, axis=0, out=us, mode="clip"), y, out=out)
+            return np.ascontiguousarray(ys.reshape(count, c, m).view(x.dtype).transpose(0, 2, 1))
+    elif single and _use_matrix(n, plan[0]):
         substeps, order = plan
         name = _plan_name(plan, "taylor-matrix")
         block = max(1, BLOCK_BYTES // (n * n * x0.itemsize))
         add, buf = np.add, np.empty(n, dtype=x0.dtype)
 
-        def advance(start, stop, x):
+        def advance(bits, start, stop, x):
             # bound ``D.dot`` of each step; a substep is x + D x
             dots = [d.dot for d in _taylor_matrices(edges, n, bits[start:stop], z, substeps, order)]
             hist = np.empty((stop - start, n), dtype=x.dtype)
@@ -436,42 +465,70 @@ def _trajectory(edges, n, z, bits, record_steps, x0, renorm_every, renorm_tol):
     else:
         substeps, order = plan
         coef_dot = _taylor_coef(order, x0.dtype).dot
-        v = np.empty((order + 1, n), dtype=x0.dtype)
-        rows, flat = list(v), v.reshape(order + 1, -1)
-        block = max(1, BLOCK_BYTES // (n * n * x0.itemsize))
+        if single:  # the Laplacian of each step
+            block = max(1, BLOCK_BYTES // (n * n * x0.itemsize))
 
-        def advance(start, stop, x):
-            a = laplacians(edges, n, bits[start:stop], z / substeps)
-            hist = np.empty((stop - start, n), dtype=x.dtype)
-            for a_j, row in zip(a, hist):
-                apply_a = a_j.dot
+            def appliers(bits):
+                return [a.dot for a in laplacians(edges, n, bits, z / substeps)]
+        else:  # the kept-edge weights (E, columns) of each step
+            u_idx, v_idx = edges[:, 0], edges[:, 1]
+            bt = np.zeros((n, edge_count))
+            bt[u_idx, np.arange(edge_count)] = 1.0
+            bt[v_idx, np.arange(edge_count)] = -1.0
+            cols = min(columns, max(1, BLOCK_BYTES // (x0.itemsize * max((order + 1) * n, edge_count))))
+            block = max(1, BLOCK_BYTES // (x0.itemsize * n * cols))
+            scale = z / substeps
+
+            def appliers(bits):
+                return [partial(_edge_apply, u_idx, v_idx, bt, bits[:, j, :].T * scale)
+                        for j in range(bits.shape[1])]
+
+        def advance(bits, start, stop, x):
+            hist = np.empty((stop - start,) + x.shape, dtype=x.dtype)
+            v = np.empty((order + 1,) + x.shape, dtype=x.dtype)  # the Taylor terms
+            rows, flat = list(v), v.reshape(order + 1, -1)
+            for apply_a, row, out in zip(appliers(bits[..., start:stop, :]), hist,
+                                         hist.reshape(stop - start, -1)):
                 for _ in range(substeps):
                     rows[0][...] = x
-                    x = _taylor_series(apply_a, rows, coef_dot, flat, row)
+                    _taylor_series(apply_a, rows, coef_dot, flat, out)
+                    x = row
             return hist
 
-    n_rec = record_steps.shape[0]
-    out = np.empty((n_rec, n), dtype=x0.dtype)
-    rec_i = 0
-    if n_rec and record_steps[0] == 0:
-        out[0] = x0
-        rec_i = 1
-    x, max_drift, start = x0, 0.0, 0
+    max_drift = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
-        while start < steps:
-            stop = min(start + block, steps)
-            if renorm_every:
-                stop = min(stop, (start // renorm_every + 1) * renorm_every)
-            hist = advance(start, stop, x)
-            norms = _norms(hist, axis=1)
-            max_drift = _max_drift(max_drift, float(np.abs(norms - 1.0).max()))
-            if renorm_every and stop % renorm_every == 0 and abs(norms[-1] - 1.0) > renorm_tol:
-                hist[-1] /= norms[-1]
-            rec_j = int(np.searchsorted(record_steps, stop, side="right"))
-            out[rec_i:rec_j] = hist[record_steps[rec_i:rec_j] - start - 1]
-            rec_i = rec_j
-            x, start = hist[-1], stop
-    return out, max_drift, name
+        for c0 in range(0, columns, cols):
+            # C order, so each column block's states are contiguous
+            x = x0 if single else np.array(x0[:, c0:c0 + cols], order="C")
+            block_bits = bits if single else bits[c0:c0 + cols]
+            rec_i = 0
+            if record_steps.shape[0] and record_steps[0] == 0:
+                record(slice(0, 1), x[None])
+                rec_i = 1
+            start = 0
+            while start < steps:
+                stop = min(start + block, steps)
+                if renorm_every:
+                    stop = min(stop, (start // renorm_every + 1) * renorm_every)
+                hist = advance(block_bits, start, stop, x)
+                h = hist.reshape(stop - start, n, -1)  # a view with a column axis, also for one state
+                norms = _norms(h, axis=1)
+                drift = np.abs(norms - 1.0)
+                max_drift = np.maximum(max_drift, drift.max())  # keeps a NaN drift, unlike max()
+                if renorm_every and stop % renorm_every == 0:
+                    fix = drift[-1] > renorm_tol
+                    h[-1][:, fix] /= norms[-1][fix]
+                rec_j = int(np.searchsorted(record_steps, stop, side="right"))
+                record(slice(rec_i, rec_j), hist[record_steps[rec_i:rec_j] - start - 1])
+                rec_i = rec_j
+                x, start = hist[-1], stop
+    return float(max_drift), name
+
+
+def _trajectory(edges, n, z, bits, record_steps, x0, renorm_every, renorm_tol):
+    """One trajectory through ``_ensemble`` -> (states at record_steps, max drift, propagator name)."""
+    out = np.empty((record_steps.shape[0], n), dtype=x0.dtype)
+    return (out,) + _ensemble(edges, n, z, bits, record_steps, x0, out.__setitem__, renorm_every, renorm_tol)
 
 
 def trajectory_states(edges, n, tau, bits, record_steps, psi0, renorm_every, renorm_tol):
@@ -486,89 +543,8 @@ def classical_trajectory(edges, n, tau, bits, record_steps, p0):
 
 
 # ---------------------------------------------------------------------------
-# ensembles
+# ensemble sums and moments
 # ---------------------------------------------------------------------------
-
-
-def _edge_apply(u, v, bt, w, x, y):
-    """y = H x for the (n, T) state block x, H taken from the kept-edge weights w (E, T).
-
-    With the signed incidence B (B[e, u_e] = 1, B[e, v_e] = -1), H = B^T
-    diag(w) B column by column. Complex blocks go through the real matmul
-    as (E, 2T) float views, so B stays real.
-    """
-    d = x[u] - x[v]
-    d *= w
-    np.dot(bt, d.view(np.float64), out=y.view(np.float64))
-
-
-def _ensemble(edges, n, z, bits3, record_steps, x0, record, renorm_every, renorm_tol):
-    """Shared loop of the ensemble kernels -> (max drift, propagator name).
-
-    x0 holds one initial state per column (n, T). ``record(i, x)`` is called
-    with a block of columns x at record step i. Every ``renorm_every`` steps
-    (0 = never) columns whose norm drifted by more than ``renorm_tol`` are
-    renormalized.
-    """
-    n_traj, steps, edge_count = bits3.shape
-    plan = step_plan(edges, n, abs(z), steps, CACHE_MAX_ENTRIES)
-    if plan is None:
-        cols = n_traj
-        cache: dict[int, np.ndarray] = {}
-
-        def stepper(bits, x):
-            def step(s):
-                keys = _mask_keys(bits[:, s, :])
-                for key in np.unique(keys).tolist():
-                    sel = keys == key
-                    u = cache.get(key)
-                    if u is None:
-                        u = cache[key] = _propagator_for_bits(edges, bits[np.argmax(sel), s], n, z)
-                    x[:, sel] = u @ x[:, sel]
-            return step
-    else:
-        substeps, order = plan
-        coef_dot = _taylor_coef(order, x0.dtype).dot
-        u_idx, v_idx = edges[:, 0], edges[:, 1]
-        bt = np.zeros((n, edge_count))
-        bt[u_idx, np.arange(edge_count)] = 1.0
-        bt[v_idx, np.arange(edge_count)] = -1.0
-        cols = max(1, BLOCK_BYTES // (x0.itemsize * max((order + 1) * n, edge_count)))
-        scale = z / substeps
-
-        def stepper(bits, x):
-            # the last column block may be narrower, so the Taylor terms are sized per block
-            v = np.empty((order + 1,) + x.shape, dtype=x.dtype)
-            rows, flat, out = list(v), v.reshape(order + 1, -1), x.reshape(-1)
-
-            def step(s):
-                apply_a = partial(_edge_apply, u_idx, v_idx, bt, bits[:, s, :].T * scale)
-                for _ in range(substeps):
-                    rows[0][...] = x
-                    _taylor_series(apply_a, rows, coef_dot, flat, out)
-            return step
-
-    max_drift = 0.0
-    for c0 in range(0, n_traj, cols):
-        # C order, so the series writes the block in place through its flat view
-        x = np.array(x0[:, c0:c0 + cols], order="C")
-        step = stepper(bits3[c0:c0 + cols], x)
-        rec_i = 0
-        if record_steps.shape[0] and record_steps[0] == 0:
-            record(0, x)
-            rec_i = 1
-        for s in range(steps):
-            step(s)
-            norms = _norms(x, axis=0)
-            drift = np.abs(norms - 1.0)
-            max_drift = _max_drift(max_drift, float(drift.max()))
-            if renorm_every and (s + 1) % renorm_every == 0:
-                fix = drift > renorm_tol
-                x[:, fix] /= norms[fix]
-            if rec_i < record_steps.shape[0] and record_steps[rec_i] == s + 1:
-                record(rec_i, x)
-                rec_i += 1
-    return max_drift, _plan_name(plan)
 
 
 def merge_moments(a, b):
@@ -601,9 +577,10 @@ def ensemble_quantum(edges, n, tau, bits3, record_steps, psis0, renorm_every, re
     sum_outer = np.zeros((n_rec, n, n), dtype=np.complex128)
     moments = [(0, 0.0, 0.0)] * n_rec
 
-    def record(i, x):
-        sum_outer[i] += x @ x.conj().T
-        moments[i] = merge_moments(moments[i], _column_moments(np.abs(x) ** 2))
+    def record(k, xs):
+        for j, x in enumerate(xs, k.start):
+            sum_outer[j] += x @ x.conj().T
+            moments[j] = merge_moments(moments[j], _column_moments(np.abs(x) ** 2))
 
     drift, name = _ensemble(edges, n, -1j * tau, bits3, record_steps,
                             psis0.T.astype(np.complex128), record, renorm_every, renorm_tol)
@@ -620,9 +597,10 @@ def ensemble_classical(edges, n, tau, bits3, record_steps, p0):
     sum_dist = np.zeros((n_rec, n), dtype=np.float64)
     moments = [(0, 0.0, 0.0)] * n_rec
 
-    def record(i, x):
-        sum_dist[i] += x.sum(axis=1)
-        moments[i] = merge_moments(moments[i], _column_moments(x))
+    def record(k, xs):
+        for j, x in enumerate(xs, k.start):
+            sum_dist[j] += x.sum(axis=1)
+            moments[j] = merge_moments(moments[j], _column_moments(x))
 
     x0 = np.repeat(p0.astype(np.float64)[:, None], bits3.shape[0], axis=1)
     drift, name = _ensemble(edges, n, -tau, bits3, record_steps, x0, record, 0, 0.0)

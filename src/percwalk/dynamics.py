@@ -29,10 +29,11 @@ Three routes to the same physics:
   initial density is eigendecomposed once per call.
 
 Per-step exponentials are spectral exponentials (graphs with at most
-``_kernels.CACHE_MAX_EDGES`` edges; a trajectory on a small graph applies
-them a chunk of prefix products at a time) or truncated Taylor series whose
-truncation error is at most 2^-53 of the state norm per substep (larger
-graphs; see ``_kernels.taylor_plan``). The series is applied to the state
+``_kernels.CACHE_MAX_EDGES`` edges whose run fits the mask cache,
+``_kernels.step_plan``; a trajectory on a small graph applies them a chunk
+of prefix products at a time) or truncated Taylor series whose truncation
+error is at most 2^-53 of the state norm per substep (larger graphs; see
+``_kernels.taylor_plan``). The series is applied to the state
 as an action, or, for a trajectory on a graph small enough that a batch of
 n x n products costs less than the calls of the action
 (``_kernels._use_matrix``), formed as a matrix P per step and applied as
@@ -71,6 +72,7 @@ class PercolationRun:
     """Stochastic-evolution configuration: keep probability, step size, step count, seed.
 
     ``steps`` is authoritative; ``total_time`` is derived as steps * tau.
+    Both must be finite, as ``harness.experiments.resolve_timing`` requires.
     """
 
     lam: float
@@ -81,10 +83,12 @@ class PercolationRun:
     def __post_init__(self):
         if not 0.0 <= self.lam <= 1.0:
             raise ValueError(f"lam must be in [0, 1], got {self.lam}")
-        if not self.tau > 0:
-            raise ValueError(f"tau must be positive, got {self.tau}")
+        if not 0 < self.tau < math.inf:
+            raise ValueError(f"tau must be positive and finite, got {self.tau}")
         if self.steps < 1:
             raise ValueError(f"steps must be >= 1, got {self.steps}")
+        if not math.isfinite(self.steps * self.tau):
+            raise ValueError(f"steps*tau = {self.steps}*{self.tau} is not finite")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in 64 unsigned bits")
 
@@ -129,6 +133,7 @@ class EnsembleRecord:
     diag_stderr: np.ndarray  # (n_recorded,) max-over-nodes standard error
     n_trajectories: int
     max_norm_drift: float  # over every step of every trajectory
+    # "mask-cache" or "taylor(substeps=S, order=K)"; ", "-joined when chunks of trajectories differ
     propagator: str
 
     def site_probabilities(self) -> np.ndarray:
@@ -276,7 +281,7 @@ def run_trajectory(
     psi0 = check_quantum_state(psi0)
     if psi0.shape[0] != g.node_count:
         raise ValueError(f"state dimension {psi0.shape[0]} != node_count {g.node_count}")
-    _kernels.trajectory_plan(g.edge_array, g.node_count, run.tau, run.steps, True)
+    _kernels.step_plan(g.edge_array, g.node_count, run.tau, run.steps, True)
     rng = rng_from_seed(run.seed, trajectory_index)
     bits = sample_keep_bits(g, run.lam, rng, run.steps)
     rec = recorded_steps(run.steps, sample_stride)
@@ -306,7 +311,7 @@ def run_classical_trajectory(
     p0 = check_distribution(p0)
     if p0.shape[0] != g.node_count:
         raise ValueError(f"distribution dimension {p0.shape[0]} != node_count {g.node_count}")
-    _kernels.trajectory_plan(g.edge_array, g.node_count, run.tau, run.steps, False)
+    _kernels.step_plan(g.edge_array, g.node_count, run.tau, run.steps, False)
     rng = rng_from_seed(run.seed, trajectory_index)
     bits = sample_keep_bits(g, run.lam, rng, run.steps)
     rec = recorded_steps(run.steps, sample_stride)
@@ -490,28 +495,30 @@ def evolve_channel(
     return out
 
 
-def _monte_carlo(g, run, n_trajectories, sample_stride, kernel, weights=None):
+def _monte_carlo(g, run, n_trajectories, sample_stride, quantum, kernel, weights=None):
     """Shared body of the Monte Carlo drivers.
 
     A Taylor plan above the work bound is refused before any keep bit is
-    drawn (``_kernels.step_plan``). Trajectory k uses the stream (run.seed,
-    spawn_key=(k,)). When the eigenvalue ``weights`` of a mixed initial density are given, it first
-    draws the index of its initial eigenstate from that stream; then it
-    draws its keep bits. Trajectories run in chunks through
-    ``kernel(bits3, record_steps, picks)``; picks holds the drawn indices,
-    or is None when nothing was drawn. The kernel returns the chunk's sum,
-    per-site (count, mean, M2) moments per record step, max norm drift and
-    propagator name. Sums add and moments merge pairwise across chunks.
+    drawn (``_kernels.step_plan`` of the first, widest chunk). Trajectory k
+    uses the stream (run.seed, spawn_key=(k,)). When the eigenvalue
+    ``weights`` of a mixed initial density are given, it first draws the
+    index of its initial eigenstate from that stream; then it draws its keep
+    bits. Trajectories run in chunks through ``kernel(bits3, record_steps,
+    picks)``; picks holds the drawn indices, or is None when nothing was
+    drawn. The kernel returns the chunk's sum, per-site (count, mean, M2)
+    moments per record step, max norm drift and propagator name. Sums add
+    and moments merge pairwise across chunks.
 
-    -> (record steps, mean, max-over-sites standard error, drift, propagator).
+    -> (record steps, mean, max-over-sites standard error, drift, the
+    propagator of each chunk, each named once, ", "-joined).
     """
     if n_trajectories < 2:
         raise ValueError(f"n_trajectories must be >= 2, got {n_trajectories}")
-    _kernels.step_plan(g.edge_array, g.node_count, run.tau, run.steps, _kernels.CACHE_MAX_ENTRIES)
-    rec = recorded_steps(run.steps, sample_stride)
-    total, moments, max_drift = 0.0, [(0, 0.0, 0.0)] * rec.shape[0], 0.0
     per_trajectory = run.steps * max(g.edge_count, 1)
     chunk = max(1, min(n_trajectories, ENSEMBLE_CHUNK_BYTES // per_trajectory))
+    _kernels.step_plan(g.edge_array, g.node_count, run.tau, run.steps, quantum, chunk)
+    rec = recorded_steps(run.steps, sample_stride)
+    total, moments, max_drift, propagators = 0.0, [(0, 0.0, 0.0)] * rec.shape[0], 0.0, {}
     for start in range(0, n_trajectories, chunk):
         stop = min(start + chunk, n_trajectories)
         bits3 = np.empty((stop - start, run.steps, g.edge_count), dtype=np.uint8)
@@ -525,9 +532,10 @@ def _monte_carlo(g, run, n_trajectories, sample_stride, kernel, weights=None):
         total = total + chunk_sum
         moments = list(map(_kernels.merge_moments, moments, chunk_moments))
         max_drift = np.maximum(max_drift, drift)  # keeps a NaN drift, unlike max()
+        propagators[propagator] = None
     t = n_trajectories
     stderr = np.array([np.sqrt(m2 / ((t - 1) * t)).max() for _, _, m2 in moments])
-    return rec, total / t, stderr, float(max_drift), propagator
+    return rec, total / t, stderr, float(max_drift), ", ".join(propagators)
 
 
 def monte_carlo_channel(
@@ -563,7 +571,7 @@ def monte_carlo_channel(
                                          eigenstates[idx], RENORM_EVERY, RENORM_TOL)
 
     rec, densities, stderr, drift, propagator = _monte_carlo(
-        g, run, n_trajectories, sample_stride, kernel, None if pure else w)
+        g, run, n_trajectories, sample_stride, True, kernel, None if pure else w)
     return EnsembleRecord(
         record_steps=rec,
         times=rec * run.tau,
@@ -590,7 +598,7 @@ def monte_carlo_classical(
     def kernel(bits3, rec, picks):
         return _kernels.ensemble_classical(g.edge_array, g.node_count, run.tau, bits3, rec, p0)
 
-    rec, dist, stderr, drift, propagator = _monte_carlo(g, run, n_trajectories, sample_stride, kernel)
+    rec, dist, stderr, drift, propagator = _monte_carlo(g, run, n_trajectories, sample_stride, False, kernel)
     return ClassicalEnsembleRecord(
         record_steps=rec,
         times=rec * run.tau,

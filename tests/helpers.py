@@ -236,7 +236,7 @@ def reference_trajectory(edges, n, z, bits, record_steps, x0, renorm_every, reno
     """
     k = _kernels
     steps = bits.shape[0]
-    plan = k.trajectory_plan(edges, n, abs(z), steps, np.iscomplexobj(z))
+    plan = k.step_plan(edges, n, abs(z), steps, np.iscomplexobj(z))
     name = k._plan_name(plan)
     if plan is None:
         m = 2 * n if np.iscomplexobj(z) else n
@@ -259,7 +259,7 @@ def reference_trajectory(edges, n, z, bits, record_steps, x0, renorm_every, reno
                     if start + j < stop:
                         u = cache.get(keys[start + j])
                         if u is None:
-                            u = k._propagator_for_bits(edges, bits[start + j], n, z)
+                            u = k._propagators(edges, n, bits[start + j][None], z)[0]
                             u = cache[keys[start + j]] = k._real_form(u, np.empty((m, m)))
                     else:
                         u = np.eye(m)
@@ -326,7 +326,7 @@ def reference_taylor_ensemble(edges, n, z, bits3, record_steps, x0, record, reno
     """``_kernels._ensemble`` on the Taylor action, with fresh Taylor terms every step."""
     k = _kernels
     n_traj, steps, edge_count = bits3.shape
-    substeps, order = plan = k.step_plan(edges, n, abs(z), steps, k.CACHE_MAX_ENTRIES)
+    substeps, order = plan = k.step_plan(edges, n, abs(z), steps, np.iscomplexobj(z), n_traj)
     coef = k._taylor_coef(order, x0.dtype)
     u_idx, v_idx = edges[:, 0], edges[:, 1]
     bt = np.zeros((n, edge_count))
@@ -340,7 +340,7 @@ def reference_taylor_ensemble(edges, n, z, bits3, record_steps, x0, record, reno
         x = np.array(x0[:, c0:c0 + cols], order="C")
         rec_i = 0
         if record_steps.shape[0] and record_steps[0] == 0:
-            record(0, x)
+            record(slice(0, 1), x[None])
             rec_i = 1
         for s in range(steps):
             w = bits[:, s, :].T * scale
@@ -357,6 +357,6 @@ def reference_taylor_ensemble(edges, n, z, bits3, record_steps, x0, record, reno
                 fix = drift > renorm_tol
                 x[:, fix] /= norms[fix]
             if rec_i < record_steps.shape[0] and record_steps[rec_i] == s + 1:
-                record(rec_i, x)
+                record(slice(rec_i, rec_i + 1), x[None])
                 rec_i += 1
     return float(max_drift), k._plan_name(plan)

@@ -57,6 +57,12 @@ class TestPercolationRun:
         with pytest.raises(ValueError):
             PercolationRun(**kwargs)
 
+    @pytest.mark.parametrize("tau,steps", [(np.inf, 5), (np.nan, 5), (1e308, 10), (1e300, 10**9)])
+    def test_non_finite_timing_is_refused(self, tau, steps):
+        # such a run would step to NaN states; the CLI refuses it first through resolve_timing
+        with pytest.raises(ValueError, match="finite"):
+            PercolationRun(lam=0.5, tau=tau, steps=steps)
+
 
 class TestRecordedSteps:
     def test_includes_zero_and_final(self):
@@ -513,6 +519,7 @@ class TestMonteCarlo:
     @pytest.mark.parametrize("graph,propagator", [
         (make_complete(7), "taylor(substeps=3, order=16)"),
         (make_ring(4), "mask-cache"),
+        (make_ring(12), "mask-cache"),  # 4096 masks: new ones in every block
     ])
     @pytest.mark.parametrize("split", [False, True])
     def test_stderr_is_sample_stderr_of_replays(self, monkeypatch, graph, propagator, split):
@@ -534,6 +541,18 @@ class TestMonteCarlo:
             want = np.sqrt(samples.var(axis=0, ddof=1) / t).max(axis=1)
             assert np.max(np.abs(rec_stderr - want)) <= 1e-12
             assert np.max(want) > 1e-3  # the trajectories differ
+
+    def test_chunks_that_plan_differently_are_all_named(self, monkeypatch):
+        # ring:4 caches 512-byte real 8 x 8 quantum propagators; room for 10 of them takes the
+        # mask cache for a chunk of 2 trajectories of 5 steps, not for one of 3
+        g, run = make_ring(4), PercolationRun(lam=0.5, tau=0.2, steps=5, seed=21)
+        monkeypatch.setattr(_kernels, "CACHE_MAX_BYTES", 10 * 512)
+        monkeypatch.setattr(dynamics, "ENSEMBLE_CHUNK_BYTES", 3 * run.steps * g.edge_count)
+        rec = monte_carlo_channel(g, run, basis_density(4, 2), 5)
+        assert rec.propagator == "taylor(substeps=1, order=16), mask-cache"
+        want = sum(np.einsum("ri,rj->rij", s, s.conj()) for s in (
+            run_trajectory(g, run, basis_state(4, 2), trajectory_index=k).states for k in range(5)))
+        assert np.max(np.abs(rec.densities - want / 5)) <= 1e-12
 
     def test_mixed_initial_state_mean(self):
         # eigen-ensemble sampling reproduces a mixed rho0 in expectation
@@ -582,10 +601,10 @@ class TestNonFiniteRuns:
     def test_non_finite_run_reports_non_finite_drift(self, monkeypatch):
         # every mask-cache propagator NaN: each drift fold (trajectory, ensemble block, Monte
         # Carlo chunk) must keep the NaN instead of reporting the finite start value
-        def nan_propagator(edges, bits, n, z):
-            return np.full((n, n), np.nan, dtype=complex if np.iscomplexobj(z) else float)
+        def nan_propagators(edges, n, bits, z):
+            return np.full((bits.shape[0], n, n), np.nan, dtype=complex if np.iscomplexobj(z) else float)
 
-        monkeypatch.setattr(_kernels, "_propagator_for_bits", nan_propagator)
+        monkeypatch.setattr(_kernels, "_propagators", nan_propagators)
         g, run = make_ring(4), PercolationRun(lam=0.5, tau=0.1, steps=5, seed=3)
         assert np.isnan(run_trajectory(g, run, basis_state(4, 0)).max_norm_drift)
         assert np.isnan(run_classical_trajectory(g, run, _delta(4)).max_norm_drift)

@@ -143,7 +143,7 @@ class TestMaskCacheChunks:
         for s, key in enumerate(_kernels._mask_keys(bits).tolist(), start=1):
             u = cache.get(key)
             if u is None:
-                u = cache[key] = _kernels._propagator_for_bits(g.edge_array, bits[s - 1], n, z)
+                u = cache[key] = _kernels._propagators(g.edge_array, n, bits[s - 1][None], z)[0]
             x = u @ x
             if s % 100 == 0:
                 want.append(x)
@@ -261,7 +261,7 @@ class TestTaylorAction:
         bits3 = np.stack([self._bits(g, lam, seed, k) for k in range(n_traj)])
         rec = np.arange(0, self.STEPS + 1, 4)
         psi0, p0 = basis_state(n, 0), np.eye(n)[0]
-        plan = _kernels.step_plan(g.edge_array, n, tau, self.STEPS, _kernels.CACHE_MAX_ENTRIES)
+        plan = _kernels.step_plan(g.edge_array, n, tau, self.STEPS, True, n_traj)
         sum_outer, _, drift, name = _kernels.ensemble_quantum(
             g.edge_array, n, tau, bits3, rec, np.tile(psi0, (n_traj, 1)), *RENORM)
         assert name == _kernels._plan_name(plan) and drift <= 1e-12
@@ -308,7 +308,7 @@ class TestTaylorAction:
             products.append(np.stack(cols, axis=2))
         ensemble = []
         _kernels._ensemble(g.edge_array, n, -tau, np.repeat(bits[None], n, axis=0), rec,
-                           np.eye(n), lambda i, x: ensemble.append(x.copy()), 0, 0.0)
+                           np.eye(n), lambda i, xs: ensemble.extend(xs.copy()), 0, 0.0)
         for m in products + [np.array(ensemble)]:  # (record, node, column)
             assert np.max(np.abs(m.sum(axis=1) - 1.0)) <= 1e-14
             assert m.min() >= -1e-15
@@ -701,10 +701,26 @@ class TestMaskCachePropagators:
     @given(g=cached_graphs(), tau=st.floats(5e-5, 60.0), seed=st.integers(0, 2**32))
     def test_classical_propagator_is_symmetric_and_stochastic(self, g, tau, seed):
         bits = np.random.default_rng(seed).integers(0, 2, g.edge_count).astype(np.uint8)
-        m = _kernels._propagator_for_bits(g.edge_array, bits, g.node_count, -tau)
+        m = _kernels._propagators(g.edge_array, g.node_count, bits[None], -tau)[0]
         assert np.max(np.abs(m - m.T)) <= 1e-15
         assert np.max(np.abs(m.sum(axis=0) - 1.0)) <= 1e-13
         assert m.min() >= 0.0
+
+    @pytest.mark.parametrize("graph", [make_ring(4), make_ring(12)], ids=["ring4", "ring12"])
+    @pytest.mark.parametrize("quantum", [True, False])
+    def test_batched_build_equals_one_row_builds(self, graph, quantum):
+        # the mask cache builds the new masks of a block with one batched eigh
+        edges, n = graph.edge_array, graph.node_count
+        bits = sample_keep_bits(graph, 0.5, rng_from_seed(8), 300)
+        z = -1j * 0.3 if quantum else -0.3
+        batch = _kernels._propagators(edges, n, bits, z)
+        for row, u in zip(bits, batch):
+            assert np.array_equal(u, _kernels._propagators(edges, n, row[None], z)[0])
+        if not quantum:  # round-off below 0 is clipped, as it was one mask at a time
+            w, q = np.linalg.eigh(_kernels.laplacians(edges, n, bits, 1.0))
+            raw = (q * np.exp(z * w)[:, None, :]) @ q.transpose(0, 2, 1)
+            assert np.array_equal(batch, np.maximum(raw, 0.0))
+            assert raw.min() < 0.0 or n == 4  # ring:12 has entries that round below 0
 
 
 class TestLaplacianBlock:
