@@ -1,7 +1,11 @@
-"""Experiment drivers, CSV emission, and the command-line interface."""
+"""Experiment drivers, CSV emission, and the command-line interface.
+
+Each ``exp_*`` driver returns the table of its CSV, ``(meta, columns)``,
+and writes no file (the lambda sweeps return one table per lambda);
+``csvio.write_csv(path, meta, columns)`` writes one.
+"""
 
 from .experiments import (  # noqa: F401
-    ConvergencePoint,
     EnvelopeFit,
     EnvelopeFitError,
     ExperimentSpec,

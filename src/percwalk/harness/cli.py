@@ -5,6 +5,11 @@ convergence, horizon, envelope. All emit deterministic CSV (to --out, or
 stdout when --out is omitted). Exit codes: 0 success, 1 usage error,
 2 numerical failure, 3 I/O error.
 
+Each subcommand runs one experiment driver, which returns the CSV's table
+``(meta, columns)`` and does no I/O; ``_emit`` is the one place that writes
+it. A ``--config`` file's ``key = value`` lines are that subcommand's
+``--key value`` flags, and a flag on the command line wins over its key.
+
 Flags are built per invoked command: a call that names a subcommand
 attaches flags to that subparser alone, because building every
 subcommand's flags took milliseconds per call. Every subcommand is still
@@ -31,9 +36,9 @@ from .experiments import (
     ORACLE_CHOICES,
     EnvelopeFitError,
     ExperimentSpec,
-    convergence_table,
-    horizon_table,
-    longtime_table,
+    exp_convergence,
+    exp_epsilon_horizon,
+    exp_longtime_finite_tau,
     oracle_table,
     point_table,
 )
@@ -48,31 +53,12 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}\n{self.format_usage().rstrip()}")
 
 
-_CONFIG_KEYS = {
-    "graph": ("graph", str),
-    "lambda": ("lam", float),
-    "tau": ("tau", float),
-    "steps": ("steps", int),
-    "time": ("total_time", float),
-    "start": ("start", int),
-    "target": ("target", int),
-    "seed": ("seed", int),
-    "stride": ("stride", int),
-    "out": ("out", str),
-    "trajectories": ("trajectories", int),
-    "which": ("which", str),
-    "steps-list": ("steps_list", str),
-    "epsilons": ("epsilons", str),
-    "traj-steps": ("traj_steps", int),
-}
-
-
 def _common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--graph", help="ring:N | lattice2d:WxH | complete:N | file:PATH")
-    p.add_argument("--lambda", dest="lam", type=float, help="edge-keep probability in [0, 1]")
+    p.add_argument("--lambda", type=float, metavar="LAM", help="edge-keep probability in [0, 1]")
     p.add_argument("--tau", type=float, help="step size")
     p.add_argument("--steps", type=int, help="number of percolation steps")
-    p.add_argument("--time", dest="total_time", type=float, help="total evolution time")
+    p.add_argument("--time", type=float, metavar="TOTAL_TIME", help="total evolution time")
     p.add_argument("--start", type=int, help="starting node (0-indexed)")
     p.add_argument("--seed", type=int, help="RNG seed (PCG64)")
     p.add_argument("--stride", type=int, help="record every stride-th step")
@@ -111,28 +97,27 @@ def build_parser(command: str | None = None) -> _Parser:
             p.add_argument("--which", choices=ORACLE_CHOICES, help="which reference curve")
             p.add_argument("--target", type=int, help="target node for rescaled (default: start)")
         if name in ("convergence", "horizon"):
-            p.add_argument("--steps-list", dest="steps_list", help="comma-separated step counts")
+            p.add_argument("--steps-list", help="comma-separated step counts")
         if name == "horizon":
             p.add_argument("--epsilons", help="comma-separated relative-error thresholds")
         if name == "envelope":
-            p.add_argument("--traj-steps", dest="traj_steps", type=int,
+            p.add_argument("--traj-steps", type=int,
                            help=f"steps of the companion trajectory (default {DEFAULT_TRAJECTORY_STEPS})")
     return parser
 
 
-def _apply_config(args: argparse.Namespace) -> None:
-    if not getattr(args, "config", None):
-        return
+def _config_flags(args: argparse.Namespace) -> list[str]:
+    """The --config file's ``key = value`` lines as ``--key=value`` flags of the subcommand.
+
+    Every flag's destination is its name with ``-`` as ``_``, so a key names
+    a flag exactly when the parsed namespace has that destination.
+    """
     conf = load_config(args.config)
-    known = set()
-    for key, (dest, typ) in _CONFIG_KEYS.items():
-        if hasattr(args, dest):
-            known.add(key)
-            if key in conf and getattr(args, dest) is None:
-                setattr(args, dest, typ(conf[key]))
+    known = {dest.replace("_", "-") for dest in vars(args)} - {"command", "config"}
     unknown = set(conf) - known
     if unknown:
         raise UsageError(f"unknown config keys: {', '.join(sorted(unknown))}")
+    return [f"--{key}={value}" for key, value in conf.items()]
 
 
 def _require(args, dest, flag) -> None:
@@ -141,8 +126,8 @@ def _require(args, dest, flag) -> None:
 
 
 # flag dest -> ExperimentSpec field
-_SPEC_FIELDS = {"graph": "graph_spec"} | {
-    dest: dest for dest in ("lam", "tau", "steps", "total_time", "start", "seed", "stride", "trajectories")
+_SPEC_FIELDS = {"graph": "graph_spec", "lambda": "lam", "time": "total_time"} | {
+    dest: dest for dest in ("tau", "steps", "start", "seed", "stride", "trajectories")
 }
 
 
@@ -198,26 +183,24 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_convergence(args) -> int:
     s_list = _parse_list(args.steps_list, "--steps-list", int, DEFAULT_CONVERGENCE_STEPS)
-    _, meta, columns = convergence_table(_spec_from_args(args, DEFAULT_CONVERGENCE_SPEC), s_list)
-    _emit(args.out, meta, columns)
+    _emit(args.out, *exp_convergence(_spec_from_args(args, DEFAULT_CONVERGENCE_SPEC), s_list))
     return 0
 
 
 def _cmd_horizon(args) -> int:
     s_list = _parse_list(args.steps_list, "--steps-list", int, DEFAULT_HORIZON_STEPS)
     epsilons = _parse_list(args.epsilons, "--epsilons", float, DEFAULT_HORIZON_EPSILONS)
-    _, meta, columns = horizon_table(_spec_from_args(args, DEFAULT_HORIZON_SPEC), epsilons, s_list)
-    _emit(args.out, meta, columns)
+    _emit(args.out, *exp_epsilon_horizon(_spec_from_args(args, DEFAULT_HORIZON_SPEC), epsilons, s_list))
     return 0
 
 
 def _cmd_envelope(args) -> int:
     spec = _spec_from_args(args, DEFAULT_LONGTIME_SPEC)
     traj_steps = DEFAULT_TRAJECTORY_STEPS if args.traj_steps is None else args.traj_steps
-    result, meta, columns = longtime_table(spec, traj_steps)
+    meta, columns = exp_longtime_finite_tau(spec, traj_steps)
     _emit(args.out, meta, columns)
-    if result.fit is None:
-        print(f"envelope fit failed: {result.fit_error}", file=sys.stderr)
+    if "envelope_error" in meta:
+        print(f"envelope fit failed: {meta['envelope_error']}", file=sys.stderr)
         return 2
     return 0
 
@@ -248,7 +231,9 @@ def cli_main(argv: list[str] | None = None) -> int:
         print(parser.format_usage().rstrip(), file=sys.stderr)
         return 1
     try:
-        _apply_config(args)
+        if args.config:
+            # the file's flags go first, so the command line's win
+            args = parser.parse_args([args.command, *_config_flags(args), *argv[1:]])
         return _COMMANDS[args.command](args)
     except UsageError as exc:
         print(str(exc), file=sys.stderr)

@@ -1,11 +1,16 @@
 """Experiment drivers: return-probability curves, figure-style sweeps,
 step-size convergence scans, error horizons, and envelope fitting.
+
+Every driver returns the table of its CSV, ``(meta, columns)``: the
+arguments of ``csvio.write_csv``. ``meta`` is the ``#`` header (the run's
+parameters and diagnostics) and ``columns`` a list of (name, array) pairs;
+a lambda sweep returns one table per lambda. Drivers do no file I/O: the
+caller writes a table with ``write_csv`` or renders it with ``finite_csv``.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 import numpy as np
 
@@ -21,7 +26,6 @@ from ..dynamics import (
 )
 from ..graph import Graph, graph_from_spec
 from ..walk import basis_density, basis_state, classical_transition, transition_probability
-from .csvio import write_csv
 
 # relative error is undefined where the reference vanishes; points with a
 # reference below this guard are skipped in horizon scans
@@ -32,7 +36,7 @@ DEFAULT_LAMBDA_SWEEP = (0.2, 0.4, 0.6, 0.8, 1.0)
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """One experiment point: graph, percolation, timing, output target.
+    """One experiment point: graph, percolation and timing.
 
     Exactly two of (tau, steps, total_time) must be given; the third is
     derived. ``steps`` is authoritative: when tau and total_time are given,
@@ -47,7 +51,6 @@ class ExperimentSpec:
     start: int = 0
     seed: int = 0
     stride: int = 1
-    output_path: str | None = None
     trajectories: int = 100
 
     def graph(self) -> Graph:
@@ -93,26 +96,11 @@ def resolve_timing(
 
 
 def base_meta(spec: ExperimentSpec, experiment: str, **extra) -> dict:
-    meta = {
-        "tool": "percwalk",
-        "experiment": experiment,
-        "graph": spec.graph_spec,
-        "lambda": spec.lam,
-    }
-    try:
-        tau, steps, total = spec.timing()
-        meta.update(tau=tau, steps=steps, total_time=total)
-    except ValueError:
-        # scan experiments fix only the window; per-point timing lives in the columns
-        meta.update(total_time=spec.total_time)
-    meta.update(start=spec.start, seed=spec.seed, stride=spec.stride, **extra)
-    return meta
-
-
-def _scan_window(spec: ExperimentSpec) -> float:
-    if spec.total_time is not None:
-        return spec.total_time
-    return spec.timing()[2]
+    """The CSV header of one run of ``spec``: its parameters, then ``extra``."""
+    tau, steps, total = spec.timing()
+    return {"tool": "percwalk", "experiment": experiment, "graph": spec.graph_spec, "lambda": spec.lam,
+            "tau": tau, "steps": steps, "total_time": total, "start": spec.start, "seed": spec.seed,
+            "stride": spec.stride, **extra}
 
 
 # ---------------------------------------------------------------------------
@@ -133,8 +121,7 @@ def quantum_trajectory_curve(spec: ExperimentSpec) -> tuple[np.ndarray, np.ndarr
 
 def classical_trajectory_curve(spec: ExperimentSpec) -> tuple[np.ndarray, np.ndarray, dict]:
     g = spec.graph()
-    p0 = np.zeros(g.node_count)
-    p0[spec.start] = 1.0
+    p0 = np.abs(basis_state(g.node_count, spec.start)) ** 2
     rec = run_classical_trajectory(g, spec.run(), p0, spec.stride)
     return rec.times, rec.distributions[:, spec.start], _run_diagnostics(rec)
 
@@ -152,8 +139,9 @@ def channel_curve(spec: ExperimentSpec) -> tuple[np.ndarray, np.ndarray, dict]:
     """
     g = spec.graph()
     run = spec.run()
+    rho0 = basis_density(g.node_count, spec.start)
     phi = build_step_channel(g, run.lam, run.tau)
-    rhos = evolve_channel(phi, basis_density(g.node_count, spec.start), run.steps, spec.stride)
+    rhos = evolve_channel(phi, rho0, run.steps, spec.stride)
     rec = recorded_steps(run.steps, spec.stride)
     diagnostics = {
         "propagator": phi.propagator,
@@ -279,40 +267,19 @@ def oracle_table(spec: ExperimentSpec, which: str, target: int | None = None) ->
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CurveResult:
-    lam: float
-    times: np.ndarray
-    p_sim: np.ndarray
-    p_oracle: np.ndarray
-    path: Path | None
-
-
-def _sweep_paths(output_path: str | None, stem: str, lambdas) -> list[Path | None]:
-    if output_path is None:
-        return [None] * len(lambdas)
-    out_dir = Path(output_path)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    return [out_dir / f"{stem}_lam{lam:g}.csv" for lam in lambdas]
-
-
-def _sweep(spec: ExperimentSpec, experiment: str, command: str, lambdas) -> dict[float, CurveResult]:
-    """``command``'s CSV (``point_table``) at each lambda, named ``experiment`` in its metadata."""
-    results: dict[float, CurveResult] = {}
-    for lam, path in zip(lambdas, _sweep_paths(spec.output_path, experiment, lambdas)):
-        meta, columns = point_table(replace(spec, lam=lam, output_path=None), command)
-        meta["experiment"] = experiment
-        if path is not None:
-            write_csv(path, meta, columns)
-        (_, times), (_, p_sim), (_, p_oracle) = columns
-        results[lam] = CurveResult(lam, times, p_sim, p_oracle, path)
-    return results
+def _sweep(spec: ExperimentSpec, experiment: str, command: str, lambdas) -> dict[float, tuple[dict, list]]:
+    """``command``'s table (``point_table``) at each lambda, named ``experiment`` in its metadata."""
+    tables = {}
+    for lam in lambdas:
+        meta, columns = point_table(replace(spec, lam=lam), command)
+        tables[lam] = {**meta, "experiment": experiment}, columns
+    return tables
 
 
 def exp_trajectory_lattice(
     spec: ExperimentSpec | None = None, lambdas=DEFAULT_LAMBDA_SWEEP
-) -> dict[float, CurveResult]:
-    """Single-trajectory return probability on the 10x10 lattice, one file per lambda.
+) -> dict[float, tuple[dict, list]]:
+    """Single-trajectory return probability on the 10x10 lattice, one table per lambda.
 
     Defaults: tau=1e-4, 10^5 steps (T=10), walker started at the central
     node 44, sweep over DEFAULT_LAMBDA_SWEEP.
@@ -325,8 +292,8 @@ def exp_trajectory_lattice(
 
 def exp_channel_ring(
     spec: ExperimentSpec | None = None, lambdas=DEFAULT_LAMBDA_SWEEP
-) -> dict[float, CurveResult]:
-    """Exact-channel return probability on the 15-ring, one file per lambda.
+) -> dict[float, tuple[dict, list]]:
+    """Exact-channel return probability on the 15-ring, one table per lambda.
 
     Defaults: tau=0.004, 5000 steps (T=20), start node 0. The 15-edge ring
     has 32768 realizations, all enumerated into one step channel.
@@ -335,17 +302,7 @@ def exp_channel_ring(
     return _sweep(spec, "channel_ring", "channel", lambdas)
 
 
-@dataclass(frozen=True)
-class CompleteGraphResult:
-    times: np.ndarray
-    p_quantum_sim: np.ndarray
-    p_quantum_oracle: np.ndarray
-    p_classical_sim: np.ndarray
-    p_classical_oracle: np.ndarray
-    path: Path | None
-
-
-def exp_complete_graph(spec: ExperimentSpec | None = None) -> CompleteGraphResult:
+def exp_complete_graph(spec: ExperimentSpec | None = None) -> tuple[dict, list]:
     """Quantum vs classical single trajectories on the complete graph.
 
     Defaults: complete:15, lambda=0.3, tau=1e-4, 10^5 steps. The oracle
@@ -364,14 +321,13 @@ def exp_complete_graph(spec: ExperimentSpec | None = None) -> CompleteGraphResul
     meta = base_meta(spec, "complete_graph",
                      **{f"quantum_{k}": v for k, v in q_diag.items()},
                      **{f"classical_{k}": v for k, v in c_diag.items()})
-    path = _write_table(spec, meta, [
+    return meta, [
         ("t", times),
         ("p_quantum_sim", p_q),
         ("p_quantum_oracle", p_q_oracle),
         ("p_classical_sim", p_c),
         ("p_classical_oracle", p_c_oracle),
-    ])
-    return CompleteGraphResult(times, p_q, p_q_oracle, p_c, p_c_oracle, path)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -470,24 +426,6 @@ def fit_exponential_envelope(
     return EnvelopeFit(a=a, b=b, residual=residual, asymptote=asymptote)
 
 
-@dataclass(frozen=True)
-class LongtimeResult:
-    times: np.ndarray
-    p_channel: np.ndarray
-    p_trajectory: np.ndarray
-    p_quantum_oracle: np.ndarray
-    p_classical_oracle: np.ndarray
-    fit: EnvelopeFit | None
-    fit_error: str | None
-    path: Path | None
-    trajectory_diagnostics: dict  # _run_diagnostics of the companion trajectory
-
-
-def _write_table(spec: ExperimentSpec, meta: dict, columns) -> Path | None:
-    """Write a driver's CSV to spec.output_path, when one is given."""
-    return None if spec.output_path is None else write_csv(Path(spec.output_path), meta, columns)
-
-
 # the ring:4 long-run defaults of exp_longtime_finite_tau and the CLI's envelope
 DEFAULT_LONGTIME_SPEC = ExperimentSpec(graph_spec="ring:4", lam=0.2, tau=0.1, steps=1000, stride=1)
 DEFAULT_TRAJECTORY_STEPS = 3000
@@ -495,23 +433,19 @@ DEFAULT_TRAJECTORY_STEPS = 3000
 
 def exp_longtime_finite_tau(
     spec: ExperimentSpec | None = None, trajectory_steps: int = DEFAULT_TRAJECTORY_STEPS
-) -> LongtimeResult:
+) -> tuple[dict, list]:
     """Long-run finite-step behavior on the 4-ring.
 
     Defaults: lambda=0.2, channel with tau=0.1 for 1000 steps (T=100) plus
     one stochastic trajectory with 3000 steps over the same window. Emits
     the two simulated curves, the rescaled quantum and classical references,
     and the exponential envelope fit of the channel curve (asymptote pinned
-    at the flat value 1/N). The trajectory column is sampled on its own step
-    grid; with the default parameters both grids coincide to round-off.
+    at the flat value 1/N): the metadata's ``envelope_a``, ``envelope_b``
+    and ``envelope_residual``, or ``envelope_error`` when the fit fails.
+    The trajectory column is sampled on its own step grid; with the default
+    parameters both grids coincide to round-off.
     """
     spec = spec or DEFAULT_LONGTIME_SPEC
-    result, meta, columns = longtime_table(spec, trajectory_steps)
-    return replace(result, path=_write_table(spec, meta, columns))
-
-
-def longtime_table(spec: ExperimentSpec, trajectory_steps: int) -> tuple[LongtimeResult, dict, list]:
-    """``exp_longtime_finite_tau``'s result (path None) with the metadata and columns of its CSV."""
     g = spec.graph()
     n = g.node_count
     times, p_channel, _ = channel_curve(spec)
@@ -530,35 +464,20 @@ def longtime_table(spec: ExperimentSpec, trajectory_steps: int) -> tuple[Longtim
     else:
         p_q_oracle = quantum_oracle_curve(spec, times)
         p_c_oracle = classical_oracle_curve(spec, times)
-    fit = None
-    fit_error = None
     try:
-        max_t, max_v = extract_envelope_maxima(times, p_channel)
-        fit = fit_exponential_envelope(max_t, max_v, oracles.flat_limit(n))
+        fit = fit_exponential_envelope(*extract_envelope_maxima(times, p_channel), oracles.flat_limit(n))
+        envelope = {"envelope_a": fit.a, "envelope_b": fit.b, "envelope_residual": fit.residual}
     except EnvelopeFitError as exc:
-        fit_error = f"{exc} (residual={exc.residual:.3g})"
-    meta = base_meta(
-        spec,
-        "longtime_finite_tau",
-        trajectory_steps=trajectory_steps,
-        envelope_asymptote=oracles.flat_limit(n),
-        **traj_diag,
-    )
-    if fit is not None:
-        meta.update(envelope_a=fit.a, envelope_b=fit.b, envelope_residual=fit.residual)
-    else:
-        meta.update(envelope_error=fit_error)
-    columns = [
+        envelope = {"envelope_error": f"{exc} (residual={exc.residual:.3g})"}
+    meta = base_meta(spec, "longtime_finite_tau", trajectory_steps=trajectory_steps,
+                     envelope_asymptote=oracles.flat_limit(n), **traj_diag, **envelope)
+    return meta, [
         ("t", times),
         ("p_channel", p_channel),
         ("p_trajectory", p_traj),
         ("p_quantum_oracle", p_q_oracle),
         ("p_classical_oracle", p_c_oracle),
     ]
-    result = LongtimeResult(
-        times, p_channel, p_traj, p_q_oracle, p_c_oracle, fit, fit_error, None, traj_diag
-    )
-    return result, meta, columns
 
 
 # ---------------------------------------------------------------------------
@@ -566,11 +485,25 @@ def longtime_table(spec: ExperimentSpec, trajectory_steps: int) -> tuple[Longtim
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ConvergencePoint:
-    steps: int
-    tau: float
-    max_abs_error: float
+def _scan_meta(spec: ExperimentSpec, experiment: str, s_list, **extra) -> dict:
+    """The CSV header of a scan: its time window, its step counts, then ``extra``.
+
+    The window is the spec's total time, or tau*steps when it gives those
+    instead. Every point runs its own tau and steps at stride 1, so the
+    header records none of the spec's.
+    """
+    window = spec.total_time if spec.total_time is not None else spec.timing()[2]
+    return {"tool": "percwalk", "experiment": experiment, "graph": spec.graph_spec, "lambda": spec.lam,
+            "total_time": window, "start": spec.start, "seed": spec.seed,
+            "s_list": ",".join(str(int(s)) for s in s_list), **extra}
+
+
+def _scan_curves(spec: ExperimentSpec, window: float, s_list):
+    """(steps, times, exact-channel curve, rescaled reference) over ``window`` for each step count."""
+    for steps in s_list:
+        point = replace(spec, tau=None, steps=int(steps), total_time=window, stride=1)
+        times, p_sim, _ = channel_curve(point)
+        yield int(steps), times, p_sim, quantum_oracle_curve(point, times)
 
 
 DEFAULT_CONVERGENCE_STEPS = (250, 500, 1000, 2000, 4000)
@@ -579,37 +512,20 @@ DEFAULT_CONVERGENCE_SPEC = ExperimentSpec(graph_spec="ring:10", lam=0.5, total_t
 
 def exp_convergence(
     spec: ExperimentSpec | None = None, s_list=DEFAULT_CONVERGENCE_STEPS
-) -> list[ConvergencePoint]:
+) -> tuple[dict, list]:
     """Max |P_sim - P_reference| of the exact channel for a ladder of step counts.
 
     The error is taken over every step of the evolution (stride 1), so the
-    maximum is grid-exact. Defaults: ring:10, lambda=0.5, T=10.
+    maximum is grid-exact. Defaults: ring:10, lambda=0.5, T=10. Columns:
+    S, tau = T/S and max_abs_error.
     """
     spec = spec or DEFAULT_CONVERGENCE_SPEC
-    points, meta, columns = convergence_table(spec, s_list)
-    _write_table(spec, meta, columns)
-    return points
-
-
-def convergence_table(
-    spec: ExperimentSpec, s_list=DEFAULT_CONVERGENCE_STEPS
-) -> tuple[list[ConvergencePoint], dict, list]:
-    """``exp_convergence``'s points with the metadata and columns of its CSV."""
-    total = _scan_window(spec)
-    points: list[ConvergencePoint] = []
-    for steps in s_list:
-        point = replace(spec, tau=None, steps=int(steps), total_time=total, stride=1)
-        times, p_sim, _ = channel_curve(point)
-        p_oracle = quantum_oracle_curve(point, times)
-        err = float(np.max(np.abs(p_sim - p_oracle)))
-        points.append(ConvergencePoint(steps=int(steps), tau=total / steps, max_abs_error=err))
-    meta = base_meta(spec, "convergence", s_list=",".join(str(int(s)) for s in s_list))
-    columns = [
-        ("S", np.array([p.steps for p in points])),
-        ("tau", np.array([p.tau for p in points])),
-        ("max_abs_error", np.array([p.max_abs_error for p in points])),
-    ]
-    return points, meta, columns
+    meta = _scan_meta(spec, "convergence", s_list)
+    window = meta["total_time"]
+    errors = [float(np.max(np.abs(p_sim - p_oracle)))
+              for _, _, p_sim, p_oracle in _scan_curves(spec, window, s_list)]
+    s_col = np.array([int(s) for s in s_list])
+    return meta, [("S", s_col), ("tau", window / s_col), ("max_abs_error", np.array(errors))]
 
 
 DEFAULT_HORIZON_STEPS = (250, 500, 1000, 2000, 4000)
@@ -617,46 +533,28 @@ DEFAULT_HORIZON_EPSILONS = (0.02, 0.05, 0.1)
 DEFAULT_HORIZON_SPEC = ExperimentSpec(graph_spec="ring:5", lam=0.5, total_time=10.0)
 
 
-@dataclass(frozen=True)
-class HorizonPoint:
-    steps: int
-    epsilon: float
-    horizon: float
-
-
 def exp_epsilon_horizon(
     spec: ExperimentSpec | None = None,
     epsilon_list=DEFAULT_HORIZON_EPSILONS,
     s_list=DEFAULT_HORIZON_STEPS,
-) -> list[HorizonPoint]:
+) -> tuple[dict, list]:
     """Largest time the rescaled reference stays within relative error epsilon.
 
     The horizon for (S, eps) is the last recorded time before the relative
     error |P_sim - P_ref| / P_ref first reaches eps, or the full window if it
     never does. Points where P_ref < REL_ERROR_GUARD are skipped (relative
     error undefined at reference zeros). Defaults: ring:5, lambda=0.5, T=10.
+    Columns: S, epsilon and horizon, one row per (S, eps).
     """
     spec = spec or DEFAULT_HORIZON_SPEC
-    points, meta, columns = horizon_table(spec, epsilon_list, s_list)
-    _write_table(spec, meta, columns)
-    return points
-
-
-def horizon_table(
-    spec: ExperimentSpec,
-    epsilon_list=DEFAULT_HORIZON_EPSILONS,
-    s_list=DEFAULT_HORIZON_STEPS,
-) -> tuple[list[HorizonPoint], dict, list]:
-    """``exp_epsilon_horizon``'s points with the metadata and columns of its CSV."""
     for eps in epsilon_list:
         if not 0 < eps < np.inf:
             raise ValueError(f"epsilon must be positive and finite, got {eps}")
-    total = _scan_window(spec)
-    points: list[HorizonPoint] = []
-    for steps in s_list:
-        point = replace(spec, tau=None, steps=int(steps), total_time=total, stride=1)
-        times, p_sim, _ = channel_curve(point)
-        p_oracle = quantum_oracle_curve(point, times)
+    meta = _scan_meta(spec, "epsilon_horizon", s_list,
+                      epsilon_list=",".join(f"{e:g}" for e in epsilon_list),
+                      relative_error_guard=REL_ERROR_GUARD)
+    s_col, eps_col, horizons = [], [], []
+    for steps, times, p_sim, p_oracle in _scan_curves(spec, meta["total_time"], s_list):
         valid = p_oracle >= REL_ERROR_GUARD
         rel = np.zeros_like(p_sim)
         rel[valid] = np.abs(p_sim[valid] - p_oracle[valid]) / p_oracle[valid]
@@ -668,17 +566,7 @@ def horizon_table(
                 horizon = 0.0
             else:
                 horizon = float(times[crossing[0] - 1])
-            points.append(HorizonPoint(steps=int(steps), epsilon=float(eps), horizon=horizon))
-    meta = base_meta(
-        spec,
-        "epsilon_horizon",
-        s_list=",".join(str(int(s)) for s in s_list),
-        epsilon_list=",".join(f"{e:g}" for e in epsilon_list),
-        relative_error_guard=REL_ERROR_GUARD,
-    )
-    columns = [
-        ("S", np.array([p.steps for p in points])),
-        ("epsilon", np.array([p.epsilon for p in points])),
-        ("horizon", np.array([p.horizon for p in points])),
-    ]
-    return points, meta, columns
+            s_col.append(steps)
+            eps_col.append(float(eps))
+            horizons.append(horizon)
+    return meta, [("S", np.array(s_col)), ("epsilon", np.array(eps_col)), ("horizon", np.array(horizons))]

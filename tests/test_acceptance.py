@@ -101,27 +101,27 @@ def test_criterion_3_complete_graph_classical():
 
 def test_criterion_4_longtime_flattening_and_envelope():
     # ring(4), lam=0.2, channel tau=0.1 to T=100
-    res = exp_longtime_finite_tau(
+    meta, columns = exp_longtime_finite_tau(
         ExperimentSpec(graph_spec="ring:4", lam=0.2, tau=0.1, steps=1000)
     )
-    p_final = float(res.p_channel[-1])
+    p_final = float(dict(columns)["p_channel"][-1])
     ok_flat = 0.23 <= p_final <= 0.27
-    ok_fit = res.fit is not None and 0.70 <= res.fit.a <= 0.79 and 0.044 <= res.fit.b <= 0.054
+    ok_fit = ("envelope_error" not in meta and 0.70 <= meta["envelope_a"] <= 0.79
+              and 0.044 <= meta["envelope_b"] <= 0.054)
     report(
         "4 finite-tau flattening", ok_flat and ok_fit,
-        f"P(100) = {p_final:.4f} in [0.23, 0.27], envelope a = {res.fit.a:.4f} in [0.70, 0.79], "
-        f"b = {res.fit.b:.4f} in [0.044, 0.054]",
+        f"P(100) = {p_final:.4f} in [0.23, 0.27], envelope a = {meta['envelope_a']:.4f} in [0.70, 0.79], "
+        f"b = {meta['envelope_b']:.4f} in [0.044, 0.054]",
     )
 
 
 def test_criterion_5_convergence_monotonicity():
     spec = ExperimentSpec(graph_spec="ring:10", lam=0.5, total_time=10.0)
-    points = exp_convergence(spec, s_list=(250, 1000, 4000))
-    errs = [p.max_abs_error for p in points]
-    control = exp_convergence(
+    errs = dict(exp_convergence(spec, s_list=(250, 1000, 4000))[1])["max_abs_error"]
+    _, control = exp_convergence(
         ExperimentSpec(graph_spec="ring:10", lam=1.0, total_time=10.0), s_list=(250, 1000, 4000)
     )
-    ctrl_max = max(p.max_abs_error for p in control)
+    ctrl_max = dict(control)["max_abs_error"].max()
     ok = errs[0] > errs[1] > errs[2] and ctrl_max <= 1e-8
     report(
         "5 convergence monotonicity", ok,
@@ -133,8 +133,8 @@ def test_criterion_5_convergence_monotonicity():
 def test_criterion_6_epsilon_horizon_growth():
     spec = ExperimentSpec(graph_spec="ring:5", lam=0.5, total_time=10.0)
     epsilons = (0.02, 0.05, 0.1)
-    points = exp_epsilon_horizon(spec, epsilon_list=epsilons, s_list=(500, 4000, 327_680))
-    by = {(p.steps, p.epsilon): p.horizon for p in points}
+    res = dict(exp_epsilon_horizon(spec, epsilon_list=epsilons, s_list=(500, 4000, 327_680))[1])
+    by = dict(zip(zip(res["S"].tolist(), res["epsilon"].tolist()), res["horizon"].tolist()))
     grow = by[(4000, 0.05)] >= by[(500, 0.05)]
     total = 10.0
     reach = all(by[(327_680, eps)] >= 0.9999 * total for eps in epsilons)

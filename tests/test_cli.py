@@ -7,11 +7,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from percwalk import dynamics
+from percwalk import _kernels, dynamics
 from percwalk.graph import graph_from_spec
 from percwalk.harness import cli, experiments
 from percwalk.harness.cli import cli_main
-from percwalk.harness.csvio import read_csv
+from percwalk.harness.csvio import finite_csv, read_csv, write_csv
 from percwalk.harness.experiments import (
     ExperimentSpec,
     exp_channel_ring,
@@ -203,54 +203,62 @@ class TestScanCommands:
 
     @pytest.mark.parametrize("argv,drive", [
         (["convergence", "--graph", "ring:5", "--time", "4", "--steps-list", "50,100"],
-         lambda out: exp_convergence(
-             ExperimentSpec("ring:5", total_time=4.0, output_path=out), s_list=(50, 100))),
+         lambda: exp_convergence(ExperimentSpec("ring:5", total_time=4.0), s_list=(50, 100))),
         (["horizon", "--graph", "ring:5", "--time", "4", "--steps-list", "400,100,400",
           "--epsilons", "0.1,0.02,0.1"],
-         lambda out: exp_epsilon_horizon(
-             ExperimentSpec("ring:5", total_time=4.0, output_path=out),
+         lambda: exp_epsilon_horizon(
+             ExperimentSpec("ring:5", total_time=4.0),
              epsilon_list=(0.1, 0.02, 0.1), s_list=(400, 100, 400))),
         (["envelope", "--tau", "0.1", "--steps", "200", "--traj-steps", "400", "--seed", "3"],
-         lambda out: exp_longtime_finite_tau(
-             ExperimentSpec("ring:4", lam=0.2, tau=0.1, steps=200, seed=3, output_path=out),
-             trajectory_steps=400)),
+         lambda: exp_longtime_finite_tau(
+             ExperimentSpec("ring:4", lam=0.2, tau=0.1, steps=200, seed=3), trajectory_steps=400)),
         (["trajectory", "--graph", "lattice2d:4x4", "--lambda", "0.6", "--tau", "0.02",
           "--steps", "50", "--stride", "5", "--start", "5", "--seed", "3"],
-         lambda out: exp_trajectory_lattice(
-             ExperimentSpec("lattice2d:4x4", tau=0.02, steps=50, stride=5, start=5, seed=3,
-                            output_path=out), lambdas=(0.6,))),
+         lambda: exp_trajectory_lattice(
+             ExperimentSpec("lattice2d:4x4", tau=0.02, steps=50, stride=5, start=5, seed=3),
+             lambdas=(0.6,))[0.6]),
         (["channel", "--graph", "ring:5", "--lambda", "0.4", "--tau", "0.05", "--steps", "40",
           "--stride", "4", "--start", "2"],
-         lambda out: exp_channel_ring(
-             ExperimentSpec("ring:5", tau=0.05, steps=40, stride=4, start=2, output_path=out),
-             lambdas=(0.4,))),
+         lambda: exp_channel_ring(
+             ExperimentSpec("ring:5", tau=0.05, steps=40, stride=4, start=2), lambdas=(0.4,))[0.4]),
         # every flag unset: the CLI takes the drivers' and ExperimentSpec's defaults
         (["convergence"],
-         lambda out: exp_convergence(ExperimentSpec("ring:10", lam=0.5, total_time=10.0, output_path=out))),
+         lambda: exp_convergence(ExperimentSpec("ring:10", lam=0.5, total_time=10.0))),
         (["horizon"],
-         lambda out: exp_epsilon_horizon(ExperimentSpec("ring:5", lam=0.5, total_time=10.0, output_path=out))),
+         lambda: exp_epsilon_horizon(ExperimentSpec("ring:5", lam=0.5, total_time=10.0))),
         (["envelope", "--seed", "3"],
-         lambda out: exp_longtime_finite_tau(
-             ExperimentSpec("ring:4", lam=0.2, tau=0.1, steps=1000, seed=3, output_path=out))),
+         lambda: exp_longtime_finite_tau(ExperimentSpec("ring:4", lam=0.2, tau=0.1, steps=1000, seed=3))),
         (["trajectory", "--graph", "ring:4", "--tau", "0.1", "--steps", "20"],
-         lambda out: exp_trajectory_lattice(
-             ExperimentSpec("ring:4", tau=0.1, steps=20, output_path=out), lambdas=(0.5,))),
+         lambda: exp_trajectory_lattice(ExperimentSpec("ring:4", tau=0.1, steps=20), lambdas=(0.5,))[0.5]),
     ], ids=["convergence", "horizon", "envelope", "trajectory", "channel", "convergence-default",
             "horizon-default", "envelope-default", "trajectory-default"])
     def test_csv_equals_driver_csv(self, tmp_path, argv, drive):
-        cli_out, driver_out = tmp_path / "cli.csv", tmp_path / "driver.csv"
+        cli_out = tmp_path / "cli.csv"
         assert run_cli(argv + ["--out", str(cli_out)]) == 0
-        drive(str(driver_out))
-        if driver_out.is_file():
-            assert cli_out.read_bytes() == driver_out.read_bytes()
-            return
-        # a lambda sweep writes one file per lambda into a directory, named after the sweep
-        (driver_out,) = driver_out.glob("*.csv")
         cli_lines = cli_out.read_text().splitlines()
-        driver_lines = driver_out.read_text().splitlines()
-        assert cli_lines.pop(1) == f"# experiment = {argv[0]}"
-        assert driver_lines.pop(1) in ("# experiment = trajectory_lattice", "# experiment = channel_ring")
+        driver_lines = finite_csv(*drive()).splitlines()
+        if argv[0] in ("trajectory", "channel"):
+            # a lambda sweep's table is the command's, named after the sweep
+            assert cli_lines.pop(1) == f"# experiment = {argv[0]}"
+            assert driver_lines.pop(1) in ("# experiment = trajectory_lattice", "# experiment = channel_ring")
         assert cli_lines == driver_lines
+
+    @pytest.mark.parametrize("command", ["convergence", "horizon"])
+    @pytest.mark.parametrize("timing,window", [
+        (["--tau", "0.1", "--steps", "40"], "4"),
+        (["--time", "4", "--stride", "7"], "4"),
+    ], ids=["tau-steps", "stride"])
+    def test_scan_header_records_only_what_ran(self, tmp_path, command, timing, window):
+        # every point runs its own tau and steps at stride 1 over the window
+        out = tmp_path / "scan.csv"
+        assert run_cli([command, "--graph", "ring:5", "--steps-list", "50,100", *timing,
+                        "--out", str(out)]) == 0
+        meta, data = read_csv(out)
+        assert not meta.keys() & {"tau", "steps", "stride"}
+        assert (meta["total_time"], meta["s_list"]) == (window, "50,100")
+        assert set(data["S"]) == {50, 100}
+        if command == "convergence":
+            assert list(data["tau"]) == [0.08, 0.04]
 
     def test_envelope_fit_failure_exit_2_partial_output(self, tmp_path, capsys):
         out = tmp_path / "env.csv"
@@ -411,9 +419,9 @@ class TestErrorPaths:
         # runs under the suite's warnings-as-errors: the classical step loop and the closed
         # forms' cos(n t) reach NaN without a numpy warning
         out = tmp_path / "complete.csv"
-        spec = ExperimentSpec("complete:4", lam=0.5, tau=1e308, steps=1, output_path=str(out))
+        table = exp_complete_graph(ExperimentSpec("complete:4", lam=0.5, tau=1e308, steps=1))
         with pytest.raises(FloatingPointError, match="column p_quantum_sim holds a non-finite value"):
-            exp_complete_graph(spec)
+            write_csv(out, *table)
         assert not out.exists()
 
     @pytest.mark.parametrize("argv,column", [
@@ -468,6 +476,21 @@ class TestErrorPaths:
         assert run_cli([command, "--graph", "complete:7", "--tau", "1e4", "--steps", "3000000",
                         *ensemble, "--out", str(out)]) == 1
         assert "limit" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("start", ["-1", "5"])
+    @pytest.mark.parametrize("command", ["trajectory", "classical", "montecarlo", "channel"])
+    def test_start_out_of_range_exit_1_before_any_step(self, tmp_path, capsys, monkeypatch, command, start):
+        def no_steps(*args, **kwargs):
+            raise AssertionError("a step ran before --start was checked")
+
+        for name in ("trajectory_states", "classical_trajectory", "ensemble_quantum", "channel_accumulate"):
+            monkeypatch.setattr(_kernels, name, no_steps)
+        monkeypatch.setattr(dynamics, "sample_keep_bits", no_steps)
+        out = tmp_path / "run.csv"
+        assert run_cli([command, "--graph", "ring:5", "--tau", "0.1", "--steps", "20",
+                        "--start", start, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: node {start} out of range for 5 nodes\n"
         assert not out.exists()
 
     def test_channel_linalg_error_exit_2_without_csv(self, tmp_path, capsys, monkeypatch):
@@ -555,6 +578,38 @@ class TestConfigFile:
         cfg.write_text("graph = ring:5\nwibble = 3\n")
         assert run_cli(["trajectory", "--config", str(cfg), "--tau", "0.1", "--steps", "5"]) == 1
         assert "wibble" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,flags", [
+        ("trajectory", {}),
+        ("classical", {}),
+        ("channel", {}),
+        ("montecarlo", {"trajectories": "5"}),
+        ("oracle", {"which": "rescaled", "target": "1"}),
+        ("convergence", {"steps-list": "50,100"}),
+        ("horizon", {"steps-list": "50,100", "epsilons": "0.05,0.1"}),
+        ("envelope", {"graph": "ring:4", "lambda": "0.2", "start": "0", "traj-steps": "40"}),
+    ], ids=lambda x: x if isinstance(x, str) else "")
+    def test_every_key_gives_the_csv_of_its_flag(self, tmp_path, command, flags):
+        flags = {"graph": "ring:5", "lambda": "0.3", "tau": "0.1", "steps": "20", "time": "2",
+                 "start": "2", "seed": "4", "stride": "3", **flags}
+        by_flags, by_config = tmp_path / "flags.csv", tmp_path / "config.csv"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("".join(f"{key} = {value}\n" for key, value in {**flags, "out": by_config}.items()))
+        argv = [command, *(arg for key, value in flags.items() for arg in (f"--{key}", value))]
+        code = run_cli(argv + ["--out", str(by_flags)])
+        assert code in (0, 2)  # a short envelope may not fit
+        assert run_cli([command, "--config", str(cfg)]) == code
+        assert by_config.read_bytes() == by_flags.read_bytes()
+
+    @pytest.mark.parametrize("key,value", [("which", "nope"), ("steps", "x"), ("lambda", "")])
+    def test_config_values_are_checked_as_flags(self, tmp_path, capsys, key, value):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        assert run_cli(["oracle", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert run_cli(["oracle", f"--{key}={value}"]) == 1
+        assert err == capsys.readouterr().err
+        assert f"argument --{key}: invalid" in err
 
     def test_missing_config_file_exit_3(self):
         assert run_cli(["trajectory", "--graph", "ring:4", "--tau", "0.1", "--steps", "5",

@@ -161,66 +161,48 @@ class TestCsv:
 
 
 class TestExperiments:
-    def test_trajectory_lattice_reduced(self, tmp_path):
-        spec = ExperimentSpec(
-            graph_spec="lattice2d:3x3", tau=0.01, steps=300, start=4, stride=10,
-            output_path=str(tmp_path / "fig"),
-        )
-        results = exp_trajectory_lattice(spec, lambdas=(0.5, 1.0))
-        assert set(results) == {0.5, 1.0}
-        for lam, res in results.items():
-            assert res.path.exists()
-            meta, data = csvio.read_csv(res.path)
-            assert meta["lambda"] == csvio.format_value(lam)
-            assert set(data) == {"t", "p_sim", "p_oracle"}
+    def test_trajectory_lattice_reduced(self):
+        spec = ExperimentSpec(graph_spec="lattice2d:3x3", tau=0.01, steps=300, start=4, stride=10)
+        tables = exp_trajectory_lattice(spec, lambdas=(0.5, 1.0))
+        assert set(tables) == {0.5, 1.0}
+        for lam, (meta, columns) in tables.items():
+            assert meta["lambda"] == lam and meta["experiment"] == "trajectory_lattice"
+            assert [name for name, _ in columns] == ["t", "p_sim", "p_oracle"]
         # lam=1 curve matches its reference closely
-        r1 = results[1.0]
-        assert np.max(np.abs(r1.p_sim - r1.p_oracle)) <= 1e-8
+        r1 = dict(tables[1.0][1])
+        assert np.max(np.abs(r1["p_sim"] - r1["p_oracle"])) <= 1e-8
 
-    def test_channel_ring_reduced(self, tmp_path):
-        spec = ExperimentSpec(
-            graph_spec="ring:6", tau=0.05, steps=100, stride=5,
-            output_path=str(tmp_path / "fig"),
-        )
-        results = exp_channel_ring(spec, lambdas=(0.5,))
-        res = results[0.5]
-        assert res.path.exists()
-        assert np.max(np.abs(res.p_sim - res.p_oracle)) <= 0.05
-        meta, _ = csvio.read_csv(res.path)
+    def test_channel_ring_reduced(self):
+        spec = ExperimentSpec(graph_spec="ring:6", tau=0.05, steps=100, stride=5)
+        meta, columns = exp_channel_ring(spec, lambdas=(0.5,))[0.5]
+        res = dict(columns)
+        assert np.max(np.abs(res["p_sim"] - res["p_oracle"])) <= 0.05
         assert meta["propagator"] == "taylor(substeps=1, order=11)"
-        assert 0.0 <= float(meta["max_trace_drift"]) <= float(meta["trace_drift_bound"])
+        assert 0.0 <= meta["max_trace_drift"] <= meta["trace_drift_bound"]
         # 64 masks are fewer than one batch, so no symmetry is searched
-        assert (meta["channel_symmetries"], meta["channel_orbits"]) == ("1", "64")
+        assert (meta["channel_symmetries"], meta["channel_orbits"]) == (1, 64)
         assert meta["channel_blocks"] == "1x36"  # one dense block: the trivial group's evolution
 
-    def test_complete_graph_reduced(self, tmp_path):
-        spec = ExperimentSpec(
-            graph_spec="complete:5", lam=0.3, tau=0.001, steps=2000, stride=20,
-            output_path=str(tmp_path / "fig3.csv"),
-        )
-        res = exp_complete_graph(spec)
-        assert res.path.exists()
-        assert np.max(np.abs(res.p_quantum_sim - res.p_quantum_oracle)) <= 0.1
-        assert np.max(np.abs(res.p_classical_sim - res.p_classical_oracle)) <= 0.05
-        meta, data = csvio.read_csv(res.path)
-        assert list(data) == [
+    def test_complete_graph_reduced(self):
+        spec = ExperimentSpec(graph_spec="complete:5", lam=0.3, tau=0.001, steps=2000, stride=20)
+        _, columns = exp_complete_graph(spec)
+        res = dict(columns)
+        assert np.max(np.abs(res["p_quantum_sim"] - res["p_quantum_oracle"])) <= 0.1
+        assert np.max(np.abs(res["p_classical_sim"] - res["p_classical_oracle"])) <= 0.05
+        assert list(res) == [
             "t", "p_quantum_sim", "p_quantum_oracle", "p_classical_sim", "p_classical_oracle"
         ]
 
-    def test_longtime_default_fit_and_flattening(self, tmp_path):
-        spec = ExperimentSpec(
-            graph_spec="ring:4", lam=0.2, tau=0.1, steps=1000,
-            output_path=str(tmp_path / "fig4.csv"),
-        )
-        res = exp_longtime_finite_tau(spec)
-        assert res.fit is not None
-        assert 0.70 <= res.fit.a <= 0.79
-        assert 0.044 <= res.fit.b <= 0.054
-        assert abs(res.p_channel[-1] - 0.25) <= 0.02
-        meta, _ = csvio.read_csv(res.path)
-        assert "envelope_a" in meta
+    def test_longtime_default_fit_and_flattening(self):
+        spec = ExperimentSpec(graph_spec="ring:4", lam=0.2, tau=0.1, steps=1000)
+        meta, columns = exp_longtime_finite_tau(spec)
+        res = dict(columns)
+        assert "envelope_error" not in meta
+        assert 0.70 <= meta["envelope_a"] <= 0.79
+        assert 0.044 <= meta["envelope_b"] <= 0.054
+        assert abs(res["p_channel"][-1] - 0.25) <= 0.02
         # quantum oracle column is the closed form cos^4(lam t)
-        assert np.max(np.abs(res.p_quantum_oracle - oracles.ring4_quantum_return(0.2, res.times))) == 0.0
+        assert np.max(np.abs(res["p_quantum_oracle"] - oracles.ring4_quantum_return(0.2, res["t"]))) == 0.0
 
     def test_longtime_trajectory_grid_must_nest(self):
         spec = ExperimentSpec(graph_spec="ring:4", lam=0.2, tau=0.1, steps=1000)
@@ -229,56 +211,49 @@ class TestExperiments:
 
     def test_convergence_lambda_one_control(self):
         spec = ExperimentSpec(graph_spec="ring:10", lam=1.0, total_time=10.0)
-        points = exp_convergence(spec, s_list=(50, 200))
-        for p in points:
-            assert p.max_abs_error <= 1e-8
+        _, columns = exp_convergence(spec, s_list=(50, 200))
+        assert np.all(dict(columns)["max_abs_error"] <= 1e-8)
 
     def test_convergence_error_decreases(self):
-        points = exp_convergence(s_list=(200, 2000))
-        errs = {p.steps: p.max_abs_error for p in points}
+        res = dict(exp_convergence(s_list=(200, 2000))[1])
+        errs = dict(zip(res["S"], res["max_abs_error"]))
         assert errs[2000] < errs[200]
 
     def test_convergence_slope_in_band(self):
         # measured log-log slope of error vs tau; the spec window is [0.4, 1.3]
-        points = exp_convergence(s_list=(250, 500, 1000, 2000, 4000))
-        taus = np.log([p.tau for p in points])
-        errs = np.log([p.max_abs_error for p in points])
-        slope = np.polyfit(taus, errs, 1)[0]
+        res = dict(exp_convergence(s_list=(250, 500, 1000, 2000, 4000))[1])
+        slope = np.polyfit(np.log(res["tau"]), np.log(res["max_abs_error"]), 1)[0]
         assert 0.4 <= slope <= 1.3
 
     def test_convergence_csv(self, tmp_path):
-        spec = ExperimentSpec(
-            graph_spec="ring:5", lam=0.5, total_time=4.0, output_path=str(tmp_path / "conv.csv")
-        )
-        points = exp_convergence(spec, s_list=(50, 100))
-        meta, data = csvio.read_csv(tmp_path / "conv.csv")
+        spec = ExperimentSpec(graph_spec="ring:5", lam=0.5, total_time=4.0)
+        meta, columns = exp_convergence(spec, s_list=(50, 100))
+        csvio.write_csv(tmp_path / "conv.csv", meta, columns)
+        _, data = csvio.read_csv(tmp_path / "conv.csv")
         assert list(data["S"]) == [50, 100]
-        assert np.allclose(data["max_abs_error"], [p.max_abs_error for p in points])
+        assert np.allclose(data["max_abs_error"], dict(columns)["max_abs_error"])
 
     def test_horizon_lambda_one_full_window(self):
         spec = ExperimentSpec(graph_spec="ring:5", lam=1.0, total_time=6.0)
-        points = exp_epsilon_horizon(spec, epsilon_list=(0.02, 0.1), s_list=(100,))
-        for p in points:
-            assert p.horizon == pytest.approx(6.0, rel=1e-12)
+        _, columns = exp_epsilon_horizon(spec, epsilon_list=(0.02, 0.1), s_list=(100,))
+        assert dict(columns)["horizon"] == pytest.approx([6.0, 6.0], rel=1e-12)
 
     @pytest.mark.parametrize("eps", [-1.0, 0.0, float("nan"), float("inf")])
-    def test_horizon_refuses_epsilon_outside_open_half_line(self, tmp_path, eps):
-        out = tmp_path / "hor.csv"
-        spec = ExperimentSpec(graph_spec="ring:5", lam=0.5, total_time=4.0, output_path=str(out))
+    def test_horizon_refuses_epsilon_outside_open_half_line(self, eps):
+        spec = ExperimentSpec(graph_spec="ring:5", lam=0.5, total_time=4.0)
         with mock.patch("percwalk.harness.experiments.channel_curve",
                         side_effect=AssertionError("channel built before the check")):
             with pytest.raises(ValueError, match="epsilon must be positive and finite"):
                 exp_epsilon_horizon(spec, epsilon_list=(0.1, eps), s_list=(50,))
-        assert not out.exists()
 
     def test_horizon_nondecreasing_in_epsilon(self):
-        points = exp_epsilon_horizon(s_list=(400,), epsilon_list=(0.02, 0.05, 0.1))
-        horizons = [p.horizon for p in points]
+        _, columns = exp_epsilon_horizon(s_list=(400,), epsilon_list=(0.02, 0.05, 0.1))
+        horizons = list(dict(columns)["horizon"])
         assert horizons == sorted(horizons)
 
     def test_horizon_grows_with_steps(self):
-        points = exp_epsilon_horizon(s_list=(400, 3200), epsilon_list=(0.05,))
-        by_steps = {p.steps: p.horizon for p in points}
+        res = dict(exp_epsilon_horizon(s_list=(400, 3200), epsilon_list=(0.05,))[1])
+        by_steps = dict(zip(res["S"], res["horizon"]))
         assert by_steps[3200] >= by_steps[400]
 
     def test_experiment_spec_graph_roundtrip(self):
