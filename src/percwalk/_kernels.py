@@ -105,6 +105,9 @@ MAX_SUBSTEPS = 1 << 24
 # batched real 15 x 15 to 20 x 20 matmuls do about 15 000 flops (30 GFLOP/s);
 # measured with 1 BLAS thread on a 2-vCPU Xeon, OpenBLAS 0.3.31 (``_use_matrix``)
 CALL_FLOPS = 15_000
+# every RENORM_EVERY steps a quantum state whose norm drifted by more than RENORM_TOL is renormalized
+RENORM_EVERY = 10_000
+RENORM_TOL = 1e-12
 
 
 def active_backend() -> str:
@@ -344,7 +347,7 @@ def _edge_apply(u, v, bt, w, x, y):
     np.dot(bt, d.view(np.float64), out=y.view(np.float64))
 
 
-def _ensemble(edges, n, z, bits, record_steps, x0, record, renorm_every, renorm_tol):
+def _ensemble(edges, n, z, bits, record_steps, x0, record):
     """The step loop of every trajectory and ensemble kernel -> (max drift, propagator name).
 
     A trajectory is one state x0 (n,) with keep bits (S, E), an ensemble
@@ -352,9 +355,9 @@ def _ensemble(edges, n, z, bits, record_steps, x0, record, renorm_every, renorm_
     blocks of columns. Steps run in blocks; each block returns the states of
     all its steps, from which the norm drift and the recorded rows are taken
     at once: ``record(k, xs)`` receives the states xs at record_steps[k],
-    k a slice. Blocks end at multiples of ``renorm_every`` (0 = never
-    renormalize), where a state whose norm drifted by more than
-    ``renorm_tol`` is renormalized.
+    k a slice. For the quantum walk (complex z) blocks end at multiples of
+    RENORM_EVERY, where a state whose norm drifted by more than RENORM_TOL
+    is renormalized; a classical walk is never renormalized.
 
     The mask cache is one store of real propagators per call, shared by its
     column blocks; a 2^E table of slots maps each mask key to its row, and
@@ -374,6 +377,7 @@ def _ensemble(edges, n, z, bits, record_steps, x0, record, renorm_every, renorm_
     steps, edge_count = bits.shape[-2:]
     columns = 1 if single else x0.shape[1]
     plan = step_plan(edges, n, abs(z), steps, np.iscomplexobj(z), columns)
+    renorm_every = RENORM_EVERY if np.iscomplexobj(z) else 0
     name, cols = _plan_name(plan), columns
     if plan is None:
         m = 2 * n if np.iscomplexobj(z) else n
@@ -516,7 +520,7 @@ def _ensemble(edges, n, z, bits, record_steps, x0, record, renorm_every, renorm_
                 drift = np.abs(norms - 1.0)
                 max_drift = np.maximum(max_drift, drift.max())  # keeps a NaN drift, unlike max()
                 if renorm_every and stop % renorm_every == 0:
-                    fix = drift[-1] > renorm_tol
+                    fix = drift[-1] > RENORM_TOL
                     h[-1][:, fix] /= norms[-1][fix]
                 rec_j = int(np.searchsorted(record_steps, stop, side="right"))
                 record(slice(rec_i, rec_j), hist[record_steps[rec_i:rec_j] - start - 1])
@@ -525,21 +529,20 @@ def _ensemble(edges, n, z, bits, record_steps, x0, record, renorm_every, renorm_
     return float(max_drift), name
 
 
-def _trajectory(edges, n, z, bits, record_steps, x0, renorm_every, renorm_tol):
+def _trajectory(edges, n, z, bits, record_steps, x0):
     """One trajectory through ``_ensemble`` -> (states at record_steps, max drift, propagator name)."""
     out = np.empty((record_steps.shape[0], n), dtype=x0.dtype)
-    return (out,) + _ensemble(edges, n, z, bits, record_steps, x0, out.__setitem__, renorm_every, renorm_tol)
+    return (out,) + _ensemble(edges, n, z, bits, record_steps, x0, out.__setitem__)
 
 
-def trajectory_states(edges, n, tau, bits, record_steps, psi0, renorm_every, renorm_tol):
+def trajectory_states(edges, n, tau, bits, record_steps, psi0):
     """One quantum trajectory -> (states at record_steps, max |norm - 1|, propagator name)."""
-    return _trajectory(edges, n, -1j * tau, bits, record_steps,
-                       psi0.astype(np.complex128), renorm_every, renorm_tol)
+    return _trajectory(edges, n, -1j * tau, bits, record_steps, psi0.astype(np.complex128))
 
 
 def classical_trajectory(edges, n, tau, bits, record_steps, p0):
     """One classical trajectory -> (distributions at record_steps, max |sum - 1|, propagator name)."""
-    return _trajectory(edges, n, -tau, bits, record_steps, p0.astype(np.float64), 0, 0.0)
+    return _trajectory(edges, n, -tau, bits, record_steps, p0.astype(np.float64))
 
 
 # ---------------------------------------------------------------------------
@@ -567,7 +570,7 @@ def _column_moments(y: np.ndarray):
     return y.shape[1], mean, ((y - mean[:, None]) ** 2).sum(axis=1)
 
 
-def ensemble_quantum(edges, n, tau, bits3, record_steps, psis0, renorm_every, renorm_tol):
+def ensemble_quantum(edges, n, tau, bits3, record_steps, psis0):
     """Sum over trajectories of |psi><psi| and moments of the site probabilities |psi|^2.
 
     -> (sum_outer, moments, max |norm - 1|, propagator name); moments[i] is
@@ -582,8 +585,7 @@ def ensemble_quantum(edges, n, tau, bits3, record_steps, psis0, renorm_every, re
             sum_outer[j] += x @ x.conj().T
             moments[j] = merge_moments(moments[j], _column_moments(np.abs(x) ** 2))
 
-    drift, name = _ensemble(edges, n, -1j * tau, bits3, record_steps,
-                            psis0.T.astype(np.complex128), record, renorm_every, renorm_tol)
+    drift, name = _ensemble(edges, n, -1j * tau, bits3, record_steps, psis0.T.astype(np.complex128), record)
     return sum_outer, moments, drift, name
 
 
@@ -603,7 +605,7 @@ def ensemble_classical(edges, n, tau, bits3, record_steps, p0):
             moments[j] = merge_moments(moments[j], _column_moments(x))
 
     x0 = np.repeat(p0.astype(np.float64)[:, None], bits3.shape[0], axis=1)
-    drift, name = _ensemble(edges, n, -tau, bits3, record_steps, x0, record, 0, 0.0)
+    drift, name = _ensemble(edges, n, -tau, bits3, record_steps, x0, record)
     return sum_dist, moments, drift, name
 
 

@@ -61,8 +61,6 @@ from .graph import (
 )
 from .walk import check_density_matrix, check_distribution, check_quantum_state
 
-RENORM_EVERY = 10_000
-RENORM_TOL = 1e-12
 # bound on the pre-sampled keep-bit block for ensemble runs
 ENSEMBLE_CHUNK_BYTES = 1 << 26
 
@@ -285,9 +283,7 @@ def run_trajectory(
     rng = rng_from_seed(run.seed, trajectory_index)
     bits = sample_keep_bits(g, run.lam, rng, run.steps)
     rec = recorded_steps(run.steps, sample_stride)
-    states, drift, propagator = _kernels.trajectory_states(
-        g.edge_array, g.node_count, run.tau, bits, rec, psi0, RENORM_EVERY, RENORM_TOL
-    )
+    states, drift, propagator = _kernels.trajectory_states(g.edge_array, g.node_count, run.tau, bits, rec, psi0)
     return TrajectoryRecord(
         record_steps=rec,
         times=rec * run.tau,
@@ -567,8 +563,7 @@ def monte_carlo_channel(
 
     def kernel(bits3, rec, picks):
         idx = np.full(bits3.shape[0], np.argmax(w)) if picks is None else picks
-        return _kernels.ensemble_quantum(g.edge_array, n, run.tau, bits3, rec,
-                                         eigenstates[idx], RENORM_EVERY, RENORM_TOL)
+        return _kernels.ensemble_quantum(g.edge_array, n, run.tau, bits3, rec, eigenstates[idx])
 
     rec, densities, stderr, drift, propagator = _monte_carlo(
         g, run, n_trajectories, sample_stride, True, kernel, None if pure else w)

@@ -10,16 +10,15 @@ Each subcommand runs one experiment driver, which returns the CSV's table
 it. A ``--config`` file's ``key = value`` lines are that subcommand's
 ``--key value`` flags, and a flag on the command line wins over its key.
 
-Flags are built per invoked command: a call that names a subcommand
-attaches flags to that subparser alone, because building every
-subcommand's flags took milliseconds per call. Every subcommand is still
-registered, so help, usage and error texts are the same either way.
+The parser is built on first use and reused by every later call in the
+process, so only the first call pays for building every subcommand's flags.
 """
 from __future__ import annotations
 
 import argparse
 import sys
 from dataclasses import replace
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -66,12 +65,9 @@ def _common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="key=value config file; flags override it")
 
 
-def build_parser(command: str | None = None) -> _Parser:
-    """The CLI parser; only ``command``'s subparser gets flags when it names a subcommand.
-
-    Otherwise (no command, ``--help`` or an unknown name) every subparser
-    gets its flags.
-    """
+@cache
+def build_parser() -> _Parser:
+    """The CLI parser with every subcommand's flags, built once per process."""
     # the help shows the docstring's first two paragraphs (none under python -OO)
     description = __doc__ and "\n\n".join(__doc__.split("\n\n")[:2])
     parser = _Parser(prog="percwalk", description=description)
@@ -87,8 +83,6 @@ def build_parser(command: str | None = None) -> _Parser:
         ("envelope", "long-run channel curve with exponential envelope fit"),
     ]:
         p = sub.add_parser(name, help=descr)
-        if command in _COMMANDS and name != command:
-            continue
         _common_flags(p)
         if name == "montecarlo":
             p.add_argument("--trajectories", type=int,
@@ -219,7 +213,7 @@ _COMMANDS = {
 
 def cli_main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    parser = build_parser(argv[0] if argv else None)
+    parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except UsageError as exc:

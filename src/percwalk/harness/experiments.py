@@ -204,15 +204,19 @@ ORACLE_CHOICES = ("rescaled", "complete-q", "complete-c", "ring4-c", "flat")
 _RETURN_FORMS = ("complete-q", "complete-c", "ring4-c")
 
 
+def _is_complete(g: Graph) -> bool:
+    """Whether every node pair of ``g`` is an edge (a ``Graph`` is simple)."""
+    return g.edge_count == g.node_count * (g.node_count - 1) // 2
+
+
 def _check_return_form(which: str, g: Graph, start: int, target: int) -> None:
     """Refuse a closed-form return probability for a target or a graph it does not describe."""
     if target != start:
         raise ValueError(f"--which {which} is a return probability: --target must equal --start")
-    n = g.node_count
     if which == "ring4-c":
-        family = n == 4 and g.edge_count == 4 and bool(np.all(g.degrees() == 2))
-    else:  # a simple graph with every node pair an edge
-        family = g.edge_count == n * (n - 1) // 2
+        family = g.node_count == 4 and g.edge_count == 4 and bool(np.all(g.degrees() == 2))
+    else:
+        family = _is_complete(g)
     if not family:
         name = "the 4-ring" if which == "ring4-c" else "a complete graph"
         raise ValueError(f"--which {which} holds only on {name}; use --which rescaled for this graph")
@@ -307,12 +311,14 @@ def exp_complete_graph(spec: ExperimentSpec | None = None) -> tuple[dict, list]:
 
     Defaults: complete:15, lambda=0.3, tau=1e-4, 10^5 steps. The oracle
     columns are the closed-form complete-graph return probabilities at
-    rescaled time lam*t.
+    rescaled time lam*t, so any other graph is refused.
     """
     spec = spec or ExperimentSpec(
         graph_spec="complete:15", lam=0.3, tau=1e-4, steps=100_000, stride=100
     )
     g = spec.graph()
+    if not _is_complete(g):
+        raise ValueError(f"exp_complete_graph needs a complete graph, got {spec.graph_spec}")
     n = g.node_count
     times, p_q, q_diag = quantum_trajectory_curve(spec)
     _, p_c, c_diag = classical_trajectory_curve(spec)
@@ -488,11 +494,13 @@ def exp_longtime_finite_tau(
 def _scan_meta(spec: ExperimentSpec, experiment: str, s_list, **extra) -> dict:
     """The CSV header of a scan: its time window, its step counts, then ``extra``.
 
-    The window is the spec's total time, or tau*steps when it gives those
-    instead. Every point runs its own tau and steps at stride 1, so the
-    header records none of the spec's.
+    The window is the spec's total time, which must agree with a tau or
+    steps given with it, or else tau*steps. Every point runs its own tau and
+    steps at stride 1, so the header records none of the spec's.
     """
-    window = spec.total_time if spec.total_time is not None else spec.timing()[2]
+    if spec.total_time is None or spec.tau is not None or spec.steps is not None:
+        derived = spec.timing()[2]  # refuses too few values and an inconsistent triple
+    window = derived if spec.total_time is None else spec.total_time
     return {"tool": "percwalk", "experiment": experiment, "graph": spec.graph_spec, "lambda": spec.lam,
             "total_time": window, "start": spec.start, "seed": spec.seed,
             "s_list": ",".join(str(int(s)) for s in s_list), **extra}

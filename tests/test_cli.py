@@ -260,6 +260,24 @@ class TestScanCommands:
         if command == "convergence":
             assert list(data["tau"]) == [0.08, 0.04]
 
+    @pytest.mark.parametrize("command", ["convergence", "horizon"])
+    def test_scan_refuses_an_inconsistent_timing_triple(self, tmp_path, capsys, monkeypatch, command):
+        def no_channel(*args, **kwargs):
+            raise AssertionError("a channel was built before the timing was checked")
+
+        scan = [command, "--graph", "ring:5", "--steps-list", "50"]
+        with monkeypatch.context() as m:
+            m.setattr(experiments, "channel_curve", no_channel)
+            out = tmp_path / "bad.csv"
+            assert run_cli([*scan, "--tau", "0.1", "--steps", "40", "--time", "10", "--out", str(out)]) == 1
+            assert capsys.readouterr().err == "error: inconsistent timing: steps*tau = 4.0 but total time = 10.0\n"
+            assert not out.exists()
+        # a consistent triple scans the window --time alone gives
+        triple, window = tmp_path / "triple.csv", tmp_path / "window.csv"
+        assert run_cli([*scan, "--tau", "0.1", "--steps", "100", "--time", "10", "--out", str(triple)]) == 0
+        assert run_cli([*scan, "--time", "10", "--out", str(window)]) == 0
+        assert triple.read_bytes() == window.read_bytes()
+
     def test_envelope_fit_failure_exit_2_partial_output(self, tmp_path, capsys):
         out = tmp_path / "env.csv"
         code = run_cli([
@@ -521,16 +539,22 @@ class TestErrorPaths:
 
 
 class TestParser:
-    """A call builds flags for its own subcommand only; every text stays that of the full parser."""
+    """One parser serves every call of a process; each call's texts are those of a fresh parser."""
 
     @pytest.mark.parametrize("argv", [
         ["--help"],
+        ["-h"],
         *([command, "--help"] for command in cli._COMMANDS),
+        ["channel", "-h"],
         [],
         ["chanel"],
         ["channel", "--bogus", "1"],
         ["channel", "--tau", "x"],
         ["channel", "--config", "CONFIG"],  # a key that only montecarlo has is still refused
+        ["channel", "--trajectories", "5"],  # a flag that only montecarlo has
+        ["channel", "--graph", "ring:4", "extra"],
+        ["oracle", "--which", "nope"],
+        ["montecarlo", "--traj", "x"],  # a prefix of --trajectories
     ], ids=lambda argv: " ".join(argv) or "no-args")
     def test_texts_and_exit_codes_match_the_full_parser(self, tmp_path, capsys, monkeypatch, argv):
         config = tmp_path / "run.cfg"
@@ -538,18 +562,32 @@ class TestParser:
         argv = [str(config) if arg == "CONFIG" else arg for arg in argv]
         code = run_cli(argv)
         got = (code, *capsys.readouterr())
-        full_parser = cli.build_parser
-        monkeypatch.setattr(cli, "build_parser", lambda command=None: full_parser())
+        monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
         assert got == (run_cli(argv), *capsys.readouterr())
-        assert got[0] == (0 if "--help" in argv else 1)
+        assert got[0] == (0 if {"--help", "-h"} & set(argv) else 1)
 
-    def test_a_call_attaches_flags_to_one_subparser(self, tmp_path, monkeypatch):
+    def test_a_reused_parser_behaves_like_a_fresh_one(self, tmp_path, capsys, monkeypatch):
+        config = tmp_path / "run.cfg"
+        config.write_text("graph = ring:4\ntau = 0.1\nsteps = 3\ntrajectories = 5\n")
+        calls = [
+            ["channel", "--tau", "x"],
+            ["channel", "--help"],
+            ["montecarlo", "--config", str(config)],
+            ["channel", "--graph", "ring:4", "--tau", "0.1", "--steps", "2"],
+        ]
         flagged = []
         common_flags = cli._common_flags
         monkeypatch.setattr(cli, "_common_flags", lambda p: (flagged.append(p.prog), common_flags(p)))
-        assert run_cli(["channel", "--graph", "ring:4", "--tau", "0.1", "--steps", "2",
-                        "--out", str(tmp_path / "c.csv")]) == 0
-        assert flagged == ["percwalk channel"]
+        cli.build_parser.cache_clear()
+        try:
+            reused = [(run_cli(argv), *capsys.readouterr()) for argv in calls]
+            assert len(flagged) == 8  # every subcommand's flags, built once for all four calls
+            for argv, got in zip(calls, reused):
+                cli.build_parser.cache_clear()
+                assert got == (run_cli(argv), *capsys.readouterr())
+        finally:
+            cli.build_parser.cache_clear()
+        assert [code for code, _, _ in reused] == [1, 0, 0, 0]
 
 
 class TestConfigFile:

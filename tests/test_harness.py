@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from percwalk import oracles
+from percwalk import _kernels, dynamics, oracles
 from percwalk.harness import csvio
 from percwalk.harness.experiments import (
     EnvelopeFitError,
@@ -192,6 +192,17 @@ class TestExperiments:
         assert list(res) == [
             "t", "p_quantum_sim", "p_quantum_oracle", "p_classical_sim", "p_classical_oracle"
         ]
+
+    def test_complete_graph_refuses_other_graphs(self, monkeypatch):
+        def no_steps(*args, **kwargs):
+            raise AssertionError("a keep bit was drawn or a step ran before the graph was checked")
+
+        for name in ("trajectory_states", "classical_trajectory"):
+            monkeypatch.setattr(_kernels, name, no_steps)
+        monkeypatch.setattr(dynamics, "sample_keep_bits", no_steps)
+        spec = ExperimentSpec(graph_spec="ring:5", lam=0.5, tau=0.01, steps=200, stride=50)
+        with pytest.raises(ValueError, match="complete graph, got ring:5"):
+            exp_complete_graph(spec)
 
     def test_longtime_default_fit_and_flattening(self):
         spec = ExperimentSpec(graph_spec="ring:4", lam=0.2, tau=0.1, steps=1000)

@@ -12,7 +12,6 @@ from hypothesis.extra import numpy as hnp
 
 from percwalk import _kernels
 from percwalk.dynamics import (
-    RENORM_EVERY,
     PercolationRun,
     build_step_channel,
     evolve_channel,
@@ -40,8 +39,20 @@ from helpers import (
     reference_trajectory,
 )
 
-RENORM = (10_000, 1e-12)
+RENORM = (_kernels.RENORM_EVERY, _kernels.RENORM_TOL)
 HYPOTHESIS = settings(max_examples=20, deadline=None, database=None, derandomize=True)
+
+
+def _with_policy(reference):
+    """``reference`` given the renormalization that ``_kernels`` applies at the time of the call.
+
+    A quantum walk (complex z) takes ``_kernels.RENORM_EVERY`` and
+    ``_kernels.RENORM_TOL``; a classical walk is never renormalized.
+    """
+    def run(edges, n, z, *args):
+        policy = (_kernels.RENORM_EVERY, _kernels.RENORM_TOL) if np.iscomplexobj(z) else (0, 0.0)
+        return reference(edges, n, z, *args, *policy)
+    return run
 
 
 def _setup(graph, lam, steps, seed=5):
@@ -67,9 +78,7 @@ class TestCachePolicy:
         g = make_ring(4)
         bits, rec = _setup(g, 0.5, 80)
         psi0 = basis_state(4, 0)
-        cached, _, propagator = _kernels.trajectory_states(
-            g.edge_array, 4, 0.09, bits, rec, psi0, *RENORM
-        )
+        cached, _, propagator = _kernels.trajectory_states(g.edge_array, 4, 0.09, bits, rec, psi0)
         assert propagator == "mask-cache(chunk=16)"
         psi = psi0.astype(complex)
         direct = [psi.copy()]
@@ -94,7 +103,7 @@ class TestCachePolicy:
             tracemalloc.reset_peak()
             base = tracemalloc.get_traced_memory()[0]
             _, _, propagator = _kernels.trajectory_states(
-                g.edge_array, 4, 100 / steps, bits, rec, basis_state(4, 0), *RENORM)
+                g.edge_array, 4, 100 / steps, bits, rec, basis_state(4, 0))
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             if not tracing:
@@ -125,17 +134,17 @@ class TestMaskCacheChunks:
         assert rec.propagator == f"mask-cache(chunk={chunk})"
 
     @pytest.mark.parametrize("quantum,bound", [(True, 2e-13), (False, 2e-14)])
-    def test_within_round_off_of_a_matvec_per_step(self, quantum, bound):
+    def test_within_round_off_of_a_matvec_per_step(self, monkeypatch, quantum, bound):
         # ring4-longtime's trajectory: 60 000 steps at tau = 1/600. One matvec per step (the
         # loop before prefix products) on the same cached propagators, without renormalization
+        monkeypatch.setattr(_kernels, "RENORM_EVERY", 0)
         g, n, steps = make_ring(4), 4, 60_000
         tau = 100 / steps
         bits = sample_keep_bits(g, 0.2, rng_from_seed(11), steps)
         rec = np.arange(0, steps + 1, 100, dtype=np.int64)
         x0 = np.eye(n)[0]
         if quantum:
-            z, (states, _, name) = -1j * tau, _kernels.trajectory_states(
-                g.edge_array, n, tau, bits, rec, x0, 0, 0.0)
+            z, (states, _, name) = -1j * tau, _kernels.trajectory_states(g.edge_array, n, tau, bits, rec, x0)
         else:
             z, (states, _, name) = -tau, _kernels.classical_trajectory(g.edge_array, n, tau, bits, rec, x0)
         assert name == f"mask-cache(chunk={16 if quantum else 32})"
@@ -245,7 +254,7 @@ class TestTaylorAction:
         for kind, matrix in PATHS:
             with forced_rule(matrix):
                 psi, drift, name = _kernels.trajectory_states(
-                    g.edge_array, n, tau, bits, rec, basis_state(n, 0), *RENORM)
+                    g.edge_array, n, tau, bits, rec, basis_state(n, 0))
                 p, _, classical_name = _kernels.classical_trajectory(g.edge_array, n, tau, bits, rec, p0)
             assert name.startswith(kind + "(") and classical_name == name
             assert np.max(np.abs(psi - want_psi)) <= 1e-12
@@ -263,7 +272,7 @@ class TestTaylorAction:
         psi0, p0 = basis_state(n, 0), np.eye(n)[0]
         plan = _kernels.step_plan(g.edge_array, n, tau, self.STEPS, True, n_traj)
         sum_outer, _, drift, name = _kernels.ensemble_quantum(
-            g.edge_array, n, tau, bits3, rec, np.tile(psi0, (n_traj, 1)), *RENORM)
+            g.edge_array, n, tau, bits3, rec, np.tile(psi0, (n_traj, 1)))
         assert name == _kernels._plan_name(plan) and drift <= 1e-12
         sum_dist, _, _, _ = _kernels.ensemble_classical(g.edge_array, n, tau, bits3, rec, p0)
         want_outer, want_dist = 0, 0
@@ -285,7 +294,7 @@ class TestTaylorAction:
         for kind, matrix in PATHS:
             with forced_rule(matrix):
                 psi, _, name = _kernels.trajectory_states(
-                    g.edge_array, 9, tau, bits, rec, basis_state(9, 3), *RENORM)
+                    g.edge_array, 9, tau, bits, rec, basis_state(9, 3))
                 p, _, _ = _kernels.classical_trajectory(g.edge_array, 9, tau, bits, rec, p0)
             assert name == f"{kind}(substeps=12, order={order})"
             assert np.max(np.abs(psi - _replay(g, -1j * tau, bits, basis_state(9, 3)))) <= 1e-12
@@ -308,7 +317,7 @@ class TestTaylorAction:
             products.append(np.stack(cols, axis=2))
         ensemble = []
         _kernels._ensemble(g.edge_array, n, -tau, np.repeat(bits[None], n, axis=0), rec,
-                           np.eye(n), lambda i, xs: ensemble.extend(xs.copy()), 0, 0.0)
+                           np.eye(n), lambda i, xs: ensemble.extend(xs.copy()))
         for m in products + [np.array(ensemble)]:  # (record, node, column)
             assert np.max(np.abs(m.sum(axis=1) - 1.0)) <= 1e-14
             assert m.min() >= -1e-15
@@ -341,10 +350,9 @@ class TestTaylorAction:
         psi0[2] = np.nan
         for _, matrix in PATHS:
             with forced_rule(matrix):
-                _, drift, _ = _kernels.trajectory_states(g.edge_array, n, 0.3, bits, rec, psi0, *RENORM)
+                _, drift, _ = _kernels.trajectory_states(g.edge_array, n, 0.3, bits, rec, psi0)
             assert np.isnan(drift)
-        _, _, drift, _ = _kernels.ensemble_quantum(g.edge_array, n, 0.3, bits[None], rec, psi0[None],
-                                                   *RENORM)
+        _, _, drift, _ = _kernels.ensemble_quantum(g.edge_array, n, 0.3, bits[None], rec, psi0[None])
         assert np.isnan(drift)
 
 
@@ -382,23 +390,25 @@ class TestStepLoopsAreBitIdentical:
     ]
 
     @staticmethod
-    def _runs(g, tau, steps, stride, renorm):
+    def _runs(g, tau, steps, stride):
         bits = sample_keep_bits(g, 0.4, rng_from_seed(17), steps)
         rec = np.arange(0, steps + 1, stride, dtype=np.int64)
         if rec[-1] != steps:
             rec = np.append(rec, steps)
         args = (g.edge_array, g.node_count, tau, bits, rec)
         psi0 = np.full(g.node_count, g.node_count**-0.5)
-        return (_kernels.trajectory_states(*args, psi0, *renorm),
+        return (_kernels.trajectory_states(*args, psi0),
                 _kernels.classical_trajectory(*args, np.eye(g.node_count)[1]))
 
     def _check(self, monkeypatch, g, tau, name, steps, stride, renorm):
         if name.startswith("taylor("):
             monkeypatch.setattr(_kernels, "_use_matrix", lambda n, substeps: False)
-        got = self._runs(g, tau, steps, stride, renorm)
+        monkeypatch.setattr(_kernels, "RENORM_EVERY", renorm[0])
+        monkeypatch.setattr(_kernels, "RENORM_TOL", renorm[1])
+        got = self._runs(g, tau, steps, stride)
         with monkeypatch.context() as m:
-            m.setattr(_kernels, "_trajectory", reference_trajectory)
-            want = self._runs(g, tau, steps, stride, renorm)
+            m.setattr(_kernels, "_trajectory", _with_policy(reference_trajectory))
+            want = self._runs(g, tau, steps, stride)
         # the mask cache names its chunk length, which differs between the quantum (m = 2n) and
         # the classical walk (m = n)
         n = g.node_count
@@ -420,7 +430,7 @@ class TestStepLoopsAreBitIdentical:
 
     @pytest.mark.parametrize("g,tau,name", CASES[:2] + CASES[3:4])
     def test_forced_renormalization_across_the_boundary(self, monkeypatch, g, tau, name):
-        self._check(monkeypatch, g, tau, name, RENORM_EVERY + 250, 1000, (RENORM_EVERY, 0.0))
+        self._check(monkeypatch, g, tau, name, RENORM[0] + 250, 1000, (RENORM[0], 0.0))
 
     # ring:4 takes chunks of 16 steps (quantum) and 32 (classical)
     @pytest.mark.parametrize("steps,renorm,block_bytes", [
@@ -447,6 +457,8 @@ class TestStepLoopsAreBitIdentical:
     @pytest.mark.parametrize("tau", [0.05, 0.9])
     def test_ensemble_in_narrow_column_blocks(self, monkeypatch, tau):
         g, n, n_traj, steps = make_complete(7), 7, 8, 40
+        monkeypatch.setattr(_kernels, "RENORM_EVERY", 9)
+        monkeypatch.setattr(_kernels, "RENORM_TOL", 0.0)
         order = _kernels.taylor_plan(g.edge_array, n, tau)[1]
         # three columns per block, so the last of the 8 columns is a block of 2
         monkeypatch.setattr(_kernels, "BLOCK_BYTES", 3 * 16 * max((order + 1) * n, g.edge_count))
@@ -456,11 +468,11 @@ class TestStepLoopsAreBitIdentical:
         psis0 /= np.linalg.norm(psis0, axis=1, keepdims=True)
 
         def run():
-            return _kernels.ensemble_quantum(g.edge_array, n, tau, bits3, rec, psis0, 9, 0.0)
+            return _kernels.ensemble_quantum(g.edge_array, n, tau, bits3, rec, psis0)
 
         sum_outer, moments, drift, name = run()
         with monkeypatch.context() as m:
-            m.setattr(_kernels, "_ensemble", reference_taylor_ensemble)
+            m.setattr(_kernels, "_ensemble", _with_policy(reference_taylor_ensemble))
             ref_outer, ref_moments, ref_drift, ref_name = run()
         assert name == ref_name and name.startswith("taylor(")
         assert np.array_equal(sum_outer, ref_outer)
