@@ -261,6 +261,13 @@ def vec_density(rho: np.ndarray) -> np.ndarray:
     return np.asarray(rho, dtype=np.complex128).ravel(order="F")
 
 
+def _trajectory_bits(g: Graph, run: PercolationRun, sample_stride: int, quantum: bool, trajectory_index: int):
+    """Record steps and keep bits of one trajectory; a bad stride or plan is refused before any bit is drawn."""
+    rec = recorded_steps(run.steps, sample_stride)
+    _kernels.step_plan(g.edge_array, g.node_count, run.tau, run.steps, quantum)
+    return rec, sample_keep_bits(g, run.lam, rng_from_seed(run.seed, trajectory_index), run.steps)
+
+
 def run_trajectory(
     g: Graph,
     run: PercolationRun,
@@ -279,10 +286,7 @@ def run_trajectory(
     psi0 = check_quantum_state(psi0)
     if psi0.shape[0] != g.node_count:
         raise ValueError(f"state dimension {psi0.shape[0]} != node_count {g.node_count}")
-    _kernels.step_plan(g.edge_array, g.node_count, run.tau, run.steps, True)
-    rng = rng_from_seed(run.seed, trajectory_index)
-    bits = sample_keep_bits(g, run.lam, rng, run.steps)
-    rec = recorded_steps(run.steps, sample_stride)
+    rec, bits = _trajectory_bits(g, run, sample_stride, True, trajectory_index)
     states, drift, propagator = _kernels.trajectory_states(g.edge_array, g.node_count, run.tau, bits, rec, psi0)
     return TrajectoryRecord(
         record_steps=rec,
@@ -307,10 +311,7 @@ def run_classical_trajectory(
     p0 = check_distribution(p0)
     if p0.shape[0] != g.node_count:
         raise ValueError(f"distribution dimension {p0.shape[0]} != node_count {g.node_count}")
-    _kernels.step_plan(g.edge_array, g.node_count, run.tau, run.steps, False)
-    rng = rng_from_seed(run.seed, trajectory_index)
-    bits = sample_keep_bits(g, run.lam, rng, run.steps)
-    rec = recorded_steps(run.steps, sample_stride)
+    rec, bits = _trajectory_bits(g, run, sample_stride, False, trajectory_index)
     dists, drift, propagator = _kernels.classical_trajectory(
         g.edge_array, g.node_count, run.tau, bits, rec, p0
     )

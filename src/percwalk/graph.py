@@ -75,12 +75,8 @@ def make_ring(n: int) -> Graph:
     return Graph(node_count=n, edges=tuple((i, (i + 1) % n) for i in range(n)))
 
 
-def make_lattice2d(width: int, height: int, periodic: bool = False) -> Graph:
-    """Rectangular lattice, node index = row*width + col, open boundaries.
-
-    ``periodic`` adds wrap-around edges where they do not degenerate into
-    duplicates (i.e. along dimensions of extent > 2).
-    """
+def make_lattice2d(width: int, height: int) -> Graph:
+    """Rectangular lattice, node index = row*width + col, open boundaries."""
     if width < 1 or height < 1:
         raise ValueError(f"lattice dimensions must be positive, got {width}x{height}")
     edges: list[tuple[int, int]] = []
@@ -89,12 +85,8 @@ def make_lattice2d(width: int, height: int, periodic: bool = False) -> Graph:
             i = r * width + c
             if c + 1 < width:
                 edges.append((i, i + 1))
-            elif periodic and width > 2:
-                edges.append((i, r * width))
             if r + 1 < height:
                 edges.append((i, i + width))
-            elif periodic and height > 2:
-                edges.append((i, c))
     return Graph(node_count=width * height, edges=tuple(edges))
 
 

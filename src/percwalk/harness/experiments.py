@@ -4,8 +4,12 @@ step-size convergence scans, error horizons, and envelope fitting.
 Every driver returns the table of its CSV, ``(meta, columns)``: the
 arguments of ``csvio.write_csv``. ``meta`` is the ``#`` header (the run's
 parameters and diagnostics) and ``columns`` a list of (name, array) pairs;
-a lambda sweep returns one table per lambda. Drivers do no file I/O: the
+a lambda sweep returns one table per lambda. Drivers write no file: the
 caller writes a table with ``write_csv`` or renders it with ``finite_csv``.
+A driver reads its graph once and passes it down, so a CSV's simulated
+and reference columns come from one graph. The rescaled reference is
+``walk``'s ``eigh`` route on it; only ``exp_complete_graph`` and
+``oracle_table`` write closed forms, for the graph families they check.
 """
 from __future__ import annotations
 
@@ -32,6 +36,7 @@ from ..walk import basis_density, basis_state, classical_transition, transition_
 REL_ERROR_GUARD = 1e-6
 
 DEFAULT_LAMBDA_SWEEP = (0.2, 0.4, 0.6, 0.8, 1.0)
+FIT_MAX_ITER = 200  # Gauss-Newton iterations of fit_exponential_envelope
 
 
 @dataclass(frozen=True)
@@ -113,20 +118,18 @@ def _run_diagnostics(rec) -> dict:
     return {"propagator": rec.propagator, "max_norm_drift": rec.max_norm_drift}
 
 
-def quantum_trajectory_curve(spec: ExperimentSpec) -> tuple[np.ndarray, np.ndarray, dict]:
-    g = spec.graph()
+def quantum_trajectory_curve(g: Graph, spec: ExperimentSpec) -> tuple[np.ndarray, np.ndarray, dict]:
     rec = run_trajectory(g, spec.run(), basis_state(g.node_count, spec.start), spec.stride)
     return rec.times, rec.site_probabilities()[:, spec.start], _run_diagnostics(rec)
 
 
-def classical_trajectory_curve(spec: ExperimentSpec) -> tuple[np.ndarray, np.ndarray, dict]:
-    g = spec.graph()
+def classical_trajectory_curve(g: Graph, spec: ExperimentSpec) -> tuple[np.ndarray, np.ndarray, dict]:
     p0 = np.abs(basis_state(g.node_count, spec.start)) ** 2
     rec = run_classical_trajectory(g, spec.run(), p0, spec.stride)
     return rec.times, rec.distributions[:, spec.start], _run_diagnostics(rec)
 
 
-def channel_curve(spec: ExperimentSpec) -> tuple[np.ndarray, np.ndarray, dict]:
+def channel_curve(g: Graph, spec: ExperimentSpec) -> tuple[np.ndarray, np.ndarray, dict]:
     """Exact-channel return probability with the channel's propagator and trace drift.
 
     ``max_trace_drift`` is the largest |tr(rho) - 1| over the recorded rows;
@@ -137,12 +140,11 @@ def channel_curve(spec: ExperimentSpec) -> tuple[np.ndarray, np.ndarray, dict]:
     its rotation that the evolution ran in (``ChannelMatrix.blocks``) and
     ``channel_orbits`` the number of propagators it built.
     """
-    g = spec.graph()
     run = spec.run()
+    rec = recorded_steps(run.steps, spec.stride)
     rho0 = basis_density(g.node_count, spec.start)
     phi = build_step_channel(g, run.lam, run.tau)
     rhos = evolve_channel(phi, rho0, run.steps, spec.stride)
-    rec = recorded_steps(run.steps, spec.stride)
     diagnostics = {
         "propagator": phi.propagator,
         "max_trace_drift": float(np.abs(np.trace(rhos, axis1=1, axis2=2) - 1.0).max()),
@@ -154,22 +156,21 @@ def channel_curve(spec: ExperimentSpec) -> tuple[np.ndarray, np.ndarray, dict]:
     return rec * run.tau, np.real(rhos[:, spec.start, spec.start]), diagnostics
 
 
-def montecarlo_curve(spec: ExperimentSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
-    g = spec.graph()
+def montecarlo_curve(g: Graph, spec: ExperimentSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
     rec = monte_carlo_channel(
         g, spec.run(), basis_density(g.node_count, spec.start), spec.trajectories, spec.stride
     )
     return rec.times, rec.site_probabilities()[:, spec.start], rec.diag_stderr, _run_diagnostics(rec)
 
 
-def quantum_oracle_curve(spec: ExperimentSpec, times: np.ndarray) -> np.ndarray:
-    """Rescaled reference: the unpercolated return probability at time lam * t."""
-    return transition_probability(spec.graph(), spec.start, spec.start, spec.lam * times)
+def quantum_oracle_curve(g: Graph, spec: ExperimentSpec, times: np.ndarray) -> np.ndarray:
+    """Rescaled reference: the unpercolated return probability on ``g`` at time lam * t."""
+    return transition_probability(g, spec.start, spec.start, spec.lam * times)
 
 
-def classical_oracle_curve(spec: ExperimentSpec, times: np.ndarray) -> np.ndarray:
-    """Classical rescaled reference: the unpercolated classical return probability at lam * t."""
-    return classical_transition(spec.graph(), spec.start, spec.start, spec.lam * times)
+def classical_oracle_curve(g: Graph, spec: ExperimentSpec, times: np.ndarray) -> np.ndarray:
+    """Classical rescaled reference: the unpercolated classical return probability on ``g`` at lam * t."""
+    return classical_transition(g, spec.start, spec.start, spec.lam * times)
 
 
 _POINT_CURVES = {  # command -> (simulated curve, its rescaled reference)
@@ -186,17 +187,18 @@ def point_table(spec: ExperimentSpec, command: str) -> tuple[dict, list]:
     ``montecarlo``; each writes its return probability at the start node
     next to the rescaled reference.
     """
+    if command != "montecarlo" and command not in _POINT_CURVES:
+        raise ValueError(f"unknown single-point command {command!r}")
+    g = spec.graph()
     if command == "montecarlo":
-        times, p_mean, p_stderr, diagnostics = montecarlo_curve(spec)
+        times, p_mean, p_stderr, diagnostics = montecarlo_curve(g, spec)
         meta = base_meta(spec, command, trajectories=spec.trajectories, **diagnostics)
         return meta, [("t", times), ("p_mean", p_mean), ("p_stderr", p_stderr),
-                      ("p_oracle", quantum_oracle_curve(spec, times))]
-    if command not in _POINT_CURVES:
-        raise ValueError(f"unknown single-point command {command!r}")
+                      ("p_oracle", quantum_oracle_curve(g, spec, times))]
     curve, oracle = _POINT_CURVES[command]
-    times, p_sim, diagnostics = curve(spec)
+    times, p_sim, diagnostics = curve(g, spec)
     return base_meta(spec, command, **diagnostics), [
-        ("t", times), ("p_sim", p_sim), ("p_oracle", oracle(spec, times))]
+        ("t", times), ("p_sim", p_sim), ("p_oracle", oracle(g, spec, times))]
 
 
 ORACLE_CHOICES = ("rescaled", "complete-q", "complete-c", "ring4-c", "flat")
@@ -320,8 +322,8 @@ def exp_complete_graph(spec: ExperimentSpec | None = None) -> tuple[dict, list]:
     if not _is_complete(g):
         raise ValueError(f"exp_complete_graph needs a complete graph, got {spec.graph_spec}")
     n = g.node_count
-    times, p_q, q_diag = quantum_trajectory_curve(spec)
-    _, p_c, c_diag = classical_trajectory_curve(spec)
+    times, p_q, q_diag = quantum_trajectory_curve(g, spec)
+    _, p_c, c_diag = classical_trajectory_curve(g, spec)
     p_q_oracle = np.asarray(oracles.complete_graph_quantum_return(n, spec.lam * times))
     p_c_oracle = np.asarray(oracles.complete_graph_classical_return(n, spec.lam * times))
     meta = base_meta(spec, "complete_graph",
@@ -379,9 +381,7 @@ def extract_envelope_maxima(times: np.ndarray, values: np.ndarray) -> tuple[np.n
     return times[idx], values[idx]
 
 
-def fit_exponential_envelope(
-    times: np.ndarray, values: np.ndarray, asymptote: float, max_iter: int = 200
-) -> EnvelopeFit:
+def fit_exponential_envelope(times: np.ndarray, values: np.ndarray, asymptote: float) -> EnvelopeFit:
     """Least-squares fit of a*exp(-b*t) + asymptote to (times, values).
 
     Initialized by log-linear regression on (values - asymptote); refined by
@@ -401,7 +401,7 @@ def fit_exponential_envelope(
 
     r = residuals(a, b)
     cost = float(r @ r)
-    for _ in range(max_iter):
+    for _ in range(FIT_MAX_ITER):
         e = np.exp(-b * times)
         jac = np.column_stack([e, -a * times * e])
         grad = jac.T @ r
@@ -440,7 +440,7 @@ DEFAULT_TRAJECTORY_STEPS = 3000
 def exp_longtime_finite_tau(
     spec: ExperimentSpec | None = None, trajectory_steps: int = DEFAULT_TRAJECTORY_STEPS
 ) -> tuple[dict, list]:
-    """Long-run finite-step behavior on the 4-ring.
+    """Long-run finite-step behavior, by default on the 4-ring.
 
     Defaults: lambda=0.2, channel with tau=0.1 for 1000 steps (T=100) plus
     one stochastic trajectory with 3000 steps over the same window. Emits
@@ -448,28 +448,28 @@ def exp_longtime_finite_tau(
     and the exponential envelope fit of the channel curve (asymptote pinned
     at the flat value 1/N): the metadata's ``envelope_a``, ``envelope_b``
     and ``envelope_residual``, or ``envelope_error`` when the fit fails.
-    The trajectory column is sampled on its own step grid; with the default
-    parameters both grids coincide to round-off.
+    The graph is read once and both references are the ``eigh`` route on
+    it, whatever the graph. ``trajectory_steps``, a positive multiple of the
+    channel steps, is checked before the channel is built. The trajectory
+    column is sampled on its own step grid; with the default parameters
+    both grids coincide to round-off.
     """
     spec = spec or DEFAULT_LONGTIME_SPEC
-    g = spec.graph()
-    n = g.node_count
-    times, p_channel, _ = channel_curve(spec)
-    tau, steps, total = spec.timing()
+    _, steps, total = spec.timing()
+    if trajectory_steps < 1:
+        raise ValueError(f"trajectory_steps must be >= 1, got {trajectory_steps}")
     if trajectory_steps % steps:
         raise ValueError(
             f"trajectory_steps={trajectory_steps} must be a multiple of the channel steps={steps}"
         )
+    g = spec.graph()
+    n = g.node_count
+    times, p_channel, _ = channel_curve(g, spec)
     traj_spec = replace(spec, tau=None, steps=trajectory_steps, total_time=total,
                         stride=trajectory_steps // steps * spec.stride)
-    _, p_traj, traj_diag = quantum_trajectory_curve(traj_spec)
-    is_default_ring4 = spec.graph_spec == "ring:4" and spec.start == 0
-    if is_default_ring4:
-        p_q_oracle = np.asarray(oracles.ring4_quantum_return(spec.lam, times))
-        p_c_oracle = np.asarray(oracles.ring4_classical_return(spec.lam, times))
-    else:
-        p_q_oracle = quantum_oracle_curve(spec, times)
-        p_c_oracle = classical_oracle_curve(spec, times)
+    _, p_traj, traj_diag = quantum_trajectory_curve(g, traj_spec)
+    p_q_oracle = quantum_oracle_curve(g, spec, times)
+    p_c_oracle = classical_oracle_curve(g, spec, times)
     try:
         fit = fit_exponential_envelope(*extract_envelope_maxima(times, p_channel), oracles.flat_limit(n))
         envelope = {"envelope_a": fit.a, "envelope_b": fit.b, "envelope_residual": fit.residual}
@@ -508,10 +508,11 @@ def _scan_meta(spec: ExperimentSpec, experiment: str, s_list, **extra) -> dict:
 
 def _scan_curves(spec: ExperimentSpec, window: float, s_list):
     """(steps, times, exact-channel curve, rescaled reference) over ``window`` for each step count."""
+    g = spec.graph()
     for steps in s_list:
         point = replace(spec, tau=None, steps=int(steps), total_time=window, stride=1)
-        times, p_sim, _ = channel_curve(point)
-        yield int(steps), times, p_sim, quantum_oracle_curve(point, times)
+        times, p_sim, _ = channel_curve(g, point)
+        yield int(steps), times, p_sim, quantum_oracle_curve(g, point, times)
 
 
 DEFAULT_CONVERGENCE_STEPS = (250, 500, 1000, 2000, 4000)

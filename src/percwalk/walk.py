@@ -91,35 +91,35 @@ def basis_density(node_count: int, a: int) -> np.ndarray:
     return np.outer(psi, psi.conj())
 
 
-def check_quantum_state(psi: np.ndarray, atol: float = STATE_NORM_ATOL) -> np.ndarray:
+def check_quantum_state(psi: np.ndarray) -> np.ndarray:
     psi = np.asarray(psi, dtype=np.complex128)
     if psi.ndim != 1:
         raise ValueError(f"state must be a vector, got shape {psi.shape}")
     nrm = np.linalg.norm(psi)
-    if not abs(nrm - 1.0) <= atol:  # NaN fails too
-        raise ValueError(f"state norm {nrm} deviates from 1 by more than {atol}")
+    if not abs(nrm - 1.0) <= STATE_NORM_ATOL:  # NaN fails too
+        raise ValueError(f"state norm {nrm} deviates from 1 by more than {STATE_NORM_ATOL}")
     return psi
 
 
-def check_density_matrix(rho: np.ndarray, atol: float = DENSITY_ATOL) -> np.ndarray:
+def check_density_matrix(rho: np.ndarray) -> np.ndarray:
     rho = np.asarray(rho, dtype=np.complex128)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise ValueError(f"density matrix must be square, got shape {rho.shape}")
     herm = np.max(np.abs(rho - rho.conj().T))
-    if not herm <= atol:
+    if not herm <= DENSITY_ATOL:
         raise ValueError(f"density matrix not Hermitian: max |rho - rho^H| = {herm:.3e}")
     tr = np.trace(rho).real
-    if not abs(tr - 1.0) <= atol:
-        raise ValueError(f"density matrix trace {tr} deviates from 1 by more than {atol}")
+    if not abs(tr - 1.0) <= DENSITY_ATOL:
+        raise ValueError(f"density matrix trace {tr} deviates from 1 by more than {DENSITY_ATOL}")
     return rho
 
 
-def check_distribution(p: np.ndarray, atol: float = DENSITY_ATOL) -> np.ndarray:
+def check_distribution(p: np.ndarray) -> np.ndarray:
     p = np.asarray(p, dtype=np.float64)
     if p.ndim != 1:
         raise ValueError(f"distribution must be a vector, got shape {p.shape}")
-    if not p.min() >= -atol:  # NaN fails too
+    if not p.min() >= -DENSITY_ATOL:  # NaN fails too
         raise ValueError(f"distribution has a negative or NaN entry: min {p.min():.3e}")
-    if not abs(p.sum() - 1.0) <= atol:
+    if not abs(p.sum() - 1.0) <= DENSITY_ATOL:
         raise ValueError(f"distribution sums to {p.sum()}, not 1")
     return p

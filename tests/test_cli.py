@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from percwalk import _kernels, dynamics
-from percwalk.graph import graph_from_spec
+from percwalk.graph import graph_from_spec, make_ring, write_edge_file
 from percwalk.harness import cli, experiments
 from percwalk.harness.cli import cli_main
 from percwalk.harness.csvio import finite_csv, read_csv, write_csv
@@ -535,6 +535,78 @@ class TestErrorPaths:
         out = tmp_path / "hor.csv"
         assert run_cli(["horizon", "--epsilons", eps, "--steps-list", "50", "--out", str(out)]) == 1
         assert "epsilon must be positive and finite" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestOneGraphPerCsv:
+    """Each call reads its graph once; its references come from that graph, not its spec string."""
+
+    @pytest.fixture
+    def ring_file(self, tmp_path):
+        path = tmp_path / "ring4.edges"
+        write_edge_file(make_ring(4), path)
+        return path
+
+    @pytest.mark.parametrize("argv", [
+        ["trajectory", "--tau", "0.1", "--steps", "20"],
+        ["classical", "--tau", "0.1", "--steps", "20"],
+        ["channel", "--tau", "0.1", "--steps", "20"],
+        ["montecarlo", "--tau", "0.1", "--steps", "20", "--trajectories", "2"],
+        ["oracle", "--which", "rescaled", "--tau", "0.1", "--steps", "20"],
+        ["envelope", "--tau", "0.1", "--steps", "200", "--traj-steps", "400"],
+        ["convergence", "--time", "2"],
+        ["horizon", "--time", "2"],
+    ], ids=lambda argv: argv[0])
+    def test_a_file_graph_is_read_once(self, tmp_path, monkeypatch, ring_file, argv):
+        reads = []
+
+        def counted(spec):
+            reads.append(spec)
+            return graph_from_spec(spec)
+
+        monkeypatch.setattr(experiments, "graph_from_spec", counted)
+        assert run_cli([*argv, "--graph", f"file:{ring_file}", "--out", str(tmp_path / "run.csv")]) == 0
+        assert reads == [f"file:{ring_file}"]
+
+    def test_envelope_references_do_not_depend_on_the_spec_string(self, tmp_path, ring_file):
+        named, from_file = tmp_path / "named.csv", tmp_path / "file.csv"
+        assert run_cli(["envelope", "--seed", "3", "--graph", "ring:4", "--out", str(named)]) == 0
+        assert run_cli(["envelope", "--seed", "3", "--graph", f"file:{ring_file}",
+                        "--out", str(from_file)]) == 0
+        named_lines, file_lines = named.read_text().splitlines(), from_file.read_text().splitlines()
+        assert named_lines.pop(2) == "# graph = ring:4"
+        assert file_lines.pop(2) == f"# graph = file:{ring_file}"
+        assert named_lines == file_lines
+
+    @pytest.mark.parametrize("command", ["trajectory", "classical", "montecarlo", "channel"])
+    def test_bad_stride_refused_before_any_work(self, tmp_path, capsys, monkeypatch, command):
+        def no_work(*args, **kwargs):
+            raise AssertionError("keep bits were drawn or a channel was built before the stride was checked")
+
+        monkeypatch.setattr(dynamics, "sample_keep_bits", no_work)
+        monkeypatch.setattr(experiments, "build_step_channel", no_work)
+        out = tmp_path / "run.csv"
+        ensemble = ["--trajectories", "2"] if command == "montecarlo" else []
+        assert run_cli([command, "--graph", "ring:5", "--tau", "0.1", "--steps", "20", "--stride", "0",
+                        *ensemble, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: sample_stride must be >= 1, got 0\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("traj_steps,message", [
+        ("0", "trajectory_steps must be >= 1, got 0"),
+        ("-1000", "trajectory_steps must be >= 1, got -1000"),
+        ("3001", "trajectory_steps=3001 must be a multiple of the channel steps=1000"),
+    ])
+    def test_envelope_refuses_trajectory_steps_before_the_channel(
+        self, tmp_path, capsys, monkeypatch, traj_steps, message
+    ):
+        def no_channel(*args, **kwargs):
+            raise AssertionError("a channel was built before trajectory_steps was checked")
+
+        monkeypatch.setattr(experiments, "build_step_channel", no_channel)
+        out = tmp_path / "env.csv"
+        assert run_cli(["envelope", "--traj-steps", traj_steps, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
 

@@ -65,11 +65,6 @@ class TestGenerators:
         # node r*width+c: (0,1),(1,2) horizontal in row 0; (0,3) vertical
         assert (0, 1) in g.edges and (1, 2) in g.edges and (0, 3) in g.edges
 
-    def test_lattice_periodic_wraps(self):
-        g = make_lattice2d(4, 3, periodic=True)
-        assert g.edge_count == 2 * 4 * 3  # every node degree 4 on a torus
-        assert np.all(g.degrees() == 4)
-
     def test_lattice_zero_dimension(self):
         with pytest.raises(ValueError):
             make_lattice2d(0, 3)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from percwalk import _kernels, dynamics, oracles
+from percwalk.graph import make_ring
 from percwalk.harness import csvio
 from percwalk.harness.experiments import (
     EnvelopeFitError,
@@ -19,8 +20,10 @@ from percwalk.harness.experiments import (
     exp_trajectory_lattice,
     extract_envelope_maxima,
     fit_exponential_envelope,
+    point_table,
     resolve_timing,
 )
+from percwalk.walk import classical_transition, transition_probability
 
 
 class TestResolveTiming:
@@ -212,8 +215,17 @@ class TestExperiments:
         assert 0.70 <= meta["envelope_a"] <= 0.79
         assert 0.044 <= meta["envelope_b"] <= 0.054
         assert abs(res["p_channel"][-1] - 0.25) <= 0.02
-        # quantum oracle column is the closed form cos^4(lam t)
-        assert np.max(np.abs(res["p_quantum_oracle"] - oracles.ring4_quantum_return(0.2, res["t"]))) == 0.0
+        # both references are the eigh route on the ring, which is the closed form to round-off
+        ring, lam_t = make_ring(4), 0.2 * res["t"]
+        assert np.array_equal(res["p_quantum_oracle"], transition_probability(ring, 0, 0, lam_t))
+        assert np.array_equal(res["p_classical_oracle"], classical_transition(ring, 0, 0, lam_t))
+        assert np.max(np.abs(res["p_quantum_oracle"] - oracles.ring4_quantum_return(0.2, res["t"]))) <= 1e-14
+        assert np.max(np.abs(res["p_classical_oracle"] - oracles.ring4_classical_return(0.2, res["t"]))) <= 1e-14
+
+    def test_point_table_refuses_an_unknown_command_before_reading_the_graph(self, tmp_path):
+        spec = ExperimentSpec(graph_spec=f"file:{tmp_path / 'missing.edges'}", tau=0.1, steps=10)
+        with pytest.raises(ValueError, match="unknown single-point command 'bogus'"):
+            point_table(spec, "bogus")
 
     def test_longtime_trajectory_grid_must_nest(self):
         spec = ExperimentSpec(graph_spec="ring:4", lam=0.2, tau=0.1, steps=1000)
