@@ -19,6 +19,7 @@ from .dynamics import (  # noqa: F401
     PercolationRun,
     TrajectoryRecord,
     build_step_channel,
+    channel_site_probabilities,
     evolve_channel,
     monte_carlo_channel,
     monte_carlo_classical,

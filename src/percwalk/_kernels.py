@@ -65,15 +65,34 @@ batched Horner products of truncated Taylor series, planned by
 same 2^-53 bound per substep). U_r is complex symmetric, so the Gram matrix
 of the realizations is accumulated over the n(n+1)/2 entries i <= j only,
 and over U_r - I, which keeps the round-off relative to the step's size.
+It is accumulated in real arithmetic: for rows w = x + i y, w^T conj(w) is
+the real syrk of the stacked rows [x; y] plus i times the antisymmetric
+part of one real GEMM y^T x, half the flops of the complex product.
 A graph automorphism g maps each mask to one of the same kept count and
 probability, with U_{g.r} = P_g U_r P_g^T. So every mask is enumerated, but
 a propagator is built only for the smallest mask of each orbit under the
 automorphism group G, weighted by p_r / |Stab_r|; summing the Gram matrix
 over the |G| relabelings then counts each of the |G| / |Stab_r| masks of
 the orbit exactly once (McKay & Piperno, J. Symb. Comput. 60:94, 2014, for
-the backtracking search of G). The representatives are built in batches
-whose (rows, n, n) float64 stacks each fit in BLOCK_BYTES, at most
-CHANNEL_BATCH rows, so the temporaries of a batch stay in cache.
+the backtracking search of G). The scan for the smallest masks runs in
+float32, exact because every image of a mask is an integer below
+2^MAX_ENUM_EDGES = 2^24, after a prefilter that drops the masks with a
+smaller image under the first four non-identity elements of G. The
+representatives are built in batches whose widest float64 arrays each fit
+in half of BLOCK_BYTES, at most CHANNEL_BATCH rows, so the temporaries of a
+batch stay in cache.
+
+The exact channel also keeps what is alive at once small next to its
+(n^2, n^2) complex matrices K and Phi. glibc hands the free top of the heap
+back to the system once it exceeds twice the largest block that the process
+has mapped and released, and on this path that block is K. A call whose
+temporaries reach twice K's size therefore returns pages at every call and
+faults them in again at the next: on ring15-channel up to 3 500 minor faults
+per repetition of its four calls, about a tenth of their time. So the orbit
+scan ends before the first batch is built, a batch's few (rows, n, n) stacks
+take half of BLOCK_BYTES each, K becomes Phi in place
+(``dynamics.build_step_channel``) and the rotation check of a
+``dynamics.ChannelMatrix`` gathers row blocks of a quarter of BLOCK_BYTES.
 """
 from __future__ import annotations
 
@@ -724,50 +743,103 @@ def _automorphisms(edges: np.ndarray, n: int, limit: int) -> np.ndarray:
     return perms
 
 
+def _mask_bits(masks: np.ndarray, count: int) -> np.ndarray:
+    """Bit e < ``count`` of each int64 mask, as uint8 (masks, count), from its little-endian bytes."""
+    octets = masks.astype("<i8", copy=False).view(np.uint8).reshape(-1, 8)
+    return np.unpackbits(octets, axis=1, count=count, bitorder="little")
+
+
 def _orbit_representatives(edges: np.ndarray, perms: np.ndarray, lam: float):
     """Yield (bits, weights) of the orbit representatives of positive weight, in batches.
 
     A batch holds at most CHANNEL_BATCH rows, and at most as many as make
-    one (rows, n, n) float64 stack of BLOCK_BYTES, so the Laplacians,
-    cos/sin terms and Gram rows built from it stay in cache (145 rows for
-    n = 15).
+    the widest float64 array built from it, the 2 rows x (n(n+1)/2 + 1)
+    Gram rows of ``_gram_rows``, fit in half of BLOCK_BYTES: ``_cos_sin``
+    keeps about five (rows, n, n) stacks alive at once (67 rows for n = 15).
+    The bits are uint8 keep bits, one row per representative.
 
     Mask r's image under g keeps edge pi_g(e) for every kept e, where
-    pi_g(e) is the edge {g(u_e), g(v_e)}; as a number it is bits @ 2^pi_g,
-    exact in float64 below 2^53. A mask represents its orbit when no image
-    is smaller, and |Stab_r| is the number of images equal to r. The orbit
+    pi_g(e) is the edge {g(u_e), g(v_e)}; as a number it is
+    sum_e bit_e 2^pi_g(e). A mask represents its orbit when no image is
+    smaller, and |Stab_r| is the number of images equal to r. The orbit
     holds |G| / |Stab_r| masks of the same probability p_r, so the weight
-    p_r / |Stab_r| summed over all g in G counts each of them once. Masks
-    are scanned in chunks whose (chunk, max(|G|, E)) blocks fit in
-    BLOCK_BYTES.
+    p_r / |Stab_r| summed over all g in G counts each of them once.
+
+    The scan runs in float32, which is exact here: every image, and every
+    partial sum or difference formed from images and masks, is an integer
+    below 2^MAX_ENUM_EDGES = 2^24 in magnitude, within float32's 24-bit
+    significand. Masks are scanned in aligned chunks of 2^b, b as large as
+    lets the (|G|, 2^b) float32 images fit in BLOCK_BYTES: mask
+    h 2^b + r has the image base[g, r] + offset_h[g], where base holds the
+    images of the 2^b low parts (computed once) and offset_h those of the
+    high part h. Most masks are not the smallest of their orbit, so a
+    prefilter first drops every mask with a smaller image under the first
+    four non-identity elements of G, base[g, r] - r < h 2^b - offset_h[g];
+    only the rest are compared with all of G (on ring:15, 8 971 of
+    32 768 masks, of which 1 224 represent their orbits).
     """
     edge_count = edges.shape[0]
     n = perms.shape[1]
-    batch = max(1, min(CHANNEL_BATCH, BLOCK_BYTES // (8 * n * n)))
+    batch = max(1, min(CHANNEL_BATCH, BLOCK_BYTES // (16 * (n * n + n + 2))))
     eid = np.zeros((n, n), dtype=np.int64)
     eid[edges[:, 0], edges[:, 1]] = eid[edges[:, 1], edges[:, 0]] = np.arange(edge_count)
-    powers = 2.0 ** eid[perms[:, edges[:, 0]], perms[:, edges[:, 1]]]  # (|G|, E)
-    total = 1 << edge_count
-    chunk = max(1, BLOCK_BYTES // (8 * max(perms.shape[0], edge_count)))
-    bits_buf, w_buf = np.empty((0, edge_count)), np.empty(0)
-    for start in range(0, total, chunk):
-        masks = np.arange(start, min(start + chunk, total), dtype="<i8")
-        # bit e of each mask, from its little-endian bytes
-        bits = np.unpackbits(masks.view(np.uint8).reshape(-1, 8), axis=1, count=edge_count,
-                             bitorder="little").astype(np.float64)
-        images = powers @ bits.T  # (|G|, chunk)
+    powers = np.ldexp(np.float32(1.0), eid[perms[:, edges[:, 0]], perms[:, edges[:, 1]]])  # (|G|, E)
+    low = min(edge_count, max(0, (BLOCK_BYTES // (4 * perms.shape[0])).bit_length() - 1))
+    r = np.arange(1 << low)
+    base = powers[:, :low] @ _mask_bits(r, low).T  # (|G|, 2^low)
+    head = base[1:5] - r.astype(np.float32)
+    high = np.arange(edge_count - low)
+    bits_buf, w_buf = np.empty((0, edge_count), dtype=np.uint8), np.empty(0)
+    for start in range(0, 1 << edge_count, 1 << low):
+        offset = powers[:, low:] @ (start >> low >> high & 1).astype(np.float32)  # (|G|,)
+        masks = np.flatnonzero((head >= start - offset[1:5, None]).all(axis=0))
+        images = base.take(masks, axis=1)
+        images += offset[:, None]
+        masks += start
         rep = images.min(axis=0) == masks
-        masks, bits, images = masks[rep], bits[rep], images[:, rep]
+        masks, images = masks[rep], images[:, rep]
         kept = np.bitwise_count(masks)
         weights = lam**kept * (1.0 - lam) ** (edge_count - kept) / (images == masks).sum(axis=0)
         live = weights > 0.0
-        bits_buf = np.concatenate((bits_buf, bits[live]))
+        bits_buf = np.concatenate((bits_buf, _mask_bits(masks[live], edge_count)))
         w_buf = np.concatenate((w_buf, weights[live]))
         while bits_buf.shape[0] >= batch:
             yield bits_buf[:batch], w_buf[:batch]
             bits_buf, w_buf = bits_buf[batch:], w_buf[batch:]
     if bits_buf.shape[0]:
         yield bits_buf, w_buf
+
+
+def _gram_rows(e: np.ndarray, s: np.ndarray, weights: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """The stacked rows [x; y] (2R, k + 1) of w = x + i y = sqrt(weight) (conj(D) on the pairs, then 1).
+
+    D = U - I = e - i s for the R propagators of a batch, e = cos - I and
+    s = sin (R, n, n); ``upper`` holds the k flat indices of the pairs
+    i <= j. The rows are gathered with ``take``.
+    """
+    rows, k = e.shape[0], upper.size
+    xy = np.empty((2 * rows, k + 1))
+    np.take(e.reshape(rows, -1), upper, axis=1, out=xy[:rows, :k])
+    np.take(s.reshape(rows, -1), upper, axis=1, out=xy[rows:, :k])
+    xy[:rows, k] = 1.0
+    xy[rows:, k] = 0.0
+    root = np.sqrt(weights)
+    xy[:rows] *= root[:, None]
+    xy[rows:] *= root[:, None]
+    return xy
+
+
+def _add_gram(real: np.ndarray, cross: np.ndarray, xy: np.ndarray, rows: int) -> None:
+    """Add x^T x + y^T y to ``real`` and y^T x to ``cross``; xy = [x; y] stacks ``rows`` rows each.
+
+    For w = x + i y, w^T conj(w) = (x^T x + y^T y) + i (y^T x - x^T y): its
+    real part is the real syrk of the stacked rows and its imaginary part
+    the antisymmetric part of one real GEMM, real + i (cross - cross^T).
+    Both cost half the flops of the complex product, and the real part
+    comes out exactly symmetric.
+    """
+    real += xy.T @ xy
+    cross += xy[rows:].T @ xy[:rows]
 
 
 def channel_accumulate(edges, n, lam, tau):
@@ -780,9 +852,10 @@ def channel_accumulate(edges, n, lam, tau):
     q = ceil(log2 s) times, the order is planned for tau / 2^q (tail at most
     2^-53) and the result is squared q times. U_r is complex symmetric, so
     only its n(n+1)/2 entries i <= j enter the Hermitian Gram matrix of the
-    pairs, which is scattered back to the (n^2, n^2) K through the pair
-    index map. The sums carry D_r = U_r - I, whose entries are small for a
-    short step: K is assembled from sum_r p_r conj(D_r) (x) D_r, sum_r p_r D_r
+    pairs, accumulated in real arithmetic (``_add_gram``), which is
+    scattered back to the (n^2, n^2) K through the pair index map. The sums
+    carry D_r = U_r - I, whose entries are small for a short step: K is
+    assembled from sum_r p_r conj(D_r) (x) D_r, sum_r p_r D_r
     and sum_r p_r = 1, so the round-off of the unit diagonal is not summed
     over the realizations.
 
@@ -818,23 +891,24 @@ def channel_accumulate(edges, n, lam, tau):
     limit = min((1 << edge_count) // CHANNEL_BATCH, flops // max(edge_count, 1))
     perms = _automorphisms(edges, n, limit) if limit > 1 else np.arange(n)[None]
     # Gram matrix of w_r = sqrt(weight_r) (conj(D_r) on the pairs, then 1), D_r = U_r - I; its
-    # last row holds sum_r weight_r D_r, at an index that every relabeling fixes
+    # last row holds sum_r weight_r D_r, at an index that every relabeling fixes. It is summed
+    # in real arithmetic (``_gram_rows``, ``_add_gram``) and made complex once. A batch's
+    # arrays are passed on, not kept, so they are freed before the next batch is built
     m = iu.size
-    gram = np.zeros((m + 1, m + 1), dtype=np.complex128)
+    real, cross = np.zeros((m + 1, m + 1)), np.zeros((m + 1, m + 1))
     built = 0
-    for bits, weights in _orbit_representatives(edges, perms, lam):
-        e, s = _cos_sin(laplacians(edges, n, bits, tau / 2**squarings), order, squarings)
-        root = np.sqrt(weights)
-        w = np.empty((bits.shape[0], m + 1), dtype=np.complex128)
-        w.real[:, :m] = e.reshape(-1, n * n)[:, upper] * root[:, None]
-        w.imag[:, :m] = s.reshape(-1, n * n)[:, upper] * root[:, None]
-        w[:, m] = root
-        gram += w.T @ w.conj()
+    # the scan's tables are freed before the first batch is built
+    for bits, weights in list(_orbit_representatives(edges, perms, lam)):
+        _add_gram(real, cross, _gram_rows(*_cos_sin(laplacians(edges, n, bits, tau / 2**squarings),
+                                                    order, squarings), weights, upper), bits.shape[0])
         built += bits.shape[0]
+    gram = real + 1j * (cross - cross.T)
+    del real, cross  # freed before the (n^2, n^2) K is gathered
     sym, flat_gram = np.zeros_like(gram), gram.ravel()
     for pp in pair[perms[:, iu], perms[:, ju]]:
         pp = np.append(pp, m)
         sym += flat_gram.take(pp[:, None] * (m + 1) + pp)
+    del gram, flat_gram
     # conj(U)_a U_b = conj(D)_a D_b + i_a D_b + conj(D)_a i_b + i_a i_b with i the pairs of I,
     # and the p_r sum to 1
     diag = np.flatnonzero(iu == ju)

@@ -22,7 +22,7 @@ from .. import oracles
 from ..dynamics import (
     PercolationRun,
     build_step_channel,
-    evolve_channel,
+    channel_site_probabilities,
     monte_carlo_channel,
     recorded_steps,
     run_classical_trajectory,
@@ -132,7 +132,9 @@ def classical_trajectory_curve(g: Graph, spec: ExperimentSpec) -> tuple[np.ndarr
 def channel_curve(g: Graph, spec: ExperimentSpec) -> tuple[np.ndarray, np.ndarray, dict]:
     """Exact-channel return probability with the channel's propagator and trace drift.
 
-    ``max_trace_drift`` is the largest |tr(rho) - 1| over the recorded rows;
+    The evolution keeps only the site probabilities
+    (``channel_site_probabilities``). ``max_trace_drift`` is the largest
+    |tr(rho) - 1| over the recorded rows, the trace summed from them;
     ``trace_drift_bound`` bounds it from the channel's trace defect and the
     rounding of each application (``ChannelMatrix.trace_drift_bound``).
     ``channel_symmetries`` is the order of the graph automorphism group
@@ -144,16 +146,16 @@ def channel_curve(g: Graph, spec: ExperimentSpec) -> tuple[np.ndarray, np.ndarra
     rec = recorded_steps(run.steps, spec.stride)
     rho0 = basis_density(g.node_count, spec.start)
     phi = build_step_channel(g, run.lam, run.tau)
-    rhos = evolve_channel(phi, rho0, run.steps, spec.stride)
+    probs = channel_site_probabilities(phi, rho0, run.steps, spec.stride)
     diagnostics = {
         "propagator": phi.propagator,
-        "max_trace_drift": float(np.abs(np.trace(rhos, axis1=1, axis2=2) - 1.0).max()),
+        "max_trace_drift": float(np.abs(probs.sum(axis=1) - 1.0).max()),
         "trace_drift_bound": phi.trace_drift_bound(run.steps),
         "channel_symmetries": phi.symmetries,
         "channel_blocks": "{}x{}".format(*phi.blocks),
         "channel_orbits": phi.orbits,
     }
-    return rec * run.tau, np.real(rhos[:, spec.start, spec.start]), diagnostics
+    return rec * run.tau, probs[:, spec.start], diagnostics
 
 
 def montecarlo_curve(g: Graph, spec: ExperimentSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
@@ -180,16 +182,25 @@ _POINT_CURVES = {  # command -> (simulated curve, its rescaled reference)
 }
 
 
+def _check_point_command(command: str) -> None:
+    if command != "montecarlo" and command not in _POINT_CURVES:
+        raise ValueError(f"unknown single-point command {command!r}")
+
+
 def point_table(spec: ExperimentSpec, command: str) -> tuple[dict, list]:
     """Metadata and columns of the CSV of one single-point command.
 
     ``command`` is ``trajectory``, ``classical``, ``channel`` or
     ``montecarlo``; each writes its return probability at the start node
-    next to the rescaled reference.
+    next to the rescaled reference. An unknown command is refused before
+    the graph is read.
     """
-    if command != "montecarlo" and command not in _POINT_CURVES:
-        raise ValueError(f"unknown single-point command {command!r}")
-    g = spec.graph()
+    _check_point_command(command)
+    return _point_table(spec.graph(), spec, command)
+
+
+def _point_table(g: Graph, spec: ExperimentSpec, command: str) -> tuple[dict, list]:
+    """``point_table`` on the graph ``g`` of ``spec``, already read."""
     if command == "montecarlo":
         times, p_mean, p_stderr, diagnostics = montecarlo_curve(g, spec)
         meta = base_meta(spec, command, trajectories=spec.trajectories, **diagnostics)
@@ -274,10 +285,16 @@ def oracle_table(spec: ExperimentSpec, which: str, target: int | None = None) ->
 
 
 def _sweep(spec: ExperimentSpec, experiment: str, command: str, lambdas) -> dict[float, tuple[dict, list]]:
-    """``command``'s table (``point_table``) at each lambda, named ``experiment`` in its metadata."""
+    """``command``'s table (``point_table``) at each lambda, named ``experiment`` in its metadata.
+
+    The graph is read once, after the command is checked, and every table
+    is built from it.
+    """
+    _check_point_command(command)
+    g = spec.graph()
     tables = {}
     for lam in lambdas:
-        meta, columns = point_table(replace(spec, lam=lam), command)
+        meta, columns = _point_table(g, replace(spec, lam=lam), command)
         tables[lam] = {**meta, "experiment": experiment}, columns
     return tables
 

@@ -16,8 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from hypothesis import strategies as st
 
 from percwalk import _kernels
+from percwalk.graph import Graph
 
 
 def reference_laplacian(node_count: int, edges, mask: int) -> np.ndarray:
@@ -143,6 +145,36 @@ def reference_automorphisms(edges: np.ndarray, n: int, limit: int) -> np.ndarray
     if extend(0, deg[:, None] == deg):
         return identity[None]
     return np.array(found)
+
+
+def reference_orbit_representatives(edges: np.ndarray, perms: np.ndarray, lam: float):
+    """(bits, weights) of the orbit representatives of positive weight, by a float64 scan of every mask.
+
+    The image of mask r under g, sum_e bit_e 2^pi_g(e) with pi_g(e) the
+    index of the edge {g(u_e), g(v_e)}, is a float64 GEMM of all 2^E masks
+    against all of G at once (exact below 2^53): no prefilter, no chunks. A
+    mask represents its orbit when no image is smaller; its weight is
+    p_r / |Stab_r|, |Stab_r| the number of images equal to r.
+    """
+    edge_count = edges.shape[0]
+    index = {frozenset(e): k for k, e in enumerate(edges.tolist())}
+    pi = np.array([[index[frozenset((p[u], p[v]))] for u, v in edges.tolist()] for p in perms])
+    masks = np.arange(1 << edge_count)
+    bits = (masks[:, None] >> np.arange(edge_count) & 1).astype(np.uint8)
+    images = bits.astype(np.float64) @ (2.0 ** pi).T  # (masks, |G|)
+    kept = bits.sum(axis=1, dtype=np.int64)
+    weights = lam**kept * (1.0 - lam) ** (edge_count - kept) / (images == masks[:, None]).sum(axis=1)
+    keep = (images.min(axis=1) == masks) & (weights > 0.0)
+    return bits[keep], weights[keep]
+
+
+# random simple graphs small enough to enumerate all 2^E realizations against scipy expm
+@st.composite
+def channel_graphs(draw):
+    n = draw(st.integers(2, 6))
+    pairs = list(itertools.combinations(range(n), 2))
+    keep = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=min(10, len(pairs)), unique=True))
+    return Graph(node_count=n, edges=tuple(keep))
 
 
 # ---------------------------------------------------------------------------

@@ -515,7 +515,7 @@ class TestErrorPaths:
         def lose_trace(*args, **kwargs):
             raise np.linalg.LinAlgError("channel evolution lost trace")
 
-        monkeypatch.setattr(experiments, "evolve_channel", lose_trace)
+        monkeypatch.setattr(experiments, "channel_site_probabilities", lose_trace)
         out = tmp_path / "run.csv"
         assert run_cli(["channel", "--graph", "ring:4", "--tau", "0.1", "--steps", "2",
                         "--out", str(out)]) == 2
@@ -567,6 +567,30 @@ class TestOneGraphPerCsv:
         monkeypatch.setattr(experiments, "graph_from_spec", counted)
         assert run_cli([*argv, "--graph", f"file:{ring_file}", "--out", str(tmp_path / "run.csv")]) == 0
         assert reads == [f"file:{ring_file}"]
+
+    @pytest.mark.parametrize("sweep", [exp_channel_ring, exp_trajectory_lattice])
+    def test_a_sweep_reads_its_graph_once(self, monkeypatch, ring_file, sweep):
+        reads = []
+
+        def counted(spec):
+            reads.append(spec)
+            return graph_from_spec(spec)
+
+        monkeypatch.setattr(experiments, "graph_from_spec", counted)
+        spec = ExperimentSpec(graph_spec=f"file:{ring_file}", tau=0.1, steps=20, stride=5)
+        tables = sweep(spec, lambdas=(0.3, 0.6, 0.9))
+        assert reads == [f"file:{ring_file}"]
+        assert sorted(tables) == [0.3, 0.6, 0.9]
+        assert [meta["lambda"] for meta, _ in tables.values()] == [0.3, 0.6, 0.9]
+
+    def test_a_sweep_refuses_an_unknown_command_before_reading_the_graph(self, monkeypatch, ring_file):
+        def no_read(spec):
+            raise AssertionError("the graph was read before the command was checked")
+
+        monkeypatch.setattr(experiments, "graph_from_spec", no_read)
+        spec = ExperimentSpec(graph_spec=f"file:{ring_file}", tau=0.1, steps=20)
+        with pytest.raises(ValueError, match="unknown single-point command 'chanel'"):
+            experiments._sweep(spec, "channel_ring", "chanel", (0.5,))
 
     def test_envelope_references_do_not_depend_on_the_spec_string(self, tmp_path, ring_file):
         named, from_file = tmp_path / "named.csv", tmp_path / "file.csv"

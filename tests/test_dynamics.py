@@ -1,11 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from percwalk import _kernels, dynamics
 from percwalk.dynamics import (
     ChannelMatrix,
     PercolationRun,
     build_step_channel,
+    channel_site_probabilities,
     evolve_channel,
     monte_carlo_channel,
     monte_carlo_classical,
@@ -27,6 +32,7 @@ from percwalk.walk import basis_density, basis_state, full_hamiltonian, transiti
 from helpers import (
     apply_channel,
     brute_force_channel_average,
+    channel_graphs,
     decompose,
     enumerate_realizations,
     expm_unitary,
@@ -284,11 +290,11 @@ class TestEvolveChannel:
         assert devs[250] > devs[1000] > devs[4000]
 
     @pytest.mark.parametrize("n,steps,stride,powers", [
-        (2, 50, 1, []),
-        (2, 50, 3, [3]),  # the last gap is 2 steps
+        (2, 50, 1, [1]),  # doubling from P = Phi
+        (2, 50, 3, [3]),  # the last gap is 2 steps, taken as 2 products
         (2, 50, 7, [7]),  # the last gap is 1 step
         (2, 50, 80, [50]),  # stride > steps: one gap of all the steps
-        (6, 50, 7, []),  # d^2 = 36: Phi^7 costs more than the 6 x 7 matvecs it saves
+        (6, 50, 7, []),  # d^2 = 36: Phi^7 - I costs more than the 7 x 7 products it saves
     ])
     def test_strided_equals_step_by_step(self, monkeypatch, n, steps, stride, powers):
         power, used = dynamics._power_minus_identity, []
@@ -299,7 +305,7 @@ class TestEvolveChannel:
         rho = a @ a.conj().T / np.trace(a @ a.conj().T).real
         rec = recorded_steps(steps, stride)
         got = evolve_channel(phi, rho, steps, stride)
-        assert used == powers
+        assert used == powers  # each distinct power built once
         want = [rho]
         for s in range(1, steps + 1):
             rho = apply_channel(phi, rho)
@@ -335,20 +341,12 @@ def _random_density(n, seed):
 
 
 def _dense_evolution(phi, rho, steps, stride):
-    """The dense d^2 x d^2 evolution that the sector evolution replaced, step for step."""
+    """The dense d^2 x d^2 evolution: ``evolve_channel``'s blocked doubling run on the one block Phi - I."""
     dd = phi.dim**2
-    gaps = np.diff(recorded_steps(steps, stride))
-    ks, counts = np.unique(gaps, return_counts=True)
-    powers = {k: dynamics._power_minus_identity(phi.matrix - np.eye(dd), k)
-              for k, count in zip(ks.tolist(), counts.tolist()) if dynamics._use_power(dd, k, count)}
-    v, out = vec_density(rho), [rho]
-    for k in gaps.tolist():
-        if k in powers:
-            v = v + powers[k] @ v
-        else:
-            for _ in range(k):
-                v = phi.matrix @ v
-        out.append(v.reshape(phi.dim, phi.dim, order="F"))
+    gaps = np.diff(recorded_steps(steps, stride)).tolist()
+    out = [rho]
+    for _, ys in dynamics._advance((phi.matrix - np.eye(dd))[None], vec_density(rho)[None], gaps):
+        out.extend(y[0].reshape(phi.dim, phi.dim, order="F").copy() for y in ys)  # ys is overwritten
     return np.array(out)
 
 
@@ -384,7 +382,9 @@ class TestSectorEvolution:
             if s % stride == 0 or s == steps:
                 want.append(rho)
         assert np.max(np.abs(got - np.array(want))) <= 1e-13
-        assert used == ([] if stride == 1 else [stride])  # the block powers ran
+        # one power per stride, built once; a ragged last gap of 2 or 3 steps takes products, and so
+        # does each step of lattice2d:3x4's blocks of 80, where a power of one step saves nothing
+        assert used == ([] if stride == 1 and blocks == (2, 80) else [stride])
 
     @pytest.mark.parametrize("lam", [0.2, 0.8])
     def test_matches_long_double_reference(self, lam):
@@ -461,6 +461,101 @@ class TestSectorEvolution:
         phi = ChannelMatrix(matrix=(1.0 + 3e-9) * np.eye(9), dim=3)
         with pytest.raises(np.linalg.LinAlgError, match="at step 4:"):
             evolve_channel(phi, basis_density(3, 0), 20)
+
+
+def _traced_peak(fn):
+    """(result of fn(), peak bytes traced by tracemalloc during the call above the start)."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+class TestSiteProbabilities:
+    """``channel_site_probabilities``: ``evolve_channel`` with only the diagonal's cycles transformed back."""
+
+    @pytest.mark.parametrize("batch", [1, _kernels.CHANNEL_BATCH])  # batch 1 lets these graphs keep a group
+    @settings(max_examples=20, deadline=None, database=None, derandomize=True)
+    @given(g=channel_graphs(), lam=st.floats(0.0, 1.0), x=st.floats(0.01, 4.0),
+           stride=st.sampled_from([1, 7, 10]), steps=st.integers(0, 45))
+    def test_equal_the_diagonal_of_evolve_channel(self, batch, g, lam, x, stride, steps):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_kernels, "CHANNEL_BATCH", batch)
+            phi = build_step_channel(g, lam, x / (2.0 * max(g.degrees())))
+        rho = _random_density(g.node_count, steps)
+        want = evolve_channel(phi, rho, steps, stride)
+        got = channel_site_probabilities(phi, rho, steps, stride)
+        assert got.shape == (len(recorded_steps(steps, stride)), g.node_count) and got.dtype == np.float64
+        assert np.max(np.abs(got - np.diagonal(want, axis1=1, axis2=2).real)) <= 1e-15
+
+    @pytest.mark.parametrize("g,rotated", [
+        (make_ring(15), True), (make_lattice2d(3, 3), True), (make_lattice2d(3, 4), True),
+        (make_ring(15), False),  # the same channel without its rotation: one dense block of 225
+        (make_ring(6), False),  # no group searched for 64 masks
+    ])
+    @pytest.mark.parametrize("stride", [1, 7, 10])
+    def test_equal_the_diagonal_on_larger_graphs(self, g, rotated, stride):
+        # 503 steps: a ragged last gap of 6 steps at stride 7 and of 3 at stride 10
+        phi = build_step_channel(g, 0.4, 0.3 / max(g.degrees()))
+        if not rotated:
+            phi = ChannelMatrix(matrix=phi.matrix, dim=phi.dim)
+        assert (phi.blocks[0] > 1) == rotated
+        rho = _random_density(g.node_count, stride)
+        want = np.diagonal(evolve_channel(phi, rho, 503, stride), axis1=1, axis2=2).real
+        assert np.max(np.abs(channel_site_probabilities(phi, rho, 503, stride) - want)) <= 1e-15
+
+    @pytest.mark.parametrize("lam", [0.2, 0.8])
+    def test_match_long_double_reference(self, lam):
+        # the same Phi applied step by step in extended precision; one product per gap of
+        # records was 2.0e-15 and 3.1e-15 from it, the doubling 5.2e-16 and 1.4e-15
+        phi = build_step_channel(make_ring(15), lam, 0.004)
+        rho0 = basis_density(15, 0)
+        rhos = evolve_channel(phi, rho0, 5000, 10)
+        probs = channel_site_probabilities(phi, rho0, 5000, 10)
+        m = phi.matrix.astype(np.clongdouble)
+        v = vec_density(rho0).astype(np.clongdouble)
+        err = site_err = 0.0
+        for s in range(1, 5001):
+            v = m @ v
+            if s % 10 == 0:
+                err = max(err, float(np.abs(vec_density(rhos[s // 10]) - v).max()))
+                site_err = max(site_err, float(np.abs(probs[s // 10] - v[::16].real).max()))
+        assert err <= 2e-15 and site_err <= 2e-15
+
+    def test_pair_cycles_are_found_once_per_channel(self, monkeypatch):
+        found = []
+        pair_cycles = dynamics._pair_cycles
+        monkeypatch.setattr(dynamics, "_pair_cycles", lambda rot: found.append(1) or pair_cycles(rot))
+        phi = build_step_channel(make_ring(15), 0.4, 0.004)
+        rho = basis_density(15, 0)
+        channel_site_probabilities(phi, rho, 40, 10)
+        evolve_channel(phi, rho, 40, 10)
+        assert (phi.blocks, phi.trace_drift_bound(40) > 0) == ((15, 15), True)
+        assert found == [1]
+
+    @pytest.mark.parametrize("stride", [1, 10])
+    def test_memory_does_not_grow_with_the_records(self, stride):
+        # each buffer of the evolution fits in BLOCK_BYTES, and a few are alive at once (on
+        # ring:15 the chunk buffer, the 7 powers of the blocks and the back transform's
+        # temporaries); only the returned records grow with their number
+        phi = build_step_channel(make_ring(15), 0.4, 0.004)
+        rho = basis_density(15, 0)
+        probs, peak = _traced_peak(lambda: channel_site_probabilities(phi, rho, 5000, stride))
+        assert peak - probs.nbytes <= 4 * _kernels.BLOCK_BYTES
+        rhos, peak = _traced_peak(lambda: evolve_channel(phi, rho, 5000, stride))
+        assert peak - rhos.nbytes <= 8 * _kernels.BLOCK_BYTES
+
+    def test_lost_trace_names_the_first_failing_step(self):
+        phi = ChannelMatrix(matrix=(1.0 + 3e-9) * np.eye(9), dim=3)
+        with pytest.raises(np.linalg.LinAlgError, match="at step 4:"):
+            channel_site_probabilities(phi, basis_density(3, 0), 20)
 
 
 class TestMonteCarlo:

@@ -32,9 +32,11 @@ from percwalk.walk import basis_density, basis_state
 
 from helpers import (
     apply_channel,
+    channel_graphs,
     expm_channel_gram,
     reference_automorphisms,
     reference_laplacian,
+    reference_orbit_representatives,
     reference_taylor_ensemble,
     reference_trajectory,
 )
@@ -482,15 +484,6 @@ class TestStepLoopsAreBitIdentical:
             assert np.array_equal(mean, ref_mean) and np.array_equal(m2, ref_m2)
 
 
-# random simple graphs small enough to enumerate all 2^E realizations against scipy expm
-@st.composite
-def channel_graphs(draw):
-    n = draw(st.integers(2, 6))
-    pairs = list(itertools.combinations(range(n), 2))
-    keep = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=min(10, len(pairs)), unique=True))
-    return Graph(node_count=n, edges=tuple(keep))
-
-
 def _channel_tau(g, x):
     """The tau at which 2 * tau * maxdeg = x, so x > 1 needs squarings."""
     return x / (2.0 * max(g.degrees()))
@@ -561,15 +554,16 @@ class TestChannelBuild:
         monkeypatch.setattr(_kernels, "_cos_sin",
                             lambda a, *plan: rows.append(a.shape[0]) or cos_sin(a, *plan))
         _, _, _, built = _kernels.channel_accumulate(g.edge_array, n, 0.4, 0.004)
-        bound = max(1, min(_kernels.CHANNEL_BATCH, _kernels.BLOCK_BYTES // (8 * n * n)))
-        assert bound < _kernels.CHANNEL_BATCH  # 145 rows on ring:15, 404 on lattice2d:3x3
+        # the widest array of a batch, its 2 rows x (n(n+1)/2 + 1) float64 Gram rows, takes half a block
+        bound = max(1, min(_kernels.CHANNEL_BATCH, _kernels.BLOCK_BYTES // (16 * (n * n + n + 2))))
+        assert bound < _kernels.CHANNEL_BATCH  # 67 rows on ring:15, 178 on lattice2d:3x3
         assert max(rows) == bound and sum(rows) == built
 
     def test_three_row_batches_give_the_same_channel(self):
         g = make_ring(15)
         k, name, perms, orbits = _kernels.channel_accumulate(g.edge_array, 15, 0.4, 0.004)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(_kernels, "BLOCK_BYTES", 3 * 8 * 15 * 15)
+            mp.setattr(_kernels, "BLOCK_BYTES", 3 * 16 * (15 * 15 + 15 + 2))
             k3, name3, perms3, orbits3 = _kernels.channel_accumulate(g.edge_array, 15, 0.4, 0.004)
         assert (perms.shape[0], orbits) == (perms3.shape[0], orbits3) == (30, 1224)
         assert name3 == name and np.array_equal(perms3, perms)
@@ -706,6 +700,53 @@ class TestOrbitChannel:
         assert phi.symmetries == phi_relabeled.symmetries
         pp = _superop_perm(p)
         assert np.max(np.abs(phi_relabeled.matrix - pp @ phi.matrix @ pp.T)) <= 1e-14
+
+
+class TestOrbitScan:
+    """The prefiltered float32 orbit scan and the real pair Gram of the exact channel."""
+
+    @pytest.mark.parametrize("g,group,lam", [
+        (make_ring(15), "full", 0.4),  # |G| = 30
+        (make_ring(15), "full", 0.0),  # only the empty mask has weight
+        (make_lattice2d(3, 4), "full", 0.7),  # |G| = 4: three elements to prefilter with
+        (make_complete(5), "full", 0.4),  # |G| = 120
+        (make_lattice2d(2, 3), "full", 0.4),  # |G| = 4
+        (Graph(node_count=3, edges=((0, 1), (1, 2))), "full", 0.4),  # a path, |G| = 2
+        (make_ring(15), "identity", 0.4),  # nothing to prefilter with: every mask represents itself
+    ])
+    def test_matches_a_float64_scan_of_every_mask(self, g, group, lam):
+        edges, n = g.edge_array, g.node_count
+        perms = _kernels._automorphisms(edges, n, 10**6) if group == "full" else np.arange(n)[None]
+        batches = list(_kernels._orbit_representatives(edges, perms, lam))
+        bits = np.concatenate([b for b, _ in batches])
+        weights = np.concatenate([w for _, w in batches])
+        want_bits, want_weights = reference_orbit_representatives(edges, perms, lam)
+        assert bits.dtype == np.uint8
+        assert np.array_equal(bits, want_bits)
+        assert np.array_equal(weights, want_weights)
+
+    # ring15-channel's step, and one that needs a squaring
+    @pytest.mark.parametrize("tau,lam", [(0.004, 0.2), (0.004, 0.8), (0.3, 0.4)])
+    def test_real_gram_equals_the_complex_one(self, tau, lam):
+        g = make_ring(15)
+        edges, n = g.edge_array, g.node_count
+        substeps, _ = _kernels.taylor_plan(edges, n, tau)
+        squarings = (substeps - 1).bit_length()
+        _, order = _kernels.taylor_plan(edges, n, tau / 2**squarings)
+        upper = (n * np.arange(n)[:, None] + np.arange(n))[np.triu_indices(n)]
+        perms = _kernels._automorphisms(edges, n, 10**6)
+        for bits, weights in _kernels._orbit_representatives(edges, perms, lam):
+            e, s = _kernels._cos_sin(_kernels.laplacians(edges, n, bits, tau / 2**squarings), order, squarings)
+            rows = bits.shape[0]
+            xy = _kernels._gram_rows(e, s, weights, upper)
+            # w = sqrt(weight) (conj(D) on the pairs i <= j, then 1), D = U - I = e - i s
+            w = np.concatenate((e.reshape(rows, -1)[:, upper] + 1j * s.reshape(rows, -1)[:, upper],
+                                np.ones((rows, 1))), axis=1) * np.sqrt(weights)[:, None]
+            assert np.array_equal(xy[:rows] + 1j * xy[rows:], w)
+            real, cross = np.zeros((upper.size + 1,) * 2), np.zeros((upper.size + 1,) * 2)
+            _kernels._add_gram(real, cross, xy, rows)
+            assert np.array_equal(real, real.T)
+            assert np.max(np.abs(real + 1j * (cross - cross.T) - w.T @ w.conj())) <= 1e-16
 
 
 class TestMaskCachePropagators:
