@@ -10,16 +10,22 @@ or z = -tau for the classical walk. Three propagators implement it:
   of steps) and kept, found through a 2^E table of slots indexed by the
   mask. The cache keeps real m x m propagators that act on the float64
   view of a state (``_real_form``: m = 2n quantum, m = n classical). An
-  ensemble step applies those of all its columns with one batched matmul;
-  a trajectory on a small graph steps in chunks of L steps
+  ensemble step applies those of all its columns with one batched matmul.
+  A trajectory skips the steps that keep no edge: there H_r = 0 and U = I
+  exactly, so the state stays as it is (41% of the steps of ring:4 at
+  lambda = 0.2, (1 - lambda)^4). It steps the others in chunks of L steps
   (``_mask_chunk``): it gathers a block's propagators into one stack, forms
   each chunk's prefix products U_k ... U_1 with L - 1 batched matmuls over
   all chunks and writes the L states of a chunk with one (L m, m) matvec
   (Blelloch, CMU-CS-90-190, 1990, for prefix products). On ring:4 (60 000
-  steps, tau = 1/600) those products move the states by at most 1.4e-13
-  (quantum) and 7.5e-15 (classical) from one matvec per step, a round-off
-  that grows linearly with the steps, like the norm drift of 1.6e-12 that
-  the cached propagators give both loops;
+  steps, tau = 1/600, seeds 3, 7 and 11) those products move the states by
+  at most 6.2e-14 to 8.7e-14 (quantum) and 3.2e-15 to 4.1e-15 (classical)
+  from one matvec per step, a round-off that grows linearly with the
+  steps: against a long-double evolution one step at a time (quantum, seed
+  3) the final state is off by 1.8e-14, 7.0e-14 and 2.9e-13 after 15 000,
+  60 000 and 240 000 steps. The cached propagators themselves make the
+  norm drift by 4.5e-12 (quantum) and 4.0e-12 (classical) over those
+  60 000 steps on both loops, 1.5e-12 with the quantum renormalization;
 * Taylor action: larger graphs practically never repeat a realization, so
   exp(z * H_r) is applied to the state directly as ``substeps`` truncated
   Taylor series of ``order`` terms each (``taylor_plan``). The truncation
@@ -42,9 +48,9 @@ or z = -tau for the classical walk. Three propagators implement it:
   and apply the action through the kept-edge weights of each column
   (``_edge_apply``) instead of a Laplacian per column.
 
-``step_plan`` chooses the propagator, and one driver, ``_ensemble``, steps
-every trajectory and ensemble kernel; it alone takes the norm drift,
-renormalizes and picks the recorded states. The step kernels report which
+``step_plan`` chooses the propagator by its price in flops, and one driver,
+``_ensemble``, steps every trajectory and ensemble kernel; it alone takes
+the norm drift, renormalizes and picks the recorded states. The step kernels report which
 propagator ran (``"mask-cache(chunk=L)"`` for a trajectory,
 ``"mask-cache"`` for an ensemble, ``"taylor(substeps=S, order=K)"`` or
 ``"taylor-matrix(substeps=S, order=K)"``) and the largest drift of the
@@ -110,7 +116,8 @@ CHANNEL_BATCH = 512
 TAYLOR_TOL = 2.0**-53
 # largest transient buffer: the Laplacian block and Taylor terms of a step
 # kernel, the propagators gathered for an ensemble's mask-cache step, and each
-# (rows, n, n) stack of a Taylor-matrix block or of an exact-channel batch
+# (rows, n, n) stack of a Taylor-matrix block or of an exact-channel batch; the
+# prefix products of a mask-cache trajectory's block take four (``_ensemble``)
 BLOCK_BYTES = 1 << 18
 # most Taylor substeps planned before anything runs, 2^24: over all steps of a
 # trajectory or ensemble block (about 30 min at the ~110 us one action substep
@@ -124,6 +131,14 @@ MAX_SUBSTEPS = 1 << 24
 # batched real 15 x 15 to 20 x 20 matmuls do about 15 000 flops (30 GFLOP/s);
 # measured with 1 BLAS thread on a 2-vCPU Xeon, OpenBLAS 0.3.31 (``_use_matrix``)
 CALL_FLOPS = 15_000
+# flops, per n^3, that building one mask's propagator costs the mask cache: the
+# batched ``eigh``, the spectral product and the real form (``_propagators``,
+# ``_real_form``). Measured per mask in batches of 16 with 1 BLAS thread on the
+# same machine, priced at 30 GFLOP/s: 24-39 for the quantum walk at n = 30 to
+# 100, 10-12 at n = 200 and 300, 12-16 for the classical walk at n = 30 to 100;
+# below n = 30 the call dominates (89 at n = 15, 1650 at n = 4), so the price
+# favours the cache there (``step_plan``)
+EIGH_FLOPS = 30
 # every RENORM_EVERY steps a quantum state whose norm drifted by more than RENORM_TOL is renormalized
 RENORM_EVERY = 10_000
 RENORM_TOL = 1e-12
@@ -210,13 +225,43 @@ def step_plan(edges: np.ndarray, n: int, tau: float, steps: int, quantum: bool,
     propagator per distinct mask: m = 2n for the quantum walk, whose
     propagators act on the interleaved real and imaginary parts of the state
     (``_real_form``), m = n for the classical walk. A call of ``columns``
-    trajectories of ``steps`` steps meets at most steps * columns distinct
-    masks. Callers may plan before drawing any keep bits, so a refused plan
-    allocates nothing.
+    trajectories of ``steps`` steps meets at most D = min(2^E, steps *
+    columns) distinct masks. The cache is taken where it fits
+    (``propagator_cache_capacity``) and either the Taylor plan would be
+    refused or its builds and products cost less than the plan's steps, in
+    flops: D EIGH_FLOPS n^3 + steps columns 2 m^2 (a matvec with each step's
+    propagator) against steps times ``_taylor_step_flops``. Callers may plan
+    before drawing any keep bits, so a refused plan allocates nothing.
     """
-    if propagator_cache_capacity(edges.shape[0], steps * columns, 2 * n if quantum else n) > 0:
-        return None
+    edge_count = edges.shape[0]
+    m = 2 * n if quantum else n
+    distinct = propagator_cache_capacity(edge_count, steps * columns, m)
+    if distinct:
+        try:
+            plan = taylor_plan(edges, n, tau)
+        except ValueError:  # an unbounded step, which the cache still takes
+            return None
+        if plan[0] * steps > MAX_SUBSTEPS or (distinct * EIGH_FLOPS * n**3 + steps * columns * 2 * m * m
+                                              < steps * _taylor_step_flops(n, edge_count, plan, columns)):
+            return None
     return _run_plan(edges, n, tau, steps)
+
+
+def _taylor_step_flops(n: int, edge_count: int, plan: tuple[int, int], columns: int) -> int:
+    """Price in flops of one step of ``columns`` states on the Taylor plan (substeps, order).
+
+    One state (a trajectory) takes the Taylor matrix where ``_use_matrix``
+    does: K = order n x n products, 2 n^3 flops each, and two calls per
+    substep. Otherwise each substep makes K + 2 calls and K applications of
+    the step's Laplacian: 2 n^2 flops dense for a trajectory, 4 n E per
+    column through the kept edges of an ensemble (``_edge_apply``). Each
+    call is priced at CALL_FLOPS.
+    """
+    substeps, order = plan
+    if columns == 1 and _use_matrix(n, substeps):
+        return 2 * order * n**3 + 2 * substeps * CALL_FLOPS
+    apply = 2 * n * n if columns == 1 else 4 * n * edge_count * columns
+    return substeps * ((order + 2) * CALL_FLOPS + order * apply)
 
 
 def _use_matrix(n: int, substeps: int) -> bool:
@@ -243,14 +288,16 @@ def _mask_chunk(m: int) -> int:
     fifth or less of the rate CALL_FLOPS assumes, so chunks pay where
     10 m^3 < CALL_FLOPS: m <= 11, a quantum walk on at most 5 nodes (m = 2n)
     or a classical walk on at most 11. A block of S = BLOCK_BYTES / (8 m^2)
-    steps then makes S / L matvec calls and L - 1 product calls, each about
-    two small calls (the matmul and the copy of its result), which is least
-    at L = sqrt(S / 2) = 128 / m. Measured in process with one BLAS thread
+    steps makes S / L matvec calls and L - 1 product calls, each about two
+    small calls (the matmul and the copy of its result), which is least at
+    L = sqrt(S / 2) = 128 / m. Measured in process with one BLAS thread
     (40 000 steps, best of 12), against one matvec per step: the quantum
     walk on ring:3, ring:4 and ring:5 (m = 6, 8, 10) ran 2.8x, 1.6x and
     1.2x faster, the classical walk on ring:4, ring:5 and ring:8 3.1x, 2.7x
     and 1.5x; at m = 12 (the quantum ring:6, the classical ring:12) chunks
-    of 8 to 32 steps tied or lost.
+    of 8 to 32 steps tied or lost. A trajectory's blocks hold four such
+    stacks and only the steps that keep an edge (``_ensemble``), which
+    leaves fewer calls per step at the same L.
     """
     if 10 * m**3 >= CALL_FLOPS:
         return 1
@@ -382,15 +429,29 @@ def _ensemble(edges, n, z, bits, record_steps, x0, record):
     column blocks; a 2^E table of slots maps each mask key to its row, and
     the masks new to a block are built with one batched ``eigh``. An
     ensemble step gathers the propagators of its columns into one
-    (columns, m, m) stack and applies them with one batched matmul. A
-    trajectory's block is a whole number of chunks of L = ``_mask_chunk(m)``
-    steps, whose (chunks, L, m, m) stack of propagators fits in BLOCK_BYTES,
-    except that a renormalization or the run's end may cut it short; its
-    ragged last chunk is padded with I. Each chunk is one call of one loop,
-    ``dot(start state, states)``: with L = 1 the bound ``.dot`` of the
-    step's cached propagator, else that of the chunk's stacked prefix
-    products. Overflowing propagators give non-finite states without a
-    numpy warning; the CLI refuses to write them (exit 2).
+    (columns, m, m) stack and applies them with one batched matmul.
+
+    A trajectory advances only the steps whose mask keeps an edge: a step
+    that keeps none has U = I, so it is skipped and its mask never built.
+    The moving steps of a block form chunks of L = ``_mask_chunk(m)``
+    steps, the ragged last one padded with I. A block holds as many steps
+    as would make a (chunks, L, m, m) stack of 4 BLOCK_BYTES if every step
+    moved (with L = 1, as many as make BLOCK_BYTES of states), except that
+    a renormalization or the run's end may cut it short. Each chunk is one
+    call of one loop, ``dot(start state, states)``: with L = 1 the bound
+    ``.dot`` of the step's cached propagator, else that of the chunk's
+    stacked prefix products. The states are then expanded back to every
+    step of the block, a ``take`` by the running count of moving steps, so
+    the drift, the renormalization and the records see every step.
+    Measured on ring:4's 60 000-step quantum trajectory (tau = 1/600,
+    lambda = 0.2, seed 7, in process, one BLAS thread, best of 21): 11.1 to
+    11.9 ms, against 18.1 to 19.7 ms when every step moved in stacks of
+    one BLOCK_BYTES; skipping alone gave 16.4 to 16.9 ms, and stacks of 2
+    and 8 BLOCK_BYTES 12.6 to 13.5 and 16 to 18 ms (the latter outgrow the
+    cache). The stack raises that call's traced memory peak from 0.43 MB
+    to 1.07 MB (1.57 MB at lambda = 1). Overflowing propagators give
+    non-finite states without a numpy warning; the CLI refuses to write
+    them (exit 2).
     """
     single = x0.ndim == 1
     steps, edge_count = bits.shape[-2:]
@@ -404,13 +465,12 @@ def _ensemble(edges, n, z, bits, record_steps, x0, record):
         slots = np.full(1 << edge_count, -1, dtype=np.intp)
         size = 0
 
-        def lookup(bits):
-            # the store rows of the masks of ``bits`` (..., E); keys are packed per block, so no
-            # int64 copy of the run's keep bits is made
+        def lookup(keys):
+            # the store rows of the mask ``keys``; they are packed per block, so no int64 copy of
+            # the run's keep bits is made
             nonlocal size
-            keys = _mask_keys(bits)
             slot = slots[keys]
-            if slot.min() < 0:
+            if slot.min(initial=0) < 0:
                 fresh = np.zeros(slots.shape, dtype=bool)
                 fresh[keys[slot < 0]] = True
                 new = np.flatnonzero(fresh)
@@ -424,19 +484,23 @@ def _ensemble(edges, n, z, bits, record_steps, x0, record):
     if plan is None and single:
         chunk = _mask_chunk(m)
         name = f"mask-cache(chunk={chunk})"
-        if chunk > 1:  # whole chunks, whose (chunks, chunk, m, m) stack fits in BLOCK_BYTES
-            block = max(1, BLOCK_BYTES // (8 * m * m * chunk)) * chunk
+        if chunk > 1:  # whole chunks, whose (chunks, chunk, m, m) stack fits in 4 BLOCK_BYTES
+            block = max(1, 4 * BLOCK_BYTES // (8 * m * m * chunk)) * chunk
         else:
             block = max(1, BLOCK_BYTES // (8 * m))
         dots = []  # the bound ``.dot`` of each filled row of store
         eye = np.eye(m)
 
         def advance(bits, start, stop, x):
-            slot = lookup(bits[start:stop])
-            count = stop - start
+            keys = _mask_keys(bits[start:stop])
+            moved = keys != 0
+            slot = lookup(keys[moved])  # only the steps that keep an edge move the state
+            count = slot.shape[0]
             chunks = -(-count // chunk)
-            hist = np.empty((chunks * chunk, n), dtype=x.dtype)
-            outs = list(hist.view(np.float64).reshape(chunks, chunk * m))
+            # row 0 is the block's start state, row i the state after the i-th moving step
+            hist = np.empty((chunks * chunk + 1, n), dtype=x.dtype)
+            hist[0] = x
+            outs = list(hist[1:].view(np.float64).reshape(chunks, chunk * m))
             if chunk == 1:
                 dots.extend(row.dot for row in store[len(dots):size])
                 ops, ends = list(map(dots.__getitem__, slot.tolist())), outs
@@ -456,7 +520,8 @@ def _ensemble(edges, n, z, bits, record_steps, x0, record):
             # one call writes the chunk's states: out = (U_1 x, U_2 U_1 x, ...)
             for dot, src, out in zip(ops, [x.view(np.float64)] + ends[:-1], outs):
                 dot(src, out)
-            return hist[:count]
+            # an idle step repeats the state before it
+            return hist.take(np.cumsum(moved), axis=0)
     elif plan is None:
         # the (cols, m, m) stack of gathered propagators fits in BLOCK_BYTES
         cols = min(columns, max(1, BLOCK_BYTES // (8 * m * m)))
@@ -468,7 +533,7 @@ def _ensemble(edges, n, z, bits, record_steps, x0, record):
             us, ys = gathered[:c], np.empty((count, c, m, 1))
             # each column as the m-vector that its real-form propagator acts on
             y = np.ascontiguousarray(x.T).view(np.float64)[:, :, None]
-            for slot, out in zip(lookup(bits[:, start:stop]).T, ys):
+            for slot, out in zip(lookup(_mask_keys(bits[:, start:stop])).T, ys):
                 y = np.matmul(np.take(store, slot, axis=0, out=us, mode="clip"), y, out=out)
             return np.ascontiguousarray(ys.reshape(count, c, m).view(x.dtype).transpose(0, 2, 1))
     elif single and _use_matrix(n, plan[0]):
@@ -544,7 +609,8 @@ def _ensemble(edges, n, z, bits, record_steps, x0, record):
                 rec_j = int(np.searchsorted(record_steps, stop, side="right"))
                 record(slice(rec_i, rec_j), hist[record_steps[rec_i:rec_j] - start - 1])
                 rec_i = rec_j
-                x, start = hist[-1], stop
+                x, start = hist[-1].copy(), stop
+                del hist, h  # the block's states are freed before the next block is advanced
     return float(max_drift), name
 
 

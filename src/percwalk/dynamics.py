@@ -29,14 +29,16 @@ Three routes to the same physics:
   ensemble kernels return sums and per-site (count, mean, M2) moments,
   merged pairwise across column blocks; the driver merges them across
   chunks the same way (Chan, Golub & LeVeque, Am. Stat. 37:242, 1983). The
-  initial density is eigendecomposed once per call.
+  initial density is eigendecomposed once per call, which also refuses one
+  that is not positive semidefinite.
 
 Per-step exponentials are spectral exponentials (graphs with at most
-``_kernels.CACHE_MAX_EDGES`` edges whose run fits the mask cache,
-``_kernels.step_plan``; a trajectory on a small graph applies them a chunk
-of prefix products at a time) or truncated Taylor series whose truncation
-error is at most 2^-53 of the state norm per substep (larger graphs; see
-``_kernels.taylor_plan``). The series is applied to the state
+``_kernels.CACHE_MAX_EDGES`` edges whose run fits the mask cache and whose
+masks cost less to build than the Taylor steps, ``_kernels.step_plan``; a
+trajectory on a small graph applies them a chunk of prefix products at a
+time and skips the steps that keep no edge) or truncated Taylor series
+whose truncation error is at most 2^-53 of the state norm per substep
+(other graphs; see ``_kernels.taylor_plan``). The series is applied to the state
 as an action, or, for a trajectory on a graph small enough that a batch of
 n x n products costs less than the calls of the action
 (``_kernels._use_matrix``), formed as a matrix P per step and applied as
@@ -63,7 +65,7 @@ from .graph import (
     rng_from_seed,
     sample_keep_bits,
 )
-from .walk import check_density_matrix, check_distribution, check_quantum_state
+from .walk import check_density_matrix, check_density_spectrum, check_distribution, check_quantum_state
 
 # bound on the pre-sampled keep-bit block for ensemble runs
 ENSEMBLE_CHUNK_BYTES = 1 << 26
@@ -550,6 +552,7 @@ def _sector_entries(phi: ChannelMatrix, rho0: np.ndarray, rec: np.ndarray, cycle
 def _checked_start(phi: ChannelMatrix, rho0: np.ndarray, steps: int) -> np.ndarray:
     """``rho0`` checked as a density of ``phi``'s dimension, with ``steps`` >= 0."""
     rho0 = check_density_matrix(rho0)
+    check_density_spectrum(np.linalg.eigvalsh(rho0))
     if rho0.shape[0] != phi.dim:
         raise ValueError(f"density dimension {rho0.shape[0]} != channel dim {phi.dim}")
     if steps < 0:
@@ -693,6 +696,7 @@ def monte_carlo_channel(
     if rho0.shape[0] != n:
         raise ValueError(f"density dimension {rho0.shape[0]} != node_count {n}")
     w, v = np.linalg.eigh(rho0)
+    check_density_spectrum(w)
     w = np.where(w > 0, w, 0.0)
     w = w / w.sum()
     eigenstates = v.T.astype(np.complex128)

@@ -114,6 +114,19 @@ def check_density_matrix(rho: np.ndarray) -> np.ndarray:
     return rho
 
 
+def check_density_spectrum(eigenvalues: np.ndarray) -> None:
+    """Refuse the eigenvalues of a density matrix whose smallest lies below -DENSITY_ATOL.
+
+    Such a matrix is not positive semidefinite, so it is not a state: its
+    diagonal would give negative site probabilities.
+    """
+    low = eigenvalues.min()
+    if not low >= -DENSITY_ATOL:
+        raise ValueError(
+            f"density matrix not positive semidefinite: min eigenvalue {low:.3e} < -{DENSITY_ATOL:g}"
+        )
+
+
 def check_distribution(p: np.ndarray) -> np.ndarray:
     p = np.asarray(p, dtype=np.float64)
     if p.ndim != 1:

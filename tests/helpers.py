@@ -262,9 +262,11 @@ def apply_channel(phi, rho: np.ndarray) -> np.ndarray:
 def reference_trajectory(edges, n, z, bits, record_steps, x0, renorm_every, renorm_tol):
     """``_kernels._trajectory`` with views, cache lookups and chunk products made step by step.
 
-    On the mask cache, each chunk's prefix products U_k ... U_1 are formed
-    one 2-D matmul at a time, a ragged last chunk padded with I as the
-    kernel pads it, and each chunk is applied as one (L m, m) matvec.
+    On the mask cache, a step that keeps no edge leaves the state as it is.
+    The steps that keep an edge form the chunks: each chunk's prefix
+    products U_k ... U_1 are formed one 2-D matmul at a time, a ragged last
+    chunk padded with I as the kernel pads it, and each chunk is applied as
+    one (L m, m) matvec.
     """
     k = _kernels
     steps = bits.shape[0]
@@ -275,31 +277,38 @@ def reference_trajectory(edges, n, z, bits, record_steps, x0, renorm_every, reno
         chunk = k._mask_chunk(m)
         name = f"mask-cache(chunk={chunk})"
         if chunk > 1:
-            block = max(1, k.BLOCK_BYTES // (8 * m * m * chunk)) * chunk
+            block = max(1, 4 * k.BLOCK_BYTES // (8 * m * m * chunk)) * chunk
         else:
             block = max(1, k.BLOCK_BYTES // (8 * m))
         keys = k._mask_keys(bits).tolist()
         cache = {}
 
         def advance(start, stop, x):
-            hist = np.empty((stop - start, n), dtype=x.dtype)
-            states = hist.view(np.float64)
+            moving = [s for s in range(start, stop) if keys[s]]
+            states = np.empty((len(moving), n), dtype=x.dtype).view(np.float64)
             src = x.view(np.float64)
-            for c0 in range(0, stop - start, chunk):
+            for c0 in range(0, len(moving), chunk):
                 prods = []
                 for j in range(c0, c0 + chunk):
-                    if start + j < stop:
-                        u = cache.get(keys[start + j])
+                    if j < len(moving):
+                        s = moving[j]
+                        u = cache.get(keys[s])
                         if u is None:
-                            u = k._propagators(edges, n, bits[start + j][None], z)[0]
-                            u = cache[keys[start + j]] = k._real_form(u, np.empty((m, m)))
+                            u = k._propagators(edges, n, bits[s][None], z)[0]
+                            u = cache[keys[s]] = k._real_form(u, np.empty((m, m)))
                     else:
                         u = np.eye(m)
                     prods.append(u.copy() if j == c0 else np.matmul(u, prods[-1]))
                 out = np.dot(np.concatenate(prods), src)
-                rows = min(chunk, stop - start - c0)
+                rows = min(chunk, len(moving) - c0)
                 states[c0:c0 + rows] = out[:rows * m].reshape(rows, m)
                 src = states[c0 + rows - 1]
+            hist = np.empty((stop - start, n), dtype=x.dtype)
+            moved = states.view(x.dtype)
+            for s in range(start, stop):
+                if keys[s]:
+                    x, moved = moved[0], moved[1:]
+                hist[s - start] = x
             return hist
     elif k._use_matrix(n, plan[0]):
         substeps, order = plan

@@ -688,6 +688,36 @@ class TestMonteCarlo:
         assert np.max(rec1.stderr) <= 1e-12
 
 
+class TestDensityIsPositive:
+    """A start density with an eigenvalue below -DENSITY_ATOL is refused by every channel route."""
+
+    BAD = np.diag([1.2, -0.2, 0.0, 0.0]).astype(complex)  # trace 1, Hermitian, not a state
+
+    def _routes(self):
+        g = make_ring(4)
+        run = PercolationRun(lam=0.5, tau=0.1, steps=6, seed=3)
+        phi = build_step_channel(g, run.lam, run.tau)
+        return [lambda rho: monte_carlo_channel(g, run, rho, 4),
+                lambda rho: channel_site_probabilities(phi, rho, run.steps),
+                lambda rho: evolve_channel(phi, rho, run.steps)]
+
+    def test_negative_eigenvalue_is_refused_by_name(self, monkeypatch):
+        def no_draws(*args):
+            raise AssertionError("keep bits drawn for a refused density")
+
+        monkeypatch.setattr(dynamics, "sample_keep_bits", no_draws)
+        for route in self._routes():
+            with pytest.raises(ValueError, match=r"not positive semidefinite: min eigenvalue -2\.000e-01"):
+                route(self.BAD)
+
+    def test_round_off_below_zero_is_accepted(self):
+        rho = np.diag([1.0 + 1e-12, -1e-12, 0.0, 0.0]).astype(complex)
+        mc, probs, rhos = (route(rho) for route in self._routes())
+        assert mc.densities[0][0, 0] == 1.0
+        assert np.max(np.abs(probs[0] - np.diag(rho).real)) == 0.0
+        assert np.array_equal(rhos[0], rho)
+
+
 class TestNonFiniteRuns:
     def test_nan_initial_state_is_refused(self):
         with pytest.raises(ValueError):

@@ -15,6 +15,8 @@ from percwalk.dynamics import (
     PercolationRun,
     build_step_channel,
     evolve_channel,
+    monte_carlo_channel,
+    monte_carlo_classical,
     run_classical_trajectory,
     run_trajectory,
 )
@@ -358,6 +360,13 @@ class TestTaylorAction:
         assert np.isnan(drift)
 
 
+def _path_on_300_nodes(tmp_path, edge_count):
+    """A path graph of ``edge_count`` edges on 300 nodes, read from an edge file."""
+    write_edge_file(Graph(node_count=300, edges=tuple((i, i + 1) for i in range(edge_count))),
+                    tmp_path / "path.edges")
+    return graph_from_spec(f"file:{tmp_path / 'path.edges'}")
+
+
 class TestPropagatorRule:
     """``_use_matrix`` forms the Taylor polynomial on small graphs and applies it on large ones."""
 
@@ -369,13 +378,29 @@ class TestPropagatorRule:
     ])
     def test_rule_picks_the_path(self, tmp_path, graph, tau, name):
         if graph is None:
-            write_edge_file(Graph(node_count=300, edges=tuple((i, i + 1) for i in range(20))),
-                            tmp_path / "path.edges")
-            graph = graph_from_spec(f"file:{tmp_path / 'path.edges'}")
+            graph = _path_on_300_nodes(tmp_path, 20)
         run = PercolationRun(lam=0.5, tau=tau, steps=3)
         assert run_trajectory(graph, run, basis_state(graph.node_count, 0)).propagator == name
         p0 = np.eye(graph.node_count)[0]
         assert run_classical_trajectory(graph, run, p0).propagator == name
+
+    # a path of 16 edges fits the mask cache, but each of its masks costs a 300 x 300 eigh: the
+    # action ran 14x (quantum) and 27x (classical) faster, 20x and 46x for 4-trajectory ensembles.
+    # ring:4 at tau = 32 plans 128 Taylor substeps per step and keeps the cache
+    @pytest.mark.parametrize("graph,tau,name", [
+        (16, 0.1, "taylor(substeps=1, order=13)"),
+        (make_ring(4), 32.0, "mask-cache"),
+    ])
+    def test_mask_builds_are_priced(self, tmp_path, graph, tau, name):
+        if isinstance(graph, int):
+            graph = _path_on_300_nodes(tmp_path, graph)
+        n = graph.node_count
+        run = PercolationRun(lam=0.5, tau=tau, steps=20)
+        p0 = np.eye(n)[0]
+        walks = [run_trajectory(graph, run, basis_state(n, 0)), run_classical_trajectory(graph, run, p0),
+                 monte_carlo_channel(graph, run, basis_density(n, 0), 4),
+                 monte_carlo_classical(graph, run, p0, 4)]
+        assert all(rec.propagator.split("(chunk=")[0] == name for rec in walks)
 
 
 class TestStepLoopsAreBitIdentical:
@@ -482,6 +507,79 @@ class TestStepLoopsAreBitIdentical:
         for (count, mean, m2), (ref_count, ref_mean, ref_m2) in zip(moments, ref_moments):
             assert count == ref_count == n_traj
             assert np.array_equal(mean, ref_mean) and np.array_equal(m2, ref_m2)
+
+
+class TestIdleSteps:
+    """Mask-cache trajectories skip the steps that keep no edge (U = I) and repeat the state there.
+
+    Each case runs both walks against the per-step reference loop, which
+    applies the same chunk schedule over the moving steps: equal bits.
+    """
+
+    @staticmethod
+    def _bits(g, lam, steps, idle=()):
+        bits = sample_keep_bits(g, lam, rng_from_seed(23), steps)
+        bits[list(idle)] = 0  # row s - 1 holds the keep bits of step s
+        return bits
+
+    def _check(self, monkeypatch, g, bits, rec, renorm=RENORM):
+        monkeypatch.setattr(_kernels, "RENORM_EVERY", renorm[0])
+        monkeypatch.setattr(_kernels, "RENORM_TOL", renorm[1])
+        n = g.node_count
+        psi0 = np.full(n, n**-0.5)
+        args = (g.edge_array, n, 0.1, bits, rec)
+
+        def runs():
+            return (_kernels.trajectory_states(*args, psi0), _kernels.classical_trajectory(*args, np.eye(n)[1]))
+
+        got = runs()
+        with monkeypatch.context() as m:
+            m.setattr(_kernels, "_trajectory", _with_policy(reference_trajectory))
+            want = runs()
+        for (states, drift, name), (ref_states, ref_drift, ref_name), m in zip(got, want, (2 * n, n)):
+            assert name == ref_name == f"mask-cache(chunk={_kernels._mask_chunk(m)})"
+            assert np.array_equal(states, ref_states)
+            assert drift == ref_drift
+        return got
+
+    def test_lambda_zero_builds_nothing_and_keeps_the_start(self, monkeypatch):
+        def no_builds(*args):
+            raise AssertionError("a propagator was built for a run that keeps no edge")
+
+        monkeypatch.setattr(_kernels, "_propagators", no_builds)
+        g, steps = make_ring(4), 300
+        rec = np.arange(0, steps + 1, 7)
+        (psi, psi_drift, _), (p, p_drift, _) = self._check(monkeypatch, g, self._bits(g, 0.0, steps), rec)
+        assert np.array_equal(psi, np.tile(np.full(4, 0.5, dtype=complex), (rec.size, 1)))
+        assert np.array_equal(p, np.tile(np.eye(4)[1], (rec.size, 1)))
+        assert psi_drift == p_drift == 0.0
+
+    def test_lambda_one_moves_every_step(self):
+        g, steps = make_ring(4), 300
+        bits = self._bits(g, 1.0, steps)
+        assert bits.all()
+        with pytest.MonkeyPatch.context() as m:
+            self._check(m, g, bits, np.arange(0, steps + 1, 7))
+
+    def test_leading_idle_steps_keep_the_start(self, monkeypatch):
+        g, steps = make_ring(4), 300
+        rec = np.arange(0, steps + 1, 7)
+        (psi, _, _), (p, _, _) = self._check(monkeypatch, g, self._bits(g, 0.5, steps, range(40)), rec)
+        assert np.array_equal(psi[rec <= 40], np.tile(np.full(4, 0.5, dtype=complex), (6, 1)))
+        assert not np.array_equal(psi[6], psi[0])
+        assert np.array_equal(p[rec <= 40], np.tile(np.eye(4)[1], (6, 1)))
+
+    @pytest.mark.parametrize("g", [make_ring(4), make_ring(6)], ids=["chunks", "one-matvec-per-step"])
+    def test_records_and_renormalizations_on_idle_steps(self, monkeypatch, g):
+        # quantum ring:6 steps one matvec at a time (L = 1); a renormalization every 37 steps,
+        # at steps 37, 74, ... made idle, and records at multiples of 37 and their idle neighbours
+        steps = 300
+        idle = [s - 1 for k in range(37, steps + 1, 37) for s in (k, k + 1)]
+        rec = np.unique(np.r_[0, np.arange(37, steps, 37), np.arange(38, steps, 37), steps])
+        (psi, _, _), _ = self._check(monkeypatch, g, self._bits(g, 0.4, steps, idle), rec, (37, 0.0))
+        pairs = psi[1:-1].reshape(-1, 2, g.node_count)  # the records of steps 37k and 37k + 1
+        assert np.array_equal(pairs[:, 0], pairs[:, 1])
+        assert np.max(np.abs(np.linalg.norm(pairs[:, 0], axis=1) - 1.0)) <= 1e-15
 
 
 def _channel_tau(g, x):

@@ -4,9 +4,11 @@ import pytest
 from percwalk import _kernels
 from percwalk.graph import make_complete, make_lattice2d, make_ring
 from percwalk.walk import (
+    DENSITY_ATOL,
     basis_density,
     basis_state,
     check_density_matrix,
+    check_density_spectrum,
     check_distribution,
     check_quantum_state,
     classical_transition,
@@ -164,6 +166,11 @@ class TestStateHelpers:
     def test_check_density_rejects_bad_trace(self):
         with pytest.raises(ValueError):
             check_density_matrix(np.eye(2))
+
+    def test_check_density_spectrum(self):
+        check_density_spectrum(np.array([-DENSITY_ATOL, 0.5, 0.5 + DENSITY_ATOL]))
+        with pytest.raises(ValueError, match="min eigenvalue -2.000e-10"):
+            check_density_spectrum(np.array([-2 * DENSITY_ATOL, 1.0]))
 
     def test_check_distribution(self):
         with pytest.raises(ValueError):
