@@ -99,6 +99,22 @@ scan ends before the first batch is built, a batch's few (rows, n, n) stacks
 take half of BLOCK_BYTES each, K becomes Phi in place
 (``dynamics.build_step_channel``) and the rotation check of a
 ``dynamics.ChannelMatrix`` gathers row blocks of a quarter of BLOCK_BYTES.
+
+The step loops keep to one rule for the same reason: the buffers of a
+block are allocated once per call, or they stay small next to the largest
+block that the process has mapped and released. glibc maps a request
+above its mmap threshold (128 KiB at first) with pages of its own, and
+freeing such a mapping raises the threshold to its size and the trim
+threshold to twice that; a block whose temporaries add up to more than the
+trim threshold hands the heap's top back when they are freed and faults it
+in again at the next block. Until ``graph.sample_keep_bits`` drew them in
+blocks, every trajectory freed its one-shot draw of keep-bit uniforms
+first (1.7 MB on complete15-walks), which hid this. Without it, the
+Taylor-matrix loop's (block, n, n) stacks faulted in 2 333 pages per
+repetition of complete15-walks, against 0 before (``ru_minflt`` around
+each CLI call); with its complex D alone allocated once per call, 166 to
+3 618, depending on the seed. So that loop takes every stack of its blocks
+from one buffer per call (``_taylor_work``) and faults in none.
 """
 from __future__ import annotations
 
@@ -117,7 +133,11 @@ TAYLOR_TOL = 2.0**-53
 # largest transient buffer: the Laplacian block and Taylor terms of a step
 # kernel, the propagators gathered for an ensemble's mask-cache step, and each
 # (rows, n, n) stack of a Taylor-matrix block or of an exact-channel batch; the
-# prefix products of a mask-cache trajectory's block take four (``_ensemble``)
+# prefix products of a mask-cache trajectory's block take four (``_ensemble``).
+# The Taylor-matrix loop takes all of a block's stacks from one buffer per call
+# (``_taylor_work``), and the keep-bit draw's uniforms a quarter of this, below
+# glibc's default 128 KiB mmap threshold (``graph.sample_keep_bits``); see the
+# module docstring
 BLOCK_BYTES = 1 << 18
 # most Taylor substeps planned before anything runs, 2^24: over all steps of a
 # trajectory or ensemble block (about 30 min at the ~110 us one action substep
@@ -136,9 +156,11 @@ CALL_FLOPS = 15_000
 # ``_real_form``). Measured per mask in batches of 16 with 1 BLAS thread on the
 # same machine, priced at 30 GFLOP/s: 24-39 for the quantum walk at n = 30 to
 # 100, 10-12 at n = 200 and 300, 12-16 for the classical walk at n = 30 to 100;
-# below n = 30 the call dominates (89 at n = 15, 1650 at n = 4), so the price
-# favours the cache there (``step_plan``)
+# below n = 30 the call dominates (89 at n = 15, 1650 at n = 4), which MASK_CALLS prices
 EIGH_FLOPS = 30
+# calls, each priced at CALL_FLOPS, that building one mask's propagator costs besides its
+# EIGH_FLOPS n^3: about 3 us per mask in batches of 16 at n = 4 (``step_plan``)
+MASK_CALLS = 6
 # every RENORM_EVERY steps a quantum state whose norm drifted by more than RENORM_TOL is renormalized
 RENORM_EVERY = 10_000
 RENORM_TOL = 1e-12
@@ -159,14 +181,21 @@ def propagator_cache_capacity(edge_count: int, max_distinct: int, dim: int) -> i
     return cap
 
 
-def laplacians(edges: np.ndarray, n: int, bits: np.ndarray, scale) -> np.ndarray:
+def laplacians(edges: np.ndarray, n: int, bits: np.ndarray, scale, out: np.ndarray | None = None) -> np.ndarray:
     """scale * Laplacian of the kept edges, one (n, n) matrix per row of ``bits`` (R, E).
 
-    The result is complex when ``scale`` is. The edges of a Graph are
-    distinct, so the off-diagonal scatter writes every entry at most once.
+    The result is complex when ``scale`` is. It is written into ``out`` when
+    that is given, which must hold zeros off the diagonal and the edges (as
+    a previous result of the same graph does): only those are written. The
+    edges of a Graph are distinct, so the off-diagonal scatter writes every
+    entry at most once.
     """
     w = np.multiply(bits, scale, dtype=np.result_type(scale, np.float64))
-    h = np.zeros((w.shape[0], n, n), dtype=w.dtype)
+    if out is None:
+        h = np.zeros((w.shape[0], n, n), dtype=w.dtype)
+    else:
+        h = out
+        h.reshape(w.shape[0], n * n)[:, :: n + 1] = 0.0
     u, v = edges[:, 0], edges[:, 1]
     h[:, u, v] = -w
     h[:, v, u] = -w
@@ -229,9 +258,15 @@ def step_plan(edges: np.ndarray, n: int, tau: float, steps: int, quantum: bool,
     columns) distinct masks. The cache is taken where it fits
     (``propagator_cache_capacity``) and either the Taylor plan would be
     refused or its builds and products cost less than the plan's steps, in
-    flops: D EIGH_FLOPS n^3 + steps columns 2 m^2 (a matvec with each step's
-    propagator) against steps times ``_taylor_step_flops``. Callers may plan
-    before drawing any keep bits, so a refused plan allocates nothing.
+    flops: D (EIGH_FLOPS n^3 + MASK_CALLS CALL_FLOPS) + steps columns 2 m^2
+    (a matvec with each step's propagator) against steps times
+    ``_taylor_step_flops``. A mask's calls dominate its build on small
+    graphs, so a short run there takes the Taylor matrix: the classical
+    ring:12 ran 50 steps in 0.27 ms on it against 0.45 ms on the cache, and
+    ring:4 (quantum) 20 steps in 0.15 against 0.17 ms, 100 steps in 0.31
+    against 0.20 ms, which stay on the cache (in process, one BLAS thread,
+    best of 15). Callers may plan before drawing any keep bits, so a refused
+    plan allocates nothing.
     """
     edge_count = edges.shape[0]
     m = 2 * n if quantum else n
@@ -241,7 +276,8 @@ def step_plan(edges: np.ndarray, n: int, tau: float, steps: int, quantum: bool,
             plan = taylor_plan(edges, n, tau)
         except ValueError:  # an unbounded step, which the cache still takes
             return None
-        if plan[0] * steps > MAX_SUBSTEPS or (distinct * EIGH_FLOPS * n**3 + steps * columns * 2 * m * m
+        builds = distinct * (EIGH_FLOPS * n**3 + MASK_CALLS * CALL_FLOPS)
+        if plan[0] * steps > MAX_SUBSTEPS or (builds + steps * columns * 2 * m * m
                                               < steps * _taylor_step_flops(n, edge_count, plan, columns)):
             return None
     return _run_plan(edges, n, tau, steps)
@@ -326,7 +362,7 @@ def _real_form(u: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 def _taylor_matrices(edges: np.ndarray, n: int, bits: np.ndarray, z, substeps: int,
-                     order: int) -> np.ndarray:
+                     order: int, work: tuple | None = None) -> np.ndarray:
     """D = P - I for each row of ``bits``, P the Taylor polynomial of exp(z * H_r / substeps).
 
     P is the polynomial that the action applies, to degree >= ``order``, so
@@ -338,16 +374,33 @@ def _taylor_matrices(edges: np.ndarray, n: int, bits: np.ndarray, z, substeps: i
     1 + D_ii instead repeats one error at every step with the same D_ii (the
     same kept degree on a complete graph), so the norm drifts coherently: on
     complete:15 at tau = 1e-4, by 7.6e-13 over 1e5 steps, against 9.4e-15
-    for x + D x.
+    for x + D x. Given a ``_taylor_work`` buffer, every stack goes to its
+    first rows, and D is one of them.
     """
-    a = laplacians(edges, n, bits, abs(z) / substeps)
+    rows = bits.shape[0]
+    stacks = [None] * 6 if work is None else list(work[1][:, :rows])
+    a = laplacians(edges, n, bits, abs(z) / substeps, stacks[0])
     if not np.iscomplexobj(z):
-        return _horner(a, [(-1.0) ** k / math.factorial(k) if k else 0.0 for k in range(order + 1)])
-    e, s = _cos_sin(a, order, 0)
-    d = np.empty(a.shape, dtype=np.complex128)
+        return _horner(a, [(-1.0) ** k / math.factorial(k) if k else 0.0 for k in range(order + 1)], stacks[1:3])
+    e, s = _cos_sin(a, order, 0, stacks[1:6])
+    d = np.empty(a.shape, dtype=np.complex128) if work is None else work[0][:rows]
     d.real = e
     np.negative(s, out=d.imag)
     return d
+
+
+def _taylor_work(n: int, block: int, quantum: bool) -> tuple:
+    """One allocation for the stacks of ``_taylor_matrices`` on blocks of ``block`` rows.
+
+    -> (the complex (block, n, n) D of the quantum walk, or None, and the
+    real (k, block, n, n) stacks: the Laplacians, b = a @ a and two pairs
+    of Horner products for the quantum walk (k = 6), the Laplacians and one
+    pair for the classical walk (k = 3)).
+    """
+    size, k = block * n * n, 6 if quantum else 3
+    flat = np.zeros((k + 2 * quantum) * size)  # the Laplacians' stack stays zero off the edges
+    d = flat[k * size:].view(np.complex128).reshape(block, n, n) if quantum else None
+    return d, flat[:k * size].reshape(k, block, n, n)
 
 
 def _taylor_series(apply_a, rows: list, coef_dot, flat: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -541,10 +594,11 @@ def _ensemble(edges, n, z, bits, record_steps, x0, record):
         name = _plan_name(plan, "taylor-matrix")
         block = max(1, BLOCK_BYTES // (n * n * x0.itemsize))
         add, buf = np.add, np.empty(n, dtype=x0.dtype)
+        work = _taylor_work(n, block, np.iscomplexobj(z))  # every stack of a block, one buffer per call
 
         def advance(bits, start, stop, x):
             # bound ``D.dot`` of each step; a substep is x + D x
-            dots = [d.dot for d in _taylor_matrices(edges, n, bits[start:stop], z, substeps, order)]
+            dots = [d.dot for d in _taylor_matrices(edges, n, bits[start:stop], z, substeps, order, work)]
             hist = np.empty((stop - start, n), dtype=x.dtype)
             for dot, row in zip(dots, hist):
                 for _ in range(substeps):
@@ -699,21 +753,26 @@ def ensemble_classical(edges, n, tau, bits3, record_steps, p0):
 # ---------------------------------------------------------------------------
 
 
-def _horner(b: np.ndarray, coef: list) -> np.ndarray:
-    """sum_k coef[k] * b^k for a batch of square matrices b (R, n, n), by Horner's rule."""
+def _horner(b: np.ndarray, coef: list, work=(None, None)) -> np.ndarray:
+    """sum_k coef[k] * b^k for a batch of square matrices b (R, n, n), by Horner's rule.
+
+    The products go to the two stacks of ``work`` in turn, when given, and
+    the result is one of them; else each is a new array.
+    """
     n = b.shape[-1]
     if len(coef) == 1:
-        acc = np.zeros_like(b)
+        acc = np.zeros_like(b) if work[0] is None else work[0]
+        acc.fill(0.0)
     else:
-        acc = coef[-1] * b
-        for c in coef[-2:0:-1]:
+        acc = np.multiply(coef[-1], b, out=work[0])
+        for i, c in enumerate(coef[-2:0:-1], 1):
             acc.reshape(-1, n * n)[:, :: n + 1] += c
-            acc = b @ acc
+            acc = np.matmul(b, acc, out=work[i % 2])
     acc.reshape(-1, n * n)[:, :: n + 1] += coef[0]
     return acc
 
 
-def _cos_sin(a: np.ndarray, order: int, squarings: int) -> tuple[np.ndarray, np.ndarray]:
+def _cos_sin(a: np.ndarray, order: int, squarings: int, work=(None,) * 5) -> tuple[np.ndarray, np.ndarray]:
     """cos(2^q a) - I and sin(2^q a), q = ``squarings``, for a batch of real symmetric a (R, n, n).
 
     cos a - I and sin a are the even part without its constant term and the
@@ -723,13 +782,16 @@ def _cos_sin(a: np.ndarray, order: int, squarings: int) -> tuple[np.ndarray, np.
     to the unit diagonal. A step that needs squaring has cos - I of order
     one, so the squarings act on C = cos itself: cos 2x = cos^2 x - sin^2 x
     and sin 2x = 2 sin x cos x, the latter as CS + (CS)^T, which is exactly
-    symmetric.
+    symmetric. Given five stacks of a's shape, ``work``, b = a @ a and the
+    Horner products go to them, and cos - I and sin without squarings are
+    two of them.
     """
     n = a.shape[-1]
-    b = a @ a
+    b = np.matmul(a, a, out=work[0])
     terms = range(order // 2 + 1)
-    e = _horner(b, [(-1) ** k / math.factorial(2 * k) if k else 0.0 for k in terms])
-    s = a @ _horner(b, [(-1) ** k / math.factorial(2 * k + 1) for k in terms])
+    e = _horner(b, [(-1) ** k / math.factorial(2 * k) if k else 0.0 for k in terms], work[1:3])
+    # b's stack takes sin: its last reader is the odd Horner sum
+    s = np.matmul(a, _horner(b, [(-1) ** k / math.factorial(2 * k + 1) for k in terms], work[3:5]), out=work[0])
     if squarings:
         e.reshape(-1, n * n)[:, :: n + 1] += 1.0
         for _ in range(squarings):

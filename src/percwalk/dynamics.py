@@ -67,7 +67,8 @@ from .graph import (
 )
 from .walk import check_density_matrix, check_density_spectrum, check_distribution, check_quantum_state
 
-# bound on the pre-sampled keep-bit block for ensemble runs
+# bound on the uint8 keep bits of one chunk of an ensemble run; each trajectory's
+# uniforms are drawn in blocks (``sample_keep_bits``), so only the bits are chunked
 ENSEMBLE_CHUNK_BYTES = 1 << 26
 
 
@@ -639,9 +640,11 @@ def _monte_carlo(g, run, n_trajectories, sample_stride, quantum, kernel, weights
     uses the stream (run.seed, spawn_key=(k,)). When the eigenvalue
     ``weights`` of a mixed initial density are given, it first draws the
     index of its initial eigenstate from that stream; then it draws its keep
-    bits. Trajectories run in chunks through ``kernel(bits3, record_steps,
-    picks)``; picks holds the drawn indices, or is None when nothing was
-    drawn. The kernel returns the chunk's sum, per-site (count, mean, M2)
+    bits. Trajectories run in chunks of at most ENSEMBLE_CHUNK_BYTES of
+    uint8 keep bits through ``kernel(bits3, record_steps, picks)``; the
+    uniforms they are drawn from take a few blocks at a time
+    (``sample_keep_bits``), not a chunk. picks holds the drawn indices, or is
+    None when nothing was drawn. The kernel returns the chunk's sum, per-site (count, mean, M2)
     moments per record step, max norm drift and propagator name. Sums add
     and moments merge pairwise across chunks.
 

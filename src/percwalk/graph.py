@@ -13,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 
+from . import _kernels
+
 # The exact channel's enumeration over 2^edge_count realizations is refused
 # above this; larger graphs must use the Monte Carlo backend.
 MAX_ENUM_EDGES = 24
@@ -170,8 +172,26 @@ def sample_keep_bits(g: Graph, lam: float, rng: np.random.Generator, steps: int 
     """Sample a (steps, edge_count) uint8 array of independent keep bits.
 
     Row s is the realization drawn for step s; consuming rows in order is
-    stream-equivalent to repeated single-step sampling.
+    stream-equivalent to repeated single-step sampling. Entry (s, k) is
+    u < lam for the uniform u at (s, k) of ``rng.random((steps,
+    edge_count))``. The uniforms are drawn in that row-major order, in
+    blocks through one reused float64 buffer of a quarter of
+    ``_kernels.BLOCK_BYTES`` (below glibc's 128 KiB mmap threshold, so it is
+    not mapped afresh at every call), and each block is compared into the
+    bits in place; a block may end inside a row. Drawing a PCG64 stream in
+    blocks consumes it as one draw does, so the bits and the generator's
+    state after the call equal those of the one-shot draw, while the call
+    keeps 1 byte per edge-step instead of the 8 of its uniforms (10^5 steps
+    of lattice2d:10x10: 18 MB of bits against 144 MB of uniforms).
     """
     if not 0.0 <= lam <= 1.0:
         raise ValueError(f"lam must be in [0, 1], got {lam}")
-    return (rng.random((steps, g.edge_count)) < lam).astype(np.uint8)
+    bits = np.empty((steps, g.edge_count), dtype=np.uint8)
+    flat = bits.reshape(-1).view(bool)
+    size = max(1, _kernels.BLOCK_BYTES // 32)
+    buf = np.empty(min(size, flat.size))
+    for start in range(0, flat.size, size):
+        u = buf[:flat.size - start]
+        rng.random(out=u)
+        np.less(u, lam, out=flat[start:start + u.size])
+    return bits

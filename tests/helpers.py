@@ -12,6 +12,7 @@ The second holds per-step loops that call the same propagators as
 from __future__ import annotations
 
 import itertools
+import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +21,31 @@ from hypothesis import strategies as st
 
 from percwalk import _kernels
 from percwalk.graph import Graph
+
+
+def traced_peak(fn):
+    """(result of fn(), peak bytes traced by tracemalloc during the call above the start)."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+def force_mask_cache(monkeypatch) -> None:
+    """Make every step kernel take the mask cache, whatever ``_kernels.step_plan`` prices it at.
+
+    Short runs on small graphs take the Taylor matrix, whose per-step
+    polynomials cost less than building each mask's propagator; the tests
+    of the cache's own mechanics run such short runs on it anyway.
+    """
+    monkeypatch.setattr(_kernels, "step_plan", lambda *args, **kwargs: None)
 
 
 def reference_laplacian(node_count: int, edges, mask: int) -> np.ndarray:

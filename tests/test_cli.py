@@ -293,14 +293,15 @@ class TestScanCommands:
 
 class TestRunDiagnostics:
     @pytest.mark.parametrize("argv,propagator", [
-        # a small graph forms each step's Taylor polynomial as a matrix, a large one applies it
+        # a small graph forms each step's Taylor polynomial as a matrix, a large one applies it;
+        # a small graph's run long enough to repeat its masks takes the mask cache
         (["trajectory", "--graph", "complete:7", "--tau", "0.05", "--steps", "20"],
          "taylor-matrix(substeps=1, order=15)"),
-        pytest.param(["classical", "--graph", "ring:5", "--tau", "0.1", "--steps", "20"],
+        pytest.param(["classical", "--graph", "ring:5", "--tau", "0.1", "--steps", "200"],
                      "mask-cache(chunk=26)", id="argv1-mask-cache"),
         (["montecarlo", "--graph", "complete:7", "--tau", "0.05", "--steps", "20",
           "--trajectories", "4"], "taylor(substeps=1, order=15)"),
-        pytest.param(["envelope", "--tau", "0.1", "--steps", "10", "--traj-steps", "30"],
+        pytest.param(["envelope", "--tau", "0.1", "--steps", "10", "--traj-steps", "300"],
                      "mask-cache(chunk=16)", id="argv3-mask-cache"),
         (["classical", "--graph", "lattice2d:10x10", "--tau", "1e-4", "--steps", "20"],
          "taylor(substeps=1, order=4)"),

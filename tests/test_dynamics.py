@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -36,8 +34,10 @@ from helpers import (
     decompose,
     enumerate_realizations,
     expm_unitary,
+    force_mask_cache,
     reference_laplacian,
     stochastic_exp,
+    traced_peak,
     unitary_exp,
 )
 
@@ -463,19 +463,25 @@ class TestSectorEvolution:
             evolve_channel(phi, basis_density(3, 0), 20)
 
 
-def _traced_peak(fn):
-    """(result of fn(), peak bytes traced by tracemalloc during the call above the start)."""
-    tracing = tracemalloc.is_tracing()
-    if not tracing:
-        tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        base = tracemalloc.get_traced_memory()[0]
-        result = fn()
-        return result, tracemalloc.get_traced_memory()[1] - base
-    finally:
-        if not tracing:
-            tracemalloc.stop()
+class TestLongRunMemory:
+    """Long runs keep their keep bits, records and a few blocks, not the uniforms they were drawn from."""
+
+    def test_trajectory(self):
+        # ring4-longtime's tau and lambda over 2 x 10^5 steps: 0.8 MB of bits and 0.16 MB of
+        # records, 2.0 MB in all; the one-shot draw's 6.4 MB of uniforms peaked at 7.2 MB
+        run = PercolationRun(lam=0.2, tau=1 / 600, steps=200_000, seed=7)
+        rec, peak = traced_peak(lambda: run_trajectory(make_ring(4), run, basis_state(4, 0), 100))
+        assert rec.propagator == "mask-cache(chunk=16)"
+        kept = run.steps * 4 + rec.states.nbytes + rec.record_steps.nbytes + rec.times.nbytes
+        assert peak <= kept + 5 * _kernels.BLOCK_BYTES
+
+    def test_monte_carlo(self):
+        # 2 trajectories of 5 x 10^4 steps on ring:8: 0.8 MB of bits next to a 0.5 MB propagator
+        # store, 2.6 MB in all; each one-shot draw's 3.2 MB of uniforms peaked at 4.4 MB
+        run = PercolationRun(lam=0.5, tau=0.1, steps=50_000, seed=7)
+        rec, peak = traced_peak(lambda: monte_carlo_channel(make_ring(8), run, basis_density(8, 0), 2, 1000))
+        assert rec.propagator == "mask-cache"
+        assert peak <= 2 * run.steps * 8 + rec.densities.nbytes + 8 * _kernels.BLOCK_BYTES
 
 
 class TestSiteProbabilities:
@@ -547,9 +553,9 @@ class TestSiteProbabilities:
         # temporaries); only the returned records grow with their number
         phi = build_step_channel(make_ring(15), 0.4, 0.004)
         rho = basis_density(15, 0)
-        probs, peak = _traced_peak(lambda: channel_site_probabilities(phi, rho, 5000, stride))
+        probs, peak = traced_peak(lambda: channel_site_probabilities(phi, rho, 5000, stride))
         assert peak - probs.nbytes <= 4 * _kernels.BLOCK_BYTES
-        rhos, peak = _traced_peak(lambda: evolve_channel(phi, rho, 5000, stride))
+        rhos, peak = traced_peak(lambda: evolve_channel(phi, rho, 5000, stride))
         assert peak - rhos.nbytes <= 8 * _kernels.BLOCK_BYTES
 
     def test_lost_trace_names_the_first_failing_step(self):
@@ -620,6 +626,8 @@ class TestMonteCarlo:
     def test_stderr_is_sample_stderr_of_replays(self, monkeypatch, graph, propagator, split):
         n, t, stride = graph.node_count, 5, 4
         run = PercolationRun(lam=0.5, tau=0.2, steps=15, seed=21)
+        if propagator == "mask-cache":  # 15 steps of ring:12, or of ring:4 split, cost less on the action
+            force_mask_cache(monkeypatch)
         if split:  # chunks of 2, 2 and 1 trajectories; one column per Taylor block
             monkeypatch.setattr(dynamics, "ENSEMBLE_CHUNK_BYTES", 2 * run.steps * graph.edge_count)
             monkeypatch.setattr(_kernels, "BLOCK_BYTES", 1)
@@ -730,6 +738,7 @@ class TestNonFiniteRuns:
             return np.full((bits.shape[0], n, n), np.nan, dtype=complex if np.iscomplexobj(z) else float)
 
         monkeypatch.setattr(_kernels, "_propagators", nan_propagators)
+        force_mask_cache(monkeypatch)  # 5 steps alone take the Taylor matrix
         g, run = make_ring(4), PercolationRun(lam=0.5, tau=0.1, steps=5, seed=3)
         assert np.isnan(run_trajectory(g, run, basis_state(4, 0)).max_norm_drift)
         assert np.isnan(run_classical_trajectory(g, run, _delta(4)).max_norm_drift)

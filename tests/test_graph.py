@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from percwalk import graph
+from percwalk import _kernels, graph
 from percwalk.graph import (
     Graph,
     graph_from_spec,
@@ -16,7 +16,11 @@ from percwalk.graph import (
     write_edge_file,
 )
 
-from helpers import count_lattice_edges, enumerate_realizations
+from helpers import count_lattice_edges, enumerate_realizations, traced_peak
+
+# uniforms per block of ``sample_keep_bits``, a quarter of BLOCK_BYTES of float64: a block ends
+# inside a row of 180 edges, and a ring of DRAW_BLOCK + 5 nodes has rows wider than one block
+DRAW_BLOCK = _kernels.BLOCK_BYTES // 32
 
 
 class TestGenerators:
@@ -151,6 +155,28 @@ class TestSampling:
         rng = rng_from_seed(99)
         singles = np.concatenate([sample_keep_bits(g, 0.37, rng, steps=1) for _ in range(30)])
         assert np.array_equal(bulk, singles)
+
+    @pytest.mark.parametrize("edges,steps", [
+        (e, s) for e in (0, 1, 4, 180)
+        for s in (0, 1, DRAW_BLOCK // max(e, 1) - 1, DRAW_BLOCK // max(e, 1), DRAW_BLOCK // max(e, 1) + 1, 10_003)
+    ] + [(DRAW_BLOCK + 5, s) for s in (0, 1, 2, 3)])
+    def test_blocked_draw_equals_the_one_shot_draw(self, edges, steps):
+        g = {0: Graph(node_count=1, edges=()), 1: make_ring(2), 180: make_lattice2d(10, 10)}.get(edges)
+        g = g or make_ring(edges)
+        assert g.edge_count == edges
+        for lam in (0.0, 0.37, 1.0):
+            rng, one_shot = rng_from_seed(31), rng_from_seed(31)
+            bits = sample_keep_bits(g, lam, rng, steps)
+            want = (one_shot.random((steps, edges)) < lam).astype(np.uint8)
+            assert bits.dtype == want.dtype and bits.shape == want.shape
+            assert np.array_equal(bits, want)
+            assert rng.bit_generator.state == one_shot.bit_generator.state
+
+    def test_draw_keeps_a_byte_per_edge_step(self):
+        # 10^5 steps of lattice2d:10x10: 18 MB of bits; the one-shot draw's uniforms peaked at 162 MB
+        bits, peak = traced_peak(lambda: sample_keep_bits(make_lattice2d(10, 10), 0.5, rng_from_seed(1), 100_000))
+        assert bits.nbytes == 18_000_000
+        assert peak <= bits.nbytes + 2 * _kernels.BLOCK_BYTES
 
     def test_stream_split_independent(self):
         a = rng_from_seed(5, stream=0).random(8)

@@ -1,7 +1,6 @@
 import contextlib
 import itertools
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -36,11 +35,13 @@ from helpers import (
     apply_channel,
     channel_graphs,
     expm_channel_gram,
+    force_mask_cache,
     reference_automorphisms,
     reference_laplacian,
     reference_orbit_representatives,
     reference_taylor_ensemble,
     reference_trajectory,
+    traced_peak,
 )
 
 RENORM = (_kernels.RENORM_EVERY, _kernels.RENORM_TOL)
@@ -100,18 +101,8 @@ class TestCachePolicy:
         g, steps = make_ring(4), 60_000
         bits = sample_keep_bits(g, 0.2, rng_from_seed(7), steps)
         rec = np.arange(0, steps + 1, 100, dtype=np.int64)
-        tracing = tracemalloc.is_tracing()
-        if not tracing:
-            tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            base = tracemalloc.get_traced_memory()[0]
-            _, _, propagator = _kernels.trajectory_states(
-                g.edge_array, 4, 100 / steps, bits, rec, basis_state(4, 0))
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            if not tracing:
-                tracemalloc.stop()
+        (_, _, propagator), peak = traced_peak(lambda: _kernels.trajectory_states(
+            g.edge_array, 4, 100 / steps, bits, rec, basis_state(4, 0)))
         assert propagator == "mask-cache(chunk=16)"
         assert peak <= 1.5e6
 
@@ -130,7 +121,8 @@ class TestMaskCacheChunks:
         (make_ring(8), False, 16),
         (make_ring(12), False, 1),  # measured a tie
     ])
-    def test_rule_takes_the_measured_side(self, graph, quantum, chunk):
+    def test_rule_takes_the_measured_side(self, monkeypatch, graph, quantum, chunk):
+        force_mask_cache(monkeypatch)  # 3 steps alone take the Taylor matrix
         run = PercolationRun(lam=0.5, tau=0.1, steps=3)
         n = graph.node_count
         rec = (run_trajectory(graph, run, basis_state(n, 0)) if quantum
@@ -402,6 +394,25 @@ class TestPropagatorRule:
                  monte_carlo_classical(graph, run, p0, 4)]
         assert all(rec.propagator.split("(chunk=")[0] == name for rec in walks)
 
+    def test_mask_builds_are_priced_as_calls_on_small_graphs(self, monkeypatch):
+        # classical ring:12, 50 steps of tau = 0.1: 0.45 ms on the cache against 0.27 ms on the
+        # Taylor matrix (in process, one BLAS thread, best of 15), where n^3 alone prices its
+        # 50 masks' eigh at 2.6 of the 3.7 Mflop of the Taylor steps
+        g, run = make_ring(12), PercolationRun(lam=0.5, tau=0.1, steps=50)
+        assert run_classical_trajectory(g, run, np.eye(12)[0]).propagator == "taylor-matrix(substeps=1, order=13)"
+        monkeypatch.setattr(_kernels, "MASK_CALLS", 0)
+        assert run_classical_trajectory(g, run, np.eye(12)[0]).propagator == "mask-cache(chunk=1)"
+
+    @pytest.mark.parametrize("quantum", [True, False])
+    @pytest.mark.parametrize("tau,steps", [
+        (100 / 60_000, 60_000),  # ring4-longtime's trajectory: 16 masks over 60 000 steps
+        (32.0, 20),  # 128 Taylor substeps per step
+        (0.1, 100),  # 0.20 ms on the cache against 0.31 ms on the Taylor matrix (quantum)
+    ])
+    def test_repeated_masks_keep_the_cache(self, quantum, tau, steps):
+        g = make_ring(4)
+        assert _kernels.step_plan(g.edge_array, 4, tau, steps, quantum) is None
+
 
 class TestStepLoopsAreBitIdentical:
     """The step loops against per-step reference loops on the same operands: equal bits."""
@@ -430,6 +441,8 @@ class TestStepLoopsAreBitIdentical:
     def _check(self, monkeypatch, g, tau, name, steps, stride, renorm):
         if name.startswith("taylor("):
             monkeypatch.setattr(_kernels, "_use_matrix", lambda n, substeps: False)
+        if name == "mask-cache":  # the shortest runs take the Taylor matrix
+            force_mask_cache(monkeypatch)
         monkeypatch.setattr(_kernels, "RENORM_EVERY", renorm[0])
         monkeypatch.setattr(_kernels, "RENORM_TOL", renorm[1])
         got = self._runs(g, tau, steps, stride)
