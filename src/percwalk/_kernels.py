@@ -5,27 +5,26 @@ Laplacian of the edges kept at that step and z = -i*tau for the quantum walk
 or z = -tau for the classical walk. Three propagators implement it:
 
 * mask cache: a graph with at most CACHE_MAX_EDGES edges has at most 2^16
-  realizations, so each distinct realization's propagator is built once as
-  a spectral exponential (one batched ``eigh`` for the new masks of a block
-  of steps) and kept, found through a 2^E table of slots indexed by the
-  mask. The cache keeps real m x m propagators that act on the float64
-  view of a state (``_real_form``: m = 2n quantum, m = n classical). An
-  ensemble step applies those of all its columns with one batched matmul.
-  A trajectory skips the steps that keep no edge: there H_r = 0 and U = I
+  realizations, so each distinct realization's propagator is built once and
+  kept, found through a 2^E table of slots indexed by the mask. It is built
+  as the exact channel builds its own: a truncated Taylor series of
+  exp(z * H_r / 2^q) squared q times (``_squaring_plan``,
+  ``_taylor_matrices``), within about 2^q 2^-53 of the exponential, for the
+  q squarings multiply the series' tail of 2^-53 and its round-off by about
+  2^q. The cache keeps real m x m propagators that act on the float64 view
+  of a state (``_real_form``: m = 2n quantum, m = n classical). An ensemble
+  step applies those of all its columns with one batched matmul. A
+  trajectory skips the steps that keep no edge: there H_r = 0 and U = I
   exactly, so the state stays as it is (41% of the steps of ring:4 at
   lambda = 0.2, (1 - lambda)^4). It steps the others in chunks of L steps
   (``_mask_chunk``): it gathers a block's propagators into one stack, forms
   each chunk's prefix products U_k ... U_1 with L - 1 batched matmuls over
   all chunks and writes the L states of a chunk with one (L m, m) matvec
   (Blelloch, CMU-CS-90-190, 1990, for prefix products). On ring:4 (60 000
-  steps, tau = 1/600, seeds 3, 7 and 11) those products move the states by
-  at most 6.2e-14 to 8.7e-14 (quantum) and 3.2e-15 to 4.1e-15 (classical)
-  from one matvec per step, a round-off that grows linearly with the
-  steps: against a long-double evolution one step at a time (quantum, seed
-  3) the final state is off by 1.8e-14, 7.0e-14 and 2.9e-13 after 15 000,
-  60 000 and 240 000 steps. The cached propagators themselves make the
-  norm drift by 4.5e-12 (quantum) and 4.0e-12 (classical) over those
-  60 000 steps on both loops, 1.5e-12 with the quantum renormalization;
+  steps, tau = 1/600, seeds 3, 7 and 11) the states are then within 6.7e-14
+  to 8.3e-14 (quantum) and 2.5e-15 to 2.8e-15 (classical) of a long-double
+  evolution one step at a time on the same propagators, and the norm
+  drifts by 4.1e-13 to 4.2e-13 (quantum) and 3.4e-13 (classical);
 * Taylor action: larger graphs practically never repeat a realization, so
   exp(z * H_r) is applied to the state directly as ``substeps`` truncated
   Taylor series of ``order`` terms each (``taylor_plan``). The truncation
@@ -66,9 +65,8 @@ per step.
 
 ``channel_accumulate`` sums over all 2^E realizations without a spectral
 decomposition. Each U_r = cos(tau H_r) - i sin(tau H_r) comes from real
-batched Horner products of truncated Taylor series, planned by
-``taylor_plan`` for tau / 2^q and squared q times (scaling and squaring,
-same 2^-53 bound per substep). U_r is complex symmetric, so the Gram matrix
+batched Horner products of truncated Taylor series by scaling and squaring
+(``_squaring_plan``, ``_cos_sin``). U_r is complex symmetric, so the Gram matrix
 of the realizations is accumulated over the n(n+1)/2 entries i <= j only,
 and over U_r - I, which keeps the round-off relative to the step's size.
 It is accumulated in real arithmetic: for rows w = x + i y, w^T conj(w) is
@@ -132,8 +130,9 @@ CHANNEL_BATCH = 512
 TAYLOR_TOL = 2.0**-53
 # largest transient buffer: the Laplacian block and Taylor terms of a step
 # kernel, the propagators gathered for an ensemble's mask-cache step, and each
-# (rows, n, n) stack of a Taylor-matrix block or of an exact-channel batch; the
-# prefix products of a mask-cache trajectory's block take four (``_ensemble``).
+# (rows, n, n) stack of a Taylor-matrix block, a mask-cache build or an exact
+# channel batch; the prefix products of a mask-cache trajectory's block take
+# four (``_ensemble``).
 # The Taylor-matrix loop takes all of a block's stacks from one buffer per call
 # (``_taylor_work``), and the keep-bit draw's uniforms a quarter of this, below
 # glibc's default 128 KiB mmap threshold (``graph.sample_keep_bits``); see the
@@ -142,25 +141,15 @@ BLOCK_BYTES = 1 << 18
 # most Taylor substeps planned before anything runs, 2^24: over all steps of a
 # trajectory or ensemble block (about 30 min at the ~110 us one action substep
 # of lattice2d:10x10 takes, about 25 s at the ~1.5 us of a taylor-matrix
-# substep of complete:9), and per step of the exact channel, which squares
-# them back in 24 squarings whose error of about 2^24 * 2^-53 = 1.9e-9 stays
-# below the 1e-8 trace gate of ``dynamics.evolve_channel``
+# substep of complete:9), and per step of the exact channel and the mask cache,
+# which square them back in 24 squarings whose error of about 2^24 * 2^-53 =
+# 1.9e-9 stays below the 1e-8 trace gate of ``dynamics.evolve_channel``
 MAX_SUBSTEPS = 1 << 24
 # flops that one small numpy call of the Taylor action costs: a 15 x 15 complex
 # matvec, a row copy or the coefficient dot each take about 0.5 us, in which
 # batched real 15 x 15 to 20 x 20 matmuls do about 15 000 flops (30 GFLOP/s);
 # measured with 1 BLAS thread on a 2-vCPU Xeon, OpenBLAS 0.3.31 (``_use_matrix``)
 CALL_FLOPS = 15_000
-# flops, per n^3, that building one mask's propagator costs the mask cache: the
-# batched ``eigh``, the spectral product and the real form (``_propagators``,
-# ``_real_form``). Measured per mask in batches of 16 with 1 BLAS thread on the
-# same machine, priced at 30 GFLOP/s: 24-39 for the quantum walk at n = 30 to
-# 100, 10-12 at n = 200 and 300, 12-16 for the classical walk at n = 30 to 100;
-# below n = 30 the call dominates (89 at n = 15, 1650 at n = 4), which MASK_CALLS prices
-EIGH_FLOPS = 30
-# calls, each priced at CALL_FLOPS, that building one mask's propagator costs besides its
-# EIGH_FLOPS n^3: about 3 us per mask in batches of 16 at n = 4 (``step_plan``)
-MASK_CALLS = 6
 # every RENORM_EVERY steps a quantum state whose norm drifted by more than RENORM_TOL is renormalized
 RENORM_EVERY = 10_000
 RENORM_TOL = 1e-12
@@ -234,59 +223,84 @@ def taylor_plan(edges: np.ndarray, n: int, tau: float) -> tuple[int, int]:
     return substeps, order
 
 
-def _run_plan(edges: np.ndarray, n: int, tau: float, steps: int) -> tuple[int, int]:
-    """``taylor_plan`` of a run of ``steps`` steps, refused above MAX_SUBSTEPS substeps in all."""
-    substeps, order = taylor_plan(edges, n, tau)
-    if substeps * steps > MAX_SUBSTEPS:
+def _squaring_plan(edges: np.ndarray, n: int, tau: float) -> tuple[int, int]:
+    """(squarings q, order) of a propagator exp(z * H_r), |z| = tau, built by scaling and squaring.
+
+    With s the ``taylor_plan`` substeps, the step is halved q = ceil(log2 s)
+    times and the order is planned for tau / 2^q (tail at most 2^-53). A
+    step of more than MAX_SUBSTEPS substeps is refused.
+    """
+    substeps, _ = taylor_plan(edges, n, tau)
+    squarings = (substeps - 1).bit_length()
+    if substeps > MAX_SUBSTEPS:
         raise ValueError(
-            f"{steps} step(s) of tau={tau:g} plan {substeps * steps:.3g} Taylor substeps "
-            f"({substeps:.3g} per step), above the limit of 2^{MAX_SUBSTEPS.bit_length() - 1}; "
-            f"shorten tau or the run"
+            f"a step of tau={tau:g} needs {squarings} squarings of its propagators, above the "
+            f"limit of {MAX_SUBSTEPS.bit_length() - 1}; shorten tau"
         )
-    return substeps, order
+    return squarings, taylor_plan(edges, n, tau / 2**squarings)[1]
 
 
 def step_plan(edges: np.ndarray, n: int, tau: float, steps: int, quantum: bool,
-              columns: int = 1) -> tuple[int, int] | None:
-    """The propagator of a step kernel: None for the mask cache, else ``_run_plan``.
+              columns: int | None = None) -> tuple[int, int] | None:
+    """The propagator of a step kernel: None for the mask cache, else the ``taylor_plan``.
 
-    The mask cache of a kernel call holds one real m x m float64
-    propagator per distinct mask: m = 2n for the quantum walk, whose
-    propagators act on the interleaved real and imaginary parts of the state
-    (``_real_form``), m = n for the classical walk. A call of ``columns``
-    trajectories of ``steps`` steps meets at most D = min(2^E, steps *
-    columns) distinct masks. The cache is taken where it fits
-    (``propagator_cache_capacity``) and either the Taylor plan would be
-    refused or its builds and products cost less than the plan's steps, in
-    flops: D (EIGH_FLOPS n^3 + MASK_CALLS CALL_FLOPS) + steps columns 2 m^2
-    (a matvec with each step's propagator) against steps times
-    ``_taylor_step_flops``. A mask's calls dominate its build on small
-    graphs, so a short run there takes the Taylor matrix: the classical
-    ring:12 ran 50 steps in 0.27 ms on it against 0.45 ms on the cache, and
-    ring:4 (quantum) 20 steps in 0.15 against 0.17 ms, 100 steps in 0.31
-    against 0.20 ms, which stay on the cache (in process, one BLAS thread,
-    best of 15). Callers may plan before drawing any keep bits, so a refused
-    plan allocates nothing.
+    ``columns`` is the column count of an ensemble, None for a trajectory.
+    The mask cache is taken where it fits (``propagator_cache_capacity``)
+    and either the Taylor plan would be refused or ``_cache_flops`` is below
+    steps times ``_taylor_step_flops``. Both build with one routine,
+    ``_taylor_matrices``, the cache once per distinct mask and the Taylor
+    matrix once per step, so the cache pays where masks repeat or a step
+    needs substeps. A step of more than MAX_SUBSTEPS substeps is refused on
+    every path (``_squaring_plan``), and so is a Taylor plan of more in
+    all. Callers may plan before drawing any keep bits, so a refused plan
+    allocates nothing.
     """
     edge_count = edges.shape[0]
     m = 2 * n if quantum else n
-    distinct = propagator_cache_capacity(edge_count, steps * columns, m)
-    if distinct:
-        try:
-            plan = taylor_plan(edges, n, tau)
-        except ValueError:  # an unbounded step, which the cache still takes
+    plan = taylor_plan(edges, n, tau)
+    total = plan[0] * steps
+    if propagator_cache_capacity(edge_count, steps * (columns or 1), m):
+        cache = _cache_flops(n, edge_count, _squaring_plan(edges, n, tau), steps, quantum, columns)
+        if total > MAX_SUBSTEPS or cache < steps * _taylor_step_flops(n, edge_count, plan, columns):
             return None
-        builds = distinct * (EIGH_FLOPS * n**3 + MASK_CALLS * CALL_FLOPS)
-        if plan[0] * steps > MAX_SUBSTEPS or (builds + steps * columns * 2 * m * m
-                                              < steps * _taylor_step_flops(n, edge_count, plan, columns)):
-            return None
-    return _run_plan(edges, n, tau, steps)
+    if total > MAX_SUBSTEPS:
+        raise ValueError(
+            f"{steps} step(s) of tau={tau:g} plan {total:.3g} Taylor substeps "
+            f"({plan[0]:.3g} per step), above the limit of 2^{MAX_SUBSTEPS.bit_length() - 1}; "
+            f"shorten tau or the run"
+        )
+    return plan
 
 
-def _taylor_step_flops(n: int, edge_count: int, plan: tuple[int, int], columns: int) -> int:
-    """Price in flops of one step of ``columns`` states on the Taylor plan (substeps, order).
+def _cache_flops(n: int, edge_count: int, plan: tuple[int, int], steps: int, quantum: bool,
+                 columns: int | None) -> float:
+    """Price in flops of ``steps`` steps on the mask cache: a trajectory (columns None), or ``columns`` states.
 
-    One state (a trajectory) takes the Taylor matrix where ``_use_matrix``
+    A mask on plan (squarings q, order K) takes K n x n products, as a
+    Taylor-matrix step does, 2 n^3 flops each, and 3 more per squaring for
+    the quantum walk (``_cos_sin``), 1 for the classical (``_squares``);
+    storing its real m x m form (m = 2n quantum, n classical) takes 2 m^2
+    flops and a call. N = steps columns draws of the M = 2^E masks meet at
+    most M (1 - (1 - 1/M)^N) of them in expectation, the value for uniform
+    draws (lambda = 1/2). A step then costs 2 m^2 flops per column and a
+    call; a trajectory in chunks of L > 1 steps (``_mask_chunk``) makes a
+    call per chunk instead, and 2 (L - 1) for the prefix products of its
+    first block. Each call is priced at CALL_FLOPS.
+    """
+    squarings, order = plan
+    m = 2 * n if quantum else n
+    draws, masks = steps * (columns or 1), 2.0**edge_count
+    distinct = masks * (1.0 - (1.0 - 1.0 / masks) ** draws)
+    build = 2 * n**3 * (order + (3 if quantum else 1) * squarings) + 2 * m * m + CALL_FLOPS
+    chunk = 1 if columns else _mask_chunk(m)
+    calls = steps if chunk == 1 else -(-steps // chunk) + 2 * (chunk - 1)
+    return distinct * build + draws * 2 * m * m + calls * CALL_FLOPS
+
+
+def _taylor_step_flops(n: int, edge_count: int, plan: tuple[int, int], columns: int | None) -> int:
+    """Price in flops of one step on the Taylor plan (substeps, order): a trajectory, or ``columns`` states.
+
+    A trajectory (columns None) takes the Taylor matrix where ``_use_matrix``
     does: K = order n x n products, 2 n^3 flops each, and two calls per
     substep. Otherwise each substep makes K + 2 calls and K applications of
     the step's Laplacian: 2 n^2 flops dense for a trajectory, 4 n E per
@@ -294,9 +308,9 @@ def _taylor_step_flops(n: int, edge_count: int, plan: tuple[int, int], columns: 
     call is priced at CALL_FLOPS.
     """
     substeps, order = plan
-    if columns == 1 and _use_matrix(n, substeps):
+    if columns is None and _use_matrix(n, substeps):
         return 2 * order * n**3 + 2 * substeps * CALL_FLOPS
-    apply = 2 * n * n if columns == 1 else 4 * n * edge_count * columns
+    apply = 2 * n * n if columns is None else 4 * n * edge_count * columns
     return substeps * ((order + 2) * CALL_FLOPS + order * apply)
 
 
@@ -362,31 +376,43 @@ def _real_form(u: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 def _taylor_matrices(edges: np.ndarray, n: int, bits: np.ndarray, z, substeps: int,
-                     order: int, work: tuple | None = None) -> np.ndarray:
-    """D = P - I for each row of ``bits``, P the Taylor polynomial of exp(z * H_r / substeps).
+                     order: int, work: tuple | None = None, squarings: int = 0) -> np.ndarray:
+    """D = P^(2^q) - I for each row of ``bits``, P the Taylor polynomial of exp(z * H_r / substeps).
 
     P is the polynomial that the action applies, to degree >= ``order``, so
     its tail obeys the same 2^-53 bound. With a = |z| H_r / substeps real,
     the quantum D (z = -i tau) is (cos a - I) - i sin a from the channel's
     ``_cos_sin``, the classical one (z = -tau) the series of exp(-a) - I by
-    ``_horner``; all products are real. A substep is x + D x: carrying D
-    keeps its round-off relative to the step's size. Rounding P's diagonal
-    1 + D_ii instead repeats one error at every step with the same D_ii (the
-    same kept degree on a complete graph), so the norm drifts coherently: on
-    complete:15 at tau = 1e-4, by 7.6e-13 over 1e5 steps, against 9.4e-15
-    for x + D x. Given a ``_taylor_work`` buffer, every stack goes to its
-    first rows, and D is one of them.
+    ``_horner``; all products are real. q = ``squarings`` squares them
+    (``_cos_sin``; (I + D)^2 - I by ``_squares``). A substep is x + D x:
+    carrying D keeps its round-off relative to the step's size. Rounding
+    P's diagonal 1 + D_ii instead repeats one error at every step with the
+    same D_ii (the same kept degree on a complete graph), so the norm drifts
+    coherently: on complete:15 at tau = 1e-4, by 7.6e-13 over 1e5 steps,
+    against 9.4e-15 for x + D x. Given a ``_taylor_work`` buffer, every
+    stack goes to its first rows, and D is one of them.
     """
     rows = bits.shape[0]
     stacks = [None] * 6 if work is None else list(work[1][:, :rows])
     a = laplacians(edges, n, bits, abs(z) / substeps, stacks[0])
     if not np.iscomplexobj(z):
-        return _horner(a, [(-1.0) ** k / math.factorial(k) if k else 0.0 for k in range(order + 1)], stacks[1:3])
-    e, s = _cos_sin(a, order, 0, stacks[1:6])
+        d = _horner(a, [(-1.0) ** k / math.factorial(k) if k else 0.0 for k in range(order + 1)], stacks[1:3])
+        return _squares(d, squarings + 1)[-1]
+    e, s = _cos_sin(a, order, squarings, stacks[1:6])
     d = np.empty(a.shape, dtype=np.complex128) if work is None else work[0][:rows]
     d.real = e
     np.negative(s, out=d.imag)
     return d
+
+
+def _squares(d: np.ndarray, count: int) -> list[np.ndarray]:
+    """[P - I, P^2 - I, P^4 - I, ...], ``count`` of them, from D = P - I by (I + D)^2 - I = 2D + D D."""
+    out = [d]
+    while len(out) < count:
+        square = out[-1] @ out[-1]
+        square += 2.0 * out[-1]
+        out.append(square)
+    return out
 
 
 def _taylor_work(n: int, block: int, quantum: bool) -> tuple:
@@ -424,18 +450,6 @@ def _taylor_coef(order: int, dtype) -> np.ndarray:
 
 def _plan_name(plan: tuple[int, int] | None, kind: str = "taylor") -> str:
     return "mask-cache" if plan is None else f"{kind}(substeps={plan[0]}, order={plan[1]})"
-
-
-def _propagators(edges, n, bits, z):
-    """exp(z * H_r) for each row of ``bits`` (R, E), by one batched ``eigh``; classical entries clipped at 0.
-
-    A step so long that z * w overflows gives non-finite entries, without a
-    warning; they reach the output, which the CLI refuses to write (exit 2).
-    """
-    w, q = np.linalg.eigh(laplacians(edges, n, bits, 1.0))
-    with np.errstate(over="ignore", invalid="ignore"):
-        u = (q * np.exp(z * w)[:, None, :]) @ q.transpose(0, 2, 1)
-    return u if np.iscomplexobj(u) else np.maximum(u, 0.0)
 
 
 def _mask_keys(bits: np.ndarray) -> np.ndarray:
@@ -480,7 +494,7 @@ def _ensemble(edges, n, z, bits, record_steps, x0, record):
 
     The mask cache is one store of real propagators per call, shared by its
     column blocks; a 2^E table of slots maps each mask key to its row, and
-    the masks new to a block are built with one batched ``eigh``. An
+    the masks new to a block are built together (``_taylor_matrices``). An
     ensemble step gathers the propagators of its columns into one
     (columns, m, m) stack and applies them with one batched matmul.
 
@@ -502,21 +516,20 @@ def _ensemble(edges, n, z, bits, record_steps, x0, record):
     one BLOCK_BYTES; skipping alone gave 16.4 to 16.9 ms, and stacks of 2
     and 8 BLOCK_BYTES 12.6 to 13.5 and 16 to 18 ms (the latter outgrow the
     cache). The stack raises that call's traced memory peak from 0.43 MB
-    to 1.07 MB (1.57 MB at lambda = 1). Overflowing propagators give
-    non-finite states without a numpy warning; the CLI refuses to write
-    them (exit 2).
+    to 1.07 MB (1.57 MB at lambda = 1).
     """
     single = x0.ndim == 1
     steps, edge_count = bits.shape[-2:]
     columns = 1 if single else x0.shape[1]
-    plan = step_plan(edges, n, abs(z), steps, np.iscomplexobj(z), columns)
+    plan = step_plan(edges, n, abs(z), steps, np.iscomplexobj(z), None if single else columns)
     renorm_every = RENORM_EVERY if np.iscomplexobj(z) else 0
     name, cols = _plan_name(plan), columns
     if plan is None:
         m = 2 * n if np.iscomplexobj(z) else n
         store = np.empty((propagator_cache_capacity(edge_count, steps * columns, m), m, m))
         slots = np.full(1 << edge_count, -1, dtype=np.intp)
-        size = 0
+        size, (q, order) = 0, _squaring_plan(edges, n, abs(z))
+        rows = max(1, BLOCK_BYTES // (16 * n * n))  # masks per build: a (rows, n, n) stack is half of BLOCK_BYTES
 
         def lookup(keys):
             # the store rows of the mask ``keys``; they are packed per block, so no int64 copy of
@@ -528,9 +541,11 @@ def _ensemble(edges, n, z, bits, record_steps, x0, record):
                 fresh[keys[slot < 0]] = True
                 new = np.flatnonzero(fresh)
                 slots[new] = np.arange(size, size + new.size)
-                # bit e of a key keeps edge e
-                us = _propagators(edges, n, new[:, None] >> np.arange(edge_count) & 1, z)
-                _real_form(us, store[size:size + new.size])
+                for r0 in range(0, new.size, rows):  # U = I + D, as the exact channel builds it
+                    u = _taylor_matrices(edges, n, _mask_bits(new[r0:r0 + rows], edge_count), z, 2**q, order,
+                                         squarings=q)
+                    u.reshape(-1, n * n)[:, :: n + 1] += 1.0
+                    _real_form(u, store[size + r0:size + r0 + u.shape[0]])
                 size += new.size
                 slot = slots[keys]
             return slot
@@ -975,10 +990,8 @@ def channel_accumulate(edges, n, lam, tau):
 
     -> (K, propagator name, G as node permutations (|G|, n), identity first,
     propagators built). U_r = exp(-i tau H_r) = C_r - i S_r with
-    C_r = cos(tau H_r) and S_r = sin(tau H_r) from
-    ``_cos_sin``: with s the ``taylor_plan`` substeps, the step is halved
-    q = ceil(log2 s) times, the order is planned for tau / 2^q (tail at most
-    2^-53) and the result is squared q times. U_r is complex symmetric, so
+    C_r = cos(tau H_r) and S_r = sin(tau H_r) from ``_cos_sin`` on the
+    ``_squaring_plan``. U_r is complex symmetric, so
     only its n(n+1)/2 entries i <= j enter the Hermitian Gram matrix of the
     pairs, accumulated in real arithmetic (``_add_gram``), which is
     scattered back to the (n^2, n^2) K through the pair index map. The sums
@@ -1002,14 +1015,7 @@ def channel_accumulate(edges, n, lam, tau):
     before.
     """
     edge_count = edges.shape[0]
-    substeps, _ = taylor_plan(edges, n, tau)
-    squarings = (substeps - 1).bit_length()
-    if substeps > MAX_SUBSTEPS:
-        raise ValueError(
-            f"a step of tau={tau:g} needs {squarings} squarings of its propagators, above the "
-            f"limit of {MAX_SUBSTEPS.bit_length() - 1}; shorten tau"
-        )
-    _, order = taylor_plan(edges, n, tau / 2**squarings)
+    squarings, order = _squaring_plan(edges, n, tau)
     iu, ju = np.triu_indices(n)
     upper = iu * n + ju
     pair = np.empty((n, n), dtype=np.int64)

@@ -32,19 +32,21 @@ Three routes to the same physics:
   initial density is eigendecomposed once per call, which also refuses one
   that is not positive semidefinite.
 
-Per-step exponentials are spectral exponentials (graphs with at most
-``_kernels.CACHE_MAX_EDGES`` edges whose run fits the mask cache and whose
-masks cost less to build than the Taylor steps, ``_kernels.step_plan``; a
-trajectory on a small graph applies them a chunk of prefix products at a
-time and skips the steps that keep no edge) or truncated Taylor series
-whose truncation error is at most 2^-53 of the state norm per substep
-(other graphs; see ``_kernels.taylor_plan``). The series is applied to the state
-as an action, or, for a trajectory on a graph small enough that a batch of
-n x n products costs less than the calls of the action
-(``_kernels._use_matrix``), formed as a matrix P per step and applied as
-x + (P - I) x, one matvec and one add per substep. Discrepancies from the
-rescaled-time reference therefore come from non-commutativity of the
-sampled generators, not from integrator error. Every record names the propagator that ran and
+Per-step exponentials are truncated Taylor series whose truncation error
+is at most 2^-53 of the state norm per substep (``_kernels.taylor_plan``).
+On a graph of at most ``_kernels.CACHE_MAX_EDGES`` edges whose run fits the
+mask cache and repeats enough masks (``_kernels.step_plan``), each distinct
+mask's propagator is built once, by scaling and squaring as the exact
+channel builds its own, within about 2^q 2^-53 for q squarings; a
+trajectory there applies them a chunk of prefix products at a time and
+skips the steps that keep no edge. Otherwise the series is applied to the
+state as an action, or, for a trajectory on a graph small enough that a
+batch of n x n products costs less than the calls of the action
+(``_kernels._use_matrix``), formed as a matrix P per step by the cache's
+routine (``_kernels._taylor_matrices``) and applied as x + (P - I) x, one
+matvec and one add per substep. Discrepancies from the rescaled-time
+reference therefore come from non-commutativity of the sampled generators,
+not from integrator error. Every record names the propagator that ran and
 the largest drift of the conserved norm, and every channel names its
 propagator and bounds its trace drift (``ChannelMatrix.trace_drift_bound``),
 so a run reports how far to trust it.
@@ -395,16 +397,6 @@ def _rotation(perms: np.ndarray) -> np.ndarray:
     return perms[np.argmax(orders)]
 
 
-def _squares(d: np.ndarray, count: int) -> list[np.ndarray]:
-    """[P - I, P^2 - I, P^4 - I, ...], ``count`` of them, from D = P - I by (I + D)^2 - I = 2D + D D."""
-    out = [d]
-    while len(out) < count:
-        square = out[-1] @ out[-1]
-        square += 2.0 * out[-1]
-        out.append(square)
-    return out
-
-
 def _power_minus_identity(d: np.ndarray, k: int) -> np.ndarray:
     """Phi^k - I from D = Phi - I, k >= 1, by binary powering with (I+A)(I+B) - I = A + B + AB.
 
@@ -415,7 +407,7 @@ def _power_minus_identity(d: np.ndarray, k: int) -> np.ndarray:
     5000-step ring:15 curve; this form leaves less than either.
     """
     e = None
-    for bit, square in enumerate(_squares(d, k.bit_length())):
+    for bit, square in enumerate(_kernels._squares(d, k.bit_length())):
         if k >> bit & 1:
             e = square.copy() if e is None else e + square + e @ square
     return e
@@ -454,7 +446,7 @@ def _advance(d: np.ndarray, y0: np.ndarray, gaps: list[int]):
     BLOCK_BYTES. Where ``_doubling_span`` says so, a chunk doubles from
     its start Y[0], the last record of the chunk before:
     Y[f:2f] = Y[:f] + (P^(kf) - I) Y[:f] for f = 1, 2, 4, ..., with the
-    powers P^(kf) - I built once per run (``_squares`` of
+    powers P^(kf) - I built once per run (``_kernels._squares`` of
     ``_power_minus_identity``); record j of a chunk is then reached from
     Y[0] by one product per set bit of j, not by jk matvecs. Otherwise each
     record takes k matvecs with I + D. ys is a view of the buffer, which
@@ -474,7 +466,7 @@ def _advance(d: np.ndarray, y0: np.ndarray, gaps: list[int]):
         span = _doubling_span(m, c, k, count, ys.shape[0] - 1)
         powers = None
         if span:
-            powers = _squares(_power_minus_identity(d, k), span.bit_length())
+            powers = _kernels._squares(_power_minus_identity(d, k), span.bit_length())
         else:
             span = min(count, ys.shape[0] - 1)
             if step is None:

@@ -7,7 +7,8 @@ The exceptions are the last two sections. The first holds a checked
 real-symmetric eigendecomposition (``decompose``), the spectral
 exponentials built on it and a channel application, which only tests use.
 The second holds per-step loops that call the same propagators as
-``_kernels``, against which its kernels must be bit-identical.
+``_kernels`` (``cached_propagator`` for the mask cache), against which its
+kernels must be bit-identical.
 """
 from __future__ import annotations
 
@@ -285,6 +286,14 @@ def apply_channel(phi, rho: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def cached_propagator(edges, n, bits, z) -> np.ndarray:
+    """The real-form exp(z * H_r) that the mask cache holds for the keep bits ``bits`` (E,), built alone."""
+    squarings, order = _kernels._squaring_plan(edges, n, abs(z))
+    u = _kernels._taylor_matrices(edges, n, bits[None], z, 2**squarings, order, squarings=squarings)[0]
+    u.reshape(n * n)[:: n + 1] += 1.0
+    return _kernels._real_form(u, np.empty((2 * n if np.iscomplexobj(z) else n,) * 2))
+
+
 def reference_trajectory(edges, n, z, bits, record_steps, x0, renorm_every, renorm_tol):
     """``_kernels._trajectory`` with views, cache lookups and chunk products made step by step.
 
@@ -320,8 +329,7 @@ def reference_trajectory(edges, n, z, bits, record_steps, x0, renorm_every, reno
                         s = moving[j]
                         u = cache.get(keys[s])
                         if u is None:
-                            u = k._propagators(edges, n, bits[s][None], z)[0]
-                            u = cache[keys[s]] = k._real_form(u, np.empty((m, m)))
+                            u = cache[keys[s]] = cached_propagator(edges, n, bits[s], z)
                     else:
                         u = np.eye(m)
                     prods.append(u.copy() if j == c0 else np.matmul(u, prods[-1]))

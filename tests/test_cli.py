@@ -23,11 +23,22 @@ from percwalk.harness.experiments import (
 )
 from percwalk.walk import classical_transition, transition_probability
 
+from helpers import force_mask_cache
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(args):
     return cli_main(args)
+
+
+def nan_propagators(monkeypatch):
+    """Make every step kernel take the mask cache and build each propagator as NaN, as an overflow would."""
+    def build(edges, n, bits, z, *args, **kwargs):
+        return np.full((bits.shape[0], n, n), np.nan, dtype=complex if np.iscomplexobj(z) else float)
+
+    force_mask_cache(monkeypatch)
+    monkeypatch.setattr(_kernels, "_taylor_matrices", build)
 
 
 class TestBasicRuns:
@@ -418,34 +429,34 @@ class TestErrorPaths:
         assert not out.exists()
 
     @pytest.mark.parametrize("argv,message", [
-        # finite timing whose propagators overflow: the CSV would hold NaN
-        (["trajectory", "--graph", "ring:4", "--tau", "1e308", "--steps", "1"], "non-finite"),
-        (["classical", "--graph", "ring:4", "--tau", "1e308", "--steps", "1"], "non-finite"),
+        # propagators that overflow, built as NaN: the CSV would hold NaN
+        (["trajectory", "--graph", "ring:4", "--tau", "0.1", "--steps", "3"], "non-finite"),
+        (["classical", "--graph", "ring:4", "--tau", "0.1", "--steps", "3"], "non-finite"),
     ])
-    def test_numerical_overflow_exit_2_without_csv(self, tmp_path, capsys, argv, message):
+    def test_numerical_overflow_exit_2_without_csv(self, tmp_path, capsys, monkeypatch, argv, message):
+        nan_propagators(monkeypatch)
         out = tmp_path / "run.csv"
         assert run_cli(argv + ["--out", str(out)]) == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
 
-    def test_numerical_overflow_on_stdout_exit_2_without_csv(self, capsys):
-        assert run_cli(["trajectory", "--graph", "complete:4", "--tau", "1e308", "--steps", "1"]) == 2
+    def test_numerical_overflow_on_stdout_exit_2_without_csv(self, capsys, monkeypatch):
+        nan_propagators(monkeypatch)
+        assert run_cli(["trajectory", "--graph", "complete:4", "--tau", "0.1", "--steps", "1"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "column p_sim holds a non-finite value" in captured.err
 
-    def test_driver_refuses_non_finite_columns_without_csv(self, tmp_path):
-        # runs under the suite's warnings-as-errors: the classical step loop and the closed
-        # forms' cos(n t) reach NaN without a numpy warning
+    def test_driver_refuses_non_finite_columns_without_csv(self, tmp_path, monkeypatch):
+        # runs under the suite's warnings-as-errors: the step loops reach NaN without a numpy warning
+        nan_propagators(monkeypatch)
         out = tmp_path / "complete.csv"
-        table = exp_complete_graph(ExperimentSpec("complete:4", lam=0.5, tau=1e308, steps=1))
+        table = exp_complete_graph(ExperimentSpec("complete:4", lam=0.5, tau=0.1, steps=1))
         with pytest.raises(FloatingPointError, match="column p_quantum_sim holds a non-finite value"):
             write_csv(out, *table)
         assert not out.exists()
 
     @pytest.mark.parametrize("argv,column", [
-        # the classical mask-cache propagators overflow to inf, and inf * 0 is NaN in the step loop
-        (["classical", "--graph", "complete:4", "--tau", "1e308", "--steps", "1"], "p_sim"),
         # n t overflows in the closed form cos(n t)
         (["oracle", "--which", "complete-q", "--graph", "complete:4", "--tau", "1e306",
           "--steps", "100"], "p_oracle"),
@@ -473,8 +484,19 @@ class TestErrorPaths:
         (["montecarlo", "--graph", "complete:7", "--tau", "1e308", "--steps", "1",
           "--trajectories", "2"], "substeps"),
         (["channel", "--graph", "ring:4", "--tau", "1e308", "--steps", "1"], "squarings"),
+        # the graphs of the mask cache, whose propagators are built by the same scaling and squaring
+        *[([command, "--graph", graph, "--tau", "1e308", "--steps", "1", *ensemble], "substeps")
+          for graph in ("ring:4", "complete:4")
+          for command, ensemble in (("trajectory", []), ("classical", []),
+                                    ("montecarlo", ["--trajectories", "2"]))],
+        # 4e7 substeps in the one step, which repeats no mask
+        (["trajectory", "--graph", "ring:4", "--tau", "1e7", "--steps", "1"], "squarings"),
     ])
-    def test_unbounded_plan_exit_1_before_running(self, tmp_path, capsys, argv, planned):
+    def test_unbounded_plan_exit_1_before_running(self, tmp_path, capsys, monkeypatch, argv, planned):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("keep bits drawn before the plan was checked")
+
+        monkeypatch.setattr(dynamics, "sample_keep_bits", no_draws)
         out = tmp_path / "run.csv"
         t0 = time.perf_counter()
         assert run_cli(argv + ["--out", str(out)]) == 1

@@ -734,10 +734,10 @@ class TestNonFiniteRuns:
     def test_non_finite_run_reports_non_finite_drift(self, monkeypatch):
         # every mask-cache propagator NaN: each drift fold (trajectory, ensemble block, Monte
         # Carlo chunk) must keep the NaN instead of reporting the finite start value
-        def nan_propagators(edges, n, bits, z):
+        def nan_propagators(edges, n, bits, z, *args, **kwargs):
             return np.full((bits.shape[0], n, n), np.nan, dtype=complex if np.iscomplexobj(z) else float)
 
-        monkeypatch.setattr(_kernels, "_propagators", nan_propagators)
+        monkeypatch.setattr(_kernels, "_taylor_matrices", nan_propagators)
         force_mask_cache(monkeypatch)  # 5 steps alone take the Taylor matrix
         g, run = make_ring(4), PercolationRun(lam=0.5, tau=0.1, steps=5, seed=3)
         assert np.isnan(run_trajectory(g, run, basis_state(4, 0)).max_norm_drift)

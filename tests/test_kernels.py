@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from percwalk import _kernels
+from percwalk import _kernels, dynamics
 from percwalk.dynamics import (
     PercolationRun,
     build_step_channel,
@@ -33,8 +33,11 @@ from percwalk.walk import basis_density, basis_state
 
 from helpers import (
     apply_channel,
+    cached_propagator,
     channel_graphs,
     expm_channel_gram,
+    expm_stochastic,
+    expm_unitary,
     force_mask_cache,
     reference_automorphisms,
     reference_laplacian,
@@ -95,6 +98,12 @@ class TestCachePolicy:
         direct = np.array(direct)[rec]
         assert np.max(np.abs(cached - direct)) <= 1e-12
 
+    def test_graph_without_edges_keeps_its_state(self):
+        # one mask, which keeps no edge, so the planner prices the cache with 2^0 masks
+        g, run = make_lattice2d(1, 1), PercolationRun(lam=0.5, tau=0.1, steps=5)
+        assert np.all(run_trajectory(g, run, np.ones(1)).states == 1.0)
+        assert np.all(monte_carlo_classical(g, run, np.ones(1), 2).distributions == 1.0)
+
     def test_mask_keys_are_packed_per_block(self):
         # ring4-longtime's 60 000-step trajectory at stride 100: the output takes 38 kB and
         # one block's int64 keys 131 kB, where keys for the whole run would take 1.92 MB
@@ -132,7 +141,8 @@ class TestMaskCacheChunks:
     @pytest.mark.parametrize("quantum,bound", [(True, 2e-13), (False, 2e-14)])
     def test_within_round_off_of_a_matvec_per_step(self, monkeypatch, quantum, bound):
         # ring4-longtime's trajectory: 60 000 steps at tau = 1/600. One matvec per step (the
-        # loop before prefix products) on the same cached propagators, without renormalization
+        # loop before prefix products) on the same cached propagators, without renormalization,
+        # summed in long double: in float64 that loop is itself 2.9e-14 off on the classical walk
         monkeypatch.setattr(_kernels, "RENORM_EVERY", 0)
         g, n, steps = make_ring(4), 4, 60_000
         tau = 100 / steps
@@ -144,15 +154,16 @@ class TestMaskCacheChunks:
         else:
             z, (states, _, name) = -tau, _kernels.classical_trajectory(g.edge_array, n, tau, bits, rec, x0)
         assert name == f"mask-cache(chunk={16 if quantum else 32})"
-        cache, x, want = {}, x0.astype(states.dtype), [x0]
+        # the real-form propagators act on the float64 view of a state
+        cache, x, want = {}, x0.astype(states.dtype).view(np.float64).astype(np.longdouble), []
         for s, key in enumerate(_kernels._mask_keys(bits).tolist(), start=1):
             u = cache.get(key)
             if u is None:
-                u = cache[key] = _kernels._propagators(g.edge_array, n, bits[s - 1][None], z)[0]
+                u = cache[key] = cached_propagator(g.edge_array, n, bits[s - 1], z).astype(np.longdouble)
             x = u @ x
             if s % 100 == 0:
                 want.append(x)
-        assert np.max(np.abs(states - np.array(want))) <= bound
+        assert np.max(np.abs(states[1:].view(np.float64) - np.array(want))) <= bound
         if not quantum:
             assert states.min() >= 0.0
 
@@ -376,9 +387,10 @@ class TestPropagatorRule:
         p0 = np.eye(graph.node_count)[0]
         assert run_classical_trajectory(graph, run, p0).propagator == name
 
-    # a path of 16 edges fits the mask cache, but each of its masks costs a 300 x 300 eigh: the
-    # action ran 14x (quantum) and 27x (classical) faster, 20x and 46x for 4-trajectory ensembles.
-    # ring:4 at tau = 32 plans 128 Taylor substeps per step and keeps the cache
+    # a path of 16 edges fits the mask cache, but each of its masks costs 13 products of 300 x 300
+    # matrices: the action ran 25-34x (quantum) and 42-59x (classical) faster, 15-23x and 240-365x
+    # for 4-trajectory ensembles. ring:4 at tau = 32 plans 128 Taylor substeps per step and keeps
+    # the cache
     @pytest.mark.parametrize("graph,tau,name", [
         (16, 0.1, "taylor(substeps=1, order=13)"),
         (make_ring(4), 32.0, "mask-cache"),
@@ -394,20 +406,44 @@ class TestPropagatorRule:
                  monte_carlo_classical(graph, run, p0, 4)]
         assert all(rec.propagator.split("(chunk=")[0] == name for rec in walks)
 
-    def test_mask_builds_are_priced_as_calls_on_small_graphs(self, monkeypatch):
-        # classical ring:12, 50 steps of tau = 0.1: 0.45 ms on the cache against 0.27 ms on the
-        # Taylor matrix (in process, one BLAS thread, best of 15), where n^3 alone prices its
-        # 50 masks' eigh at 2.6 of the 3.7 Mflop of the Taylor steps
-        g, run = make_ring(12), PercolationRun(lam=0.5, tau=0.1, steps=50)
-        assert run_classical_trajectory(g, run, np.eye(12)[0]).propagator == "taylor-matrix(substeps=1, order=13)"
-        monkeypatch.setattr(_kernels, "MASK_CALLS", 0)
-        assert run_classical_trajectory(g, run, np.eye(12)[0]).propagator == "mask-cache(chunk=1)"
+    def test_mask_builds_are_priced_as_calls_on_small_graphs(self):
+        # at tau = 0.1, in process, one BLAS thread, best of 90, ms on the cache against the Taylor
+        # matrix (quantum, classical): runs whose masks are mostly new pay the cache's store and
+        # matvec calls and its prefix products, ring:4 at 20 steps (0.277/0.263, 0.283/0.221) and
+        # ring:12 at 50 (0.457/0.414, 0.405/0.372); the classical ring:12 over 500 steps meets
+        # about 470 masks (2.29/2.32)
+        for g, steps, quantum, name in [
+            (make_ring(4), 20, True, "taylor-matrix(substeps=1, order=13)"),
+            (make_ring(4), 20, False, "taylor-matrix(substeps=1, order=13)"),
+            (make_ring(12), 50, True, "taylor-matrix(substeps=1, order=13)"),
+            (make_ring(12), 50, False, "taylor-matrix(substeps=1, order=13)"),
+            (make_ring(12), 500, False, "mask-cache(chunk=1)"),
+        ]:
+            run, n = PercolationRun(lam=0.5, tau=0.1, steps=steps), g.node_count
+            if quantum:
+                assert run_trajectory(g, run, basis_state(n, 0)).propagator == name
+            else:
+                assert run_classical_trajectory(g, run, np.eye(n)[0]).propagator == name
+
+    def test_one_column_ensembles_are_priced_as_ensembles(self, monkeypatch):
+        # an ensemble of one column runs the mask cache or the kept-edge action, not the Taylor
+        # matrix of a trajectory: on classical ring:12 (50 steps of tau = 0.1) the cache, which the
+        # price of a trajectory turned down for the action
+        g, steps = make_ring(12), 50
+        bits3 = sample_keep_bits(g, 0.5, rng_from_seed(3), steps)[None]
+        *_, name = _kernels.ensemble_classical(g.edge_array, 12, 0.1, bits3, np.arange(steps + 1), np.eye(12)[0])
+        assert name == "mask-cache"
+        # Monte Carlo chunks of 2 and 1 trajectories
+        monkeypatch.setattr(dynamics, "ENSEMBLE_CHUNK_BYTES", 2 * steps * g.edge_count)
+        rec = monte_carlo_classical(g, PercolationRun(lam=0.5, tau=0.1, steps=steps), np.eye(12)[0], 3)
+        assert rec.propagator == "mask-cache"
 
     @pytest.mark.parametrize("quantum", [True, False])
     @pytest.mark.parametrize("tau,steps", [
         (100 / 60_000, 60_000),  # ring4-longtime's trajectory: 16 masks over 60 000 steps
         (32.0, 20),  # 128 Taylor substeps per step
-        (0.1, 100),  # 0.20 ms on the cache against 0.31 ms on the Taylor matrix (quantum)
+        (0.1, 100),  # 0.30 ms on the cache against 0.42 ms on the Taylor matrix (quantum)
+        (32.0, 200_000),  # 2.56e7 Taylor substeps in all, above the limit, on 16 masks
     ])
     def test_repeated_masks_keep_the_cache(self, quantum, tau, steps):
         g = make_ring(4)
@@ -559,7 +595,7 @@ class TestIdleSteps:
         def no_builds(*args):
             raise AssertionError("a propagator was built for a run that keeps no edge")
 
-        monkeypatch.setattr(_kernels, "_propagators", no_builds)
+        monkeypatch.setattr(_kernels, "_taylor_matrices", no_builds)
         g, steps = make_ring(4), 300
         rec = np.arange(0, steps + 1, 7)
         (psi, psi_drift, _), (p, p_drift, _) = self._check(monkeypatch, g, self._bits(g, 0.0, steps), rec)
@@ -865,7 +901,7 @@ class TestMaskCachePropagators:
     @given(g=cached_graphs(), tau=st.floats(5e-5, 60.0), seed=st.integers(0, 2**32))
     def test_classical_propagator_is_symmetric_and_stochastic(self, g, tau, seed):
         bits = np.random.default_rng(seed).integers(0, 2, g.edge_count).astype(np.uint8)
-        m = _kernels._propagators(g.edge_array, g.node_count, bits[None], -tau)[0]
+        m = cached_propagator(g.edge_array, g.node_count, bits, -tau)
         assert np.max(np.abs(m - m.T)) <= 1e-15
         assert np.max(np.abs(m.sum(axis=0) - 1.0)) <= 1e-13
         assert m.min() >= 0.0
@@ -873,18 +909,43 @@ class TestMaskCachePropagators:
     @pytest.mark.parametrize("graph", [make_ring(4), make_ring(12)], ids=["ring4", "ring12"])
     @pytest.mark.parametrize("quantum", [True, False])
     def test_batched_build_equals_one_row_builds(self, graph, quantum):
-        # the mask cache builds the new masks of a block with one batched eigh
+        # the mask cache builds the new masks of a block in batches; the reference loops build one
         edges, n = graph.edge_array, graph.node_count
         bits = sample_keep_bits(graph, 0.5, rng_from_seed(8), 300)
         z = -1j * 0.3 if quantum else -0.3
-        batch = _kernels._propagators(edges, n, bits, z)
+        squarings, order = _kernels._squaring_plan(edges, n, 0.3)
+        batch = _kernels._taylor_matrices(edges, n, bits, z, 2**squarings, order, squarings=squarings)
+        batch.reshape(-1, n * n)[:, :: n + 1] += 1.0
         for row, u in zip(bits, batch):
-            assert np.array_equal(u, _kernels._propagators(edges, n, row[None], z)[0])
-        if not quantum:  # round-off below 0 is clipped, as it was one mask at a time
-            w, q = np.linalg.eigh(_kernels.laplacians(edges, n, bits, 1.0))
-            raw = (q * np.exp(z * w)[:, None, :]) @ q.transpose(0, 2, 1)
-            assert np.array_equal(batch, np.maximum(raw, 0.0))
-            assert raw.min() < 0.0 or n == 4  # ring:12 has entries that round below 0
+            want = _kernels._real_form(u, np.empty((2 * n if quantum else n,) * 2))
+            assert np.array_equal(want, cached_propagator(edges, n, row, z))
+
+    @pytest.mark.parametrize("graph", [make_ring(4), make_complete(4), make_ring(12)],
+                             ids=["ring4", "complete4", "ring12"])
+    @pytest.mark.parametrize("tau", [1 / 600, 0.1, 1.0, 32.0])
+    @pytest.mark.parametrize("quantum", [True, False])
+    def test_matches_expm(self, graph, tau, quantum):
+        # Horner's rule on n x n products leaves about (order + 1) n 2^-53 per series entry
+        # (Higham, Accuracy and Stability of Numerical Algorithms, 2002, sections 3.5 and 5.1), and
+        # each of the q squarings about doubles it: the cache's per-step error of 2^q 2^-53, times
+        # (order + 1) n
+        edges, n = graph.edge_array, graph.node_count
+        squarings, order = _kernels._squaring_plan(edges, n, tau)
+        bound = 2**squarings * (order + 1) * n * 2.0**-53
+        z = -1j * tau if quantum else -tau
+        for row in sample_keep_bits(graph, 0.5, rng_from_seed(9), 12):
+            h = reference_laplacian(n, graph.edges, sum(1 << int(e) for e in np.flatnonzero(row)))
+            u = cached_propagator(edges, n, row, z)
+            if quantum:
+                want = expm_unitary(h, tau)
+                # entry (i, j) as the block [[Re, -Im], [Im, Re]] that acts on the float64 view
+                want = np.kron(want.real, np.eye(2)) + np.kron(want.imag, [[0.0, -1.0], [1.0, 0.0]])
+                assert np.max(np.abs(u.T @ u - np.eye(2 * n))) <= 2 * bound
+            else:
+                want = expm_stochastic(h, tau)
+                assert np.max(np.abs(u.sum(axis=0) - 1.0)) <= bound
+                assert u.min() >= 0.0
+            assert np.max(np.abs(u - want)) <= bound
 
 
 class TestLaplacianBlock:
