@@ -35,22 +35,17 @@ or z = -tau for the classical walk. Three propagators implement it:
   block of steps at once, with the batched real Horner products of the
   exact channel (``_taylor_matrices``). Each substep is then one matvec and
   one add, x + (P - I) x. Forming P costs about ``order`` n x n products
-  per step and saves ``order`` small numpy calls per substep, so
-  ``_use_matrix`` takes it when those flops cost less than the calls
-  (Moler & Van Loan, SIAM Rev. 45:3, 2003). Measured with one BLAS thread
-  at tau = 1e-4 (one substep): it won on complete graphs up to n = 20 for
-  the classical walk and n = 25 for the quantum walk, broke even on
-  lattice2d:4x5 (n = 20) and lost on ring:25, ring:30, lattice2d:5x5 and
-  lattice2d:6x6 (by 30-50%) and on lattice2d:10x10 (3-4 times slower);
-  with more substeps it wins on larger graphs (ring:30 at tau = 1, 4
-  substeps: by 20-45%). Ensembles always use the action or the mask cache,
-  and apply the action through the kept-edge weights of each column
+  per step and saves ``order`` small numpy calls per substep (Moler & Van
+  Loan, SIAM Rev. 45:3, 2003). Ensembles always use the action or the mask
+  cache, and apply the action through the kept-edge weights of each column
   (``_edge_apply``) instead of a Laplacian per column.
 
-``step_plan`` chooses the propagator by its price in flops, and one driver,
-``_ensemble``, steps every trajectory and ensemble kernel; it alone takes
-the norm drift, renormalizes and picks the recorded states. The step kernels report which
-propagator ran (``"mask-cache(chunk=L)"`` for a trajectory,
+``step_plan`` prices every route that a run may take in flops and calls and
+returns the cheapest as a ``Route``: its kind, its plan, the chunk length of
+a mask-cache trajectory and the name it reports. One driver, ``_ensemble``,
+runs that route for every trajectory and ensemble kernel; it alone takes the
+norm drift, renormalizes and picks the recorded states. The step kernels
+report which propagator ran (``"mask-cache(chunk=L)"`` for a trajectory,
 ``"mask-cache"`` for an ensemble, ``"taylor(substeps=S, order=K)"`` or
 ``"taylor-matrix(substeps=S, order=K)"``) and the largest drift of the
 conserved norm: the 2-norm of a quantum state, the total probability of a
@@ -87,15 +82,15 @@ in half of BLOCK_BYTES, at most CHANNEL_BATCH rows, so the temporaries of a
 batch stay in cache.
 
 The exact channel also keeps what is alive at once small next to its
-(n^2, n^2) complex matrices K and Phi. glibc hands the free top of the heap
-back to the system once it exceeds twice the largest block that the process
-has mapped and released, and on this path that block is K. A call whose
-temporaries reach twice K's size therefore returns pages at every call and
+(n^2, n^2) complex Phi. glibc hands the free top of the heap back to the
+system once it exceeds twice the largest block that the process has mapped
+and released, and on this path that block is Phi. A call whose
+temporaries reach twice Phi's size therefore returns pages at every call and
 faults them in again at the next: on ring15-channel up to 3 500 minor faults
 per repetition of its four calls, about a tenth of their time. So the orbit
 scan ends before the first batch is built, a batch's few (rows, n, n) stacks
-take half of BLOCK_BYTES each, K becomes Phi in place
-(``dynamics.build_step_channel``) and the rotation check of a
+take half of BLOCK_BYTES each, Phi is gathered from the pair Gram with no
+(n^2, n^2) K before it, and the rotation check of a
 ``dynamics.ChannelMatrix`` gathers row blocks of a quarter of BLOCK_BYTES.
 
 The step loops keep to one rule for the same reason: the buffers of a
@@ -118,6 +113,7 @@ from __future__ import annotations
 
 import math
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -148,7 +144,7 @@ MAX_SUBSTEPS = 1 << 24
 # flops that one small numpy call of the Taylor action costs: a 15 x 15 complex
 # matvec, a row copy or the coefficient dot each take about 0.5 us, in which
 # batched real 15 x 15 to 20 x 20 matmuls do about 15 000 flops (30 GFLOP/s);
-# measured with 1 BLAS thread on a 2-vCPU Xeon, OpenBLAS 0.3.31 (``_use_matrix``)
+# measured with 1 BLAS thread on a 2-vCPU Xeon, OpenBLAS 0.3.31 (``_taylor_step_flops``)
 CALL_FLOPS = 15_000
 # every RENORM_EVERY steps a quantum state whose norm drifted by more than RENORM_TOL is renormalized
 RENORM_EVERY = 10_000
@@ -161,7 +157,7 @@ def active_backend() -> str:
 
 
 def propagator_cache_capacity(edge_count: int, max_distinct: int, dim: int) -> int:
-    """Most real dim x dim float64 propagators the mask cache may hold; 0 selects the Taylor action."""
+    """Most real dim x dim float64 propagators the mask cache may hold; 0 when it does not fit."""
     if edge_count > CACHE_MAX_EDGES:
         return 0
     cap = min(1 << edge_count, max_distinct)
@@ -240,40 +236,53 @@ def _squaring_plan(edges: np.ndarray, n: int, tau: float) -> tuple[int, int]:
     return squarings, taylor_plan(edges, n, tau / 2**squarings)[1]
 
 
+class Route(NamedTuple):
+    """The step route that ``step_plan`` chose, which ``_ensemble`` runs as it stands."""
+
+    kind: str  # "mask-cache", "taylor-matrix" or "taylor"
+    plan: tuple[int, int]  # (squarings, order) of the cache's builds, else the Taylor (substeps, order)
+    chunk: int  # steps L per prefix-product chunk of a mask-cache trajectory, else 1
+    name: str  # the ``propagator`` that the run reports
+
+
 def step_plan(edges: np.ndarray, n: int, tau: float, steps: int, quantum: bool,
-              columns: int | None = None) -> tuple[int, int] | None:
-    """The propagator of a step kernel: None for the mask cache, else the ``taylor_plan``.
+              columns: int | None = None) -> Route:
+    """The cheapest route of ``steps`` steps of a step kernel by its price in flops.
 
     ``columns`` is the column count of an ensemble, None for a trajectory.
-    The mask cache is taken where it fits (``propagator_cache_capacity``)
-    and either the Taylor plan would be refused or ``_cache_flops`` is below
-    steps times ``_taylor_step_flops``. Both build with one routine,
-    ``_taylor_matrices``, the cache once per distinct mask and the Taylor
-    matrix once per step, so the cache pays where masks repeat or a step
-    needs substeps. A step of more than MAX_SUBSTEPS substeps is refused on
-    every path (``_squaring_plan``), and so is a Taylor plan of more in
-    all. Callers may plan before drawing any keep bits, so a refused plan
-    allocates nothing.
+    The routes are the Taylor action, for a trajectory the Taylor matrix
+    (``_taylor_step_flops``), and the mask cache where it fits
+    (``propagator_cache_capacity``, ``_cache_flops``), which builds once per
+    distinct mask what the Taylor matrix builds once per step. A tie goes to
+    the action, then to the Taylor matrix. A step of more than MAX_SUBSTEPS
+    substeps is refused on every route (``_squaring_plan``), and the Taylor
+    routes refuse a plan of more in all. Callers may plan before drawing any
+    keep bits, so a refused plan allocates nothing.
     """
     edge_count = edges.shape[0]
     m = 2 * n if quantum else n
-    plan = taylor_plan(edges, n, tau)
-    total = plan[0] * steps
+    plan = substeps, order = taylor_plan(edges, n, tau)
+    routes = []  # (price, route), in the order that breaks ties
+    if substeps * steps <= MAX_SUBSTEPS:
+        prices = _taylor_step_flops(n, edge_count, plan, columns)
+        for kind, price in zip(("taylor", "taylor-matrix"), prices[:1] if columns else prices):
+            routes.append((steps * price, Route(kind, plan, 1, f"{kind}(substeps={substeps}, order={order})")))
     if propagator_cache_capacity(edge_count, steps * (columns or 1), m):
-        cache = _cache_flops(n, edge_count, _squaring_plan(edges, n, tau), steps, quantum, columns)
-        if total > MAX_SUBSTEPS or cache < steps * _taylor_step_flops(n, edge_count, plan, columns):
-            return None
-    if total > MAX_SUBSTEPS:
+        squaring = _squaring_plan(edges, n, tau)
+        chunk = 1 if columns else _mask_chunk(m)
+        routes.append((_cache_flops(n, edge_count, squaring, steps, quantum, columns, chunk),
+                       Route("mask-cache", squaring, chunk, "mask-cache" if columns else f"mask-cache(chunk={chunk})")))
+    if not routes:
         raise ValueError(
-            f"{steps} step(s) of tau={tau:g} plan {total:.3g} Taylor substeps "
-            f"({plan[0]:.3g} per step), above the limit of 2^{MAX_SUBSTEPS.bit_length() - 1}; "
+            f"{steps} step(s) of tau={tau:g} plan {substeps * steps:.3g} Taylor substeps "
+            f"({substeps:.3g} per step), above the limit of 2^{MAX_SUBSTEPS.bit_length() - 1}; "
             f"shorten tau or the run"
         )
-    return plan
+    return min(routes, key=lambda priced: priced[0])[1]
 
 
 def _cache_flops(n: int, edge_count: int, plan: tuple[int, int], steps: int, quantum: bool,
-                 columns: int | None) -> float:
+                 columns: int | None, chunk: int) -> float:
     """Price in flops of ``steps`` steps on the mask cache: a trajectory (columns None), or ``columns`` states.
 
     A mask on plan (squarings q, order K) takes K n x n products, as a
@@ -283,48 +292,44 @@ def _cache_flops(n: int, edge_count: int, plan: tuple[int, int], steps: int, qua
     flops and a call. N = steps columns draws of the M = 2^E masks meet at
     most M (1 - (1 - 1/M)^N) of them in expectation, the value for uniform
     draws (lambda = 1/2). A step then costs 2 m^2 flops per column and a
-    call; a trajectory in chunks of L > 1 steps (``_mask_chunk``) makes a
-    call per chunk instead, and 2 (L - 1) for the prefix products of its
-    first block. Each call is priced at CALL_FLOPS.
+    call; a trajectory in ``chunk`` > 1 steps (``_mask_chunk``) makes a
+    call per chunk instead, and 2 (chunk - 1) for the prefix products of
+    its first block. Each call is priced at CALL_FLOPS.
     """
     squarings, order = plan
     m = 2 * n if quantum else n
     draws, masks = steps * (columns or 1), 2.0**edge_count
     distinct = masks * (1.0 - (1.0 - 1.0 / masks) ** draws)
     build = 2 * n**3 * (order + (3 if quantum else 1) * squarings) + 2 * m * m + CALL_FLOPS
-    chunk = 1 if columns else _mask_chunk(m)
     calls = steps if chunk == 1 else -(-steps // chunk) + 2 * (chunk - 1)
     return distinct * build + draws * 2 * m * m + calls * CALL_FLOPS
 
 
-def _taylor_step_flops(n: int, edge_count: int, plan: tuple[int, int], columns: int | None) -> int:
-    """Price in flops of one step on the Taylor plan (substeps, order): a trajectory, or ``columns`` states.
+def _taylor_step_flops(n: int, edge_count: int, plan: tuple[int, int], columns: int | None) -> tuple[int, int]:
+    """Prices in flops of one step on the Taylor plan (substeps, order): (the action, the Taylor matrix).
 
-    A trajectory (columns None) takes the Taylor matrix where ``_use_matrix``
-    does: K = order n x n products, 2 n^3 flops each, and two calls per
-    substep. Otherwise each substep makes K + 2 calls and K applications of
-    the step's Laplacian: 2 n^2 flops dense for a trajectory, 4 n E per
-    column through the kept edges of an ensemble (``_edge_apply``). Each
-    call is priced at CALL_FLOPS.
+    The action makes K + 2 calls per substep, K = order, and K applications
+    of the step's Laplacian: 2 n^2 flops dense for a trajectory (columns
+    None), 4 n E per column through the kept edges of an ensemble of
+    ``columns`` states (``_edge_apply``). The Taylor matrix of a trajectory
+    forms the step's polynomial with K n x n products, 2 n^3 flops each,
+    and makes two calls per substep. Each call is priced at CALL_FLOPS. K
+    cancels between the two: the matrix is cheaper where 2 n^3 < substeps
+    (CALL_FLOPS + 2 n^2), n <= 19 at one substep, 25 at 2, 32 at 4 and 42
+    at 8. Measured with one BLAS thread at
+    tau = 1e-4 (one substep), the matrix won on complete graphs up to n = 20
+    for the classical walk and n = 25 for the quantum walk, broke even on
+    lattice2d:4x5 (n = 20) and lost on ring:25, ring:30, lattice2d:5x5 and
+    lattice2d:6x6 (by 30-50%) and on lattice2d:10x10 (3-4 times slower).
+    With substeps (1000 steps, lambda = 0.4, best of 9, ms quantum /
+    classical, matrix against action) it won on ring:25 at tau = 0.4 (2
+    substeps, 32.4 / 25.1 against 39.3 / 29.9), ring:32 at 0.9 (4, 42.7 /
+    35.3 against 81.9 / 62.3) and ring:41 at 1.9 (8, 67.2 / 53.7 against
+    145.0 / 80.2), and still on ring:26, ring:33 and ring:43.
     """
     substeps, order = plan
-    if columns is None and _use_matrix(n, substeps):
-        return 2 * order * n**3 + 2 * substeps * CALL_FLOPS
     apply = 2 * n * n if columns is None else 4 * n * edge_count * columns
-    return substeps * ((order + 2) * CALL_FLOPS + order * apply)
-
-
-def _use_matrix(n: int, substeps: int) -> bool:
-    """Whether a trajectory step should form its Taylor polynomial as a matrix (``_taylor_matrices``).
-
-    Forming it takes at most K = order batched n x n products per step,
-    about 2 n^3 flops each (2 floor(K/2) for the quantum cos/sin pair, K - 1
-    for the classical series). Applying it takes a matvec and an add per
-    substep, K calls fewer than the action's K + 2, each priced at
-    CALL_FLOPS. K cancels: K 2 n^3 < substeps K CALL_FLOPS, so n <= 19 for
-    one substep.
-    """
-    return 2 * n**3 < substeps * CALL_FLOPS
+    return substeps * ((order + 2) * CALL_FLOPS + order * apply), 2 * order * n**3 + 2 * substeps * CALL_FLOPS
 
 
 def _mask_chunk(m: int) -> int:
@@ -448,10 +453,6 @@ def _taylor_coef(order: int, dtype) -> np.ndarray:
     return np.array([1.0 / math.factorial(k) for k in range(order + 1)], dtype=dtype)
 
 
-def _plan_name(plan: tuple[int, int] | None, kind: str = "taylor") -> str:
-    return "mask-cache" if plan is None else f"{kind}(substeps={plan[0]}, order={plan[1]})"
-
-
 def _mask_keys(bits: np.ndarray) -> np.ndarray:
     """Pack keep bits (..., E) into int64 mask keys, E <= 62."""
     pow2 = np.left_shift(np.int64(1), np.arange(bits.shape[-1], dtype=np.int64))
@@ -483,6 +484,7 @@ def _edge_apply(u, v, bt, w, x, y):
 def _ensemble(edges, n, z, bits, record_steps, x0, record):
     """The step loop of every trajectory and ensemble kernel -> (max drift, propagator name).
 
+    It runs the route that ``step_plan`` returns for the call as it stands.
     A trajectory is one state x0 (n,) with keep bits (S, E), an ensemble
     one state per column, x0 (n, T) with keep bits (T, S, E), stepped in
     blocks of columns. Steps run in blocks; each block returns the states of
@@ -500,16 +502,16 @@ def _ensemble(edges, n, z, bits, record_steps, x0, record):
 
     A trajectory advances only the steps whose mask keeps an edge: a step
     that keeps none has U = I, so it is skipped and its mask never built.
-    The moving steps of a block form chunks of L = ``_mask_chunk(m)``
-    steps, the ragged last one padded with I. A block holds as many steps
-    as would make a (chunks, L, m, m) stack of 4 BLOCK_BYTES if every step
-    moved (with L = 1, as many as make BLOCK_BYTES of states), except that
-    a renormalization or the run's end may cut it short. Each chunk is one
-    call of one loop, ``dot(start state, states)``: with L = 1 the bound
-    ``.dot`` of the step's cached propagator, else that of the chunk's
-    stacked prefix products. The states are then expanded back to every
-    step of the block, a ``take`` by the running count of moving steps, so
-    the drift, the renormalization and the records see every step.
+    The moving steps of a block form chunks of the route's L steps
+    (``_mask_chunk``), the ragged last one padded with I. A block holds as
+    many steps as would make a (chunks, L, m, m) stack of 4 BLOCK_BYTES if
+    every step moved (with L = 1, as many as make BLOCK_BYTES of states),
+    except that a renormalization or the run's end may cut it short. Each
+    chunk is one call of one loop, ``dot(start state, states)``: with L = 1
+    the bound ``.dot`` of the step's cached propagator, else that of the
+    chunk's stacked prefix products. The states are then expanded back to
+    every step of the block, a ``take`` by the running count of moving
+    steps, so the drift, the renormalization and the records see every step.
     Measured on ring:4's 60 000-step quantum trajectory (tau = 1/600,
     lambda = 0.2, seed 7, in process, one BLAS thread, best of 21): 11.1 to
     11.9 ms, against 18.1 to 19.7 ms when every step moved in stacks of
@@ -520,15 +522,14 @@ def _ensemble(edges, n, z, bits, record_steps, x0, record):
     """
     single = x0.ndim == 1
     steps, edge_count = bits.shape[-2:]
-    columns = 1 if single else x0.shape[1]
-    plan = step_plan(edges, n, abs(z), steps, np.iscomplexobj(z), None if single else columns)
+    cols = columns = 1 if single else x0.shape[1]  # cols: columns per block
+    route = step_plan(edges, n, abs(z), steps, np.iscomplexobj(z), None if single else columns)
     renorm_every = RENORM_EVERY if np.iscomplexobj(z) else 0
-    name, cols = _plan_name(plan), columns
-    if plan is None:
+    if route.kind == "mask-cache":
         m = 2 * n if np.iscomplexobj(z) else n
         store = np.empty((propagator_cache_capacity(edge_count, steps * columns, m), m, m))
         slots = np.full(1 << edge_count, -1, dtype=np.intp)
-        size, (q, order) = 0, _squaring_plan(edges, n, abs(z))
+        size, (q, order) = 0, route.plan
         rows = max(1, BLOCK_BYTES // (16 * n * n))  # masks per build: a (rows, n, n) stack is half of BLOCK_BYTES
 
         def lookup(keys):
@@ -549,9 +550,8 @@ def _ensemble(edges, n, z, bits, record_steps, x0, record):
                 size += new.size
                 slot = slots[keys]
             return slot
-    if plan is None and single:
-        chunk = _mask_chunk(m)
-        name = f"mask-cache(chunk={chunk})"
+    if route.kind == "mask-cache" and single:
+        chunk = route.chunk
         if chunk > 1:  # whole chunks, whose (chunks, chunk, m, m) stack fits in 4 BLOCK_BYTES
             block = max(1, 4 * BLOCK_BYTES // (8 * m * m * chunk)) * chunk
         else:
@@ -590,7 +590,7 @@ def _ensemble(edges, n, z, bits, record_steps, x0, record):
                 dot(src, out)
             # an idle step repeats the state before it
             return hist.take(np.cumsum(moved), axis=0)
-    elif plan is None:
+    elif route.kind == "mask-cache":
         # the (cols, m, m) stack of gathered propagators fits in BLOCK_BYTES
         cols = min(columns, max(1, BLOCK_BYTES // (8 * m * m)))
         block = max(1, BLOCK_BYTES // (x0.itemsize * n * cols))
@@ -604,9 +604,8 @@ def _ensemble(edges, n, z, bits, record_steps, x0, record):
             for slot, out in zip(lookup(_mask_keys(bits[:, start:stop])).T, ys):
                 y = np.matmul(np.take(store, slot, axis=0, out=us, mode="clip"), y, out=out)
             return np.ascontiguousarray(ys.reshape(count, c, m).view(x.dtype).transpose(0, 2, 1))
-    elif single and _use_matrix(n, plan[0]):
-        substeps, order = plan
-        name = _plan_name(plan, "taylor-matrix")
+    elif route.kind == "taylor-matrix":
+        substeps, order = route.plan
         block = max(1, BLOCK_BYTES // (n * n * x0.itemsize))
         add, buf = np.add, np.empty(n, dtype=x0.dtype)
         work = _taylor_work(n, block, np.iscomplexobj(z))  # every stack of a block, one buffer per call
@@ -620,7 +619,7 @@ def _ensemble(edges, n, z, bits, record_steps, x0, record):
                     x = add(x, dot(x, buf), row)
             return hist
     else:
-        substeps, order = plan
+        substeps, order = route.plan
         coef_dot = _taylor_coef(order, x0.dtype).dot
         if single:  # the Laplacian of each step
             block = max(1, BLOCK_BYTES // (n * n * x0.itemsize))
@@ -680,7 +679,7 @@ def _ensemble(edges, n, z, bits, record_steps, x0, record):
                 rec_i = rec_j
                 x, start = hist[-1].copy(), stop
                 del hist, h  # the block's states are freed before the next block is advanced
-    return float(max_drift), name
+    return float(max_drift), route.name
 
 
 def _trajectory(edges, n, z, bits, record_steps, x0):
@@ -893,13 +892,7 @@ def _mask_bits(masks: np.ndarray, count: int) -> np.ndarray:
 
 
 def _orbit_representatives(edges: np.ndarray, perms: np.ndarray, lam: float):
-    """Yield (bits, weights) of the orbit representatives of positive weight, in batches.
-
-    A batch holds at most CHANNEL_BATCH rows, and at most as many as make
-    the widest float64 array built from it, the 2 rows x (n(n+1)/2 + 1)
-    Gram rows of ``_gram_rows``, fit in half of BLOCK_BYTES: ``_cos_sin``
-    keeps about five (rows, n, n) stacks alive at once (67 rows for n = 15).
-    The bits are uint8 keep bits, one row per representative.
+    """(masks, weights): the int64 masks of the orbit representatives of positive weight, ascending.
 
     Mask r's image under g keeps edge pi_g(e) for every kept e, where
     pi_g(e) is the edge {g(u_e), g(v_e)}; as a number it is
@@ -923,7 +916,6 @@ def _orbit_representatives(edges: np.ndarray, perms: np.ndarray, lam: float):
     """
     edge_count = edges.shape[0]
     n = perms.shape[1]
-    batch = max(1, min(CHANNEL_BATCH, BLOCK_BYTES // (16 * (n * n + n + 2))))
     eid = np.zeros((n, n), dtype=np.int64)
     eid[edges[:, 0], edges[:, 1]] = eid[edges[:, 1], edges[:, 0]] = np.arange(edge_count)
     powers = np.ldexp(np.float32(1.0), eid[perms[:, edges[:, 0]], perms[:, edges[:, 1]]])  # (|G|, E)
@@ -932,7 +924,7 @@ def _orbit_representatives(edges: np.ndarray, perms: np.ndarray, lam: float):
     base = powers[:, :low] @ _mask_bits(r, low).T  # (|G|, 2^low)
     head = base[1:5] - r.astype(np.float32)
     high = np.arange(edge_count - low)
-    bits_buf, w_buf = np.empty((0, edge_count), dtype=np.uint8), np.empty(0)
+    found, found_weights = [], []
     for start in range(0, 1 << edge_count, 1 << low):
         offset = powers[:, low:] @ (start >> low >> high & 1).astype(np.float32)  # (|G|,)
         masks = np.flatnonzero((head >= start - offset[1:5, None]).all(axis=0))
@@ -944,13 +936,9 @@ def _orbit_representatives(edges: np.ndarray, perms: np.ndarray, lam: float):
         kept = np.bitwise_count(masks)
         weights = lam**kept * (1.0 - lam) ** (edge_count - kept) / (images == masks).sum(axis=0)
         live = weights > 0.0
-        bits_buf = np.concatenate((bits_buf, _mask_bits(masks[live], edge_count)))
-        w_buf = np.concatenate((w_buf, weights[live]))
-        while bits_buf.shape[0] >= batch:
-            yield bits_buf[:batch], w_buf[:batch]
-            bits_buf, w_buf = bits_buf[batch:], w_buf[batch:]
-    if bits_buf.shape[0]:
-        yield bits_buf, w_buf
+        found.append(masks[live])
+        found_weights.append(weights[live])
+    return np.concatenate(found).astype(np.int64, copy=False), np.concatenate(found_weights)
 
 
 def _gram_rows(e: np.ndarray, s: np.ndarray, weights: np.ndarray, upper: np.ndarray) -> np.ndarray:
@@ -986,19 +974,23 @@ def _add_gram(real: np.ndarray, cross: np.ndarray, xy: np.ndarray, rows: int) ->
 
 
 def channel_accumulate(edges, n, lam, tau):
-    """K[(i,j),(k,l)] = sum_r p_r conj(U_r)[i,j] U_r[k,l] over all 2^E masks.
+    """The one-step channel Phi = sum_r p_r kron(conj(U_r), U_r) over all 2^E masks.
 
-    -> (K, propagator name, G as node permutations (|G|, n), identity first,
-    propagators built). U_r = exp(-i tau H_r) = C_r - i S_r with
-    C_r = cos(tau H_r) and S_r = sin(tau H_r) from ``_cos_sin`` on the
-    ``_squaring_plan``. U_r is complex symmetric, so
-    only its n(n+1)/2 entries i <= j enter the Hermitian Gram matrix of the
-    pairs, accumulated in real arithmetic (``_add_gram``), which is
-    scattered back to the (n^2, n^2) K through the pair index map. The sums
-    carry D_r = U_r - I, whose entries are small for a short step: K is
-    assembled from sum_r p_r conj(D_r) (x) D_r, sum_r p_r D_r
-    and sum_r p_r = 1, so the round-off of the unit diagonal is not summed
-    over the realizations.
+    -> (Phi (n^2, n^2), propagator name, G as node permutations (|G|, n),
+    identity first, propagators built). Phi acts on column-stacked
+    densities: Phi[(i,k),(j,l)] = K[(i,j),(k,l)] with
+    K[(i,j),(k,l)] = sum_r p_r conj(U_r)[i,j] U_r[k,l]. U_r = exp(-i tau H_r)
+    = C_r - i S_r with C_r = cos(tau H_r) and S_r = sin(tau H_r) from
+    ``_cos_sin`` on the ``_squaring_plan``. U_r is complex symmetric, so
+    only its n(n+1)/2 entries i <= j enter the Hermitian Gram matrix K of
+    the pairs, accumulated in real arithmetic (``_add_gram``), from which
+    Phi is gathered through the pair index map. The sums carry
+    D_r = U_r - I, whose entries are small for a short step: K is assembled
+    from sum_r p_r conj(D_r) (x) D_r, sum_r p_r D_r and sum_r p_r = 1, so
+    the round-off of the unit diagonal is not summed over the realizations.
+    The representatives are built in batches of at most CHANNEL_BATCH rows
+    whose widest array, the 2 rows x (n(n+1)/2 + 1) float64 Gram rows of
+    ``_gram_rows``, fits in half of BLOCK_BYTES (67 rows for n = 15).
 
     Every automorphism g of the graph (node permutation matrix P_g) maps
     mask r to a mask g.r of the same kept count, hence the same p_r, with
@@ -1030,12 +1022,13 @@ def channel_accumulate(edges, n, lam, tau):
     # arrays are passed on, not kept, so they are freed before the next batch is built
     m = iu.size
     real, cross = np.zeros((m + 1, m + 1)), np.zeros((m + 1, m + 1))
-    built = 0
     # the scan's tables are freed before the first batch is built
-    for bits, weights in list(_orbit_representatives(edges, perms, lam)):
-        _add_gram(real, cross, _gram_rows(*_cos_sin(laplacians(edges, n, bits, tau / 2**squarings),
-                                                    order, squarings), weights, upper), bits.shape[0])
-        built += bits.shape[0]
+    masks, weights = _orbit_representatives(edges, perms, lam)
+    batch = max(1, min(CHANNEL_BATCH, BLOCK_BYTES // (16 * (n * n + n + 2))))
+    for b0 in range(0, masks.size, batch):
+        bits = _mask_bits(masks[b0:b0 + batch], edge_count)
+        _add_gram(real, cross, _gram_rows(*_cos_sin(laplacians(edges, n, bits, tau / 2**squarings), order,
+                                                    squarings), weights[b0:b0 + batch], upper), bits.shape[0])
     gram = real + 1j * (cross - cross.T)
     del real, cross  # freed before the (n^2, n^2) K is gathered
     sym, flat_gram = np.zeros_like(gram), gram.ravel()
@@ -1050,5 +1043,6 @@ def channel_accumulate(edges, n, lam, tau):
     k[diag] += sym[m, :m]
     k[:, diag] += sym[:m, m:]
     k[np.ix_(diag, diag)] += 1.0
-    flat = pair.ravel()
-    return k[flat[:, None], flat], _plan_name((1 << squarings, order)), perms, built
+    # Phi[(i, k), (j, l)] = K[(i, j), (k, l)] = k[pair(i, j), pair(k, l)], gathered at once
+    phi = k[pair[:, None, :, None], pair[None, :, None, :]].reshape(n * n, n * n)
+    return phi, f"taylor(substeps={1 << squarings}, order={order})", perms, masks.size

@@ -34,22 +34,22 @@ Three routes to the same physics:
 
 Per-step exponentials are truncated Taylor series whose truncation error
 is at most 2^-53 of the state norm per substep (``_kernels.taylor_plan``).
-On a graph of at most ``_kernels.CACHE_MAX_EDGES`` edges whose run fits the
-mask cache and repeats enough masks (``_kernels.step_plan``), each distinct
-mask's propagator is built once, by scaling and squaring as the exact
-channel builds its own, within about 2^q 2^-53 for q squarings; a
-trajectory there applies them a chunk of prefix products at a time and
-skips the steps that keep no edge. Otherwise the series is applied to the
-state as an action, or, for a trajectory on a graph small enough that a
-batch of n x n products costs less than the calls of the action
-(``_kernels._use_matrix``), formed as a matrix P per step by the cache's
-routine (``_kernels._taylor_matrices``) and applied as x + (P - I) x, one
-matvec and one add per substep. Discrepancies from the rescaled-time
-reference therefore come from non-commutativity of the sampled generators,
-not from integrator error. Every record names the propagator that ran and
-the largest drift of the conserved norm, and every channel names its
-propagator and bounds its trace drift (``ChannelMatrix.trace_drift_bound``),
-so a run reports how far to trust it.
+``_kernels.step_plan`` prices three routes in flops and calls and the run
+takes the cheapest. On a graph of at most ``_kernels.CACHE_MAX_EDGES`` edges
+whose run fits the mask cache and repeats enough masks, each distinct mask's
+propagator is built once, by scaling and squaring as the exact channel
+builds its own, within about 2^q 2^-53 for q squarings; a trajectory there
+applies them a chunk of prefix products at a time and skips the steps that
+keep no edge. Otherwise the series is applied to the state as an action,
+or, for a trajectory on a graph small enough that a batch of n x n products
+costs less than the calls of the action, formed as a matrix P per step by
+the cache's routine (``_kernels._taylor_matrices``) and applied as
+x + (P - I) x, one matvec and one add per substep. Discrepancies from the
+rescaled-time reference therefore come from non-commutativity of the
+sampled generators, not from integrator error. Every record names the
+propagator that ran and the largest drift of the conserved norm, and every
+channel names its propagator and bounds its trace drift
+(``ChannelMatrix.trace_drift_bound``), so a run reports how far to trust it.
 """
 from __future__ import annotations
 
@@ -374,14 +374,8 @@ def build_step_channel(g: Graph, lam: float, tau: float) -> ChannelMatrix:
             f"the exact channel needs 2^{g.edge_count} propagators - use the Monte Carlo "
             f"backend (montecarlo) instead"
         )
-    n = g.node_count
-    k_acc, propagator, perms, orbits = _kernels.channel_accumulate(
-        g.edge_array, n, float(lam), float(tau))
-    # Phi[(i, k), (j, l)] = K[(i, j), (k, l)]: the middle axes are swapped in place, one i at a
-    # time, so no second (n^2, n^2) array is made
-    for block in k_acc.reshape(n, n, n, n):
-        block[...] = block.transpose(1, 0, 2).copy()
-    return ChannelMatrix(matrix=k_acc, dim=n, propagator=propagator,
+    phi, propagator, perms, orbits = _kernels.channel_accumulate(g.edge_array, g.node_count, float(lam), float(tau))
+    return ChannelMatrix(matrix=phi, dim=g.node_count, propagator=propagator,
                          symmetries=perms.shape[0], orbits=orbits, rotation=_rotation(perms))
 
 

@@ -106,6 +106,14 @@ def write_edge_file(g: Graph, path: str | Path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _parse_int(text: str, where: str) -> int:
+    """``int(text)``; a field that is not an integer is refused with ``where`` in the message."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{where}: expected an integer, got {text!r}") from None
+
+
 def read_edge_file(path: str | Path) -> Graph:
     """Read the edge-list format: header "nodes N", then "u v" lines.
 
@@ -115,18 +123,18 @@ def read_edge_file(path: str | Path) -> Graph:
     node_count = None
     edges: list[tuple[int, int]] = []
     for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
-        line = raw.strip()
+        line, where = raw.strip(), f"{path}:{lineno}"
         if not line or line.startswith("#"):
             continue
         parts = line.split()
         if node_count is None:
             if len(parts) != 2 or parts[0] != "nodes":
-                raise ValueError(f"{path}:{lineno}: expected header 'nodes <N>', got {line!r}")
-            node_count = int(parts[1])
+                raise ValueError(f"{where}: expected header 'nodes <N>', got {line!r}")
+            node_count = _parse_int(parts[1], where)
             continue
         if len(parts) != 2:
-            raise ValueError(f"{path}:{lineno}: expected 'u v', got {line!r}")
-        edges.append((int(parts[0]), int(parts[1])))
+            raise ValueError(f"{where}: expected 'u v', got {line!r}")
+        edges.append((_parse_int(parts[0], where), _parse_int(parts[1], where)))
     if node_count is None:
         raise ValueError(f"{path}: missing 'nodes <N>' header")
     return Graph(node_count=node_count, edges=tuple(edges))
@@ -140,15 +148,16 @@ def graph_from_spec(spec: str) -> Graph:
     kind, sep, arg = spec.partition(":")
     if not sep or not arg:
         raise ValueError(f"bad graph spec {spec!r}; expected kind:arg")
+    where = f"graph spec {spec!r}"
     if kind == "ring":
-        return make_ring(int(arg))
+        return make_ring(_parse_int(arg, where))
     if kind == "complete":
-        return make_complete(int(arg))
+        return make_complete(_parse_int(arg, where))
     if kind == "lattice2d":
         dims = arg.lower().split("x")
         if len(dims) != 2:
             raise ValueError(f"bad lattice spec {spec!r}; expected lattice2d:WxH")
-        return make_lattice2d(int(dims[0]), int(dims[1]))
+        return make_lattice2d(_parse_int(dims[0], where), _parse_int(dims[1], where))
     if kind == "file":
         return read_edge_file(arg)
     raise ValueError(f"unknown graph kind {kind!r} in spec {spec!r}")

@@ -40,13 +40,24 @@ def traced_peak(fn):
 
 
 def force_mask_cache(monkeypatch) -> None:
-    """Make every step kernel take the mask cache, whatever ``_kernels.step_plan`` prices it at.
+    """Price the mask cache at -inf, so ``_kernels.step_plan`` returns its route wherever it fits.
 
     Short runs on small graphs take the Taylor matrix, whose per-step
     polynomials cost less than building each mask's propagator; the tests
     of the cache's own mechanics run such short runs on it anyway.
     """
-    monkeypatch.setattr(_kernels, "step_plan", lambda *args, **kwargs: None)
+    monkeypatch.setattr(_kernels, "_cache_flops", lambda *args: -np.inf)
+
+
+def force_taylor(monkeypatch, matrix: bool) -> None:
+    """Price the Taylor action (matrix True) or the Taylor matrix at +inf, so ``_kernels.step_plan`` takes the other."""
+    prices = _kernels._taylor_step_flops
+
+    def forced(*args):
+        action, taylor_matrix = prices(*args)
+        return (np.inf, taylor_matrix) if matrix else (action, np.inf)
+
+    monkeypatch.setattr(_kernels, "_taylor_step_flops", forced)
 
 
 def reference_laplacian(node_count: int, edges, mask: int) -> np.ndarray:
@@ -175,7 +186,7 @@ def reference_automorphisms(edges: np.ndarray, n: int, limit: int) -> np.ndarray
 
 
 def reference_orbit_representatives(edges: np.ndarray, perms: np.ndarray, lam: float):
-    """(bits, weights) of the orbit representatives of positive weight, by a float64 scan of every mask.
+    """(masks, weights) of the orbit representatives of positive weight, by a float64 scan of every mask.
 
     The image of mask r under g, sum_e bit_e 2^pi_g(e) with pi_g(e) the
     index of the edge {g(u_e), g(v_e)}, is a float64 GEMM of all 2^E masks
@@ -192,7 +203,7 @@ def reference_orbit_representatives(edges: np.ndarray, perms: np.ndarray, lam: f
     kept = bits.sum(axis=1, dtype=np.int64)
     weights = lam**kept * (1.0 - lam) ** (edge_count - kept) / (images == masks[:, None]).sum(axis=1)
     keep = (images.min(axis=1) == masks) & (weights > 0.0)
-    return bits[keep], weights[keep]
+    return masks[keep], weights[keep]
 
 
 # random simple graphs small enough to enumerate all 2^E realizations against scipy expm
@@ -295,7 +306,7 @@ def cached_propagator(edges, n, bits, z) -> np.ndarray:
 
 
 def reference_trajectory(edges, n, z, bits, record_steps, x0, renorm_every, renorm_tol):
-    """``_kernels._trajectory`` with views, cache lookups and chunk products made step by step.
+    """``_kernels._trajectory`` on ``step_plan``'s route, with views, cache lookups and chunk products step by step.
 
     On the mask cache, a step that keeps no edge leaves the state as it is.
     The steps that keep an edge form the chunks: each chunk's prefix
@@ -305,12 +316,10 @@ def reference_trajectory(edges, n, z, bits, record_steps, x0, renorm_every, reno
     """
     k = _kernels
     steps = bits.shape[0]
-    plan = k.step_plan(edges, n, abs(z), steps, np.iscomplexobj(z))
-    name = k._plan_name(plan)
-    if plan is None:
+    route = k.step_plan(edges, n, abs(z), steps, np.iscomplexobj(z))
+    if route.kind == "mask-cache":
         m = 2 * n if np.iscomplexobj(z) else n
-        chunk = k._mask_chunk(m)
-        name = f"mask-cache(chunk={chunk})"
+        chunk = route.chunk
         if chunk > 1:
             block = max(1, 4 * k.BLOCK_BYTES // (8 * m * m * chunk)) * chunk
         else:
@@ -344,9 +353,8 @@ def reference_trajectory(edges, n, z, bits, record_steps, x0, renorm_every, reno
                     x, moved = moved[0], moved[1:]
                 hist[s - start] = x
             return hist
-    elif k._use_matrix(n, plan[0]):
-        substeps, order = plan
-        name = k._plan_name(plan, "taylor-matrix")
+    elif route.kind == "taylor-matrix":
+        substeps, order = route.plan
         block = max(1, k.BLOCK_BYTES // (n * n * x0.itemsize))
 
         def advance(start, stop, x):
@@ -358,7 +366,7 @@ def reference_trajectory(edges, n, z, bits, record_steps, x0, renorm_every, reno
                 hist[j] = x
             return hist
     else:
-        substeps, order = plan
+        substeps, order = route.plan
         coef = k._taylor_coef(order, x0.dtype)
         v = np.empty((order + 1, n), dtype=x0.dtype)
         block = max(1, k.BLOCK_BYTES // (n * n * x0.itemsize))
@@ -394,14 +402,15 @@ def reference_trajectory(edges, n, z, bits, record_steps, x0, renorm_every, reno
         out[rec_i:rec_j] = hist[record_steps[rec_i:rec_j] - start - 1]
         rec_i = rec_j
         x, start = hist[-1], stop
-    return out, float(max_drift), name
+    return out, float(max_drift), route.name
 
 
 def reference_taylor_ensemble(edges, n, z, bits3, record_steps, x0, record, renorm_every, renorm_tol):
     """``_kernels._ensemble`` on the Taylor action, with fresh Taylor terms every step."""
     k = _kernels
     n_traj, steps, edge_count = bits3.shape
-    substeps, order = plan = k.step_plan(edges, n, abs(z), steps, np.iscomplexobj(z), n_traj)
+    route = k.step_plan(edges, n, abs(z), steps, np.iscomplexobj(z), n_traj)
+    substeps, order = route.plan
     coef = k._taylor_coef(order, x0.dtype)
     u_idx, v_idx = edges[:, 0], edges[:, 1]
     bt = np.zeros((n, edge_count))
@@ -434,4 +443,4 @@ def reference_taylor_ensemble(edges, n, z, bits3, record_steps, x0, record, reno
             if rec_i < record_steps.shape[0] and record_steps[rec_i] == s + 1:
                 record(slice(rec_i, rec_i + 1), x[None])
                 rec_i += 1
-    return float(max_drift), k._plan_name(plan)
+    return float(max_drift), route.name

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from percwalk.graph import (
     sample_keep_bits,
     write_edge_file,
 )
+from percwalk.harness.cli import cli_main
 
 from helpers import count_lattice_edges, enumerate_realizations, traced_peak
 
@@ -248,6 +250,20 @@ class TestEdgeFiles:
         with pytest.raises(ValueError):
             read_edge_file(path)
 
+    @pytest.mark.parametrize("text,line,field", [
+        ("nodes three\n0 1\n", 1, "three"),
+        ("# a comment\nnodes 3\n\n1 2.0\n", 4, "2.0"),
+        ("nodes 3\nx 1\n", 2, "x"),
+    ])
+    def test_non_integer_field_names_its_line(self, tmp_path, capsys, text, line, field):
+        path = tmp_path / "bad.edges"
+        path.write_text(text)
+        where = re.escape(f"{path}:{line}: expected an integer, got {field!r}")
+        with pytest.raises(ValueError, match=where):
+            read_edge_file(path)
+        assert cli_main(["trajectory", "--graph", f"file:{path}", "--tau", "0.1", "--steps", "5"]) == 1
+        assert re.fullmatch(f"error: {where}\n", capsys.readouterr().err)
+
 
 class TestGraphSpecs:
     def test_ring_spec(self):
@@ -269,3 +285,13 @@ class TestGraphSpecs:
     def test_bad_specs(self, bad):
         with pytest.raises(ValueError):
             graph_from_spec(bad)
+
+    @pytest.mark.parametrize("spec,field", [
+        ("ring:4.5", "4.5"), ("complete:five", "five"), ("lattice2d:3xq", "q"), ("lattice2d:3.0x4", "3.0"),
+    ])
+    def test_non_integer_spec_is_named(self, capsys, spec, field):
+        where = re.escape(f"graph spec {spec!r}: expected an integer, got {field!r}")
+        with pytest.raises(ValueError, match=where):
+            graph_from_spec(spec)
+        assert cli_main(["trajectory", "--graph", spec, "--tau", "0.1", "--steps", "5"]) == 1
+        assert re.fullmatch(f"error: {where}\n", capsys.readouterr().err)

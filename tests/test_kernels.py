@@ -39,6 +39,7 @@ from helpers import (
     expm_stochastic,
     expm_unitary,
     force_mask_cache,
+    force_taylor,
     reference_automorphisms,
     reference_laplacian,
     reference_orbit_representatives,
@@ -221,9 +222,9 @@ def cached_graphs(draw):
 
 @contextlib.contextmanager
 def forced_rule(matrix: bool):
-    """Within it, ``_kernels._use_matrix`` sends every step to the Taylor matrix (True) or the action."""
+    """Within it, ``_kernels.step_plan`` sends every trajectory to the Taylor matrix (True) or the action."""
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(_kernels, "_use_matrix", lambda n, substeps: matrix)
+        force_taylor(m, matrix)
         yield
 
 
@@ -277,10 +278,10 @@ class TestTaylorAction:
         bits3 = np.stack([self._bits(g, lam, seed, k) for k in range(n_traj)])
         rec = np.arange(0, self.STEPS + 1, 4)
         psi0, p0 = basis_state(n, 0), np.eye(n)[0]
-        plan = _kernels.step_plan(g.edge_array, n, tau, self.STEPS, True, n_traj)
+        route = _kernels.step_plan(g.edge_array, n, tau, self.STEPS, True, n_traj)
         sum_outer, _, drift, name = _kernels.ensemble_quantum(
             g.edge_array, n, tau, bits3, rec, np.tile(psi0, (n_traj, 1)))
-        assert name == _kernels._plan_name(plan) and drift <= 1e-12
+        assert name == route.name and drift <= 1e-12
         sum_dist, _, _, _ = _kernels.ensemble_classical(g.edge_array, n, tau, bits3, rec, p0)
         want_outer, want_dist = 0, 0
         for bits in bits3:
@@ -371,13 +372,18 @@ def _path_on_300_nodes(tmp_path, edge_count):
 
 
 class TestPropagatorRule:
-    """``_use_matrix`` forms the Taylor polynomial on small graphs and applies it on large ones."""
+    """``step_plan`` forms the Taylor polynomial on small graphs and applies it on large ones."""
 
     @pytest.mark.parametrize("graph,tau,name", [
         (make_complete(15), 1e-4, "taylor-matrix(substeps=1, order=5)"),
         (make_complete(9), 0.7, "taylor-matrix(substeps=12, order=17)"),
         (make_lattice2d(10, 10), 1e-4, "taylor(substeps=1, order=4)"),
         (None, 1e-4, "taylor(substeps=1, order=4)"),  # 20 edges on 300 nodes, from a file
+        # with substeps the matrix's products are shared by more calls: 1000 steps of lambda = 0.4,
+        # one BLAS thread, best of 9, ms quantum / classical on the matrix against the action:
+        # 32.4 / 25.1 against 39.3 / 29.9 (ring:25) and 42.7 / 35.3 against 81.9 / 62.3 (ring:32)
+        (make_ring(25), 0.4, "taylor-matrix(substeps=2, order=16)"),
+        (make_ring(32), 0.9, "taylor-matrix(substeps=4, order=17)"),
     ])
     def test_rule_picks_the_path(self, tmp_path, graph, tau, name):
         if graph is None:
@@ -438,6 +444,20 @@ class TestPropagatorRule:
         rec = monte_carlo_classical(g, PercolationRun(lam=0.5, tau=0.1, steps=steps), np.eye(12)[0], 3)
         assert rec.propagator == "mask-cache"
 
+    def test_a_kernel_call_plans_once(self, monkeypatch):
+        # a mask-cache run plans its route with one taylor_plan and one _squaring_plan (two more);
+        # the kernel runs that route, and run_trajectory plans once more before drawing keep bits
+        calls, plan = [], _kernels.taylor_plan
+        monkeypatch.setattr(_kernels, "taylor_plan", lambda *args: calls.append(args) or plan(*args))
+        g, run = make_ring(4), PercolationRun(lam=0.2, tau=0.1, steps=1000)
+        bits = sample_keep_bits(g, run.lam, rng_from_seed(3), run.steps)
+        *_, name = _kernels.trajectory_states(g.edge_array, 4, run.tau, bits, np.arange(run.steps + 1),
+                                              basis_state(4, 0))
+        assert name == "mask-cache(chunk=16)" and len(calls) <= 3
+        calls.clear()
+        assert run_trajectory(g, run, basis_state(4, 0)).propagator == name
+        assert len(calls) <= 6
+
     @pytest.mark.parametrize("quantum", [True, False])
     @pytest.mark.parametrize("tau,steps", [
         (100 / 60_000, 60_000),  # ring4-longtime's trajectory: 16 masks over 60 000 steps
@@ -447,7 +467,7 @@ class TestPropagatorRule:
     ])
     def test_repeated_masks_keep_the_cache(self, quantum, tau, steps):
         g = make_ring(4)
-        assert _kernels.step_plan(g.edge_array, 4, tau, steps, quantum) is None
+        assert _kernels.step_plan(g.edge_array, 4, tau, steps, quantum).kind == "mask-cache"
 
 
 class TestStepLoopsAreBitIdentical:
@@ -476,7 +496,7 @@ class TestStepLoopsAreBitIdentical:
 
     def _check(self, monkeypatch, g, tau, name, steps, stride, renorm):
         if name.startswith("taylor("):
-            monkeypatch.setattr(_kernels, "_use_matrix", lambda n, substeps: False)
+            force_taylor(monkeypatch, False)
         if name == "mask-cache":  # the shortest runs take the Taylor matrix
             force_mask_cache(monkeypatch)
         monkeypatch.setattr(_kernels, "RENORM_EVERY", renorm[0])
@@ -636,16 +656,21 @@ def _channel_tau(g, x):
     return x / (2.0 * max(g.degrees()))
 
 
+def _phi_layout(k, n):
+    """Phi[(i, k), (j, l)] = K[(i, j), (k, l)] for the Gram K of ``expm_channel_gram``."""
+    return k.reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(n * n, n * n)
+
+
 def _check_channel_against_expm(g, lam, x):
     tau = _channel_tau(g, x)
-    k_acc, name, perms, orbits = _kernels.channel_accumulate(g.edge_array, g.node_count, lam, tau)
+    phi, name, perms, orbits = _kernels.channel_accumulate(g.edge_array, g.node_count, lam, tau)
     substeps, _ = _kernels.taylor_plan(g.edge_array, g.node_count, tau)
     assert name.startswith(f"taylor(substeps={1 << (substeps - 1).bit_length()}, ")
     symmetries = perms.shape[0]
     assert 1 <= orbits <= 1 << g.edge_count and symmetries >= 1
     assert np.array_equal(perms[0], np.arange(g.node_count))
-    want = expm_channel_gram(g.node_count, g.edges, lam, tau)
-    assert np.max(np.abs(k_acc - want)) <= 1e-13
+    want = _phi_layout(expm_channel_gram(g.node_count, g.edges, lam, tau), g.node_count)
+    assert np.max(np.abs(phi - want)) <= 1e-13
     return symmetries
 
 
@@ -721,10 +746,10 @@ class TestChannelBuild:
         # below the range drawn above the plan keeps only 2 or 3 Taylor terms
         g = make_lattice2d(2, 3)
         tau = _channel_tau(g, x)
-        k_acc, name, _, _ = _kernels.channel_accumulate(g.edge_array, g.node_count, 0.5, tau)
+        phi, name, _, _ = _kernels.channel_accumulate(g.edge_array, g.node_count, 0.5, tau)
         assert name == f"taylor(substeps=1, order={order})"
-        want = expm_channel_gram(g.node_count, g.edges, 0.5, tau)
-        assert np.max(np.abs(k_acc - want)) <= 1e-13
+        want = _phi_layout(expm_channel_gram(g.node_count, g.edges, 0.5, tau), g.node_count)
+        assert np.max(np.abs(phi - want)) <= 1e-13
 
     @HYPOTHESIS
     @given(g=channel_graphs(), lam=st.floats(0.0, 1.0), x=st.floats(0.01, 8.0),
@@ -864,12 +889,10 @@ class TestOrbitScan:
     def test_matches_a_float64_scan_of_every_mask(self, g, group, lam):
         edges, n = g.edge_array, g.node_count
         perms = _kernels._automorphisms(edges, n, 10**6) if group == "full" else np.arange(n)[None]
-        batches = list(_kernels._orbit_representatives(edges, perms, lam))
-        bits = np.concatenate([b for b, _ in batches])
-        weights = np.concatenate([w for _, w in batches])
-        want_bits, want_weights = reference_orbit_representatives(edges, perms, lam)
-        assert bits.dtype == np.uint8
-        assert np.array_equal(bits, want_bits)
+        masks, weights = _kernels._orbit_representatives(edges, perms, lam)
+        want_masks, want_weights = reference_orbit_representatives(edges, perms, lam)
+        assert masks.dtype == np.int64
+        assert np.array_equal(masks, want_masks)
         assert np.array_equal(weights, want_weights)
 
     # ring15-channel's step, and one that needs a squaring
@@ -882,7 +905,9 @@ class TestOrbitScan:
         _, order = _kernels.taylor_plan(edges, n, tau / 2**squarings)
         upper = (n * np.arange(n)[:, None] + np.arange(n))[np.triu_indices(n)]
         perms = _kernels._automorphisms(edges, n, 10**6)
-        for bits, weights in _kernels._orbit_representatives(edges, perms, lam):
+        masks, all_weights = _kernels._orbit_representatives(edges, perms, lam)
+        for b0 in range(0, masks.size, 67):  # ring:15's batches
+            bits, weights = _kernels._mask_bits(masks[b0:b0 + 67], g.edge_count), all_weights[b0:b0 + 67]
             e, s = _kernels._cos_sin(_kernels.laplacians(edges, n, bits, tau / 2**squarings), order, squarings)
             rows = bits.shape[0]
             xy = _kernels._gram_rows(e, s, weights, upper)
