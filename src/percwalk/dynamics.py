@@ -42,8 +42,8 @@ builds its own, within about 2^q 2^-53 for q squarings; a trajectory there
 applies them a chunk of prefix products at a time and skips the steps that
 keep no edge. Otherwise the series is applied to the state as an action,
 or, for a trajectory on a graph small enough that a batch of n x n products
-costs less than the calls of the action, formed as a matrix P per step by
-the cache's routine (``_kernels._taylor_matrices``) and applied as
+costs less than the calls of the action, formed as a matrix P per step
+with the cache's series (``_kernels._taylor_matrices``) and applied as
 x + (P - I) x, one matvec and one add per substep. Discrepancies from the
 rescaled-time reference therefore come from non-commutativity of the
 sampled generators, not from integrator error. Every record names the
@@ -376,19 +376,7 @@ def build_step_channel(g: Graph, lam: float, tau: float) -> ChannelMatrix:
         )
     phi, propagator, perms, orbits = _kernels.channel_accumulate(g.edge_array, g.node_count, float(lam), float(tau))
     return ChannelMatrix(matrix=phi, dim=g.node_count, propagator=propagator,
-                         symmetries=perms.shape[0], orbits=orbits, rotation=_rotation(perms))
-
-
-def _rotation(perms: np.ndarray) -> np.ndarray:
-    """The element of largest order of the group ``perms`` (|G|, n), the first one on ties."""
-    rows = np.arange(perms.shape[0])[:, None]
-    cur, orders = perms, np.zeros(perms.shape[0], dtype=np.int64)
-    for k in range(1, perms.shape[0] + 1):
-        orders[(orders == 0) & (cur == perms[0]).all(axis=1)] = k  # perms[0] is the identity
-        if orders.all():
-            break
-        cur = perms[rows, cur]
-    return perms[np.argmax(orders)]
+                         symmetries=perms.shape[0], orbits=orbits, rotation=_kernels._rotation(perms))
 
 
 def _power_minus_identity(d: np.ndarray, k: int) -> np.ndarray:

@@ -13,6 +13,7 @@ kernels must be bit-identical.
 from __future__ import annotations
 
 import itertools
+import math
 import tracemalloc
 from dataclasses import dataclass
 
@@ -206,6 +207,42 @@ def reference_orbit_representatives(edges: np.ndarray, perms: np.ndarray, lam: f
     return masks[keep], weights[keep]
 
 
+def reference_group_sum(gram: np.ndarray, perms: np.ndarray, pair: np.ndarray) -> np.ndarray:
+    """sum over every g of G of gram[pi_g(a), pi_g(b)], one element at a time.
+
+    pi_g maps the pair (i, j) of index ``pair[i, j]`` to (g i, g j) and fixes
+    the last index of the (k + 1, k + 1) ``gram``.
+    """
+    iu, ju = np.triu_indices(pair.shape[0])
+    out = np.zeros_like(gram)
+    for g in perms:
+        pp = np.append(pair[g[iu], g[ju]], gram.shape[0] - 1)
+        out += gram[np.ix_(pp, pp)]
+    return out
+
+
+def truncated_series(w: np.ndarray, order: int, squarings: int, quantum: bool) -> np.ndarray:
+    """The scalar functions of the eigenvalues w that ``_kernels._cos_sin`` and ``_exp_minus`` evaluate.
+
+    Quantum: (C - 1, S), C and S the series of cos and sin truncated at
+    degrees 2J and 2J + 1, J = order // 2, then doubled ``squarings`` times
+    by C, S -> C^2 - S^2, 2 C S. Classical: D, the series of exp(-w) - 1
+    truncated at degree 2J + 2, J = max(0, (order - 1) // 2), then squared
+    ``squarings`` times by D -> 2 D + D^2.
+    """
+    if quantum:
+        top = order // 2
+        c = sum(((-1) ** k * w ** (2 * k) / math.factorial(2 * k) for k in range(1, top + 1)), np.ones_like(w))
+        s = sum((-1) ** k * w ** (2 * k + 1) / math.factorial(2 * k + 1) for k in range(top + 1))
+        for _ in range(squarings):
+            c, s = c * c - s * s, 2.0 * c * s
+        return np.stack([c - 1.0, s])
+    d = sum((-w) ** j / math.factorial(j) for j in range(1, 2 * max(0, (order - 1) // 2) + 3))
+    for _ in range(squarings):
+        d = 2.0 * d + d * d
+    return d
+
+
 # random simple graphs small enough to enumerate all 2^E realizations against scipy expm
 @st.composite
 def channel_graphs(draw):
@@ -299,10 +336,11 @@ def apply_channel(phi, rho: np.ndarray) -> np.ndarray:
 
 def cached_propagator(edges, n, bits, z) -> np.ndarray:
     """The real-form exp(z * H_r) that the mask cache holds for the keep bits ``bits`` (E,), built alone."""
-    squarings, order = _kernels._squaring_plan(edges, n, abs(z))
-    u = _kernels._taylor_matrices(edges, n, bits[None], z, 2**squarings, order, squarings=squarings)[0]
-    u.reshape(n * n)[:: n + 1] += 1.0
-    return _kernels._real_form(u, np.empty((2 * n if np.iscomplexobj(z) else n,) * 2))
+    m = 2 * n if np.iscomplexobj(z) else n
+    out = np.empty((1, m, m))
+    _kernels._cache_propagators(edges, n, bits[None], z, _kernels._squaring_plan(edges, n, abs(z)),
+                                _kernels._taylor_work(n, 1), out)
+    return out[0]
 
 
 def reference_trajectory(edges, n, z, bits, record_steps, x0, renorm_every, renorm_tol):

@@ -41,11 +41,13 @@ from helpers import (
     force_mask_cache,
     force_taylor,
     reference_automorphisms,
+    reference_group_sum,
     reference_laplacian,
     reference_orbit_representatives,
     reference_taylor_ensemble,
     reference_trajectory,
     traced_peak,
+    truncated_series,
 )
 
 RENORM = (_kernels.RENORM_EVERY, _kernels.RENORM_TOL)
@@ -615,7 +617,7 @@ class TestIdleSteps:
         def no_builds(*args):
             raise AssertionError("a propagator was built for a run that keeps no edge")
 
-        monkeypatch.setattr(_kernels, "_taylor_matrices", no_builds)
+        monkeypatch.setattr(_kernels, "_cache_propagators", no_builds)
         g, steps = make_ring(4), 300
         rec = np.arange(0, steps + 1, 7)
         (psi, psi_drift, _), (p, p_drift, _) = self._check(monkeypatch, g, self._bits(g, 0.0, steps), rec)
@@ -731,6 +733,13 @@ class TestChannelBuild:
         assert bound < _kernels.CHANNEL_BATCH  # 67 rows on ring:15, 178 on lattice2d:3x3
         assert max(rows) == bound and sum(rows) == built
 
+    def test_peak_memory_stays_below_twice_phi(self):
+        # glibc trims the heap's free top once it exceeds twice the largest block released, here
+        # Phi: a call whose temporaries reached that would fault its pages in again at every call
+        g = make_ring(15)
+        (phi, *_), peak = traced_peak(lambda: _kernels.channel_accumulate(g.edge_array, 15, 0.4, 0.004))
+        assert peak <= 2 * phi.nbytes
+
     def test_three_row_batches_give_the_same_channel(self):
         g = make_ring(15)
         k, name, perms, orbits = _kernels.channel_accumulate(g.edge_array, 15, 0.4, 0.004)
@@ -778,6 +787,43 @@ def _edge_set(edges):
 
 # 11 and 12 straddle the order 12 of a 6-ring; 10**6 is above every group here
 AUTOMORPHISM_LIMITS = [1, 3, 11, 12, 10**6]
+
+
+class TestGroupSum:
+    """The Gram's sum over G by cosets of <sigma> and doubling, against the sum over every element."""
+
+    @pytest.mark.parametrize("g,order,cosets", [
+        (make_complete(4), 24, 6),  # S4, sigma of order 4
+        # S5, sigma of order 6: here a transversal of the left cosets h<sigma> is not one of the
+        # right cosets <sigma>h, and summing over it is wrong
+        (make_complete(5), 120, 20),
+        (make_lattice2d(3, 3), 8, 2),  # D4
+        (make_ring(6), 12, 2),  # D6
+        (make_ring(15), 30, 2),  # D15
+        (Graph(node_count=6, edges=((0, 1), (1, 2), (2, 3), (3, 4), (2, 5), (3, 5))), 1, 1),
+    ], ids=["complete4", "complete5", "lattice3x3", "ring6", "ring15", "asymmetric"])
+    def test_matches_the_per_element_sum(self, monkeypatch, g, order, cosets):
+        # CHANNEL_BATCH = 1 lets the cost rule accept each of these groups
+        monkeypatch.setattr(_kernels, "CHANNEL_BATCH", 1)
+        edges, n = g.edge_array, g.node_count
+        tau = _channel_tau(g, 0.7)
+        phi, name, perms, orbits = _kernels.channel_accumulate(edges, n, 0.35, tau)
+        sigma = _kernels._rotation(perms)
+        powers = [np.arange(n)]
+        while not np.array_equal(nxt := sigma[powers[-1]], powers[0]):
+            powers.append(nxt)
+        assert perms.shape[0] == order and order // len(powers) == cosets
+        monkeypatch.setattr(_kernels, "_group_sum", lambda gram, perms, sigma, pair: reference_group_sum(gram, perms, pair))
+        want, want_name, want_perms, want_orbits = _kernels.channel_accumulate(edges, n, 0.35, tau)
+        assert (name, orbits) == (want_name, want_orbits) and np.array_equal(perms, want_perms)
+        assert np.max(np.abs(phi - want)) <= 1e-15
+
+    def test_rotation_is_the_channels(self):
+        # the build sums over the cosets of the sigma that the channel reports as its rotation
+        g = make_ring(15)
+        phi = build_step_channel(g, 0.4, 0.004)
+        perms = _kernels._automorphisms(g.edge_array, 15, 10**6)
+        assert np.array_equal(phi.rotation, _kernels._rotation(perms))
 
 
 class TestAutomorphisms:
@@ -938,19 +984,19 @@ class TestMaskCachePropagators:
         edges, n = graph.edge_array, graph.node_count
         bits = sample_keep_bits(graph, 0.5, rng_from_seed(8), 300)
         z = -1j * 0.3 if quantum else -0.3
-        squarings, order = _kernels._squaring_plan(edges, n, 0.3)
-        batch = _kernels._taylor_matrices(edges, n, bits, z, 2**squarings, order, squarings=squarings)
-        batch.reshape(-1, n * n)[:, :: n + 1] += 1.0
+        m = 2 * n if quantum else n
+        batch = np.empty((bits.shape[0], m, m))
+        _kernels._cache_propagators(edges, n, bits, z, _kernels._squaring_plan(edges, n, 0.3),
+                                    _kernels._taylor_work(n, bits.shape[0]), batch)
         for row, u in zip(bits, batch):
-            want = _kernels._real_form(u, np.empty((2 * n if quantum else n,) * 2))
-            assert np.array_equal(want, cached_propagator(edges, n, row, z))
+            assert np.array_equal(u, cached_propagator(edges, n, row, z))
 
     @pytest.mark.parametrize("graph", [make_ring(4), make_complete(4), make_ring(12)],
                              ids=["ring4", "complete4", "ring12"])
     @pytest.mark.parametrize("tau", [1 / 600, 0.1, 1.0, 32.0])
     @pytest.mark.parametrize("quantum", [True, False])
     def test_matches_expm(self, graph, tau, quantum):
-        # Horner's rule on n x n products leaves about (order + 1) n 2^-53 per series entry
+        # a series summed with n x n products leaves about (order + 1) n 2^-53 per entry
         # (Higham, Accuracy and Stability of Numerical Algorithms, 2002, sections 3.5 and 5.1), and
         # each of the q squarings about doubles it: the cache's per-step error of 2^q 2^-53, times
         # (order + 1) n
@@ -973,6 +1019,12 @@ class TestMaskCachePropagators:
             assert np.max(np.abs(u - want)) <= bound
 
 
+def _reference_block(g, bits, scale):
+    """scale * the adjacency-table Laplacian of each row of ``bits``."""
+    return np.array([scale * reference_laplacian(g.node_count, g.edges, sum(1 << int(k) for k in np.flatnonzero(row)))
+                     for row in bits])
+
+
 class TestLaplacianBlock:
     def test_block_rows_match_reference(self):
         g = make_lattice2d(4, 3)
@@ -981,6 +1033,76 @@ class TestLaplacianBlock:
         for row, h in zip(bits, block):
             mask = sum(1 << int(k) for k in np.flatnonzero(row))
             assert np.allclose(h, 0.7 * reference_laplacian(g.node_count, g.edges, mask), atol=1e-15)
+
+    # each degree is an exact integer times the scale, as in the reference: equal bits
+    @pytest.mark.parametrize("g", [
+        make_lattice2d(4, 3),
+        make_complete(6),
+        Graph(node_count=5, edges=((0, 1), (1, 2), (2, 0), (2, 3))),  # node 4 is isolated
+        Graph(node_count=3, edges=()),
+    ], ids=["lattice4x3", "complete6", "isolated-node", "no-edges"])
+    @pytest.mark.parametrize("scale", [0.7, -0.3j, 1e-4])
+    def test_rows_equal_the_adjacency_reference(self, g, scale):
+        n = g.node_count
+        bits = np.random.default_rng(5).integers(0, 2, (9, g.edge_count)).astype(np.uint8)
+        bits[0] = 1  # every edge kept
+        block = _kernels.laplacians(g.edge_array, n, bits, scale)
+        assert block.shape == (9, n, n) and block.dtype == np.result_type(scale, np.float64)
+        assert np.array_equal(block, _reference_block(g, bits, scale))
+        given = _kernels.laplacians(g.edge_array, n, bits, scale, incidence=_kernels._incidence(g.edge_array, n))
+        assert np.array_equal(given, block)
+
+    @pytest.mark.parametrize("scale", [0.7, -0.3j])
+    def test_out_buffer_reused_across_rows(self, scale):
+        # each call writes only the edges and the diagonal of the buffer; the rows of the next
+        # call keep other edges, and a shorter call reuses the first rows
+        g = make_lattice2d(4, 3)
+        n = g.node_count
+        out = np.zeros((6, n, n), dtype=np.result_type(scale, np.float64))
+        for seed, rows in [(1, 6), (2, 6), (3, 4), (4, 6)]:
+            bits = sample_keep_bits(g, 0.5, rng_from_seed(seed), rows)
+            got = _kernels.laplacians(g.edge_array, n, bits, scale, out[:rows])
+            assert np.shares_memory(got, out)
+            assert np.array_equal(got, _reference_block(g, bits, scale))
+
+
+class TestSeries:
+    """The shared-powers series of both walks against eigh references of the same truncated series."""
+
+    @pytest.mark.parametrize("squarings", [0, 1, 2, 3])
+    @pytest.mark.parametrize("order", range(1, 13))
+    def test_matches_spectral_reference(self, order, squarings):
+        # lattice2d:2x3 with every edge kept and three random realizations, at the norm that a
+        # plan gives each term, ||a|| <= 2 maxdeg scale = 1
+        g = make_lattice2d(2, 3)
+        bits = np.vstack([np.ones((1, g.edge_count), dtype=np.uint8), sample_keep_bits(g, 0.5, rng_from_seed(6), 3)])
+        a = _kernels.laplacians(g.edge_array, 6, bits, 1.0 / 6.0)
+        w, q = np.linalg.eigh(a)
+
+        def spectral(f):
+            return (q * f[:, None, :]) @ q.transpose(0, 2, 1)
+
+        e, s = _kernels._cos_sin(a, order, squarings)
+        want_e, want_s = truncated_series(w, order, squarings, quantum=True)
+        assert np.max(np.abs(e - spectral(want_e))) <= 4e-15
+        assert np.max(np.abs(s - spectral(want_s))) <= 4e-15
+        d = _kernels._exp_minus(a, order, squarings, np.empty((5,) + a.shape))
+        assert np.max(np.abs(d - spectral(truncated_series(w, order, squarings, quantum=False)))) <= 4e-15
+
+    @pytest.mark.parametrize("quantum", [True, False])
+    def test_products_are_counted(self, monkeypatch, quantum):
+        # the price's product count is the routine's: J + 1 quantum and J + 2 classical, 3 or 1 per squaring
+        calls, matmul = [], np.matmul
+        monkeypatch.setattr(np, "matmul", lambda *args, **kwargs: calls.append(1) or matmul(*args, **kwargs))
+        a = _kernels.laplacians(make_ring(5).edge_array, 5, np.ones((2, 5)), 0.1)
+        for order in range(0, 13):
+            for squarings in range(3):
+                calls.clear()
+                if quantum:
+                    _kernels._cos_sin(a, order, squarings)
+                else:
+                    _kernels._exp_minus(a, order, squarings, np.empty((5,) + a.shape))
+                assert len(calls) == _kernels._series_products(order, quantum) + (3 if quantum else 1) * squarings
 
 
 def _merged(y, cuts):
