@@ -41,9 +41,20 @@ or z = -tau for the classical walk. Three propagators implement it:
   powers of a @ a shared by the even and odd parts of the series
   (``_power_sums``), and saves ``order`` small numpy calls per substep
   (Moler & Van Loan, SIAM Rev. 45:3, 2003). Ensembles always use the
-  action or the mask cache, and apply the action through the kept-edge
-  weights of each column (``_edge_apply``) instead of a Laplacian per
-  column.
+  action or the mask cache. An ensemble applies the action to all
+  columns of a block at once through the graph's padded neighbour lists,
+  width = its largest degree slots per node (``_neighbours``, the ELLPACK
+  layout): row i of H x is sum_k w[k, i] (x_i - x[nbr[k, i]]), with each
+  step's kept-edge weights taken into the slots once per step
+  (``_gather_apply``). That is width n entries per column where the
+  signed incidence product B^T diag(w) B x that it replaced took n E, and
+  the same terms summed in the same order: its states were bit-identical
+  on lattice2d:10x10, ring:100, complete:15 and complete:30, where BLAS
+  sums each row in edge order, and within 1.4e-16 on lattice2d:20x20.
+  Measured with one BLAS thread, best of 25, at 16 columns: 19.8 against
+  35.8 us per apply on lattice2d:10x10, 12.8 against 20.6 on ring:100,
+  13.0 against 13.1 on complete:15, 36.7 against 49.3 on complete:30 and
+  64 against 671 on lattice2d:20x20.
 
 ``step_plan`` prices every route that a run may take in flops and calls and
 returns the cheapest as a ``Route``: its kind, its plan, the chunk length of
@@ -145,7 +156,8 @@ CHANNEL_BATCH = 512
 # per-substep truncation bound of the Taylor action, relative to the state norm
 TAYLOR_TOL = 2.0**-53
 # largest transient buffer: the Laplacian block and Taylor terms of a step
-# kernel, the propagators gathered for an ensemble's mask-cache step, and each
+# kernel, each neighbour-slot buffer of an ensemble's Taylor action, the
+# propagators gathered for an ensemble's mask-cache step, and each
 # (rows, n, n) stack of a Taylor-matrix block, a mask-cache build or an exact
 # channel batch; the prefix products of a mask-cache trajectory's block take
 # four (``_ensemble``).
@@ -166,6 +178,12 @@ MAX_SUBSTEPS = 1 << 24
 # batched real 15 x 15 to 20 x 20 matmuls do about 15 000 flops (30 GFLOP/s);
 # measured with 1 BLAS thread on a 2-vCPU Xeon, OpenBLAS 0.3.31 (``_taylor_step_flops``)
 CALL_FLOPS = 15_000
+# flops that each float64 of a neighbour slot of one column costs the ensemble's Taylor action:
+# the four passes of ``_gather_apply`` (gather, subtract, multiply, sum) took 2.7 to 4.8 ns per
+# complex slot and 1.3 to 2.6 ns per real one at 16 and 64 columns on lattice2d:10x10,
+# lattice2d:20x20, complete:15 and complete:30, one BLAS thread: 40 to 78 flops per float64 at
+# the rate of CALL_FLOPS (``_taylor_step_flops``)
+SLOT_FLOPS = 50
 # every RENORM_EVERY steps a quantum state whose norm drifted by more than RENORM_TOL is renormalized
 RENORM_EVERY = 10_000
 RENORM_TOL = 1e-12
@@ -218,6 +236,33 @@ def _incidence(edges: np.ndarray, n: int) -> np.ndarray:
     return incidence
 
 
+def _max_degree(edges: np.ndarray, n: int) -> int:
+    """The largest node degree of the graph, 0 without edges."""
+    return int(np.bincount(edges.ravel(), minlength=n).max(initial=0))
+
+
+def _neighbours(edges: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The padded neighbour lists of the graph: (nbr, eid), each (width, n), width its largest degree.
+
+    Slot (k, i) holds the k-th edge eid[k, i] at node i, in ascending edge
+    order, and its other end nbr[k, i]. A node of smaller degree fills its
+    last slots with itself and with edge E = edges.shape[0], to which the
+    caller gives weight zero. This is the ELLPACK layout of the Laplacian's
+    off-diagonal (Rice & Boisvert, Solving Elliptic Problems Using ELLPACK,
+    1985).
+    """
+    count = edges.shape[0]
+    ends = edges.ravel()  # u_0, v_0, u_1, v_1, ...: each node's edges in ascending order
+    order = np.argsort(ends, kind="stable")
+    degree = np.bincount(ends, minlength=n)
+    slot = np.arange(2 * count) - np.repeat(np.cumsum(degree) - degree, degree)
+    nbr = np.tile(np.arange(n), (int(degree.max(initial=0)), 1))
+    eid = np.full(nbr.shape, count)
+    nbr[slot, ends[order]] = edges[:, ::-1].ravel()[order]
+    eid[slot, ends[order]] = order // 2
+    return nbr, eid
+
+
 def hamiltonian_from_bits(edges: np.ndarray, bits: np.ndarray, n: int) -> np.ndarray:
     """Laplacian Hamiltonian L of the edges kept in ``bits`` (E,)."""
     return laplacians(edges, n, bits[None, :], 1.0)[0]
@@ -232,8 +277,7 @@ def taylor_plan(edges: np.ndarray, n: int, tau: float) -> tuple[int, int]:
     smallest K whose series tail y^(K+1) / (K+1)! / (1 - y / (K+2)) is at
     most TAYLOR_TOL. An infinite x is refused as a plan above every limit.
     """
-    maxdeg = int(np.bincount(edges.ravel(), minlength=n).max(initial=0))
-    x = 2.0 * tau * maxdeg
+    x = 2.0 * tau * _max_degree(edges, n)
     if not x < math.inf:
         raise ValueError(
             f"a step of tau={tau:g} plans unboundedly many Taylor substeps (and squarings), "
@@ -293,7 +337,7 @@ def step_plan(edges: np.ndarray, n: int, tau: float, steps: int, quantum: bool,
     plan = substeps, order = taylor_plan(edges, n, tau)
     routes = []  # (price, route), in the order that breaks ties
     if substeps * steps <= MAX_SUBSTEPS:
-        prices = _taylor_step_flops(n, edge_count, plan, quantum, columns)
+        prices = _taylor_step_flops(n, _max_degree(edges, n), plan, quantum, columns)
         for kind, price in zip(("taylor", "taylor-matrix"), prices[:1] if columns else prices):
             routes.append((steps * price, Route(kind, plan, 1, f"{kind}(substeps={substeps}, order={order})")))
     if propagator_cache_capacity(edge_count, steps * (columns or 1), m):
@@ -334,14 +378,27 @@ def _cache_flops(n: int, edge_count: int, plan: tuple[int, int], steps: int, qua
     return distinct * build + draws * 2 * m * m + calls * CALL_FLOPS
 
 
-def _taylor_step_flops(n: int, edge_count: int, plan: tuple[int, int], quantum: bool,
+def _taylor_step_flops(n: int, width: int, plan: tuple[int, int], quantum: bool,
                        columns: int | None) -> tuple[int, int]:
     """Prices in flops of one step on the Taylor plan (substeps, order): (the action, the Taylor matrix).
 
     The action makes K + 2 calls per substep, K = order, and K applications
     of the step's Laplacian: 2 n^2 flops dense for a trajectory (columns
-    None), 4 n E per column through the kept edges of an ensemble of
-    ``columns`` states (``_edge_apply``). The Taylor matrix of a trajectory
+    None). An ensemble of ``columns`` states applies it through the
+    neighbour slots (``_gather_apply``, ``width`` = the largest degree):
+    three calls more and SLOT_FLOPS per float64 of its width n slots per
+    column, and each step takes its weights into the slots with two calls.
+    On 90 ensembles of graphs of at most 16 edges (rings, small lattices
+    and complete graphs; tau 1e-4 to 1, 10 to 1000 steps, 1 to 256
+    columns), timed on both routes in process with one BLAS thread, this
+    price chose the faster of the action and the mask cache 86 times and
+    lost 20.5 ms of the 910 ms that the faster routes took; the price of
+    the dense incidence product before it, 4 n E flops per column and
+    one call per apply, chose it 74 times and lost 93.6 ms. The misses
+    are runs that build many masks, whose builds ``_cache_flops`` prices
+    below their cost: lattice2d:2x6 over 100 steps of 64 columns at
+    tau 0.01 took 29.8 ms on the cache that this price picks, 12.5 ms on
+    the action. The Taylor matrix of a trajectory
     forms the step's polynomial with p n x n products (``_series_products``:
     p = K // 2 + 1 quantum, (K - 1) // 2 + 2 classical), 2 n^3 flops each,
     and makes two calls per substep. Each call is priced at CALL_FLOPS. The
@@ -364,9 +421,13 @@ def _taylor_step_flops(n: int, edge_count: int, plan: tuple[int, int], quantum: 
       cost less than CALL_FLOPS, fitted to complex ones, prices them.
     """
     substeps, order = plan
-    apply = 2 * n * n if columns is None else 4 * n * edge_count * columns
+    if columns is None:
+        apply, weights = 2 * n * n, 0
+    else:
+        apply = 3 * CALL_FLOPS + SLOT_FLOPS * (2 if quantum else 1) * width * n * columns
+        weights = 2 * CALL_FLOPS
     matrix = 2 * _series_products(order, quantum) * n**3 + 2 * substeps * CALL_FLOPS
-    return substeps * ((order + 2) * CALL_FLOPS + order * apply), matrix
+    return substeps * ((order + 2) * CALL_FLOPS + order * apply) + weights, matrix
 
 
 def _mask_chunk(m: int) -> int:
@@ -626,16 +687,22 @@ def _norms(x: np.ndarray, axis: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _edge_apply(u, v, bt, w, x, y):
-    """y = H x for the (n, T) state block x, H taken from the kept-edge weights w (E, T).
+def _gather_apply(nbr, w, gathered, x, y):
+    """y = H x for the (n, T) state block x, H taken from the weights w (width n, T) of the neighbour slots.
 
-    With the signed incidence B (B[e, u_e] = 1, B[e, v_e] = -1), H = B^T
-    diag(w) B column by column. Complex blocks go through the real matmul
-    as (E, 2T) float views, so B stays real.
+    ``nbr`` is the flattened neighbour table of ``_neighbours`` and w holds
+    each slot's kept-edge weight per column, zero on the padded slots;
+    ``gathered`` is a buffer of w's shape. Row i of H x is
+    sum_k w[k, i] (x_i - x[nbr[k, i]]), summed over k in ascending edge
+    order: the terms and the order of the signed incidence product
+    B^T diag(w) B x, at width n entries per column instead of n E. A padded
+    slot adds w (x_i - x_i) = 0.
     """
-    d = x[u] - x[v]
-    d *= w
-    np.dot(bt, d.view(np.float64), out=y.view(np.float64))
+    np.take(x, nbr, axis=0, out=gathered, mode="clip")
+    diff = gathered.reshape((-1,) + x.shape)
+    np.subtract(x, diff, out=diff)
+    gathered *= w
+    diff.sum(axis=0, out=y)
 
 
 def _ensemble(edges, n, z, bits, record_steps, x0, record):
@@ -650,6 +717,18 @@ def _ensemble(edges, n, z, bits, record_steps, x0, record):
     k a slice. For the quantum walk (complex z) blocks end at multiples of
     RENORM_EVERY, where a state whose norm drifted by more than RENORM_TOL
     is renormalized; a classical walk is never renormalized.
+
+    The Taylor action of an ensemble applies each step's Laplacian to all
+    columns of a block through the graph's neighbour slots
+    (``_gather_apply``): each step takes its kept-edge weights into the
+    slots with one multiply and one take. The Taylor action takes its
+    terms and a block's states, and an ensemble its slot buffers, once per
+    call, at the width of a full column block, of which a narrower last
+    block uses the leading part. On lattice10x10-montecarlo (``ru_minflt`` around each
+    CLI call, the benchmark's reference computation between calls, 14
+    heap layouts) the call then faulted in 244 to 333 pages per
+    repetition, against 414 to 421 when they were allocated per block and
+    the Monte Carlo sums were not built in place.
 
     The mask cache is one store of real propagators per call, shared by its
     column blocks; a 2^E table of slots maps each mask key to its row, and
@@ -786,22 +865,33 @@ def _ensemble(edges, n, z, bits, record_steps, x0, record):
 
             def appliers(bits):
                 return [a.dot for a in laplacians(edges, n, bits, z / substeps, incidence=incidence)]
-        else:  # the kept-edge weights (E, columns) of each step
-            u_idx, v_idx = edges[:, 0], edges[:, 1]
-            bt = np.zeros((n, edge_count))
-            bt[u_idx, np.arange(edge_count)] = 1.0
-            bt[v_idx, np.arange(edge_count)] = -1.0
-            cols = min(columns, max(1, BLOCK_BYTES // (x0.itemsize * max((order + 1) * n, edge_count))))
+        else:  # the kept-edge weights of each step, in the slots of the neighbour table
+            nbr, eid = _neighbours(edges, n)
+            slots, scale = nbr.size, z / substeps
+            nbr, eid = nbr.ravel(), eid.ravel()
+            cols = min(columns, max(1, BLOCK_BYTES // (x0.itemsize * max((order + 1) * n, slots))))
             block = max(1, BLOCK_BYTES // (x0.itemsize * n * cols))
-            scale = z / substeps
+            # the slot weights, the gathered states and the (E + 1, T) edge weights, once per call
+            buffers = np.empty((2 * slots + edge_count + 1) * cols, dtype=x0.dtype)
 
             def appliers(bits):
-                return [partial(_edge_apply, u_idx, v_idx, bt, bits[:, j, :].T * scale)
-                        for j in range(bits.shape[1])]
+                c = bits.shape[0]  # the last column block may be narrower
+                weights, gathered = buffers[:2 * slots * c].reshape(2, slots, c)
+                edge_weights = buffers[2 * slots * c:][:(edge_count + 1) * c].reshape(edge_count + 1, c)
+                edge_weights[edge_count] = 0.0  # the padded slots' edge
+                apply = partial(_gather_apply, nbr, weights, gathered)
+                for j in range(bits.shape[1]):
+                    np.multiply(bits[:, j, :].T, scale, out=edge_weights[:edge_count])
+                    np.take(edge_weights, eid, axis=0, out=weights, mode="clip")
+                    yield apply
+
+        # the Taylor terms and the states of a block, once per call
+        terms = np.empty((order + 1) * n * cols, dtype=x0.dtype)
+        states = np.empty(block * n * cols, dtype=x0.dtype)
 
         def advance(bits, start, stop, x):
-            hist = np.empty((stop - start,) + x.shape, dtype=x.dtype)
-            v = np.empty((order + 1,) + x.shape, dtype=x.dtype)  # the Taylor terms
+            hist = states[:(stop - start) * x.size].reshape((stop - start,) + x.shape)
+            v = terms[:(order + 1) * x.size].reshape((order + 1,) + x.shape)
             rows, flat = list(v), v.reshape(order + 1, -1)
             for apply_a, row, out in zip(appliers(bits[..., start:stop, :]), hist,
                                          hist.reshape(stop - start, -1)):
@@ -838,7 +928,7 @@ def _ensemble(edges, n, z, bits, record_steps, x0, record):
                 record(slice(rec_i, rec_j), hist[record_steps[rec_i:rec_j] - start - 1])
                 rec_i = rec_j
                 x, start = hist[-1].copy(), stop
-                del hist, h  # the block's states are freed before the next block is advanced
+                del hist, h  # states that advance allocated per block are freed before the next block
     return float(max_drift), route.name
 
 
@@ -892,10 +982,11 @@ def ensemble_quantum(edges, n, tau, bits3, record_steps, psis0):
     n_rec = record_steps.shape[0]
     sum_outer = np.zeros((n_rec, n, n), dtype=np.complex128)
     moments = [(0, 0.0, 0.0)] * n_rec
+    outer = np.empty((n, n), dtype=np.complex128)
 
     def record(k, xs):
         for j, x in enumerate(xs, k.start):
-            sum_outer[j] += x @ x.conj().T
+            sum_outer[j] += np.matmul(x, x.conj().T, out=outer)
             moments[j] = merge_moments(moments[j], _column_moments(np.abs(x) ** 2))
 
     drift, name = _ensemble(edges, n, -1j * tau, bits3, record_steps, psis0.T.astype(np.complex128), record)

@@ -631,7 +631,7 @@ def _monte_carlo(g, run, n_trajectories, sample_stride, quantum, kernel, weights
     chunk = max(1, min(n_trajectories, ENSEMBLE_CHUNK_BYTES // per_trajectory))
     _kernels.step_plan(g.edge_array, g.node_count, run.tau, run.steps, quantum, chunk)
     rec = recorded_steps(run.steps, sample_stride)
-    total, moments, max_drift, propagators = 0.0, [(0, 0.0, 0.0)] * rec.shape[0], 0.0, {}
+    total, moments, max_drift, propagators = None, [(0, 0.0, 0.0)] * rec.shape[0], 0.0, {}
     for start in range(0, n_trajectories, chunk):
         stop = min(start + chunk, n_trajectories)
         bits3 = np.empty((stop - start, run.steps, g.edge_count), dtype=np.uint8)
@@ -642,13 +642,35 @@ def _monte_carlo(g, run, n_trajectories, sample_stride, quantum, kernel, weights
                 picks[k - start] = rng.choice(weights.shape[0], size=1, p=weights)[0]
             bits3[k - start] = sample_keep_bits(g, run.lam, rng, run.steps)
         chunk_sum, chunk_moments, drift, propagator = kernel(bits3, rec, picks)
-        total = total + chunk_sum
+        if start:
+            total += chunk_sum
+        else:
+            total = chunk_sum
         moments = list(map(_kernels.merge_moments, moments, chunk_moments))
         max_drift = np.maximum(max_drift, drift)  # keeps a NaN drift, unlike max()
         propagators[propagator] = None
     t = n_trajectories
     stderr = np.array([np.sqrt(m2 / ((t - 1) * t)).max() for _, _, m2 in moments])
-    return rec, total / t, stderr, float(max_drift), ", ".join(propagators)
+    total /= t
+    return rec, total, stderr, float(max_drift), ", ".join(propagators)
+
+
+def _eigenpairs(rho0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(w, v): the eigenvalues of the density rho0 and its eigenvectors, the columns of v.
+
+    A basis density |i><i|, one nonzero entry and that a 1 on the diagonal,
+    has the eigenpairs (1, e_i) and (0, e_j), j != i: w is e_i and v the
+    identity, whose column i is the eigenvector of weight 1 that ``eigh``
+    returns. Every CLI run passes such a density, on which ``eigh`` took
+    1.07 ms at n = 100. Any other density goes through ``eigh``.
+    """
+    n = rho0.shape[0]
+    entries = np.flatnonzero(rho0)
+    if entries.shape[0] == 1 and entries[0] % (n + 1) == 0 and rho0.flat[entries[0]] == 1.0:
+        w = np.zeros(n)
+        w[entries[0] // (n + 1)] = 1.0
+        return w, np.eye(n)
+    return np.linalg.eigh(rho0)
 
 
 def monte_carlo_channel(
@@ -672,7 +694,7 @@ def monte_carlo_channel(
     n = g.node_count
     if rho0.shape[0] != n:
         raise ValueError(f"density dimension {rho0.shape[0]} != node_count {n}")
-    w, v = np.linalg.eigh(rho0)
+    w, v = _eigenpairs(rho0)
     check_density_spectrum(w)
     w = np.where(w > 0, w, 0.0)
     w = w / w.sum()

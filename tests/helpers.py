@@ -444,17 +444,14 @@ def reference_trajectory(edges, n, z, bits, record_steps, x0, renorm_every, reno
 
 
 def reference_taylor_ensemble(edges, n, z, bits3, record_steps, x0, record, renorm_every, renorm_tol):
-    """``_kernels._ensemble`` on the Taylor action, with fresh Taylor terms every step."""
+    """``_kernels._ensemble`` on the Taylor action, with fresh Taylor terms and slot weights every step."""
     k = _kernels
     n_traj, steps, edge_count = bits3.shape
     route = k.step_plan(edges, n, abs(z), steps, np.iscomplexobj(z), n_traj)
     substeps, order = route.plan
     coef = k._taylor_coef(order, x0.dtype)
-    u_idx, v_idx = edges[:, 0], edges[:, 1]
-    bt = np.zeros((n, edge_count))
-    bt[u_idx, np.arange(edge_count)] = 1.0
-    bt[v_idx, np.arange(edge_count)] = -1.0
-    cols = max(1, k.BLOCK_BYTES // (x0.itemsize * max((order + 1) * n, edge_count)))
+    nbr, eid = k._neighbours(edges, n)
+    cols = max(1, k.BLOCK_BYTES // (x0.itemsize * max((order + 1) * n, nbr.size)))
     scale = z / substeps
     max_drift = 0.0
     for c0 in range(0, n_traj, cols):
@@ -465,12 +462,14 @@ def reference_taylor_ensemble(edges, n, z, bits3, record_steps, x0, record, reno
             record(slice(0, 1), x[None])
             rec_i = 1
         for s in range(steps):
-            w = bits[:, s, :].T * scale
+            edge_weights = np.zeros((edge_count + 1, x.shape[1]), dtype=x.dtype)
+            edge_weights[:edge_count] = bits[:, s, :].T * scale
+            w = edge_weights[eid.ravel()]
             v = np.empty((order + 1,) + x.shape, dtype=x.dtype)
             for _ in range(substeps):
                 v[0] = x
                 for i in range(1, order + 1):
-                    k._edge_apply(u_idx, v_idx, bt, w, v[i - 1], v[i])
+                    k._gather_apply(nbr.ravel(), w, np.empty_like(w), v[i - 1], v[i])
                 np.dot(coef, v.reshape(order + 1, -1), out=x.reshape(-1))
             norms = k._norms(x, axis=0)
             drift = np.abs(norms - 1.0)

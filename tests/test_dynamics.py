@@ -603,7 +603,7 @@ class TestMonteCarlo:
 
     def test_trajectories_match_run_trajectory_on_uncached_graph(self):
         # complete(7) has 21 edges, so the ensemble applies the Taylor action
-        # from the kept-edge list while run_trajectory builds dense Laplacians
+        # through the neighbour slots while run_trajectory builds dense Laplacians
         g = make_complete(7)
         run = PercolationRun(lam=0.5, tau=0.2, steps=15, seed=21)
         ens = monte_carlo_channel(g, run, basis_density(7, 2), 3)
@@ -656,6 +656,35 @@ class TestMonteCarlo:
         want = sum(np.einsum("ri,rj->rij", s, s.conj()) for s in (
             run_trajectory(g, run, basis_state(4, 2), trajectory_index=k).states for k in range(5)))
         assert np.max(np.abs(rec.densities - want / 5)) <= 1e-12
+
+    @pytest.mark.parametrize("n,i", [(1, 0), (5, 0), (5, 3), (100, 44)])
+    def test_basis_density_skips_eigh(self, n, i):
+        w, v = dynamics._eigenpairs(basis_density(n, i))
+        ref_w, ref_v = np.linalg.eigh(basis_density(n, i))
+        assert np.array_equal(np.sort(w), ref_w) and np.argmax(w) == i
+        assert np.array_equal(v[:, i], ref_v[:, np.argmax(ref_w)])
+
+    def test_basis_density_runs_as_it_does_through_eigh(self, monkeypatch):
+        g, run = make_lattice2d(3, 3), PercolationRun(lam=0.5, tau=0.2, steps=15, seed=21)
+        calls, eigh = [], np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda rho: calls.append(rho) or eigh(rho))
+        rec = monte_carlo_channel(g, run, basis_density(9, 4), 6, 5)
+        assert not calls
+        monkeypatch.setattr(dynamics, "_eigenpairs", eigh)
+        ref = monte_carlo_channel(g, run, basis_density(9, 4), 6, 5)
+        assert np.array_equal(rec.densities, ref.densities)
+        assert np.array_equal(rec.diag_stderr, ref.diag_stderr)
+
+    @pytest.mark.parametrize("rho0", [
+        np.diag([0.0, 0.5, 0.5]),  # two nonzero entries
+        np.full((3, 3), 1 / 3),  # a pure state that is no basis state
+        np.diag([0.0, 1.0 + 1e-13, -1e-13]),  # a 1 within round-off
+    ], ids=["mixed", "uniform", "round-off"])
+    def test_other_densities_go_through_eigh(self, monkeypatch, rho0):
+        calls, eigh = [], np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda rho: calls.append(rho) or eigh(rho))
+        monte_carlo_channel(make_ring(3), PercolationRun(lam=0.5, tau=0.1, steps=2, seed=5), rho0, 2)
+        assert len(calls) == 1
 
     def test_mixed_initial_state_mean(self):
         # eigen-ensemble sampling reproduces a mixed rho0 in expectation

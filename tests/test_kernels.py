@@ -366,6 +366,78 @@ class TestTaylorAction:
         assert np.isnan(drift)
 
 
+class TestGatherApply:
+    """The ensemble's Taylor action applies each column's Laplacian through the padded neighbour slots."""
+
+    GRAPHS = [
+        make_ring(9),
+        make_lattice2d(4, 3),
+        make_complete(8),
+        Graph(node_count=6, edges=((0, 1), (1, 2), (2, 0), (3, 4))),  # node 5 is isolated
+        Graph(node_count=4, edges=()),
+    ]
+    IDS = ["ring9", "lattice4x3", "complete8", "isolated-node", "no-edges"]
+
+    @pytest.mark.parametrize("g", GRAPHS, ids=IDS)
+    def test_neighbour_table(self, g):
+        n, count = g.node_count, g.edge_count
+        nbr, eid = _kernels._neighbours(g.edge_array, n)
+        assert nbr.shape == eid.shape == (max(g.degrees()), n)
+        for i in range(n):
+            ids = [e for e in eid[:, i].tolist() if e < count]
+            want = [e for e, edge in enumerate(g.edges) if i in edge]
+            assert ids == want  # each node's edges, in ascending order
+            assert [set(g.edges[e]) - {i} for e in ids] == [{j} for j in nbr[:len(ids), i].tolist()]
+            # the padded slots point at the node itself and at the zero-weight edge E
+            assert (nbr[len(ids):, i] == i).all() and (eid[len(ids):, i] == count).all()
+
+    @pytest.mark.parametrize("g", GRAPHS, ids=IDS)
+    @pytest.mark.parametrize("quantum", [True, False])
+    def test_matches_the_dense_laplacian(self, g, quantum):
+        n, count, columns = g.node_count, g.edge_count, 6
+        rng = rng_from_seed(8)
+        bits = (rng.random((columns, count)) < 0.6).astype(np.uint8)
+        scale = -0.3j if quantum else -0.3
+        x = rng.normal(size=(n, columns)) + (1j * rng.normal(size=(n, columns)) if quantum else 0.0)
+        nbr, eid = _kernels._neighbours(g.edge_array, n)
+        edge_weights = np.zeros((count + 1, columns), dtype=x.dtype)
+        edge_weights[:count] = bits.T * scale
+        w = edge_weights[eid.ravel()]
+        y = np.empty_like(x)
+        _kernels._gather_apply(nbr.ravel(), w, np.empty_like(w), x, y)
+        for j in range(columns):
+            want = scale * (_kernels.hamiltonian_from_bits(g.edge_array, bits[j], n) @ x[:, j])
+            assert np.max(np.abs(y[:, j] - want)) <= 1e-15 * np.max(np.abs(want), initial=0.0)
+
+    @pytest.mark.parametrize("quantum", [True, False])
+    def test_ensemble_with_a_narrow_last_column_block(self, monkeypatch, quantum):
+        # 7 columns in blocks of 3, 3 and 1 (quantum) or 6 and 1 (classical): every column's states
+        # match its own trajectory on the Taylor action, which applies dense Laplacians
+        g, n, columns, steps, tau = make_lattice2d(4, 3), 12, 7, 25, 0.3  # 17 edges, beyond the cache
+        order = _kernels.taylor_plan(g.edge_array, n, tau)[1]
+        monkeypatch.setattr(_kernels, "BLOCK_BYTES", 3 * 16 * max((order + 1) * n, 4 * n))
+        force_taylor(monkeypatch, False)
+        bits3 = np.stack([sample_keep_bits(g, 0.5, rng_from_seed(6, k), steps) for k in range(columns)])
+        rec = np.arange(steps + 1)
+        z = -1j * tau if quantum else -tau
+        x0 = rng_from_seed(7).random((n, columns)) + (1j if quantum else 0.0)
+        x0 /= _kernels._norms(x0, axis=0)
+        states, blocks = np.empty((steps + 1, n, columns), dtype=x0.dtype), []
+
+        def record(k, xs):  # each column block records its steps in order, from step 0
+            if k.start == 0:
+                blocks.append(xs.shape[2])
+            c0 = sum(blocks[:-1])
+            states[k, :, c0:c0 + xs.shape[2]] = xs
+
+        _kernels._ensemble(g.edge_array, n, z, bits3, rec, x0, record)
+        assert blocks == ([3, 3, 1] if quantum else [6, 1])
+        for j in range(columns):
+            want, _, name = _kernels._trajectory(g.edge_array, n, z, bits3[j], rec, x0[:, j])
+            assert name.startswith("taylor(")
+            assert np.max(np.abs(states[:, :, j] - want)) <= 1e-14
+
+
 def _path_on_300_nodes(tmp_path, edge_count):
     """A path graph of ``edge_count`` edges on 300 nodes, read from an edge file."""
     write_edge_file(Graph(node_count=300, edges=tuple((i, i + 1) for i in range(edge_count))),
@@ -434,7 +506,7 @@ class TestPropagatorRule:
                 assert run_classical_trajectory(g, run, np.eye(n)[0]).propagator == name
 
     def test_one_column_ensembles_are_priced_as_ensembles(self, monkeypatch):
-        # an ensemble of one column runs the mask cache or the kept-edge action, not the Taylor
+        # an ensemble of one column runs the mask cache or the neighbour-slot action, not the Taylor
         # matrix of a trajectory: on classical ring:12 (50 steps of tau = 0.1) the cache, which the
         # price of a trajectory turned down for the action
         g, steps = make_ring(12), 50
@@ -445,6 +517,22 @@ class TestPropagatorRule:
         monkeypatch.setattr(dynamics, "ENSEMBLE_CHUNK_BYTES", 2 * steps * g.edge_count)
         rec = monte_carlo_classical(g, PercolationRun(lam=0.5, tau=0.1, steps=steps), np.eye(12)[0], 3)
         assert rec.propagator == "mask-cache"
+
+    # every step_plan call of the benchmark workloads (perfbench/workloads.py) and of their tiny
+    # warm-ups, with the routes that they took when the ensemble action went through the dense
+    # incidence; ring15-channel runs the exact channel, which plans no step route
+    @pytest.mark.parametrize("graph,tau,steps,quantum,columns,name", [
+        (make_complete(15), 1e-4, 2000, True, None, "taylor-matrix(substeps=1, order=5)"),
+        (make_complete(15), 1e-4, 2000, False, None, "taylor-matrix(substeps=1, order=5)"),
+        (make_complete(15), 1e-4, 300, True, None, "taylor-matrix(substeps=1, order=5)"),
+        (make_complete(15), 1e-4, 300, False, None, "taylor-matrix(substeps=1, order=5)"),
+        (make_lattice2d(10, 10), 1e-3, 30, True, 16, "taylor(substeps=1, order=6)"),
+        (make_lattice2d(10, 10), 1e-3, 10, True, 16, "taylor(substeps=1, order=6)"),
+        (make_ring(4), 100 / 60_000, 60_000, True, None, "mask-cache(chunk=16)"),
+        (make_ring(4), 100 / 3000, 3000, True, None, "mask-cache(chunk=16)"),
+    ])
+    def test_benchmark_workloads_keep_their_routes(self, graph, tau, steps, quantum, columns, name):
+        assert _kernels.step_plan(graph.edge_array, graph.node_count, tau, steps, quantum, columns).name == name
 
     def test_a_kernel_call_plans_once(self, monkeypatch):
         # a mask-cache run plans its route with one taylor_plan and one _squaring_plan (two more);
