@@ -81,29 +81,22 @@ the degrees (``laplacians``).
 ``channel_accumulate`` sums over all 2^E realizations without a spectral
 decomposition. Each U_r = cos(tau H_r) - i sin(tau H_r) comes from real
 batched products of truncated Taylor series by scaling and squaring
-(``_squaring_plan``, ``_cos_sin``). U_r is complex symmetric, so the Gram matrix
-of the realizations is accumulated over the n(n+1)/2 entries i <= j only,
-and over U_r - I, which keeps the round-off relative to the step's size.
-It is accumulated in real arithmetic: for rows w = x + i y, w^T conj(w) is
-the real syrk of the stacked rows [x; y] plus i times the antisymmetric
-part of one real GEMM y^T x, half the flops of the complex product.
-A graph automorphism g maps each mask to one of the same kept count and
-probability, with U_{g.r} = P_g U_r P_g^T. So every mask is enumerated, but
-a propagator is built only for the smallest mask of each orbit under the
-automorphism group G, weighted by p_r / |Stab_r|; summing the Gram matrix
-over the |G| relabelings then counts each of the |G| / |Stab_r| masks of
-the orbit exactly once (McKay & Piperno, J. Symb. Comput. 60:94, 2014, for
-the backtracking search of G). The scan for the smallest masks runs in
-float32, exact because every image of a mask is an integer below
-2^MAX_ENUM_EDGES = 2^24, after a prefilter that drops the masks with a
-smaller image under the first four non-identity elements of G. The
-representatives are built in batches whose widest float64 arrays each fit
-in half of BLOCK_BYTES, at most CHANNEL_BATCH rows, so the temporaries of a
-batch stay in cache. The sum over the |G| relabelings runs over the right
-cosets <sigma> h of the element sigma of largest order (``_rotation``, the
-rotation that ``dynamics.ChannelMatrix`` evolves in), with the <sigma> part
-summed by binary doubling (``_group_sum``): on ring:15 a copy and seven
-gathers of the pair Gram instead of 30.
+(``_squaring_plan``, ``_cos_sin``), and the Gram matrix of the realizations
+is accumulated in real arithmetic over the n(n+1)/2 entries i <= j of
+U_r - I (``_add_gram``). A graph automorphism g maps each mask to one of the
+same kept count and probability, with U_{g.r} = P_g U_r P_g^T. So every mask
+is enumerated, but a propagator is built only for the smallest mask of each
+orbit under the automorphism group G, weighted by p_r / |Stab_r|; summing
+the Gram matrix over the |G| relabelings then counts each of the
+|G| / |Stab_r| masks of the orbit exactly once (McKay & Piperno, J. Symb.
+Comput. 60:94, 2014, for the backtracking search of G). The scan for the
+smallest masks and their |Stab_r| takes no lambda and runs in float32
+(``_orbit_representatives``). All group work of a call is one ``Symmetry``
+record (``_symmetry``): G, its element sigma of largest order (the rotation
+that ``dynamics.ChannelMatrix`` evolves in), sigma's powers and the right
+cosets <sigma> h, over which the sum over the |G| relabelings runs, the
+<sigma> part summed by binary doubling (``_group_sum``): on ring:15 a copy
+and seven gathers of the pair Gram instead of 30.
 
 The exact channel also keeps what is alive at once small next to its
 (n^2, n^2) complex Phi. glibc hands the free top of the heap back to the
@@ -677,9 +670,23 @@ def _mask_keys(bits: np.ndarray) -> np.ndarray:
     return bits.astype(np.int64) @ pow2
 
 
-def _norms(x: np.ndarray, axis: int) -> np.ndarray:
-    """The conserved norm: 2-norm of quantum amplitudes, total probability of a distribution."""
-    return np.linalg.norm(x, axis=axis) if np.iscomplexobj(x) else x.sum(axis=axis)
+def _norms(h: np.ndarray, work: np.ndarray | None) -> np.ndarray:
+    """The conserved norm of each state of h (steps, n, columns): 2-norm or total probability.
+
+    Complex states take ``np.linalg.norm``'s ufunc steps along axis 1, so the
+    norms are bit-identical to it, a few steps at a time in the flat complex
+    buffer ``work`` (at least one step's entries) instead of h-sized temporaries.
+    """
+    if not np.iscomplexobj(h):
+        return h.sum(axis=1)
+    out = np.empty((h.shape[0], h.shape[2]))
+    rows = max(1, work.size // h[0].size)
+    for s in range(0, h.shape[0], rows):
+        part = h[s:s + rows]
+        squares = np.conjugate(part, out=work[:part.size].reshape(part.shape))
+        squares *= part
+        np.sqrt(np.add.reduce(squares.real, axis=1), out=out[s:s + rows])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -728,7 +735,11 @@ def _ensemble(edges, n, z, bits, record_steps, x0, record):
     CLI call, the benchmark's reference computation between calls, 14
     heap layouts) the call then faulted in 244 to 333 pages per
     repetition, against 414 to 421 when they were allocated per block and
-    the Monte Carlo sums were not built in place.
+    the Monte Carlo sums were not built in place. Every route takes the
+    norms through half of BLOCK_BYTES held for the call (``_norms``; a
+    ring:4 trajectory's block in one pass), where ``np.linalg.norm`` made
+    two temporaries of the block's size: 192 pages per repetition
+    then, against 261 (14 other layouts).
 
     The mask cache is one store of real propagators per call, shared by its
     column blocks; a 2^E table of slots maps each mask key to its row, and
@@ -902,6 +913,9 @@ def _ensemble(edges, n, z, bits, record_steps, x0, record):
             return hist
 
     max_drift = 0.0
+    # the squared amplitudes of a block's steps, at most half of BLOCK_BYTES, once per call (``_norms``)
+    squares = (np.empty(min(block, max(1, BLOCK_BYTES // (32 * n * cols))) * n * cols, dtype=x0.dtype)
+               if np.iscomplexobj(z) else None)
     with np.errstate(over="ignore", invalid="ignore"):
         for c0 in range(0, columns, cols):
             # C order, so each column block's states are contiguous
@@ -918,7 +932,7 @@ def _ensemble(edges, n, z, bits, record_steps, x0, record):
                     stop = min(stop, (start // renorm_every + 1) * renorm_every)
                 hist = advance(block_bits, start, stop, x)
                 h = hist.reshape(stop - start, n, -1)  # a view with a column axis, also for one state
-                norms = _norms(h, axis=1)
+                norms = _norms(h, squares)
                 drift = np.abs(norms - 1.0)
                 max_drift = np.maximum(max_drift, drift.max())  # keeps a NaN drift, unlike max()
                 if renorm_every and stop % renorm_every == 0:
@@ -1093,15 +1107,15 @@ def _mask_bits(masks: np.ndarray, count: int) -> np.ndarray:
     return np.unpackbits(octets, axis=1, count=count, bitorder="little")
 
 
-def _orbit_representatives(edges: np.ndarray, perms: np.ndarray, lam: float):
-    """(masks, weights): the int64 masks of the orbit representatives of positive weight, ascending.
+def _orbit_representatives(edges: np.ndarray, perms: np.ndarray):
+    """(masks, |Stab_r|): the int64 masks of the orbit representatives under ``perms``, ascending.
 
     Mask r's image under g keeps edge pi_g(e) for every kept e, where
     pi_g(e) is the edge {g(u_e), g(v_e)}; as a number it is
     sum_e bit_e 2^pi_g(e). A mask represents its orbit when no image is
     smaller, and |Stab_r| is the number of images equal to r. The orbit
-    holds |G| / |Stab_r| masks of the same probability p_r, so the weight
-    p_r / |Stab_r| summed over all g in G counts each of them once.
+    holds |G| / |Stab_r| masks of one kept count, so a caller's weight
+    w_r / |Stab_r| summed over all g in G counts each of them once.
 
     The scan runs in float32, which is exact here: every image, and every
     partial sum or difference formed from images and masks, is an integer
@@ -1126,7 +1140,7 @@ def _orbit_representatives(edges: np.ndarray, perms: np.ndarray, lam: float):
     base = powers[:, :low] @ _mask_bits(r, low).T  # (|G|, 2^low)
     head = base[1:5] - r.astype(np.float32)
     high = np.arange(edge_count - low)
-    found, found_weights = [], []
+    found, stabs = [], []
     for start in range(0, 1 << edge_count, 1 << low):
         offset = powers[:, low:] @ (start >> low >> high & 1).astype(np.float32)  # (|G|,)
         masks = np.flatnonzero((head >= start - offset[1:5, None]).all(axis=0))
@@ -1134,13 +1148,9 @@ def _orbit_representatives(edges: np.ndarray, perms: np.ndarray, lam: float):
         images += offset[:, None]
         masks += start
         rep = images.min(axis=0) == masks
-        masks, images = masks[rep], images[:, rep]
-        kept = np.bitwise_count(masks)
-        weights = lam**kept * (1.0 - lam) ** (edge_count - kept) / (images == masks).sum(axis=0)
-        live = weights > 0.0
-        found.append(masks[live])
-        found_weights.append(weights[live])
-    return np.concatenate(found).astype(np.int64, copy=False), np.concatenate(found_weights)
+        found.append(masks[rep])
+        stabs.append((images[:, rep] == found[-1]).sum(axis=0))
+    return np.concatenate(found).astype(np.int64, copy=False), np.concatenate(stabs)
 
 
 def _gram_rows(e: np.ndarray, s: np.ndarray, weights: np.ndarray, upper: np.ndarray) -> np.ndarray:
@@ -1175,32 +1185,51 @@ def _add_gram(real: np.ndarray, cross: np.ndarray, xy: np.ndarray, rows: int) ->
     cross += xy[rows:].T @ xy[:rows]
 
 
-def _rotation(perms: np.ndarray) -> np.ndarray:
-    """The element of largest order of the group ``perms`` (|G|, n), the first one on ties."""
-    rows = np.arange(perms.shape[0])[:, None]
-    cur, orders = perms, np.zeros(perms.shape[0], dtype=np.int64)
-    for k in range(1, perms.shape[0] + 1):
-        orders[(orders == 0) & (cur == perms[0]).all(axis=1)] = k  # perms[0] is the identity
+class Symmetry(NamedTuple):
+    """The group of a channel build, split by its rotation (``_symmetry``)."""
+
+    perms: np.ndarray  # G as node permutations (|G|, n), identity first
+    sigma: np.ndarray  # the element of largest order o, the first one on ties
+    powers: np.ndarray  # sigma^t for t < o, (o, n)
+    cosets: np.ndarray  # a representative h of each right coset <sigma> h, its first row in perms
+
+
+def _symmetry(perms: np.ndarray) -> Symmetry:
+    """The ``Symmetry`` record of the group ``perms`` (|G|, n), identity first.
+
+    One loop takes the powers g^k of all elements up to the largest order o.
+    perms and sigma[perms] hold the same rows, so sorting both maps each h to
+    sigma o h; that map's orbits are the right cosets, the identity's the powers.
+    """
+    rows = np.arange(perms.shape[0])
+    cur, orders = perms, np.zeros(rows.size, dtype=np.int64)
+    for k in range(1, rows.size + 1):
+        orders[(orders == 0) & (cur == perms[0]).all(axis=1)] = k
         if orders.all():
             break
-        cur = perms[rows, cur]
-    return perms[np.argmax(orders)]
+        cur = perms[rows[:, None], cur]
+    sigma = perms[np.argmax(orders)]
+    left, cur, first, powers = np.empty_like(rows), rows, rows.copy(), []
+    left[np.lexsort(sigma[perms].T)] = np.lexsort(perms.T)  # perms[left[i]] = sigma o perms[i]
+    for _ in range(orders.max()):
+        powers.append(cur[0])
+        cur = left[cur]
+        np.minimum(first, cur, out=first)
+    return Symmetry(perms, sigma, perms[powers], perms[first == rows])
 
 
-def _group_sum(gram: np.ndarray, perms: np.ndarray, sigma: np.ndarray, pair: np.ndarray) -> np.ndarray:
-    """sum_g T_g gram over the group ``perms`` (|G|, n), (T_g X)[a, b] = X[pi_g(a), pi_g(b)].
+def _group_sum(gram: np.ndarray, sym: Symmetry, pair: np.ndarray) -> np.ndarray:
+    """sum_g T_g gram over the group of ``sym``, (T_g X)[a, b] = X[pi_g(a), pi_g(b)].
 
     pi_g maps the pair (i, j) of index ``pair[i, j]`` to (g i, g j) and fixes
     the last index of the (k + 1, k + 1) ``gram``. Then T_g T_h = T_{h o g},
-    h o g the permutation h[g], so over the right cosets <sigma> h =
-    {sigma^t o h} of the element ``sigma`` of order o (``_rotation``) the sum
-    is sum_h T_h Y, one term per coset, with Y = sum_{t < o} T_sigma^t gram.
-    Y is summed by binary doubling: S_1 = gram, S_2t = S_t + T_sigma^t S_t
-    and S_2t+1 = gram + T_sigma S_2t, one gather each. On ring:15 (|G| = 30,
-    o = 15, two cosets) that is a copy and seven gathers instead of 30.
-    Y and the gathers take two buffers of gram's size, allocated once per
-    call, and the coset sum goes to gram itself, which is returned as it is
-    when G = {1}.
+    h o g the permutation h[g], so over the record's right cosets <sigma> h
+    the sum is sum_h T_h Y with Y = sum_{t < o} T_sigma^t gram, summed by
+    binary doubling: S_1 = gram, S_2t = S_t + T_sigma^t S_t and
+    S_2t+1 = gram + T_sigma S_2t, one gather each (on ring:15, |G| = 30 and
+    o = 15, a copy and seven gathers instead of 30). Y and the gathers take
+    two buffers of gram's size, allocated once per call, and the coset sum
+    goes to gram itself, which is returned as it is when G = {1}.
     """
     size = gram.shape[0]
     iu, ju = np.triu_indices(pair.shape[0])
@@ -1209,30 +1238,20 @@ def _group_sum(gram: np.ndarray, perms: np.ndarray, sigma: np.ndarray, pair: np.
         pp = np.append(pair[g[iu], g[ju]], size - 1)
         return pp[:, None] * size + pp
 
-    powers = [np.arange(sigma.size)]  # sigma^t, t < o
-    while not np.array_equal(nxt := sigma[powers[-1]], powers[0]):
-        powers.append(nxt)
-    if len(powers) == 1:
+    if len(sym.powers) == 1:
         return gram
-    y, tmp = gram.copy(), np.empty_like(gram)
-    power = sigma
-    for bit in bin(len(powers))[3:]:
-        np.take(y.ravel(), index(power), out=tmp)
+    y, tmp, t = gram.copy(), np.empty_like(gram), 1  # y holds S_t
+    for bit in bin(len(sym.powers))[3:]:
+        np.take(y.ravel(), index(sym.powers[t]), out=tmp)
         y += tmp
-        power = power[power]
         if bit == "1":
-            np.take(y.ravel(), index(sigma), out=tmp)
+            np.take(y.ravel(), index(sym.sigma), out=tmp)
             np.add(gram, tmp, out=y)
-            power = sigma[power]
-    seen, cosets = set(), []
-    for h in perms:
-        if h.tobytes() not in seen:
-            cosets.append(h)
-            seen.update(p[h].tobytes() for p in powers)
-    if len(cosets) == 1:
+        t = 2 * t + int(bit)
+    if len(sym.cosets) == 1:
         return y
-    np.take(y.ravel(), index(cosets[1]), out=gram)
-    for h in cosets[2:]:
+    np.take(y.ravel(), index(sym.cosets[1]), out=gram)
+    for h in sym.cosets[2:]:
         np.take(y.ravel(), index(h), out=tmp)
         gram += tmp
     gram += y  # the coset of the identity, perms[0]
@@ -1242,9 +1261,9 @@ def _group_sum(gram: np.ndarray, perms: np.ndarray, sigma: np.ndarray, pair: np.
 def channel_accumulate(edges, n, lam, tau):
     """The one-step channel Phi = sum_r p_r kron(conj(U_r), U_r) over all 2^E masks.
 
-    -> (Phi (n^2, n^2), propagator name, G as node permutations (|G|, n),
-    identity first, propagators built). Phi acts on column-stacked
-    densities: Phi[(i,k),(j,l)] = K[(i,j),(k,l)] with
+    -> (Phi (n^2, n^2), propagator name, G's ``Symmetry`` record,
+    propagators built). Phi acts on column-stacked densities:
+    Phi[(i,k),(j,l)] = K[(i,j),(k,l)] with
     K[(i,j),(k,l)] = sum_r p_r conj(U_r)[i,j] U_r[k,l]. U_r = exp(-i tau H_r)
     = C_r - i S_r with C_r = cos(tau H_r) and S_r = sin(tau H_r) from
     ``_cos_sin`` on the ``_squaring_plan``. U_r is complex symmetric, so
@@ -1261,18 +1280,18 @@ def channel_accumulate(edges, n, lam, tau):
     Every automorphism g of the graph (node permutation matrix P_g) maps
     mask r to a mask g.r of the same kept count, hence the same p_r, with
     U_{g.r} = P_g U_r P_g^T. So only one representative per orbit of masks
-    is built, weighted by p_r / |Stab_r| (``_orbit_representatives``), and
-    the Gram matrix is summed over G afterwards: entry (a, b) of the sum is
-    sum_g gram[pair(g i_a, g j_a), pair(g i_b, g j_b)]. Every mask still
-    counts exactly once. G is searched (``_automorphisms``) only when it can
-    pay: it may hold at most 2^E // CHANNEL_BATCH elements, so at least
-    CHANNEL_BATCH orbits remain to build (batches are sized by bytes and
-    may be smaller), and at most f // E, so canonicalizing a mask (|G| E
-    flops) costs less than building it (f flops: ``_series_products`` and
-    three products per squaring, and its share of the Gram). A larger or
-    unsearched group is replaced by the identity alone, which builds every
-    mask as before. The sum over G runs over the right cosets of the
-    rotation sigma (``_group_sum``).
+    is built, weighted by p_r / |Stab_r| (``_orbit_representatives``; those
+    of weight 0 are dropped), and the Gram matrix is summed over G
+    afterwards (``_group_sum``, over the cosets of ``_symmetry``): entry
+    (a, b) of the sum is sum_g gram[pair(g i_a, g j_a), pair(g i_b, g j_b)].
+    Every mask still counts exactly once. G is searched (``_automorphisms``)
+    only when it can pay: it may hold at most 2^E // CHANNEL_BATCH elements,
+    so at least CHANNEL_BATCH orbits remain to build (batches are sized by
+    bytes and may be smaller), and at most f // E, so canonicalizing a mask
+    (|G| E flops) costs less than building it (f flops: ``_series_products``
+    and three products per squaring, and its share of the Gram). A larger
+    or unsearched group is replaced by the identity alone, which builds
+    every mask.
 
     Measured on ring:15 (tau = 0.004, in process, one BLAS thread, best of
     15, against Horner's rule, a row-sum diagonal and one gather per
@@ -1290,7 +1309,7 @@ def channel_accumulate(edges, n, lam, tau):
     # flops of one realization: its cos/sin products (``_cos_sin``) plus its share of the pair Gram
     flops = 2 * n**3 * (_series_products(order, True) + 3 * squarings) + 8 * iu.size**2
     limit = min((1 << edge_count) // CHANNEL_BATCH, flops // max(edge_count, 1))
-    perms = _automorphisms(edges, n, limit) if limit > 1 else np.arange(n)[None]
+    sym = _symmetry(_automorphisms(edges, n, limit) if limit > 1 else np.arange(n)[None])
     # Gram matrix of w_r = sqrt(weight_r) (conj(D_r) on the pairs, then 1), D_r = U_r - I; its
     # last row holds sum_r weight_r D_r, at an index that every relabeling fixes. It is summed
     # in real arithmetic (``_gram_rows``, ``_add_gram``) and made complex once. A batch's
@@ -1298,7 +1317,10 @@ def channel_accumulate(edges, n, lam, tau):
     m = iu.size
     real, cross = np.zeros((m + 1, m + 1)), np.zeros((m + 1, m + 1))
     # the scan's tables are freed before the first batch is built
-    masks, weights = _orbit_representatives(edges, perms, lam)
+    masks, stab = _orbit_representatives(edges, sym.perms)
+    kept = np.bitwise_count(masks)
+    weights = lam**kept * (1.0 - lam) ** (edge_count - kept) / stab
+    masks, weights = masks[weights > 0.0], weights[weights > 0.0]
     batch = max(1, min(CHANNEL_BATCH, BLOCK_BYTES // (16 * (n * n + n + 2)), masks.size))
     _, work = _taylor_work(n, batch)  # every batch's stacks, once per call
     for b0 in range(0, masks.size, batch):
@@ -1310,15 +1332,14 @@ def channel_accumulate(edges, n, lam, tau):
     del work, stacks, a
     gram = real + 1j * (cross - cross.T)
     del real, cross  # freed before the (n^2, n^2) K is gathered
-    sym = _group_sum(gram, perms, _rotation(perms), pair)
-    del gram
+    gram = _group_sum(gram, sym, pair)  # a gram that the sum does not return is freed here
     # conj(U)_a U_b = conj(D)_a D_b + i_a D_b + conj(D)_a i_b + i_a i_b with i the pairs of I,
     # and the p_r sum to 1
     diag = np.flatnonzero(iu == ju)
-    k = sym[:m, :m]
-    k[diag] += sym[m, :m]
-    k[:, diag] += sym[:m, m:]
+    k = gram[:m, :m]
+    k[diag] += gram[m, :m]
+    k[:, diag] += gram[:m, m:]
     k[np.ix_(diag, diag)] += 1.0
     # Phi[(i, k), (j, l)] = K[(i, j), (k, l)] = k[pair(i, j), pair(k, l)], gathered at once
     phi = k[pair[:, None, :, None], pair[None, :, None, :]].reshape(n * n, n * n)
-    return phi, f"taylor(substeps={1 << squarings}, order={order})", perms, masks.size
+    return phi, f"taylor(substeps={1 << squarings}, order={order})", sym, masks.size

@@ -374,9 +374,9 @@ def build_step_channel(g: Graph, lam: float, tau: float) -> ChannelMatrix:
             f"the exact channel needs 2^{g.edge_count} propagators - use the Monte Carlo "
             f"backend (montecarlo) instead"
         )
-    phi, propagator, perms, orbits = _kernels.channel_accumulate(g.edge_array, g.node_count, float(lam), float(tau))
+    phi, propagator, sym, orbits = _kernels.channel_accumulate(g.edge_array, g.node_count, float(lam), float(tau))
     return ChannelMatrix(matrix=phi, dim=g.node_count, propagator=propagator,
-                         symmetries=perms.shape[0], orbits=orbits, rotation=_kernels._rotation(perms))
+                         symmetries=sym.perms.shape[0], orbits=orbits, rotation=sym.sigma)
 
 
 def _power_minus_identity(d: np.ndarray, k: int) -> np.ndarray:

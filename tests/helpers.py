@@ -343,6 +343,11 @@ def cached_propagator(edges, n, bits, z) -> np.ndarray:
     return out[0]
 
 
+def reference_norms(x: np.ndarray, axis: int) -> np.ndarray:
+    """The conserved norm: ``np.linalg.norm`` of quantum amplitudes, the total probability of a distribution."""
+    return np.linalg.norm(x, axis=axis) if np.iscomplexobj(x) else x.sum(axis=axis)
+
+
 def reference_trajectory(edges, n, z, bits, record_steps, x0, renorm_every, renorm_tol):
     """``_kernels._trajectory`` on ``step_plan``'s route, with views, cache lookups and chunk products step by step.
 
@@ -432,7 +437,7 @@ def reference_trajectory(edges, n, z, bits, record_steps, x0, renorm_every, reno
         if renorm_every:
             stop = min(stop, (start // renorm_every + 1) * renorm_every)
         hist = advance(start, stop, x)
-        norms = k._norms(hist, axis=1)
+        norms = reference_norms(hist, axis=1)
         max_drift = np.maximum(max_drift, np.max(np.abs(norms - 1.0)))
         if renorm_every and stop % renorm_every == 0 and abs(norms[-1] - 1.0) > renorm_tol:
             hist[-1] /= norms[-1]
@@ -471,7 +476,7 @@ def reference_taylor_ensemble(edges, n, z, bits3, record_steps, x0, record, reno
                 for i in range(1, order + 1):
                     k._gather_apply(nbr.ravel(), w, np.empty_like(w), v[i - 1], v[i])
                 np.dot(coef, v.reshape(order + 1, -1), out=x.reshape(-1))
-            norms = k._norms(x, axis=0)
+            norms = reference_norms(x, axis=0)
             drift = np.abs(norms - 1.0)
             max_drift = np.maximum(max_drift, drift.max())
             if renorm_every and (s + 1) % renorm_every == 0:

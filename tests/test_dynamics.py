@@ -546,6 +546,17 @@ class TestSiteProbabilities:
         assert (phi.blocks, phi.trace_drift_bound(40) > 0) == ((15, 15), True)
         assert found == [1]
 
+    def test_group_and_rotation_are_found_once_per_channel(self, monkeypatch):
+        # one group search and one symmetry record per build; the channel evolves in the record's sigma
+        calls, records = [], []
+        search, symmetry = _kernels._automorphisms, _kernels._symmetry
+        monkeypatch.setattr(_kernels, "_automorphisms", lambda *args: calls.append("G") or search(*args))
+        monkeypatch.setattr(_kernels, "_symmetry",
+                            lambda perms: calls.append("sigma") or records.append(symmetry(perms)) or records[-1])
+        phi = build_step_channel(make_ring(15), 0.4, 0.004)
+        assert calls == ["G", "sigma"] and phi.symmetries == 30
+        assert phi.rotation is records[0].sigma
+
     @pytest.mark.parametrize("stride", [1, 10])
     def test_memory_does_not_grow_with_the_records(self, stride):
         # each buffer of the evolution fits in BLOCK_BYTES, and a few are alive at once (on

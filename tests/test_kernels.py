@@ -43,6 +43,7 @@ from helpers import (
     reference_automorphisms,
     reference_group_sum,
     reference_laplacian,
+    reference_norms,
     reference_orbit_representatives,
     reference_taylor_ensemble,
     reference_trajectory,
@@ -421,7 +422,7 @@ class TestGatherApply:
         rec = np.arange(steps + 1)
         z = -1j * tau if quantum else -tau
         x0 = rng_from_seed(7).random((n, columns)) + (1j if quantum else 0.0)
-        x0 /= _kernels._norms(x0, axis=0)
+        x0 /= reference_norms(x0, axis=0)
         states, blocks = np.empty((steps + 1, n, columns), dtype=x0.dtype), []
 
         def record(k, xs):  # each column block records its steps in order, from step 0
@@ -605,6 +606,17 @@ class TestStepLoopsAreBitIdentical:
             assert np.array_equal(states, ref_states)
             assert drift == ref_drift
 
+    @pytest.mark.parametrize("shape", [(7, 15, 1), (10, 100, 16), (3, 4, 5)])
+    @pytest.mark.parametrize("room", [1, 2, 3, 1000])  # steps that fit in the buffer
+    def test_norms_are_numpys(self, shape, room):
+        # the drift's norms take np.linalg.norm's ufunc steps in a buffer held for the call
+        rng = np.random.default_rng(3)
+        x = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        x[0, 1, 0] = np.nan
+        got = _kernels._norms(x, np.empty(room * shape[1] * shape[2] + 1, dtype=complex))
+        assert np.array_equal(got, np.linalg.norm(x, axis=1), equal_nan=True)
+        assert np.array_equal(_kernels._norms(x.real, None), x.real.sum(axis=1), equal_nan=True)
+
     @pytest.mark.parametrize("g,tau,name", CASES)
     def test_ragged_stride(self, monkeypatch, g, tau, name):
         self._check(monkeypatch, g, tau, name, 300, 7, RENORM)
@@ -753,12 +765,12 @@ def _phi_layout(k, n):
 
 def _check_channel_against_expm(g, lam, x):
     tau = _channel_tau(g, x)
-    phi, name, perms, orbits = _kernels.channel_accumulate(g.edge_array, g.node_count, lam, tau)
+    phi, name, sym, orbits = _kernels.channel_accumulate(g.edge_array, g.node_count, lam, tau)
     substeps, _ = _kernels.taylor_plan(g.edge_array, g.node_count, tau)
     assert name.startswith(f"taylor(substeps={1 << (substeps - 1).bit_length()}, ")
-    symmetries = perms.shape[0]
+    symmetries = sym.perms.shape[0]
     assert 1 <= orbits <= 1 << g.edge_count and symmetries >= 1
-    assert np.array_equal(perms[0], np.arange(g.node_count))
+    assert np.array_equal(sym.perms[0], np.arange(g.node_count))
     want = _phi_layout(expm_channel_gram(g.node_count, g.edges, lam, tau), g.node_count)
     assert np.max(np.abs(phi - want)) <= 1e-13
     return symmetries
@@ -830,12 +842,12 @@ class TestChannelBuild:
 
     def test_three_row_batches_give_the_same_channel(self):
         g = make_ring(15)
-        k, name, perms, orbits = _kernels.channel_accumulate(g.edge_array, 15, 0.4, 0.004)
+        k, name, sym, orbits = _kernels.channel_accumulate(g.edge_array, 15, 0.4, 0.004)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(_kernels, "BLOCK_BYTES", 3 * 16 * (15 * 15 + 15 + 2))
-            k3, name3, perms3, orbits3 = _kernels.channel_accumulate(g.edge_array, 15, 0.4, 0.004)
-        assert (perms.shape[0], orbits) == (perms3.shape[0], orbits3) == (30, 1224)
-        assert name3 == name and np.array_equal(perms3, perms)
+            k3, name3, sym3, orbits3 = _kernels.channel_accumulate(g.edge_array, 15, 0.4, 0.004)
+        assert (sym.perms.shape[0], orbits) == (sym3.perms.shape[0], orbits3) == (30, 1224)
+        assert name3 == name and np.array_equal(sym3.perms, sym.perms)
         assert np.max(np.abs(k3 - k)) <= 1e-15
 
     @pytest.mark.parametrize("x,order", [(1e-6, 2), (1e-5, 3), (1e-4, 3)])
@@ -895,23 +907,50 @@ class TestGroupSum:
         monkeypatch.setattr(_kernels, "CHANNEL_BATCH", 1)
         edges, n = g.edge_array, g.node_count
         tau = _channel_tau(g, 0.7)
-        phi, name, perms, orbits = _kernels.channel_accumulate(edges, n, 0.35, tau)
-        sigma = _kernels._rotation(perms)
-        powers = [np.arange(n)]
-        while not np.array_equal(nxt := sigma[powers[-1]], powers[0]):
-            powers.append(nxt)
-        assert perms.shape[0] == order and order // len(powers) == cosets
-        monkeypatch.setattr(_kernels, "_group_sum", lambda gram, perms, sigma, pair: reference_group_sum(gram, perms, pair))
-        want, want_name, want_perms, want_orbits = _kernels.channel_accumulate(edges, n, 0.35, tau)
-        assert (name, orbits) == (want_name, want_orbits) and np.array_equal(perms, want_perms)
+        phi, name, sym, orbits = _kernels.channel_accumulate(edges, n, 0.35, tau)
+        assert sym.perms.shape[0] == order and sym.cosets.shape[0] == cosets
+        assert order // sym.powers.shape[0] == cosets
+        monkeypatch.setattr(_kernels, "_group_sum", lambda gram, sym, pair: reference_group_sum(gram, sym.perms, pair))
+        want, want_name, want_sym, want_orbits = _kernels.channel_accumulate(edges, n, 0.35, tau)
+        assert (name, orbits) == (want_name, want_orbits) and np.array_equal(sym.perms, want_sym.perms)
         assert np.max(np.abs(phi - want)) <= 1e-15
+
+    @pytest.mark.parametrize("g", [
+        make_complete(4), make_complete(5), make_lattice2d(3, 3), make_lattice2d(3, 4), make_ring(6),
+        make_ring(15), Graph(node_count=3, edges=((0, 1), (1, 2))), Graph(node_count=1, edges=()),
+        # two triangles and an edge: sigma of order 6 is no rotation of one component
+        Graph(node_count=8, edges=((0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (6, 7))),
+    ])
+    def test_record_matches_the_element_by_element_split(self, g):
+        perms = _kernels._automorphisms(g.edge_array, g.node_count, 10**6)
+        sym = _kernels._symmetry(perms)
+        identity = np.arange(g.node_count)
+        orders = []
+        for p in perms:  # the order of each element, one power at a time
+            power, k = p, 1
+            while not np.array_equal(power, identity):
+                power, k = p[power], k + 1
+            orders.append(k)
+        assert np.array_equal(sym.perms, perms)
+        assert np.array_equal(sym.sigma, perms[orders.index(max(orders))])  # the first of largest order
+        powers = [identity]
+        for _ in range(1, max(orders)):
+            powers.append(sym.sigma[powers[-1]])
+        assert np.array_equal(sym.powers, np.array(powers))
+        # each right coset <sigma> h by its first row in perms, in the order of perms
+        seen, cosets = set(), []
+        for h in perms:
+            if h.tobytes() not in seen:
+                cosets.append(h)
+                seen.update(p[h].tobytes() for p in powers)
+        assert np.array_equal(sym.cosets, np.array(cosets))
 
     def test_rotation_is_the_channels(self):
         # the build sums over the cosets of the sigma that the channel reports as its rotation
         g = make_ring(15)
         phi = build_step_channel(g, 0.4, 0.004)
         perms = _kernels._automorphisms(g.edge_array, 15, 10**6)
-        assert np.array_equal(phi.rotation, _kernels._rotation(perms))
+        assert np.array_equal(phi.rotation, _kernels._symmetry(perms).sigma)
 
 
 class TestAutomorphisms:
@@ -974,12 +1013,12 @@ class TestOrbitChannel:
     def test_matches_the_per_mask_build(self, g, lam, tau):
         # the identity group builds every mask, which is the build without symmetry
         edges, n = g.edge_array, g.node_count
-        k_orbit, name, perms, orbits = _kernels.channel_accumulate(edges, n, lam, tau)
-        assert (perms.shape[0], orbits) == {15: (30, 1224), 9: (8, 570)}[n]
+        k_orbit, name, sym, orbits = _kernels.channel_accumulate(edges, n, lam, tau)
+        assert (sym.perms.shape[0], orbits) == {15: (30, 1224), 9: (8, 570)}[n]
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(_kernels, "_automorphisms", lambda edges, n, limit: np.arange(n)[None])
             k_mask, name_mask, one, built = _kernels.channel_accumulate(edges, n, lam, tau)
-        assert (name_mask, one.shape[0], built) == (name, 1, 1 << g.edge_count)
+        assert (name_mask, one.perms.shape[0], built) == (name, 1, 1 << g.edge_count)
         assert np.max(np.abs(k_orbit - k_mask)) <= 1e-14
 
     @pytest.mark.parametrize("g", [make_ring(15), make_lattice2d(3, 3), make_lattice2d(3, 4)])
@@ -1019,15 +1058,22 @@ class TestOrbitScan:
         (make_lattice2d(2, 3), "full", 0.4),  # |G| = 4
         (Graph(node_count=3, edges=((0, 1), (1, 2))), "full", 0.4),  # a path, |G| = 2
         (make_ring(15), "identity", 0.4),  # nothing to prefilter with: every mask represents itself
+        (make_ring(15), "full", 1.0),  # only the full mask has weight
     ])
-    def test_matches_a_float64_scan_of_every_mask(self, g, group, lam):
+    def test_matches_a_float64_scan_of_every_mask(self, monkeypatch, g, group, lam):
         edges, n = g.edge_array, g.node_count
         perms = _kernels._automorphisms(edges, n, 10**6) if group == "full" else np.arange(n)[None]
-        masks, weights = _kernels._orbit_representatives(edges, perms, lam)
+        masks, stab = _kernels._orbit_representatives(edges, perms)
         want_masks, want_weights = reference_orbit_representatives(edges, perms, lam)
-        assert masks.dtype == np.int64
-        assert np.array_equal(masks, want_masks)
-        assert np.array_equal(weights, want_weights)
+        assert masks.dtype == np.int64 and stab.shape == masks.shape
+        assert np.array_equal(masks[np.isin(masks, want_masks)], want_masks)
+        # the weights that channel_accumulate forms from this scan, taken from its Gram rows
+        weights, scan, gram_rows = [], _kernels._orbit_representatives, _kernels._gram_rows
+        monkeypatch.setattr(_kernels, "_orbit_representatives", lambda edges, _: scan(edges, perms))
+        monkeypatch.setattr(_kernels, "_gram_rows", lambda e, s, w, upper: weights.append(w) or gram_rows(e, s, w, upper))
+        _, _, _, orbits = _kernels.channel_accumulate(edges, n, lam, 0.1)
+        assert orbits == want_masks.size == (1 if lam in (0.0, 1.0) else masks.size)
+        assert np.array_equal(np.concatenate(weights), want_weights)
 
     # ring15-channel's step, and one that needs a squaring
     @pytest.mark.parametrize("tau,lam", [(0.004, 0.2), (0.004, 0.8), (0.3, 0.4)])
@@ -1039,7 +1085,7 @@ class TestOrbitScan:
         _, order = _kernels.taylor_plan(edges, n, tau / 2**squarings)
         upper = (n * np.arange(n)[:, None] + np.arange(n))[np.triu_indices(n)]
         perms = _kernels._automorphisms(edges, n, 10**6)
-        masks, all_weights = _kernels._orbit_representatives(edges, perms, lam)
+        masks, all_weights = reference_orbit_representatives(edges, perms, lam)
         for b0 in range(0, masks.size, 67):  # ring:15's batches
             bits, weights = _kernels._mask_bits(masks[b0:b0 + 67], g.edge_count), all_weights[b0:b0 + 67]
             e, s = _kernels._cos_sin(_kernels.laplacians(edges, n, bits, tau / 2**squarings), order, squarings)
