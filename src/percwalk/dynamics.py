@@ -28,9 +28,11 @@ Three routes to the same physics:
   wrappers over one driver, which simulates each trajectory once. The
   ensemble kernels return sums and per-site (count, mean, M2) moments,
   merged pairwise across column blocks; the driver merges them across
-  chunks the same way (Chan, Golub & LeVeque, Am. Stat. 37:242, 1983). The
-  initial density is eigendecomposed once per call, which also refuses one
-  that is not positive semidefinite.
+  chunks the same way (Chan, Golub & LeVeque, Am. Stat. 37:242, 1983). A
+  basis density's eigenpairs are known, so ``_eigenpairs`` skips ``eigh``
+  for it; any other initial density is eigendecomposed once per call.
+  Either way its spectrum is checked, which refuses a density that is not
+  positive semidefinite.
 
 Per-step exponentials are truncated Taylor series whose truncation error
 is at most 2^-53 of the state norm per substep (``_kernels.taylor_plan``).

@@ -52,15 +52,18 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}\n{self.format_usage().rstrip()}")
 
 
-def _common_flags(p: argparse.ArgumentParser) -> None:
+def _common_flags(p: argparse.ArgumentParser, command: str) -> None:
+    """The flags of every subcommand, with --seed and --stride only where ``command`` reads them."""
     p.add_argument("--graph", help="ring:N | lattice2d:WxH | complete:N | file:PATH")
     p.add_argument("--lambda", type=float, metavar="LAM", help="edge-keep probability in [0, 1]")
     p.add_argument("--tau", type=float, help="step size")
     p.add_argument("--steps", type=int, help="number of percolation steps")
     p.add_argument("--time", type=float, metavar="TOTAL_TIME", help="total evolution time")
     p.add_argument("--start", type=int, help="starting node (0-indexed)")
-    p.add_argument("--seed", type=int, help="RNG seed (PCG64)")
-    p.add_argument("--stride", type=int, help="record every stride-th step")
+    if command != "oracle":  # a closed form draws nothing
+        p.add_argument("--seed", type=int, help="RNG seed (PCG64)")
+    if command not in ("convergence", "horizon"):  # a scan records every step of each point
+        p.add_argument("--stride", type=int, help="record every stride-th step")
     p.add_argument("--out", help="output CSV path (stdout when omitted)")
     p.add_argument("--config", help="key=value config file; flags override it")
 
@@ -83,7 +86,7 @@ def build_parser() -> _Parser:
         ("envelope", "long-run channel curve with exponential envelope fit"),
     ]:
         p = sub.add_parser(name, help=descr)
-        _common_flags(p)
+        _common_flags(p, name)
         if name == "montecarlo":
             p.add_argument("--trajectories", type=int,
                            help=f"ensemble size (default {ExperimentSpec.trajectories})")

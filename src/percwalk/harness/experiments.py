@@ -1,15 +1,14 @@
-"""Experiment drivers: return-probability curves, figure-style sweeps,
-step-size convergence scans, error horizons, and envelope fitting.
+"""Experiment drivers: return-probability curves, step-size convergence
+scans, error horizons, and envelope fitting.
 
 Every driver returns the table of its CSV, ``(meta, columns)``: the
 arguments of ``csvio.write_csv``. ``meta`` is the ``#`` header (the run's
-parameters and diagnostics) and ``columns`` a list of (name, array) pairs;
-a lambda sweep returns one table per lambda. Drivers write no file: the
-caller writes a table with ``write_csv`` or renders it with ``finite_csv``.
-A driver reads its graph once and passes it down, so a CSV's simulated
-and reference columns come from one graph. The rescaled reference is
-``walk``'s ``eigh`` route on it; only ``exp_complete_graph`` and
-``oracle_table`` write closed forms, for the graph families they check.
+parameters and diagnostics) and ``columns`` a list of (name, array) pairs.
+Drivers write no file: the caller writes a table with ``write_csv`` or
+renders it with ``finite_csv``. A driver reads its graph once and passes it
+down, so a CSV's simulated and reference columns come from one graph. The
+rescaled reference is ``walk``'s ``eigh`` route on it; only ``oracle_table``
+writes closed forms, for the graph families it checks.
 """
 from __future__ import annotations
 
@@ -35,7 +34,6 @@ from ..walk import basis_density, basis_state, classical_transition, transition_
 # reference below this guard are skipped in horizon scans
 REL_ERROR_GUARD = 1e-6
 
-DEFAULT_LAMBDA_SWEEP = (0.2, 0.4, 0.6, 0.8, 1.0)
 FIT_MAX_ITER = 200  # Gauss-Newton iterations of fit_exponential_envelope
 
 
@@ -158,13 +156,6 @@ def channel_curve(g: Graph, spec: ExperimentSpec) -> tuple[np.ndarray, np.ndarra
     return rec * run.tau, probs[:, spec.start], diagnostics
 
 
-def montecarlo_curve(g: Graph, spec: ExperimentSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
-    rec = monte_carlo_channel(
-        g, spec.run(), basis_density(g.node_count, spec.start), spec.trajectories, spec.stride
-    )
-    return rec.times, rec.site_probabilities()[:, spec.start], rec.diag_stderr, _run_diagnostics(rec)
-
-
 def quantum_oracle_curve(g: Graph, spec: ExperimentSpec, times: np.ndarray) -> np.ndarray:
     """Rescaled reference: the unpercolated return probability on ``g`` at time lam * t."""
     return transition_probability(g, spec.start, spec.start, spec.lam * times)
@@ -175,18 +166,6 @@ def classical_oracle_curve(g: Graph, spec: ExperimentSpec, times: np.ndarray) ->
     return classical_transition(g, spec.start, spec.start, spec.lam * times)
 
 
-_POINT_CURVES = {  # command -> (simulated curve, its rescaled reference)
-    "trajectory": (quantum_trajectory_curve, quantum_oracle_curve),
-    "classical": (classical_trajectory_curve, classical_oracle_curve),
-    "channel": (channel_curve, quantum_oracle_curve),
-}
-
-
-def _check_point_command(command: str) -> None:
-    if command != "montecarlo" and command not in _POINT_CURVES:
-        raise ValueError(f"unknown single-point command {command!r}")
-
-
 def point_table(spec: ExperimentSpec, command: str) -> tuple[dict, list]:
     """Metadata and columns of the CSV of one single-point command.
 
@@ -195,31 +174,28 @@ def point_table(spec: ExperimentSpec, command: str) -> tuple[dict, list]:
     next to the rescaled reference. An unknown command is refused before
     the graph is read.
     """
-    _check_point_command(command)
-    return _point_table(spec.graph(), spec, command)
-
-
-def _point_table(g: Graph, spec: ExperimentSpec, command: str) -> tuple[dict, list]:
-    """``point_table`` on the graph ``g`` of ``spec``, already read."""
+    if command not in ("trajectory", "classical", "channel", "montecarlo"):
+        raise ValueError(f"unknown single-point command {command!r}")
+    g = spec.graph()
     if command == "montecarlo":
-        times, p_mean, p_stderr, diagnostics = montecarlo_curve(g, spec)
-        meta = base_meta(spec, command, trajectories=spec.trajectories, **diagnostics)
-        return meta, [("t", times), ("p_mean", p_mean), ("p_stderr", p_stderr),
-                      ("p_oracle", quantum_oracle_curve(g, spec, times))]
-    curve, oracle = _POINT_CURVES[command]
-    times, p_sim, diagnostics = curve(g, spec)
-    return base_meta(spec, command, **diagnostics), [
-        ("t", times), ("p_sim", p_sim), ("p_oracle", oracle(g, spec, times))]
+        rec = monte_carlo_channel(
+            g, spec.run(), basis_density(g.node_count, spec.start), spec.trajectories, spec.stride
+        )
+        meta = base_meta(spec, command, trajectories=spec.trajectories, **_run_diagnostics(rec))
+        columns = [("t", rec.times), ("p_mean", rec.site_probabilities()[:, spec.start]),
+                   ("p_stderr", rec.diag_stderr)]
+    else:
+        curve = {"trajectory": quantum_trajectory_curve, "classical": classical_trajectory_curve,
+                 "channel": channel_curve}[command]
+        times, p_sim, diagnostics = curve(g, spec)
+        meta, columns = base_meta(spec, command, **diagnostics), [("t", times), ("p_sim", p_sim)]
+    oracle = classical_oracle_curve if command == "classical" else quantum_oracle_curve
+    return meta, [*columns, ("p_oracle", oracle(g, spec, columns[0][1]))]
 
 
 ORACLE_CHOICES = ("rescaled", "complete-q", "complete-c", "ring4-c", "flat")
 # closed-form return probabilities, each valid for one graph family only
 _RETURN_FORMS = ("complete-q", "complete-c", "ring4-c")
-
-
-def _is_complete(g: Graph) -> bool:
-    """Whether every node pair of ``g`` is an edge (a ``Graph`` is simple)."""
-    return g.edge_count == g.node_count * (g.node_count - 1) // 2
 
 
 def _check_return_form(which: str, g: Graph, start: int, target: int) -> None:
@@ -229,7 +205,7 @@ def _check_return_form(which: str, g: Graph, start: int, target: int) -> None:
     if which == "ring4-c":
         family = g.node_count == 4 and g.edge_count == 4 and bool(np.all(g.degrees() == 2))
     else:
-        family = _is_complete(g)
+        family = g.edge_count == g.node_count * (g.node_count - 1) // 2  # a Graph is simple
     if not family:
         name = "the 4-ring" if which == "ring4-c" else "a complete graph"
         raise ValueError(f"--which {which} holds only on {name}; use --which rescaled for this graph")
@@ -277,82 +253,6 @@ def oracle_table(spec: ExperimentSpec, which: str, target: int | None = None) ->
         "stride": spec.stride,
     }
     return meta, [("t", times), ("p_oracle", p)]
-
-
-# ---------------------------------------------------------------------------
-# figure-style experiments
-# ---------------------------------------------------------------------------
-
-
-def _sweep(spec: ExperimentSpec, experiment: str, command: str, lambdas) -> dict[float, tuple[dict, list]]:
-    """``command``'s table (``point_table``) at each lambda, named ``experiment`` in its metadata.
-
-    The graph is read once, after the command is checked, and every table
-    is built from it.
-    """
-    _check_point_command(command)
-    g = spec.graph()
-    tables = {}
-    for lam in lambdas:
-        meta, columns = _point_table(g, replace(spec, lam=lam), command)
-        tables[lam] = {**meta, "experiment": experiment}, columns
-    return tables
-
-
-def exp_trajectory_lattice(
-    spec: ExperimentSpec | None = None, lambdas=DEFAULT_LAMBDA_SWEEP
-) -> dict[float, tuple[dict, list]]:
-    """Single-trajectory return probability on the 10x10 lattice, one table per lambda.
-
-    Defaults: tau=1e-4, 10^5 steps (T=10), walker started at the central
-    node 44, sweep over DEFAULT_LAMBDA_SWEEP.
-    """
-    spec = spec or ExperimentSpec(
-        graph_spec="lattice2d:10x10", tau=1e-4, steps=100_000, start=44, stride=100
-    )
-    return _sweep(spec, "trajectory_lattice", "trajectory", lambdas)
-
-
-def exp_channel_ring(
-    spec: ExperimentSpec | None = None, lambdas=DEFAULT_LAMBDA_SWEEP
-) -> dict[float, tuple[dict, list]]:
-    """Exact-channel return probability on the 15-ring, one table per lambda.
-
-    Defaults: tau=0.004, 5000 steps (T=20), start node 0. The 15-edge ring
-    has 32768 realizations, all enumerated into one step channel.
-    """
-    spec = spec or ExperimentSpec(graph_spec="ring:15", tau=0.004, steps=5000, stride=10)
-    return _sweep(spec, "channel_ring", "channel", lambdas)
-
-
-def exp_complete_graph(spec: ExperimentSpec | None = None) -> tuple[dict, list]:
-    """Quantum vs classical single trajectories on the complete graph.
-
-    Defaults: complete:15, lambda=0.3, tau=1e-4, 10^5 steps. The oracle
-    columns are the closed-form complete-graph return probabilities at
-    rescaled time lam*t, so any other graph is refused.
-    """
-    spec = spec or ExperimentSpec(
-        graph_spec="complete:15", lam=0.3, tau=1e-4, steps=100_000, stride=100
-    )
-    g = spec.graph()
-    if not _is_complete(g):
-        raise ValueError(f"exp_complete_graph needs a complete graph, got {spec.graph_spec}")
-    n = g.node_count
-    times, p_q, q_diag = quantum_trajectory_curve(g, spec)
-    _, p_c, c_diag = classical_trajectory_curve(g, spec)
-    p_q_oracle = np.asarray(oracles.complete_graph_quantum_return(n, spec.lam * times))
-    p_c_oracle = np.asarray(oracles.complete_graph_classical_return(n, spec.lam * times))
-    meta = base_meta(spec, "complete_graph",
-                     **{f"quantum_{k}": v for k, v in q_diag.items()},
-                     **{f"classical_{k}": v for k, v in c_diag.items()})
-    return meta, [
-        ("t", times),
-        ("p_quantum_sim", p_q),
-        ("p_quantum_oracle", p_q_oracle),
-        ("p_classical_sim", p_c),
-        ("p_classical_oracle", p_c_oracle),
-    ]
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import os
+import shlex
 import subprocess
 import sys
 import time
@@ -14,12 +15,10 @@ from percwalk.harness.cli import cli_main
 from percwalk.harness.csvio import finite_csv, read_csv, write_csv
 from percwalk.harness.experiments import (
     ExperimentSpec,
-    exp_channel_ring,
-    exp_complete_graph,
     exp_convergence,
     exp_epsilon_horizon,
     exp_longtime_finite_tau,
-    exp_trajectory_lattice,
+    point_table,
 )
 from percwalk.walk import classical_transition, transition_probability
 
@@ -225,13 +224,13 @@ class TestScanCommands:
              ExperimentSpec("ring:4", lam=0.2, tau=0.1, steps=200, seed=3), trajectory_steps=400)),
         (["trajectory", "--graph", "lattice2d:4x4", "--lambda", "0.6", "--tau", "0.02",
           "--steps", "50", "--stride", "5", "--start", "5", "--seed", "3"],
-         lambda: exp_trajectory_lattice(
-             ExperimentSpec("lattice2d:4x4", tau=0.02, steps=50, stride=5, start=5, seed=3),
-             lambdas=(0.6,))[0.6]),
+         lambda: point_table(
+             ExperimentSpec("lattice2d:4x4", lam=0.6, tau=0.02, steps=50, stride=5, start=5, seed=3),
+             "trajectory")),
         (["channel", "--graph", "ring:5", "--lambda", "0.4", "--tau", "0.05", "--steps", "40",
           "--stride", "4", "--start", "2"],
-         lambda: exp_channel_ring(
-             ExperimentSpec("ring:5", tau=0.05, steps=40, stride=4, start=2), lambdas=(0.4,))[0.4]),
+         lambda: point_table(ExperimentSpec("ring:5", lam=0.4, tau=0.05, steps=40, stride=4, start=2),
+                             "channel")),
         # every flag unset: the CLI takes the drivers' and ExperimentSpec's defaults
         (["convergence"],
          lambda: exp_convergence(ExperimentSpec("ring:10", lam=0.5, total_time=10.0))),
@@ -240,25 +239,19 @@ class TestScanCommands:
         (["envelope", "--seed", "3"],
          lambda: exp_longtime_finite_tau(ExperimentSpec("ring:4", lam=0.2, tau=0.1, steps=1000, seed=3))),
         (["trajectory", "--graph", "ring:4", "--tau", "0.1", "--steps", "20"],
-         lambda: exp_trajectory_lattice(ExperimentSpec("ring:4", tau=0.1, steps=20), lambdas=(0.5,))[0.5]),
+         lambda: point_table(ExperimentSpec("ring:4", tau=0.1, steps=20), "trajectory")),
     ], ids=["convergence", "horizon", "envelope", "trajectory", "channel", "convergence-default",
             "horizon-default", "envelope-default", "trajectory-default"])
     def test_csv_equals_driver_csv(self, tmp_path, argv, drive):
         cli_out = tmp_path / "cli.csv"
         assert run_cli(argv + ["--out", str(cli_out)]) == 0
-        cli_lines = cli_out.read_text().splitlines()
-        driver_lines = finite_csv(*drive()).splitlines()
-        if argv[0] in ("trajectory", "channel"):
-            # a lambda sweep's table is the command's, named after the sweep
-            assert cli_lines.pop(1) == f"# experiment = {argv[0]}"
-            assert driver_lines.pop(1) in ("# experiment = trajectory_lattice", "# experiment = channel_ring")
-        assert cli_lines == driver_lines
+        assert cli_out.read_text() == finite_csv(*drive())
 
     @pytest.mark.parametrize("command", ["convergence", "horizon"])
     @pytest.mark.parametrize("timing,window", [
         (["--tau", "0.1", "--steps", "40"], "4"),
-        (["--time", "4", "--stride", "7"], "4"),
-    ], ids=["tau-steps", "stride"])
+        (["--time", "4"], "4"),
+    ], ids=["tau-steps", "time"])
     def test_scan_header_records_only_what_ran(self, tmp_path, command, timing, window):
         # every point runs its own tau and steps at stride 1 over the window
         out = tmp_path / "scan.csv"
@@ -451,8 +444,8 @@ class TestErrorPaths:
         # runs under the suite's warnings-as-errors: the step loops reach NaN without a numpy warning
         nan_propagators(monkeypatch)
         out = tmp_path / "complete.csv"
-        table = exp_complete_graph(ExperimentSpec("complete:4", lam=0.5, tau=0.1, steps=1))
-        with pytest.raises(FloatingPointError, match="column p_quantum_sim holds a non-finite value"):
+        table = point_table(ExperimentSpec("complete:4", lam=0.5, tau=0.1, steps=1), "trajectory")
+        with pytest.raises(FloatingPointError, match="column p_sim holds a non-finite value"):
             write_csv(out, *table)
         assert not out.exists()
 
@@ -591,30 +584,6 @@ class TestOneGraphPerCsv:
         assert run_cli([*argv, "--graph", f"file:{ring_file}", "--out", str(tmp_path / "run.csv")]) == 0
         assert reads == [f"file:{ring_file}"]
 
-    @pytest.mark.parametrize("sweep", [exp_channel_ring, exp_trajectory_lattice])
-    def test_a_sweep_reads_its_graph_once(self, monkeypatch, ring_file, sweep):
-        reads = []
-
-        def counted(spec):
-            reads.append(spec)
-            return graph_from_spec(spec)
-
-        monkeypatch.setattr(experiments, "graph_from_spec", counted)
-        spec = ExperimentSpec(graph_spec=f"file:{ring_file}", tau=0.1, steps=20, stride=5)
-        tables = sweep(spec, lambdas=(0.3, 0.6, 0.9))
-        assert reads == [f"file:{ring_file}"]
-        assert sorted(tables) == [0.3, 0.6, 0.9]
-        assert [meta["lambda"] for meta, _ in tables.values()] == [0.3, 0.6, 0.9]
-
-    def test_a_sweep_refuses_an_unknown_command_before_reading_the_graph(self, monkeypatch, ring_file):
-        def no_read(spec):
-            raise AssertionError("the graph was read before the command was checked")
-
-        monkeypatch.setattr(experiments, "graph_from_spec", no_read)
-        spec = ExperimentSpec(graph_spec=f"file:{ring_file}", tau=0.1, steps=20)
-        with pytest.raises(ValueError, match="unknown single-point command 'chanel'"):
-            experiments._sweep(spec, "channel_ring", "chanel", (0.5,))
-
     def test_envelope_references_do_not_depend_on_the_spec_string(self, tmp_path, ring_file):
         named, from_file = tmp_path / "named.csv", tmp_path / "file.csv"
         assert run_cli(["envelope", "--seed", "3", "--graph", "ring:4", "--out", str(named)]) == 0
@@ -696,7 +665,8 @@ class TestParser:
         ]
         flagged = []
         common_flags = cli._common_flags
-        monkeypatch.setattr(cli, "_common_flags", lambda p: (flagged.append(p.prog), common_flags(p)))
+        monkeypatch.setattr(cli, "_common_flags",
+                            lambda p, command: (flagged.append(p.prog), common_flags(p, command)))
         cli.build_parser.cache_clear()
         try:
             reused = [(run_cli(argv), *capsys.readouterr()) for argv in calls]
@@ -707,6 +677,50 @@ class TestParser:
         finally:
             cli.build_parser.cache_clear()
         assert [code for code, _, _ in reused] == [1, 0, 0, 0]
+
+    def test_each_subcommand_takes_only_the_flags_it_reads(self):
+        # a flag outside these sets would be accepted and do nothing
+        common = {"graph", "lambda", "tau", "steps", "time", "start", "out", "config"}
+        point = common | {"seed", "stride"}
+        want = {
+            "trajectory": point,
+            "classical": point,
+            "channel": point,
+            "montecarlo": point | {"trajectories"},
+            "oracle": common | {"stride", "which", "target"},
+            "convergence": common | {"seed", "steps_list"},
+            "horizon": common | {"seed", "steps_list", "epsilons"},
+            "envelope": point | {"traj_steps"},
+        }
+        parser = cli.build_parser()
+        got = {command: set(vars(parser.parse_args([command]))) - {"command"} for command in cli._COMMANDS}
+        assert got == want
+
+    @pytest.mark.parametrize("argv,flag", [
+        (["oracle", "--which", "flat", "--graph", "ring:4", "--tau", "0.5", "--steps", "2"], "seed"),
+        (["convergence", "--graph", "ring:4", "--time", "1", "--steps-list", "5"], "stride"),
+        (["horizon", "--graph", "ring:4", "--time", "1", "--steps-list", "5"], "stride"),
+    ], ids=["oracle-seed", "convergence-stride", "horizon-stride"])
+    def test_a_flag_the_command_does_not_read_exit_1(self, tmp_path, capsys, argv, flag):
+        assert run_cli([*argv, f"--{flag}", "1"]) == 1
+        assert f"unrecognized arguments: --{flag} 1" in capsys.readouterr().err
+        config = tmp_path / "run.cfg"
+        config.write_text(f"{flag} = 1\n")
+        assert run_cli([*argv, "--config", str(config)]) == 1
+        assert capsys.readouterr().err == f"unknown config keys: {flag}\n"
+
+    def test_the_readme_paper_runs_parse(self):
+        # README's "The paper's runs" are the paper's settings: each of its commands must still parse
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        blocks = readme.split("```")[1::2]
+        commands = [shlex.split(line.replace("$lam", "0.2"))[1:]
+                    for block in blocks for line in block.replace("\\\n", " ").splitlines()
+                    if line.strip().startswith("percwalk ")]
+        assert {argv[0] for argv in commands} == {
+            "trajectory", "classical", "channel", "oracle", "envelope", "convergence", "horizon"}
+        parser = cli.build_parser()
+        for argv in commands:
+            parser.parse_args(argv)
 
 
 class TestConfigFile:
@@ -741,14 +755,16 @@ class TestConfigFile:
         ("classical", {}),
         ("channel", {}),
         ("montecarlo", {"trajectories": "5"}),
-        ("oracle", {"which": "rescaled", "target": "1"}),
-        ("convergence", {"steps-list": "50,100"}),
-        ("horizon", {"steps-list": "50,100", "epsilons": "0.05,0.1"}),
+        ("oracle", {"which": "rescaled", "target": "1", "seed": None}),
+        ("convergence", {"steps-list": "50,100", "stride": None}),
+        ("horizon", {"steps-list": "50,100", "epsilons": "0.05,0.1", "stride": None}),
         ("envelope", {"graph": "ring:4", "lambda": "0.2", "start": "0", "traj-steps": "40"}),
     ], ids=lambda x: x if isinstance(x, str) else "")
     def test_every_key_gives_the_csv_of_its_flag(self, tmp_path, command, flags):
+        # None drops a flag that the command does not take
         flags = {"graph": "ring:5", "lambda": "0.3", "tau": "0.1", "steps": "20", "time": "2",
                  "start": "2", "seed": "4", "stride": "3", **flags}
+        flags = {key: value for key, value in flags.items() if value is not None}
         by_flags, by_config = tmp_path / "flags.csv", tmp_path / "config.csv"
         cfg = tmp_path / "run.cfg"
         cfg.write_text("".join(f"{key} = {value}\n" for key, value in {**flags, "out": by_config}.items()))

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -6,20 +7,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from percwalk import _kernels, dynamics, oracles
+from percwalk import oracles
 from percwalk.graph import make_ring
 from percwalk.harness import csvio
 from percwalk.harness.experiments import (
     EnvelopeFitError,
     ExperimentSpec,
-    exp_channel_ring,
-    exp_complete_graph,
     exp_convergence,
     exp_epsilon_horizon,
     exp_longtime_finite_tau,
-    exp_trajectory_lattice,
     extract_envelope_maxima,
     fit_exponential_envelope,
+    oracle_table,
     point_table,
     resolve_timing,
 )
@@ -166,18 +165,17 @@ class TestCsv:
 class TestExperiments:
     def test_trajectory_lattice_reduced(self):
         spec = ExperimentSpec(graph_spec="lattice2d:3x3", tau=0.01, steps=300, start=4, stride=10)
-        tables = exp_trajectory_lattice(spec, lambdas=(0.5, 1.0))
-        assert set(tables) == {0.5, 1.0}
+        tables = {lam: point_table(replace(spec, lam=lam), "trajectory") for lam in (0.5, 1.0)}
         for lam, (meta, columns) in tables.items():
-            assert meta["lambda"] == lam and meta["experiment"] == "trajectory_lattice"
+            assert meta["lambda"] == lam and meta["experiment"] == "trajectory"
             assert [name for name, _ in columns] == ["t", "p_sim", "p_oracle"]
         # lam=1 curve matches its reference closely
         r1 = dict(tables[1.0][1])
         assert np.max(np.abs(r1["p_sim"] - r1["p_oracle"])) <= 1e-8
 
     def test_channel_ring_reduced(self):
-        spec = ExperimentSpec(graph_spec="ring:6", tau=0.05, steps=100, stride=5)
-        meta, columns = exp_channel_ring(spec, lambdas=(0.5,))[0.5]
+        spec = ExperimentSpec(graph_spec="ring:6", lam=0.5, tau=0.05, steps=100, stride=5)
+        meta, columns = point_table(spec, "channel")
         res = dict(columns)
         assert np.max(np.abs(res["p_sim"] - res["p_oracle"])) <= 0.05
         assert meta["propagator"] == "taylor(substeps=1, order=11)"
@@ -187,25 +185,13 @@ class TestExperiments:
         assert meta["channel_blocks"] == "1x36"  # one dense block: the trivial group's evolution
 
     def test_complete_graph_reduced(self):
+        # quantum and classical trajectories against the closed-form returns at the rescaled time
         spec = ExperimentSpec(graph_spec="complete:5", lam=0.3, tau=0.001, steps=2000, stride=20)
-        _, columns = exp_complete_graph(spec)
-        res = dict(columns)
-        assert np.max(np.abs(res["p_quantum_sim"] - res["p_quantum_oracle"])) <= 0.1
-        assert np.max(np.abs(res["p_classical_sim"] - res["p_classical_oracle"])) <= 0.05
-        assert list(res) == [
-            "t", "p_quantum_sim", "p_quantum_oracle", "p_classical_sim", "p_classical_oracle"
-        ]
-
-    def test_complete_graph_refuses_other_graphs(self, monkeypatch):
-        def no_steps(*args, **kwargs):
-            raise AssertionError("a keep bit was drawn or a step ran before the graph was checked")
-
-        for name in ("trajectory_states", "classical_trajectory"):
-            monkeypatch.setattr(_kernels, name, no_steps)
-        monkeypatch.setattr(dynamics, "sample_keep_bits", no_steps)
-        spec = ExperimentSpec(graph_spec="ring:5", lam=0.5, tau=0.01, steps=200, stride=50)
-        with pytest.raises(ValueError, match="complete graph, got ring:5"):
-            exp_complete_graph(spec)
+        for command, which, tol in (("trajectory", "complete-q", 0.1), ("classical", "complete-c", 0.05)):
+            sim = dict(point_table(spec, command)[1])
+            closed = dict(oracle_table(spec, which)[1])
+            assert np.array_equal(sim["t"], closed["t"])
+            assert np.max(np.abs(sim["p_sim"] - closed["p_oracle"])) <= tol
 
     def test_longtime_default_fit_and_flattening(self):
         spec = ExperimentSpec(graph_spec="ring:4", lam=0.2, tau=0.1, steps=1000)
