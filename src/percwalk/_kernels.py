@@ -44,17 +44,24 @@ or z = -tau for the classical walk. Three propagators implement it:
   action or the mask cache. An ensemble applies the action to all
   columns of a block at once through the graph's padded neighbour lists,
   width = its largest degree slots per node (``_neighbours``, the ELLPACK
-  layout): row i of H x is sum_k w[k, i] (x_i - x[nbr[k, i]]), with each
-  step's kept-edge weights taken into the slots once per step
-  (``_gather_apply``). That is width n entries per column where the
-  signed incidence product B^T diag(w) B x that it replaced took n E, and
-  the same terms summed in the same order: its states were bit-identical
-  on lattice2d:10x10, ring:100, complete:15 and complete:30, where BLAS
-  sums each row in edge order, and within 1.4e-16 on lattice2d:20x20.
-  Measured with one BLAS thread, best of 25, at 16 columns: 19.8 against
-  35.8 us per apply on lattice2d:10x10, 12.8 against 20.6 on ring:100,
-  13.0 against 13.1 on complete:15, 36.7 against 49.3 on complete:30 and
-  64 against 671 on lattice2d:20x20.
+  layout), and one slot more per node, the node itself: row i of H x is
+  sum_k w[k, i] x[nbr[k, i]], each edge slot weighted by minus its edge's
+  kept weight and the node's own slot, the last, by its kept degree, all
+  taken into the slots once per step (``_gather_apply``). An apply is then
+  one gather, one multiply and one sum over (width + 1) n entries per
+  column, where the signed incidence product B^T diag(w) B x took n E
+  and the form before this one, sum_k w[k, i] (x_i - x[nbr[k, i]]), four
+  passes over width n. Its terms are no longer the incidence product's:
+  on 20 draws of 16 columns at lambda = 0.5 it is within 2.2e-16 to
+  4.0e-16 of the dense product, relative to the largest entry of H x, as
+  the four-pass form was (2.2e-16 to 4.2e-16), on lattice2d:10x10,
+  ring:100, complete:15, complete:30 and lattice2d:20x20; a 300-step,
+  64-trajectory Monte Carlo run on lattice2d:10x10 moved p_mean by at
+  most 2.2e-16 and p_stderr by 5e-18, at an equal norm drift. Measured
+  with one BLAS thread, best of 25, at 16 quantum columns: 14.7 against
+  21.0 us per apply on lattice2d:10x10 (four-pass), 11.9 against 13.3 on
+  ring:100, 9.1 against 12.6 on complete:15, 26.3 against 39.9 on
+  complete:30 and 62 against 64 on lattice2d:20x20.
 
 ``step_plan`` prices every route that a run may take in flops and calls and
 returns the cheapest as a ``Route``: its kind, its plan, the chunk length of
@@ -172,10 +179,12 @@ MAX_SUBSTEPS = 1 << 24
 # measured with 1 BLAS thread on a 2-vCPU Xeon, OpenBLAS 0.3.31 (``_taylor_step_flops``)
 CALL_FLOPS = 15_000
 # flops that each float64 of a neighbour slot of one column costs the ensemble's Taylor action:
-# the four passes of ``_gather_apply`` (gather, subtract, multiply, sum) took 2.7 to 4.8 ns per
-# complex slot and 1.3 to 2.6 ns per real one at 16 and 64 columns on lattice2d:10x10,
-# lattice2d:20x20, complete:15 and complete:30, one BLAS thread: 40 to 78 flops per float64 at
-# the rate of CALL_FLOPS (``_taylor_step_flops``)
+# the four passes (gather, subtract, multiply, sum) of the slot apply before the diagonal slot took
+# 2.7 to 4.8 ns per complex slot and 1.3 to 2.6 ns per real one at 16 and 64 columns on
+# lattice2d:10x10, lattice2d:20x20, complete:15 and complete:30, one BLAS thread: 40 to 78 flops
+# per float64 at the rate of CALL_FLOPS (``_taylor_step_flops``). Fitted to that apply, the price
+# now counts a pass and a call per Taylor term too many for the three-pass product with its
+# diagonal slot; it is kept until the step routes are priced again
 SLOT_FLOPS = 50
 # every RENORM_EVERY steps a quantum state whose norm drifted by more than RENORM_TOL is renormalized
 RENORM_EVERY = 10_000
@@ -381,6 +390,11 @@ def _taylor_step_flops(n: int, width: int, plan: tuple[int, int], quantum: bool,
     neighbour slots (``_gather_apply``, ``width`` = the largest degree):
     three calls more and SLOT_FLOPS per float64 of its width n slots per
     column, and each step takes its weights into the slots with two calls.
+    These were fitted to the four-pass apply that came before the product
+    with a diagonal slot, which makes one pass and one call fewer per
+    application (and three calls more per step for its weights); the price is
+    kept as it was, so the routes stay as measured below, until the step
+    routes are priced again.
     On 90 ensembles of graphs of at most 16 edges (rings, small lattices
     and complete graphs; tau 1e-4 to 1, 10 to 1000 steps, 1 to 256
     columns), timed on both routes in process with one BLAS thread, this
@@ -695,21 +709,33 @@ def _norms(h: np.ndarray, work: np.ndarray | None) -> np.ndarray:
 
 
 def _gather_apply(nbr, w, gathered, x, y):
-    """y = H x for the (n, T) state block x, H taken from the weights w (width n, T) of the neighbour slots.
+    """y = H x for the (n, T) state block x, H taken from the weights w ((width + 1) n, T) of its slots.
 
-    ``nbr`` is the flattened neighbour table of ``_neighbours`` and w holds
-    each slot's kept-edge weight per column, zero on the padded slots;
+    ``nbr`` is the flattened slot table: the neighbour table of
+    ``_neighbours`` and one more row, each node itself. w holds each slot's
+    weight per column: minus the kept-edge weight on an edge slot, zero on a
+    padded one, and the node's weighted kept degree on its own slot.
     ``gathered`` is a buffer of w's shape. Row i of H x is
-    sum_k w[k, i] (x_i - x[nbr[k, i]]), summed over k in ascending edge
-    order: the terms and the order of the signed incidence product
-    B^T diag(w) B x, at width n entries per column instead of n E. A padded
-    slot adds w (x_i - x_i) = 0.
+    sum_k w[k, i] x[nbr[k, i]], summed over k in slot order, the diagonal
+    last: one gather, one multiply and one sum, the ELLPACK product (Bell &
+    Garland, SC 2009). It calls the method and the ufunc, not the Python
+    wrappers np.take and ndarray.sum: about 1 us less of a 16 us apply on
+    lattice2d:10x10 at 16 columns.
     """
-    np.take(x, nbr, axis=0, out=gathered, mode="clip")
-    diff = gathered.reshape((-1,) + x.shape)
-    np.subtract(x, diff, out=diff)
+    x.take(nbr, axis=0, out=gathered, mode="clip")
     gathered *= w
-    diff.sum(axis=0, out=y)
+    np.add.reduce(gathered.reshape((-1,) + x.shape), axis=0, out=y)
+
+
+def _blocks(steps: int, block: int, renorm_every: int):
+    """(start, stop) of each block of a run: ``block`` steps at most, cut at the multiples of ``renorm_every``."""
+    start = 0
+    while start < steps:
+        stop = min(start + block, steps)
+        if renorm_every:
+            stop = min(stop, (start // renorm_every + 1) * renorm_every)
+        yield start, stop
+        start = stop
 
 
 def _ensemble(edges, n, z, bits, record_steps, x0, record):
@@ -718,17 +744,27 @@ def _ensemble(edges, n, z, bits, record_steps, x0, record):
     It runs the route that ``step_plan`` returns for the call as it stands.
     A trajectory is one state x0 (n,) with keep bits (S, E), an ensemble
     one state per column, x0 (n, T) with keep bits (T, S, E), stepped in
-    blocks of columns. Steps run in blocks; each block returns the states of
-    all its steps, from which the norm drift and the recorded rows are taken
-    at once: ``record(k, xs)`` receives the states xs at record_steps[k],
-    k a slice. For the quantum walk (complex z) blocks end at multiples of
-    RENORM_EVERY, where a state whose norm drifted by more than RENORM_TOL
-    is renormalized; a classical walk is never renormalized.
+    blocks of columns. Steps run in blocks; each block returns its states and
+    the row of them that holds each step's state, from which the norm drift
+    and the recorded rows are taken at once: ``record(k, xs)`` receives the
+    states xs at record_steps[k], k a slice. For the quantum walk (complex
+    z) blocks end at multiples of RENORM_EVERY, where a state whose norm
+    drifted by more than RENORM_TOL is renormalized; a classical walk is
+    never renormalized. The renormalized state is the carry to the next
+    block and the record of the block's last step, never a row of the
+    block's states, which earlier steps may share.
 
     The Taylor action of an ensemble applies each step's Laplacian to all
-    columns of a block through the graph's neighbour slots
-    (``_gather_apply``): each step takes its kept-edge weights into the
-    slots with one multiply and one take. The Taylor action takes its
+    columns of a block through the graph's neighbour slots and one slot
+    per node for the diagonal (``_gather_apply``): each step takes its keep
+    bits into the edge slots and sums them over each node's slots, its kept
+    degree as an exact integer, and looks each slot's weight up, -z / s
+    times the keep bit or z / s times the degree (s substeps), so the
+    diagonal is rounded once, as ``laplacians`` rounds it. On
+    lattice2d:10x10 at 16 columns this took 17 us per step, against 23 us
+    for a broadcast multiply of the gathered bits and degrees by -z / s and
+    z / s and 11 us for the edge weights alone before the diagonal slot
+    (one BLAS thread, best of 7). The Taylor action takes its
     terms and a block's states, and an ensemble its slot buffers, once per
     call, at the width of a full column block, of which a narrower last
     block uses the leading part. On lattice10x10-montecarlo (``ru_minflt`` around each
@@ -756,16 +792,27 @@ def _ensemble(edges, n, z, bits, record_steps, x0, record):
     except that a renormalization or the run's end may cut it short. Each
     chunk is one call of one loop, ``dot(start state, states)``: with L = 1
     the bound ``.dot`` of the step's cached propagator, else that of the
-    chunk's stacked prefix products. The states are then expanded back to
-    every step of the block, a ``take`` by the running count of moving
-    steps, so the drift, the renormalization and the records see every step.
-    Measured on ring:4's 60 000-step quantum trajectory (tau = 1/600,
-    lambda = 0.2, seed 7, in process, one BLAS thread, best of 21): 11.1 to
-    11.9 ms, against 18.1 to 19.7 ms when every step moved in stacks of
-    one BLOCK_BYTES; skipping alone gave 16.4 to 16.9 ms, and stacks of 2
-    and 8 BLOCK_BYTES 12.6 to 13.5 and 16 to 18 ms (the latter outgrow the
-    cache). The stack raises that call's traced memory peak from 0.43 MB
-    to 1.07 MB (1.57 MB at lambda = 1).
+    chunk's stacked prefix products. The block returns its start state and
+    the states of its moving steps, and step s's row is the running count
+    of moving steps up to s: the drift is taken over the rows from the
+    first step's on, the start state only when a leading step is idle, and
+    the records through the rows, with no ``take`` that expands the states
+    to every step. The states and the prefix stack are held for the call,
+    the stack sized by one pass over the keep bits for the most moving
+    steps that a block has. Allocated per block, they faulted in 254 to
+    1 360 pages per repetition of ring4-longtime (``ru_minflt`` around each
+    CLI call in the benchmark's worker, three seeds), as glibc handed back
+    the stack freed at the heap's top; held, 0 to 2, against 137 to 146
+    for the expanding driver. Measured on ring:4's 60 000-step quantum
+    trajectory (tau = 1/600, lambda = 0.2, seed 7, in process, one BLAS
+    thread, best of 21): 11.1 to 11.9 ms, against 18.1 to 19.7 ms when
+    every step moved in stacks of one BLOCK_BYTES; skipping alone gave
+    16.4 to 16.9 ms, and stacks of 2 and 8 BLOCK_BYTES 12.6 to 13.5 and 16
+    to 18 ms (the latter outgrow the cache). Every step recorded, the
+    expanding driver took 10.5 to 10.6 ms and this one 10.1 to 10.5 ms
+    (best of 7, three alternating rounds), with equal states. The stack
+    and states put the call's traced memory peak at 1.17 MB (1.64 MB at
+    lambda = 1).
     """
     single = x0.ndim == 1
     steps, edge_count = bits.shape[-2:]
@@ -807,6 +854,17 @@ def _ensemble(edges, n, z, bits, record_steps, x0, record):
             block = max(1, BLOCK_BYTES // (8 * m))
         dots = []  # the bound ``.dot`` of each filled row of store
         eye = np.eye(m)
+        # the states of a block and, for the most moving steps that a block has, its prefix
+        # products, once per call (see the docstring)
+        states = np.empty((block + 1) * n, dtype=x0.dtype)
+        if chunk > 1:
+            moving = np.zeros(steps, dtype=bool)  # the steps that keep an edge, a pass per edge
+            for column in bits.T:
+                np.logical_or(moving, column, out=moving)
+            most = -(-max((np.count_nonzero(moving[start:stop])
+                           for start, stop in _blocks(steps, block, renorm_every)), default=0) // chunk)
+            prods, tmps = np.empty((most, chunk, m, m)), np.empty((most, m, m))
+            del moving
 
         def advance(bits, start, stop, x):
             keys = _mask_keys(bits[start:stop])
@@ -815,7 +873,7 @@ def _ensemble(edges, n, z, bits, record_steps, x0, record):
             count = slot.shape[0]
             chunks = -(-count // chunk)
             # row 0 is the block's start state, row i the state after the i-th moving step
-            hist = np.empty((chunks * chunk + 1, n), dtype=x.dtype)
+            hist = states[:(chunks * chunk + 1) * n].reshape(-1, n)
             hist[0] = x
             outs = list(hist[1:].view(np.float64).reshape(chunks, chunk * m))
             if chunk == 1:
@@ -823,12 +881,12 @@ def _ensemble(edges, n, z, bits, record_steps, x0, record):
                 ops, ends = list(map(dots.__getitem__, slot.tolist())), outs
             else:
                 # the prefix products U_k ... U_1 of each chunk, a ragged last chunk padded with I
-                prod = np.empty((chunks, chunk, m, m))
+                prod = prods[:chunks]
                 flat = prod.reshape(-1, m, m)
                 np.take(store, slot, axis=0, out=flat[:count], mode="clip")
                 flat[count:] = eye
                 # a separate output: matmul would copy an input that overlaps its output
-                tmp = np.empty((chunks, m, m))
+                tmp = tmps[:chunks]
                 for k in range(1, chunk):
                     np.matmul(prod[:, k], prod[:, k - 1], out=tmp)
                     prod[:, k] = tmp
@@ -837,8 +895,8 @@ def _ensemble(edges, n, z, bits, record_steps, x0, record):
             # one call writes the chunk's states: out = (U_1 x, U_2 U_1 x, ...)
             for dot, src, out in zip(ops, [x.view(np.float64)] + ends[:-1], outs):
                 dot(src, out)
-            # an idle step repeats the state before it
-            return hist.take(np.cumsum(moved), axis=0)
+            # an idle step repeats the state before it: each step's row is the count of moving steps
+            return hist[:count + 1], np.cumsum(moved)
     elif route.kind == "mask-cache":
         # the (cols, m, m) stack of gathered propagators fits in BLOCK_BYTES
         cols = min(columns, max(1, BLOCK_BYTES // (8 * m * m)))
@@ -852,7 +910,7 @@ def _ensemble(edges, n, z, bits, record_steps, x0, record):
             y = np.ascontiguousarray(x.T).view(np.float64)[:, :, None]
             for slot, out in zip(lookup(_mask_keys(bits[:, start:stop])).T, ys):
                 y = np.matmul(np.take(store, slot, axis=0, out=us, mode="clip"), y, out=out)
-            return np.ascontiguousarray(ys.reshape(count, c, m).view(x.dtype).transpose(0, 2, 1))
+            return np.ascontiguousarray(ys.reshape(count, c, m).view(x.dtype).transpose(0, 2, 1)), every[:count]
     elif route.kind == "taylor-matrix":
         substeps, order = route.plan
         block = max(1, BLOCK_BYTES // (n * n * x0.itemsize))
@@ -866,7 +924,7 @@ def _ensemble(edges, n, z, bits, record_steps, x0, record):
             for dot, row in zip(dots, hist):
                 for _ in range(substeps):
                     x = add(x, dot(x, buf), row)
-            return hist
+            return hist, every[:stop - start]
     else:
         substeps, order = route.plan
         coef_dot = _taylor_coef(order, x0.dtype).dot
@@ -876,24 +934,34 @@ def _ensemble(edges, n, z, bits, record_steps, x0, record):
 
             def appliers(bits):
                 return [a.dot for a in laplacians(edges, n, bits, z / substeps, incidence=incidence)]
-        else:  # the kept-edge weights of each step, in the slots of the neighbour table
+        else:  # the weights of each step, in the slots of the neighbour table and of each node itself
             nbr, eid = _neighbours(edges, n)
-            slots, scale = nbr.size, z / substeps
-            nbr, eid = nbr.ravel(), eid.ravel()
+            width, scale = nbr.shape[0], z / substeps
+            nbr, eid = np.vstack([nbr, np.arange(n)]).ravel(), eid.ravel()
+            slots = nbr.size
+            # an edge slot's weight by its keep bit, a node's own slot's by its kept degree
+            edge_table, degree_table = np.array([0.0, -scale]), scale * np.arange(width + 1)
             cols = min(columns, max(1, BLOCK_BYTES // (x0.itemsize * max((order + 1) * n, slots))))
             block = max(1, BLOCK_BYTES // (x0.itemsize * n * cols))
-            # the slot weights, the gathered states and the (E + 1, T) edge weights, once per call
-            buffers = np.empty((2 * slots + edge_count + 1) * cols, dtype=x0.dtype)
+            # the slot weights and the gathered states, and the (E + 1, T) keep bits and the keep bit
+            # or degree of each slot, once per call
+            buffers = np.empty(2 * slots * cols, dtype=x0.dtype)
+            counts = np.empty((edge_count + 1 + slots) * cols, dtype=np.intp)
 
             def appliers(bits):
                 c = bits.shape[0]  # the last column block may be narrower
                 weights, gathered = buffers[:2 * slots * c].reshape(2, slots, c)
-                edge_weights = buffers[2 * slots * c:][:(edge_count + 1) * c].reshape(edge_count + 1, c)
-                edge_weights[edge_count] = 0.0  # the padded slots' edge
+                kept = counts[:(edge_count + 1) * c].reshape(edge_count + 1, c)
+                kept[edge_count] = 0  # the padded slots' edge
+                codes = counts[(edge_count + 1) * c:][:slots * c].reshape(width + 1, n * c)
+                slot_rows = weights.reshape(width + 1, n * c)
                 apply = partial(_gather_apply, nbr, weights, gathered)
                 for j in range(bits.shape[1]):
-                    np.multiply(bits[:, j, :].T, scale, out=edge_weights[:edge_count])
-                    np.take(edge_weights, eid, axis=0, out=weights, mode="clip")
+                    np.copyto(kept[:edge_count], bits[:, j, :].T)
+                    kept.take(eid, axis=0, out=codes[:width].reshape(width * n, c), mode="clip")
+                    np.add.reduce(codes[:width], axis=0, out=codes[width])
+                    edge_table.take(codes[:width], out=slot_rows[:width], mode="clip")
+                    degree_table.take(codes[width], out=slot_rows[width], mode="clip")
                     yield apply
 
         # the Taylor terms and the states of a block, once per call
@@ -910,8 +978,9 @@ def _ensemble(edges, n, z, bits, record_steps, x0, record):
                     rows[0][...] = x
                     _taylor_series(apply_a, rows, coef_dot, flat, out)
                     x = row
-            return hist
+            return hist, every[:stop - start]
 
+    every = np.arange(block)  # the rows of a block that holds one state per step
     max_drift = 0.0
     # the squared amplitudes of a block's steps, at most half of BLOCK_BYTES, once per call (``_norms``)
     squares = (np.empty(min(block, max(1, BLOCK_BYTES // (32 * n * cols))) * n * cols, dtype=x0.dtype)
@@ -925,23 +994,25 @@ def _ensemble(edges, n, z, bits, record_steps, x0, record):
             if record_steps.shape[0] and record_steps[0] == 0:
                 record(slice(0, 1), x[None])
                 rec_i = 1
-            start = 0
-            while start < steps:
-                stop = min(start + block, steps)
-                if renorm_every:
-                    stop = min(stop, (start // renorm_every + 1) * renorm_every)
-                hist = advance(block_bits, start, stop, x)
-                h = hist.reshape(stop - start, n, -1)  # a view with a column axis, also for one state
+            for start, stop in _blocks(steps, block, renorm_every):
+                # row_of[s]: the row of hist that holds the state after step start + s + 1; the last
+                # row is the block's last state, and every row from row_of[0] on is some step's
+                hist, row_of = advance(block_bits, start, stop, x)
+                # a view with a column axis, also for one state
+                h = hist[row_of[0]:].reshape(hist.shape[0] - row_of[0], n, -1)
                 norms = _norms(h, squares)
                 drift = np.abs(norms - 1.0)
                 max_drift = np.maximum(max_drift, drift.max())  # keeps a NaN drift, unlike max()
+                rec_j = int(np.searchsorted(record_steps, stop, side="right"))
+                xs = hist[row_of[record_steps[rec_i:rec_j] - start - 1]]
+                x = hist[-1].copy()
                 if renorm_every and stop % renorm_every == 0:
                     fix = drift[-1] > RENORM_TOL
-                    h[-1][:, fix] /= norms[-1][fix]
-                rec_j = int(np.searchsorted(record_steps, stop, side="right"))
-                record(slice(rec_i, rec_j), hist[record_steps[rec_i:rec_j] - start - 1])
+                    x.reshape(n, -1)[:, fix] /= norms[-1][fix]
+                    if rec_j > rec_i and record_steps[rec_j - 1] == stop:
+                        xs[-1] = x  # not in hist: an earlier idle step may share the last row
+                record(slice(rec_i, rec_j), xs)
                 rec_i = rec_j
-                x, start = hist[-1].copy(), stop
                 del hist, h  # states that advance allocated per block are freed before the next block
     return float(max_drift), route.name
 

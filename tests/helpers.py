@@ -448,14 +448,32 @@ def reference_trajectory(edges, n, z, bits, record_steps, x0, renorm_every, reno
     return out, float(max_drift), route.name
 
 
+def slot_table(edges, n):
+    """The flattened slot table of the ensemble's Taylor action: the neighbour table and each node itself."""
+    return np.vstack([_kernels._neighbours(edges, n)[0], np.arange(n)]).ravel()
+
+
+def slot_weights(edges, n, bits, scale):
+    """The ((width + 1) n, T) weights of ``slot_table`` for the keep bits (T, E) of T columns.
+
+    An edge slot holds -scale times its keep bit, a padded one zero, and a
+    node's own slot scale times its kept degree, counted by the incidence
+    product of ``_kernels.laplacians``.
+    """
+    _, eid = _kernels._neighbours(edges, n)
+    edge_weights = np.zeros((edges.shape[0] + 1, bits.shape[0]), dtype=np.result_type(scale, np.float64))
+    edge_weights[:-1] = bits.T * -scale
+    return np.concatenate([edge_weights[eid.ravel()], (bits @ _kernels._incidence(edges, n)).T * scale])
+
+
 def reference_taylor_ensemble(edges, n, z, bits3, record_steps, x0, record, renorm_every, renorm_tol):
     """``_kernels._ensemble`` on the Taylor action, with fresh Taylor terms and slot weights every step."""
     k = _kernels
-    n_traj, steps, edge_count = bits3.shape
+    n_traj, steps, _ = bits3.shape
     route = k.step_plan(edges, n, abs(z), steps, np.iscomplexobj(z), n_traj)
     substeps, order = route.plan
     coef = k._taylor_coef(order, x0.dtype)
-    nbr, eid = k._neighbours(edges, n)
+    nbr = slot_table(edges, n)
     cols = max(1, k.BLOCK_BYTES // (x0.itemsize * max((order + 1) * n, nbr.size)))
     scale = z / substeps
     max_drift = 0.0
@@ -467,14 +485,12 @@ def reference_taylor_ensemble(edges, n, z, bits3, record_steps, x0, record, reno
             record(slice(0, 1), x[None])
             rec_i = 1
         for s in range(steps):
-            edge_weights = np.zeros((edge_count + 1, x.shape[1]), dtype=x.dtype)
-            edge_weights[:edge_count] = bits[:, s, :].T * scale
-            w = edge_weights[eid.ravel()]
+            w = slot_weights(edges, n, bits[:, s, :], scale)
             v = np.empty((order + 1,) + x.shape, dtype=x.dtype)
             for _ in range(substeps):
                 v[0] = x
                 for i in range(1, order + 1):
-                    k._gather_apply(nbr.ravel(), w, np.empty_like(w), v[i - 1], v[i])
+                    k._gather_apply(nbr, w, np.empty_like(w), v[i - 1], v[i])
                 np.dot(coef, v.reshape(order + 1, -1), out=x.reshape(-1))
             norms = reference_norms(x, axis=0)
             drift = np.abs(norms - 1.0)

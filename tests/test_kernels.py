@@ -47,6 +47,8 @@ from helpers import (
     reference_orbit_representatives,
     reference_taylor_ensemble,
     reference_trajectory,
+    slot_table,
+    slot_weights,
     traced_peak,
     truncated_series,
 )
@@ -398,14 +400,12 @@ class TestGatherApply:
         n, count, columns = g.node_count, g.edge_count, 6
         rng = rng_from_seed(8)
         bits = (rng.random((columns, count)) < 0.6).astype(np.uint8)
+        bits[-1] = 0  # a column that keeps no edge: H = 0, so its y must be exactly 0
         scale = -0.3j if quantum else -0.3
         x = rng.normal(size=(n, columns)) + (1j * rng.normal(size=(n, columns)) if quantum else 0.0)
-        nbr, eid = _kernels._neighbours(g.edge_array, n)
-        edge_weights = np.zeros((count + 1, columns), dtype=x.dtype)
-        edge_weights[:count] = bits.T * scale
-        w = edge_weights[eid.ravel()]
+        w = slot_weights(g.edge_array, n, bits, scale)
         y = np.empty_like(x)
-        _kernels._gather_apply(nbr.ravel(), w, np.empty_like(w), x, y)
+        _kernels._gather_apply(slot_table(g.edge_array, n), w, np.empty_like(w), x, y)
         for j in range(columns):
             want = scale * (_kernels.hamiltonian_from_bits(g.edge_array, bits[j], n) @ x[:, j])
             assert np.max(np.abs(y[:, j] - want)) <= 1e-15 * np.max(np.abs(want), initial=0.0)
@@ -693,11 +693,11 @@ class TestIdleSteps:
         bits[list(idle)] = 0  # row s - 1 holds the keep bits of step s
         return bits
 
-    def _check(self, monkeypatch, g, bits, rec, renorm=RENORM):
+    def _check(self, monkeypatch, g, bits, rec, renorm=RENORM, psi0=None):
         monkeypatch.setattr(_kernels, "RENORM_EVERY", renorm[0])
         monkeypatch.setattr(_kernels, "RENORM_TOL", renorm[1])
         n = g.node_count
-        psi0 = np.full(n, n**-0.5)
+        psi0 = np.full(n, n**-0.5) if psi0 is None else psi0
         args = (g.edge_array, n, 0.1, bits, rec)
 
         def runs():
@@ -751,6 +751,17 @@ class TestIdleSteps:
         pairs = psi[1:-1].reshape(-1, 2, g.node_count)  # the records of steps 37k and 37k + 1
         assert np.array_equal(pairs[:, 0], pairs[:, 1])
         assert np.max(np.abs(np.linalg.norm(pairs[:, 0], axis=1) - 1.0)) <= 1e-15
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_a_renormalized_block_end_reaches_only_its_own_record(self, monkeypatch, seed):
+        # steps 40k - 2 to 40k are idle, so the renormalization at 40k falls on a state that steps
+        # 40k - 3 to 40k share; every step is recorded, and only step 40k's record is renormalized
+        g, steps = make_ring(4), 300
+        idle = [s - 1 for k in range(40, steps + 1, 40) for s in range(k - 2, k + 1)]
+        rng = rng_from_seed(31, seed)
+        psi0 = rng.normal(size=4) + 1j * rng.normal(size=4)
+        psi0 /= np.linalg.norm(psi0)
+        self._check(monkeypatch, g, self._bits(g, 0.4, steps, idle), np.arange(steps + 1), (40, 0.0), psi0)
 
 
 def _channel_tau(g, x):
