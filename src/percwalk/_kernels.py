@@ -95,8 +95,11 @@ same kept count and probability, with U_{g.r} = P_g U_r P_g^T. So every mask
 is enumerated, but a propagator is built only for the smallest mask of each
 orbit under the automorphism group G, weighted by p_r / |Stab_r|; summing
 the Gram matrix over the |G| relabelings then counts each of the
-|G| / |Stab_r| masks of the orbit exactly once (McKay & Piperno, J. Symb.
-Comput. 60:94, 2014, for the backtracking search of G). The scan for the
+|G| / |Stab_r| masks of the orbit exactly once. G is found as the product
+of the transversals of its stabilizer chain along a breadth-first node
+order, each element of them by a backtracking search (``_automorphisms``;
+Sims, in Computational Problems in Abstract Algebra, 1970; McKay &
+Piperno, J. Symb. Comput. 60:94, 2014). The scan for the
 smallest masks and their |Stab_r| takes no lambda and runs in float32
 (``_orbit_representatives``). All group work of a call is one ``Symmetry``
 record (``_symmetry``): G, its element sigma of largest order (the rotation
@@ -217,9 +220,10 @@ def laplacians(edges: np.ndarray, n: int, bits: np.ndarray, scale, out: np.ndarr
     entry at most once. The diagonal, scale times each kept degree, takes
     one (R, E) @ (E, n) product of the keep bits and the graph's
     ``_incidence``, in place of a row sum over the (R, n, n) stack: each
-    degree is an exact integer, rounded once when it is scaled. A caller
-    that builds one row at a time on a large graph passes the incidence in,
-    made once per run.
+    degree is an exact integer, rounded once when it is scaled. Every
+    kernel that builds batch after batch (the Taylor action of a
+    trajectory, the Taylor-matrix loop, the mask cache's build and the exact
+    channel) passes the incidence in, made once per call.
     """
     w = np.multiply(bits, scale, dtype=np.result_type(scale, np.float64))
     h = np.zeros((w.shape[0], n, n), dtype=w.dtype) if out is None else out
@@ -585,7 +589,8 @@ def _exp_minus(a: np.ndarray, order: int, squarings: int, work: np.ndarray) -> n
 
 
 def _taylor_matrices(edges: np.ndarray, n: int, bits: np.ndarray, z, substeps: int,
-                     order: int, work: tuple | None = None, squarings: int = 0) -> np.ndarray:
+                     order: int, work: tuple | None = None, squarings: int = 0,
+                     incidence: np.ndarray | None = None) -> np.ndarray:
     """D = P^(2^q) - I for each row of ``bits``, P the Taylor polynomial of exp(z * H_r / substeps).
 
     P is the polynomial that the action applies, to degree >= ``order``, so
@@ -605,12 +610,13 @@ def _taylor_matrices(edges: np.ndarray, n: int, bits: np.ndarray, z, substeps: i
     8.7 ms of complete15-walks' quantum trajectory; the shared powers take
     3 products per step instead of 4 at its order 5. Every stack is taken
     from the first rows of a ``_taylor_work`` buffer, a new one when
-    ``work`` is None, and D is one of them.
+    ``work`` is None, and D is one of them. A caller that builds block
+    after block passes the graph's ``_incidence`` in, made once per call.
     """
     rows, quantum = bits.shape[0], np.iscomplexobj(z)
     d, stacks = _taylor_work(n, rows, quantum) if work is None else work
     stacks = stacks[:, :rows]
-    a = laplacians(edges, n, bits, abs(z) / substeps, stacks[0])
+    a = laplacians(edges, n, bits, abs(z) / substeps, stacks[0], incidence)
     if not quantum:
         return _exp_minus(a, order, squarings, stacks[1:])
     e, s = _cos_sin(a, order, squarings, stacks[1:])
@@ -621,12 +627,13 @@ def _taylor_matrices(edges: np.ndarray, n: int, bits: np.ndarray, z, substeps: i
 
 
 def _cache_propagators(edges: np.ndarray, n: int, bits: np.ndarray, z, plan: tuple[int, int],
-                       work: tuple, out: np.ndarray) -> None:
+                       work: tuple, out: np.ndarray, incidence: np.ndarray | None = None) -> None:
     """Write into ``out`` (R, m, m) the real propagators U = I + D that the mask cache keeps, one per row of bits.
 
     D = exp(z * H_r) - I is built on the scaling-and-squaring ``plan``
     (squarings q, order) as ``_taylor_matrices`` builds it, from the stacks
-    of ``work``. The classical U is real (m = n). The quantum
+    of ``work`` and the graph's ``incidence``. The classical U is real
+    (m = n). The quantum
     U = (I + e) - i s, e = cos - I and s = sin, is written as the (2n, 2n)
     matrix that acts on x.view(float64), the interleaved real and imaginary
     parts of x, as U acts on x: entry (i, j) becomes the block
@@ -637,11 +644,11 @@ def _cache_propagators(edges: np.ndarray, n: int, bits: np.ndarray, z, plan: tup
     """
     (q, order), rows = plan, bits.shape[0]
     if not np.iscomplexobj(z):
-        out[...] = _taylor_matrices(edges, n, bits, z, 2**q, order, work, q)
+        out[...] = _taylor_matrices(edges, n, bits, z, 2**q, order, work, q, incidence)
         out.reshape(rows, n * n)[:, :: n + 1] += 1.0
         return
     stacks = work[1][:, :rows]
-    e, s = _cos_sin(laplacians(edges, n, bits, abs(z) / 2**q, stacks[0]), order, q, stacks[1:])
+    e, s = _cos_sin(laplacians(edges, n, bits, abs(z) / 2**q, stacks[0], incidence), order, q, stacks[1:])
     e.reshape(rows, n * n)[:, :: n + 1] += 1.0
     blocks = out.reshape(rows, n, 2, n, 2)
     blocks[:, :, 0, :, 0] = blocks[:, :, 1, :, 1] = e
@@ -823,26 +830,26 @@ def _ensemble(edges, n, z, bits, record_steps, x0, record):
         m = 2 * n if np.iscomplexobj(z) else n
         store = np.empty((propagator_cache_capacity(edge_count, steps * columns, m), m, m))
         slots = np.full(1 << edge_count, -1, dtype=np.intp)
-        size, work = 0, None
+        size, work, incidence = 0, None, None
         # masks per build: a (rows, n, n) stack is half of BLOCK_BYTES, and no more rows than the store
         rows = max(1, min(BLOCK_BYTES // (16 * n * n), store.shape[0]))
 
         def lookup(keys):
             # the store rows of the mask ``keys``; they are packed per block, so no int64 copy of
             # the run's keep bits is made
-            nonlocal size, work
+            nonlocal size, work, incidence
             slot = slots[keys]
             if slot.min(initial=0) < 0:
                 fresh = np.zeros(slots.shape, dtype=bool)
                 fresh[keys[slot < 0]] = True
                 new = np.flatnonzero(fresh)
                 slots[new] = np.arange(size, size + new.size)
-                if work is None:  # the build's stacks, once per call
-                    work = _taylor_work(n, rows)
+                if work is None:  # the build's stacks and the incidence, once per call
+                    work, incidence = _taylor_work(n, rows), _incidence(edges, n)
                 for r0 in range(0, new.size, rows):  # U = I + D, as the exact channel builds it
                     built = new[r0:r0 + rows]
                     _cache_propagators(edges, n, _mask_bits(built, edge_count), z, route.plan, work,
-                                       store[size + r0:size + r0 + built.size])
+                                       store[size + r0:size + r0 + built.size], incidence=incidence)
                 size += new.size
                 slot = slots[keys]
             return slot
@@ -916,10 +923,12 @@ def _ensemble(edges, n, z, bits, record_steps, x0, record):
         block = max(1, BLOCK_BYTES // (n * n * x0.itemsize))
         add, buf = np.add, np.empty(n, dtype=x0.dtype)
         work = _taylor_work(n, block, np.iscomplexobj(z))  # every stack of a block, one buffer per call
+        incidence = _incidence(edges, n)
 
         def advance(bits, start, stop, x):
             # bound ``D.dot`` of each step; a substep is x + D x
-            dots = [d.dot for d in _taylor_matrices(edges, n, bits[start:stop], z, substeps, order, work)]
+            dots = [d.dot for d in _taylor_matrices(edges, n, bits[start:stop], z, substeps, order, work,
+                                                    incidence=incidence)]
             hist = np.empty((stop - start, n), dtype=x.dtype)
             for dot, row in zip(dots, hist):
                 for _ in range(substeps):
@@ -1116,16 +1125,30 @@ def _set_bits(x: int) -> list[int]:
 def _automorphisms(edges: np.ndarray, n: int, limit: int) -> np.ndarray:
     """Node permutations (|G|, n) that map the edge set onto itself, identity first.
 
-    Backtracking assigns the non-isolated nodes in breadth-first order. The
-    tables are Python int bitsets: bit x of ``adj[u]`` marks x adjacent to
-    u, and bit x of the candidate row of node w marks x as an image still
-    open to w: a node of w's degree that is adjacent to the image of every
-    assigned node u exactly when w is adjacent to u. Assigning v -> c
-    narrows the rows of the nodes not yet assigned, so every completed
-    assignment preserves adjacency. The identity branch is searched first.
-    Isolated nodes stay fixed and take no part in the search. As soon as
-    more than ``limit`` permutations are found the search stops and returns
-    the identity alone.
+    The non-isolated nodes are taken in breadth-first order v_0, v_1, ...
+    G_k, the automorphisms that fix v_0 .. v_(k-1), splits into the cosets
+    of G_(k+1), one per image of v_k under G_k: G_k = T_k G_(k+1) for a
+    transversal T_k of one automorphism per image, so G = T_0 T_1 ... and
+    |G| = prod |T_k| (Sims, in Computational Problems in Abstract Algebra,
+    1970). Level k fixes v_0 .. v_(k-1) and, for each candidate image c of
+    v_k other than v_k, backtracks to the first automorphism with v_k -> c,
+    if there is one. The tables are Python int bitsets: bit x of ``adj[u]``
+    marks x adjacent to u, and bit x of the candidate row of node w marks x
+    as an image still open to w: a node of w's degree that is adjacent to
+    the image of every assigned node u exactly when w is adjacent to u.
+    Assigning v -> c narrows the rows of the nodes not yet assigned, so
+    every completed assignment preserves adjacency; the identity branch is
+    searched first. Isolated nodes stay fixed and take no part in the
+    search. As soon as prod |T_k| exceeds ``limit`` the search stops and
+    returns the identity alone.
+
+    G is composed from the transversals in numpy and sorted as a full
+    backtrack would list it: by the images along the breadth-first order,
+    each node's own image first and the others ascending. |G| is known from
+    the transversals before anything is composed. On ring:15 this found the
+    30 automorphisms in 0.45 ms and complete:5's 120 in 0.12 ms, against
+    0.69 and 0.35 ms for a backtrack to every leaf (in process, best of
+    100, on a 2-vCPU Xeon).
     """
     identity = np.arange(n)
     adj = [0] * n
@@ -1150,26 +1173,48 @@ def _automorphisms(edges: np.ndarray, n: int, limit: int) -> np.ndarray:
         same_degree[d] |= 1 << u
     # later[k]: for each node after position k, whether it is adjacent to order[k]
     later = [[adj[v] >> w & 1 for w in order[k + 1:]] for k, v in enumerate(order)]
-    images, found = [0] * len(order), []
+    images = list(order)  # images[k]: the image of order[k]; the fixed levels keep their own
 
-    def extend(k: int, cand: list[int], used: int) -> bool:
-        # cand: candidate rows of order[k:]; used: the images taken; True once more than ``limit`` were found
+    def narrow(k: int, cand: list[int], c: int) -> list[int]:
+        # the candidate rows of order[k + 1:] once order[k] -> c
+        adj_c = adj[c]
+        return [row & adj_c if a else row & ~adj_c for row, a in zip(cand[1:], later[k])]
+
+    def complete(k: int, cand: list[int], used: int) -> bool:
+        # cand: candidate rows of order[k:]; used: the images taken; True once images holds an automorphism
         if k == len(order):
-            found.append(images.copy())
-            return len(found) > limit
+            return True
         v, free = order[k], cand[0] & ~used
         for c in ([v] if free >> v & 1 else []) + _set_bits(free & ~(1 << v)):
-            images[k], adj_c = c, adj[c]
-            rest = [row & adj_c if a else row & ~adj_c for row, a in zip(cand[1:], later[k])]
-            if extend(k + 1, rest, used | 1 << c):
+            images[k] = c
+            if complete(k + 1, narrow(k, cand, c), used | 1 << c):
                 return True
         return False
 
-    if extend(0, [same_degree[d] for d in degree], 0):
-        return identity[None]
-    perms = np.tile(identity, (len(found), 1))
-    perms[:, order] = found
-    return perms
+    cand, used, size, levels = [same_degree[d] for d in degree], 0, 1, []
+    for k, v in enumerate(order):
+        found = []  # T_k without the identity, as images along the order
+        for c in _set_bits(cand[0] & ~used & ~(1 << v)):
+            images[k] = c
+            if complete(k + 1, narrow(k, cand, c), used | 1 << c):
+                found.append(images.copy())
+                if size * (len(found) + 1) > limit:
+                    return identity[None]
+        if found:
+            levels.append(found)
+            size *= len(found) + 1
+        images[k] = v
+        cand, used = narrow(k, cand, v), used | 1 << v
+    perms = identity[None]
+    if not levels:
+        return perms
+    for found in reversed(levels):  # G_k = T_k G_(k+1): row (i, j) is t_i o g_j
+        t = np.tile(identity, (len(found) + 1, 1))
+        t[1:, order] = found
+        perms = t[:, perms].reshape(-1, n)
+    key = perms[:, order]
+    key[key == np.array(order)] = -1  # each node's own image first
+    return perms[np.lexsort(key.T[::-1])]
 
 
 def _mask_bits(masks: np.ndarray, count: int) -> np.ndarray:
@@ -1393,11 +1438,11 @@ def channel_accumulate(edges, n, lam, tau):
     weights = lam**kept * (1.0 - lam) ** (edge_count - kept) / stab
     masks, weights = masks[weights > 0.0], weights[weights > 0.0]
     batch = max(1, min(CHANNEL_BATCH, BLOCK_BYTES // (16 * (n * n + n + 2)), masks.size))
-    _, work = _taylor_work(n, batch)  # every batch's stacks, once per call
+    (_, work), incidence = _taylor_work(n, batch), _incidence(edges, n)  # every batch's, once per call
     for b0 in range(0, masks.size, batch):
         bits = _mask_bits(masks[b0:b0 + batch], edge_count)
         stacks = work[:, :bits.shape[0]]
-        a = laplacians(edges, n, bits, tau / 2**squarings, stacks[0])
+        a = laplacians(edges, n, bits, tau / 2**squarings, stacks[0], incidence)
         _add_gram(real, cross, _gram_rows(*_cos_sin(a, order, squarings, stacks[1:]), weights[b0:b0 + batch],
                                           upper), bits.shape[0])
     del work, stacks, a

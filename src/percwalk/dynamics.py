@@ -15,14 +15,19 @@ Three routes to the same physics:
   ``evolve_channel`` runs in the Fourier sectors of the rotation of largest
   order m in that group: relabeling commutes with the channel, so it is m
   blocks of C x C, C the number of cycles of the rotation on node pairs
-  (15 blocks of 15 for ring:15 instead of one 225 x 225 matrix). It
-  advances the records a chunk at a time by doubling, Y[f:2f] = Y[:f] +
-  (P^f - I) Y[:f] with P the channel's power over one stride, where the
-  powers cost fewer flops and calls than repeated products, and checks the
-  trace at every record. ``channel_site_probabilities`` runs the same
-  evolution and transforms back only the diagonal's cycles. A graph
-  without symmetry, or one whose group is not searched, gives one block of
-  d^2: the dense evolution.
+  (15 blocks of 15 for ring:15 instead of one 225 x 225 matrix). The
+  channel maps Hermitian matrices to Hermitian ones, so sector m - Q of a
+  record is the swap-conjugate mirror of sector Q, and only the sectors
+  Q <= m/2 run (8 blocks of 15 for ring:15); a record is rho = B + A +
+  A^dag, B from the sectors that are their own mirror and A from the
+  others. It advances the records a chunk at a time by doubling,
+  Y[f:2f] = Y[:f] + (P^f - I) Y[:f] with P the channel's power over one
+  stride, where the powers cost fewer flops and calls than repeated
+  products, and checks the trace at every record.
+  ``channel_site_probabilities`` runs the same evolution and transforms
+  back only the diagonal's cycles, diag B + 2 Re diag A. A graph without
+  symmetry, or one whose group is not searched, gives one block of d^2:
+  the dense evolution.
 * ``monte_carlo_channel`` / ``monte_carlo_classical``: trajectory-ensemble
   estimates of the channel output with standard errors. Both are thin
   wrappers over one driver, which simulates each trajectory once. The
@@ -209,10 +214,10 @@ class ChannelMatrix:
             raise FloatingPointError("channel matrix holds a non-finite entry")
         pi = (self.dim * rotation[:, None] + rotation).ravel()
         # row blocks of a quarter of BLOCK_BYTES, so the check adds little next to the matrix
-        # (``_kernels`` on heap use)
+        # (``_kernels`` on heap use), each gathered by a row take and then a column take
         off, rows = 0.0, max(1, _kernels.BLOCK_BYTES // (64 * dd))
         for r0 in range(0, dd, rows):
-            moved = self.matrix[np.ix_(pi[r0:r0 + rows], pi)]
+            moved = self.matrix.take(pi[r0:r0 + rows], axis=0).take(pi, axis=1)
             moved -= self.matrix[r0:r0 + rows]
             off = max(off, float(np.abs(moved).max()))
         if not off <= 1e-12:
@@ -240,8 +245,8 @@ class ChannelMatrix:
     def trace_drift_bound(self, steps: int) -> float:
         """About the largest |tr(rho) - 1| after ``steps`` steps of ``evolve_channel``, from tr(rho0) = 1.
 
-        ``evolve_channel`` applies the (m, C) ``blocks``, and only sector 0
-        carries the trace: tr(rho) = sum_c w_c y_c over the diagonal cycles,
+        ``evolve_channel`` applies the sectors Q <= m/2 of the (m, C)
+        ``blocks``, and only sector 0 carries the trace: tr(rho) = sum_c w_c y_c over the diagonal cycles,
         w_c = sqrt(L_c). A record is reached from the one before it by
         products with the blocks I + D of one step, or by applications
         y + (P^f - I) y of powers P = Phi^f that span f >= 1 steps each
@@ -262,11 +267,17 @@ class ChannelMatrix:
           the f steps they span;
         * a block entry sums m shifts of m phase-weighted entries of Phi - I,
           whose column 1-norms on the diagonal rows are at most 2: at most
-          2m u of rounding, 2(m - 1) u more than the exact m = 1 copy.
+          2m u of rounding, 2(m - 1) u more than the exact m = 1 copy. For
+          m > 1 the shift sum is the mean of the m shifts and of their m
+          swap-conjugate images (``_mirror_average``): two sums of m - 1
+          adds, one more add and an exact halving, so no path rounds more
+          than m times, as the m shifts alone did with their phase product.
 
         A density has ||vec rho||_1 <= d tr(rho). The transforms of rho0 and of
-        each record sum m phase-weighted terms per entry; over the diagonal,
-        each adds at most 6 m (m - 1) u d once, not per step. For a trivial G
+        each record sum m phase-weighted terms per entry, the one back m/2 + 1
+        of them and the conjugate of the transposed entry (at most m
+        roundings for m >= 3, one more for m = 2); over the diagonal, each adds
+        at most 6 m (m - 1) u d once, not per step. For a trivial G
         (m = 1, C = d^2) every factor is exactly 1 and this is the bound of the
         dense evolution, steps d (delta + (2 d^2 + 1) u). On ring:15 (5000
         steps of tau = 0.004) the drift stays four to five orders of magnitude
@@ -475,20 +486,52 @@ def _advance(d: np.ndarray, y0: np.ndarray, gaps: list[int]):
             ys[0] = ys[f]
 
 
+def _mirror_average(avg: np.ndarray, orbit: np.ndarray, swapped: np.ndarray) -> np.ndarray:
+    """(avg + its swap-conjugate image) / 2: the shift sums of D = Phi - I, made Hermiticity preserving.
+
+    avg[c, c', s] = sum_t D[pi^t x_c, pi^(t+s) x_c'] (C, C, m), and
+    ``swapped`` holds S x_c for the swap S(a + n b) = b + n a. Phi maps
+    Hermitian matrices to Hermitian ones exactly when
+    Phi[i, j] = conj(Phi[S i, S j]); the mean of the two sides is that part
+    of Phi. S commutes with pi and sends x_c to pi^(s_c) x_(c*), so the
+    image's sum at (c, c', s) is conj(avg[c*, c'*, s + s_c' - s_c]).
+    """
+    c, m = orbit.shape
+    cycle, shift = np.empty((2, orbit.max() + 1), dtype=np.intp)
+    cycle[orbit], shift[orbit] = np.arange(c)[:, None], np.arange(m)  # any t of a repeated index will do
+    mate, s = cycle[swapped], shift[swapped]
+    image = avg[mate[:, None, None], mate[None, :, None], (np.arange(m) + s[None, :, None] - s[:, None, None]) % m]
+    np.conj(image, out=image)
+    image += avg
+    image *= 0.5
+    return image
+
+
 def _sector_entries(phi: ChannelMatrix, rho0: np.ndarray, rec: np.ndarray, cycles: np.ndarray):
     """Yield (i, v): records i .. i + f - 1 of ``evolve_channel`` at the entries of ``cycles`` only.
 
     v (f, entries) lists each record's column-stacked entries of the given
     cycles in the row-major order of rho; ``rec`` are the record steps, at
-    least two. Every record's trace is checked first.
+    least two. Every record's trace is checked first. For m > 1 the cycles
+    must hold the transpose of each of their entries, as all cycles and
+    those of the diagonal do.
+
+    Only the sectors Q <= m/2 run: sector m - Q of a Hermitian record is
+    the swap-conjugate mirror of sector Q. A record is rho = B + A + A^dag,
+    with B its part in the sectors that are their own mirror (Q = 0, and
+    Q = m/2 for even m) and A that in the others, and it is transformed back
+    as H + H^dag with H = B/2 + A: exactly Hermitian, with the diagonal
+    2 Re(H_aa) = B_aa + 2 Re(A_aa). For m = 1 the one sector is the record
+    as the dense evolution leaves it.
     """
     n = phi.dim
     orbit, lengths = phi._cycles
     c, m = orbit.shape
-    fits = np.arange(m)[:, None] * lengths % m == 0  # (m, C): sector Q holds cycle c
+    sectors = np.arange(m // 2 + 1)
+    fits = sectors[:, None] * lengths % m == 0  # (Q, C): sector Q holds cycle c
     table = np.exp(2j * np.pi * np.arange(m) / m)
-    qt = np.outer(np.arange(m), np.arange(m))
-    forward, backward = table[qt % m], table[-qt % m]  # w^(Q t), w^(-Q t)
+    qt = np.outer(np.arange(m), sectors)
+    forward, backward = table[qt % m], table[-qt % m]  # (t, Q): w^(Q t), w^(-Q t)
     # avg[c, c', s] = sum_t D[pi^t x_c, pi^(t+s) x_c'] over the m shifts t, then
     # block[Q, c, c'] = sqrt(L_c L_c') / m^2 sum_s w^(-Q s) avg[c, c', s]; D = Phi - I is
     # gathered from Phi, whose diagonal entries are those with c = c' and s = 0 (mod L_c)
@@ -499,6 +542,11 @@ def _sector_entries(phi: ChannelMatrix, rho0: np.ndarray, rec: np.ndarray, cycle
         gathered = phi.matrix.take(orbit[:, t], axis=0).take(orbit[:, shift[t]], axis=1)
         gathered[unit] -= 1.0
         avg += gathered
+    mirrored = m > 1
+    # the swap S(a + n b) = b + n a takes vec(X) to vec(X^T) and commutes with pi
+    swap = orbit % n * n + orbit // n
+    if mirrored:  # the sectors evolve under the Hermiticity-preserving part (``_mirror_average``)
+        avg = _mirror_average(avg, orbit, swap[:, 0])
     root = np.sqrt(lengths)
     blocks = np.ascontiguousarray((avg @ backward).transpose(2, 0, 1))
     del avg, gathered
@@ -508,22 +556,34 @@ def _sector_entries(phi: ChannelMatrix, rho0: np.ndarray, rec: np.ndarray, cycle
     y0[~fits] = 0.0
     # tr(rho) = sum_c sqrt(L_c) y[0, c] over the cycles of the diagonal
     trace_w = np.where(orbit[:, 0] % (n + 1) == 0, root, 0.0)
-    # v[pi^t x_c] = L_c^-1/2 sum_Q w^(-Q t) y[Q, c] for t < L_c; rho[a, b] = v[a + n b] is
-    # entry a n + b of the record, gathered from w[c, t] at src
+    # h[pi^t x_c] = L_c^-1/2 sum_Q a_Q w^(-Q t) y[Q, c] for t < L_c, a_Q = 1/2 for a sector that is
+    # its own mirror and 1 for the others (1 for m = 1); rho[a, b] = h[a + n b] + conj(h[b + n a]),
+    # entry a n + b of the record, is gathered from h[c, t] at src and src_t (h alone for m = 1)
+    back = backward.T * np.where(2 * sectors % m > 0, 1.0, 0.5 if mirrored else 1.0)[:, None]
     cyc, t = np.nonzero(np.arange(m) < lengths[cycles, None])
     j = orbit[cycles[cyc], t]
     order = np.argsort(j % n * n + j // n)
-    src, scale = (cyc * m + t)[order], 1.0 / root[cycles[cyc[order]]]
+    pos = np.zeros(n * n, dtype=np.intp)  # the index in h of each entry
+    pos[j] = cyc * m + t
+    src, src_t = pos[j[order]], pos[swap[cycles[cyc], t][order]]
+    scale = 1.0 / root[cycles]
+    # records transformed back at once: each (records, cycles m) array within BLOCK_BYTES
+    rows = max(1, _kernels.BLOCK_BYTES // (16 * cycles.size * m))
     for i, ys in _advance(blocks, y0, np.diff(rec).tolist()):
         traces = ys[:, 0] @ trace_w
         lost = np.flatnonzero(~(np.abs(traces.real - 1.0) <= 1e-8))
         if lost.size:
             raise np.linalg.LinAlgError(f"channel evolution lost trace at step {rec[i + lost[0]]}: "
                                         f"trace = {traces[lost[0]].real}")
-        w = ys.take(cycles, axis=2).transpose(0, 2, 1).reshape(-1, m) @ backward
-        v = w.reshape(ys.shape[0], -1).take(src, axis=1)
-        v *= scale
-        yield i, v
+        for r0 in range(0, ys.shape[0], rows):
+            y = ys[r0:r0 + rows].take(cycles, axis=2)
+            y *= scale
+            f = y.shape[0]
+            h = (y.transpose(0, 2, 1).reshape(-1, sectors.size) @ back).reshape(f, -1)
+            v = h.take(src, axis=1)
+            if mirrored:
+                v += np.conj(h, out=h).take(src_t, axis=1)
+            yield i + r0, v
 
 
 def _checked_start(phi: ChannelMatrix, rho0: np.ndarray, steps: int) -> np.ndarray:
@@ -555,6 +615,24 @@ def evolve_channel(
     rotation's commutant, and every phase comes from the exact table
     w^((Q t) mod m), so each identity term has weight exactly 1.
 
+    The swap S(a + n b) = b + n a takes vec(X) to vec(X^T) and commutes
+    with the rotation. Phi maps Hermitian matrices to Hermitian ones
+    exactly when Phi[i, j] = conj(Phi[S i, S j]), and then the part of a
+    Hermitian record in sector m - Q is the conjugate transpose of its part
+    in sector Q. So for m > 1 only the blocks Q <= m/2 are built and run,
+    from D also averaged with its swap-conjugate image (``_mirror_average``),
+    and a record is rho = B + A + A^dag, B its part in the sectors that are
+    their own mirror (Q = 0, and Q = m/2 for even m) and A the rest; it is
+    returned as H + H^dag, H = B/2 + A, which is exactly Hermitian.
+    ``build_step_channel``'s Phi is such a map up to round-off: K is summed
+    as an exactly Hermitian Gram, and only the entries between two diagonal
+    pairs, to which the identity terms are added, round apart (by at most
+    2.8e-17 on lattice2d:3x3, 3x4 and 2x3 at lambda = 0.3 to 0.7 and
+    tau = 0.004 to 0.2; not at all on ring:15 and complete:5). A given Phi
+    without the property is evolved by its Hermiticity-preserving part, as
+    it is projected onto the commutant.
+    The m = 1 evolution mirrors nothing: it is the dense one, as it was.
+
     Records advance a chunk at a time (``_advance``). A chunk of records k
     steps apart (k the stride; a ragged last gap is a chunk of its own)
     doubles from its start Y[0]: Y[f:2f] = Y[:f] + (P^f - I) Y[:f] with
@@ -566,12 +644,16 @@ def evolve_channel(
     a record is at most one application per set bit of its index away from
     its chunk's start, so the round-off grows with the steps no faster than
     with one matvec per step. On ring:15 (tau = 0.004, 5000 steps at stride
-    10, lambda = 0.2 to 0.8) the records lie within 5.2e-16 to 1.6e-15 of an
-    extended-precision evolution of the same Phi; one product per gap left
-    1.8e-15 to 3.8e-15. The trace, carried by sector 0, is checked at every
-    record, and the records are transformed back a chunk at a time. A
-    trivial G (m = 1, one block of d^2) multiplies by exactly 1 in every
-    transform, so it is this evolution run on Phi - I itself.
+    10, lambda = 0.2 to 0.8) the records lie within 5.5e-16 to 1.6e-15 of an
+    extended-precision evolution of the same Phi (5.5e-16 to 1.7e-15 with
+    all 15 sectors run); one product per gap left 1.8e-15 to 3.8e-15. The
+    trace, carried by sector 0, is checked at every record, and the records
+    are transformed back a chunk at a time. A trivial G (m = 1, one block of
+    d^2) multiplies by exactly 1 in every transform, so it is this
+    evolution run on Phi - I itself. On ring:15 (lambda = 0.4, tau = 0.004,
+    5000 steps at stride 10; in process, one BLAS thread) the 8 sectors
+    took ``channel_site_probabilities`` from 1.74 to 1.33 ms and this
+    function from 2.66 to 2.18 ms, against all 15.
     """
     rho0 = _checked_start(phi, rho0, steps)
     if steps == 0:
@@ -593,7 +675,8 @@ def channel_site_probabilities(
 
     The same evolution, but only the sector coefficients of the cycles on
     the diagonal (x_c = a (d + 1)) are transformed back: on ring:15 one cycle
-    of 15 sites out of 15 cycles of 225 entries.
+    of 15 sites out of 15 cycles of 225 entries. For m > 1 each is
+    diag B + 2 Re diag A of ``evolve_channel``'s rho = B + A + A^dag.
     """
     rho0 = _checked_start(phi, rho0, steps)
     if steps == 0:

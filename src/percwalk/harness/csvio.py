@@ -26,11 +26,19 @@ def format_value(x) -> str:
 CHUNK_ROWS = 256
 
 
-def _format_column(arr: np.ndarray) -> list[str]:
-    """format_value of every entry; a float column at once, as format_value prints each float."""
-    if arr.dtype.kind == "f":
-        return [f"{x:.17g}" for x in arr.astype(np.float64, copy=False).tolist()]
-    return [format_value(x) for x in arr]
+def _format_rows(arrays: list[np.ndarray]) -> str:
+    """The lines of one chunk of aligned columns, formatted with one ``%`` of a row template.
+
+    A float column's cells take ``%.17g``, which prints each float as
+    ``format_value`` does; any other column's cells are ``format_value``'s
+    strings, put in by ``%s``.
+    """
+    floats = [arr.dtype.kind == "f" for arr in arrays]
+    cells = np.empty((len(arrays[0]), len(arrays)), dtype=np.float64 if all(floats) else object)
+    for j, (arr, is_float) in enumerate(zip(arrays, floats)):
+        cells[:, j] = arr.astype(np.float64, copy=False) if is_float else [format_value(x) for x in arr]
+    row = ",".join("%.17g" if is_float else "%s" for is_float in floats)
+    return "\n".join([row] * cells.shape[0]) % tuple(cells.ravel().tolist())
 
 
 def render_csv(meta: dict, columns: list[tuple[str, np.ndarray]]) -> str:
@@ -45,8 +53,7 @@ def render_csv(meta: dict, columns: list[tuple[str, np.ndarray]]) -> str:
     n_rows = lengths.pop() if lengths else 0
     arrays = [np.asarray(arr) for _, arr in columns]
     for start in range(0, n_rows, CHUNK_ROWS):
-        cells = [_format_column(arr[start:start + CHUNK_ROWS]) for arr in arrays]
-        lines.extend(map(",".join, zip(*cells)))
+        lines.append(_format_rows([arr[start:start + CHUNK_ROWS] for arr in arrays]))
     return "\n".join(lines) + "\n"
 
 

@@ -33,7 +33,7 @@ def run_cli(args):
 
 def nan_propagators(monkeypatch):
     """Make every step kernel take the mask cache and build each propagator as NaN, as an overflow would."""
-    def build(edges, n, bits, z, plan, work, out):
+    def build(edges, n, bits, z, plan, work, out, incidence=None):
         out.fill(np.nan)
 
     force_mask_cache(monkeypatch)

@@ -382,9 +382,13 @@ class TestSectorEvolution:
             if s % stride == 0 or s == steps:
                 want.append(rho)
         assert np.max(np.abs(got - np.array(want))) <= 1e-13
+        # each mirrored record is H + H^dag, exactly Hermitian; record 0 is rho as given
+        assert np.array_equal(got[1:], got[1:].conj().transpose(0, 2, 1))
         # one power per stride, built once; a ragged last gap of 2 or 3 steps takes products, and so
-        # does each step of lattice2d:3x4's blocks of 80, where a power of one step saves nothing
-        assert used == ([] if stride == 1 and blocks == (2, 80) else [stride])
+        # does each step of lattice2d:3x4's blocks of 80, where a power of one step saves nothing.
+        # ring:6 evolves only its sectors Q <= 3, four blocks of 6, where a power of 3 steps pays
+        ragged = [3] if blocks == (6, 6) and stride == 10 else []
+        assert used == ([] if stride == 1 and blocks == (2, 80) else [stride] + ragged)
 
     @pytest.mark.parametrize("lam", [0.2, 0.8])
     def test_matches_long_double_reference(self, lam):
@@ -435,11 +439,14 @@ class TestSectorEvolution:
         rho = _random_density(6, 0)
         got = evolve_channel(turned, rho, 60, 7)
         assert np.max(np.abs(got - _dense_evolution(phi, rho, 60, 7))) <= 1e-14
+        assert np.array_equal(got[1:], got[1:].conj().transpose(0, 2, 1))
 
     @pytest.mark.parametrize("g", [make_ring(15), make_lattice2d(3, 3)])
     def test_blocks_are_the_projection_onto_the_commutant(self, g):
         # a non-commuting part of 1e-13, inside the 1e-12 check, is averaged over the m shifts
-        # of the rotation, not read from one row of each cycle
+        # of the rotation, not read from one row of each cycle; and the mirrored sectors evolve
+        # the part that maps Hermitian matrices to Hermitian ones, the mean with the image
+        # conj(Phi[S i, S j]) under the swap S(a + n b) = b + n a
         n = g.node_count
         phi = build_step_channel(g, 0.4, 0.1)
         rng = np.random.default_rng(1)
@@ -451,6 +458,8 @@ class TestSectorEvolution:
             averaged += bent[np.ix_(idx, idx)]
             idx = pi[idx]
         averaged /= phi.blocks[0]
+        swap = np.arange(n * n).reshape(n, n).T.ravel()
+        averaged = (averaged + averaged[np.ix_(swap, swap)].conj()) / 2
         rho = _random_density(n, 5)
         got = evolve_channel(ChannelMatrix(matrix=bent, dim=n, rotation=phi.rotation), rho, 200)
         want = _dense_evolution(ChannelMatrix(matrix=averaged, dim=n), rho, 200, 1)
@@ -774,7 +783,7 @@ class TestNonFiniteRuns:
     def test_non_finite_run_reports_non_finite_drift(self, monkeypatch):
         # every mask-cache propagator NaN: each drift fold (trajectory, ensemble block, Monte
         # Carlo chunk) must keep the NaN instead of reporting the finite start value
-        def nan_propagators(edges, n, bits, z, plan, work, out):
+        def nan_propagators(edges, n, bits, z, plan, work, out, incidence=None):
             out.fill(np.nan)
 
         monkeypatch.setattr(_kernels, "_cache_propagators", nan_propagators)

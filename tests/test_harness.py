@@ -139,6 +139,19 @@ class TestCsv:
         with mock.patch.object(csvio, "CHUNK_ROWS", chunk):  # rows in several chunks
             assert csvio.render_csv({}, cols) == "\n".join(want) + "\n"
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_float_columns_render_as_cell_by_cell_format_value(self, seed):
+        # every float64 bit pattern is equally likely: all exponents, subnormals, NaN and inf
+        rng = np.random.default_rng(seed)
+        cols = [(f"c{j}", rng.integers(0, 2**64, 700, dtype=np.uint64).view(np.float64)) for j in range(3)]
+        cols[0][1][:6] = [0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308, -1e-320]
+        f32 = rng.integers(0, 2**32, 700, dtype=np.uint32).view(np.float32)
+        f32[np.isnan(f32)] = np.nan  # a signalling NaN warns when it is cast to float64
+        cols.append(("f32", f32))
+        want = [f"# columns: {','.join(name for name, _ in cols)}", ",".join(name for name, _ in cols)]
+        want += [",".join(f"{float(arr[i]):.17g}" for _, arr in cols) for i in range(700)]
+        assert csvio.render_csv({}, cols) == "\n".join(want) + "\n"
+
     def test_mismatched_columns(self):
         with pytest.raises(ValueError):
             csvio.render_csv({}, [("a", np.zeros(3)), ("b", np.zeros(4))])

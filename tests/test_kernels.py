@@ -714,7 +714,7 @@ class TestIdleSteps:
         return got
 
     def test_lambda_zero_builds_nothing_and_keeps_the_start(self, monkeypatch):
-        def no_builds(*args):
+        def no_builds(*args, **kwargs):
             raise AssertionError("a propagator was built for a run that keeps no edge")
 
         monkeypatch.setattr(_kernels, "_cache_propagators", no_builds)
@@ -1001,6 +1001,14 @@ class TestAutomorphisms:
         assert _kernels._automorphisms(g.edge_array, 6, 12).shape == (12, 6)
         assert np.array_equal(_kernels._automorphisms(g.edge_array, 6, 11), np.arange(6)[None])
 
+    def test_limit_is_checked_against_the_transversal_sizes(self):
+        # |S_7| = 5040 = 7 * 6 * 5 * 4 * 3 * 2: one limit below it refuses, at it every row comes back
+        g = make_complete(7)
+        assert np.array_equal(_kernels._automorphisms(g.edge_array, 7, 5039), np.arange(7)[None])
+        perms = _kernels._automorphisms(g.edge_array, 7, 5040)
+        assert perms.shape == (5040, 7)
+        assert np.array_equal(perms, reference_automorphisms(g.edge_array, 7, 5040))
+
     @HYPOTHESIS
     @given(g=channel_graphs())
     def test_random_graphs_match_the_reference_search(self, g):
@@ -1209,6 +1217,39 @@ class TestLaplacianBlock:
             got = _kernels.laplacians(g.edge_array, n, bits, scale, out[:rows])
             assert np.shares_memory(got, out)
             assert np.array_equal(got, _reference_block(g, bits, scale))
+
+    @pytest.mark.parametrize("route,quantum", [
+        ("channel", True), *itertools.product(["taylor-matrix", "mask-cache", "ensemble-mask-cache"], [True, False]),
+    ])
+    def test_one_incidence_per_kernel_call(self, monkeypatch, route, quantum):
+        # every call below builds its Laplacians in several batches: 19 on ring:15's channel, 5 blocks
+        # of complete:15's Taylor matrices and the new masks of many blocks of ring:8's mask cache
+        made = []
+        incidence = _kernels._incidence
+        monkeypatch.setattr(_kernels, "_incidence", lambda edges, n: made.append(n) or incidence(edges, n))
+        z = -1j * 0.01 if quantum else -0.01
+        if route == "channel":
+            g = make_ring(15)
+            _kernels.channel_accumulate(g.edge_array, 15, 0.4, 0.004)
+        elif route == "taylor-matrix":
+            force_taylor(monkeypatch, matrix=True)
+            g = make_complete(15)
+            bits = sample_keep_bits(g, 0.3, rng_from_seed(1), 300)
+            x0 = basis_state(15, 0) if quantum else np.eye(15)[0]
+            assert _kernels._trajectory(g.edge_array, 15, z, bits, np.arange(0, 301, 100), x0)[2].startswith(route)
+        else:
+            g = make_ring(8)
+            bits3 = np.stack([sample_keep_bits(g, 0.5, rng_from_seed(2, k), 200) for k in range(3)])
+            x0 = basis_state(8, 0) if quantum else np.eye(8)[0]
+            force_mask_cache(monkeypatch)
+            monkeypatch.setattr(_kernels, "BLOCK_BYTES", 1 << 12)  # blocks of a few steps, each with new masks
+            if route == "mask-cache":
+                got = _kernels._trajectory(g.edge_array, 8, z, bits3[0], np.arange(0, 201, 50), x0)[2]
+            else:
+                got = _kernels._ensemble(g.edge_array, 8, z, bits3, np.arange(0, 201, 50), np.tile(x0, (3, 1)).T,
+                                         lambda k, xs: None)[1]
+            assert got.startswith("mask-cache")
+        assert made == [g.node_count]
 
 
 class TestSeries:
