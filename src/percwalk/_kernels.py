@@ -119,12 +119,11 @@ scan ends before the first batch is built, the six (rows, n, n) stacks of
 the batches take half of BLOCK_BYTES each and come from one ``_taylor_work``
 buffer per call, which is freed before the group sum, the group sum's two
 (m + 1)^2 complex buffers (m = n(n+1)/2 pairs) are allocated once per call
-and its gathers and coset sum go into them and into the Gram itself, Phi
-is gathered from the pair Gram with no (n^2, n^2) K before it, and the
-rotation check of a ``dynamics.ChannelMatrix`` gathers row blocks of a
-quarter of BLOCK_BYTES. On ring:15 the call's traced peak is 1.54 times
-Phi's 0.81 MB. A doubling sum that took a fresh array for each gather
-faulted in 2 264 pages per repetition of ring15-channel, against 0.
+and its gathers and coset sum go into them and into the Gram itself, and
+Phi is gathered from the pair Gram with no (n^2, n^2) K before it. On
+ring:15 the call's traced peak is 1.54 times Phi's 0.81 MB. A doubling
+sum that took a fresh array for each gather faulted in 2 264 pages per
+repetition of ring15-channel, against 0.
 
 The step loops keep to one rule for the same reason: the buffers of a
 block are allocated once per call, or they stay small next to the largest
@@ -1449,13 +1448,14 @@ def channel_accumulate(edges, n, lam, tau):
     gram = real + 1j * (cross - cross.T)
     del real, cross  # freed before the (n^2, n^2) K is gathered
     gram = _group_sum(gram, sym, pair)  # a gram that the sum does not return is freed here
-    # conj(U)_a U_b = conj(D)_a D_b + i_a D_b + conj(D)_a i_b + i_a i_b with i the pairs of I,
-    # and the p_r sum to 1
-    diag = np.flatnonzero(iu == ju)
+    # conj(U)_a U_b = conj(D)_a D_b + i_a D_b + conj(D)_a i_b + i_a i_b with i the pairs of I, and the p_r
+    # sum to 1. These add up in another order at (b, a) between two diagonal pairs: conj (a, b) keeps K Hermitian
+    diag, (lo, hi) = np.flatnonzero(iu == ju), np.tril_indices(n, -1)
     k = gram[:m, :m]
     k[diag] += gram[m, :m]
     k[:, diag] += gram[:m, m:]
     k[np.ix_(diag, diag)] += 1.0
+    k[diag[lo], diag[hi]] = k[diag[hi], diag[lo]].conj()
     # Phi[(i, k), (j, l)] = K[(i, j), (k, l)] = k[pair(i, j), pair(k, l)], gathered at once
     phi = k[pair[:, None, :, None], pair[None, :, None, :]].reshape(n * n, n * n)
     return phi, f"taylor(substeps={1 << squarings}, order={order})", sym, masks.size

@@ -15,19 +15,19 @@ Three routes to the same physics:
   ``evolve_channel`` runs in the Fourier sectors of the rotation of largest
   order m in that group: relabeling commutes with the channel, so it is m
   blocks of C x C, C the number of cycles of the rotation on node pairs
-  (15 blocks of 15 for ring:15 instead of one 225 x 225 matrix). The
-  channel maps Hermitian matrices to Hermitian ones, so sector m - Q of a
-  record is the swap-conjugate mirror of sector Q, and only the sectors
-  Q <= m/2 run (8 blocks of 15 for ring:15); a record is rho = B + A +
-  A^dag, B from the sectors that are their own mirror and A from the
-  others. It advances the records a chunk at a time by doubling,
-  Y[f:2f] = Y[:f] + (P^f - I) Y[:f] with P the channel's power over one
-  stride, where the powers cost fewer flops and calls than repeated
-  products, and checks the trace at every record.
+  (15 blocks of 15 for ring:15 instead of one 225 x 225 matrix), from the
+  shift sums that ``ChannelMatrix`` gathers once. Phi maps Hermitian
+  matrices to Hermitian ones, so sector m - Q of a record is the
+  swap-conjugate mirror of sector Q, and only the sectors Q <= m/2 run (8
+  blocks of 15 for ring:15); a record is rho = B + A + A^dag, B from the
+  sectors that are their own mirror and A from the others. It advances
+  the records a chunk at a time by doubling, Y[f:2f] = Y[:f] + (P^f - I)
+  Y[:f] with P the channel's power over one stride, where the powers cost
+  fewer flops and calls than repeated products, and checks the trace.
   ``channel_site_probabilities`` runs the same evolution and transforms
   back only the diagonal's cycles, diag B + 2 Re diag A. A graph without
   symmetry, or one whose group is not searched, gives one block of d^2:
-  the dense evolution.
+  the dense evolution's Hermitian part.
 * ``monte_carlo_channel`` / ``monte_carlo_classical``: trajectory-ensemble
   estimates of the channel output with standard errors. Both are thin
   wrappers over one driver, which simulates each trajectory once. The
@@ -61,7 +61,7 @@ channel names its propagator and bounds its trace drift
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -186,9 +186,62 @@ def _pair_cycles(rotation: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return orbit, len(table) // (orbit == start[:, None]).sum(axis=1)
 
 
+def _shift_sums(matrix: np.ndarray, orbit: np.ndarray, lengths: np.ndarray, n: int) -> tuple[np.ndarray, float]:
+    """(sums, off): the shift sums of D = Phi - I made Hermiticity preserving, and how far Phi is from commuting.
+
+    Gather t, (C, C, m) for the ``_pair_cycles`` of the rotation pi on n
+    nodes, is Phi[pi^t x_c, pi^(t+s) x_c'] at [c, c', s]; a non-finite one
+    raises ``FloatingPointError``. The m gathers hold every entry of Phi,
+    and gather t + 1 minus gather t (gather 0 minus gather m - 1 closes the
+    cycle) holds Phi[pi i, pi j] - Phi[i, j] at every (i, j); off is its
+    largest magnitude. The gathers of D, which differs from Phi at c = c'
+    and s = 0 (mod L_c), are summed over t and averaged with their
+    swap-conjugate image. Phi maps Hermitian matrices to Hermitian ones
+    exactly when Phi[i, j] = conj(Phi[S i, S j]), S(a + n b) = b + n a, and
+    the mean of the two sides is that part of Phi. S commutes with pi and
+    sends x_c to pi^(s_c) x_(c*), so the image's sum at (c, c', s) is
+    conj(sums[c*, c'*, s + s_c' - s_c]). The sums, three gathers and a
+    difference are alive at once: 0.31 MB traced on ring:15, next to Phi's
+    0.81 MB.
+    """
+    c, m = orbit.shape
+    shift = (np.arange(m)[:, None] + np.arange(m)) % m
+    unit = np.flatnonzero(np.eye(c, dtype=bool)[:, :, None] & (np.arange(m) % lengths[:, None, None] == 0))
+    sums, off = np.zeros((c, c, m), dtype=np.complex128), 0.0
+    unit_sums = np.zeros(unit.size, dtype=np.complex128)  # D's diagonal entries, summed apart
+    for t in range(m):
+        gathered = matrix.take(orbit[:, t], axis=0).take(orbit[:, shift[t]], axis=1)
+        if not np.isfinite(gathered).all():
+            raise FloatingPointError("channel matrix holds a non-finite entry")
+        if t:
+            off = max(off, float(np.abs(gathered - last).max()))
+        else:
+            first = gathered
+        last = gathered
+        sums += gathered
+        unit_sums += gathered.reshape(-1)[unit] - 1.0
+    off = max(off, float(np.abs(first - last).max())) if m > 1 else off
+    del first, last, gathered  # freed before the image is gathered
+    sums.reshape(-1)[unit] = unit_sums
+    cycle, at = np.empty((2, orbit.max() + 1), dtype=np.intp)
+    cycle[orbit], at[orbit] = np.arange(c)[:, None], np.arange(m)  # any t of a repeated index will do
+    swapped = orbit[:, 0] % n * n + orbit[:, 0] // n
+    mate, s = cycle[swapped], at[swapped]
+    image = sums[mate[:, None, None], mate[None, :, None], (np.arange(m) + s[None, :, None] - s[:, None, None]) % m]
+    np.conj(image, out=image)
+    image += sums
+    image *= 0.5
+    return image, off
+
+
 @dataclass(frozen=True)
 class ChannelMatrix:
-    """One-step percolation channel on column-stacked density matrices."""
+    """One-step percolation channel on column-stacked density matrices.
+
+    Construction reads ``matrix`` once (``_shift_sums``), refusing a
+    non-finite one or one off its rotation's commutant by more than 1e-12,
+    and keeps ``shift_sums``: all that ``evolve_channel`` reads of Phi.
+    """
 
     matrix: np.ndarray  # (d*d, d*d) complex
     dim: int
@@ -201,6 +254,8 @@ class ChannelMatrix:
     # node permutation sigma that ``matrix`` commutes with (as P_sigma (x) P_sigma): the element
     # of largest order in G, whose Fourier sectors ``evolve_channel`` runs in; identity when None
     rotation: np.ndarray | None = None
+    # (C, C, m): sums[c, c', s] = sum_t D[pi^t x_c, pi^(t+s) x_c'], made Hermiticity preserving
+    shift_sums: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         dd = self.dim * self.dim
@@ -210,18 +265,10 @@ class ChannelMatrix:
         if sorted(rotation.tolist()) != list(range(self.dim)):
             raise ValueError(f"rotation {rotation} is not a permutation of {self.dim} nodes")
         object.__setattr__(self, "rotation", rotation)
-        if not np.isfinite(self.matrix).all():
-            raise FloatingPointError("channel matrix holds a non-finite entry")
-        pi = (self.dim * rotation[:, None] + rotation).ravel()
-        # row blocks of a quarter of BLOCK_BYTES, so the check adds little next to the matrix
-        # (``_kernels`` on heap use), each gathered by a row take and then a column take
-        off, rows = 0.0, max(1, _kernels.BLOCK_BYTES // (64 * dd))
-        for r0 in range(0, dd, rows):
-            moved = self.matrix.take(pi[r0:r0 + rows], axis=0).take(pi, axis=1)
-            moved -= self.matrix[r0:r0 + rows]
-            off = max(off, float(np.abs(moved).max()))
+        sums, off = _shift_sums(self.matrix, *self._cycles, self.dim)
         if not off <= 1e-12:
             raise ValueError(f"channel matrix does not commute with its rotation: off by {off:.3g}")
+        object.__setattr__(self, "shift_sums", sums)
 
     @cached_property
     def _cycles(self) -> tuple[np.ndarray, np.ndarray]:
@@ -231,8 +278,7 @@ class ChannelMatrix:
     @property
     def blocks(self) -> tuple[int, int]:
         """(m, C): m Fourier sectors of the rotation, each a block of at most C cycles."""
-        orbit, _ = self._cycles
-        return orbit.shape[1], orbit.shape[0]
+        return self._cycles[0].shape[::-1]
 
     @property
     def trace_defect(self) -> float:
@@ -251,10 +297,10 @@ class ChannelMatrix:
         products with the blocks I + D of one step, or by applications
         y + (P^f - I) y of powers P = Phi^f that span f >= 1 steps each
         (``_advance``), so at most ``steps`` of them lie between rho0 and any
-        record. Each changes the trace by at most
-        (delta + (2C + 1 + 4(m - 1)) u) ||vec rho||_1 per step it spans, with
-        delta the ``trace_defect`` (the shift average of the defect row is no
-        larger, and a power of f steps carries f of them) and u = 2^-53:
+        record. Each changes the trace by at most (delta + (2C + 1 +
+        max(4(m - 1), 2)) u) ||vec rho||_1 per step it spans, with delta the
+        ``trace_defect`` (the shift average of the defect row is no larger,
+        and a power of f steps carries f of them) and u = 2^-53:
 
         * each entry of a product sums C terms, rounded by at most C u times
           their magnitudes, and the add of an application by u.
@@ -266,26 +312,26 @@ class ChannelMatrix:
           2 (P^f - I) + (P^f - I)^2 per squaring, are taken to round like
           the f steps they span;
         * a block entry sums m shifts of m phase-weighted entries of Phi - I,
-          whose column 1-norms on the diagonal rows are at most 2: at most
-          2m u of rounding, 2(m - 1) u more than the exact m = 1 copy. For
-          m > 1 the shift sum is the mean of the m shifts and of their m
-          swap-conjugate images (``_mirror_average``): two sums of m - 1
-          adds, one more add and an exact halving, so no path rounds more
-          than m times, as the m shifts alone did with their phase product.
+          whose column 1-norms on the diagonal rows are at most 2, as are
+          those of their swap-conjugate images (S fixes those rows): 2m u of
+          rounding at most, 2(m - 1) u more than a copy. Their mean
+          (``_shift_sums``) is two sums of m - 1 adds, one more add and an
+          exact halving: for m > 1 no more roundings than the m shifts had
+          with their phase product, for m = 1 one more, 2u.
 
         A density has ||vec rho||_1 <= d tr(rho). The transforms of rho0 and of
         each record sum m phase-weighted terms per entry, the one back m/2 + 1
         of them and the conjugate of the transposed entry (at most m
-        roundings for m >= 3, one more for m = 2); over the diagonal, each adds
-        at most 6 m (m - 1) u d once, not per step. For a trivial G
-        (m = 1, C = d^2) every factor is exactly 1 and this is the bound of the
-        dense evolution, steps d (delta + (2 d^2 + 1) u). On ring:15 (5000
-        steps of tau = 0.004) the drift stays four to five orders of magnitude
-        below it.
+        roundings for m >= 3, one more for m = 2, none on the diagonal for
+        m = 1); over the diagonal, each adds at most 6 m (m - 1) u d once, not
+        per step. For a trivial G (m = 1, C = d^2) this is the bound of the
+        dense evolution and the mean, steps d (delta + (2 d^2 + 3) u). On
+        ring:15 (5000 steps of tau = 0.004) the drift stays four to five
+        orders of magnitude below it.
         """
         m, c = self.blocks
         u = 2.0**-53
-        per_step = self.trace_defect + (2 * c + 1 + 4 * (m - 1)) * u
+        per_step = self.trace_defect + (2 * c + 1 + max(4 * (m - 1), 2)) * u
         return steps * self.dim * per_step + 12 * m * (m - 1) * u * self.dim
 
 
@@ -486,70 +532,33 @@ def _advance(d: np.ndarray, y0: np.ndarray, gaps: list[int]):
             ys[0] = ys[f]
 
 
-def _mirror_average(avg: np.ndarray, orbit: np.ndarray, swapped: np.ndarray) -> np.ndarray:
-    """(avg + its swap-conjugate image) / 2: the shift sums of D = Phi - I, made Hermiticity preserving.
-
-    avg[c, c', s] = sum_t D[pi^t x_c, pi^(t+s) x_c'] (C, C, m), and
-    ``swapped`` holds S x_c for the swap S(a + n b) = b + n a. Phi maps
-    Hermitian matrices to Hermitian ones exactly when
-    Phi[i, j] = conj(Phi[S i, S j]); the mean of the two sides is that part
-    of Phi. S commutes with pi and sends x_c to pi^(s_c) x_(c*), so the
-    image's sum at (c, c', s) is conj(avg[c*, c'*, s + s_c' - s_c]).
-    """
-    c, m = orbit.shape
-    cycle, shift = np.empty((2, orbit.max() + 1), dtype=np.intp)
-    cycle[orbit], shift[orbit] = np.arange(c)[:, None], np.arange(m)  # any t of a repeated index will do
-    mate, s = cycle[swapped], shift[swapped]
-    image = avg[mate[:, None, None], mate[None, :, None], (np.arange(m) + s[None, :, None] - s[:, None, None]) % m]
-    np.conj(image, out=image)
-    image += avg
-    image *= 0.5
-    return image
-
-
 def _sector_entries(phi: ChannelMatrix, rho0: np.ndarray, rec: np.ndarray, cycles: np.ndarray):
     """Yield (i, v): records i .. i + f - 1 of ``evolve_channel`` at the entries of ``cycles`` only.
 
     v (f, entries) lists each record's column-stacked entries of the given
     cycles in the row-major order of rho; ``rec`` are the record steps, at
-    least two. Every record's trace is checked first. For m > 1 the cycles
-    must hold the transpose of each of their entries, as all cycles and
-    those of the diagonal do.
+    least two. Every record's trace is checked first. The cycles must hold
+    the transpose of each of their entries, as all cycles and those of the
+    diagonal do.
 
     Only the sectors Q <= m/2 run: sector m - Q of a Hermitian record is
     the swap-conjugate mirror of sector Q. A record is rho = B + A + A^dag,
     with B its part in the sectors that are their own mirror (Q = 0, and
     Q = m/2 for even m) and A that in the others, and it is transformed back
     as H + H^dag with H = B/2 + A: exactly Hermitian, with the diagonal
-    2 Re(H_aa) = B_aa + 2 Re(A_aa). For m = 1 the one sector is the record
-    as the dense evolution leaves it.
+    2 Re(H_aa) = B_aa + 2 Re(A_aa).
     """
     n = phi.dim
     orbit, lengths = phi._cycles
-    c, m = orbit.shape
+    m = orbit.shape[1]
     sectors = np.arange(m // 2 + 1)
     fits = sectors[:, None] * lengths % m == 0  # (Q, C): sector Q holds cycle c
     table = np.exp(2j * np.pi * np.arange(m) / m)
     qt = np.outer(np.arange(m), sectors)
     forward, backward = table[qt % m], table[-qt % m]  # (t, Q): w^(Q t), w^(-Q t)
-    # avg[c, c', s] = sum_t D[pi^t x_c, pi^(t+s) x_c'] over the m shifts t, then
-    # block[Q, c, c'] = sqrt(L_c L_c') / m^2 sum_s w^(-Q s) avg[c, c', s]; D = Phi - I is
-    # gathered from Phi, whose diagonal entries are those with c = c' and s = 0 (mod L_c)
-    shift = (np.arange(m)[:, None] + np.arange(m)) % m
-    unit = np.eye(c, dtype=bool)[:, :, None] & (np.arange(m) % lengths[:, None, None] == 0)
-    avg = np.zeros((c, c, m), dtype=np.complex128)
-    for t in range(m):
-        gathered = phi.matrix.take(orbit[:, t], axis=0).take(orbit[:, shift[t]], axis=1)
-        gathered[unit] -= 1.0
-        avg += gathered
-    mirrored = m > 1
-    # the swap S(a + n b) = b + n a takes vec(X) to vec(X^T) and commutes with pi
-    swap = orbit % n * n + orbit // n
-    if mirrored:  # the sectors evolve under the Hermiticity-preserving part (``_mirror_average``)
-        avg = _mirror_average(avg, orbit, swap[:, 0])
+    # block[Q, c, c'] = sqrt(L_c L_c') / m^2 sum_s w^(-Q s) sums[c, c', s] (``ChannelMatrix.shift_sums``)
     root = np.sqrt(lengths)
-    blocks = np.ascontiguousarray((avg @ backward).transpose(2, 0, 1))
-    del avg, gathered
+    blocks = np.ascontiguousarray((phi.shift_sums @ backward).transpose(2, 0, 1))
     blocks *= np.multiply.outer(root, root) / m**2
     blocks[~(fits[:, :, None] & fits[:, None, :])] = 0.0
     y0 = np.ascontiguousarray((vec_density(rho0)[orbit] @ forward).T) * (root / m)
@@ -557,9 +566,10 @@ def _sector_entries(phi: ChannelMatrix, rho0: np.ndarray, rec: np.ndarray, cycle
     # tr(rho) = sum_c sqrt(L_c) y[0, c] over the cycles of the diagonal
     trace_w = np.where(orbit[:, 0] % (n + 1) == 0, root, 0.0)
     # h[pi^t x_c] = L_c^-1/2 sum_Q a_Q w^(-Q t) y[Q, c] for t < L_c, a_Q = 1/2 for a sector that is
-    # its own mirror and 1 for the others (1 for m = 1); rho[a, b] = h[a + n b] + conj(h[b + n a]),
-    # entry a n + b of the record, is gathered from h[c, t] at src and src_t (h alone for m = 1)
-    back = backward.T * np.where(2 * sectors % m > 0, 1.0, 0.5 if mirrored else 1.0)[:, None]
+    # its own mirror and 1 for the others; rho[a, b] = h[a + n b] + conj(h[b + n a]), entry a n + b
+    # of the record, is gathered from h[c, t] at src and src_t, S(a + n b) = b + n a the swap
+    back = backward.T * np.where(2 * sectors % m > 0, 1.0, 0.5)[:, None]
+    swap = orbit % n * n + orbit // n
     cyc, t = np.nonzero(np.arange(m) < lengths[cycles, None])
     j = orbit[cycles[cyc], t]
     order = np.argsort(j % n * n + j // n)
@@ -581,8 +591,7 @@ def _sector_entries(phi: ChannelMatrix, rho0: np.ndarray, rec: np.ndarray, cycle
             f = y.shape[0]
             h = (y.transpose(0, 2, 1).reshape(-1, sectors.size) @ back).reshape(f, -1)
             v = h.take(src, axis=1)
-            if mirrored:
-                v += np.conj(h, out=h).take(src_t, axis=1)
+            v += np.conj(h, out=h).take(src_t, axis=1)
             yield i + r0, v
 
 
@@ -613,25 +622,23 @@ def evolve_channel(
     zero rows and columns for the cycles a sector lacks. The blocks are
     those of D = Phi - I averaged over the m shifts, i.e. projected onto the
     rotation's commutant, and every phase comes from the exact table
-    w^((Q t) mod m), so each identity term has weight exactly 1.
+    w^((Q t) mod m), so each identity term has weight exactly 1. They come
+    from ``phi.shift_sums``: the evolution reads nothing of ``phi.matrix``.
 
     The swap S(a + n b) = b + n a takes vec(X) to vec(X^T) and commutes
     with the rotation. Phi maps Hermitian matrices to Hermitian ones
     exactly when Phi[i, j] = conj(Phi[S i, S j]), and then the part of a
     Hermitian record in sector m - Q is the conjugate transpose of its part
-    in sector Q. So for m > 1 only the blocks Q <= m/2 are built and run,
-    from D also averaged with its swap-conjugate image (``_mirror_average``),
-    and a record is rho = B + A + A^dag, B its part in the sectors that are
-    their own mirror (Q = 0, and Q = m/2 for even m) and A the rest; it is
-    returned as H + H^dag, H = B/2 + A, which is exactly Hermitian.
-    ``build_step_channel``'s Phi is such a map up to round-off: K is summed
-    as an exactly Hermitian Gram, and only the entries between two diagonal
-    pairs, to which the identity terms are added, round apart (by at most
-    2.8e-17 on lattice2d:3x3, 3x4 and 2x3 at lambda = 0.3 to 0.7 and
-    tau = 0.004 to 0.2; not at all on ring:15 and complete:5). A given Phi
-    without the property is evolved by its Hermiticity-preserving part, as
-    it is projected onto the commutant.
-    The m = 1 evolution mirrors nothing: it is the dense one, as it was.
+    in sector Q. So for every m, 1 included, only the blocks Q <= m/2 are
+    built and run, from D also averaged with its swap-conjugate image
+    (``_shift_sums``), and a record is rho = B + A + A^dag, B its part
+    in the sectors that are their own mirror (Q = 0, and Q = m/2 for even
+    m) and A the rest; it is returned as H + H^dag, H = B/2 + A, which is
+    exactly Hermitian. ``build_step_channel``'s Phi is such a map exactly
+    (its K is exactly Hermitian), so the mirror mean changes nothing, and
+    for m = 1 a record is the dense evolution's (rho + rho^dag) / 2 bit for
+    bit. A given Phi without the property is evolved by its
+    Hermiticity-preserving part, as it is projected onto the commutant.
 
     Records advance a chunk at a time (``_advance``). A chunk of records k
     steps apart (k the stride; a ragged last gap is a chunk of its own)
@@ -645,15 +652,9 @@ def evolve_channel(
     its chunk's start, so the round-off grows with the steps no faster than
     with one matvec per step. On ring:15 (tau = 0.004, 5000 steps at stride
     10, lambda = 0.2 to 0.8) the records lie within 5.5e-16 to 1.6e-15 of an
-    extended-precision evolution of the same Phi (5.5e-16 to 1.7e-15 with
-    all 15 sectors run); one product per gap left 1.8e-15 to 3.8e-15. The
-    trace, carried by sector 0, is checked at every record, and the records
-    are transformed back a chunk at a time. A trivial G (m = 1, one block of
-    d^2) multiplies by exactly 1 in every transform, so it is this
-    evolution run on Phi - I itself. On ring:15 (lambda = 0.4, tau = 0.004,
-    5000 steps at stride 10; in process, one BLAS thread) the 8 sectors
-    took ``channel_site_probabilities`` from 1.74 to 1.33 ms and this
-    function from 2.66 to 2.18 ms, against all 15.
+    extended-precision evolution of the same Phi; one product per gap left
+    1.8e-15 to 3.8e-15. The trace, carried by sector 0, is checked at every
+    record, and the records are transformed back a chunk at a time.
     """
     rho0 = _checked_start(phi, rho0, steps)
     if steps == 0:
@@ -685,8 +686,7 @@ def channel_site_probabilities(
     rec = recorded_steps(steps, sample_stride)
     probs = np.empty((rec.shape[0], n))
     probs[0] = np.real(np.diagonal(rho0))
-    orbit, _ = phi._cycles
-    for i, v in _sector_entries(phi, rho0, rec, np.flatnonzero(orbit[:, 0] % (n + 1) == 0)):
+    for i, v in _sector_entries(phi, rho0, rec, np.flatnonzero(phi._cycles[0][:, 0] % (n + 1) == 0)):
         probs[i:i + v.shape[0]] = v.real
     return probs
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -407,11 +409,18 @@ class TestSectorEvolution:
 
     @pytest.mark.parametrize("n,stride", [(4, 1), (4, 10), (6, 1), (6, 10)])
     def test_trivial_group_is_the_dense_evolution_bit_for_bit(self, n, stride):
+        # m = 1 takes the mirrored sector like every group: a built Phi is exactly Hermiticity
+        # preserving, so the mirror mean changes nothing, and each record is the dense one's
+        # Hermitian part, (rho + rho^dag) / 2, with the dense diagonal's real part
         phi = build_step_channel(make_ring(n), 0.3, 0.2)
         assert phi.blocks == (1, n * n) and phi.symmetries == 1
         rho = _random_density(n, stride)
-        got = evolve_channel(phi, rho, 1000, stride)
-        assert np.array_equal(got, _dense_evolution(phi, rho, 1000, stride))
+        got = evolve_channel(phi, rho, 1000, stride)[1:]
+        dense = _dense_evolution(phi, rho, 1000, stride)[1:]
+        assert np.array_equal(got, (dense + dense.conj().transpose(0, 2, 1)) / 2)
+        diagonal = np.diagonal(got, axis1=1, axis2=2)
+        assert np.array_equal(diagonal.real, np.diagonal(dense, axis1=1, axis2=2).real)
+        assert not diagonal.imag.any()
 
     def test_rotation_is_the_element_of_largest_order(self):
         phi = build_step_channel(make_ring(15), 0.4, 0.004)
@@ -433,6 +442,10 @@ class TestSectorEvolution:
         broken[3, 3] = np.nan  # a numerical failure, not a broken symmetry
         with pytest.raises(FloatingPointError, match="non-finite"):
             ChannelMatrix(matrix=broken, dim=6)
+        for value in (np.nan, np.inf):  # also where the rotation's gathers meet it
+            broken[3, 3] = value
+            with pytest.raises(FloatingPointError, match="non-finite"):
+                ChannelMatrix(matrix=broken, dim=6, rotation=np.array([5, 4, 3, 2, 1, 0]))
         # the 180 degree rotation is one, and the sector evolution is the dense one
         turned = ChannelMatrix(matrix=phi.matrix, dim=6, rotation=np.array([5, 4, 3, 2, 1, 0]))
         assert turned.blocks == (2, 18)
@@ -440,6 +453,32 @@ class TestSectorEvolution:
         got = evolve_channel(turned, rho, 60, 7)
         assert np.max(np.abs(got - _dense_evolution(phi, rho, 60, 7))) <= 1e-14
         assert np.array_equal(got[1:], got[1:].conj().transpose(0, 2, 1))
+
+    @pytest.mark.parametrize("g,rotation,bend", [
+        (make_lattice2d(2, 3), [5, 1, 2, 3, 4, 0], 0.0),  # two corners swapped: no automorphism
+        (make_ring(15), None, 1e-10),  # ring:15's rotation, with Phi bent off its commutant
+    ])
+    def test_refusal_names_the_largest_commutation_defect(self, g, rotation, bend):
+        # the consecutive gathers along the rotation compare every entry with its image
+        n = g.node_count
+        phi = build_step_channel(g, 0.4, 0.2 / max(g.degrees()))
+        rotation = phi.rotation if rotation is None else np.array(rotation)
+        matrix = phi.matrix + bend * np.random.default_rng(3).normal(size=phi.matrix.shape)
+        pi = (n * rotation[:, None] + rotation).ravel()
+        off = np.abs(matrix[np.ix_(pi, pi)] - matrix).max()
+        assert off > 1e-12
+        with pytest.raises(ValueError, match=re.escape(f"commute with its rotation: off by {off:.3g}")):
+            ChannelMatrix(matrix=matrix, dim=n, rotation=rotation)
+
+    @pytest.mark.parametrize("g", [make_ring(15), make_lattice2d(3, 3), make_ring(4)])
+    def test_evolution_reads_nothing_of_the_matrix(self, g):
+        # Phi is read once, when the channel is made; its shift sums are all that the evolution uses
+        phi = build_step_channel(g, 0.4, 0.2 / max(g.degrees()))
+        rho = _random_density(g.node_count, 3)
+        want = evolve_channel(phi, rho, 40, 10), channel_site_probabilities(phi, rho, 40, 10)
+        object.__setattr__(phi, "matrix", np.full_like(phi.matrix, np.nan))
+        got = evolve_channel(phi, rho, 40, 10), channel_site_probabilities(phi, rho, 40, 10)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
     @pytest.mark.parametrize("g", [make_ring(15), make_lattice2d(3, 3)])
     def test_blocks_are_the_projection_onto_the_commutant(self, g):

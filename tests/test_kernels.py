@@ -871,6 +871,17 @@ class TestChannelBuild:
         want = _phi_layout(expm_channel_gram(g.node_count, g.edges, 0.5, tau), g.node_count)
         assert np.max(np.abs(phi - want)) <= 1e-13
 
+    @pytest.mark.parametrize("g,lam,tau", [
+        (make_lattice2d(3, 3), 0.5, 0.2), (make_complete(5), 0.5, 0.2), (make_ring(15), 0.4, 0.004),
+    ])
+    def test_channel_is_exactly_hermiticity_preserving(self, g, lam, tau):
+        # Phi[i, j] = conj(Phi[S i, S j]) bit for bit for the swap S(a + n b) = b + n a: the entries
+        # between two diagonal pairs, whose terms add up in another order at (b, a), are conjugates
+        n = g.node_count
+        phi = build_step_channel(g, lam, tau).matrix
+        swap = np.arange(n * n).reshape(n, n).T.ravel()
+        assert np.array_equal(phi, phi[np.ix_(swap, swap)].conj())
+
     @HYPOTHESIS
     @given(g=channel_graphs(), lam=st.floats(0.0, 1.0), x=st.floats(0.01, 8.0),
            seed=st.integers(0, 2**32))
