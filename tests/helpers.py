@@ -191,7 +191,7 @@ def reference_orbit_representatives(edges: np.ndarray, perms: np.ndarray, lam: f
 
     The image of mask r under g, sum_e bit_e 2^pi_g(e) with pi_g(e) the
     index of the edge {g(u_e), g(v_e)}, is a float64 GEMM of all 2^E masks
-    against all of G at once (exact below 2^53): no prefilter, no chunks. A
+    against all of G at once (exact below 2^53), without chunks. A
     mask represents its orbit when no image is smaller; its weight is
     p_r / |Stab_r|, |Stab_r| the number of images equal to r.
     """
@@ -210,10 +210,11 @@ def reference_orbit_representatives(edges: np.ndarray, perms: np.ndarray, lam: f
 def reference_group_sum(gram: np.ndarray, perms: np.ndarray, pair: np.ndarray) -> np.ndarray:
     """sum over every g of G of gram[pi_g(a), pi_g(b)], one element at a time.
 
-    pi_g maps the pair (i, j) of index ``pair[i, j]`` to (g i, g j) and fixes
-    the last index of the (k + 1, k + 1) ``gram``.
+    pi_g maps the pair (i, j), i != j, of index ``pair[i, j]`` to (g i, g j)
+    and fixes the last index of the (k + 1, k + 1) ``gram`` of the k pairs
+    i < j.
     """
-    iu, ju = np.triu_indices(pair.shape[0])
+    iu, ju = np.triu_indices(pair.shape[0], 1)
     out = np.zeros_like(gram)
     for g in perms:
         pp = np.append(pair[g[iu], g[ju]], gram.shape[0] - 1)

@@ -1,4 +1,8 @@
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +25,7 @@ from percwalk.dynamics import (
 )
 from percwalk.graph import (
     CapacityError,
+    Graph,
     make_complete,
     make_lattice2d,
     make_ring,
@@ -236,6 +241,26 @@ class TestBuildStepChannel:
     def test_dimension_validation(self):
         with pytest.raises(ValueError):
             ChannelMatrix(matrix=np.eye(5), dim=2)
+
+    def test_group_search_loads_no_numpy_ma(self):
+        # np.unique imports numpy.ma at its first call (numpy 2.4's _unique1d asks np.ma.is_masked),
+        # about 1.2 MB of a fresh interpreter's peak RSS; ring:15's build searches its group
+        code = ("import sys; from percwalk.dynamics import build_step_channel; from percwalk.graph import make_ring; "
+                "phi = build_step_channel(make_ring(15), 0.4, 0.004); print(phi.symmetries, 'numpy.ma' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+                              env={**os.environ, "PYTHONPATH": str(Path(dynamics.__file__).parents[1])})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "30 False\n"
+
+    def test_trivial_group_construction_stays_below_twice_phi(self):
+        # no automorphism: one sector of d^2 cycles, so the shift sums are as large as Phi, and what
+        # construction holds beside them must stay below Phi (the heap rule of ``_kernels``)
+        g = Graph(node_count=11, edges=tuple((i, i + 1) for i in range(10)) + ((0, 9), (2, 9), (3, 9), (8, 10)))
+        phi = build_step_channel(g, 0.4, 0.004)
+        assert (phi.symmetries, phi.blocks) == (1, (1, 121))
+        made, peak = traced_peak(lambda: ChannelMatrix(matrix=phi.matrix, dim=11, rotation=phi.rotation))
+        assert np.array_equal(made.shift_sums, phi.shift_sums)
+        assert peak <= 2 * phi.matrix.nbytes
 
 
 class TestEvolveChannel:

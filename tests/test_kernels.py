@@ -839,7 +839,8 @@ class TestChannelBuild:
         monkeypatch.setattr(_kernels, "_cos_sin",
                             lambda a, *plan: rows.append(a.shape[0]) or cos_sin(a, *plan))
         _, _, _, built = _kernels.channel_accumulate(g.edge_array, n, 0.4, 0.004)
-        # the widest array of a batch, its 2 rows x (n(n+1)/2 + 1) float64 Gram rows, takes half a block
+        # a batch's rows are sized so that 2 rows x (n(n+1)/2 + 1) float64 take half a block; its Gram rows of the
+        # pairs i < j are narrower
         bound = max(1, min(_kernels.CHANNEL_BATCH, _kernels.BLOCK_BYTES // (16 * (n * n + n + 2))))
         assert bound < _kernels.CHANNEL_BATCH  # 67 rows on ring:15, 178 on lattice2d:3x3
         assert max(rows) == bound and sum(rows) == built
@@ -901,6 +902,9 @@ class TestChannelBuild:
         assert abs(np.trace(out) - 1.0) <= 1e-13
         assert np.max(np.abs(out - out.conj().T)) <= 1e-13
         assert np.max(np.abs(apply_channel(phi, np.eye(n)) - np.eye(n))) <= 1e-13
+        # every U_r maps the all-ones vector to itself (H_r 1 = 0), so Phi(J) = J for J = 1 1^T
+        ones = np.ones((n, n))
+        assert np.max(np.abs(apply_channel(phi, ones) - ones)) <= 1e-13
 
 
 def _edge_set(edges):
@@ -909,6 +913,10 @@ def _edge_set(edges):
 
 # 11 and 12 straddle the order 12 of a 6-ring; 10**6 is above every group here
 AUTOMORPHISM_LIMITS = [1, 3, 11, 12, 10**6]
+
+# the outer 5-cycle, the spokes and the inner pentagram; its group is S5 acting on 2-subsets
+PETERSEN = Graph(node_count=10, edges=tuple([(i, (i + 1) % 5) for i in range(5)] + [(i, i + 5) for i in range(5)]
+                                            + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]))
 
 
 class TestGroupSum:
@@ -985,6 +993,9 @@ class TestAutomorphisms:
         # a 4-ring plus two isolated nodes, which stay fixed
         (Graph(node_count=6, edges=((0, 1), (1, 2), (2, 3), (3, 0))), 8),
         (Graph(node_count=7, edges=((5, 1), (1, 3), (3, 0), (2, 4))), 4),
+        # vertex-transitive, and the stabilizer of a node moves its three neighbours: orbits of 10,
+        # 3, 2 and 2 nodes along the chain
+        (PETERSEN, 120),
         # a 6-ring plus 294 isolated nodes, which stay fixed and take no part in the search
         (Graph(node_count=300, edges=tuple((i, (i + 1) % 6) for i in range(6))), 12),
     ])
@@ -1027,6 +1038,20 @@ class TestAutomorphisms:
         for limit in AUTOMORPHISM_LIMITS:
             assert np.array_equal(_kernels._automorphisms(g.edge_array, g.node_count, limit),
                                   reference_automorphisms(g.edge_array, g.node_count, limit))
+
+    @HYPOTHESIS
+    @given(base=st.sampled_from([make_ring(7), make_ring(12), make_complete(5), make_lattice2d(3, 3),
+                                 make_lattice2d(2, 4), PETERSEN,
+                                 Graph(node_count=8, edges=((0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (6, 7)))]),
+           isolated=st.integers(0, 3), data=st.data())
+    def test_relabeled_symmetric_graphs_match_the_reference_search(self, base, isolated, data):
+        # large orbits under any node order: the closure reaches most images without a search, and the
+        # transversal elements it composes must give the same group, rows and order as a full backtrack
+        n = base.node_count + isolated
+        p = np.array(data.draw(st.permutations(range(n))))
+        edges = p[base.edge_array]
+        for limit in AUTOMORPHISM_LIMITS:
+            assert np.array_equal(_kernels._automorphisms(edges, n, limit), reference_automorphisms(edges, n, limit))
 
 
 def _superop_perm(p):
@@ -1078,16 +1103,16 @@ class TestOrbitChannel:
 
 
 class TestOrbitScan:
-    """The prefiltered float32 orbit scan and the real pair Gram of the exact channel."""
+    """The float32 orbit scan and the real pair Gram of the exact channel."""
 
     @pytest.mark.parametrize("g,group,lam", [
         (make_ring(15), "full", 0.4),  # |G| = 30
         (make_ring(15), "full", 0.0),  # only the empty mask has weight
-        (make_lattice2d(3, 4), "full", 0.7),  # |G| = 4: three elements to prefilter with
+        (make_lattice2d(3, 4), "full", 0.7),  # |G| = 4: three non-identity elements to compare with
         (make_complete(5), "full", 0.4),  # |G| = 120
         (make_lattice2d(2, 3), "full", 0.4),  # |G| = 4
         (Graph(node_count=3, edges=((0, 1), (1, 2))), "full", 0.4),  # a path, |G| = 2
-        (make_ring(15), "identity", 0.4),  # nothing to prefilter with: every mask represents itself
+        (make_ring(15), "identity", 0.4),  # nothing to compare with: every mask represents itself
         (make_ring(15), "full", 1.0),  # only the full mask has weight
     ])
     def test_matches_a_float64_scan_of_every_mask(self, monkeypatch, g, group, lam):
@@ -1113,7 +1138,7 @@ class TestOrbitScan:
         substeps, _ = _kernels.taylor_plan(edges, n, tau)
         squarings = (substeps - 1).bit_length()
         _, order = _kernels.taylor_plan(edges, n, tau / 2**squarings)
-        upper = (n * np.arange(n)[:, None] + np.arange(n))[np.triu_indices(n)]
+        upper = (n * np.arange(n)[:, None] + np.arange(n))[np.triu_indices(n, 1)]  # the pairs i < j
         perms = _kernels._automorphisms(edges, n, 10**6)
         masks, all_weights = reference_orbit_representatives(edges, perms, lam)
         for b0 in range(0, masks.size, 67):  # ring:15's batches
@@ -1121,7 +1146,7 @@ class TestOrbitScan:
             e, s = _kernels._cos_sin(_kernels.laplacians(edges, n, bits, tau / 2**squarings), order, squarings)
             rows = bits.shape[0]
             xy = _kernels._gram_rows(e, s, weights, upper)
-            # w = sqrt(weight) (conj(D) on the pairs i <= j, then 1), D = U - I = e - i s
+            # w = sqrt(weight) (conj(D) on the pairs i < j, then 1), D = U - I = e - i s
             w = np.concatenate((e.reshape(rows, -1)[:, upper] + 1j * s.reshape(rows, -1)[:, upper],
                                 np.ones((rows, 1))), axis=1) * np.sqrt(weights)[:, None]
             assert np.array_equal(xy[:rows] + 1j * xy[rows:], w)
