@@ -7,8 +7,10 @@ parameters and diagnostics) and ``columns`` a list of (name, array) pairs.
 Drivers write no file: the caller writes a table with ``write_csv`` or
 renders it with ``finite_csv``. A driver reads its graph once and passes it
 down, so a CSV's simulated and reference columns come from one graph. The
-rescaled reference is ``walk``'s ``eigh`` route on it; only ``oracle_table``
-writes closed forms, for the graph families it checks.
+rescaled reference is ``walk``'s on it: the Taylor action from record to
+record where the curve's gaps cost fewer matvecs than the graph has nodes,
+else the eigenpairs. Only ``oracle_table`` writes closed forms, for the
+graph families it checks.
 """
 from __future__ import annotations
 
@@ -365,11 +367,12 @@ def exp_longtime_finite_tau(
     and the exponential envelope fit of the channel curve (asymptote pinned
     at the flat value 1/N): the metadata's ``envelope_a``, ``envelope_b``
     and ``envelope_residual``, or ``envelope_error`` when the fit fails.
-    The graph is read once and both references are the ``eigh`` route on
-    it, whatever the graph. ``trajectory_steps``, a positive multiple of the
-    channel steps, is checked before the channel is built. The trajectory
-    column is sampled on its own step grid; with the default parameters
-    both grids coincide to round-off.
+    The graph is read once and both references are ``walk``'s on it, each
+    on the route that its times pick (the default's 1 001 records take the
+    eigenpairs). ``trajectory_steps``, a positive multiple of the channel
+    steps, is checked before the channel is built. The trajectory column is
+    sampled on its own step grid; with the default parameters both grids
+    coincide to round-off.
     """
     spec = spec or DEFAULT_LONGTIME_SPEC
     _, steps, total = spec.timing()

@@ -178,6 +178,22 @@ class TestOracleCommand:
     def test_missing_which(self):
         assert run_cli(["oracle", "--graph", "ring:4", "--tau", "0.1", "--steps", "5"]) == 1
 
+    @pytest.mark.parametrize("tau,code", [("1e306", 0), ("1e308", 2)])
+    def test_rescaled_long_gap_takes_eigh_at_once(self, tmp_path, capsys, tau, code):
+        # a gap of 5e305 would plan ~4e306 Taylor substeps: it goes to eigh unplanned, which gives a
+        # finite value, and at 1e308 a non-finite one (exit 2, no CSV), as before the action route
+        out = tmp_path / "oracle.csv"
+        t0 = time.perf_counter()
+        assert run_cli(["oracle", "--which", "rescaled", "--graph", "lattice2d:10x10", "--start", "44",
+                        "--steps", "1", "--tau", tau, "--out", str(out)]) == code
+        assert time.perf_counter() - t0 < 1.0
+        if code:
+            assert "column p_oracle holds a non-finite value" in capsys.readouterr().err
+            assert not out.exists()
+        else:
+            _, data = read_csv(out)
+            assert np.all(np.isfinite(data["p_oracle"])) and data["p_oracle"][0] == pytest.approx(1.0)
+
 
 class TestScanCommands:
     def test_convergence(self, tmp_path):

@@ -121,6 +121,24 @@ class TestCachePolicy:
         assert propagator == "mask-cache(chunk=16)"
         assert peak <= 1.5e6
 
+    def test_every_step_moving_stays_within_the_block_rule(self):
+        # at lambda = 1 every step keeps an edge, so each block fills its prefix stack: a block of
+        # ring:4's quantum trajectory (m = 8 real dimensions, chunks of 16) is as many steps as make a
+        # 4 BLOCK_BYTES stack, and it holds its states and its norm buffer (half of BLOCK_BYTES) besides;
+        # two BLOCK_BYTES more cover the chunk products (a sixteenth of the stack), the block's int64 keys
+        # and per-step rows, its lists of state views and bound dots, and the records (1.64 MB in all)
+        g, steps, n, m, chunk = make_ring(4), 60_000, 4, 8, 16
+        bits = sample_keep_bits(g, 1.0, rng_from_seed(7), steps)
+        rec = np.arange(0, steps + 1, 100, dtype=np.int64)
+        (_, _, propagator), peak = traced_peak(lambda: _kernels.trajectory_states(
+            g.edge_array, n, 100 / steps, bits, rec, basis_state(n, 0)))
+        assert propagator == f"mask-cache(chunk={chunk})"
+        block = 4 * _kernels.BLOCK_BYTES // (8 * m * m * chunk) * chunk
+        stack = block * m * m * 8
+        states, norms = (block + 1) * n * 16, min(block, _kernels.BLOCK_BYTES // (32 * n)) * n * 16
+        assert stack == 4 * _kernels.BLOCK_BYTES and norms == _kernels.BLOCK_BYTES // 2
+        assert peak <= stack + states + norms + 2 * _kernels.BLOCK_BYTES
+
 
 class TestMaskCacheChunks:
     """Chunked prefix products of the mask cache against one matvec per step."""

@@ -1,8 +1,13 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from percwalk import _kernels
-from percwalk.graph import make_complete, make_lattice2d, make_ring
+from percwalk import _kernels, walk
+from percwalk.dynamics import recorded_steps
+from percwalk.graph import Graph, graph_from_spec, make_complete, make_lattice2d, make_ring
 from percwalk.walk import (
     DENSITY_ATOL,
     basis_density,
@@ -144,6 +149,135 @@ class TestClassicalTransition:
     def test_negative_t_rejected(self):
         with pytest.raises(ValueError):
             classical_transition(make_ring(4), 0, 0, -1.0)
+
+
+# random simple graphs of at most 12 nodes, each with at least one edge
+@st.composite
+def small_graphs(draw):
+    n = draw(st.integers(2, 12))
+    pairs = list(itertools.combinations(range(n), 2))
+    keep = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=min(24, len(pairs)), unique=True))
+    return Graph(node_count=n, edges=tuple(keep))
+
+
+def _eigh_route(g, a, b, t, z):
+    """(exp(z H t))[b, a] through the eigenpairs, as ``walk`` takes them outside the action's rule."""
+    weights, w = walk._weights_and_spectrum(g, a, b)
+    return np.exp(z * np.multiply.outer(t, w)) @ weights
+
+
+def _action_route(g, a, b, t, z):
+    """(exp(z H t))[b, a] through the Taylor action on every gap, whatever its count of matvecs."""
+    gaps = np.diff(t, prepend=0.0)
+    plans = {gap: _kernels.taylor_plan(g.edge_array, g.node_count, gap) for gap in gaps[gaps > 0].tolist()}
+    return walk._action_amplitudes(g, a, b, t, plans, z)
+
+
+def _workload_times(steps, stride, tau, lam):
+    return lam * recorded_steps(steps, stride) * tau
+
+
+class TestTaylorAction:
+    """The Taylor action from record to record against the eigenpairs."""
+
+    @settings(max_examples=40, deadline=None, database=None, derandomize=True)
+    @given(g=small_graphs(), data=st.data(), tau=st.floats(1e-3, 0.5), steps=st.integers(1, 40),
+           stride=st.integers(1, 12), lam=st.sampled_from([0.0, 0.3, 1.0]), quantum=st.booleans())
+    def test_equals_the_eigh_route(self, g, data, tau, steps, stride, lam, quantum):
+        # a stride that does not divide the steps leaves a ragged last gap; lambda 0 puts every time at 0
+        n = g.node_count
+        a = data.draw(st.integers(0, n - 1), label="a")
+        b = data.draw(st.integers(0, n - 1), label="b")
+        t = _workload_times(steps, stride, tau, lam)
+        z = -1j if quantum else -1.0
+        assert np.max(np.abs(_action_route(g, a, b, t, z) - _eigh_route(g, a, b, t, z))) <= 1e-13
+
+    @pytest.mark.parametrize("quantum", [True, False])
+    def test_ragged_last_gap_and_other_target(self, quantum):
+        # gaps of 0.0021 and a last one of 0.0007: 19 matvecs on 25 nodes, so the public functions act
+        g, z = make_lattice2d(5, 5), (-1j if quantum else -1.0)
+        t = _workload_times(7, 3, 1e-3, 0.7)
+        assert walk._action_plans(g, t) is not None
+        public = transition_probability if quantum else classical_transition
+        for b in (12, 13, 24):
+            expect = _eigh_route(g, 12, b, t, z)
+            assert np.max(np.abs(_action_route(g, 12, b, t, z) - expect)) <= 1e-13
+            expect = np.abs(expect) ** 2 if quantum else expect
+            assert np.max(np.abs(public(g, 12, b, t) - expect)) <= 1e-13
+
+    @pytest.mark.parametrize("quantum", [True, False])
+    def test_lambda_zero_takes_the_action(self, quantum):
+        # every time is 0: no gap costs a matvec, and the state stays the start basis state
+        g, t = make_ring(9), np.zeros(7)
+        assert walk._action_plans(g, t) == {}
+        public = transition_probability if quantum else classical_transition
+        assert np.array_equal(public(g, 3, 3, t), np.ones(7))
+        assert np.array_equal(public(g, 3, 4, t), np.zeros(7))
+        z = -1j if quantum else -1.0
+        assert np.max(np.abs(np.abs(_eigh_route(g, 3, 3, t, z)) - 1.0)) <= 1e-13
+
+    @pytest.mark.parametrize("t", [
+        np.array([0.0, -0.1, 0.2]),   # a negative time
+        np.array([-0.1, 0.0, 0.1]),   # a negative first time
+        np.array([0.0, 0.2, 0.1]),    # unsorted: a negative gap would give taylor_plan order 0
+        np.array(0.1),                # 0-d
+        np.array([[0.0, 0.1]]),       # 2-d
+        np.array([0.0, np.nan]),
+        np.array([0.0, np.inf]),
+    ], ids=["negative", "negative-first", "unsorted", "0-d", "2-d", "nan", "inf"])
+    def test_other_times_take_eigh(self, t):
+        g = make_ring(12)
+        assert walk._action_plans(g, t) is None
+        with np.errstate(invalid="ignore"):
+            expect = np.abs(_eigh_route(g, 2, 3, t, -1j)) ** 2
+        assert np.array_equal(transition_probability(g, 2, 3, t), expect, equal_nan=True)
+
+    def test_scalar_time_returns_a_float(self):
+        g = make_lattice2d(3, 3)
+        for fn in (transition_probability, classical_transition):
+            assert isinstance(fn(g, 4, 4, 0.2), float)
+            assert isinstance(fn(g, 4, 4, np.float64(0.2)), float)
+            assert isinstance(fn(g, 4, 4, np.array(0.2)), float)
+
+    def test_rule_counts_matvecs_against_nodes(self):
+        # lattice2d:3x3 has maxdeg 4: a gap of 0.005 plans 1 substep of order 8
+        g = make_lattice2d(3, 3)
+        assert _kernels.taylor_plan(g.edge_array, 9, 0.005) == (1, 8)
+        assert walk._action_plans(g, np.array([0.0, 0.005])) == {0.005: (1, 8)}
+        assert walk._action_plans(g, np.array([0.0, 0.005, 0.01])) is None  # 16 matvecs >= 9
+
+    def test_long_gap_is_refused_before_it_is_planned(self, monkeypatch):
+        def no_plan(*args):
+            raise AssertionError("a gap above the matvec count was planned")
+
+        monkeypatch.setattr(_kernels, "taylor_plan", no_plan)
+        g = graph_from_spec("lattice2d:10x10")
+        for t in (np.array([0.0, 20.0]), np.array([0.0, 5e305]), np.array([0.0, 1e308])):
+            assert walk._action_plans(g, t) is None
+
+    @pytest.mark.parametrize("graph,steps,stride,tau,lams,action", [
+        ("lattice2d:10x10", 30, 10, 1e-3, [0.5], True),           # lattice10x10-montecarlo, 4 records
+        ("ring:15", 5000, 10, 0.004, [0.2, 0.4, 0.6, 0.8], False),  # ring15-channel, 501 records
+        ("complete:15", 2000, 100, 1e-4, [0.3], False),            # complete15-walks, 21 records
+        ("ring:4", 1000, 1, 0.1, [0.2], False),                    # ring4-longtime, 1 001 records
+    ])
+    def test_route_of_each_benchmark_reference(self, monkeypatch, graph, steps, stride, tau, lams, action):
+        g = graph_from_spec(graph)
+        calls = []
+        monkeypatch.setattr(walk, "_weights_and_spectrum",
+                            lambda *args, f=walk._weights_and_spectrum: calls.append(1) or f(*args))
+        for lam in lams:
+            t = _workload_times(steps, stride, tau, lam)
+            assert (walk._action_plans(g, t) is not None) == action
+            transition_probability(g, 0, 0, t)
+            classical_transition(g, 0, 0, t)
+        assert calls == ([] if action else [1] * 2 * len(lams))
+
+    def test_lattice_reference_equals_eigh(self):
+        # the Monte Carlo reference of lattice10x10-montecarlo, start node 44
+        g, t = graph_from_spec("lattice2d:10x10"), _workload_times(30, 10, 1e-3, 0.5)
+        expect = np.abs(_eigh_route(g, 44, 44, t, -1j)) ** 2
+        assert np.max(np.abs(transition_probability(g, 44, 44, t) - expect)) <= 1e-14
 
 
 class TestStateHelpers:
