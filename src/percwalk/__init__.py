@@ -10,10 +10,8 @@ drivers with a CSV-emitting CLI.
 """
 
 from . import oracles  # noqa: F401
-from ._kernels import active_backend  # noqa: F401
 from .dynamics import (  # noqa: F401
     ChannelMatrix,
-    ClassicalEnsembleRecord,
     ClassicalTrajectoryRecord,
     EnsembleRecord,
     PercolationRun,
@@ -22,7 +20,6 @@ from .dynamics import (  # noqa: F401
     channel_site_probabilities,
     evolve_channel,
     monte_carlo_channel,
-    monte_carlo_classical,
     recorded_steps,
     run_classical_trajectory,
     run_trajectory,

@@ -789,7 +789,7 @@ def _ensemble(edges, n, z, bits, record_steps, x0, record):
 
     The mask cache is one store of real propagators per call, shared by its
     column blocks; a 2^E table of slots maps each mask key to its row, and
-    the masks new to a block are built together (``_taylor_matrices``). An
+    the masks new to a block are built together (``_cache_propagators``). An
     ensemble step gathers the propagators of its columns into one
     (columns, m, m) stack and applies them with one batched matmul.
 

@@ -28,16 +28,15 @@ Three routes to the same physics:
   back only the diagonal's cycles, diag B + 2 Re diag A. A graph without
   symmetry, or one whose group is not searched, gives one block of d^2:
   the dense evolution's Hermitian part.
-* ``monte_carlo_channel`` / ``monte_carlo_classical``: trajectory-ensemble
-  estimates of the channel output with standard errors. Both are thin
-  wrappers over one driver, which simulates each trajectory once. The
-  ensemble kernels return sums and per-site (count, mean, M2) moments,
-  merged pairwise across column blocks; the driver merges them across
-  chunks the same way (Chan, Golub & LeVeque, Am. Stat. 37:242, 1983). A
-  basis density's eigenpairs are known, so ``_eigenpairs`` skips ``eigh``
-  for it; any other initial density is eigendecomposed once per call.
-  Either way its spectrum is checked, which refuses a density that is not
-  positive semidefinite.
+* ``monte_carlo_channel``: a trajectory-ensemble estimate of the channel
+  output with standard errors, which simulates each trajectory once. The
+  ensemble kernel returns sums and per-site (count, mean, M2) moments,
+  merged pairwise across column blocks; ``monte_carlo_channel`` merges them
+  across chunks of trajectories the same way (Chan, Golub & LeVeque, Am.
+  Stat. 37:242, 1983). A basis density's eigenpairs are known, so
+  ``_eigenpairs`` skips ``eigh`` for it; any other initial density is
+  eigendecomposed once per call. Either way its spectrum is checked, which
+  refuses a density that is not positive semidefinite.
 
 Per-step exponentials are truncated Taylor series whose truncation error
 is at most 2^-53 of the state norm per substep (``_kernels.taylor_plan``).
@@ -152,19 +151,6 @@ class EnsembleRecord:
 
     def site_probabilities(self) -> np.ndarray:
         return np.real(np.diagonal(self.densities, axis1=1, axis2=2))
-
-
-@dataclass(frozen=True)
-class ClassicalEnsembleRecord:
-    """Trajectory-averaged classical distributions with standard errors."""
-
-    record_steps: np.ndarray
-    times: np.ndarray
-    distributions: np.ndarray
-    stderr: np.ndarray
-    n_trajectories: int
-    max_norm_drift: float
-    propagator: str
 
 
 def _pair_cycles(rotation: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -709,55 +695,6 @@ def channel_site_probabilities(
     return probs
 
 
-def _monte_carlo(g, run, n_trajectories, sample_stride, quantum, kernel, weights=None):
-    """Shared body of the Monte Carlo drivers.
-
-    A Taylor plan above the work bound is refused before any keep bit is
-    drawn (``_kernels.step_plan`` of the first, widest chunk). Trajectory k
-    uses the stream (run.seed, spawn_key=(k,)). When the eigenvalue
-    ``weights`` of a mixed initial density are given, it first draws the
-    index of its initial eigenstate from that stream; then it draws its keep
-    bits. Trajectories run in chunks of at most ENSEMBLE_CHUNK_BYTES of
-    uint8 keep bits through ``kernel(bits3, record_steps, picks)``; the
-    uniforms they are drawn from take a few blocks at a time
-    (``sample_keep_bits``), not a chunk. picks holds the drawn indices, or is
-    None when nothing was drawn. The kernel returns the chunk's sum, per-site (count, mean, M2)
-    moments per record step, max norm drift and propagator name. Sums add
-    and moments merge pairwise across chunks.
-
-    -> (record steps, mean, max-over-sites standard error, drift, the
-    propagator of each chunk, each named once, ", "-joined).
-    """
-    if n_trajectories < 2:
-        raise ValueError(f"n_trajectories must be >= 2, got {n_trajectories}")
-    per_trajectory = run.steps * max(g.edge_count, 1)
-    chunk = max(1, min(n_trajectories, ENSEMBLE_CHUNK_BYTES // per_trajectory))
-    _kernels.step_plan(g.edge_array, g.node_count, run.tau, run.steps, quantum, chunk)
-    rec = recorded_steps(run.steps, sample_stride)
-    total, moments, max_drift, propagators = None, [(0, 0.0, 0.0)] * rec.shape[0], 0.0, {}
-    for start in range(0, n_trajectories, chunk):
-        stop = min(start + chunk, n_trajectories)
-        bits3 = np.empty((stop - start, run.steps, g.edge_count), dtype=np.uint8)
-        picks = None if weights is None else np.empty(stop - start, dtype=np.int64)
-        for k in range(start, stop):
-            rng = rng_from_seed(run.seed, k)
-            if picks is not None:
-                picks[k - start] = rng.choice(weights.shape[0], size=1, p=weights)[0]
-            bits3[k - start] = sample_keep_bits(g, run.lam, rng, run.steps)
-        chunk_sum, chunk_moments, drift, propagator = kernel(bits3, rec, picks)
-        if start:
-            total += chunk_sum
-        else:
-            total = chunk_sum
-        moments = list(map(_kernels.merge_moments, moments, chunk_moments))
-        max_drift = np.maximum(max_drift, drift)  # keeps a NaN drift, unlike max()
-        propagators[propagator] = None
-    t = n_trajectories
-    stderr = np.array([np.sqrt(m2 / ((t - 1) * t)).max() for _, _, m2 in moments])
-    total /= t
-    return rec, total, stderr, float(max_drift), ", ".join(propagators)
-
-
 def _eigenpairs(rho0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(w, v): the eigenvalues of the density rho0 and its eigenvectors, the columns of v.
 
@@ -787,10 +724,21 @@ def monte_carlo_channel(
 
     Trajectory k uses the stream (run.seed, spawn_key=(k,)), so ensembles
     are reproducible and individual trajectories re-runnable. Initial pure
-    states are sampled from the eigen-ensemble of rho0 by eigenvalue weight;
-    a pure rho0 draws nothing, so trajectory k then equals
-    ``run_trajectory(trajectory_index=k)``. The reported scalar per record
-    is the largest standard error among the diagonal (site-probability)
+    states are sampled from the eigen-ensemble of rho0 by eigenvalue weight:
+    for a mixed rho0, trajectory k first draws the index of its initial
+    eigenstate from its stream, then its keep bits. A pure rho0 draws
+    nothing, so trajectory k then equals ``run_trajectory(trajectory_index=k)``.
+    rho0 is checked first, and a Taylor plan above the work bound is refused
+    before any keep bit is drawn (``_kernels.step_plan`` of the first,
+    widest chunk). Trajectories run in chunks of at most
+    ENSEMBLE_CHUNK_BYTES of uint8 keep bits through
+    ``_kernels.ensemble_quantum``; the uniforms they are drawn from take a
+    few blocks at a time (``sample_keep_bits``), not a chunk. Each chunk
+    returns its sum of |psi><psi|, per-site (count, mean, M2) moments of the
+    site probabilities per record step, max norm drift and propagator name.
+    Sums add and moments merge pairwise across chunks; ``propagator`` names
+    each chunk's route once, ", "-joined. The reported scalar per record is
+    the largest standard error among the diagonal (site-probability)
     entries.
     """
     rho0 = check_density_matrix(rho0)
@@ -803,46 +751,39 @@ def monte_carlo_channel(
     w = w / w.sum()
     eigenstates = v.T.astype(np.complex128)
     pure = w.max() > 1.0 - 1e-12
-
-    def kernel(bits3, rec, picks):
-        idx = np.full(bits3.shape[0], np.argmax(w)) if picks is None else picks
-        return _kernels.ensemble_quantum(g.edge_array, n, run.tau, bits3, rec, eigenstates[idx])
-
-    rec, densities, stderr, drift, propagator = _monte_carlo(
-        g, run, n_trajectories, sample_stride, True, kernel, None if pure else w)
+    if n_trajectories < 2:
+        raise ValueError(f"n_trajectories must be >= 2, got {n_trajectories}")
+    per_trajectory = run.steps * max(g.edge_count, 1)
+    chunk = max(1, min(n_trajectories, ENSEMBLE_CHUNK_BYTES // per_trajectory))
+    _kernels.step_plan(g.edge_array, n, run.tau, run.steps, True, chunk)
+    rec = recorded_steps(run.steps, sample_stride)
+    total, moments, max_drift, propagators = None, [(0, 0.0, 0.0)] * rec.shape[0], 0.0, {}
+    for start in range(0, n_trajectories, chunk):
+        stop = min(start + chunk, n_trajectories)
+        bits3 = np.empty((stop - start, run.steps, g.edge_count), dtype=np.uint8)
+        picks = np.full(stop - start, np.argmax(w))
+        for k in range(start, stop):
+            rng = rng_from_seed(run.seed, k)
+            if not pure:
+                picks[k - start] = rng.choice(n, size=1, p=w)[0]
+            bits3[k - start] = sample_keep_bits(g, run.lam, rng, run.steps)
+        chunk_sum, chunk_moments, drift, propagator = _kernels.ensemble_quantum(
+            g.edge_array, n, run.tau, bits3, rec, eigenstates[picks])
+        if start:
+            total += chunk_sum
+        else:
+            total = chunk_sum
+        moments = list(map(_kernels.merge_moments, moments, chunk_moments))
+        max_drift = np.maximum(max_drift, drift)  # keeps a NaN drift, unlike max()
+        propagators[propagator] = None
+    t = n_trajectories
+    total /= t
     return EnsembleRecord(
         record_steps=rec,
         times=rec * run.tau,
-        densities=densities,
-        diag_stderr=stderr,
-        n_trajectories=n_trajectories,
-        max_norm_drift=drift,
-        propagator=propagator,
-    )
-
-
-def monte_carlo_classical(
-    g: Graph,
-    run: PercolationRun,
-    p0: np.ndarray,
-    n_trajectories: int,
-    sample_stride: int = 1,
-) -> ClassicalEnsembleRecord:
-    """Average classical trajectories; same estimator shape as the quantum case."""
-    p0 = check_distribution(p0)
-    if p0.shape[0] != g.node_count:
-        raise ValueError(f"distribution dimension {p0.shape[0]} != node_count {g.node_count}")
-
-    def kernel(bits3, rec, picks):
-        return _kernels.ensemble_classical(g.edge_array, g.node_count, run.tau, bits3, rec, p0)
-
-    rec, dist, stderr, drift, propagator = _monte_carlo(g, run, n_trajectories, sample_stride, False, kernel)
-    return ClassicalEnsembleRecord(
-        record_steps=rec,
-        times=rec * run.tau,
-        distributions=dist,
-        stderr=stderr,
-        n_trajectories=n_trajectories,
-        max_norm_drift=drift,
-        propagator=propagator,
+        densities=total,
+        diag_stderr=np.array([np.sqrt(m2 / ((t - 1) * t)).max() for _, _, m2 in moments]),
+        n_trajectories=t,
+        max_norm_drift=float(max_drift),
+        propagator=", ".join(propagators),
     )

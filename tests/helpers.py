@@ -22,7 +22,7 @@ import scipy.linalg
 from hypothesis import strategies as st
 
 from percwalk import _kernels
-from percwalk.graph import Graph
+from percwalk.graph import Graph, rng_from_seed, sample_keep_bits
 
 
 def traced_peak(fn):
@@ -38,6 +38,11 @@ def traced_peak(fn):
     finally:
         if not tracing:
             tracemalloc.stop()
+
+
+def keep_bits3(g: Graph, run, t: int) -> np.ndarray:
+    """Keep bits (t, steps, E) of the trajectories k < t of ``run``, trajectory k's from the stream (run.seed, k)."""
+    return np.array([sample_keep_bits(g, run.lam, rng_from_seed(run.seed, k), run.steps) for k in range(t)])
 
 
 def force_mask_cache(monkeypatch) -> None:

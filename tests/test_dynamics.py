@@ -17,7 +17,6 @@ from percwalk.dynamics import (
     channel_site_probabilities,
     evolve_channel,
     monte_carlo_channel,
-    monte_carlo_classical,
     recorded_steps,
     run_classical_trajectory,
     run_trajectory,
@@ -42,6 +41,7 @@ from helpers import (
     enumerate_realizations,
     expm_unitary,
     force_mask_cache,
+    keep_bits3,
     reference_laplacian,
     stochastic_exp,
     traced_peak,
@@ -53,6 +53,11 @@ def _delta(n, a=0):
     p = np.zeros(n)
     p[a] = 1.0
     return p
+
+
+def _max_stderr(moments, t):
+    """Per record, the largest standard error of the mean of t samples, from (count, mean, M2) moments."""
+    return np.array([np.sqrt(m2 / ((t - 1) * t)).max() for _, _, m2 in moments])
 
 
 class TestPercolationRun:
@@ -695,11 +700,12 @@ class TestMonteCarlo:
         singles = [run_trajectory(g, run, basis_state(7, 2), trajectory_index=k) for k in range(3)]
         mean = sum(np.einsum("ri,rj->rij", r.states, r.states.conj()) for r in singles) / 3
         assert np.max(np.abs(ens.densities - mean)) <= 1e-12
-        cens = monte_carlo_classical(g, run, _delta(7, 2), 3)
-        assert cens.propagator == ens.propagator and cens.max_norm_drift <= 1e-12
+        total, _, drift, name = _kernels.ensemble_classical(
+            g.edge_array, 7, run.tau, keep_bits3(g, run, 3), ens.record_steps, _delta(7, 2))
+        assert name == ens.propagator and drift <= 1e-12
         cmean = sum(run_classical_trajectory(g, run, _delta(7, 2), trajectory_index=k).distributions
                     for k in range(3)) / 3
-        assert np.max(np.abs(cens.distributions - cmean)) <= 1e-12
+        assert np.max(np.abs(total / 3 - cmean)) <= 1e-12
 
     @pytest.mark.parametrize("graph,propagator", [
         (make_complete(7), "taylor(substeps=3, order=16)"),
@@ -712,19 +718,20 @@ class TestMonteCarlo:
         run = PercolationRun(lam=0.5, tau=0.2, steps=15, seed=21)
         if propagator == "mask-cache":  # 15 steps of ring:12, or of ring:4 split, cost less on the action
             force_mask_cache(monkeypatch)
-        if split:  # chunks of 2, 2 and 1 trajectories; one column per Taylor block
+        if split:  # Monte Carlo chunks of 2, 2 and 1 trajectories; one column per Taylor block
             monkeypatch.setattr(dynamics, "ENSEMBLE_CHUNK_BYTES", 2 * run.steps * graph.edge_count)
             monkeypatch.setattr(_kernels, "BLOCK_BYTES", 1)
         ens = monte_carlo_channel(graph, run, basis_density(n, 2), t, stride)
-        cens = monte_carlo_classical(graph, run, _delta(n, 2), t, stride)
-        assert ens.propagator == cens.propagator == propagator
+        _, moments, _, name = _kernels.ensemble_classical(
+            graph.edge_array, n, run.tau, keep_bits3(graph, run, t), ens.record_steps, _delta(n, 2))
+        assert ens.propagator == name == propagator
         probs = np.array([
             run_trajectory(graph, run, basis_state(n, 2), stride, trajectory_index=k)
             .site_probabilities() for k in range(t)])
         dists = np.array([
             run_classical_trajectory(graph, run, _delta(n, 2), stride, trajectory_index=k)
             .distributions for k in range(t)])
-        for rec_stderr, samples in ((ens.diag_stderr, probs), (cens.stderr, dists)):
+        for rec_stderr, samples in ((ens.diag_stderr, probs), (_max_stderr(moments, t), dists)):
             want = np.sqrt(samples.var(axis=0, ddof=1) / t).max(axis=1)
             assert np.max(np.abs(rec_stderr - want)) <= 1e-12
             assert np.max(want) > 1e-3  # the trajectories differ
@@ -778,6 +785,27 @@ class TestMonteCarlo:
         rec = monte_carlo_channel(g, run, rho0, 4000)
         assert np.max(np.abs(rec.densities[-1] - rho0)) <= 0.05
 
+    def test_mixed_start_draws_its_eigenstate_then_its_keep_bits(self, monkeypatch):
+        # stream k picks the start eigenstate of trajectory k, then draws its keep bits, in every chunk
+        g, run, t = make_ring(4), PercolationRun(lam=0.5, tau=0.2, steps=10, seed=21), 5
+        rho0 = 0.7 * basis_density(4, 1) + 0.3 * basis_density(4, 3)
+        monkeypatch.setattr(dynamics, "ENSEMBLE_CHUNK_BYTES", 2 * run.steps * g.edge_count)  # chunks of 2, 2, 1
+        rec = monte_carlo_channel(g, run, rho0, t, 4)
+        w, v = np.linalg.eigh(rho0)
+        w = np.where(w > 0, w, 0.0)
+        w /= w.sum()
+        picks, want = set(), 0.0
+        for k in range(t):
+            rng = rng_from_seed(run.seed, k)
+            pick = rng.choice(4, size=1, p=w)[0]
+            bits = sample_keep_bits(g, run.lam, rng, run.steps)
+            states, _, _ = _kernels.trajectory_states(g.edge_array, 4, run.tau, bits, rec.record_steps,
+                                                      v[:, pick].astype(np.complex128))
+            picks.add(pick)
+            want = want + np.einsum("ri,rj->rij", states, states.conj())
+        assert len(picks) == 2  # both eigenstates start some trajectory
+        assert np.max(np.abs(rec.densities - want / t)) <= 1e-12
+
     def test_needs_two_trajectories(self):
         g = make_ring(3)
         run = PercolationRun(lam=0.5, tau=0.1, steps=2, seed=5)
@@ -788,25 +816,28 @@ class TestMonteCarlo:
         # classical averaging is linear: exact ensemble = (sum_r p_r e^{-H_r tau})^S
         g = make_ring(2)
         run = PercolationRun(lam=0.4, tau=0.3, steps=5, seed=12)
-        rec = monte_carlo_classical(g, run, _delta(2), 40_000)
+        t = 40_000
+        total, moments, _, _ = _kernels.ensemble_classical(
+            g.edge_array, 2, run.tau, keep_bits3(g, run, t), recorded_steps(run.steps, 1), _delta(2))
         m_avg = sum(
             p * stochastic_exp(decompose(reference_laplacian(g.node_count, g.edges, mask)), run.tau)
             for mask, p in enumerate_realizations(g, run.lam)
         )
         expect = np.linalg.matrix_power(m_avg, run.steps) @ _delta(2)
-        dev = np.max(np.abs(rec.distributions[-1] - expect))
-        assert dev <= 4 * rec.stderr[-1] + 1e-12
+        dev = np.max(np.abs(total[-1] / t - expect))
+        assert dev <= 4 * _max_stderr(moments, t)[-1] + 1e-12
 
     def test_classical_limits(self):
-        g = make_ring(4)
+        g, rec = make_ring(4), recorded_steps(20, 1)
         run0 = PercolationRun(lam=0.0, tau=0.1, steps=20, seed=3)
-        rec0 = monte_carlo_classical(g, run0, _delta(4), 5)
-        assert np.max(np.abs(rec0.distributions[-1] - _delta(4))) <= 1e-12
+        total0, *_ = _kernels.ensemble_classical(g.edge_array, 4, run0.tau, keep_bits3(g, run0, 5), rec, _delta(4))
+        assert np.max(np.abs(total0[-1] / 5 - _delta(4))) <= 1e-12
         run1 = PercolationRun(lam=1.0, tau=0.1, steps=20, seed=3)
-        rec1 = monte_carlo_classical(g, run1, _delta(4), 5)
+        total1, moments1, _, _ = _kernels.ensemble_classical(
+            g.edge_array, 4, run1.tau, keep_bits3(g, run1, 5), rec, _delta(4))
         expect = stochastic_exp(decompose(full_hamiltonian(g)), run1.total_time) @ _delta(4)
-        assert np.max(np.abs(rec1.distributions[-1] - expect)) <= 1e-8
-        assert np.max(rec1.stderr) <= 1e-12
+        assert np.max(np.abs(total1[-1] / 5 - expect)) <= 1e-8
+        assert np.max(_max_stderr(moments1, 5)) <= 1e-12
 
 
 class TestDensityIsPositive:
@@ -856,4 +887,6 @@ class TestNonFiniteRuns:
         assert np.isnan(run_trajectory(g, run, basis_state(4, 0)).max_norm_drift)
         assert np.isnan(run_classical_trajectory(g, run, _delta(4)).max_norm_drift)
         assert np.isnan(monte_carlo_channel(g, run, basis_density(4, 0), 3).max_norm_drift)
-        assert np.isnan(monte_carlo_classical(g, run, _delta(4), 3).max_norm_drift)
+        _, _, drift, _ = _kernels.ensemble_classical(
+            g.edge_array, 4, run.tau, keep_bits3(g, run, 3), recorded_steps(run.steps, 1), _delta(4))
+        assert np.isnan(drift)

@@ -15,7 +15,6 @@ from percwalk.dynamics import (
     build_step_channel,
     evolve_channel,
     monte_carlo_channel,
-    monte_carlo_classical,
     run_classical_trajectory,
     run_trajectory,
 )
@@ -40,6 +39,7 @@ from helpers import (
     expm_unitary,
     force_mask_cache,
     force_taylor,
+    keep_bits3,
     reference_automorphisms,
     reference_group_sum,
     reference_laplacian,
@@ -108,7 +108,7 @@ class TestCachePolicy:
         # one mask, which keeps no edge, so the planner prices the cache with 2^0 masks
         g, run = make_lattice2d(1, 1), PercolationRun(lam=0.5, tau=0.1, steps=5)
         assert np.all(run_trajectory(g, run, np.ones(1)).states == 1.0)
-        assert np.all(monte_carlo_classical(g, run, np.ones(1), 2).distributions == 1.0)
+        assert np.all(monte_carlo_channel(g, run, basis_density(1, 0), 2).densities == 1.0)
 
     def test_mask_keys_are_packed_per_block(self):
         # ring4-longtime's 60 000-step trajectory at stride 100: the output takes 38 kB and
@@ -500,10 +500,12 @@ class TestPropagatorRule:
         n = graph.node_count
         run = PercolationRun(lam=0.5, tau=tau, steps=20)
         p0 = np.eye(n)[0]
+        *_, classical = _kernels.ensemble_classical(graph.edge_array, n, tau, keep_bits3(graph, run, 4),
+                                                    np.arange(run.steps + 1), p0)
         walks = [run_trajectory(graph, run, basis_state(n, 0)), run_classical_trajectory(graph, run, p0),
-                 monte_carlo_channel(graph, run, basis_density(n, 0), 4),
-                 monte_carlo_classical(graph, run, p0, 4)]
-        assert all(rec.propagator.split("(chunk=")[0] == name for rec in walks)
+                 monte_carlo_channel(graph, run, basis_density(n, 0), 4)]
+        routes = [rec.propagator for rec in walks] + [classical]
+        assert all(route.split("(chunk=")[0] == name for route in routes)
 
     def test_mask_builds_are_priced_as_calls_on_small_graphs(self):
         # at tau = 0.1, in process, one BLAS thread, best of 90, ms on the cache against the Taylor
@@ -532,9 +534,9 @@ class TestPropagatorRule:
         bits3 = sample_keep_bits(g, 0.5, rng_from_seed(3), steps)[None]
         *_, name = _kernels.ensemble_classical(g.edge_array, 12, 0.1, bits3, np.arange(steps + 1), np.eye(12)[0])
         assert name == "mask-cache"
-        # Monte Carlo chunks of 2 and 1 trajectories
+        # quantum Monte Carlo chunks of 2 and 1 trajectories, where a trajectory takes the Taylor matrix
         monkeypatch.setattr(dynamics, "ENSEMBLE_CHUNK_BYTES", 2 * steps * g.edge_count)
-        rec = monte_carlo_classical(g, PercolationRun(lam=0.5, tau=0.1, steps=steps), np.eye(12)[0], 3)
+        rec = monte_carlo_channel(g, PercolationRun(lam=0.5, tau=0.1, steps=steps), basis_density(12, 0), 3)
         assert rec.propagator == "mask-cache"
 
     # every step_plan call of the benchmark workloads (perfbench/workloads.py) and of their tiny
