@@ -177,7 +177,8 @@ BLOCK_BYTES = 1 << 18
 # of lattice2d:10x10 takes, about 25 s at the ~1.5 us of a taylor-matrix
 # substep of complete:9), and per step of the exact channel and the mask cache,
 # which square them back in 24 squarings whose error of about 2^24 * 2^-53 =
-# 1.9e-9 stays below the 1e-8 trace gate of ``dynamics.evolve_channel``
+# 1.9e-9 stays below the 1e-8 trace gate of ``dynamics._sector_entries``, which
+# ``evolve_channel`` and ``channel_site_probabilities`` (the CLI's) both run
 MAX_SUBSTEPS = 1 << 24
 # flops that one small numpy call of the Taylor action costs: a 15 x 15 complex
 # matvec, a row copy or the coefficient dot each take about 0.5 us, in which

@@ -76,7 +76,9 @@ from .graph import (
 from .walk import check_density_matrix, check_density_spectrum, check_distribution, check_quantum_state
 
 # bound on the uint8 keep bits of one chunk of an ensemble run; each trajectory's
-# uniforms are drawn in blocks (``sample_keep_bits``), so only the bits are chunked
+# uniforms are drawn in blocks (``sample_keep_bits``), so only the bits are chunked.
+# A chunk holds at least one trajectory, so one whose bits alone pass the bound runs
+# as a chunk of one: lattice2d:10x10 at 10^6 steps holds 180 MB
 ENSEMBLE_CHUNK_BYTES = 1 << 26
 
 
@@ -731,12 +733,12 @@ def monte_carlo_channel(
     rho0 is checked first, and a Taylor plan above the work bound is refused
     before any keep bit is drawn (``_kernels.step_plan`` of the first,
     widest chunk). Trajectories run in chunks of at most
-    ENSEMBLE_CHUNK_BYTES of uint8 keep bits through
-    ``_kernels.ensemble_quantum``; the uniforms they are drawn from take a
-    few blocks at a time (``sample_keep_bits``), not a chunk. Each chunk
-    returns its sum of |psi><psi|, per-site (count, mean, M2) moments of the
-    site probabilities per record step, max norm drift and propagator name.
-    Sums add and moments merge pairwise across chunks; ``propagator`` names
+    ENSEMBLE_CHUNK_BYTES of uint8 keep bits, or of one trajectory where its
+    bits alone pass that bound, through ``_kernels.ensemble_quantum``; the
+    uniforms they are drawn from take a few blocks at a time
+    (``sample_keep_bits``), not a chunk. Each chunk returns its sum of
+    |psi><psi|, per-site (count, mean, M2) moments of the site probabilities
+    per record step, max norm drift and propagator name. Sums add and moments merge pairwise across chunks; ``propagator`` names
     each chunk's route once, ", "-joined. The reported scalar per record is
     the largest standard error among the diagonal (site-probability)
     entries.

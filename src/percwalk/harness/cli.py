@@ -5,9 +5,9 @@ convergence, horizon, envelope. All emit deterministic CSV (to --out, or
 stdout when --out is omitted). Exit codes: 0 success, 1 usage error,
 2 numerical failure, 3 I/O error.
 
-Each subcommand runs one experiment driver, which returns the CSV's table
-``(meta, columns)`` and does no I/O; ``_emit`` is the one place that writes
-it. A ``--config`` file's ``key = value`` lines are that subcommand's
+Each subcommand's handler runs one experiment driver and returns the CSV's
+table ``(meta, columns)``; ``cli_main`` alone writes it, with ``_emit``, and
+exits 0. A ``--config`` file's ``key = value`` lines are that subcommand's
 ``--key value`` flags, and a flag on the command line wins over its key.
 
 The parser is built on first use and reused by every later call in the
@@ -33,7 +33,6 @@ from .experiments import (
     DEFAULT_LONGTIME_SPEC,
     DEFAULT_TRAJECTORY_STEPS,
     ORACLE_CHOICES,
-    EnvelopeFitError,
     ExperimentSpec,
     exp_convergence,
     exp_epsilon_horizon,
@@ -166,40 +165,30 @@ def _parse_list(text: str | None, flag: str, typ, default) -> list:
     return values
 
 
-def _cmd_point(args) -> int:
+def _cmd_point(args) -> tuple[dict, list]:
     """trajectory, classical, channel and montecarlo: one curve at one parameter point."""
-    _emit(args.out, *point_table(_spec_from_args(args), args.command))
-    return 0
+    return point_table(_spec_from_args(args), args.command)
 
 
-def _cmd_oracle(args) -> int:
+def _cmd_oracle(args) -> tuple[dict, list]:
     _require(args, "which", "--which")
-    _emit(args.out, *oracle_table(_spec_from_args(args), args.which, args.target))
-    return 0
+    return oracle_table(_spec_from_args(args), args.which, args.target)
 
 
-def _cmd_convergence(args) -> int:
+def _cmd_convergence(args) -> tuple[dict, list]:
     s_list = _parse_list(args.steps_list, "--steps-list", int, DEFAULT_CONVERGENCE_STEPS)
-    _emit(args.out, *exp_convergence(_spec_from_args(args, DEFAULT_CONVERGENCE_SPEC), s_list))
-    return 0
+    return exp_convergence(_spec_from_args(args, DEFAULT_CONVERGENCE_SPEC), s_list)
 
 
-def _cmd_horizon(args) -> int:
+def _cmd_horizon(args) -> tuple[dict, list]:
     s_list = _parse_list(args.steps_list, "--steps-list", int, DEFAULT_HORIZON_STEPS)
     epsilons = _parse_list(args.epsilons, "--epsilons", float, DEFAULT_HORIZON_EPSILONS)
-    _emit(args.out, *exp_epsilon_horizon(_spec_from_args(args, DEFAULT_HORIZON_SPEC), epsilons, s_list))
-    return 0
+    return exp_epsilon_horizon(_spec_from_args(args, DEFAULT_HORIZON_SPEC), epsilons, s_list)
 
 
-def _cmd_envelope(args) -> int:
-    spec = _spec_from_args(args, DEFAULT_LONGTIME_SPEC)
+def _cmd_envelope(args) -> tuple[dict, list]:
     traj_steps = DEFAULT_TRAJECTORY_STEPS if args.traj_steps is None else args.traj_steps
-    meta, columns = exp_longtime_finite_tau(spec, traj_steps)
-    _emit(args.out, meta, columns)
-    if "envelope_error" in meta:
-        print(f"envelope fit failed: {meta['envelope_error']}", file=sys.stderr)
-        return 2
-    return 0
+    return exp_longtime_finite_tau(_spec_from_args(args, DEFAULT_LONGTIME_SPEC), traj_steps)
 
 
 _COMMANDS = {
@@ -231,12 +220,13 @@ def cli_main(argv: list[str] | None = None) -> int:
         if args.config:
             # the file's flags go first, so the command line's win
             args = parser.parse_args([args.command, *_config_flags(args), *argv[1:]])
-        return _COMMANDS[args.command](args)
+        _emit(args.out, *_COMMANDS[args.command](args))
+        return 0
     except UsageError as exc:
         print(str(exc), file=sys.stderr)
         return 1
     # before ValueError, which np.linalg.LinAlgError subclasses
-    except (np.linalg.LinAlgError, FloatingPointError, OverflowError, EnvelopeFitError) as exc:
+    except (np.linalg.LinAlgError, FloatingPointError, OverflowError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:  # includes CapacityError and bad parameters

@@ -269,17 +269,10 @@ class EnvelopeFit:
     a: float
     b: float
     residual: float
-    asymptote: float
 
 
 class EnvelopeFitError(RuntimeError):
-    """Envelope fit failed to converge; carries partial diagnostics."""
-
-    def __init__(self, message: str, a: float = np.nan, b: float = np.nan, residual: float = np.nan):
-        super().__init__(message)
-        self.a = a
-        self.b = b
-        self.residual = residual
+    """Envelope fit failed to converge; the message holds its residual where it has one."""
 
 
 def extract_envelope_maxima(times: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -328,7 +321,8 @@ def fit_exponential_envelope(times: np.ndarray, values: np.ndarray, asymptote: f
         try:
             delta = np.linalg.solve(hess, -grad)
         except np.linalg.LinAlgError as exc:
-            raise EnvelopeFitError(f"normal equations singular: {exc}", a, b, np.sqrt(cost / len(times))) from exc
+            residual = np.sqrt(cost / len(times))
+            raise EnvelopeFitError(f"normal equations singular: {exc} (residual={residual:.3g})") from exc
         step = 1.0
         improved = False
         for _ in range(30):
@@ -347,8 +341,9 @@ def fit_exponential_envelope(times: np.ndarray, values: np.ndarray, asymptote: f
             break
     residual = float(np.sqrt(cost / len(times)))
     if not (np.isfinite(a) and np.isfinite(b)) or b < 0:
-        raise EnvelopeFitError(f"fit did not converge to a decaying envelope: a={a}, b={b}", a, b, residual)
-    return EnvelopeFit(a=a, b=b, residual=residual, asymptote=asymptote)
+        raise EnvelopeFitError(f"fit did not converge to a decaying envelope: a={a}, b={b} "
+                               f"(residual={residual:.3g})")
+    return EnvelopeFit(a=a, b=b, residual=residual)
 
 
 # the ring:4 long-run defaults of exp_longtime_finite_tau and the CLI's envelope
@@ -366,7 +361,8 @@ def exp_longtime_finite_tau(
     the two simulated curves, the rescaled quantum and classical references,
     and the exponential envelope fit of the channel curve (asymptote pinned
     at the flat value 1/N): the metadata's ``envelope_a``, ``envelope_b``
-    and ``envelope_residual``, or ``envelope_error`` when the fit fails.
+    and ``envelope_residual``, or ``envelope_error`` when the fit fails,
+    which leaves the curves as they are (the CLI writes them and exits 0).
     The graph is read once and both references are ``walk``'s on it, each
     on the route that its times pick (the default's 1 001 records take the
     eigenpairs). ``trajectory_steps``, a positive multiple of the channel
@@ -394,7 +390,7 @@ def exp_longtime_finite_tau(
         fit = fit_exponential_envelope(*extract_envelope_maxima(times, p_channel), oracles.flat_limit(n))
         envelope = {"envelope_a": fit.a, "envelope_b": fit.b, "envelope_residual": fit.residual}
     except EnvelopeFitError as exc:
-        envelope = {"envelope_error": f"{exc} (residual={exc.residual:.3g})"}
+        envelope = {"envelope_error": str(exc)}
     meta = base_meta(spec, "longtime_finite_tau", trajectory_steps=trajectory_steps,
                      envelope_asymptote=oracles.flat_limit(n), **traj_diag, **envelope)
     return meta, [

@@ -298,17 +298,22 @@ class TestScanCommands:
         assert run_cli([*scan, "--time", "10", "--out", str(window)]) == 0
         assert triple.read_bytes() == window.read_bytes()
 
-    def test_envelope_fit_failure_exit_2_partial_output(self, tmp_path, capsys):
+    @pytest.mark.parametrize("argv", [
+        ["--graph", "ring:4", "--lambda", "0.2", "--tau", "0.1", "--steps", "3", "--traj-steps", "3"],
+        ["--lambda", "0", "--tau", "0.1", "--steps", "100", "--traj-steps", "300"],
+        ["--graph", "file:{tmp}/one.edges", "--tau", "0.1", "--steps", "10", "--traj-steps", "10"],
+    ], ids=["ring4-3-steps", "lambda-0", "one-node"])
+    def test_envelope_fit_failure_exit_0_with_error_header(self, tmp_path, capsys, argv):
+        # a fit that finds no decaying envelope is a diagnostic of curves computed correctly
+        (tmp_path / "one.edges").write_text("nodes 1\n")
         out = tmp_path / "env.csv"
-        code = run_cli([
-            "envelope", "--graph", "ring:4", "--lambda", "0.2", "--tau", "0.1",
-            "--steps", "3", "--traj-steps", "3", "--out", str(out),
-        ])
-        assert code == 2
-        assert out.exists()  # partial output still written
-        meta, _ = read_csv(out)
-        assert "envelope_error" in meta
-        assert "envelope fit failed" in capsys.readouterr().err
+        assert run_cli(["envelope", *(a.format(tmp=tmp_path) for a in argv), "--out", str(out)]) == 0
+        meta, data = read_csv(out)
+        assert meta["envelope_error"] == "need at least two points above the asymptote to initialize"
+        assert not {"envelope_a", "envelope_b", "envelope_residual"} & set(meta)
+        assert set(data) == {"t", "p_channel", "p_trajectory", "p_quantum_oracle",
+                             "p_classical_oracle"}
+        assert capsys.readouterr().err == ""
 
 
 class TestRunDiagnostics:
@@ -403,6 +408,26 @@ class TestErrorPaths:
             "trajectory", "--graph", "ring:4", "--tau", "0.1", "--steps", "5",
             "--start", "44",
         ]) == 1
+
+    @pytest.mark.parametrize("argv,message", [
+        (["channel", "--graph", "file:{tmp}/zero.edges", "--tau", "0.1", "--steps", "3"],
+         "error: node_count must be positive"),
+        (["channel", "--graph", "file:{tmp}/comments.edges", "--tau", "0.1", "--steps", "3"],
+         "missing 'nodes <N>' header"),
+        (["channel", "--graph", "ring:4", "--time", "0.01", "--tau", "0.1"],
+         "error: total time 0.01 shorter than one step tau=0.1"),
+        (["convergence", "--steps-list", "4,x"], "bad --steps-list value '4,x'"),
+        (["oracle", "--which", "complete-q", "--graph", "file:{tmp}/one.edges", "--tau", "0.1", "--steps", "3"],
+         "error: complete graph needs n >= 2, got 1"),
+    ], ids=["zero-nodes", "no-header", "time-below-step", "bad-steps-list", "complete-one-node"])
+    def test_bad_input_exit_1_without_csv(self, tmp_path, capsys, argv, message):
+        (tmp_path / "zero.edges").write_text("nodes 0\n")
+        (tmp_path / "comments.edges").write_text("# an edge file\n# of comments only\n")
+        (tmp_path / "one.edges").write_text("nodes 1\n")
+        out = tmp_path / "run.csv"
+        assert run_cli([*(a.format(tmp=tmp_path) for a in argv), "--out", str(out)]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("count", ["0", "1"])
     def test_too_few_trajectories_exit_1(self, tmp_path, capsys, count):

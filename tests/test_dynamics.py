@@ -890,3 +890,25 @@ class TestNonFiniteRuns:
         _, _, drift, _ = _kernels.ensemble_classical(
             g.edge_array, 4, run.tau, keep_bits3(g, run, 3), recorded_steps(run.steps, 1), _delta(4))
         assert np.isnan(drift)
+
+
+class TestRefusals:
+    @pytest.mark.parametrize("call,message", [
+        (lambda g, run: run_trajectory(g, run, basis_state(3, 0)), "state dimension 3 != node_count 4"),
+        (lambda g, run: run_classical_trajectory(g, run, _delta(3)),
+         "distribution dimension 3 != node_count 4"),
+        (lambda g, run: monte_carlo_channel(g, run, basis_density(3, 0), 2),
+         "density dimension 3 != node_count 4"),
+        (lambda g, run: build_step_channel(g, 1.5, 0.1), r"lam must be in \[0, 1\], got 1.5"),
+        (lambda g, run: build_step_channel(g, -0.1, 0.1), r"lam must be in \[0, 1\], got -0.1"),
+        (lambda g, run: build_step_channel(g, 0.5, 0.0), "tau must be positive, got 0.0"),
+        (lambda g, run: build_step_channel(g, 0.5, -0.1), "tau must be positive, got -0.1"),
+        (lambda g, run: evolve_channel(build_step_channel(g, 0.5, 0.1), basis_density(4, 0), -1),
+         "steps must be >= 0, got -1"),
+        (lambda g, run: channel_site_probabilities(build_step_channel(g, 0.5, 0.1), basis_density(4, 0), -1),
+         "steps must be >= 0, got -1"),
+    ], ids=["trajectory-dim", "classical-dim", "montecarlo-dim", "channel-lam-high", "channel-lam-low",
+            "channel-tau-zero", "channel-tau-negative", "evolve-steps", "site-probabilities-steps"])
+    def test_bad_arguments_raise(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call(make_ring(4), PercolationRun(lam=0.5, tau=0.1, steps=5, seed=0))

@@ -110,6 +110,15 @@ class TestEnvelope:
         with pytest.raises(EnvelopeFitError):
             fit_exponential_envelope(t, np.full_like(t, 0.1), 0.25)
 
+    def test_fit_failure_on_a_rising_curve(self):
+        t = np.linspace(0, 10, 11)
+        with pytest.raises(EnvelopeFitError, match="did not converge to a decaying envelope: .* \\(residual="):
+            fit_exponential_envelope(t, 0.25 + 0.1 * np.exp(0.2 * t), 0.25)
+
+    def test_maxima_refuse_arrays_of_different_lengths(self):
+        with pytest.raises(ValueError, match="times and values must be matching 1-d arrays"):
+            extract_envelope_maxima(np.arange(5.0), np.ones(4))
+
 
 class TestCsv:
     def test_render_roundtrip_17_digits(self, tmp_path):
@@ -221,6 +230,10 @@ class TestExperiments:
         assert np.max(np.abs(res["p_quantum_oracle"] - oracles.ring4_quantum_return(0.2, res["t"]))) <= 1e-14
         assert np.max(np.abs(res["p_classical_oracle"] - oracles.ring4_classical_return(0.2, res["t"]))) <= 1e-14
 
+    def test_oracle_table_refuses_an_unknown_curve(self):
+        with pytest.raises(ValueError, match="unknown oracle 'bogus'; expected one of rescaled, "):
+            oracle_table(ExperimentSpec("ring:4", tau=0.1, steps=3), "bogus")
+
     def test_point_table_refuses_an_unknown_command_before_reading_the_graph(self, tmp_path):
         spec = ExperimentSpec(graph_spec=f"file:{tmp_path / 'missing.edges'}", tau=0.1, steps=10)
         with pytest.raises(ValueError, match="unknown single-point command 'bogus'"):
@@ -267,6 +280,11 @@ class TestExperiments:
                         side_effect=AssertionError("channel built before the check")):
             with pytest.raises(ValueError, match="epsilon must be positive and finite"):
                 exp_epsilon_horizon(spec, epsilon_list=(0.1, eps), s_list=(50,))
+
+    def test_horizon_is_zero_when_the_first_record_already_misses(self):
+        # the reference at t = 0 equals 1 only to round-off, so its relative error exceeds 1e-20
+        _, columns = exp_epsilon_horizon(epsilon_list=(1e-20,), s_list=(250,))
+        assert list(dict(columns)["horizon"]) == [0.0]
 
     def test_horizon_nondecreasing_in_epsilon(self):
         _, columns = exp_epsilon_horizon(s_list=(400,), epsilon_list=(0.02, 0.05, 0.1))

@@ -95,6 +95,19 @@ class TestRing4Oracles:
         assert np.max(np.abs(rescaled - oracles.ring4_quantum_return(0.3, ts))) <= 1e-10
 
 
+class TestRefusals:
+    @pytest.mark.parametrize("form,args,message", [
+        (oracles.ring4_quantum_return, (1.5, 1.0), r"lam must be in \[0, 1\], got 1.5"),
+        (oracles.ring4_quantum_return, (-0.1, 1.0), r"lam must be in \[0, 1\], got -0.1"),
+        (oracles.ring4_classical_return, (1.5, 1.0), r"lam must be in \[0, 1\], got 1.5"),
+        (oracles.ring4_classical_return, (0.5, -1.0), "t must be >= 0"),
+        (oracles.complete_graph_classical_return, (5, np.array([0.0, -1.0])), "t must be >= 0"),
+    ], ids=["ring4-q-lam-high", "ring4-q-lam-low", "ring4-c-lam-high", "ring4-c-t", "complete-c-t"])
+    def test_closed_forms_refuse_lambda_and_time_out_of_range(self, form, args, message):
+        with pytest.raises(ValueError, match=message):
+            form(*args)
+
+
 class TestFlatLimit:
     @pytest.mark.parametrize("n,expect", [(4, 0.25), (1, 1.0), (15, 1 / 15)])
     def test_values(self, n, expect):

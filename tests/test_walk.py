@@ -326,3 +326,13 @@ class TestStateHelpers:
     def test_check_distribution_rejects_nan(self):
         with pytest.raises(ValueError):
             check_distribution(np.array([0.5, 0.5, np.nan]))
+
+    @pytest.mark.parametrize("check,value,message", [
+        (check_quantum_state, np.eye(2), r"state must be a vector, got shape \(2, 2\)"),
+        (check_density_matrix, np.ones(2), r"density matrix must be square, got shape \(2,\)"),
+        (check_density_matrix, np.ones((2, 3)), r"density matrix must be square, got shape \(2, 3\)"),
+        (check_distribution, np.eye(2) / 2, r"distribution must be a vector, got shape \(2, 2\)"),
+    ], ids=["state", "density-vector", "density-rectangle", "distribution"])
+    def test_checks_refuse_the_wrong_shape(self, check, value, message):
+        with pytest.raises(ValueError, match=message):
+            check(value)
