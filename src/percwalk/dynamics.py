@@ -86,8 +86,9 @@ ENSEMBLE_CHUNK_BYTES = 1 << 26
 class PercolationRun:
     """Stochastic-evolution configuration: keep probability, step size, step count, seed.
 
-    ``steps`` is authoritative; ``total_time`` is derived as steps * tau.
-    Both must be finite, as ``harness.experiments.resolve_timing`` requires.
+    ``total_time`` is derived as steps * tau. tau and that product must be
+    positive and finite, and steps at least 1. Every run and scan point of
+    ``harness.experiments`` is built here, by ``ExperimentSpec.run``.
     """
 
     lam: float

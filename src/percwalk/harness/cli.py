@@ -51,18 +51,22 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}\n{self.format_usage().rstrip()}")
 
 
+_SCANS = ("convergence", "horizon")
+
+
 def _common_flags(p: argparse.ArgumentParser, command: str) -> None:
-    """The flags of every subcommand, with --seed and --stride only where ``command`` reads them."""
+    """The flags of every subcommand: a run's --tau and --steps or a scan's --time, and --seed where read."""
     p.add_argument("--graph", help="ring:N | lattice2d:WxH | complete:N | file:PATH")
     p.add_argument("--lambda", type=float, metavar="LAM", help="edge-keep probability in [0, 1]")
-    p.add_argument("--tau", type=float, help="step size")
-    p.add_argument("--steps", type=int, help="number of percolation steps")
-    p.add_argument("--time", type=float, metavar="TOTAL_TIME", help="total evolution time")
-    p.add_argument("--start", type=int, help="starting node (0-indexed)")
-    if command != "oracle":  # a closed form draws nothing
-        p.add_argument("--seed", type=int, help="RNG seed (PCG64)")
-    if command not in ("convergence", "horizon"):  # a scan records every step of each point
+    if command in _SCANS:  # each step count S runs at tau = T/S and records every step
+        p.add_argument("--time", type=float, metavar="T", help="time window of every step count")
+    else:
+        p.add_argument("--tau", type=float, help="step size")
+        p.add_argument("--steps", type=int, help="number of percolation steps")
         p.add_argument("--stride", type=int, help="record every stride-th step")
+    p.add_argument("--start", type=int, help="starting node (0-indexed)")
+    if command not in ("oracle", *_SCANS):  # these draw nothing; channel's is kept for the benchmark
+        p.add_argument("--seed", type=int, help="RNG seed (PCG64)")
     p.add_argument("--out", help="output CSV path (stdout when omitted)")
     p.add_argument("--config", help="key=value config file; flags override it")
 
@@ -84,7 +88,8 @@ def build_parser() -> _Parser:
         ("horizon", "time horizon where the rescaled reference holds within relative error"),
         ("envelope", "long-run channel curve with exponential envelope fit"),
     ]:
-        p = sub.add_parser(name, help=descr)
+        # no prefixes: a scan's --steps would otherwise be read as its --steps-list
+        p = sub.add_parser(name, help=descr, allow_abbrev=False)
         _common_flags(p, name)
         if name == "montecarlo":
             p.add_argument("--trajectories", type=int,
@@ -131,16 +136,13 @@ def _spec_from_args(args, default: ExperimentSpec | None = None) -> ExperimentSp
     """The spec of the flags that are set, over ``default`` (a driver's default spec).
 
     Without ``default``, --graph is required and every unset flag takes the
-    ``ExperimentSpec`` field default. Any timing flag replaces all of
-    ``default``'s timing, since a spec takes exactly two of the three.
+    ``ExperimentSpec`` field default.
     """
     given = {field: getattr(args, dest) for dest, field in _SPEC_FIELDS.items()
              if getattr(args, dest, None) is not None}
     if default is None:
         _require(args, "graph", "--graph")
         return ExperimentSpec(**given)
-    if given.keys() & {"tau", "steps", "total_time"}:
-        default = replace(default, tau=None, steps=None, total_time=None)
     return replace(default, **given)
 
 

@@ -13,7 +13,7 @@ import numpy as np
 
 
 def format_value(x) -> str:
-    if isinstance(x, bool):
+    if isinstance(x, (bool, np.bool_)):  # np.bool_ is neither bool nor np.integer
         return str(x).lower()
     if isinstance(x, (int, np.integer)):
         return str(int(x))

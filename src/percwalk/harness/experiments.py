@@ -43,9 +43,11 @@ FIT_MAX_ITER = 200  # Gauss-Newton iterations of fit_exponential_envelope
 class ExperimentSpec:
     """One experiment point: graph, percolation and timing.
 
-    Exactly two of (tau, steps, total_time) must be given; the third is
-    derived. ``steps`` is authoritative: when tau and total_time are given,
-    steps = round(total_time/tau) and total_time is re-derived as steps*tau.
+    A run is ``steps`` steps of size ``tau``: ``run()`` needs both, and its
+    total time is their product. A scan instead takes the window
+    ``total_time`` and runs each of its step counts S at tau = total_time/S.
+    A spec that sets ``total_time`` together with ``tau`` or ``steps`` is
+    refused, so that no value is silently ignored.
     """
 
     graph_spec: str
@@ -58,54 +60,26 @@ class ExperimentSpec:
     stride: int = 1
     trajectories: int = 100
 
+    def __post_init__(self):
+        if self.total_time is not None and (self.tau is not None or self.steps is not None):
+            raise ValueError("give tau and steps for a run, or total_time for a scan, not both")
+
     def graph(self) -> Graph:
         return graph_from_spec(self.graph_spec)
 
-    def timing(self) -> tuple[float, int, float]:
-        return resolve_timing(self.tau, self.steps, self.total_time)
-
     def run(self) -> PercolationRun:
-        tau, steps, _ = self.timing()
-        return PercolationRun(lam=self.lam, tau=tau, steps=steps, seed=self.seed)
-
-
-def resolve_timing(
-    tau: float | None, steps: int | None, total_time: float | None
-) -> tuple[float, int, float]:
-    """Derive (tau, steps, total_time) from any two of the three; all must be finite."""
-    given = sum(x is not None for x in (tau, steps, total_time))
-    if given < 2:
-        raise ValueError("give two of: tau, steps, total time")
-    if tau is not None and not 0 < tau < math.inf:
-        raise ValueError(f"tau must be positive and finite, got {tau}")
-    if steps is not None and steps < 1:
-        raise ValueError(f"steps must be >= 1, got {steps}")
-    if tau is not None and steps is not None:
-        t = steps * tau
-        if not math.isfinite(t):
-            raise ValueError(f"steps*tau = {steps}*{tau} is not finite")
-        if total_time is not None and abs(t - total_time) > 1e-9 * max(1.0, abs(total_time)):
-            raise ValueError(f"inconsistent timing: steps*tau = {t} but total time = {total_time}")
-        return tau, steps, t
-    if total_time is None or not 0 < total_time < math.inf:
-        raise ValueError(f"total time must be positive and finite, got {total_time}")
-    if tau is not None:
-        ratio = total_time / tau
-        if not math.isfinite(ratio):
-            raise ValueError(f"total time / tau = {total_time}/{tau} is not finite")
-        steps = int(round(ratio))
-        if steps < 1:
-            raise ValueError(f"total time {total_time} shorter than one step tau={tau}")
-        return tau, steps, steps * tau
-    return total_time / steps, steps, total_time
+        """The spec's run; ``PercolationRun`` checks tau, the step count and their product."""
+        if self.tau is None or self.steps is None:
+            raise ValueError(f"a run needs both tau and steps, got tau={self.tau}, steps={self.steps}")
+        return PercolationRun(lam=self.lam, tau=self.tau, steps=self.steps, seed=self.seed)
 
 
 def base_meta(spec: ExperimentSpec, experiment: str, **extra) -> dict:
     """The CSV header of one run of ``spec``: its parameters, then ``extra``."""
-    tau, steps, total = spec.timing()
+    run = spec.run()
     return {"tool": "percwalk", "experiment": experiment, "graph": spec.graph_spec, "lambda": spec.lam,
-            "tau": tau, "steps": steps, "total_time": total, "start": spec.start, "seed": spec.seed,
-            "stride": spec.stride, **extra}
+            "tau": run.tau, "steps": run.steps, "total_time": run.total_time, "start": spec.start,
+            "seed": spec.seed, "stride": spec.stride, **extra}
 
 
 # ---------------------------------------------------------------------------
@@ -221,11 +195,9 @@ def oracle_table(spec: ExperimentSpec, which: str, target: int | None = None) ->
     probabilities refuse targets and graphs they do not describe.
     """
     g = spec.graph()
-    tau, steps, _ = spec.timing()
-    times = recorded_steps(steps, spec.stride) * tau
+    run = spec.run()  # refuses a lambda outside [0, 1]
+    times = recorded_steps(run.steps, spec.stride) * run.tau
     target = spec.start if target is None else target
-    if not 0.0 <= spec.lam <= 1.0:
-        raise ValueError(f"lambda must be in [0, 1], got {spec.lam}")
     for flag, node in (("--start", spec.start), ("--target", target)):
         if not 0 <= node < g.node_count:
             raise ValueError(f"{flag} {node} out of range for {g.node_count} nodes")
@@ -248,8 +220,8 @@ def oracle_table(spec: ExperimentSpec, which: str, target: int | None = None) ->
         "experiment": f"oracle:{which}",
         "graph": spec.graph_spec,
         "lambda": spec.lam,
-        "tau": tau,
-        "steps": steps,
+        "tau": run.tau,
+        "steps": run.steps,
         "start": spec.start,
         "target": target,
         "stride": spec.stride,
@@ -371,18 +343,18 @@ def exp_longtime_finite_tau(
     coincide to round-off.
     """
     spec = spec or DEFAULT_LONGTIME_SPEC
-    _, steps, total = spec.timing()
+    run = spec.run()
     if trajectory_steps < 1:
         raise ValueError(f"trajectory_steps must be >= 1, got {trajectory_steps}")
-    if trajectory_steps % steps:
+    if trajectory_steps % run.steps:
         raise ValueError(
-            f"trajectory_steps={trajectory_steps} must be a multiple of the channel steps={steps}"
+            f"trajectory_steps={trajectory_steps} must be a multiple of the channel steps={run.steps}"
         )
     g = spec.graph()
     n = g.node_count
     times, p_channel, _ = channel_curve(g, spec)
-    traj_spec = replace(spec, tau=None, steps=trajectory_steps, total_time=total,
-                        stride=trajectory_steps // steps * spec.stride)
+    traj_spec = replace(spec, tau=run.total_time / trajectory_steps, steps=trajectory_steps,
+                        stride=trajectory_steps // run.steps * spec.stride)
     _, p_traj, traj_diag = quantum_trajectory_curve(g, traj_spec)
     p_q_oracle = quantum_oracle_curve(g, spec, times)
     p_c_oracle = classical_oracle_curve(g, spec, times)
@@ -410,15 +382,16 @@ def exp_longtime_finite_tau(
 def _scan_meta(spec: ExperimentSpec, experiment: str, s_list, **extra) -> dict:
     """The CSV header of a scan: its time window, its step counts, then ``extra``.
 
-    The window is the spec's total time, which must agree with a tau or
-    steps given with it, or else tau*steps. Every point runs its own tau and
-    steps at stride 1, so the header records none of the spec's.
+    The window is the spec's total time, which must be positive and finite.
+    Every point runs at tau = window/S and stride 1, and the exact channel
+    draws nothing, so the header records none of the spec's tau, steps,
+    stride or seed.
     """
-    if spec.total_time is None or spec.tau is not None or spec.steps is not None:
-        derived = spec.timing()[2]  # refuses too few values and an inconsistent triple
-    window = derived if spec.total_time is None else spec.total_time
+    window = spec.total_time
+    if window is None or not 0 < window < math.inf:
+        raise ValueError(f"the scan window total_time must be positive and finite, got {window}")
     return {"tool": "percwalk", "experiment": experiment, "graph": spec.graph_spec, "lambda": spec.lam,
-            "total_time": window, "start": spec.start, "seed": spec.seed,
+            "total_time": window, "start": spec.start,
             "s_list": ",".join(str(int(s)) for s in s_list), **extra}
 
 
@@ -426,7 +399,7 @@ def _scan_curves(spec: ExperimentSpec, window: float, s_list):
     """(steps, times, exact-channel curve, rescaled reference) over ``window`` for each step count."""
     g = spec.graph()
     for steps in s_list:
-        point = replace(spec, tau=None, steps=int(steps), total_time=window, stride=1)
+        point = replace(spec, tau=window / int(steps), steps=int(steps), total_time=None, stride=1)
         times, p_sim, _ = channel_curve(g, point)
         yield int(steps), times, p_sim, quantum_oracle_curve(g, point, times)
 

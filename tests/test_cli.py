@@ -3,6 +3,7 @@ import shlex
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ from percwalk.harness import cli, experiments
 from percwalk.harness.cli import cli_main
 from percwalk.harness.csvio import finite_csv, read_csv, write_csv
 from percwalk.harness.experiments import (
+    DEFAULT_LONGTIME_SPEC,
     ExperimentSpec,
     exp_convergence,
     exp_epsilon_horizon,
@@ -82,16 +84,6 @@ class TestBasicRuns:
         assert code == 0
         _, data = read_csv(out)
         assert set(data) == {"t", "p_mean", "p_stderr", "p_oracle"}
-
-    def test_time_flag_instead_of_steps(self, tmp_path):
-        out = tmp_path / "t.csv"
-        code = run_cli([
-            "trajectory", "--graph", "ring:4", "--lambda", "1.0", "--tau", "0.1",
-            "--time", "2.0", "--out", str(out),
-        ])
-        assert code == 0
-        _, data = read_csv(out)
-        assert data["t"][-1] == pytest.approx(2.0)
 
     def test_deterministic_outputs(self, tmp_path):
         args = [
@@ -256,47 +248,31 @@ class TestScanCommands:
          lambda: exp_longtime_finite_tau(ExperimentSpec("ring:4", lam=0.2, tau=0.1, steps=1000, seed=3))),
         (["trajectory", "--graph", "ring:4", "--tau", "0.1", "--steps", "20"],
          lambda: point_table(ExperimentSpec("ring:4", tau=0.1, steps=20), "trajectory")),
+        # one timing flag changes only its own field of the envelope's default
+        (["envelope", "--tau", "0.2"],
+         lambda: exp_longtime_finite_tau(replace(DEFAULT_LONGTIME_SPEC, tau=0.2))),
+        (["envelope", "--steps", "100", "--traj-steps", "300"],
+         lambda: exp_longtime_finite_tau(replace(DEFAULT_LONGTIME_SPEC, steps=100), trajectory_steps=300)),
     ], ids=["convergence", "horizon", "envelope", "trajectory", "channel", "convergence-default",
-            "horizon-default", "envelope-default", "trajectory-default"])
+            "horizon-default", "envelope-default", "trajectory-default", "envelope-tau", "envelope-steps"])
     def test_csv_equals_driver_csv(self, tmp_path, argv, drive):
         cli_out = tmp_path / "cli.csv"
         assert run_cli(argv + ["--out", str(cli_out)]) == 0
         assert cli_out.read_text() == finite_csv(*drive())
 
     @pytest.mark.parametrize("command", ["convergence", "horizon"])
-    @pytest.mark.parametrize("timing,window", [
-        (["--tau", "0.1", "--steps", "40"], "4"),
-        (["--time", "4"], "4"),
-    ], ids=["tau-steps", "time"])
+    @pytest.mark.parametrize("timing,window", [(["--time", "4"], "4")], ids=["time"])
     def test_scan_header_records_only_what_ran(self, tmp_path, command, timing, window):
-        # every point runs its own tau and steps at stride 1 over the window
+        # every point runs its own tau and steps at stride 1 over the window, and draws nothing
         out = tmp_path / "scan.csv"
         assert run_cli([command, "--graph", "ring:5", "--steps-list", "50,100", *timing,
                         "--out", str(out)]) == 0
         meta, data = read_csv(out)
-        assert not meta.keys() & {"tau", "steps", "stride"}
+        assert not meta.keys() & {"tau", "steps", "stride", "seed"}
         assert (meta["total_time"], meta["s_list"]) == (window, "50,100")
         assert set(data["S"]) == {50, 100}
         if command == "convergence":
             assert list(data["tau"]) == [0.08, 0.04]
-
-    @pytest.mark.parametrize("command", ["convergence", "horizon"])
-    def test_scan_refuses_an_inconsistent_timing_triple(self, tmp_path, capsys, monkeypatch, command):
-        def no_channel(*args, **kwargs):
-            raise AssertionError("a channel was built before the timing was checked")
-
-        scan = [command, "--graph", "ring:5", "--steps-list", "50"]
-        with monkeypatch.context() as m:
-            m.setattr(experiments, "channel_curve", no_channel)
-            out = tmp_path / "bad.csv"
-            assert run_cli([*scan, "--tau", "0.1", "--steps", "40", "--time", "10", "--out", str(out)]) == 1
-            assert capsys.readouterr().err == "error: inconsistent timing: steps*tau = 4.0 but total time = 10.0\n"
-            assert not out.exists()
-        # a consistent triple scans the window --time alone gives
-        triple, window = tmp_path / "triple.csv", tmp_path / "window.csv"
-        assert run_cli([*scan, "--tau", "0.1", "--steps", "100", "--time", "10", "--out", str(triple)]) == 0
-        assert run_cli([*scan, "--time", "10", "--out", str(window)]) == 0
-        assert triple.read_bytes() == window.read_bytes()
 
     @pytest.mark.parametrize("argv", [
         ["--graph", "ring:4", "--lambda", "0.2", "--tau", "0.1", "--steps", "3", "--traj-steps", "3"],
@@ -390,8 +366,9 @@ class TestErrorPaths:
         assert run_cli(["channel", "--tau", "0.1", "--steps", "5"]) == 1
         assert "--graph" in capsys.readouterr().err
 
-    def test_underdetermined_timing_exit_1(self):
+    def test_underdetermined_timing_exit_1(self, capsys):
         assert run_cli(["channel", "--graph", "ring:4", "--tau", "0.1"]) == 1
+        assert capsys.readouterr().err == "error: a run needs both tau and steps, got tau=0.1, steps=None\n"
 
     def test_bad_graph_spec_exit_1(self):
         assert run_cli(["channel", "--graph", "tree:9", "--tau", "0.1", "--steps", "5"]) == 1
@@ -414,12 +391,10 @@ class TestErrorPaths:
          "error: node_count must be positive"),
         (["channel", "--graph", "file:{tmp}/comments.edges", "--tau", "0.1", "--steps", "3"],
          "missing 'nodes <N>' header"),
-        (["channel", "--graph", "ring:4", "--time", "0.01", "--tau", "0.1"],
-         "error: total time 0.01 shorter than one step tau=0.1"),
         (["convergence", "--steps-list", "4,x"], "bad --steps-list value '4,x'"),
         (["oracle", "--which", "complete-q", "--graph", "file:{tmp}/one.edges", "--tau", "0.1", "--steps", "3"],
          "error: complete graph needs n >= 2, got 1"),
-    ], ids=["zero-nodes", "no-header", "time-below-step", "bad-steps-list", "complete-one-node"])
+    ], ids=["zero-nodes", "no-header", "bad-steps-list", "complete-one-node"])
     def test_bad_input_exit_1_without_csv(self, tmp_path, capsys, argv, message):
         (tmp_path / "zero.edges").write_text("nodes 0\n")
         (tmp_path / "comments.edges").write_text("# an edge file\n# of comments only\n")
@@ -454,7 +429,9 @@ class TestErrorPaths:
         ["channel", "--graph", "ring:4", "--tau", "inf", "--steps", "3"],
         ["trajectory", "--graph", "complete:7", "--tau", "1e308", "--steps", "3"],
         ["montecarlo", "--graph", "ring:4", "--tau", "nan", "--steps", "3"],
-        ["channel", "--graph", "ring:4", "--time", "1", "--tau", "1e-320"],
+        # a scan's window, refused before any channel is built
+        ["convergence", "--time", "inf"],
+        ["horizon", "--time", "nan"],
     ])
     def test_non_finite_timing_exit_1(self, tmp_path, capsys, argv):
         out = tmp_path / "run.csv"
@@ -720,17 +697,20 @@ class TestParser:
         assert [code for code, _, _ in reused] == [1, 0, 0, 0]
 
     def test_each_subcommand_takes_only_the_flags_it_reads(self):
-        # a flag outside these sets would be accepted and do nothing
-        common = {"graph", "lambda", "tau", "steps", "time", "start", "out", "config"}
-        point = common | {"seed", "stride"}
+        # a flag outside these sets would be accepted and do nothing; a run's length is --tau and
+        # --steps, a scan's window --time
+        common = {"graph", "lambda", "start", "out", "config"}
+        run = common | {"tau", "steps", "stride"}
+        point = run | {"seed"}
+        scan = common | {"time", "steps_list"}
         want = {
             "trajectory": point,
             "classical": point,
             "channel": point,
             "montecarlo": point | {"trajectories"},
-            "oracle": common | {"stride", "which", "target"},
-            "convergence": common | {"seed", "steps_list"},
-            "horizon": common | {"seed", "steps_list", "epsilons"},
+            "oracle": run | {"which", "target"},
+            "convergence": scan,
+            "horizon": scan | {"epsilons"},
             "envelope": point | {"traj_steps"},
         }
         parser = cli.build_parser()
@@ -738,10 +718,25 @@ class TestParser:
         assert got == want
 
     @pytest.mark.parametrize("argv,flag", [
-        (["oracle", "--which", "flat", "--graph", "ring:4", "--tau", "0.5", "--steps", "2"], "seed"),
-        (["convergence", "--graph", "ring:4", "--time", "1", "--steps-list", "5"], "stride"),
-        (["horizon", "--graph", "ring:4", "--time", "1", "--steps-list", "5"], "stride"),
-    ], ids=["oracle-seed", "convergence-stride", "horizon-stride"])
+        pytest.param(["oracle", "--which", "flat", "--graph", "ring:4", "--tau", "0.5", "--steps", "2"], "seed",
+                     id="oracle-seed"),
+        pytest.param(["convergence", "--graph", "ring:4", "--time", "1", "--steps-list", "5"], "stride",
+                     id="convergence-stride"),
+        pytest.param(["horizon", "--graph", "ring:4", "--time", "1", "--steps-list", "5"], "stride",
+                     id="horizon-stride"),
+        # a run's length is --tau and --steps only
+        *(pytest.param([command, "--graph", "ring:4", "--tau", "0.5", "--steps", "2", *extra], "time",
+                       id=f"{command}-time")
+          for command, extra in (("trajectory", []), ("classical", []), ("channel", []),
+                                 ("montecarlo", []), ("oracle", ["--which", "flat"]), ("envelope", []))),
+        # a scan's window is --time only, and the exact channel draws nothing
+        *(pytest.param([command, "--graph", "ring:4", "--time", "1", "--steps-list", "5"], flag,
+                       id=f"{command}-{flag}")
+          for command in ("convergence", "horizon") for flag in ("tau", "steps", "seed")),
+        # a prefix of --trajectories is no flag either
+        pytest.param(["montecarlo", "--graph", "ring:4", "--tau", "0.5", "--steps", "2"], "traj",
+                     id="montecarlo-prefix"),
+    ])
     def test_a_flag_the_command_does_not_read_exit_1(self, tmp_path, capsys, argv, flag):
         assert run_cli([*argv, f"--{flag}", "1"]) == 1
         assert f"unrecognized arguments: --{flag} 1" in capsys.readouterr().err
@@ -762,6 +757,10 @@ class TestParser:
         parser = cli.build_parser()
         for argv in commands:
             parser.parse_args(argv)
+
+
+# the run flags that a scan does not take
+SCAN_DROPS = dict.fromkeys(("tau", "steps", "seed", "stride"))
 
 
 class TestConfigFile:
@@ -797,22 +796,21 @@ class TestConfigFile:
         ("channel", {}),
         ("montecarlo", {"trajectories": "5"}),
         ("oracle", {"which": "rescaled", "target": "1", "seed": None}),
-        ("convergence", {"steps-list": "50,100", "stride": None}),
-        ("horizon", {"steps-list": "50,100", "epsilons": "0.05,0.1", "stride": None}),
+        ("convergence", {"time": "2", "steps-list": "50,100", **SCAN_DROPS}),
+        ("horizon", {"time": "2", "steps-list": "50,100", "epsilons": "0.05,0.1", **SCAN_DROPS}),
         ("envelope", {"graph": "ring:4", "lambda": "0.2", "start": "0", "traj-steps": "40"}),
     ], ids=lambda x: x if isinstance(x, str) else "")
     def test_every_key_gives_the_csv_of_its_flag(self, tmp_path, command, flags):
         # None drops a flag that the command does not take
-        flags = {"graph": "ring:5", "lambda": "0.3", "tau": "0.1", "steps": "20", "time": "2",
+        flags = {"graph": "ring:5", "lambda": "0.3", "tau": "0.1", "steps": "20",
                  "start": "2", "seed": "4", "stride": "3", **flags}
         flags = {key: value for key, value in flags.items() if value is not None}
         by_flags, by_config = tmp_path / "flags.csv", tmp_path / "config.csv"
         cfg = tmp_path / "run.cfg"
         cfg.write_text("".join(f"{key} = {value}\n" for key, value in {**flags, "out": by_config}.items()))
         argv = [command, *(arg for key, value in flags.items() for arg in (f"--{key}", value))]
-        code = run_cli(argv + ["--out", str(by_flags)])
-        assert code in (0, 2)  # a short envelope may not fit
-        assert run_cli([command, "--config", str(cfg)]) == code
+        assert run_cli(argv + ["--out", str(by_flags)]) == 0
+        assert run_cli([command, "--config", str(cfg)]) == 0
         assert by_config.read_bytes() == by_flags.read_bytes()
 
     @pytest.mark.parametrize("key,value", [("which", "nope"), ("steps", "x"), ("lambda", "")])

@@ -77,7 +77,8 @@ class TestPercolationRun:
 
     @pytest.mark.parametrize("tau,steps", [(np.inf, 5), (np.nan, 5), (1e308, 10), (1e300, 10**9)])
     def test_non_finite_timing_is_refused(self, tau, steps):
-        # such a run would step to NaN states; the CLI refuses it first through resolve_timing
+        # such a run would step to NaN states; every CLI run and scan point is refused here first,
+        # through ExperimentSpec.run()
         with pytest.raises(ValueError, match="finite"):
             PercolationRun(lam=0.5, tau=tau, steps=steps)
 

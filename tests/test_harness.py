@@ -20,47 +20,62 @@ from percwalk.harness.experiments import (
     fit_exponential_envelope,
     oracle_table,
     point_table,
-    resolve_timing,
 )
 from percwalk.walk import classical_transition, transition_probability
 
 
+def _resolve(tau, steps, total_time):
+    """The check that owns a spec's timing: ``run()`` for a run, the scan's window for a scan."""
+    spec = ExperimentSpec("ring:4", tau=tau, steps=steps, total_time=total_time)
+    if total_time is None:
+        return spec.run()
+    with mock.patch("percwalk.harness.experiments.channel_curve",
+                    side_effect=AssertionError("channel built before the window was checked")):
+        return exp_convergence(spec, s_list=(10,))
+
+
 class TestResolveTiming:
+    """How a spec's timing resolves: a run's tau and steps in ``run()``, a scan's window in the scan."""
+
     def test_tau_and_steps(self):
-        assert resolve_timing(0.004, 5000, None) == (0.004, 5000, 20.0)
-
-    def test_tau_and_time(self):
-        tau, steps, total = resolve_timing(1e-4, None, 10.0)
-        assert steps == 100_000 and total == pytest.approx(10.0)
-
-    def test_steps_and_time(self):
-        tau, steps, total = resolve_timing(None, 1000, 10.0)
-        assert tau == pytest.approx(0.01) and total == 10.0
-
-    def test_all_three_consistent(self):
-        assert resolve_timing(0.1, 100, 10.0)[1] == 100
+        run = _resolve(0.004, 5000, None)
+        assert (run.tau, run.steps, run.total_time) == (0.004, 5000, 20.0)
 
     def test_all_three_inconsistent(self):
-        with pytest.raises(ValueError, match="inconsistent"):
-            resolve_timing(0.1, 100, 99.0)
+        with pytest.raises(ValueError, match="give tau and steps for a run, or total_time for a scan, not both"):
+            ExperimentSpec("ring:4", tau=0.1, steps=100, total_time=99.0)
+
+    @pytest.mark.parametrize("timing", [
+        dict(tau=0.1, total_time=10.0), dict(steps=100, total_time=10.0),
+        dict(tau=0.1, steps=100, total_time=10.0),
+    ], ids=["tau-time", "steps-time", "consistent-triple"])
+    def test_total_time_with_tau_or_steps_is_refused(self, timing):
+        # agreeing or not, one of the values would be ignored
+        with pytest.raises(ValueError, match="not both"):
+            ExperimentSpec("ring:4", **timing)
 
     def test_underdetermined(self):
-        with pytest.raises(ValueError):
-            resolve_timing(0.1, None, None)
+        for spec in (ExperimentSpec("ring:4", tau=0.1), ExperimentSpec("ring:4", steps=10),
+                     ExperimentSpec("ring:4", total_time=1.0)):
+            with pytest.raises(ValueError, match="a run needs both tau and steps"):
+                spec.run()
 
-    @pytest.mark.parametrize("bad", [(0.0, 10, None), (0.1, 0, None), (None, 10, -1.0)])
+    def test_scan_needs_a_window(self):
+        with pytest.raises(ValueError, match="window total_time must be positive and finite, got None"):
+            exp_epsilon_horizon(ExperimentSpec("ring:5", tau=0.1, steps=40), s_list=(50,))
+
+    @pytest.mark.parametrize("bad", [(0.0, 10, None), (0.1, 0, None), (None, None, -1.0), (None, None, 0.0)])
     def test_invalid_values(self, bad):
         with pytest.raises(ValueError):
-            resolve_timing(*bad)
+            _resolve(*bad)
 
     @pytest.mark.parametrize("bad", [
         (float("inf"), 3, None), (float("nan"), 3, None), (1e308, 3, None),
-        (None, 3, float("inf")), (None, 3, float("nan")), (1e-320, None, 1.0),
-        (float("inf"), None, 1.0),
+        (None, None, float("inf")), (None, None, float("nan")),
     ])
     def test_non_finite_timing(self, bad):
         with pytest.raises(ValueError, match="finite"):
-            resolve_timing(*bad)
+            _resolve(*bad)
 
 
 class TestEnvelope:
@@ -115,6 +130,15 @@ class TestEnvelope:
         with pytest.raises(EnvelopeFitError, match="did not converge to a decaying envelope: .* \\(residual="):
             fit_exponential_envelope(t, 0.25 + 0.1 * np.exp(0.2 * t), 0.25)
 
+    def test_fit_failure_on_singular_normal_equations(self, monkeypatch):
+        def singular(*args, **kwargs):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        t = np.linspace(0, 80, 41)
+        with pytest.raises(EnvelopeFitError, match=r"^normal equations singular: Singular matrix \(residual=\S+\)$"):
+            fit_exponential_envelope(t, 0.7 * np.exp(-0.05 * t) + 0.25, 0.25)
+
     def test_maxima_refuse_arrays_of_different_lengths(self):
         with pytest.raises(ValueError, match="times and values must be matching 1-d arrays"):
             extract_envelope_maxima(np.arange(5.0), np.ones(4))
@@ -160,6 +184,24 @@ class TestCsv:
         want = [f"# columns: {','.join(name for name, _ in cols)}", ",".join(name for name, _ in cols)]
         want += [",".join(f"{float(arr[i]):.17g}" for _, arr in cols) for i in range(700)]
         assert csvio.render_csv({}, cols) == "\n".join(want) + "\n"
+
+    @pytest.mark.parametrize("value,text", [(True, "true"), (False, "false"), (np.True_, "true"),
+                                            (np.False_, "false")])
+    def test_booleans_format_one_way(self, value, text):
+        assert csvio.format_value(value) == text
+
+    def test_read_csv_needs_a_column_header(self, tmp_path):
+        path = tmp_path / "x.csv"
+        path.write_text("# graph = ring:4\n\n# seed = 3\n")
+        with pytest.raises(ValueError, match="no column header found"):
+            csvio.read_csv(path)
+
+    def test_read_csv_skips_blank_lines(self, tmp_path):
+        path = tmp_path / "x.csv"
+        path.write_text("# seed = 3\nt,p\n\n0,1\n   \n1,0.5\n")
+        meta, data = csvio.read_csv(path)
+        assert meta == {"seed": "3"}
+        assert list(data["t"]) == [0.0, 1.0] and list(data["p"]) == [1.0, 0.5]
 
     def test_mismatched_columns(self):
         with pytest.raises(ValueError):

@@ -102,7 +102,9 @@ class TestRefusals:
         (oracles.ring4_classical_return, (1.5, 1.0), r"lam must be in \[0, 1\], got 1.5"),
         (oracles.ring4_classical_return, (0.5, -1.0), "t must be >= 0"),
         (oracles.complete_graph_classical_return, (5, np.array([0.0, -1.0])), "t must be >= 0"),
-    ], ids=["ring4-q-lam-high", "ring4-q-lam-low", "ring4-c-lam-high", "ring4-c-t", "complete-c-t"])
+        (oracles.complete_graph_classical_return, (1, 0.0), "complete graph needs n >= 2, got 1"),
+    ], ids=["ring4-q-lam-high", "ring4-q-lam-low", "ring4-c-lam-high", "ring4-c-t", "complete-c-t",
+            "complete-c-one-node"])
     def test_closed_forms_refuse_lambda_and_time_out_of_range(self, form, args, message):
         with pytest.raises(ValueError, match=message):
             form(*args)
